@@ -16,6 +16,8 @@ import (
 	"sync"
 	"testing"
 
+	"bhive/internal/classify"
+	"bhive/internal/corpus"
 	"bhive/internal/exec"
 	"bhive/internal/harness"
 	"bhive/internal/machine"
@@ -334,6 +336,58 @@ func BenchmarkPredictIACA(b *testing.B) {
 		if _, err := m.Predict(block); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var (
+	mixedOnce   sync.Once
+	mixedBlocks []*x86.Block
+)
+
+// mixedBlockSet returns a fixed, deterministic block set covering every
+// corpus category: the first perCategory blocks of each LDA category in a
+// small seed-1 corpus, classified the way Table IV classifies them.
+func mixedBlockSet() []*x86.Block {
+	const perCategory = 8
+	mixedOnce.Do(func() {
+		recs := corpus.GenerateAll(0.002, 1)
+		blocks := make([]*x86.Block, len(recs))
+		for i := range recs {
+			blocks[i] = recs[i].Block
+		}
+		cls := classify.Fit(uarch.Haswell(), blocks, classify.DefaultOptions())
+		taken := map[classify.Category]int{}
+		for i, c := range cls.Categories() {
+			if taken[c] < perCategory {
+				taken[c]++
+				mixedBlocks = append(mixedBlocks, blocks[i])
+			}
+		}
+	})
+	return mixedBlocks
+}
+
+// BenchmarkPredictMixed times Predict for each analytical model over the
+// mixed-category block set; ns/op divided by blocksPerOp is the per-block
+// cost. Prediction errors (OSACA's parser rejects some forms) are part of
+// the workload and counted, not fatal.
+func BenchmarkPredictMixed(b *testing.B) {
+	blocks := mixedBlockSet()
+	for _, m := range models.All(uarch.Haswell()) {
+		b.Run(m.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			errs := 0
+			for i := 0; i < b.N; i++ {
+				for _, blk := range blocks {
+					if _, err := m.Predict(blk); err != nil {
+						errs++
+					}
+				}
+			}
+			b.ReportMetric(float64(len(blocks)), "blocksPerOp")
+			b.ReportMetric(float64(errs)/float64(b.N), "errorsPerOp")
+		})
 	}
 }
 

@@ -44,10 +44,14 @@ func isVecClass(c uarch.UopClass) bool {
 	return false
 }
 
-// buildSimInsts converts a block into the model's view of it.
-func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts) ([]simInst, error) {
+// buildSimInsts converts a block into the model's view of it. Display
+// text is built only when withText is set (schedule traces and reports).
+func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts, withText bool) ([]simInst, error) {
 	div64 := divReference(cpu)
 	out := make([]simInst, 0, len(b.Insts))
+	// Every instruction's µops share one backing array; each simInst keeps
+	// a capped window of it, which later growth copies but never mutates.
+	uops := make([]simUop, 0, len(b.Insts)+len(b.Insts)/2)
 	for i := range b.Insts {
 		in := &b.Insts[i]
 		var (
@@ -72,16 +76,19 @@ func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts) ([]simInst, error)
 			fused:     d.FusedUops,
 			zeroIdiom: d.ZeroIdiom,
 			elimMove:  d.EliminatedMove,
-			text:      in.String(),
+		}
+		if withText {
+			si.text = in.String()
 		}
 		si.addr, si.data, si.writes = machine.RegSets(in)
 
+		lo := len(uops)
 		for _, u := range d.Uops {
 			su := simUop{
 				ports: u.Ports,
 				lat:   int(u.Lat),
 				occ:   int(u.Occupancy),
-				name:  u.Class.String(),
+				class: u.Class,
 			}
 			switch u.Class {
 			case uarch.ClassLoad:
@@ -113,12 +120,13 @@ func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts) ([]simInst, error)
 				}
 				su.lat = int(perturb(uint8(su.lat), in.Op, o.salt, prob, strength))
 			}
-			si.uops = append(si.uops, su)
+			uops = append(uops, su)
 		}
 
 		if o.fuseLoads {
-			si.uops = fuseLoadUops(si.uops)
+			uops = uops[:lo+len(fuseLoadUops(uops[lo:]))]
 		}
+		si.uops = uops[lo:len(uops):len(uops)]
 		out = append(out, si)
 	}
 	if len(out) == 0 {
@@ -130,7 +138,7 @@ func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts) ([]simInst, error)
 // fuseLoadUops merges a load µop into the first computation µop: the fused
 // unit inherits the sum of latencies and, because it is no longer a load,
 // waits for every input register — the scheduling mistake the paper's last
-// case study exposes in llvm-mca.
+// case study exposes in llvm-mca. It rewrites uops in place.
 func fuseLoadUops(uops []simUop) []simUop {
 	loadIdx := -1
 	for i, u := range uops {
@@ -144,7 +152,7 @@ func fuseLoadUops(uops []simUop) []simUop {
 	}
 	computeIdx := -1
 	for i, u := range uops {
-		if !u.isLoad && u.name != "store-addr" && u.name != "store-data" {
+		if !u.isLoad && u.class != uarch.ClassStoreAddr && u.class != uarch.ClassStoreData {
 			computeIdx = i
 			break
 		}
@@ -152,20 +160,9 @@ func fuseLoadUops(uops []simUop) []simUop {
 	if computeIdx < 0 {
 		return uops // pure load: nothing to fuse with
 	}
-	fused := uops[computeIdx]
-	fused.lat += uops[loadIdx].lat
-	fused.name = "load+" + fused.name
-	out := make([]simUop, 0, len(uops)-1)
-	for i, u := range uops {
-		switch i {
-		case loadIdx:
-		case computeIdx:
-			out = append(out, fused)
-		default:
-			out = append(out, u)
-		}
-	}
-	return out
+	uops[computeIdx].lat += uops[loadIdx].lat
+	uops[computeIdx].fusedLoad = true
+	return append(uops[:loadIdx], uops[loadIdx+1:]...)
 }
 
 // divReference returns the 64-bit divide latency in the CPU's tables.
@@ -214,20 +211,42 @@ func argSizeBelow64(in *x86.Inst) bool {
 	return false
 }
 
+// simModel is the shared core of the simulator-backed models: an
+// instruction-table view of the block scheduled by the model simulator.
+type simModel struct {
+	cpu  *uarch.CPU
+	opts tableOpts
+}
+
+// Predict implements Predictor.
+func (m *simModel) Predict(b *x86.Block) (float64, error) {
+	insts, err := buildSimInsts(m.cpu, b, m.opts, false)
+	if err != nil {
+		return 0, err
+	}
+	return derivedPrediction(insts, m.cpu.IssueWidth, m.cpu.NumPorts, len(b.Insts))
+}
+
+// Schedule implements ScheduleTracer.
+func (m *simModel) Schedule(b *x86.Block, iterations int) ([]ScheduleEntry, error) {
+	insts, err := buildSimInsts(m.cpu, b, m.opts, true)
+	if err != nil {
+		return nil, err
+	}
+	return schedule(insts, m.cpu.IssueWidth, m.cpu.NumPorts, iterations)
+}
+
 // IACA is the vendor-built analyzer: a port-binding simulator that knows
 // the proprietary fast paths (zero idioms, move elimination, micro-fusion)
 // and dispatches loads as soon as their addresses are ready. Its documented
 // weakness is the divider table: a 32-bit divide is costed like the 64-bit
 // form (the paper's first case study, where IACA predicts 98 cycles against
 // a measured 21.62).
-type IACA struct {
-	cpu  *uarch.CPU
-	opts tableOpts
-}
+type IACA struct{ simModel }
 
 // NewIACA builds the IACA-like model for a CPU.
 func NewIACA(cpu *uarch.CPU) *IACA {
-	return &IACA{
+	return &IACA{simModel{
 		cpu: cpu,
 		opts: tableOpts{
 			salt:            "iaca/" + cpu.Name,
@@ -242,28 +261,8 @@ func NewIACA(cpu *uarch.CPU) *IACA {
 			vecPortDrop:     0.45,
 			vecSlowProb:     0.55,
 		},
-	}
+	}}
 }
 
 // Name implements Predictor.
 func (m *IACA) Name() string { return "IACA" }
-
-// Predict implements Predictor.
-func (m *IACA) Predict(b *x86.Block) (float64, error) {
-	insts, err := buildSimInsts(m.cpu, b, m.opts)
-	if err != nil {
-		return 0, err
-	}
-	return derivedPrediction(insts, m.cpu.IssueWidth, m.cpu.NumPorts, len(b.Insts)), nil
-}
-
-// Schedule implements ScheduleTracer.
-func (m *IACA) Schedule(b *x86.Block, iterations int) ([]ScheduleEntry, error) {
-	insts, err := buildSimInsts(m.cpu, b, m.opts)
-	if err != nil {
-		return nil, err
-	}
-	var trace []ScheduleEntry
-	simulate(insts, m.cpu.IssueWidth, m.cpu.NumPorts, iterations, &trace)
-	return trace, nil
-}

@@ -1,9 +1,6 @@
 package models
 
-import (
-	"bhive/internal/uarch"
-	"bhive/internal/x86"
-)
+import "bhive/internal/uarch"
 
 // LLVMMCA models llvm-mca: an out-of-order simulator whose parameters come
 // from the compiler's backend scheduling model rather than from silicon.
@@ -22,10 +19,7 @@ import (
 // The Skylake scheduling model is younger and noisier than the Haswell and
 // Ivy Bridge ones — "a result of LLVM developers having less time updating
 // the cost models for the relatively new microarchitecture".
-type LLVMMCA struct {
-	cpu  *uarch.CPU
-	opts tableOpts
-}
+type LLVMMCA struct{ simModel }
 
 // NewLLVMMCA builds the llvm-mca-like model for a CPU.
 func NewLLVMMCA(cpu *uarch.CPU) *LLVMMCA {
@@ -51,28 +45,8 @@ func NewLLVMMCA(cpu *uarch.CPU) *LLVMMCA {
 		o.vecPortDrop = 0.50
 		o.vecSlowProb = 0.55
 	}
-	return &LLVMMCA{cpu: cpu, opts: o}
+	return &LLVMMCA{simModel{cpu: cpu, opts: o}}
 }
 
 // Name implements Predictor.
 func (m *LLVMMCA) Name() string { return "llvm-mca" }
-
-// Predict implements Predictor.
-func (m *LLVMMCA) Predict(b *x86.Block) (float64, error) {
-	insts, err := buildSimInsts(m.cpu, b, m.opts)
-	if err != nil {
-		return 0, err
-	}
-	return derivedPrediction(insts, m.cpu.IssueWidth, m.cpu.NumPorts, len(b.Insts)), nil
-}
-
-// Schedule implements ScheduleTracer.
-func (m *LLVMMCA) Schedule(b *x86.Block, iterations int) ([]ScheduleEntry, error) {
-	insts, err := buildSimInsts(m.cpu, b, m.opts)
-	if err != nil {
-		return nil, err
-	}
-	var trace []ScheduleEntry
-	simulate(insts, m.cpu.IssueWidth, m.cpu.NumPorts, iterations, &trace)
-	return trace, nil
-}

@@ -18,11 +18,14 @@ func Report(cpu *uarch.CPU, b *x86.Block) (string, error) {
 		return "", errEmptyBlock
 	}
 	pure := tableOpts{salt: "report", zeroIdioms: true, moveElim: true}
-	insts, err := buildSimInsts(cpu, b, pure)
+	insts, err := buildSimInsts(cpu, b, pure, true)
 	if err != nil {
 		return "", err
 	}
-	tp := derivedPrediction(insts, cpu.IssueWidth, cpu.NumPorts, len(b.Insts))
+	tp, err := derivedPrediction(insts, cpu.IssueWidth, cpu.NumPorts, len(b.Insts))
+	if err != nil {
+		return "", err
+	}
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Throughput analysis report (%s)\n", cpu.Name)

@@ -1,18 +1,30 @@
 package models
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"bhive/internal/uarch"
 )
 
 // simUop is a micro-op in the model's view of the machine.
 type simUop struct {
-	ports  uarch.PortSet
-	lat    int
-	occ    int  // non-pipelined unit occupancy
-	isLoad bool // load µops depend only on address registers
-	name   string
+	ports     uarch.PortSet
+	lat       int
+	occ       int  // non-pipelined unit occupancy
+	isLoad    bool // load µops depend only on address registers
+	class     uarch.UopClass
+	fusedLoad bool // a load folded into this µop (one scheduling unit)
+}
+
+// name is the µop's label in a schedule trace.
+func (u *simUop) name() string {
+	if u.fusedLoad {
+		return "load+" + u.class.String()
+	}
+	return u.class.String()
 }
 
 // simInst is a model's description of one instruction.
@@ -24,36 +36,82 @@ type simInst struct {
 
 	zeroIdiom bool
 	elimMove  bool
-	text      string
+	text      string // set only when the caller traces the schedule
 }
 
-const simRegs = 33
+const (
+	simRegs      = 33
+	simWindow    = 192        // ROB-ish bound on in-flight (unissued) µops
+	simMaxCycles = 10_000_000 // runaway guard
+)
 
-// simulate schedules iters copies of the block on a width-wide machine
-// with the given port count, returning total cycles (and optionally a
-// schedule trace).
-func simulate(insts []simInst, width, nports, iters int, trace *[]ScheduleEntry) int64 {
-	type flight struct {
-		inst, iter int
-		uop        int
-		deps       []int32
-		issued     bool
-		done       bool
-		doneAt     int64
+var (
+	errEmptyBlock = fmt.Errorf("models: empty basic block")
+	errSimStalled = errors.New("models: simulation stalled: an instruction can never allocate or a µop can never issue")
+	errSimRunaway = fmt.Errorf("models: simulation exceeded %d cycles", simMaxCycles)
+)
+
+// wiredUop is one unrolled µop in the dependence arena.
+type wiredUop struct {
+	ports    uint32 // issue ports, restricted to the machine's
+	lat, occ int32
+	deps     int32 // producer edges, with multiplicity: the initial pending count
+	inst     int32 // unrolled instruction index
+}
+
+// simScratch holds the dependence arena of one block and the scheduler
+// state that runs over it. Both are reused through simPool, so a Predict
+// allocates nothing here once the pool is warm.
+type simScratch struct {
+	// Wiring, built once per block for the largest unroll. µop ids are
+	// contiguous per unrolled instruction, so the wiring for k copies is
+	// the id prefix [0, start[k·len)) of the wiring for any larger count.
+	start  []int32 // start[k]: first µop id of unrolled instruction k
+	uops   []wiredUop
+	deps   []int32 // producer ids, grouped by consumer in id order
+	revOff []int32 // consumers of µop p: rev[revOff[p]:revOff[p+1]]
+	rev    []int32 // consumer ids, ascending within each producer
+
+	// Scheduler state, reset by every run.
+	pending []int32  // unissued producers of each µop
+	readyAt []int64  // max doneAt over each µop's issued producers
+	ready   []int32  // allocated µops whose inputs are ready, oldest first
+	merge   []int32  // second buffer for merging wake-ups into ready
+	heap    []uint64 // readyAt<<32 | id, for µops waiting on latency
+}
+
+var simPool = sync.Pool{New: func() any { return new(simScratch) }}
+
+// resize returns b with length n, reallocating only when it must grow.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
 	}
+	return b[:n]
+}
 
-	var all []flight
+// appendProducers appends the current producer of each register in regs.
+func appendProducers(deps []int32, lastWriter *[simRegs]int32, regs []uint8) []int32 {
+	for _, r := range regs {
+		if p := lastWriter[r]; p >= 0 {
+			deps = append(deps, p)
+		}
+	}
+	return deps
+}
+
+// wire unrolls copies of the block and builds its dependence arena.
+func (s *simScratch) wire(insts []simInst, copies, nports int) {
+	valid := uint32(1)<<nports - 1
+	total := len(insts) * copies
+	s.start, s.uops, s.deps = s.start[:0], s.uops[:0], s.deps[:0]
 	var lastWriter [simRegs]int32
 	for i := range lastWriter {
 		lastWriter[i] = -1
 	}
-
-	// Unroll and build dependence edges.
-	total := len(insts) * iters
-	uopIdx := make([][]int32, total)
 	for k := 0; k < total; k++ {
 		in := &insts[k%len(insts)]
-		iter := k / len(insts)
+		s.start = append(s.start, int32(len(s.uops)))
 		if in.zeroIdiom {
 			for _, w := range in.writes {
 				lastWriter[w] = -1
@@ -70,180 +128,335 @@ func simulate(insts []simInst, width, nports, iters int, trace *[]ScheduleEntry)
 			}
 			continue
 		}
-		var last, loadID int32 = -1, -1
 		hasLoad := false
 		for u := range in.uops {
-			if in.uops[u].isLoad {
-				hasLoad = true
-			}
+			hasLoad = hasLoad || in.uops[u].isLoad
 		}
+		var last, loadID int32 = -1, -1
 		for u := range in.uops {
-			f := flight{inst: k % len(insts), iter: iter, uop: u}
-			if in.uops[u].isLoad {
+			spec := &in.uops[u]
+			d0 := len(s.deps)
+			if spec.isLoad {
 				// Loads wait only on address registers — this is what lets
 				// hardware (and IACA) hoist an independent load ahead of
 				// the dependent computation that consumes it.
-				for _, r := range in.addr {
-					if p := lastWriter[r]; p >= 0 {
-						f.deps = append(f.deps, p)
-					}
-				}
+				s.deps = appendProducers(s.deps, &lastWriter, in.addr)
 			} else {
-				for _, r := range in.data {
-					if p := lastWriter[r]; p >= 0 {
-						f.deps = append(f.deps, p)
-					}
-				}
+				s.deps = appendProducers(s.deps, &lastWriter, in.data)
 				if !hasLoad {
 					// Store-address computation and fused load+op shapes
 					// consume the addressing registers directly.
-					for _, r := range in.addr {
-						if p := lastWriter[r]; p >= 0 {
-							f.deps = append(f.deps, p)
-						}
-					}
+					s.deps = appendProducers(s.deps, &lastWriter, in.addr)
 				}
 				if loadID >= 0 {
-					f.deps = append(f.deps, loadID)
+					s.deps = append(s.deps, loadID)
 				}
 				if last >= 0 {
-					f.deps = append(f.deps, last)
+					s.deps = append(s.deps, last)
 				}
 			}
-			id := int32(len(all))
-			all = append(all, f)
-			uopIdx[k] = append(uopIdx[k], id)
-			if in.uops[u].isLoad {
+			id := int32(len(s.uops))
+			s.uops = append(s.uops, wiredUop{
+				ports: uint32(spec.ports) & valid,
+				lat:   int32(spec.lat),
+				occ:   int32(spec.occ),
+				deps:  int32(len(s.deps) - d0),
+				inst:  int32(k),
+			})
+			if spec.isLoad {
 				loadID = id
 			} else {
 				last = id
 			}
 		}
-		if len(uopIdx[k]) > 0 {
-			producer := uopIdx[k][len(uopIdx[k])-1]
+		if len(in.uops) > 0 {
 			for _, w := range in.writes {
-				lastWriter[w] = producer
+				lastWriter[w] = int32(len(s.uops) - 1)
 			}
 		}
 	}
+	s.start = append(s.start, int32(len(s.uops)))
 
-	if len(all) == 0 {
+	// Reverse edges: count consumers per producer, prefix-sum, then fill
+	// in consumer id order so each producer's list comes out ascending.
+	n := len(s.uops)
+	s.revOff = resize(s.revOff, n+1)
+	clear(s.revOff)
+	for _, p := range s.deps {
+		s.revOff[p+1]++
+	}
+	for i := 1; i <= n; i++ {
+		s.revOff[i] += s.revOff[i-1]
+	}
+	s.rev = resize(s.rev, len(s.deps))
+	cursor := resize(s.pending, n)
+	copy(cursor, s.revOff[:n])
+	e := 0
+	for id := range s.uops {
+		for j := int32(0); j < s.uops[id].deps; j++ {
+			p := s.deps[e]
+			e++
+			s.rev[cursor[p]] = int32(id)
+			cursor[p]++
+		}
+	}
+	s.pending = cursor
+}
+
+// run schedules the first copies unrolled copies of the wired block on a
+// width-wide machine with nports ports, returning total cycles (and
+// optionally a schedule trace). Each cycle allocates up to width fused
+// µops into a simWindow-entry window, then issues ready µops oldest first,
+// each to the lowest-numbered port in its set that is neither used this
+// cycle nor busy with a non-pipelined op. µops learn readiness by wake-up
+// rather than by a scan: an issuing producer decrements its consumers'
+// pending counts, and a consumer whose last producer issued waits in a
+// min-heap until its readyAt. Cycles in which nothing can happen are
+// skipped. It returns an error when the block can never finish.
+func (s *simScratch) run(insts []simInst, copies, width, nports int, trace *[]ScheduleEntry) (int64, error) {
+	total := len(insts) * copies
+	n := s.start[total]
+	if n == 0 {
 		// Pure zero-idiom/eliminated blocks retire at the rename width.
 		fusedTotal := 0
 		for k := 0; k < total; k++ {
 			fusedTotal += insts[k%len(insts)].fused
 		}
-		return int64((fusedTotal + width - 1) / width)
+		return int64((fusedTotal + width - 1) / width), nil
+	}
+	s.pending = resize(s.pending, int(n))
+	for id := range s.pending {
+		s.pending[id] = s.uops[id].deps
+	}
+	s.readyAt = resize(s.readyAt, int(n))
+	clear(s.readyAt)
+	s.ready, s.heap = s.ready[:0], s.heap[:0]
+
+	var (
+		cycle, lastDone int64
+		nextInst        int   // next unrolled instruction to allocate
+		slot            int   // nextInst's position in the block
+		inFlight        int   // allocated, unissued µops
+		completed       int32 // issued µops
+		portBusy        [16]int64
+		maxBusy         int64 // latest portBusy entry
+	)
+	valid := uint32(1)<<nports - 1
+	// canAllocate reports whether the next instruction fits a fresh cycle's
+	// budget and the window.
+	canAllocate := func() bool {
+		return nextInst < total && insts[slot].fused <= width &&
+			inFlight+int(s.start[nextInst+1]-s.start[nextInst]) <= simWindow
 	}
 
-	// Cycle loop: allocate (width fused µops/cycle), issue oldest-first.
-	var (
-		cycle     int64
-		nextInst  int // next unrolled instruction to allocate
-		allocated int // µops allocated so far
-		completed int
-		rs        []int32
-		portBusy  = make([]int64, nports)
-		portUsed  = make([]bool, nports)
-	)
-	fusedOf := func(k int) int { return insts[k%len(insts)].fused }
+	for {
+		if len(s.heap) > 0 && int64(s.heap[0]>>32) <= cycle {
+			s.wakeDue(cycle)
+		}
 
-	const window = 192 // ROB-ish bound on in-flight µops
-	inFlight := 0
-
-	for completed < len(all) {
 		// Allocate.
-		budget := width
-		for nextInst < total && budget > 0 {
-			f := fusedOf(nextInst)
-			if f > budget || inFlight+len(uopIdx[nextInst]) > window {
+		for budget := width; nextInst < total && budget > 0; nextInst++ {
+			f := insts[slot].fused
+			lo, hi := s.start[nextInst], s.start[nextInst+1]
+			if f > budget || inFlight+int(hi-lo) > simWindow {
 				break
 			}
 			budget -= f
-			for _, id := range uopIdx[nextInst] {
-				rs = append(rs, id)
-				inFlight++
+			// Allocation is in id order, so appending keeps ready oldest first.
+			for id := lo; id < hi; id++ {
+				switch {
+				case s.pending[id] > 0:
+				case s.readyAt[id] <= cycle:
+					s.ready = append(s.ready, id)
+				default:
+					s.push(s.readyAt[id], id)
+				}
 			}
-			nextInst++
+			inFlight += int(hi - lo)
+			if slot++; slot == len(insts) {
+				slot = 0
+			}
 		}
+		allocated := s.start[nextInst]
 
-		// Issue.
-		for p := range portUsed {
-			portUsed[p] = false
-		}
-		w := 0
-		for _, id := range rs {
-			u := &all[id]
-			spec := &insts[u.inst].uops[u.uop]
-			ready := true
-			for _, d := range u.deps {
-				if !all[d].done || all[d].doneAt > cycle {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				rs[w] = id
-				w++
-				continue
-			}
-			port := -1
+		// Issue, oldest first.
+		var used uint32 // ports taken this cycle, or still busy
+		if maxBusy > cycle {
 			for p := 0; p < nports; p++ {
-				if spec.ports.Has(p) && !portUsed[p] && portBusy[p] <= cycle {
-					port = p
-					break
+				if portBusy[p] > cycle {
+					used |= 1 << p
 				}
 			}
-			if port < 0 {
-				rs[w] = id
+		}
+		w, i := 0, 0
+		for ; i < len(s.ready) && used&valid != valid; i++ {
+			id := s.ready[i]
+			u := &s.uops[id]
+			free := u.ports &^ used
+			if free == 0 {
+				s.ready[w] = id
 				w++
 				continue
 			}
-			portUsed[port] = true
-			if spec.occ > 0 {
-				portBusy[port] = cycle + int64(spec.occ)
+			port := bits.TrailingZeros32(free)
+			used |= 1 << port
+			if u.occ > 0 {
+				portBusy[port] = cycle + int64(u.occ)
+				maxBusy = max(maxBusy, portBusy[port])
 			}
-			u.issued = true
-			u.done = true
-			u.doneAt = cycle + int64(spec.lat)
-			if trace != nil {
-				*trace = append(*trace, ScheduleEntry{
-					Iteration: u.iter,
-					Inst:      insts[u.inst].text,
-					Uop:       spec.name,
-					Dispatch:  cycle,
-					Complete:  u.doneAt,
-				})
-			}
+			done := cycle + int64(u.lat)
+			lastDone = max(lastDone, done)
 			completed++
 			inFlight--
+			if trace != nil {
+				k := int(u.inst)
+				in := &insts[k%len(insts)]
+				*trace = append(*trace, ScheduleEntry{
+					Iteration: k / len(insts),
+					Inst:      in.text,
+					Uop:       in.uops[id-s.start[k]].name(),
+					Dispatch:  cycle,
+					Complete:  done,
+				})
+			}
+			for _, c := range s.rev[s.revOff[id]:s.revOff[id+1]] {
+				if c >= n {
+					break // beyond this run's copies
+				}
+				s.readyAt[c] = max(s.readyAt[c], done)
+				if s.pending[c]--; s.pending[c] == 0 && c < allocated {
+					if s.readyAt[c] <= cycle {
+						// A zero-latency producer wakes a younger µop in
+						// time for this cycle's scan.
+						s.insertReady(i+1, c)
+					} else {
+						s.push(s.readyAt[c], c)
+					}
+				}
+			}
 		}
-		rs = rs[:w]
-		cycle++
+		if w < i {
+			w += copy(s.ready[w:], s.ready[i:])
+			s.ready = s.ready[:w]
+		}
 
-		if cycle > 10_000_000 {
-			break // runaway guard
+		if completed == n {
+			cycle++
+			break
 		}
+		next := cycle + 1
+		if !canAllocate() {
+			next = s.nextEvent(cycle, &portBusy)
+			if next < 0 {
+				return 0, errSimStalled
+			}
+		}
+		if next > simMaxCycles {
+			return 0, errSimRunaway
+		}
+		cycle = next
 	}
 
 	// Drain: account for the last completions.
-	var last int64
-	for i := range all {
-		if all[i].doneAt > last {
-			last = all[i].doneAt
+	if lastDone+1 > cycle {
+		cycle = lastDone + 1
+	}
+	return cycle, nil
+}
+
+// insertReady inserts id into the ready list at its age position at or
+// after from.
+func (s *simScratch) insertReady(from int, id int32) {
+	at := from
+	for at < len(s.ready) && s.ready[at] < id {
+		at++
+	}
+	s.ready = append(s.ready, 0)
+	copy(s.ready[at+1:], s.ready[at:])
+	s.ready[at] = id
+}
+
+// nextEvent returns the first cycle after cycle at which a µop can become
+// ready or a ready µop can find a free port, or -1 if there is none. It is
+// called only when allocation cannot proceed until something issues.
+func (s *simScratch) nextEvent(cycle int64, portBusy *[16]int64) int64 {
+	t := int64(-1)
+	if len(s.heap) > 0 {
+		t = int64(s.heap[0] >> 32)
+	}
+	var want uint32
+	for _, id := range s.ready {
+		want |= s.uops[id].ports
+	}
+	for ; want != 0; want &= want - 1 {
+		free := max(portBusy[bits.TrailingZeros32(want)], cycle+1)
+		if t < 0 || free < t {
+			t = free
 		}
 	}
-	if last+1 > cycle {
-		cycle = last + 1
+	return t
+}
+
+// wakeDue merges the µops whose readyAt is cycle into the ready list. The
+// loop never skips past the heap's top, so every due entry has readyAt ==
+// cycle and the heap yields them in id order.
+func (s *simScratch) wakeDue(cycle int64) {
+	m := s.merge[:0]
+	i := 0
+	for len(s.heap) > 0 && int64(s.heap[0]>>32) <= cycle {
+		id := int32(uint32(s.heap[0]))
+		s.pop()
+		for ; i < len(s.ready) && s.ready[i] < id; i++ {
+			m = append(m, s.ready[i])
+		}
+		m = append(m, id)
 	}
-	_ = allocated
-	return cycle
+	m = append(m, s.ready[i:]...)
+	s.ready, s.merge = m, s.ready
+}
+
+// push adds id to the wake-up heap at readyAt.
+func (s *simScratch) push(readyAt int64, id int32) {
+	h := append(s.heap, uint64(readyAt)<<32|uint64(uint32(id)))
+	for c := len(h) - 1; c > 0; {
+		p := (c - 1) / 2
+		if h[p] <= h[c] {
+			break
+		}
+		h[p], h[c] = h[c], h[p]
+		c = p
+	}
+	s.heap = h
+}
+
+// pop removes the heap's top.
+func (s *simScratch) pop() {
+	h := s.heap
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && h[c+1] < h[c] {
+			c++
+		}
+		if h[p] <= h[c] {
+			break
+		}
+		h[p], h[c] = h[c], h[p]
+		p = c
+	}
+	s.heap = h
 }
 
 // derivedPrediction runs the simulator at two iteration counts and returns
 // the marginal cost per iteration — the same steady-state definition the
-// measurement framework uses.
-func derivedPrediction(insts []simInst, width, nports, blockLen int) float64 {
+// measurement framework uses. The block is wired once for 2k copies; the
+// k-copy run schedules its id prefix.
+func derivedPrediction(insts []simInst, width, nports, blockLen int) (float64, error) {
 	k := 12
 	if blockLen > 0 && 100/blockLen > k {
 		k = 100 / blockLen
@@ -251,13 +464,32 @@ func derivedPrediction(insts []simInst, width, nports, blockLen int) float64 {
 	if k > 60 {
 		k = 60
 	}
-	c1 := simulate(insts, width, nports, k, nil)
-	c2 := simulate(insts, width, nports, 2*k, nil)
+	s := simPool.Get().(*simScratch)
+	defer simPool.Put(s)
+	s.wire(insts, 2*k, nports)
+	c1, err := s.run(insts, k, width, nports, nil)
+	if err != nil {
+		return 0, err
+	}
+	c2, err := s.run(insts, 2*k, width, nports, nil)
+	if err != nil {
+		return 0, err
+	}
 	tp := float64(c2-c1) / float64(k)
 	if tp < 0 {
 		tp = float64(c2) / float64(2*k)
 	}
-	return tp
+	return tp, nil
 }
 
-var errEmptyBlock = fmt.Errorf("models: empty basic block")
+// schedule simulates iters copies of the block and returns the trace.
+func schedule(insts []simInst, width, nports, iters int) ([]ScheduleEntry, error) {
+	s := simPool.Get().(*simScratch)
+	defer simPool.Put(s)
+	s.wire(insts, iters, nports)
+	var trace []ScheduleEntry
+	if _, err := s.run(insts, iters, width, nports, &trace); err != nil {
+		return nil, err
+	}
+	return trace, nil
+}
