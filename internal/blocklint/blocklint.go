@@ -286,22 +286,24 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 	lo, hi := a.Opts.UnrollFactors(n)
 
 	// Mirror machine.PrepareUnrolled: encode then describe each distinct
-	// instruction in order; the first failure decides the status.
+	// instruction in order; the first failure decides the status. Each
+	// instruction is one memo lookup; every later stage reads its entry.
+	arch := memo.For(a.CPU)
+	entries := make([]*memo.PreparedInst, n)
 	raws := make([][]byte, n)
 	descs := make([]uarch.Desc, n)
 	offsets := make([]int, n)
 	off := 0
 	for i := 0; i < n; i++ {
 		offsets[i] = off
-		raw, err := memo.Encode(&b.Insts[i])
-		if err != nil {
+		e := arch.Prepared(&b.Insts[i])
+		if e.EncErr != nil {
 			rep.Predicted = profiler.StatusCrashed
 			rep.addDiag(Diag{Code: CodeNoEncode, Inst: i, Offset: off,
-				Msg: fmt.Sprintf("%s: %v", b.Insts[i].String(), err)})
+				Msg: fmt.Sprintf("%s: %v", b.Insts[i].String(), e.EncErr)})
 			return rep
 		}
-		d, err := memo.Describe(a.CPU, &b.Insts[i])
-		if err != nil {
+		if err := e.DescErr; err != nil {
 			if _, ok := err.(*uarch.UnsupportedError); ok {
 				rep.Predicted = profiler.StatusUnsupported
 				rep.addDiag(Diag{Code: CodeUnsupported, Inst: i, Offset: off, Msg: err.Error()})
@@ -311,9 +313,8 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 			}
 			return rep
 		}
-		raws[i] = raw
-		descs[i] = d
-		off += len(raw)
+		entries[i], raws[i], descs[i] = e, e.Raw, e.Desc
+		off += len(e.Raw)
 	}
 
 	var code []byte
@@ -329,7 +330,7 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 	// model is requested, the dependence facts come from the same
 	// simulator-congruent chain analysis the bounds use (rename-aware,
 	// address/data asymmetric, store µops excluded from chains).
-	rep.Bounds = bound.FromDescs(a.CPU, b.Insts, descs)
+	rep.Bounds = bound.FromPrepared(a.CPU, entries)
 	if !a.LegacyDepHeights {
 		rep.Facts.CritLatency = rep.Bounds.CritPath
 		rep.Facts.DepHeight = int(rep.Bounds.DepChain + 0.5)

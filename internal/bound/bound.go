@@ -111,63 +111,51 @@ func AnalyzeFE(cpu *uarch.CPU, b *x86.Block, modeled bool) (*Bounds, error) {
 	if len(b.Insts) == 0 {
 		return nil, fmt.Errorf("bound: empty block")
 	}
-	descs := make([]uarch.Desc, len(b.Insts))
-	codeBytes, lcpCount := 0, 0
+	arch := memo.For(cpu)
+	entries := make([]*memo.PreparedInst, len(b.Insts))
 	for i := range b.Insts {
-		d, err := memo.Describe(cpu, &b.Insts[i])
-		if err != nil {
-			return nil, fmt.Errorf("bound: instruction %d: %w", i, err)
+		e := arch.Prepared(&b.Insts[i])
+		if e.DescErr != nil {
+			return nil, fmt.Errorf("bound: instruction %d: %w", i, e.DescErr)
 		}
-		descs[i] = d
-		if raw, err := memo.Encode(&b.Insts[i]); err == nil {
-			codeBytes += len(raw)
-			if x86.LengthChangingPrefix(raw) {
-				lcpCount++
-			}
-		}
+		entries[i] = e
 	}
-	bs := fromDescs(cpu, b.Insts, descs, codeBytes)
+	bs := FromPrepared(cpu, entries)
 	if modeled {
-		modeledFrontEnd(cpu, bs, descs, lcpCount)
+		modeledFrontEnd(cpu, bs, entries)
 	}
 	return bs, nil
 }
 
-// FromDescs computes bounds from caller-supplied descriptors. It exists so
-// tests can perturb latency tables directly (the monotonicity property) and
-// so blocklint can reuse descriptors it already holds. Code bytes are
-// re-derived from the instructions; encoding failures just drop the fetch
-// term (weakening, never unsounding, the bound).
-func FromDescs(cpu *uarch.CPU, insts []x86.Inst, descs []uarch.Desc) *Bounds {
-	codeBytes := 0
-	for i := range insts {
-		if raw, err := memo.Encode(&insts[i]); err == nil {
-			codeBytes += len(raw)
-		}
-	}
-	return fromDescs(cpu, insts, descs, codeBytes)
-}
-
-func fromDescs(cpu *uarch.CPU, insts []x86.Inst, descs []uarch.Desc, codeBytes int) *Bounds {
+// FromPrepared computes the legacy-front-end bounds from one memo entry
+// per instruction, reading each entry's Desc, encoding and register sets.
+// It exists so blocklint can reuse the entries it already resolved, and so
+// tests can perturb latency tables on copies of the entries (the
+// monotonicity property). Encoding failures just drop the fetch term
+// (weakening, never unsounding, the bound).
+func FromPrepared(cpu *uarch.CPU, entries []*memo.PreparedInst) *Bounds {
 	bs := &Bounds{}
-	if len(insts) == 0 {
+	if len(entries) == 0 {
 		return bs
 	}
 
 	// Dependence term: exact maximum cycle ratio of the simulator-congruent
 	// dependence graph.
-	crit, height := Chain(cpu, insts, descs)
+	crit, height := chain(entries)
 	bs.CritPath, bs.DepChain = crit, height
 
 	// Port term: every µop needs max(1, occupancy) cycles of some port in
 	// its allowed combination (the simulator holds a port for `occupancy`
 	// cycles when the unit is unpipelined, one dispatch cycle otherwise).
 	load := make(map[uarch.PortSet]float64)
-	fusedTotal := 0
+	fusedTotal, codeBytes := 0, 0
 	var upper float64
 	nLoads := 0
-	for i := range descs {
-		d := &descs[i]
+	for _, e := range entries {
+		if e.EncErr == nil {
+			codeBytes += len(e.Raw)
+		}
+		d := &e.Desc
 		fusedTotal += d.FusedUops
 		if d.Generic {
 			bs.Vacuous = true
@@ -235,10 +223,13 @@ func fromDescs(cpu *uarch.CPU, insts []x86.Inst, descs []uarch.Desc, codeBytes i
 // delivery machinery: every instruction decoding in its own MITE group,
 // every length-changing prefix stalling the predecoder, the predecoder's
 // window alignment, and both delivery switches.
-func modeledFrontEnd(cpu *uarch.CPU, bs *Bounds, descs []uarch.Desc, lcpCount int) {
-	fusedTotal := 0
-	for i := range descs {
-		fusedTotal += descs[i].FusedUops
+func modeledFrontEnd(cpu *uarch.CPU, bs *Bounds, entries []*memo.PreparedInst) {
+	fusedTotal, lcpCount := 0, 0
+	for _, e := range entries {
+		fusedTotal += e.Desc.FusedUops
+		if e.EncErr == nil && e.LCP {
+			lcpCount++
+		}
 	}
 	fe := float64(fusedTotal) / float64(cpu.IssueWidth)
 	if w := cpu.FE.DSBWidth; w > 0 {
@@ -256,7 +247,7 @@ func modeledFrontEnd(cpu *uarch.CPU, bs *Bounds, descs []uarch.Desc, lcpCount in
 		bs.Lower, bs.Verdict = bs.FrontEnd, VerdictFrontEnd
 	}
 
-	bs.Upper += float64(len(descs)) +
+	bs.Upper += float64(len(entries)) +
 		float64(lcpCount*cpu.FE.LCPStall) +
 		float64(2*cpu.FE.SwitchPenalty) + 1
 }

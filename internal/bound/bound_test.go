@@ -119,19 +119,19 @@ func TestFrontEndVerdict(t *testing.T) {
 	}
 }
 
-// TestVacuous pins the Generic-descriptor plumbing through FromDescs.
+// TestVacuous pins the Generic-descriptor plumbing through FromPrepared.
 func TestVacuous(t *testing.T) {
 	hsw := uarch.Haswell()
 	b := block(t, "4801d8")
-	d, err := memo.Describe(hsw, &b.Insts[0])
-	if err != nil {
-		t.Fatal(err)
+	e := *memo.For(hsw).Prepared(&b.Insts[0]) // a copy: entries are shared
+	if e.DescErr != nil {
+		t.Fatal(e.DescErr)
 	}
-	if got := FromDescs(hsw, b.Insts, []uarch.Desc{d}); got.Vacuous {
+	if got := FromPrepared(hsw, []*memo.PreparedInst{&e}); got.Vacuous {
 		t.Fatal("table-backed descriptor marked vacuous")
 	}
-	d.Generic = true
-	if got := FromDescs(hsw, b.Insts, []uarch.Desc{d}); !got.Vacuous {
+	e.Desc.Generic = true
+	if got := FromPrepared(hsw, []*memo.PreparedInst{&e}); !got.Vacuous {
 		t.Fatal("generic descriptor not marked vacuous")
 	}
 }
@@ -204,24 +204,25 @@ func TestLowerLeUpperCorpus(t *testing.T) {
 	}
 }
 
-// raiseLats returns deep copies of descs with every µop latency raised by
-// delta (saturating at the uint8 ceiling).
-func raiseLats(descs []uarch.Desc, delta int) []uarch.Desc {
-	out := make([]uarch.Desc, len(descs))
-	for i, d := range descs {
-		c := d
-		c.Uops = make([]uarch.Uop, len(d.Uops))
-		copy(c.Uops, d.Uops)
-		for j := range c.Uops {
-			if c.Uops[j].Lat > 0 {
-				v := int(c.Uops[j].Lat) + delta
+// raiseLats returns copies of entries with every µop latency raised by
+// delta (saturating at the uint8 ceiling); the shared entries are left
+// untouched.
+func raiseLats(entries []*memo.PreparedInst, delta int) []*memo.PreparedInst {
+	out := make([]*memo.PreparedInst, len(entries))
+	for i, e := range entries {
+		c := *e
+		c.Desc.Uops = make([]uarch.Uop, len(e.Desc.Uops))
+		copy(c.Desc.Uops, e.Desc.Uops)
+		for j := range c.Desc.Uops {
+			if c.Desc.Uops[j].Lat > 0 {
+				v := int(c.Desc.Uops[j].Lat) + delta
 				if v > 255 {
 					v = 255
 				}
-				c.Uops[j].Lat = uint8(v)
+				c.Desc.Uops[j].Lat = uint8(v)
 			}
 		}
-		out[i] = c
+		out[i] = &c
 	}
 	return out
 }
@@ -235,22 +236,21 @@ func TestMonotonicity(t *testing.T) {
 	hsw := uarch.Haswell()
 	checked := 0
 	for _, b := range blocks {
-		descs := make([]uarch.Desc, len(b.Insts))
+		entries := make([]*memo.PreparedInst, len(b.Insts))
 		ok := true
 		for i := range b.Insts {
-			d, err := memo.Describe(hsw, &b.Insts[i])
-			if err != nil {
+			entries[i] = memo.For(hsw).Prepared(&b.Insts[i])
+			if entries[i].DescErr != nil {
 				ok = false
 				break
 			}
-			descs[i] = d
 		}
 		if !ok {
 			continue
 		}
-		base := FromDescs(hsw, b.Insts, descs)
+		base := FromPrepared(hsw, entries)
 		for _, delta := range []int{1, 3} {
-			raised := FromDescs(hsw, b.Insts, raiseLats(descs, delta))
+			raised := FromPrepared(hsw, raiseLats(entries, delta))
 			// The bisection undercuts the exact ratio by at most
 			// 1e-9*(1+hi); allow that sliver.
 			if raised.Lower < base.Lower-1e-6 {

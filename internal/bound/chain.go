@@ -3,15 +3,14 @@ package bound
 import (
 	"bhive/internal/memo"
 	"bhive/internal/uarch"
-	"bhive/internal/x86"
 )
 
 // The dependence model mirrors the reference pipeline's dependence wiring
 // (internal/pipeline) exactly, because the bound is a claim about that
 // simulator:
 //
-//   - register-use sets come from memo.RegSets — the same address/data/
-//     write split the simulator's items carry;
+//   - register-use sets come from the instructions' memo entries — the
+//     same address/data/write split the simulator's items carry;
 //   - an instruction's register writes become ready when its last compute
 //     µop completes (or its load µop, for pure loads); store µops never
 //     produce register values;
@@ -46,17 +45,17 @@ type instChain struct {
 	loadLat    int64 // load µop latency (0 when hasLoad is false)
 	hasLoad    bool
 	hasCompute bool
-	addr, data []uint8 // pipeline register ids (memo.RegSets)
+	addr, data []uint8 // pipeline register ids (memo.InstInfo)
 	writes     []uint8
 }
 
 // buildChains derives the dependence-model summaries for a block.
-func buildChains(insts []x86.Inst, descs []uarch.Desc) []instChain {
-	chains := make([]instChain, len(insts))
-	for i := range insts {
+func buildChains(entries []*memo.PreparedInst) []instChain {
+	chains := make([]instChain, len(entries))
+	for i, e := range entries {
 		c := &chains[i]
-		c.addr, c.data, c.writes = memo.RegSets(&insts[i])
-		d := &descs[i]
+		c.addr, c.data, c.writes = e.Addr, e.Data, e.Writes
+		d := &e.Desc
 		switch {
 		case d.ZeroIdiom:
 			c.kind = chainZero
@@ -290,15 +289,14 @@ func critPath(chains []instChain) int64 {
 	return crit
 }
 
-// Chain computes the dependence-chain statistics of a block under the
+// chain computes the dependence-chain statistics of a block under the
 // simulator-congruent model: the single-iteration critical path (cycles
 // from clean state) and the steady-state loop-carried dependence height
 // (cycles per iteration, the maximum dependence-cycle ratio). It is the
 // shared computation behind blocklint's dependence facts and the
 // dependence term of the static lower bound.
-func Chain(cpu *uarch.CPU, insts []x86.Inst, descs []uarch.Desc) (crit int, height float64) {
-	_ = cpu // latencies are already baked into descs
-	chains := buildChains(insts, descs)
+func chain(entries []*memo.PreparedInst) (crit int, height float64) {
+	chains := buildChains(entries)
 	edges := carriedEdges(chains)
 	return int(critPath(chains)), maxCycleRatio(len(chains), edges)
 }

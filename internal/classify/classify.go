@@ -75,11 +75,13 @@ func classFeature(c uarch.UopClass) feature {
 // word being the µop's port-combination index. The parallel feature slice
 // is used only for topic labelling.
 func BlockDoc(cpu *uarch.CPU, comboIdx map[uarch.PortSet]int, b *x86.Block) (words []int, feats []feature) {
+	arch := memo.For(cpu)
 	for i := range b.Insts {
-		d, err := memo.Describe(cpu, &b.Insts[i])
-		if err != nil {
+		e := arch.Prepared(&b.Insts[i])
+		if e.DescErr != nil {
 			continue
 		}
+		d := &e.Desc
 		for _, u := range d.Uops {
 			if w, ok := comboIdx[u.Ports]; ok {
 				words = append(words, w)
@@ -89,14 +91,11 @@ func BlockDoc(cpu *uarch.CPU, comboIdx map[uarch.PortSet]int, b *x86.Block) (wor
 		// Zero idioms / eliminated moves contribute the scalar-ALU
 		// combination (the static tables the paper uses know nothing of
 		// rename-time elimination).
-		if d.ZeroIdiom || d.EliminatedMove {
-			raw, err := memo.DescribeRaw(cpu, &b.Insts[i])
-			if err == nil {
-				for _, u := range raw.Uops {
-					if w, ok := comboIdx[u.Ports]; ok {
-						words = append(words, w)
-						feats = append(feats, classFeature(u.Class))
-					}
+		if (d.ZeroIdiom || d.EliminatedMove) && e.RawDescErr == nil {
+			for _, u := range e.RawDesc.Uops {
+				if w, ok := comboIdx[u.Ports]; ok {
+					words = append(words, w)
+					feats = append(feats, classFeature(u.Class))
 				}
 			}
 		}

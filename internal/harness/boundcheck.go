@@ -60,7 +60,7 @@ func (s *Suite) BoundCheck(cpus []*uarch.CPU) ([]*Table, error) {
 			bs, err := bound.Analyze(cpu, s.recs[i].Block)
 			if err != nil {
 				// Describable by the simulator but not the analyzer would be
-				// a wiring bug; both share memo.Describe, so an OK profile
+				// a wiring bug; both read the same memo entries, so an OK profile
 				// implies analyzability.
 				return nil, fmt.Errorf("boundcheck: %s: %w", cpu.Name, err)
 			}

@@ -388,9 +388,8 @@ func runFingerprint(cfg Config, recs []corpus.Record) string {
 		fmt.Fprintf(h, "%s|%d|", recs[i].App, recs[i].Freq)
 		buf = buf[:0]
 		for j := range recs[i].Block.Insts {
-			raw, err := memo.Encode(&recs[i].Block.Insts[j])
-			if err == nil {
-				buf = append(buf, raw...)
+			if e := memo.Inst(&recs[i].Block.Insts[j]); e.EncErr == nil {
+				buf = append(buf, e.Raw...)
 			}
 		}
 		h.Write(buf)

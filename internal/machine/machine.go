@@ -177,9 +177,10 @@ func (m *Machine) PrepareUnrolled(insts []x86.Inst, n int) (*Program, error) {
 	}
 
 	// Resolve the n distinct instructions once.
+	arch := memo.For(m.CPU)
 	pis := m.pis[:0]
 	for i := 0; i < n; i++ {
-		pi := memo.Prepared(m.CPU, &insts[i])
+		pi := arch.Prepared(&insts[i])
 		if pi.Err != nil {
 			m.pis = pis
 			return nil, pi.Err
@@ -362,13 +363,6 @@ func (m *Machine) buildItems(p *Program, steps []exec.Step) []pipeline.Item {
 		it.Writes = p.Writes[idx]
 	}
 	return items
-}
-
-// RegSets maps an instruction's register usage onto pipeline register ids:
-// 0–15 GPRs, 16–31 vector registers, 32 the flags. Results are memoized
-// process-wide; the returned slices are shared and read-only.
-func RegSets(in *x86.Inst) (addr, data, writes []uint8) {
-	return memo.RegSets(in)
 }
 
 // RegFlags re-exports the pipeline flags id for convenience.

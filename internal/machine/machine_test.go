@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bhive/internal/exec"
+	"bhive/internal/memo"
 	"bhive/internal/uarch"
 	"bhive/internal/vm"
 	"bhive/internal/x86"
@@ -343,8 +344,12 @@ func TestResetAndRemap(t *testing.T) {
 }
 
 func TestRegSetsFlagsAndImplicits(t *testing.T) {
+	regSets := func(in *x86.Inst) (addr, data, writes []uint8) {
+		e := memo.Inst(in)
+		return e.Addr, e.Data, e.Writes
+	}
 	in, _ := x86.ParseInst("adc rax, rbx", x86.SyntaxIntel)
-	_, data, writes := RegSets(&in)
+	_, data, writes := regSets(&in)
 	hasFlagRead, hasFlagWrite := false, false
 	for _, r := range data {
 		if r == RegFlags {
@@ -361,7 +366,7 @@ func TestRegSetsFlagsAndImplicits(t *testing.T) {
 	}
 
 	div, _ := x86.ParseInst("div ecx", x86.SyntaxIntel)
-	_, data, writes = RegSets(&div)
+	_, data, writes = regSets(&div)
 	found := map[uint8]bool{}
 	for _, r := range data {
 		found[r] = true
@@ -378,7 +383,7 @@ func TestRegSetsFlagsAndImplicits(t *testing.T) {
 	}
 
 	mem, _ := x86.ParseInst("mov rax, qword ptr [rbx+rcx*2]", x86.SyntaxIntel)
-	addr, _, _ := RegSets(&mem)
+	addr, _, _ := regSets(&mem)
 	if len(addr) != 2 {
 		t.Fatalf("addressing registers: %v", addr)
 	}

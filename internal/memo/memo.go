@@ -1,192 +1,293 @@
 // Package memo is the process-wide memoization layer for per-instruction
-// derivations that the profiler, the analytical models and the classifier
-// otherwise re-compute for every dynamic instruction: machine-code
-// encoding, the microarchitecture-specific µop decomposition / port-table
-// lookup, and the pipeline register-use sets.
+// derivations that the profiler, the analytical models, the static bounds,
+// the linter and the classifier would otherwise re-compute for every
+// dynamic instruction: machine-code encoding, the pipeline register-use
+// sets, and the microarchitecture-specific µop descriptions.
 //
-// All tables are keyed by instruction value (opcode + operands) — and, for
-// the µop descriptions, by microarchitecture name — so results are shared
-// across goroutines, profilers, models and unroll factors. Entries are
-// immutable once published: callers must treat returned slices as
-// read-only, which every consumer in this repository does (the pipeline
-// copies µop specs before mutating latencies).
+// Two typed tables hold the results (DESIGN.md §16):
+//
+//   - Inst: one *InstInfo per instruction value — everything that does
+//     not depend on the microarchitecture;
+//   - For(cpu).Prepared: one *PreparedInst per (instruction, µarch) —
+//     both µop descriptions, sharing the instruction's *InstInfo.
+//
+// Each entry is derived on the first miss and published exactly once: on a
+// concurrent miss the first store wins and every caller receives that same
+// pointer. Entries are immutable once published; callers must treat every
+// field, slices included, as read-only (the pipeline copies µop specs
+// before mutating latencies). A consumer resolves each instruction with one
+// lookup and reads every derivation it needs from that entry.
 package memo
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
 )
 
 // maxArgs is the operand-count ceiling for memoizable instructions; x86
-// instructions in this subset carry at most three operands, so the
-// fallback (direct computation, no caching) is effectively never taken.
+// instructions in this subset carry at most three operands.
 const maxArgs = 4
 
-// instKey is a comparable identity for an instruction value.
-type instKey struct {
-	op   x86.Op
-	n    uint8
-	args [maxArgs]x86.Operand
-}
+// instKey is the memo identity of an instruction value, packed into words
+// with no padding so the compiler-generated map hash covers it in one
+// pass. Word 0 holds the opcode (bits 0–15), the operand count (16–23) and
+// one byte of operand kind per operand (from bit 24); word 1+i holds
+// operand i's payload: its register, its immediate, or its packed memory
+// reference.
+type instKey [1 + maxArgs]uint64
 
-// keyOf builds the memo key; ok is false for instructions with too many
-// operands to be representable (these fall back to direct computation).
-func keyOf(in *x86.Inst) (instKey, bool) {
+// keyOf builds the memo key. ok is false for instructions the key cannot
+// represent exactly — more than maxArgs operands, or an operand carrying a
+// field its kind does not use — which are derived directly and counted in
+// Counters.Uncacheable.
+func keyOf(in *x86.Inst) (k instKey, ok bool) {
 	if len(in.Args) > maxArgs {
-		return instKey{}, false
+		return k, false
 	}
-	k := instKey{op: in.Op, n: uint8(len(in.Args))}
-	copy(k.args[:], in.Args)
+	k[0] = uint64(in.Op) | uint64(len(in.Args))<<16
+	for i := range in.Args {
+		a := &in.Args[i]
+		var (
+			canon x86.Operand
+			w     uint64
+		)
+		switch a.Kind {
+		case x86.KindNone:
+		case x86.KindReg:
+			canon, w = x86.RegOp(a.Reg), uint64(a.Reg)
+		case x86.KindImm:
+			canon, w = x86.ImmOp(a.Imm), uint64(a.Imm)
+		case x86.KindMem:
+			m := a.Mem
+			canon = x86.MemOp(m)
+			w = uint64(m.Base) | uint64(m.Index)<<8 | uint64(m.Scale)<<16 |
+				uint64(m.Size)<<24 | uint64(uint32(m.Disp))<<32
+		default:
+			return k, false
+		}
+		if *a != canon {
+			return k, false
+		}
+		k[0] |= uint64(a.Kind) << (24 + 8*i)
+		k[1+i] = w
+	}
 	return k, true
 }
 
-// descKey extends instKey with the microarchitecture and the raw/renamed
-// view (Describe vs DescribeRaw).
-type descKey struct {
-	cpu string
-	raw bool
-	ik  instKey
+// shard picks the key's table shard from a multiplicative mix of all its
+// words (the top bits of the product are the well-mixed ones).
+func (k *instKey) shard() int {
+	const mix = 0x9E3779B97F4A7C15
+	h := k[0] * mix
+	for _, w := range k[1:] {
+		h = (h ^ w) * mix
+	}
+	return int(h >> (64 - shardBits))
 }
 
-type descEntry struct {
-	d   uarch.Desc
-	err error
-}
-
-type encEntry struct {
-	raw []byte
-	err error
-}
-
-type regEntry struct {
-	addr, data, writes []uint8
-}
-
-var (
-	descs sync.Map // descKey -> descEntry
-	encs  sync.Map // instKey -> encEntry
-	regs  sync.Map // instKey -> regEntry
-	preps sync.Map // descKey -> *PreparedInst
+const (
+	shardBits = 6
+	numShards = 1 << shardBits
 )
 
-// PreparedInst bundles every per-instruction derivation program
-// preparation needs — encoding, µop description and register-use sets —
-// resolved together so the hot path pays one memo lookup (one key hash)
-// per instruction instead of three. Entries are immutable and shared:
-// callers must not mutate any field.
-type PreparedInst struct {
-	Raw                []byte
-	Desc               uarch.Desc
-	Addr, Data, Writes []uint8
+// table maps instruction keys to published entries: numShards maps, each
+// behind its own RWMutex, so hits on different shards never contend and a
+// hit takes only a read lock.
+type table[V any] struct {
+	shards  [numShards]shard[V]
+	entries atomic.Int64
+}
+
+type shard[V any] struct {
+	mu sync.RWMutex
+	m  map[instKey]*V
+}
+
+// load returns the published entry for k, or nil.
+func (t *table[V]) load(k *instKey) *V {
+	s := &t.shards[k.shard()]
+	s.mu.RLock()
+	v := s.m[*k]
+	s.mu.RUnlock()
+	return v
+}
+
+// publish stores v under k unless a concurrent miss published first, and
+// returns the entry every caller must use.
+func (t *table[V]) publish(k *instKey, v *V) *V {
+	misses.Add(1)
+	s := &t.shards[k.shard()]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old := s.m[*k]; old != nil {
+		return old
+	}
+	if s.m == nil {
+		s.m = make(map[instKey]*V)
+	}
+	s.m[*k] = v
+	t.entries.Add(1)
+	return v
+}
+
+// InstInfo is the per-instruction memo entry: every derivation that
+// depends on the instruction value alone.
+type InstInfo struct {
+	// Raw is the encoding (x86.Encode); EncErr its failure.
+	Raw    []byte
+	EncErr error
 	// LCP marks encodings with a length-changing prefix (0x66 shrinking an
 	// immediate), which stall the modeled predecoder.
 	LCP bool
-	// Err is the first error of encoding then description; the successful
-	// derivations are still populated.
+	// Addr, Data and Writes are the register-use sets on the pipeline
+	// register ids: 0–15 GPRs by 64-bit base, 16–31 vector registers by
+	// YMM base, 32 (RegFlags) the status flags.
+	Addr, Data, Writes []uint8
+}
+
+// PreparedInst is the per-(instruction, µarch) memo entry: the
+// instruction's InstInfo plus both µop descriptions on one
+// microarchitecture.
+type PreparedInst struct {
+	*InstInfo
+	// Desc is cpu.Describe (with the rename-time zero-idiom and
+	// move-elimination tricks); DescErr its failure.
+	Desc    uarch.Desc
+	DescErr error
+	// RawDesc is cpu.DescribeRaw (without them); RawDescErr its failure.
+	RawDesc    uarch.Desc
+	RawDescErr error
+	// Err is the first failure of preparing the instruction for execution:
+	// EncErr, else DescErr.
 	Err error
 }
 
-// Prepared returns the combined memo entry for (instruction, µarch).
-func Prepared(cpu *uarch.CPU, in *x86.Inst) *PreparedInst {
-	ik, ok := keyOf(in)
-	if !ok {
-		return preparedDirect(cpu, in)
-	}
-	k := descKey{cpu: cpu.Name, ik: ik}
-	if v, hit := preps.Load(k); hit {
-		return v.(*PreparedInst)
-	}
-	p := preparedDirect(cpu, in)
-	preps.Store(k, p)
-	return p
-}
+var (
+	insts table[InstInfo]
 
-func preparedDirect(cpu *uarch.CPU, in *x86.Inst) *PreparedInst {
-	p := new(PreparedInst)
-	p.Raw, p.Err = Encode(in)
-	p.LCP = x86.LengthChangingPrefix(p.Raw)
-	if d, err := Describe(cpu, in); p.Err == nil {
-		p.Desc, p.Err = d, err
-	} else {
-		p.Desc = d
-	}
-	p.Addr, p.Data, p.Writes = RegSets(in)
-	return p
-}
+	archMu sync.Mutex
+	archs  = map[string]*Arch{}
 
-// Describe is cpu.Describe memoized by (instruction, µarch).
-func Describe(cpu *uarch.CPU, in *x86.Inst) (uarch.Desc, error) {
-	return describe(cpu, in, false)
-}
+	misses, uncacheable atomic.Int64
+)
 
-// DescribeRaw is cpu.DescribeRaw memoized by (instruction, µarch).
-func DescribeRaw(cpu *uarch.CPU, in *x86.Inst) (uarch.Desc, error) {
-	return describe(cpu, in, true)
-}
-
-func describe(cpu *uarch.CPU, in *x86.Inst, raw bool) (uarch.Desc, error) {
-	ik, ok := keyOf(in)
-	if !ok {
-		return describeDirect(cpu, in, raw)
-	}
-	k := descKey{cpu: cpu.Name, raw: raw, ik: ik}
-	if v, hit := descs.Load(k); hit {
-		e := v.(descEntry)
-		return e.d, e.err
-	}
-	d, err := describeDirect(cpu, in, raw)
-	descs.Store(k, descEntry{d: d, err: err})
-	return d, err
-}
-
-func describeDirect(cpu *uarch.CPU, in *x86.Inst, raw bool) (uarch.Desc, error) {
-	if raw {
-		return cpu.DescribeRaw(in)
-	}
-	return cpu.Describe(in)
-}
-
-// Encode is x86.Encode memoized by instruction. The returned byte slice is
-// shared: callers must not mutate it.
-func Encode(in *x86.Inst) ([]byte, error) {
+// Inst returns the per-instruction entry for in.
+func Inst(in *x86.Inst) *InstInfo {
 	k, ok := keyOf(in)
 	if !ok {
-		return x86.Encode(*in)
+		uncacheable.Add(1)
+		return instDirect(in)
 	}
-	if v, hit := encs.Load(k); hit {
-		e := v.(encEntry)
-		return e.raw, e.err
+	return instOf(&k, in)
+}
+
+func instOf(k *instKey, in *x86.Inst) *InstInfo {
+	if e := insts.load(k); e != nil {
+		return e
 	}
-	raw, err := x86.Encode(*in)
-	encs.Store(k, encEntry{raw: raw, err: err})
-	return raw, err
+	return insts.publish(k, instDirect(in))
+}
+
+func instDirect(in *x86.Inst) *InstInfo {
+	e := new(InstInfo)
+	e.Raw, e.EncErr = x86.Encode(*in)
+	e.LCP = x86.LengthChangingPrefix(e.Raw)
+	e.Addr, e.Data, e.Writes = regSets(in)
+	return e
+}
+
+// Arch is the per-(instruction, µarch) table of one microarchitecture.
+type Arch struct {
+	cpu   *uarch.CPU
+	preps table[PreparedInst]
+}
+
+// For returns the table of cpu's microarchitecture. Tables are keyed by
+// CPU name — uarch.CPU.Perturbed renames its result for exactly this
+// reason — and the first CPU registered under a name derives every entry.
+// Resolve the table once per block (or once per model) and call Prepared
+// per instruction.
+func For(cpu *uarch.CPU) *Arch {
+	archMu.Lock()
+	defer archMu.Unlock()
+	a := archs[cpu.Name]
+	if a == nil {
+		a = &Arch{cpu: cpu}
+		archs[cpu.Name] = a
+	}
+	return a
+}
+
+// Prepared returns the entry for in on this microarchitecture.
+func (a *Arch) Prepared(in *x86.Inst) *PreparedInst {
+	k, ok := keyOf(in)
+	if !ok {
+		uncacheable.Add(1)
+		return a.prepare(in, instDirect(in))
+	}
+	if p := a.preps.load(&k); p != nil {
+		return p
+	}
+	return a.preps.publish(&k, a.prepare(in, instOf(&k, in)))
+}
+
+func (a *Arch) prepare(in *x86.Inst, info *InstInfo) *PreparedInst {
+	p := &PreparedInst{InstInfo: info}
+	p.Desc, p.DescErr = a.cpu.Describe(in)
+	if p.Desc.ZeroIdiom || p.Desc.EliminatedMove {
+		p.RawDesc, p.RawDescErr = a.cpu.DescribeRaw(in)
+	} else {
+		// Describe differs from DescribeRaw only by those two rename-time
+		// eliminations; without them the two views are one derivation and
+		// share its µop slice.
+		p.RawDesc, p.RawDescErr = p.Desc, p.DescErr
+	}
+	p.Err = info.EncErr
+	if p.Err == nil {
+		p.Err = p.DescErr
+	}
+	return p
+}
+
+// Counters is a snapshot of the memo's counters. Only slow paths (misses
+// and uncacheable lookups) update them, so hits stay uncontended.
+type Counters struct {
+	// Insts and Prepared are the entries published in the per-instruction
+	// table and, summed over microarchitectures, the per-(instruction,
+	// µarch) tables.
+	Insts, Prepared int64
+	// Misses counts derivations run for a table, including those that lost
+	// the publish race to a concurrent miss on the same key.
+	Misses int64
+	// Uncacheable counts lookups of instructions with no memo key, derived
+	// directly on every call.
+	Uncacheable int64
+}
+
+// Stats returns the current counters.
+func Stats() Counters {
+	s := Counters{
+		Insts:       insts.entries.Load(),
+		Misses:      misses.Load(),
+		Uncacheable: uncacheable.Load(),
+	}
+	archMu.Lock()
+	defer archMu.Unlock()
+	for _, a := range archs {
+		s.Prepared += a.preps.entries.Load()
+	}
+	return s
 }
 
 // RegFlags is the pipeline's status-flags register id (kept in sync with
-// pipeline.RegFlags by a test in internal/machine).
+// pipeline.RegFlags by a test).
 const RegFlags = 32
 
-// RegSets maps an instruction's register usage onto the pipeline register
-// ids (0–15 GPRs by 64-bit base, 16–31 vector registers by YMM base, 32
-// the flags), memoized by instruction. The returned slices are shared:
-// callers must not mutate them.
-func RegSets(in *x86.Inst) (addr, data, writes []uint8) {
-	k, ok := keyOf(in)
-	if !ok {
-		return regSets(in)
-	}
-	if v, hit := regs.Load(k); hit {
-		e := v.(regEntry)
-		return e.addr, e.data, e.writes
-	}
-	a, d, w := regSets(in)
-	regs.Store(k, regEntry{addr: a, data: d, writes: w})
-	return a, d, w
-}
-
-// regSets computes the register-use sets (previously machine.RegSets).
+// regSets maps an instruction's register usage onto the pipeline register
+// ids.
 func regSets(in *x86.Inst) (addr, data, writes []uint8) {
 	id := func(r x86.Reg) (uint8, bool) {
 		switch b := r.Base64(); b.Class() {

@@ -1,15 +1,18 @@
 package memo
 
 import (
+	"errors"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"bhive/internal/corpus"
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
 )
 
-func parse(t *testing.T, text string) *x86.Block {
+func parse(t testing.TB, text string) *x86.Block {
 	t.Helper()
 	b, err := x86.ParseBlock(text, x86.SyntaxAuto)
 	if err != nil {
@@ -18,31 +21,77 @@ func parse(t *testing.T, text string) *x86.Block {
 	return b
 }
 
-// TestDescribeMatchesDirect checks that memoized descriptions are
-// indistinguishable from direct cpu.Describe calls across a varied block,
-// repeated so both the miss and hit paths are exercised.
-func TestDescribeMatchesDirect(t *testing.T) {
-	b := parse(t, `add rax, rbx
-		xor ecx, ecx
-		mov rdx, qword ptr [rsp+8]
-		mov qword ptr [rsp+16], rdx
-		imul rax, rbx
-		mulss xmm0, xmm1
-		vxorps ymm2, ymm2, ymm2
-		vfmadd231ps ymm0, ymm1, ymm2`)
-	for _, cpu := range []*uarch.CPU{uarch.IvyBridge(), uarch.Haswell(), uarch.Skylake()} {
-		for round := 0; round < 2; round++ {
+// mixedBlock covers loads, stores, zero idioms, eliminated moves, vector
+// and FMA forms (unsupported on Ivy Bridge).
+const mixedBlock = `add rax, rbx
+	xor ecx, ecx
+	mov rdx, qword ptr [rsp+8]
+	mov qword ptr [rsp+16], rdx
+	mov rsi, rdi
+	imul rax, rbx
+	adc r8b, r9b
+	mulss xmm0, xmm1
+	vxorps ymm2, ymm2, ymm2
+	vfmadd231ps ymm0, ymm1, ymm2`
+
+// direct derives a PreparedInst without the memo, straight from the
+// functions the entry caches.
+func direct(cpu *uarch.CPU, in *x86.Inst) *PreparedInst {
+	info := new(InstInfo)
+	info.Raw, info.EncErr = x86.Encode(*in)
+	info.LCP = x86.LengthChangingPrefix(info.Raw)
+	info.Addr, info.Data, info.Writes = regSets(in)
+	p := &PreparedInst{InstInfo: info}
+	p.Desc, p.DescErr = cpu.Describe(in)
+	p.RawDesc, p.RawDescErr = cpu.DescribeRaw(in)
+	p.Err = info.EncErr
+	if p.Err == nil {
+		p.Err = p.DescErr
+	}
+	return p
+}
+
+// TestPreparedMatchesDirect checks every field of the memo entries against
+// the direct derivations over a generated corpus and a hand-written mixed
+// block on every microarchitecture, on the miss path (the derivation a
+// miss publishes) and on the hit path (repeated lookups return the one
+// published pointer). It also checks the key is exact: two instructions
+// share a key only if they are equal.
+func TestPreparedMatchesDirect(t *testing.T) {
+	blocks := []*x86.Block{parse(t, mixedBlock)}
+	for _, r := range corpus.GenerateAll(0.002, 1) {
+		blocks = append(blocks, r.Block)
+	}
+	keys := map[instKey]*x86.Inst{}
+	for _, cpu := range uarch.Extended() {
+		a := For(cpu)
+		for _, b := range blocks {
 			for i := range b.Insts {
 				in := &b.Insts[i]
-				want, wantErr := cpu.Describe(in)
-				got, gotErr := Describe(cpu, in)
-				if (wantErr == nil) != (gotErr == nil) || !reflect.DeepEqual(want, got) {
-					t.Fatalf("%s/%s: memoized desc diverged", cpu.Name, in)
+				if k, ok := keyOf(in); ok {
+					if prev, seen := keys[k]; seen && !reflect.DeepEqual(prev, in) {
+						t.Fatalf("key collision: %s and %s", prev, in)
+					}
+					keys[k] = in
 				}
-				wantR, wantRErr := cpu.DescribeRaw(in)
-				gotR, gotRErr := DescribeRaw(cpu, in)
-				if (wantRErr == nil) != (gotRErr == nil) || !reflect.DeepEqual(wantR, gotR) {
-					t.Fatalf("%s/%s: memoized raw desc diverged", cpu.Name, in)
+				want := direct(cpu, in)
+				if miss := a.prepare(in, instDirect(in)); !reflect.DeepEqual(miss, want) {
+					t.Fatalf("%s/%s: miss derivation %+v, want %+v", cpu.Name, in, miss, want)
+				}
+				got := a.Prepared(in)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s: entry %+v, want %+v", cpu.Name, in, got, want)
+				}
+				if again := a.Prepared(in); again != got {
+					t.Fatalf("%s/%s: hit returned a different entry", cpu.Name, in)
+				}
+				if info := Inst(in); info != got.InstInfo {
+					t.Fatalf("%s/%s: µarch entry does not share the instruction entry", cpu.Name, in)
+				}
+				var ue *uarch.UnsupportedError
+				if errors.As(want.DescErr, &ue) != errors.As(got.DescErr, &ue) ||
+					errors.As(want.RawDescErr, &ue) != errors.As(got.RawDescErr, &ue) {
+					t.Fatalf("%s/%s: UnsupportedError lost its type", cpu.Name, in)
 				}
 			}
 		}
@@ -53,53 +102,75 @@ func TestDescribeMatchesDirect(t *testing.T) {
 // and still reported as such.
 func TestUnsupportedMemoized(t *testing.T) {
 	b := parse(t, "vfmadd231ps %ymm1, %ymm2, %ymm3")
-	cpu := uarch.IvyBridge()
+	ivb := For(uarch.IvyBridge())
 	for round := 0; round < 2; round++ {
-		_, err := Describe(cpu, &b.Insts[0])
-		if _, ok := err.(*uarch.UnsupportedError); !ok {
-			t.Fatalf("round %d: want UnsupportedError, got %v", round, err)
+		e := ivb.Prepared(&b.Insts[0])
+		if _, ok := e.DescErr.(*uarch.UnsupportedError); !ok {
+			t.Fatalf("round %d: want UnsupportedError, got %v", round, e.DescErr)
+		}
+		if e.Err != e.DescErr {
+			t.Fatalf("round %d: Err %v, want the description failure", round, e.Err)
 		}
 	}
 	// The same instruction must stay supported on Haswell: the µarch is
 	// part of the key.
-	if _, err := Describe(uarch.Haswell(), &b.Insts[0]); err != nil {
-		t.Fatalf("haswell fma: %v", err)
+	if e := For(uarch.Haswell()).Prepared(&b.Insts[0]); e.Err != nil {
+		t.Fatalf("haswell fma: %v", e.Err)
 	}
 }
 
-// TestEncodeMatchesDirect checks byte-exact memoized encodings.
-func TestEncodeMatchesDirect(t *testing.T) {
-	b := parse(t, "add rax, rbx\nmov rcx, qword ptr [rsp+8]\nnop")
-	for round := 0; round < 2; round++ {
-		for i := range b.Insts {
-			want, wantErr := x86.Encode(b.Insts[i])
-			got, gotErr := Encode(&b.Insts[i])
-			if (wantErr == nil) != (gotErr == nil) || string(want) != string(got) {
-				t.Fatalf("%s: memoized encoding diverged", &b.Insts[i])
+// TestNoUncacheableFallbacks checks that every instruction of the
+// generated corpus has a memo key on every microarchitecture: the
+// uncacheable fallback is for malformed instruction values only.
+func TestNoUncacheableFallbacks(t *testing.T) {
+	recs := corpus.GenerateAll(0.01, 1)
+	before := Stats()
+	for _, cpu := range uarch.Extended() {
+		a := For(cpu)
+		for _, r := range recs {
+			for i := range r.Block.Insts {
+				a.Prepared(&r.Block.Insts[i])
 			}
 		}
 	}
-}
-
-// TestRegSetsStable checks memoized register sets repeat exactly.
-func TestRegSetsStable(t *testing.T) {
-	b := parse(t, "add rax, rbx\nmov rcx, qword ptr [rsp+8]\nadc r8b, r9b")
-	for i := range b.Insts {
-		a1, d1, w1 := RegSets(&b.Insts[i])
-		a2, d2, w2 := RegSets(&b.Insts[i])
-		if !reflect.DeepEqual(a1, a2) || !reflect.DeepEqual(d1, d2) || !reflect.DeepEqual(w1, w2) {
-			t.Fatalf("%s: unstable reg sets", &b.Insts[i])
-		}
+	after := Stats()
+	if n := after.Uncacheable - before.Uncacheable; n != 0 {
+		t.Fatalf("%d uncacheable lookups over the generated corpus", n)
+	}
+	if after.Insts == 0 || after.Prepared < after.Insts {
+		t.Fatalf("implausible entry counts: %+v", after)
 	}
 }
 
-// TestConcurrentAccess hammers the memo maps from many goroutines; run
-// under -race this is the regression test for the shared tables.
+// TestUncacheableCounted checks that an instruction the key cannot
+// represent is derived directly, correctly, and counted.
+func TestUncacheableCounted(t *testing.T) {
+	in := x86.NewInst(x86.ADD, x86.RegOp(x86.RAX), x86.RegOp(x86.RBX))
+	in.Args[1].Imm = 7 // a field register operands do not use
+	if _, ok := keyOf(&in); ok {
+		t.Fatal("non-canonical operand got a key")
+	}
+	cpu := uarch.Haswell()
+	before := Stats()
+	got := For(cpu).Prepared(&in)
+	if n := Stats().Uncacheable - before.Uncacheable; n != 1 {
+		t.Fatalf("uncacheable count moved by %d, want 1", n)
+	}
+	if want := direct(cpu, &in); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fallback entry %+v, want %+v", got, want)
+	}
+}
+
+// freshImm hands out immediates no other lookup has used, so each call
+// builds an instruction that misses both tables.
+var freshImm atomic.Int64
+
+// TestConcurrentAccess hammers the memo tables from many goroutines; run
+// under -race this is the regression test for the shared tables. Then
+// goroutines released together miss on the same fresh keys, and all of
+// them must receive the one published pointer.
 func TestConcurrentAccess(t *testing.T) {
-	b := parse(t, `add rax, rbx
-		mov rcx, qword ptr [rsp+8]
-		mulss xmm0, xmm1
-		vxorps ymm2, ymm2, ymm2`)
+	b := parse(t, mixedBlock)
 	cpus := []*uarch.CPU{uarch.IvyBridge(), uarch.Haswell(), uarch.Skylake()}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -109,20 +180,87 @@ func TestConcurrentAccess(t *testing.T) {
 			for round := 0; round < 200; round++ {
 				for i := range b.Insts {
 					in := &b.Insts[i]
-					cpu := cpus[(round+i)%len(cpus)]
-					if _, err := Describe(cpu, in); err != nil {
-						t.Error(err)
+					a := For(cpus[(round+i)%len(cpus)])
+					if e := a.Prepared(in); e.EncErr != nil || e.InstInfo != Inst(in) {
+						t.Error("inconsistent entry for", in)
 					}
-					if _, err := DescribeRaw(cpu, in); err != nil {
-						t.Error(err)
-					}
-					if _, err := Encode(in); err != nil {
-						t.Error(err)
-					}
-					RegSets(in)
 				}
 			}
 		}()
 	}
 	wg.Wait()
+
+	const workers = 16
+	hsw := For(uarch.Haswell())
+	for round := 0; round < 20; round++ {
+		in := x86.NewInst(x86.ADD, x86.RegOp(x86.RAX), x86.ImmOp(1<<40+freshImm.Add(1)))
+		var (
+			start = make(chan struct{})
+			preps [workers]*PreparedInst
+			infos [workers]*InstInfo
+		)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				own := x86.Inst{Op: in.Op, Args: append([]x86.Operand(nil), in.Args...)}
+				if w%2 == 0 {
+					preps[w] = hsw.Prepared(&own)
+					infos[w] = Inst(&own)
+				} else {
+					infos[w] = Inst(&own)
+					preps[w] = hsw.Prepared(&own)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for w := 1; w < workers; w++ {
+			if preps[w] != preps[0] || infos[w] != infos[0] {
+				t.Fatalf("round %d: concurrent misses published more than one entry", round)
+			}
+		}
+		if preps[0].InstInfo != infos[0] {
+			t.Fatalf("round %d: µarch entry does not share the instruction entry", round)
+		}
+	}
+}
+
+// TestLookupAllocFree pins the hit path at zero allocations.
+func TestLookupAllocFree(t *testing.T) {
+	b := parse(t, mixedBlock)
+	a := For(uarch.Haswell())
+	for i := range b.Insts {
+		a.Prepared(&b.Insts[i])
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i := range b.Insts {
+			a.Prepared(&b.Insts[i])
+			Inst(&b.Insts[i])
+		}
+	}); n != 0 {
+		t.Fatalf("hit path allocates %.1f times per block", n)
+	}
+}
+
+// BenchmarkMemoLookup times the per-(instruction, µarch) hit path from
+// every GOMAXPROCS goroutine at once over a fixed instruction set.
+func BenchmarkMemoLookup(b *testing.B) {
+	blk := parse(b, mixedBlock)
+	a := For(uarch.Haswell())
+	for i := range blk.Insts {
+		a.Prepared(&blk.Insts[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if a.Prepared(&blk.Insts[i%len(blk.Insts)]) == nil {
+				b.Error("nil entry")
+			}
+			i++
+		}
+	})
 }

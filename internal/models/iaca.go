@@ -3,7 +3,6 @@ package models
 import (
 	"hash/fnv"
 
-	"bhive/internal/machine"
 	"bhive/internal/memo"
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
@@ -19,6 +18,7 @@ type tableOpts struct {
 	vecStrength     float64
 
 	divBug     bool // model the 32-bit divide as the 64-bit one
+	div64      int  // the CPU's 64-bit divide latency (divReference)
 	zeroIdioms bool // model knows dependency-breaking idioms
 	moveElim   bool // model knows move elimination
 	fuseLoads  bool // a load+op is one scheduling unit (cannot hoist loads)
@@ -46,27 +46,22 @@ func isVecClass(c uarch.UopClass) bool {
 
 // buildSimInsts converts a block into the model's view of it. Display
 // text is built only when withText is set (schedule traces and reports).
+// Each instruction costs one memo lookup: both descriptions and the
+// register sets come from its entry.
 func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts, withText bool) ([]simInst, error) {
-	div64 := divReference(cpu)
+	arch := memo.For(cpu)
 	out := make([]simInst, 0, len(b.Insts))
 	// Every instruction's µops share one backing array; each simInst keeps
 	// a capped window of it, which later growth copies but never mutates.
 	uops := make([]simUop, 0, len(b.Insts)+len(b.Insts)/2)
 	for i := range b.Insts {
 		in := &b.Insts[i]
-		var (
-			d   uarch.Desc
-			err error
-		)
+		p := arch.Prepared(in)
+		d, err := p.RawDesc, p.RawDescErr
 		if o.zeroIdioms && o.moveElim {
-			d, err = memo.Describe(cpu, in)
-		} else {
-			d, err = memo.DescribeRaw(cpu, in)
-			if err == nil && o.zeroIdioms {
-				if full, e2 := memo.Describe(cpu, in); e2 == nil && full.ZeroIdiom {
-					d = full
-				}
-			}
+			d, err = p.Desc, p.DescErr
+		} else if err == nil && o.zeroIdioms && p.DescErr == nil && p.Desc.ZeroIdiom {
+			d = p.Desc
 		}
 		if err != nil {
 			return nil, err
@@ -80,7 +75,7 @@ func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts, withText bool) ([]
 		if withText {
 			si.text = in.String()
 		}
-		si.addr, si.data, si.writes = machine.RegSets(in)
+		si.addr, si.data, si.writes = p.Addr, p.Data, p.Writes
 
 		lo := len(uops)
 		for _, u := range d.Uops {
@@ -101,7 +96,7 @@ func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts, withText bool) ([]
 			case uarch.ClassIntDiv:
 				if o.divBug && argSizeBelow64(in) {
 					// The model's table only has the 64-bit entry.
-					su.lat, su.occ = div64, div64
+					su.lat, su.occ = o.div64, o.div64
 				}
 				su.lat = int(perturb(uint8(su.lat), in.Op, o.salt, o.perturbProb/2, o.perturbStrength/2))
 				if su.occ > su.lat {
@@ -165,10 +160,11 @@ func fuseLoadUops(uops []simUop) []simUop {
 	return append(uops[:loadIdx], uops[loadIdx+1:]...)
 }
 
-// divReference returns the 64-bit divide latency in the CPU's tables.
+// divReference returns the 64-bit divide latency in the CPU's tables. The
+// models resolve it once, at construction.
 func divReference(cpu *uarch.CPU) int {
 	in := x86.NewInst(x86.DIV, x86.RegOp(x86.RCX))
-	d, err := memo.Describe(cpu, &in)
+	d, err := cpu.Describe(&in)
 	if err != nil || len(d.Uops) == 0 {
 		return 90
 	}
@@ -255,6 +251,7 @@ func NewIACA(cpu *uarch.CPU) *IACA {
 			vecProb:         0.90,
 			vecStrength:     0.60,
 			divBug:          true,
+			div64:           divReference(cpu),
 			zeroIdioms:      true,
 			moveElim:        true,
 			fuseLoads:       false,

@@ -30,6 +30,7 @@ func NewLLVMMCA(cpu *uarch.CPU) *LLVMMCA {
 		vecProb:         0.85,
 		vecStrength:     0.60,
 		divBug:          true,
+		div64:           divReference(cpu),
 		zeroIdioms:      false,
 		moveElim:        false,
 		fuseLoads:       true,

@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bhive/internal/memo"
 	"bhive/internal/uarch"
@@ -80,106 +81,104 @@ func parseCheck(in *x86.Inst) (skip bool, err error) {
 	return false, nil
 }
 
+// osacaInst is one parsed instruction as OSACA's sweeps see it.
+type osacaInst struct {
+	lat           float64 // perturbed latency of the non-store µops
+	reads, writes uint64  // register-id bitmasks (regUse)
+}
+
 // Predict implements Predictor.
 func (m *OSACA) Predict(b *x86.Block) (float64, error) {
 	if len(b.Insts) == 0 {
 		return 0, errEmptyBlock
 	}
+	arch := memo.For(m.cpu)
 	pressure := make([]float64, m.cpu.NumPorts)
+	frontEnd := 0.0
+
+	// Resolve every instruction once: the parser verdict, its table entry,
+	// latency, port pressure and register use are the same in every sweep.
+	insts := make([]osacaInst, 0, len(b.Insts))
+	for i := range b.Insts {
+		in := &b.Insts[i]
+		skip, err := parseCheck(in)
+		if err != nil {
+			return 0, err
+		}
+		if skip {
+			continue
+		}
+		e := arch.Prepared(in)
+		if e.RawDescErr != nil {
+			return 0, e.RawDescErr
+		}
+		d := &e.RawDesc
+
+		instLat := 0.0
+		for _, u := range d.Uops {
+			if u.Class != uarch.ClassStoreAddr && u.Class != uarch.ClassStoreData {
+				lat := perturb(u.Lat, in.Op, m.opts.salt, m.effProb(u.Class), m.effStrength(u.Class))
+				instLat += float64(lat)
+			}
+			// Port pressure: spread each µop over its ports. The
+			// reciprocal-throughput table is itself hand-measured and
+			// drifts like the latency table does.
+			cost := float64(perturb(16, in.Op, m.opts.salt+"/tp",
+				m.effProb(u.Class), m.effStrength(u.Class))) / 16
+			if u.Occupancy > 0 {
+				// Fixed reciprocal-throughput table entry for the
+				// divider: OSACA's table is not width-aware (the
+				// case-study underprediction: 12.25 vs 21.62 measured).
+				cost = 12
+				if u.Class == uarch.ClassFPDiv {
+					cost = float64(u.Occupancy)
+				}
+			}
+			if isVecClass(u.Class) {
+				// OSACA's community port tables bind each vector µop to
+				// a single port (vxorps costed as a full
+				// 1.00-throughput XOR in the case study); which port
+				// the table picked is a per-opcode accident.
+				allowed := make([]int, 0, 4)
+				for p := 0; p < m.cpu.NumPorts; p++ {
+					if u.Ports.Has(p) {
+						allowed = append(allowed, p)
+					}
+				}
+				if len(allowed) > 0 {
+					pressure[allowed[int(in.Op)%len(allowed)]] += cost
+				}
+			} else {
+				n := u.Ports.Count()
+				for p := 0; p < m.cpu.NumPorts; p++ {
+					if u.Ports.Has(p) {
+						pressure[p] += cost / float64(n)
+					}
+				}
+			}
+		}
+		frontEnd += float64(d.FusedUops)
+		reads, writes := regUse(in)
+		insts = append(insts, osacaInst{lat: instLat, reads: reads, writes: writes})
+	}
+
 	// Per-register dependency chains. The block is swept several times and
 	// the LCD bound is the steady-state chain *growth* per sweep: latency
 	// that does not feed the next iteration (a load whose destination is
 	// rewritten every time) must not count.
-	const nregs = 33
-	var chain [nregs]float64
-	frontEnd := 0.0
-
+	var chain [32]float64
 	const sweeps = 4
 	var peak [sweeps + 1]float64
 	for sweep := 1; sweep <= sweeps; sweep++ {
-		for i := range b.Insts {
-			in := &b.Insts[i]
-			skip, err := parseCheck(in)
-			if err != nil {
-				return 0, err
-			}
-			if skip {
-				continue
-			}
-			d, err := memo.DescribeRaw(m.cpu, in)
-			if err != nil {
-				return 0, err
-			}
-
-			instLat := 0.0
-			for _, u := range d.Uops {
-				if u.Class != uarch.ClassStoreAddr && u.Class != uarch.ClassStoreData {
-					lat := perturb(u.Lat, in.Op, m.opts.salt, m.effProb(u.Class), m.effStrength(u.Class))
-					instLat += float64(lat)
-				}
-				if sweep > 1 {
-					continue
-				}
-				// Port pressure: spread each µop over its ports. The
-				// reciprocal-throughput table is itself hand-measured and
-				// drifts like the latency table does.
-				cost := float64(perturb(16, in.Op, m.opts.salt+"/tp",
-					m.effProb(u.Class), m.effStrength(u.Class))) / 16
-				if u.Occupancy > 0 {
-					// Fixed reciprocal-throughput table entry for the
-					// divider: OSACA's table is not width-aware (the
-					// case-study underprediction: 12.25 vs 21.62 measured).
-					cost = 12
-					if u.Class == uarch.ClassFPDiv {
-						cost = float64(u.Occupancy)
-					}
-				}
-				if isVecClass(u.Class) {
-					// OSACA's community port tables bind each vector µop to
-					// a single port (vxorps costed as a full
-					// 1.00-throughput XOR in the case study); which port
-					// the table picked is a per-opcode accident.
-					allowed := make([]int, 0, 4)
-					for p := 0; p < m.cpu.NumPorts; p++ {
-						if u.Ports.Has(p) {
-							allowed = append(allowed, p)
-						}
-					}
-					if len(allowed) > 0 {
-						pressure[allowed[int(in.Op)%len(allowed)]] += cost
-					}
-				} else {
-					n := u.Ports.Count()
-					for p := 0; p < m.cpu.NumPorts; p++ {
-						if u.Ports.Has(p) {
-							pressure[p] += cost / float64(n)
-						}
-					}
-				}
-			}
-			if sweep == 1 {
-				frontEnd += float64(d.FusedUops)
-			}
-
-			// Propagate latency along register chains. Status flags
-			// (id 32) are excluded: renamed flags do not serialize
-			// ordinary ALU sequences.
-			addr, data, writes := regUse(in)
+		for _, oi := range insts {
 			start := 0.0
-			for _, r := range data {
-				if r != 32 && chain[r] > start {
-					start = chain[r]
+			for r := oi.reads; r != 0; r &= r - 1 {
+				if c := chain[bits.TrailingZeros64(r)]; c > start {
+					start = c
 				}
 			}
-			for _, r := range addr {
-				if chain[r] > start {
-					start = chain[r]
-				}
-			}
-			for _, r := range writes {
-				if r != 32 {
-					chain[r] = start + instLat
-				}
+			for w := oi.writes; w != 0; w &= w - 1 {
+				chain[bits.TrailingZeros64(w)] = start + oi.lat
 			}
 		}
 		for _, c := range chain {
@@ -216,15 +215,19 @@ func (m *OSACA) effStrength(c uarch.UopClass) float64 {
 	return m.opts.perturbStrength
 }
 
-// regUse mirrors machine.RegSets with the 33-register id space, kept local
-// so OSACA's view stays self-contained.
-func regUse(in *x86.Inst) (addr, data, writes []uint8) {
-	id := func(r x86.Reg) (uint8, bool) {
+// regUse is OSACA's register view: the pipeline register ids (0–15 GPRs,
+// 16–31 vector registers) an instruction reads, through data or address,
+// and writes, as bitmasks. Unlike memo's register sets it has no
+// sub-register merge rule and leaves out the flags: renamed flags do not
+// serialize ordinary ALU sequences. It stays local so OSACA's view is
+// self-contained.
+func regUse(in *x86.Inst) (reads, writes uint64) {
+	id := func(r x86.Reg) (uint64, bool) {
 		switch b := r.Base64(); b.Class() {
 		case x86.ClassGP64:
-			return uint8(b.Num()), true
+			return 1 << b.Num(), true
 		case x86.ClassYMM:
-			return uint8(16 + b.Num()), true
+			return 1 << (16 + b.Num()), true
 		}
 		return 0, false
 	}
@@ -232,40 +235,32 @@ func regUse(in *x86.Inst) (addr, data, writes []uint8) {
 		switch a.Kind {
 		case x86.KindReg:
 			r, w := in.ArgIO(k)
-			if r {
-				if n, ok := id(a.Reg); ok {
-					data = append(data, n)
+			if bit, ok := id(a.Reg); ok {
+				if r {
+					reads |= bit
 				}
-			}
-			if w {
-				if n, ok := id(a.Reg); ok {
-					writes = append(writes, n)
+				if w {
+					writes |= bit
 				}
 			}
 		case x86.KindMem:
-			if n, ok := id(a.Mem.Base); ok {
-				addr = append(addr, n)
+			if bit, ok := id(a.Mem.Base); ok {
+				reads |= bit
 			}
-			if n, ok := id(a.Mem.Index); ok {
-				addr = append(addr, n)
+			if bit, ok := id(a.Mem.Index); ok {
+				reads |= bit
 			}
 		}
 	}
 	for _, r := range in.Op.ImplicitReads() {
-		if n, ok := id(r); ok {
-			data = append(data, n)
+		if bit, ok := id(r); ok {
+			reads |= bit
 		}
 	}
 	for _, r := range in.Op.ImplicitWrites() {
-		if n, ok := id(r); ok {
-			writes = append(writes, n)
+		if bit, ok := id(r); ok {
+			writes |= bit
 		}
 	}
-	if in.Op.ReadsFlags() {
-		data = append(data, 32)
-	}
-	if in.Op.WritesFlags() {
-		writes = append(writes, 32)
-	}
-	return addr, data, writes
+	return reads, writes
 }

@@ -264,9 +264,8 @@ func (p *Profiler) resetState(st *exec.State) *exec.State {
 func blockSeed(insts []x86.Inst) int64 {
 	h := fnv.New64a()
 	for i := range insts {
-		raw, err := memo.Encode(&insts[i])
-		if err == nil {
-			h.Write(raw)
+		if e := memo.Inst(&insts[i]); e.EncErr == nil {
+			h.Write(e.Raw)
 		}
 	}
 	return int64(h.Sum64())
@@ -308,9 +307,8 @@ func (r *sampleRNG) float64() float64 {
 func blockHex(insts []x86.Inst) string {
 	var buf []byte
 	for i := range insts {
-		raw, err := memo.Encode(&insts[i])
-		if err == nil {
-			buf = append(buf, raw...)
+		if e := memo.Inst(&insts[i]); e.EncErr == nil {
+			buf = append(buf, e.Raw...)
 		}
 	}
 	return hex.EncodeToString(buf)
