@@ -51,6 +51,83 @@ func direct(cpu *uarch.CPU, in *x86.Inst) *PreparedInst {
 	return p
 }
 
+// testBlocks is the hand-written mixed block plus a small generated corpus.
+func testBlocks(t testing.TB) []*x86.Block {
+	blocks := []*x86.Block{parse(t, mixedBlock)}
+	for _, r := range corpus.GenerateAll(0.002, 1) {
+		blocks = append(blocks, r.Block)
+	}
+	return blocks
+}
+
+// TestDescribeMatchesDirect checks the µop descriptions of the entries
+// against cpu.Describe and cpu.DescribeRaw on every microarchitecture,
+// including that an UnsupportedError keeps its type through the memo.
+func TestDescribeMatchesDirect(t *testing.T) {
+	blocks := testBlocks(t)
+	for _, cpu := range uarch.Extended() {
+		a := For(cpu)
+		for _, b := range blocks {
+			for i := range b.Insts {
+				in := &b.Insts[i]
+				desc, descErr := cpu.Describe(in)
+				raw, rawErr := cpu.DescribeRaw(in)
+				for round := 0; round < 2; round++ {
+					e := a.Prepared(in)
+					if !reflect.DeepEqual(e.Desc, desc) || !reflect.DeepEqual(e.DescErr, descErr) {
+						t.Fatalf("%s/%s: Desc %+v (%v), want %+v (%v)", cpu.Name, in, e.Desc, e.DescErr, desc, descErr)
+					}
+					if !reflect.DeepEqual(e.RawDesc, raw) || !reflect.DeepEqual(e.RawDescErr, rawErr) {
+						t.Fatalf("%s/%s: RawDesc %+v (%v), want %+v (%v)", cpu.Name, in, e.RawDesc, e.RawDescErr, raw, rawErr)
+					}
+					var ue *uarch.UnsupportedError
+					if errors.As(descErr, &ue) != errors.As(e.DescErr, &ue) ||
+						errors.As(rawErr, &ue) != errors.As(e.RawDescErr, &ue) {
+						t.Fatalf("%s/%s: UnsupportedError lost its type", cpu.Name, in)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeMatchesDirect checks the encodings of the entries against
+// x86.Encode and x86.LengthChangingPrefix.
+func TestEncodeMatchesDirect(t *testing.T) {
+	for _, b := range testBlocks(t) {
+		for i := range b.Insts {
+			in := &b.Insts[i]
+			raw, err := x86.Encode(*in)
+			lcp := x86.LengthChangingPrefix(raw)
+			for round := 0; round < 2; round++ {
+				e := Inst(in)
+				if !reflect.DeepEqual(e.Raw, raw) || !reflect.DeepEqual(e.EncErr, err) || e.LCP != lcp {
+					t.Fatalf("%s: encoding % x (%v, lcp %v), want % x (%v, lcp %v)",
+						in, e.Raw, e.EncErr, e.LCP, raw, err, lcp)
+				}
+			}
+		}
+	}
+}
+
+// TestRegSetsStable checks the register-use sets of the entries against
+// the direct derivation, and that repeated lookups hand out the same sets.
+func TestRegSetsStable(t *testing.T) {
+	for _, b := range testBlocks(t) {
+		for i := range b.Insts {
+			in := &b.Insts[i]
+			addr, data, writes := regSets(in)
+			e := Inst(in)
+			if !reflect.DeepEqual(e.Addr, addr) || !reflect.DeepEqual(e.Data, data) || !reflect.DeepEqual(e.Writes, writes) {
+				t.Fatalf("%s: sets %v/%v/%v, want %v/%v/%v", in, e.Addr, e.Data, e.Writes, addr, data, writes)
+			}
+			if again := Inst(in); again != e {
+				t.Fatalf("%s: repeated lookup returned a different entry", in)
+			}
+		}
+	}
+}
+
 // TestPreparedMatchesDirect checks every field of the memo entries against
 // the direct derivations over a generated corpus and a hand-written mixed
 // block on every microarchitecture, on the miss path (the derivation a
@@ -58,10 +135,7 @@ func direct(cpu *uarch.CPU, in *x86.Inst) *PreparedInst {
 // published pointer). It also checks the key is exact: two instructions
 // share a key only if they are equal.
 func TestPreparedMatchesDirect(t *testing.T) {
-	blocks := []*x86.Block{parse(t, mixedBlock)}
-	for _, r := range corpus.GenerateAll(0.002, 1) {
-		blocks = append(blocks, r.Block)
-	}
+	blocks := testBlocks(t)
 	keys := map[instKey]*x86.Inst{}
 	for _, cpu := range uarch.Extended() {
 		a := For(cpu)
