@@ -134,8 +134,8 @@ func ProfileWith(arch string, b *Block, opts Options) (Result, error) {
 }
 
 // Lint statically analyzes a block under the given measurement options:
-// it predicts the profiling status without running the machine and
-// reports per-block diagnostics and facts. A rejected report (non-OK
+// it predicts the profiling status from the profiler's functional pass,
+// without timing the block, and reports per-block diagnostics and facts. A rejected report (non-OK
 // prediction) is a guarantee — the dynamic protocol cannot accept the
 // block — which is what makes prescreening safe.
 func Lint(arch string, b *Block, opts Options) (*LintReport, error) {

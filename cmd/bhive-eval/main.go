@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		fsyncN    = fs.Int("fsync-every", 1, "fsync the checkpoint once per N shards (group commit; a crash loses at most the last N-1 shards)")
 		progress  = fs.Bool("progress", false, "print per-shard progress lines (blocks/s, cache-hit rate, rejects) to stderr")
 		prescreen = fs.Bool("prescreen", false, "statically reject blocks before profiling (skips counted as prescreened=N)")
-		crosschk  = fs.Bool("crosscheck", false, "validate dynamic reject statuses against static predictions (mismatches to -progress)")
+		crosschk  = fs.Bool("crosscheck", false, "validate dynamic reject statuses against static predictions (mismatches to -progress; any mismatch fails the run)")
 		backends  = fs.String("backend", "", "comma-separated measurement backends to cross-validate (sim, perturbed, recorded:<path>); implies -exp xval")
 		recordF   = fs.String("record", "", "record every measurement to a replayable trace at this path (requires exactly one -backend)")
 		stopAfter = fs.Int("stop-after-shards", 0, "stop with an error after computing this many shards (chunked batch runs; resume via -checkpoint)")
@@ -220,8 +220,15 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 	fmt.Fprint(stdout, out)
+	// Any static/dynamic mismatch fails the run, after the output and the
+	// heap profile are written.
+	var crossErr error
 	if *crosschk {
-		fmt.Fprintf(stderr, "bhive-eval: crosscheck: %d static/dynamic mismatches\n", s.CrosscheckMismatches())
+		if n := s.CrosscheckMismatches(); n > 0 {
+			crossErr = fmt.Errorf("crosscheck: %d static/dynamic mismatches", n)
+		} else {
+			fmt.Fprintln(stderr, "bhive-eval: crosscheck: 0 static/dynamic mismatches")
+		}
 	}
 
 	if *memProf != "" {
@@ -236,5 +243,5 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			return werr
 		}
 	}
-	return nil
+	return crossErr
 }

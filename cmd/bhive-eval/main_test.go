@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"bhive/internal/profcache"
+	"bhive/internal/profiler"
 )
 
 // TestErrorPathStillSavesCache is the regression test for the old
@@ -108,5 +111,62 @@ func TestXValAgainstCounterFixture(t *testing.T) {
 	}
 	if !strings.Contains(matrix, "cache-miss") {
 		t.Fatalf("status-disagreement matrix is empty or missing the injected cache-miss rows:\n%s", matrix)
+	}
+}
+
+// TestCrosscheckMismatchFails drives the -crosscheck gate both ways: a
+// clean run reports zero mismatches and succeeds; after every cached
+// profiling status is flipped (a poisoned profile cache the static
+// analyzer disagrees with), the same run must fail.
+func TestCrosscheckMismatchFails(t *testing.T) {
+	dir := t.TempDir()
+	csv := filepath.Join(dir, "corpus.csv")
+	// mov rax,rcx (ok); xor ecx,ecx; div ecx (#DE, crashed).
+	if err := os.WriteFile(csv, []byte("app,hex,freq\nt,4889c8,1\nt,31c9f7f1,1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cacheF := filepath.Join(dir, "profiles.cache")
+	args := []string{"-exp", "table5", "-corpus", csv, "-uarch", "haswell", "-profile-cache", cacheF, "-crosscheck"}
+
+	var stderr bytes.Buffer
+	if err := run(args, io.Discard, &stderr); err != nil {
+		t.Fatalf("clean crosscheck failed: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "crosscheck: 0 static/dynamic mismatches") {
+		t.Fatalf("clean run did not report zero mismatches:\n%s", stderr.String())
+	}
+
+	raw, err := os.ReadFile(cacheF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Version int
+		Entries map[string]profcache.Entry
+	}
+	if err := json.Unmarshal(raw, &file); err != nil {
+		t.Fatal(err)
+	}
+	if len(file.Entries) == 0 {
+		t.Fatal("the clean run cached no profiles")
+	}
+	for k, e := range file.Entries {
+		if profiler.Status(e.Status) == profiler.StatusOK {
+			e.Status = int(profiler.StatusCrashed)
+		} else {
+			e.Status = int(profiler.StatusOK)
+		}
+		file.Entries[k] = e
+	}
+	if raw, err = json.Marshal(file); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cacheF, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	err = run(args, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "static/dynamic mismatches") {
+		t.Fatalf("crosscheck over a poisoned cache returned %v, want a mismatch error", err)
 	}
 }

@@ -1,9 +1,9 @@
-// Command bhive-lint statically audits basic blocks without running the
-// machine: for each block it predicts how the measurement protocol will
-// classify it, checks encode/decode round-trip fidelity, and derives
-// per-block facts (dependence height, memory address classes). Over a
-// corpus CSV it prints a per-diagnostic histogram; with -json it emits one
-// report object per block.
+// Command bhive-lint statically audits basic blocks without timing them:
+// for each block it replays the profiler's functional pass to predict how
+// the measurement protocol will classify it, checks encode/decode
+// round-trip fidelity, and derives per-block facts (dependence height,
+// memory address classes). Over a corpus CSV it prints a per-diagnostic
+// histogram; with -json it emits one report object per block.
 //
 // Usage:
 //
@@ -52,7 +52,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		noMap     = fs.Bool("no-mapping", false, "audit under the Agner-script baseline options")
 		expect    = fs.String("expect", "", "compare the histogram against this golden file and fail on drift")
 		bounds    = fs.Bool("bounds", false, "print per-block static cycle bounds and the bottleneck verdict")
-		legacyDep = fs.Bool("legacy-deps", false, "compute dependence facts with the pre-bound model (summed latencies, no rename awareness)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -67,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		opts = profiler.BaselineOptions()
 	}
 	lint := blocklint.New(cpu, opts)
-	lint.LegacyDepHeights = *legacyDep
 
 	if *corpusCSV != "" && *asmF != "" {
 		return fmt.Errorf("-corpus and -asm are mutually exclusive")
@@ -219,11 +217,7 @@ func printReport(w io.Writer, label string, rep *blocklint.Report, bounds bool) 
 		fmt.Fprintf(w, "%s:\n", label)
 	}
 	fmt.Fprintf(w, "block:      %d instructions (%s)\n", rep.NumInsts, rep.Hex)
-	exact := "conservative"
-	if rep.Exact {
-		exact = "guaranteed"
-	}
-	fmt.Fprintf(w, "predicted:  %s (%s)\n", rep.PredictedName, exact)
+	fmt.Fprintf(w, "predicted:  %s (guaranteed)\n", rep.PredictedName)
 	if bounds && rep.Bounds != nil {
 		fmt.Fprintf(w, "bounds:     %s\n", boundsLine(rep.Bounds))
 	}

@@ -1,21 +1,20 @@
 // Package blocklint is the static semantic analyzer over decoded x86-64
-// basic blocks: it predicts, without running the machine, how the BHive
-// measurement protocol will classify a block, and computes per-block facts
+// basic blocks: it predicts, without timing the block, how the BHive
+// measurement protocol will classify it, and computes per-block facts
 // (def-use chains, loop-carried dependence height, memory-operand address
 // classification, encode/decode round-trip fidelity).
 //
-// The core is an abstract interpreter (absexec.go) that mirrors
-// internal/exec bit-exactly for the modeled integer subset, over a
-// Known/Unknown value domain, and replays the profiler's exact run
-// sequence: the monitored mapping run and the timed run at the high unroll
-// factor, then both again at the low factor, with memory persisting across
-// runs and registers re-initialized — exactly what internal/profiler
-// executes. Because every Unknown is propagated conservatively, a non-OK
-// prediction is a guarantee: the dynamic protocol must reject the block
-// with that status (or with one of the whitelisted timing-only preemptions
-// — see Report.Agrees). That soundness property is what makes the
-// -prescreen mode of bhive-eval/bhive-profile safe: skipping a statically
-// rejected block never discards a measurable one.
+// The verdict comes from the profiler's own functional pass
+// (profiler.Functional): the unrolled program prepared at the high unroll
+// factor and the single monitored run that maps every faulting page within
+// the fault budget. Where that run stops, the block crashes; where its
+// trace splits a cache line, the misaligned filter rejects it. Only the
+// timing half of the protocol (the cycle-level runs, sample acceptance and
+// the cache-miss check) is left out, so a non-OK prediction is exactly
+// the status profiling yields, up to the timing-only preemptions
+// whitelisted by Report.Agrees. That is what makes the -prescreen mode of
+// bhive-eval/bhive-profile safe: skipping a statically rejected block
+// never discards a measurable one.
 //
 // Every finding carries a machine-readable diagnostic code (BL001…); the
 // catalogue is in DESIGN.md § Static block analysis.
@@ -69,11 +68,13 @@ const (
 	// CodeNoMapping (BL011): the block accesses memory while page mapping
 	// is disabled (the Agner-script baseline crashes on any access).
 	CodeNoMapping
-	// CodeInexact (BL012): unknown values reached a point that may crash;
-	// the prediction is conservative (OK unless proven otherwise).
+	// CodeInexact (BL012) is retired: it marked predictions limited by
+	// unknown values, which the replayed functional pass never has. The
+	// constant keeps later codes' numbers.
 	CodeInexact
-	// CodeUnmodeled (BL013): a vector/unmodeled instruction was treated
-	// conservatively (its outputs are unknown to the analyzer).
+	// CodeUnmodeled (BL013): execution reaches a vector instruction, so
+	// the verdict rests on the functional executor's vector semantics,
+	// which are checked against the simulator only, not against hardware.
 	CodeUnmodeled
 	// CodeNoExec (BL014): the functional executor does not implement the
 	// instruction, so execution is guaranteed to crash.
@@ -164,10 +165,9 @@ type Report struct {
 	Predicted profiler.Status `json:"-"`
 	// PredictedName is Predicted's string form, for JSON output.
 	PredictedName string `json:"predicted"`
-	// Exact reports whether the prediction is a guarantee in both
-	// directions: a non-OK prediction is always guaranteed; an OK
-	// prediction is guaranteed crash-free only when Exact (timing-only
-	// outcomes — cache-miss, unstable — remain possible either way).
+	// Exact is always true: the prediction is a guarantee in both
+	// directions (timing-only outcomes — cache-miss, unstable — remain
+	// possible either way). It stays in reports for their consumers.
 	Exact bool `json:"exact"`
 	// Diags lists every finding, reject-severity first.
 	Diags []Diag `json:"diags,omitempty"`
@@ -188,11 +188,8 @@ func (r *Report) Rejected() bool { return r.Predicted != profiler.StatusOK }
 // the static prediction. Exact agreement always is; beyond it, the
 // whitelisted pairs are:
 //
-//   - predicted OK, inexact: unknown values limited the analysis, so any
-//     dynamic outcome except Unsupported is possible (support is decided
-//     purely statically and is never inexact);
-//   - predicted OK, exact: the timing-only rejects (cache-miss, unstable)
-//     cannot be ruled out statically;
+//   - predicted OK: the timing-only rejects (cache-miss, unstable) cannot
+//     be ruled out statically;
 //   - predicted Misaligned: the sample-acceptance and cache-miss checks
 //     run before the misaligned filter and may preempt it.
 //
@@ -203,34 +200,22 @@ func (r *Report) Agrees(dyn profiler.Status) bool {
 		return true
 	}
 	switch r.Predicted {
-	case profiler.StatusOK:
-		if !r.Exact {
-			return dyn != profiler.StatusUnsupported
-		}
-		return dyn == profiler.StatusCacheMiss || dyn == profiler.StatusUnstable
-	case profiler.StatusMisaligned:
+	case profiler.StatusOK, profiler.StatusMisaligned:
 		return dyn == profiler.StatusCacheMiss || dyn == profiler.StatusUnstable
 	}
 	return false
 }
 
 // Analyzer analyzes blocks for one microarchitecture under one set of
-// measurement options. It is stateless and safe for concurrent use.
+// measurement options. It is safe for concurrent use.
 type Analyzer struct {
-	CPU  *uarch.CPU
-	Opts profiler.Options
-
-	// LegacyDepHeights restores the pre-bound dependence-height model for
-	// Facts (string-resource def-use over summed µop latencies, including
-	// store µops and address reads on every instruction). The default
-	// model is internal/bound's simulator-congruent chain analysis, which
-	// the static cycle bounds are built on.
-	LegacyDepHeights bool
+	// prof runs the functional pass; its CPU and Opts are the analyzer's.
+	prof *profiler.Profiler
 }
 
 // New builds an analyzer mirroring a profiler.New(cpu, opts).
 func New(cpu *uarch.CPU, opts profiler.Options) *Analyzer {
-	return &Analyzer{CPU: cpu, Opts: opts}
+	return &Analyzer{prof: profiler.New(cpu, opts)}
 }
 
 // AnalyzeHex analyzes a block given as corpus machine-code hex. Undecodable
@@ -283,18 +268,18 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 	}
 
 	n := len(b.Insts)
-	lo, hi := a.Opts.UnrollFactors(n)
+	cpu := a.prof.CPU
+	lo, hi := a.prof.Opts.UnrollFactors(n)
 
 	// Mirror machine.PrepareUnrolled: encode then describe each distinct
 	// instruction in order; the first failure decides the status. Each
 	// instruction is one memo lookup; every later stage reads its entry.
-	arch := memo.For(a.CPU)
+	arch := memo.For(cpu)
 	entries := make([]*memo.PreparedInst, n)
-	raws := make([][]byte, n)
-	descs := make([]uarch.Desc, n)
 	offsets := make([]int, n)
-	off := 0
+	var code []byte
 	for i := 0; i < n; i++ {
+		off := len(code)
 		offsets[i] = off
 		e := arch.Prepared(&b.Insts[i])
 		if e.EncErr != nil {
@@ -313,42 +298,33 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 			}
 			return rep
 		}
-		entries[i], raws[i], descs[i] = e, e.Raw, e.Desc
-		off += len(e.Raw)
+		entries[i] = e
+		code = append(code, e.Raw...)
 	}
 
-	var code []byte
-	for i := 0; i < n; i++ {
-		code = append(code, raws[i]...)
-	}
 	rep.Hex = hex.EncodeToString(code)
 	a.roundTrip(rep, b.Insts, code, orig)
 
-	rep.Facts = computeFacts(b.Insts, descs, offsets, lo, hi, len(code)*hi)
+	rep.Facts = computeFacts(b.Insts, offsets, lo, hi, len(code)*hi)
 
-	// Static cycle bounds over the same descriptors; unless the legacy
-	// model is requested, the dependence facts come from the same
-	// simulator-congruent chain analysis the bounds use (rename-aware,
-	// address/data asymmetric, store µops excluded from chains).
-	rep.Bounds = bound.FromPrepared(a.CPU, entries)
-	if !a.LegacyDepHeights {
-		rep.Facts.CritLatency = rep.Bounds.CritPath
-		rep.Facts.DepHeight = int(rep.Bounds.DepChain + 0.5)
-	}
-	for i := range descs {
-		if descs[i].Generic {
+	// Static cycle bounds over the same descriptors; the dependence facts
+	// come from the same simulator-congruent chain analysis the bounds use
+	// (rename-aware, address/data asymmetric, store µops excluded from
+	// chains).
+	rep.Bounds = bound.FromPrepared(cpu, entries)
+	rep.Facts.CritLatency = rep.Bounds.CritPath
+	rep.Facts.DepHeight = int(rep.Bounds.DepChain + 0.5)
+	for i, e := range entries {
+		if e.Desc.Generic {
 			rep.addDiag(Diag{Code: CodeVacuousBounds, Inst: i, Offset: offsets[i],
 				Msg: fmt.Sprintf("%s: no µop table entry; bounds assume the generic 1-cycle ALU fallback", b.Insts[i].String())})
 		}
 	}
 
-	// The abstract replay of the measurement protocol.
-	it := newInterp(a, b.Insts, raws, hi)
-	status, exact := it.replay(lo, hi)
-	rep.Predicted = status
-	rep.Exact = exact
-	rep.Diags = append(rep.Diags, it.diags...)
-	it.fillMemFacts(rep.Facts)
+	// The profiler's own functional pass decides the verdict.
+	a.prof.Functional(b, func(pass *profiler.Pass) {
+		rep.Predicted = a.replay(rep, b.Insts, pass)
+	})
 	return rep
 }
 

@@ -1,7 +1,10 @@
 package blocklint
 
 import (
+	"encoding/hex"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"bhive/internal/corpus"
@@ -67,6 +70,7 @@ func TestPredictions(t *testing.T) {
 		{"line-split", "488b413f", profiler.StatusMisaligned, CodeLineSplit},
 		{"noncanonical", "488b81000000ed", profiler.StatusCrashed, CodeBadAddress},
 		{"page-budget", "4881c300100000488b03", profiler.StatusCrashed, CodePageBudget},
+		{"misaligned-movaps", "0f284901", profiler.StatusCrashed, CodeBadAddress},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,15 +113,28 @@ func TestUnsupported(t *testing.T) {
 }
 
 func TestVectorConservative(t *testing.T) {
-	// movaps xmm1,[rcx]: the loaded data is unknown, but the address
-	// (pattern-initialized rcx) is exact, so the verdict stays OK with a
-	// BL013 note and an inexactness marker only if something may crash.
+	// movaps xmm1,[rdi]; add eax,ecx: the address (pattern-initialized
+	// rdi) is aligned, so the verdict is OK with a BL013 note on the
+	// vector instruction.
 	rep := defaultAnalyzer(t).AnalyzeHex("0f280f01c8")
 	if rep.Predicted != profiler.StatusOK {
 		t.Fatalf("got %v %v", rep.Predicted, rep.Diags)
 	}
 	if !hasCode(rep, CodeUnmodeled) {
 		t.Fatalf("want BL013 note, got %v", rep.Diags)
+	}
+
+	// add rax,rcx; movaps xmm1,[rcx+1]: the vector load faults (#GP) on
+	// its first execution, and BL013 still fires at it.
+	rep = defaultAnalyzer(t).AnalyzeHex("4801c80f284901")
+	if rep.Predicted != profiler.StatusCrashed || len(rep.Diags) != 2 {
+		t.Fatalf("got %v %v, want crashed with BL007 and BL013", rep.Predicted, rep.Diags)
+	}
+	if d := rep.Diags[0]; d.Code != CodeBadAddress || d.Inst != 1 {
+		t.Fatalf("reject diag %v, want BL007 at inst 1", d)
+	}
+	if d := rep.Diags[1]; d.Code != CodeUnmodeled || d.Inst != 1 {
+		t.Fatalf("info diag %v, want BL013 at inst 1", d)
 	}
 }
 
@@ -166,17 +183,10 @@ func TestFacts(t *testing.T) {
 	}
 
 	// lea rax,[rax+8]: the simulator wires address deps only into load
-	// µops, so the sim-congruent model reports no carried chain; the
-	// legacy model charged the LEA latency.
+	// µops, so the sim-congruent model reports no carried chain.
 	rep = a.AnalyzeHex("488d4008")
 	if h := rep.Facts.DepHeight; h != 0 {
 		t.Errorf("lea dep height %d, want 0 under the sim-congruent model", h)
-	}
-	legacy := New(a.CPU, a.Opts)
-	legacy.LegacyDepHeights = true
-	rep = legacy.AnalyzeHex("488d4008")
-	if h := rep.Facts.DepHeight; h == 0 {
-		t.Errorf("legacy lea dep height %d, want nonzero", h)
 	}
 
 	// mov rax,[rsp+8]: rsp-relative class, observed exact addresses.
@@ -218,6 +228,25 @@ func TestUnrollFactorsExported(t *testing.T) {
 	}
 }
 
+// handcrafted are blocks chosen to reach every verdict and diagnostic
+// path; they also seed FuzzAnalyzeAgrees.
+var handcrafted = []string{
+	"4889c8",               // mov rax,rcx
+	"50",                   // push rax
+	"505b",                 // push rax; pop rbx
+	"31c9f7f1",             // xor ecx,ecx; div ecx
+	"488b413f",             // line-splitting load
+	"488b81000000ed",       // non-canonical address
+	"4881c300100000488b03", // page-budget blowout
+	"488b442408",           // mov rax,[rsp+8]
+	"488b04d1",             // mov rax,[rcx+rdx*8]
+	"0f280f01c8",           // movaps xmm1,[rcx]; add rax,rcx
+	"4801d8",               // add rax,rbx
+	"480fafc0",             // imul rax,rax
+	"c5fdfec0",             // vpaddd ymm0,ymm0,ymm0
+	"f3480f2ac8",           // cvtsi2ss
+}
+
 // TestAgreementHandcrafted cross-checks the static prediction against the
 // simulator-backed profiler for every handcrafted block.
 func TestAgreementHandcrafted(t *testing.T) {
@@ -225,23 +254,7 @@ func TestAgreementHandcrafted(t *testing.T) {
 	opts := profiler.DefaultOptions()
 	a := New(cpu, opts)
 	p := profiler.New(cpu, opts)
-	blocks := []string{
-		"4889c8",               // mov rax,rcx
-		"50",                   // push rax
-		"505b",                 // push rax; pop rbx
-		"31c9f7f1",             // xor ecx,ecx; div ecx
-		"488b413f",             // line-splitting load
-		"488b81000000ed",       // non-canonical address
-		"4881c300100000488b03", // page-budget blowout
-		"488b442408",           // mov rax,[rsp+8]
-		"488b04d1",             // mov rax,[rcx+rdx*8]
-		"0f280f01c8",           // movaps xmm1,[rcx]; add rax,rcx
-		"4801d8",               // add rax,rbx
-		"480fafc0",             // imul rax,rax
-		"c5fdfec0",             // vpaddd ymm0,ymm0,ymm0
-		"f3480f2ac8",           // cvtsi2ss
-	}
-	for _, hexStr := range blocks {
+	for _, hexStr := range handcrafted {
 		rep := a.AnalyzeHex(hexStr)
 		raw, err := x86.DecodeBlock(mustHex(t, hexStr))
 		if err != nil {
@@ -253,6 +266,58 @@ func TestAgreementHandcrafted(t *testing.T) {
 				hexStr, rep.Predicted, rep.Exact, res.Status, rep.Diags)
 		}
 	}
+}
+
+// TestAnalyzeConcurrent shares one analyzer (and so one profiler's pooled
+// machines) across goroutines: every report must match the sequential one.
+func TestAnalyzeConcurrent(t *testing.T) {
+	a := defaultAnalyzer(t)
+	want := make([]*Report, len(handcrafted))
+	for i, h := range handcrafted {
+		want[i] = a.AnalyzeHex(h)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, h := range handcrafted {
+				if got := a.AnalyzeHex(h); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%s: concurrent report differs from the sequential one", h)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// FuzzAnalyzeAgrees feeds arbitrary bytes to the analyzer: AnalyzeHex
+// must never panic, and on every block that decodes the static verdict
+// must agree with the profiler's status.
+func FuzzAnalyzeAgrees(f *testing.F) {
+	for _, h := range handcrafted {
+		raw, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	cpu, _ := uarch.ByName("haswell")
+	opts := profiler.DefaultOptions()
+	a := New(cpu, opts)
+	p := profiler.New(cpu, opts)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		rep := a.AnalyzeHex(hex.EncodeToString(raw))
+		insts, err := x86.DecodeBlock(raw)
+		if err != nil {
+			return
+		}
+		res := p.Profile(&x86.Block{Insts: insts})
+		if !rep.Agrees(res.Status) {
+			t.Fatalf("%x: static %v vs dynamic %v (%v)\n  diags: %v",
+				raw, rep.Predicted, res.Status, res.Err, rep.Diags)
+		}
+	})
 }
 
 // TestAgreementCorpus runs the analyzer against the profiler over a

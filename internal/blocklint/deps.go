@@ -1,15 +1,10 @@
 package blocklint
 
-import (
-	"math/bits"
+import "bhive/internal/x86"
 
-	"bhive/internal/uarch"
-	"bhive/internal/x86"
-)
-
-// Facts carries the per-block static facts the analyzer derives without
-// running the machine (plus observed-address aggregates from the abstract
-// replay, filled in by interp.fillMemFacts).
+// Facts carries the per-block static facts the analyzer derives from the
+// instructions, plus the observed-address aggregates read off the
+// profiler's functional pass.
 type Facts struct {
 	// NumInsts is the block length in instructions.
 	NumInsts int `json:"num_insts"`
@@ -48,8 +43,8 @@ type DepEdge struct {
 }
 
 // MemFact describes one memory-accessing instruction: the static shape of
-// its address operand plus, when the abstract replay observed concrete
-// addresses, the realized access pattern in the timed run.
+// its address operand plus, when the functional pass reached it, the
+// realized access pattern in the timed run.
 type MemFact struct {
 	// Inst and Offset locate the instruction in the block.
 	Inst   int `json:"inst"`
@@ -67,9 +62,9 @@ type MemFact struct {
 	Disp      int32 `json:"disp"`
 	DispMod64 int   `json:"disp_mod64"`
 
-	// Observed reports whether the abstract replay saw only concrete
-	// addresses for this instruction; the fields below are then exact for
-	// the timed run at the high unroll factor.
+	// Observed reports whether the functional pass completed and executed
+	// this instruction's accesses; the fields below are then exact for the
+	// timed run at the high unroll factor.
 	Observed bool `json:"observed"`
 	// Accesses is the number of accesses in that run.
 	Accesses int `json:"accesses,omitempty"`
@@ -89,21 +84,6 @@ type MemFact struct {
 func resName(r x86.Reg) string { return r.Base64().String() }
 
 const flagsRes = "flags"
-
-// instLatency reduces a uarch descriptor to one chain latency: the sum of
-// the µop latencies in program order (load feeding compute feeding store),
-// which is the latency a dependent instruction observes through the
-// longest internal chain. Rename-eliminated idioms contribute nothing.
-func instLatency(d uarch.Desc) int {
-	if d.ZeroIdiom || d.EliminatedMove {
-		return 0
-	}
-	lat := 0
-	for _, u := range d.Uops {
-		lat += int(u.Lat)
-	}
-	return lat
-}
 
 // reads returns the resources an instruction consumes, writes the ones it
 // defines, using the decoder's register-level IO tables plus the flags
@@ -130,9 +110,11 @@ func writes(in *x86.Inst) []string {
 	return out
 }
 
-// computeFacts derives the static facts for one block. descs and offsets
-// are indexed like insts; codeBytes is the hi-unrolled footprint.
-func computeFacts(insts []x86.Inst, descs []uarch.Desc, offsets []int, lo, hi, codeBytes int) *Facts {
+// computeFacts derives the static facts for one block. offsets is indexed
+// like insts; codeBytes is the hi-unrolled footprint. The dependence
+// heights and the observed memory fields are filled in later, from the
+// bound analysis and the functional pass.
+func computeFacts(insts []x86.Inst, offsets []int, lo, hi, codeBytes int) *Facts {
 	n := len(insts)
 	f := &Facts{
 		NumInsts:  n,
@@ -141,11 +123,9 @@ func computeFacts(insts []x86.Inst, descs []uarch.Desc, offsets []int, lo, hi, c
 		CodeBytes: codeBytes,
 	}
 
-	lats := make([]int, n)
 	rds := make([][]string, n)
 	wrs := make([][]string, n)
 	for i := range insts {
-		lats[i] = instLatency(descs[i])
 		rds[i] = reads(&insts[i])
 		wrs[i] = writes(&insts[i])
 	}
@@ -188,8 +168,6 @@ func computeFacts(insts []x86.Inst, descs []uarch.Desc, offsets []int, lo, hi, c
 		}
 	}
 
-	f.CritLatency, f.DepHeight = depHeights(lats, rds, wrs)
-
 	// Static memory-operand classification (observed fields come later).
 	for i := range insts {
 		in := &insts[i]
@@ -229,42 +207,6 @@ func classifyAddr(m x86.Mem) string {
 	return "base-relative"
 }
 
-// depHeights runs the dataflow scheduling recurrence over unrolled
-// iterations: each instruction becomes ready when its inputs are, and
-// completes after its chain latency. The first-iteration maximum is the
-// critical path from clean state; the per-iteration increase, once it
-// stabilizes, is the loop-carried dependence height.
-func depHeights(lats []int, rds, wrs [][]string) (crit, height int) {
-	n := len(lats)
-	t := map[string]int{}
-	prevMax, first := 0, 0
-	const iters = 8
-	for iter := 0; iter < iters; iter++ {
-		maxFin := prevMax
-		for i := 0; i < n; i++ {
-			ready := 0
-			for _, r := range rds[i] {
-				if v, ok := t[r]; ok && v > ready {
-					ready = v
-				}
-			}
-			fin := ready + lats[i]
-			for _, w := range wrs[i] {
-				t[w] = fin
-			}
-			if fin > maxFin {
-				maxFin = fin
-			}
-		}
-		if iter == 0 {
-			first = maxFin
-		}
-		height = maxFin - prevMax
-		prevMax = maxFin
-	}
-	return first, height
-}
-
 func containsStr(s []string, v string) bool {
 	for _, x := range s {
 		if x == v {
@@ -272,36 +214,4 @@ func containsStr(s []string, v string) bool {
 		}
 	}
 	return false
-}
-
-// fillMemFacts merges the observed-address aggregates from the abstract
-// replay's recorded timed run into the static memory facts.
-func (it *interp) fillMemFacts(f *Facts) {
-	if f == nil {
-		return
-	}
-	for i := range f.Mem {
-		mf := &f.Mem[i]
-		agg := it.facts[mf.Inst]
-		if agg == nil || !agg.allKnown {
-			continue
-		}
-		mf.Observed = true
-		mf.Accesses = agg.accesses
-		if agg.orAddrs == 0 {
-			mf.Align = 1 << 12
-		} else {
-			a := uint64(1) << uint(bits.TrailingZeros64(agg.orAddrs))
-			if a > 1<<12 {
-				a = 1 << 12
-			}
-			mf.Align = a
-		}
-		if agg.strideSet && agg.strideOK {
-			mf.Stride = agg.stride
-			mf.StrideKnown = true
-		}
-		mf.Pages = len(agg.pages)
-		mf.Splits = agg.splits
-	}
 }

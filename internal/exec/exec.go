@@ -34,6 +34,20 @@ type DivideError struct{}
 
 func (DivideError) Error() string { return "exec: divide error (#DE)" }
 
+// UnimplementedError reports an instruction the executor does not
+// implement; a block containing it cannot be profiled.
+type UnimplementedError struct {
+	Op     x86.Op
+	Vector bool // raised by the vector unit
+}
+
+func (e *UnimplementedError) Error() string {
+	if e.Vector {
+		return fmt.Sprintf("exec: unimplemented vector op %s", e.Op)
+	}
+	return fmt.Sprintf("exec: unimplemented op %s", e.Op)
+}
+
 // Runner executes instruction sequences against an address space.
 type Runner struct {
 	State *State
@@ -210,7 +224,7 @@ func intOpSize(in *x86.Inst, k int) int {
 func (r *Runner) exec(in *x86.Inst, step *Step) error {
 	s := r.State
 	op := in.Op
-	if op.IsVex() || isSSEOp(op) {
+	if IsVector(op) {
 		return r.execVec(in, step)
 	}
 
@@ -363,7 +377,7 @@ func (r *Runner) exec(in *x86.Inst, step *Step) error {
 		// Basic blocks never contain branches; treat as a no-op marker.
 		return nil
 	}
-	return fmt.Errorf("exec: unimplemented op %s", op)
+	return &UnimplementedError{Op: op}
 }
 
 func (r *Runner) execALU(in *x86.Inst, step *Step) error {

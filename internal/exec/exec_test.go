@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -397,6 +398,28 @@ func TestMovapsAlignmentFault(t *testing.T) {
 	r2.State.WriteGPR(x86.RDI, base+4)
 	if err := r2.Run(mustParse(t, "movups xmm0, xmmword ptr [rdi]"), nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnimplementedTyped checks that an instruction the executor does not
+// implement surfaces as a typed *UnimplementedError with the historical
+// message text, and that execution stops at it.
+func TestUnimplementedTyped(t *testing.T) {
+	r := NewRunner(vm.New())
+	r.Record = true
+	err := r.Run([]x86.Inst{{Op: x86.NOP}, {Op: x86.BAD}}, nil)
+	var ue *UnimplementedError
+	if !errors.As(err, &ue) || ue.Op != x86.BAD || ue.Vector {
+		t.Fatalf("got %v, want a scalar *UnimplementedError for BAD", err)
+	}
+	if got, want := err.Error(), "exec: unimplemented op "+x86.BAD.String(); got != want {
+		t.Fatalf("message %q, want %q", got, want)
+	}
+	if len(r.Trace) != 1 {
+		t.Fatalf("trace holds %d steps, want the 1 before the stop", len(r.Trace))
+	}
+	if !IsVector(x86.MOVAPS) || !IsVector(x86.VZEROUPPER) || IsVector(x86.ADD) {
+		t.Fatal("IsVector misclassifies")
 	}
 }
 

@@ -18,8 +18,9 @@ func (e *AlignmentError) Error() string {
 	return fmt.Sprintf("exec: alignment fault: %#x not %d-byte aligned", e.Addr, e.Req)
 }
 
-// isSSEOp reports whether op is a legacy SSE instruction.
-func isSSEOp(op x86.Op) bool { return op >= x86.MOVSS && op <= x86.PMOVMSKB }
+// IsVector reports whether op runs on the vector unit: every VEX-encoded
+// instruction (VZEROUPPER included) and every legacy SSE instruction.
+func IsVector(op x86.Op) bool { return op.IsVex() || (op >= x86.MOVSS && op <= x86.PMOVMSKB) }
 
 // vecWidth returns the operation width in bytes.
 func vecWidth(in *x86.Inst) int {
@@ -293,7 +294,7 @@ func (r *Runner) execVec(in *x86.Inst, step *Step) error {
 		}
 
 	default:
-		return fmt.Errorf("exec: unimplemented vector op %s", op)
+		return &UnimplementedError{Op: op, Vector: true}
 	}
 	_ = fp
 	r.State.WriteVec(dst, res, width, vex)

@@ -9,27 +9,19 @@ import (
 	"bhive/internal/pipeline"
 	"bhive/internal/profcache"
 	"bhive/internal/uarch"
-	"bhive/internal/vm"
+	"bhive/internal/x86"
 )
 
-// mapAndTrace replicates profile's monitored pass for tests that drive
-// measureOn directly: map every faulting page, return the trace and graph.
-func mapAndTrace(t *testing.T, p *Profiler, sc *scratch, m *machine.Machine, prog *machine.Program) ([]exec.Step, *pipeline.Graph) {
+// mapAndTrace runs profile's functional pass at the given unroll factor
+// on a fresh scratch, for tests that drive measureOn directly.
+func mapAndTrace(t *testing.T, p *Profiler, insts []x86.Inst, unroll int, seed int64) (*machine.Machine, *machine.Program, []exec.Step, *pipeline.Graph) {
 	t.Helper()
-	var thePage *vm.PhysPage
-	mapped := 0
-	steps, err := m.ExecuteMonitored(prog, p.resetState(&sc.st), func(f *vm.Fault) bool {
-		if !p.Opts.MapPages || !vm.ValidUserAddress(f.Addr) || mapped >= p.Opts.MaxFaults {
-			return false
-		}
-		m.AS.Map(f.Addr, p.pageFor(m, &thePage))
-		mapped++
-		return true
-	})
-	if err != nil {
-		t.Fatalf("monitored execute: %v", err)
+	sc := &scratch{}
+	pass := p.functional(sc, insts, unroll, p.Opts.MaxFaults, seed)
+	if pass.Err != nil {
+		t.Fatalf("functional pass: %v", pass.Err)
 	}
-	return steps, m.PrepareGraph(prog, steps)
+	return sc.m, pass.Prog, pass.Steps, sc.m.PrepareGraph(pass.Prog, pass.Steps)
 }
 
 // TestMeasurementOrderIndependence pins down the two equivalences the hot
@@ -50,26 +42,14 @@ func TestMeasurementOrderIndependence(t *testing.T) {
 		nLo := len(b.Insts) * lo
 
 		// Low factor alone, on a fresh machine.
-		scA := &scratch{}
-		mA := scA.machine(p.CPU, seed)
-		progA, err := mA.PrepareUnrolled(scA.unrolled(b.Insts, lo), len(b.Insts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stepsA, gA := mapAndTrace(t, p, scA, mA, progA)
+		mA, progA, stepsA, gA := mapAndTrace(t, p, b.Insts, lo, seed)
 		cA, rA := p.measureOn(mA, progA, gA, stepsA, lo, seed)
 		if rA.Status != StatusOK {
 			t.Fatalf("%q: lo-alone status = %v", text, rA.Status)
 		}
 
 		// High first, then low on the shared machine — Profile's order.
-		scB := &scratch{}
-		mB := scB.machine(p.CPU, seed)
-		progB, err := mB.PrepareUnrolled(scB.unrolled(b.Insts, hi), len(b.Insts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stepsB, gB := mapAndTrace(t, p, scB, mB, progB)
+		mB, progB, stepsB, gB := mapAndTrace(t, p, b.Insts, hi, seed)
 		if _, rHi := p.measureOn(mB, progB, gB, stepsB, hi, seed); rHi.Status != StatusOK {
 			t.Fatalf("%q: hi status = %v", text, rHi.Status)
 		}

@@ -218,6 +218,11 @@ type scratch struct {
 	m     *machine.Machine
 	st    exec.State
 	insts []x86.Inst
+
+	// mon is the functional pass's page-fault monitor; onFault is its
+	// method value, bound on first use so later passes allocate no closure.
+	mon     monitor
+	onFault func(*vm.Fault) bool
 }
 
 func (p *Profiler) getScratch() *scratch {
@@ -225,6 +230,51 @@ func (p *Profiler) getScratch() *scratch {
 		return v.(*scratch)
 	}
 	return &scratch{}
+}
+
+// monitor is the protocol's page-fault policy: map each faulting page
+// while mapping is on, the address is a mappable user address and fewer
+// than budget pages are mapped; otherwise refuse and record why.
+type monitor struct {
+	p      *Profiler
+	m      *machine.Machine
+	budget int
+	page   *vm.PhysPage // the single physical page, once chosen
+	mapped int
+	stop   Stop
+}
+
+func (mo *monitor) onFault(f *vm.Fault) bool {
+	switch {
+	case !mo.p.Opts.MapPages:
+		mo.stop = StopNoMapping
+	case !vm.ValidUserAddress(f.Addr):
+		mo.stop = StopBadAddress
+	case mo.mapped >= mo.budget:
+		mo.stop = StopPageBudget
+	default:
+		mo.m.AS.Map(f.Addr, mo.frame())
+		mo.mapped++
+		return true
+	}
+	return false
+}
+
+// frame returns the physical page to map a faulting page onto, honoring
+// the single-physical-page technique.
+func (mo *monitor) frame() *vm.PhysPage {
+	o := &mo.p.Opts
+	if o.SinglePhysPage && mo.page != nil {
+		return mo.page
+	}
+	f := mo.m.AS.NewPhysPage()
+	if o.InitRegisters {
+		f.Fill(InitPattern)
+	}
+	if o.SinglePhysPage {
+		mo.page = f
+	}
+	return f
 }
 
 // machine returns the scratch machine reset to fresh-construction state.
@@ -362,6 +412,106 @@ func (p *Profiler) Profile(b *x86.Block) Result {
 	return res
 }
 
+// Stop says why the protocol's functional pass ended before the last
+// unrolled instruction. Every reason except StopNone makes the block
+// StatusUnsupported (StopPrepare on an unsupported instruction) or
+// StatusCrashed.
+type Stop int
+
+const (
+	// StopNone: the pass ran to completion.
+	StopNone Stop = iota
+	// StopPrepare: machine.PrepareUnrolled failed (encode or describe).
+	StopPrepare
+	// StopNoMapping: a page fault with page mapping disabled.
+	StopNoMapping
+	// StopBadAddress: a page fault at an address that is not a mappable
+	// user address.
+	StopBadAddress
+	// StopPageBudget: a page fault after MaxFaults pages were mapped.
+	StopPageBudget
+	// StopAlignment: an aligned vector move on a misaligned address (#GP).
+	StopAlignment
+	// StopDivide: a division raised #DE.
+	StopDivide
+	// StopUnimplemented: the executor does not implement the instruction.
+	StopUnimplemented
+	// StopExec: any other executor error.
+	StopExec
+)
+
+// Pass is the functional half of the measurement protocol: the unrolled
+// program prepared at the high unroll factor and its single monitored run.
+type Pass struct {
+	// Prog is the prepared program (nil when Stop is StopPrepare).
+	Prog *machine.Program
+	// Steps is the dynamic trace. When the run stopped it holds the
+	// instructions before the stopping one, which is Prog.Insts[len(Steps)].
+	Steps []exec.Step
+	// PagesMapped is how many virtual pages the monitor installed.
+	PagesMapped int
+	// Stop is why the pass ended early, and Err the error that ended it
+	// (both zero when the pass completed).
+	Stop Stop
+	Err  error
+}
+
+// functional runs the functional half of the protocol on the scratch
+// machine: prepare unroll copies of insts, then one monitored pass that
+// maps each faulting page (up to budget pages) and records the trace.
+func (p *Profiler) functional(sc *scratch, insts []x86.Inst, unroll, budget int, seed int64) Pass {
+	m := sc.machine(p.CPU, seed)
+	prog, err := m.PrepareUnrolled(sc.unrolled(insts, unroll), len(insts))
+	if err != nil {
+		return Pass{Stop: StopPrepare, Err: err}
+	}
+
+	// The monitor repairs each fault and resumes in place, so the trace is
+	// identical to a clean run's.
+	sc.mon = monitor{p: p, m: m, budget: budget}
+	if sc.onFault == nil {
+		sc.onFault = sc.mon.onFault
+	}
+	pass := Pass{Prog: prog}
+	pass.Steps, pass.Err = m.ExecuteMonitored(prog, p.resetState(&sc.st), sc.onFault)
+	pass.PagesMapped, pass.Stop = sc.mon.mapped, sc.mon.stop
+	sc.mon = monitor{} // drop the references before the scratch is pooled
+	if pass.Err == nil {
+		return pass
+	}
+	var (
+		ae *exec.AlignmentError
+		ue *exec.UnimplementedError
+	)
+	switch {
+	case pass.Stop != StopNone:
+		// A fault the monitor refused; onFault recorded why.
+	case errors.As(pass.Err, &ae):
+		pass.Stop = StopAlignment
+	case errors.Is(pass.Err, exec.DivideError{}):
+		pass.Stop = StopDivide
+	case errors.As(pass.Err, &ue):
+		pass.Stop = StopUnimplemented
+	default:
+		pass.Stop = StopExec
+	}
+	return pass
+}
+
+// Functional runs the functional half of the measurement protocol for b —
+// PrepareUnrolled at the high unroll factor, then the single monitored
+// pass profile times — and calls fn with the outcome. The pass aliases
+// pooled buffers and is valid only until fn returns. b must be non-empty.
+func (p *Profiler) Functional(b *x86.Block, fn func(*Pass)) {
+	_, hi := p.Opts.UnrollFactors(len(b.Insts))
+	sc := p.getScratch()
+	defer p.pool.Put(sc)
+	// The functional pass never consumes the machine RNG, so its seed is
+	// immaterial.
+	pass := p.functional(sc, b.Insts, hi, p.Opts.MaxFaults, 0)
+	fn(&pass)
+}
+
 // profile runs the measurement protocol, bypassing the persistent cache.
 func (p *Profiler) profile(b *x86.Block, seed int64) Result {
 	lo, hi := p.Opts.UnrollFactors(len(b.Insts))
@@ -371,37 +521,21 @@ func (p *Profiler) profile(b *x86.Block, seed int64) Result {
 	defer p.pool.Put(sc)
 
 	// Prepare once at the high factor; the low-factor program is a prefix
-	// of the same prepared code, so it is derived by slicing.
-	m := sc.machine(p.CPU, seed)
-	prog, err := m.PrepareUnrolled(sc.unrolled(b.Insts, hi), len(b.Insts))
-	if err != nil {
-		if _, ok := err.(*uarch.UnsupportedError); ok {
-			return Result{Status: StatusUnsupported, Err: err, UnrollLo: lo, UnrollHi: hi}
+	// of the same prepared code, so it is derived by slicing. One
+	// monitored functional pass at the high factor maps every page the
+	// block touches and yields the dynamic trace; execution of a
+	// straight-line block is deterministic, so the low factor's trace is
+	// its prefix. One pass therefore serves the warm-ups and every timing
+	// of both factors.
+	pass := p.functional(sc, b.Insts, hi, p.Opts.MaxFaults, seed)
+	if pass.Err != nil {
+		st := StatusCrashed
+		if _, ok := pass.Err.(*uarch.UnsupportedError); ok {
+			st = StatusUnsupported
 		}
-		return Result{Status: StatusCrashed, Err: err, UnrollLo: lo, UnrollHi: hi}
+		return Result{Status: st, Err: pass.Err, UnrollLo: lo, UnrollHi: hi}
 	}
-
-	// One monitored functional pass at the high factor maps every page the
-	// block touches and yields the dynamic trace. The monitor repairs each
-	// fault and resumes in place, so this trace is identical to a clean
-	// run's; execution of a straight-line block is deterministic, so the
-	// low factor's trace is its prefix. One pass therefore serves the
-	// warm-ups and every timing of both factors. The chosen physical page
-	// is shared by both, exactly as the page mapping itself is.
-	var thePage *vm.PhysPage
-	pagesMapped := 0
-	onFault := func(f *vm.Fault) bool {
-		if !p.Opts.MapPages || !vm.ValidUserAddress(f.Addr) || pagesMapped >= p.Opts.MaxFaults {
-			return false
-		}
-		m.AS.Map(f.Addr, p.pageFor(m, &thePage))
-		pagesMapped++
-		return true
-	}
-	steps, err := m.ExecuteMonitored(prog, p.resetState(&sc.st), onFault)
-	if err != nil {
-		return Result{Status: StatusCrashed, Err: err, UnrollLo: lo, UnrollHi: hi}
-	}
+	m, prog, steps, pagesMapped := sc.m, pass.Prog, pass.Steps, pass.PagesMapped
 
 	// The µop dependence graph is likewise built once; the low factor's
 	// graph is a prefix view of it.
@@ -439,25 +573,6 @@ func (p *Profiler) profile(b *x86.Block, seed int64) Result {
 	}
 	res.Throughput = float64(cHi-cLo) / float64(hi-lo)
 	return res
-}
-
-// pageFor returns the frame to map a faulting page to, honoring the
-// single-physical-page technique.
-func (p *Profiler) pageFor(m *machine.Machine, thePage **vm.PhysPage) *vm.PhysPage {
-	if p.Opts.SinglePhysPage {
-		if *thePage == nil {
-			*thePage = m.AS.NewPhysPage()
-			if p.Opts.InitRegisters {
-				(*thePage).Fill(InitPattern)
-			}
-		}
-		return *thePage
-	}
-	f := m.AS.NewPhysPage()
-	if p.Opts.InitRegisters {
-		f.Fill(InitPattern)
-	}
-	return f
 }
 
 // measureOn runs the measurement protocol for one unrolled program whose
@@ -569,26 +684,12 @@ func (p *Profiler) MeasureRaw(b *x86.Block, unroll int) (pipeline.Counters, erro
 	sc := p.getScratch()
 	defer p.pool.Put(sc)
 
-	m := sc.machine(p.CPU, unrollSeed(seed, unroll))
-	prog, err := m.PrepareUnrolled(sc.unrolled(b.Insts, unroll), len(b.Insts))
-	if err != nil {
-		return pipeline.Counters{}, err
+	// The ablation's monitor tolerates one fault beyond MaxFaults.
+	pass := p.functional(sc, b.Insts, unroll, o.MaxFaults+1, unrollSeed(seed, unroll))
+	if pass.Err != nil {
+		return pipeline.Counters{}, pass.Err
 	}
-
-	var thePage *vm.PhysPage
-	mapped := 0
-	onFault := func(f *vm.Fault) bool {
-		if !o.MapPages || !vm.ValidUserAddress(f.Addr) || mapped > o.MaxFaults {
-			return false
-		}
-		m.AS.Map(f.Addr, p.pageFor(m, &thePage))
-		mapped++
-		return true
-	}
-	steps, err := m.ExecuteMonitored(prog, p.resetState(&sc.st), onFault)
-	if err != nil {
-		return pipeline.Counters{}, err
-	}
+	m, prog, steps := sc.m, pass.Prog, pass.Steps
 	g := m.PrepareGraph(prog, steps)
 	base := machine.Config{ModeledFrontEnd: o.ModeledFrontEnd}
 	if o.ModeledFrontEnd {

@@ -173,6 +173,53 @@ func TestInvalidPointerCrashes(t *testing.T) {
 	}
 }
 
+// TestFunctionalStops checks the typed reason the functional pass reports
+// for every way it can end early, and that Profile's status follows it.
+func TestFunctionalStops(t *testing.T) {
+	tests := []struct {
+		name string
+		cpu  *uarch.CPU
+		opts Options
+		text string
+		stop Stop
+		want Status
+	}{
+		{"ok", uarch.Haswell(), DefaultOptions(), "mov rax, qword ptr [rsp+8]", StopNone, StatusOK},
+		{"prepare", uarch.IvyBridge(), DefaultOptions(), "vpaddd ymm0, ymm0, ymm0", StopPrepare, StatusUnsupported},
+		{"no-mapping", uarch.Haswell(), BaselineOptions(), "mov rax, qword ptr [rbx]", StopNoMapping, StatusCrashed},
+		{"bad-address", uarch.Haswell(), DefaultOptions(), "xor ebx, ebx\nmov rax, qword ptr [rbx]", StopBadAddress, StatusCrashed},
+		{"page-budget", uarch.Haswell(), DefaultOptions(), "add rbx, 0x1000\nmov rax, qword ptr [rbx]", StopPageBudget, StatusCrashed},
+		{"alignment", uarch.Haswell(), DefaultOptions(), "movaps xmm1, xmmword ptr [rcx+1]", StopAlignment, StatusCrashed},
+		{"divide", uarch.Haswell(), DefaultOptions(), "xor ecx, ecx\ndiv ecx", StopDivide, StatusCrashed},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(tc.cpu, tc.opts)
+			b := block(t, tc.text)
+			var got Pass
+			p.Functional(b, func(pass *Pass) {
+				got = *pass
+				got.Steps = nil // aliases pooled buffers
+				if pass.Err == nil {
+					if _, hi := tc.opts.UnrollFactors(len(b.Insts)); len(pass.Steps) != hi*len(b.Insts) {
+						t.Errorf("completed pass traced %d steps, want %d", len(pass.Steps), hi*len(b.Insts))
+					}
+				}
+			})
+			if got.Stop != tc.stop || (got.Err == nil) != (tc.stop == StopNone) {
+				t.Fatalf("stop %v (err %v), want %v", got.Stop, got.Err, tc.stop)
+			}
+			r := p.Profile(b)
+			if r.Status != tc.want {
+				t.Fatalf("profile status %v, want %v", r.Status, tc.want)
+			}
+			if tc.stop == StopPageBudget && got.PagesMapped != tc.opts.MaxFaults {
+				t.Fatalf("budget stop after %d pages, want %d", got.PagesMapped, tc.opts.MaxFaults)
+			}
+		})
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	p := New(uarch.Haswell(), DefaultOptions())
 	b := block(t, "add rax, rbx\nmov rcx, qword ptr [rsp+8]")
