@@ -12,15 +12,18 @@ package bhive
 
 import (
 	"os"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"testing"
 
+	"bhive/internal/bound"
 	"bhive/internal/classify"
 	"bhive/internal/corpus"
 	"bhive/internal/exec"
 	"bhive/internal/harness"
 	"bhive/internal/machine"
+	"bhive/internal/memo"
 	"bhive/internal/models"
 	"bhive/internal/models/ithemal"
 	"bhive/internal/profiler"
@@ -388,6 +391,70 @@ func BenchmarkPredictMixed(b *testing.B) {
 			b.ReportMetric(float64(len(blocks)), "blocksPerOp")
 			b.ReportMetric(float64(errs)/float64(b.N), "errorsPerOp")
 		})
+	}
+}
+
+// raceEnabled reports whether the test binary was built with the race
+// detector, under which sync.Pool drops items at random and allocation
+// counts mean nothing.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// TestFromPreparedAllocs pins the bound analysis's pooled working memory:
+// over the mixed block set, FromPrepared allocates at most the Bounds it
+// returns.
+func TestFromPreparedAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	cpu := uarch.Haswell()
+	arch := memo.For(cpu)
+	var sets [][]*memo.PreparedInst
+	for _, b := range mixedBlockSet() {
+		entries := make([]*memo.PreparedInst, len(b.Insts))
+		for i := range b.Insts {
+			entries[i] = arch.Prepared(&b.Insts[i])
+		}
+		sets = append(sets, entries)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, entries := range sets {
+			if _, err := bound.FromPrepared(cpu, entries); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if per := allocs / float64(len(sets)); per > 1 {
+		t.Fatalf("FromPrepared makes %.2f allocations per call, want at most 1", per)
+	}
+}
+
+// TestPredictMixedFacileAllocs pins BenchmarkPredictMixed/Facile's
+// allocation budget: at most 100 allocations per pass over the mixed
+// block set.
+func TestPredictMixedFacileAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	blocks := mixedBlockSet()
+	m := models.NewFacile(uarch.Haswell())
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, b := range blocks {
+			if _, err := m.Predict(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("Facile makes %.0f allocations per %d blocks, want at most 100", allocs, len(blocks))
 	}
 }
 

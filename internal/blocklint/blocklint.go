@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"reflect"
 
 	"bhive/internal/bound"
@@ -175,7 +176,7 @@ type Report struct {
 	// not decode).
 	Facts *Facts `json:"facts,omitempty"`
 	// Bounds carries the static cycle-bound analysis (nil when the block
-	// does not decode or describe).
+	// does not decode or describe, or the analysis fails).
 	Bounds *bound.Bounds `json:"bounds,omitempty"`
 }
 
@@ -310,10 +311,13 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 	// Static cycle bounds over the same descriptors; the dependence facts
 	// come from the same simulator-congruent chain analysis the bounds use
 	// (rename-aware, address/data asymmetric, store µops excluded from
-	// chains).
-	rep.Bounds = bound.FromPrepared(cpu, entries)
-	rep.Facts.CritLatency = rep.Bounds.CritPath
-	rep.Facts.DepHeight = int(rep.Bounds.DepChain + 0.5)
+	// chains). DepHeight rounds the exact ratio to the nearest cycle,
+	// exact halves down.
+	if bs, err := bound.FromPrepared(cpu, entries); err == nil {
+		rep.Bounds = bs
+		rep.Facts.CritLatency = bs.CritPath
+		rep.Facts.DepHeight = int(math.Ceil(bs.DepChain - 0.5))
+	}
 	for i, e := range entries {
 		if e.Desc.Generic {
 			rep.addDiag(Diag{Code: CodeVacuousBounds, Inst: i, Offset: offsets[i],

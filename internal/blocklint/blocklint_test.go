@@ -189,6 +189,17 @@ func TestFacts(t *testing.T) {
 		t.Errorf("lea dep height %d, want 0 under the sim-congruent model", h)
 	}
 
+	// popcnt r15,rdx ; or rdx,r10 ; or r10,r15 ; xor r8,r15 (from the
+	// generated corpus): the rdx→r15→r10→rdx cycle costs 3+1+1 cycles over
+	// two iterations, exactly 2.5, and exact halves round down.
+	rep = a.AnalyzeHex("f34c0fb8fa4c09d24d09fa4d31f8")
+	if d := rep.Bounds.DepChain; d != 2.5 {
+		t.Fatalf("popcnt/or cycle ratio %v, want exactly 2.5", d)
+	}
+	if h := rep.Facts.DepHeight; h != 2 {
+		t.Errorf("dep height %d for a 2.5-cycle ratio, want 2 (halves round down)", h)
+	}
+
 	// mov rax,[rsp+8]: rsp-relative class, observed exact addresses.
 	rep = a.AnalyzeHex("488b442408")
 	if len(rep.Facts.Mem) != 1 {

@@ -111,20 +111,22 @@ func AnalyzeFE(cpu *uarch.CPU, b *x86.Block, modeled bool) (*Bounds, error) {
 	if len(b.Insts) == 0 {
 		return nil, fmt.Errorf("bound: empty block")
 	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
 	arch := memo.For(cpu)
-	entries := make([]*memo.PreparedInst, len(b.Insts))
+	s.entries = grow(s.entries, len(b.Insts))
 	for i := range b.Insts {
 		e := arch.Prepared(&b.Insts[i])
 		if e.DescErr != nil {
 			return nil, fmt.Errorf("bound: instruction %d: %w", i, e.DescErr)
 		}
-		entries[i] = e
+		s.entries[i] = e
 	}
-	bs := FromPrepared(cpu, entries)
-	if modeled {
-		modeledFrontEnd(cpu, bs, entries)
+	bs, err := fromPrepared(cpu, s.entries, s)
+	if err == nil && modeled {
+		modeledFrontEnd(cpu, bs, s.entries)
 	}
-	return bs, nil
+	return bs, err
 }
 
 // FromPrepared computes the legacy-front-end bounds from one memo entry
@@ -132,22 +134,40 @@ func AnalyzeFE(cpu *uarch.CPU, b *x86.Block, modeled bool) (*Bounds, error) {
 // It exists so blocklint can reuse the entries it already resolved, and so
 // tests can perturb latency tables on copies of the entries (the
 // monotonicity property). Encoding failures just drop the fetch term
-// (weakening, never unsounding, the bound).
-func FromPrepared(cpu *uarch.CPU, entries []*memo.PreparedInst) *Bounds {
+// (weakening, never unsounding, the bound). It fails only if the
+// dependence analysis does (see maxCycleRatio).
+func FromPrepared(cpu *uarch.CPU, entries []*memo.PreparedInst) (*Bounds, error) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return fromPrepared(cpu, entries, s)
+}
+
+// maxPortCombos sizes the on-stack port-time profile; blocks using more
+// distinct port combinations than this spill it to the heap.
+const maxPortCombos = 32
+
+func fromPrepared(cpu *uarch.CPU, entries []*memo.PreparedInst, s *scratch) (*Bounds, error) {
 	bs := &Bounds{}
 	if len(entries) == 0 {
-		return bs
+		return bs, nil
 	}
 
 	// Dependence term: exact maximum cycle ratio of the simulator-congruent
 	// dependence graph.
-	crit, height := chain(entries)
-	bs.CritPath, bs.DepChain = crit, height
+	crit, p, q, err := chain(entries, s)
+	if err != nil {
+		return nil, err
+	}
+	bs.CritPath = crit
+	if q > 0 {
+		bs.DepChain = float64(p) / float64(q)
+	}
 
 	// Port term: every µop needs max(1, occupancy) cycles of some port in
 	// its allowed combination (the simulator holds a port for `occupancy`
 	// cycles when the unit is unpipelined, one dispatch cycle otherwise).
-	load := make(map[uarch.PortSet]float64)
+	var loadBuf [maxPortCombos]portmap.Load
+	load := loadBuf[:0]
 	fusedTotal, codeBytes := 0, 0
 	var upper float64
 	nLoads := 0
@@ -165,7 +185,7 @@ func FromPrepared(cpu *uarch.CPU, entries []*memo.PreparedInst) *Bounds {
 			if occ < 1 {
 				occ = 1
 			}
-			load[u.Ports] += occ
+			load = addLoad(load, u.Ports, occ)
 			upper += float64(u.Lat) + occ
 			if u.Class == uarch.ClassLoad {
 				nLoads++
@@ -194,14 +214,7 @@ func FromPrepared(cpu *uarch.CPU, entries []*memo.PreparedInst) *Bounds {
 		}
 	}
 
-	bs.Lower = bs.DepChain
-	bs.Verdict = VerdictDepChain
-	if bs.PortPressure > bs.Lower {
-		bs.Lower, bs.Verdict = bs.PortPressure, VerdictPort
-	}
-	if bs.FrontEnd > bs.Lower {
-		bs.Lower, bs.Verdict = bs.FrontEnd, VerdictFrontEnd
-	}
+	bs.decide()
 
 	// Upper bound: fully serial execution — every µop waits out its
 	// latency and unit occupancy, every fused µop takes an allocation
@@ -212,7 +225,32 @@ func FromPrepared(cpu *uarch.CPU, entries []*memo.PreparedInst) *Bounds {
 	// by measurement status).
 	fwdSlack := float64(cpu.FwdLatency - cpu.L1DLatency + 1)
 	bs.Upper = upper + float64(fusedTotal) + fetch + float64(nLoads)*fwdSlack + 2
-	return bs
+	return bs, nil
+}
+
+// addLoad adds cycles to the entry of load for ports, appending one if
+// the combination is new.
+func addLoad(load []portmap.Load, ports uarch.PortSet, cycles float64) []portmap.Load {
+	for i := range load {
+		if load[i].Ports == ports {
+			load[i].Cycles += cycles
+			return load
+		}
+	}
+	return append(load, portmap.Load{Ports: ports, Cycles: cycles})
+}
+
+// decide sets Lower to the largest lower-bound term and Verdict to the
+// term that attains it. Exact ties go to the throughput terms: the
+// dependence term loses to the port term, which beats the front-end term.
+func (bs *Bounds) decide() {
+	bs.Lower, bs.Verdict = bs.PortPressure, VerdictPort
+	if bs.FrontEnd > bs.Lower {
+		bs.Lower, bs.Verdict = bs.FrontEnd, VerdictFrontEnd
+	}
+	if bs.DepChain > bs.Lower {
+		bs.Lower, bs.Verdict = bs.DepChain, VerdictDepChain
+	}
 }
 
 // modeledFrontEnd rewrites the front-end floor and upper-bound slack of bs
@@ -238,14 +276,7 @@ func modeledFrontEnd(cpu *uarch.CPU, bs *Bounds, entries []*memo.PreparedInst) {
 		}
 	}
 	bs.FrontEnd = fe
-
-	bs.Lower, bs.Verdict = bs.DepChain, VerdictDepChain
-	if bs.PortPressure > bs.Lower {
-		bs.Lower, bs.Verdict = bs.PortPressure, VerdictPort
-	}
-	if bs.FrontEnd > bs.Lower {
-		bs.Lower, bs.Verdict = bs.FrontEnd, VerdictFrontEnd
-	}
+	bs.decide()
 
 	bs.Upper += float64(len(entries)) +
 		float64(lcpCount*cpu.FE.LCPStall) +

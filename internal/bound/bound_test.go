@@ -20,6 +20,15 @@ func block(t *testing.T, hexStr string) *x86.Block {
 	return b
 }
 
+func mustFromPrepared(t *testing.T, cpu *uarch.CPU, entries []*memo.PreparedInst) *Bounds {
+	t.Helper()
+	bs, err := FromPrepared(cpu, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bs
+}
+
 func analyze(t *testing.T, cpu *uarch.CPU, hexStr string) *Bounds {
 	t.Helper()
 	bs, err := Analyze(cpu, block(t, hexStr))
@@ -56,6 +65,42 @@ func TestKnownChains(t *testing.T) {
 		}
 		if bs.Lower > bs.Upper {
 			t.Errorf("%s: lower %.4f > upper %.4f", c.hex, bs.Lower, bs.Upper)
+		}
+	}
+}
+
+// TestVerdictTies pins the tie order on blocks from the generated corpus
+// (GenerateAll(0.03, 7)): when terms are exactly equal the dependence term
+// loses to the port term, which beats the front-end term. Both front-end
+// models apply it.
+func TestVerdictTies(t *testing.T) {
+	hsw := uarch.Haswell()
+	cases := []struct {
+		name, hex string
+		modeled   bool
+		verdict   Verdict
+	}{
+		// lea r10,[r12+r14*8+0xc5] ; add r9,r9 — the carried add chain
+		// (1 cycle) ties the three-component LEA's port 1 (1 cycle).
+		{"dep = port", "4f8d94f4c50000004d01c9", false, VerdictPort},
+		// xor r9,0x59 ; sub rdx,0x21 ; movzx r11d,byte ptr [rbx+0x1db] —
+		// the 1-cycle carried chains tie 16 code bytes of fetch.
+		{"dep = fetch", "4983f1594883ea21440fb69bdb010000", false, VerdictFrontEnd},
+		// lea r15,[r12+0xb5] ; vxorps xmm7,xmm7,xmm7 ; or r11,0x8 ;
+		// mov rcx,[rbx+0x78] — under the modeled front end the carried
+		// or chain (1 cycle) ties 4 fused µops at width 4.
+		{"dep = allocation", "4d8dbc24b5000000c5c057ff4983cb08488b4b78", true, VerdictFrontEnd},
+	}
+	for _, c := range cases {
+		bs, err := AnalyzeFE(hsw, block(t, c.hex), c.modeled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bs.DepChain != bs.Lower {
+			t.Fatalf("%s: dep %v no longer ties the lower bound %v", c.name, bs.DepChain, bs.Lower)
+		}
+		if bs.Verdict != c.verdict {
+			t.Errorf("%s: verdict %s, want %s (%+v)", c.name, bs.Verdict, c.verdict, *bs)
 		}
 	}
 }
@@ -127,11 +172,11 @@ func TestVacuous(t *testing.T) {
 	if e.DescErr != nil {
 		t.Fatal(e.DescErr)
 	}
-	if got := FromPrepared(hsw, []*memo.PreparedInst{&e}); got.Vacuous {
+	if got := mustFromPrepared(t, hsw, []*memo.PreparedInst{&e}); got.Vacuous {
 		t.Fatal("table-backed descriptor marked vacuous")
 	}
 	e.Desc.Generic = true
-	if got := FromPrepared(hsw, []*memo.PreparedInst{&e}); !got.Vacuous {
+	if got := mustFromPrepared(t, hsw, []*memo.PreparedInst{&e}); !got.Vacuous {
 		t.Fatal("generic descriptor not marked vacuous")
 	}
 }
@@ -228,9 +273,9 @@ func raiseLats(entries []*memo.PreparedInst, delta int) []*memo.PreparedInst {
 }
 
 // TestMonotonicity is the differential property: raising any latency table
-// entry never decreases the lower bound (the bisection returns from the
-// feasible side, the port and front-end terms ignore latency, and the
-// dependence graph's edge weights are monotone in the µop latencies).
+// entry never decreases the lower bound (the dependence term is an exact
+// maximum over cycles whose weights are monotone in the µop latencies, and
+// the port and front-end terms ignore latency).
 func TestMonotonicity(t *testing.T) {
 	blocks := corpusBlocks(t)
 	hsw := uarch.Haswell()
@@ -248,17 +293,15 @@ func TestMonotonicity(t *testing.T) {
 		if !ok {
 			continue
 		}
-		base := FromPrepared(hsw, entries)
+		base := mustFromPrepared(t, hsw, entries)
 		for _, delta := range []int{1, 3} {
-			raised := FromPrepared(hsw, raiseLats(entries, delta))
-			// The bisection undercuts the exact ratio by at most
-			// 1e-9*(1+hi); allow that sliver.
-			if raised.Lower < base.Lower-1e-6 {
+			raised := mustFromPrepared(t, hsw, raiseLats(entries, delta))
+			if raised.Lower < base.Lower {
 				hexStr, _ := b.Hex()
 				t.Fatalf("%s: raising latencies by %d dropped lower %.6f -> %.6f",
 					hexStr, delta, base.Lower, raised.Lower)
 			}
-			if raised.Upper < base.Upper-1e-6 {
+			if raised.Upper < base.Upper {
 				hexStr, _ := b.Hex()
 				t.Fatalf("%s: raising latencies by %d dropped upper %.6f -> %.6f",
 					hexStr, delta, base.Upper, raised.Upper)

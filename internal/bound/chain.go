@@ -1,6 +1,9 @@
 package bound
 
 import (
+	"fmt"
+	"sync"
+
 	"bhive/internal/memo"
 	"bhive/internal/uarch"
 )
@@ -49,12 +52,13 @@ type instChain struct {
 	writes     []uint8
 }
 
-// buildChains derives the dependence-model summaries for a block.
-func buildChains(entries []*memo.PreparedInst) []instChain {
-	chains := make([]instChain, len(entries))
+// buildChains derives the dependence-model summaries for a block into
+// dst's backing array.
+func buildChains(dst []instChain, entries []*memo.PreparedInst) []instChain {
+	chains := grow(dst, len(entries))
 	for i, e := range entries {
 		c := &chains[i]
-		c.addr, c.data, c.writes = e.Addr, e.Data, e.Writes
+		*c = instChain{addr: e.Addr, data: e.Data, writes: e.Writes}
 		d := &e.Desc
 		switch {
 		case d.ZeroIdiom:
@@ -106,14 +110,14 @@ const aliasCopies = 4
 // carriedEdges extracts the steady-state dependence edges of one
 // iteration: the writer map is advanced over aliasCopies copies of the
 // block, and the edges feeding the final copy are reported with their
-// iteration lag.
-func carriedEdges(chains []instChain) []depEdge {
+// iteration lag. The edges are appended to dst[:0].
+func carriedEdges(dst []depEdge, chains []instChain) []depEdge {
 	n := len(chains)
 	var writer [numRegs]int32 // global node id (copy*n + inst), -1 = no producer
 	for i := range writer {
 		writer[i] = -1
 	}
-	var edges []depEdge
+	edges := dst[:0]
 	for k := 0; k < aliasCopies; k++ {
 		last := k == aliasCopies-1
 		for i := 0; i < n; i++ {
@@ -167,60 +171,280 @@ func carriedEdges(chains []instChain) []depEdge {
 	return edges
 }
 
-// positiveCycle reports whether the edge-weighted quotient graph contains
-// a cycle of positive total weight under w(e) = delta - lambda*lag
-// (Bellman-Ford from a virtual source connected to every node).
-func positiveCycle(n int, edges []depEdge, lambda float64) bool {
-	dist := make([]float64, n)
-	for pass := 0; pass <= n; pass++ {
-		changed := false
-		for _, e := range edges {
-			w := float64(e.delta) - lambda*float64(e.lag)
-			if d := dist[e.from] + w; d > dist[e.to]+1e-9 {
-				dist[e.to] = d
-				changed = true
-			}
-		}
-		if !changed {
-			return false
-		}
+// cycleScratch is the reusable working memory of maxCycleRatio: the
+// quotient graph's out-edges in CSR form, Tarjan's SCC state and the
+// policy-iteration state, all indexed by node.
+type cycleScratch struct {
+	start, adj []int32 // out-edges of v: adj[start[v]:start[v+1]] (edge ids)
+	next       []int32 // CSR fill cursor, then Tarjan's per-node edge cursor
+
+	index, low, comp []int32 // Tarjan: discovery order, low link, SCC root (-1 while on the stack)
+	stack, calls     []int32 // Tarjan's component stack and explicit DFS stack
+
+	pol        []int32 // policy: the chosen out-edge of each node (-1 outside every cycle)
+	etaP, etaQ []int64 // ratio of the policy cycle each node reaches, in lowest terms
+	x          []int64 // potential, scaled by etaQ
+	state      []uint8 // unseen, onPath or settled, during evaluate
+	path       []int32
+}
+
+// Node states during cycleScratch.evaluate.
+const (
+	unseen uint8 = iota
+	onPath
+	settled
+)
+
+// grow returns s resized to n elements, reusing its backing array when it
+// is large enough. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return true
+	return s[:n]
 }
 
 // maxCycleRatio computes the maximum cycles-per-iteration over all
 // dependence cycles: max over cycles of Σdelta / Σlag. Intra-iteration
 // edges run strictly forward, so every cycle carries lag ≥ 1 and the
-// ratio is well defined. The value is found by bisection on the positive-
-// cycle test; the returned value is from the feasible side, so it never
-// exceeds the true ratio (the lower bound stays sound).
-func maxCycleRatio(n int, edges []depEdge) float64 {
-	if len(edges) == 0 || !positiveCycle(n, edges, 0) {
-		return 0 // acyclic: no loop-carried dependence
+// ratio is well defined. It returns the integer sums (p, q) of one
+// critical cycle, or (0, 0) when the graph is acyclic. The ratio p/q is
+// exact and belongs to a real cycle, so the lower bound stays sound.
+//
+// The search is Howard's policy iteration, run on the edges inside the
+// graph's strongly connected components: an edge between two components
+// lies on no cycle, and inside a component every node keeps an out-edge,
+// which the policy needs. Ratios are compared by cross-multiplying
+// integers, so no tolerance enters the result.
+func maxCycleRatio(n int, edges []depEdge, s *cycleScratch) (p, q int64, err error) {
+	if len(edges) == 0 {
+		return 0, 0, nil
 	}
-	// Any simple cycle visits each instruction at most once, so its total
-	// delta is at most the sum of the largest per-instruction deltas.
-	var hi float64
-	perInst := make([]int64, n)
+	s.sccs(n, edges)
+
+	// Initial policy: each node's heaviest edge inside its component.
+	s.pol = grow(s.pol, n)
+	cyclic := false
+	for v := 0; v < n; v++ {
+		s.pol[v] = -1
+		for _, ei := range s.adj[s.start[v]:s.start[v+1]] {
+			e := &edges[ei]
+			if s.comp[e.to] == s.comp[v] && (s.pol[v] < 0 || e.delta > edges[s.pol[v]].delta) {
+				s.pol[v] = ei
+			}
+		}
+		cyclic = cyclic || s.pol[v] >= 0
+	}
+	if !cyclic {
+		return 0, 0, nil
+	}
+
+	s.etaP, s.etaQ = grow(s.etaP, n), grow(s.etaQ, n)
+	s.x, s.state = grow(s.x, n), grow(s.state, n)
+	// Policy iteration terminates on its own; the cap only turns a defect
+	// into an error instead of a hang.
+	limit := 64 + 4*(n+len(edges))
+	for iter := 0; iter < limit; iter++ {
+		p, q = s.evaluate(n, edges)
+		if !s.improve(n, edges) {
+			return p, q, nil
+		}
+	}
+	return 0, 0, fmt.Errorf("bound: dependence cycle ratio did not converge in %d policy iterations", limit)
+}
+
+// sccs builds the CSR out-adjacency of the quotient graph and labels
+// every node with its strongly connected component (iterative Tarjan).
+func (s *cycleScratch) sccs(n int, edges []depEdge) {
+	s.start = grow(s.start, n+1)
+	clear(s.start)
 	for _, e := range edges {
-		if e.delta > perInst[e.to] {
-			perInst[e.to] = e.delta
+		s.start[e.from+1]++
+	}
+	for v := 0; v < n; v++ {
+		s.start[v+1] += s.start[v]
+	}
+	s.adj, s.next = grow(s.adj, len(edges)), grow(s.next, n)
+	copy(s.next, s.start[:n])
+	for i, e := range edges {
+		s.adj[s.next[e.from]] = int32(i)
+		s.next[e.from]++
+	}
+
+	s.index, s.low, s.comp = grow(s.index, n), grow(s.low, n), grow(s.comp, n)
+	for v := range s.index {
+		s.index[v] = -1
+	}
+	s.stack, s.calls = s.stack[:0], s.calls[:0]
+	counter := int32(0)
+	discover := func(v int32) {
+		s.index[v], s.low[v], s.comp[v] = counter, counter, -1
+		s.next[v] = s.start[v]
+		counter++
+		s.stack = append(s.stack, v)
+		s.calls = append(s.calls, v)
+	}
+	for root := int32(0); root < int32(n); root++ {
+		if s.index[root] >= 0 {
+			continue
+		}
+		discover(root)
+		for len(s.calls) > 0 {
+			v := s.calls[len(s.calls)-1]
+			if s.next[v] < s.start[v+1] {
+				w := int32(edges[s.adj[s.next[v]]].to)
+				s.next[v]++
+				if s.index[w] < 0 {
+					discover(w)
+				} else if s.comp[w] < 0 && s.index[w] < s.low[v] { // w is on the stack
+					s.low[v] = s.index[w]
+				}
+				continue
+			}
+			s.calls = s.calls[:len(s.calls)-1]
+			if len(s.calls) > 0 {
+				if u := s.calls[len(s.calls)-1]; s.low[v] < s.low[u] {
+					s.low[u] = s.low[v]
+				}
+			}
+			if s.low[v] == s.index[v] {
+				for {
+					w := s.stack[len(s.stack)-1]
+					s.stack = s.stack[:len(s.stack)-1]
+					s.comp[w] = v
+					if w == v {
+						break
+					}
+				}
+			}
 		}
 	}
-	for _, d := range perInst {
-		hi += float64(d)
+}
+
+// evaluate is the value-determination step of policy iteration. Following
+// its policy edge from any node eventually enters exactly one policy
+// cycle; the node's ratio is that cycle's ratio (in lowest terms) and its
+// potential is the path weight q·Σdelta − p·Σlag to the cycle's anchor,
+// its lowest-numbered node. That anchor makes the values a function of
+// the policy alone: a cycle that survives a policy change keeps its
+// anchor, as the termination argument needs. evaluate returns the raw
+// sums of the policy's best cycle.
+func (s *cycleScratch) evaluate(n int, edges []depEdge) (bestP, bestQ int64) {
+	clear(s.state[:n])
+	for root := 0; root < n; root++ {
+		if s.pol[root] < 0 || s.state[root] != unseen {
+			continue
+		}
+		path := s.path[:0]
+		v := int32(root)
+		for s.state[v] == unseen {
+			s.state[v] = onPath
+			path = append(path, v)
+			v = int32(edges[s.pol[v]].to)
+		}
+		if s.state[v] == onPath {
+			// The walk closed a new policy cycle starting at v.
+			k := len(path) - 1
+			for path[k] != v {
+				k--
+			}
+			cyc := path[k:]
+			var sumP, sumQ int64
+			anchor := 0
+			for i, c := range cyc {
+				e := &edges[s.pol[c]]
+				sumP += e.delta
+				sumQ += int64(e.lag)
+				if c < cyc[anchor] {
+					anchor = i
+				}
+			}
+			if sumQ == 0 {
+				// carriedEdges points every same-iteration edge forward.
+				panic("bound: dependence cycle with no iteration lag")
+			}
+			if bestQ == 0 || sumP*bestQ > bestP*sumQ {
+				bestP, bestQ = sumP, sumQ
+			}
+			g := gcd(sumP, sumQ)
+			a := cyc[anchor]
+			s.etaP[a], s.etaQ[a], s.x[a], s.state[a] = sumP/g, sumQ/g, 0, settled
+			// Settle the rest of the cycle backwards from the anchor.
+			for i := len(cyc) - 1; i > 0; i-- {
+				s.settle(cyc[(anchor+i)%len(cyc)], edges)
+			}
+			path = path[:k]
+		}
+		for i := len(path) - 1; i >= 0; i-- {
+			s.settle(path[i], edges)
+		}
+		s.path = path
 	}
-	hi++
-	lo := 0.0
-	for iter := 0; iter < 50 && hi-lo > 1e-9*(1+hi); iter++ {
-		mid := (lo + hi) / 2
-		if positiveCycle(n, edges, mid) {
-			lo = mid
-		} else {
-			hi = mid
+	return bestP, bestQ
+}
+
+// settle gives v the ratio of its policy successor and the potential
+// through its policy edge; the successor must already be settled.
+func (s *cycleScratch) settle(v int32, edges []depEdge) {
+	e := &edges[s.pol[v]]
+	p, q := s.etaP[e.to], s.etaQ[e.to]
+	s.etaP[v], s.etaQ[v] = p, q
+	s.x[v] = q*e.delta - p*int64(e.lag) + s.x[e.to]
+	s.state[v] = settled
+}
+
+// improve is the policy-improvement step; it reports whether the policy
+// changed. Every node first moves to the successor reaching the highest
+// ratio, if that beats its own. Only when no node can do so does a node
+// move to an equal-ratio successor offering a strictly larger potential.
+func (s *cycleScratch) improve(n int, edges []depEdge) bool {
+	changed := false
+	for v := 0; v < n; v++ {
+		if s.pol[v] < 0 {
+			continue
+		}
+		bp, bq, best := s.etaP[v], s.etaQ[v], int32(-1)
+		for _, ei := range s.adj[s.start[v]:s.start[v+1]] {
+			t := edges[ei].to
+			if s.comp[t] == s.comp[v] && s.etaP[t]*bq > bp*s.etaQ[t] {
+				bp, bq, best = s.etaP[t], s.etaQ[t], ei
+			}
+		}
+		if best >= 0 {
+			s.pol[v], changed = best, true
 		}
 	}
-	return lo
+	if changed {
+		return true
+	}
+	for v := 0; v < n; v++ {
+		if s.pol[v] < 0 {
+			continue
+		}
+		p, q := s.etaP[v], s.etaQ[v]
+		bx, best := s.x[v], int32(-1)
+		for _, ei := range s.adj[s.start[v]:s.start[v+1]] {
+			e := &edges[ei]
+			if s.comp[e.to] != s.comp[v] || s.etaP[e.to] != p || s.etaQ[e.to] != q {
+				continue
+			}
+			if x := q*e.delta - p*int64(e.lag) + s.x[e.to]; x > bx {
+				bx, best = x, ei
+			}
+		}
+		if best >= 0 {
+			s.pol[v], changed = best, true
+		}
+	}
+	return changed
+}
+
+// gcd returns the greatest common divisor of a ≥ 0 and b > 0.
+func gcd(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // critPath computes the latency-weighted critical path of a single
@@ -289,14 +513,27 @@ func critPath(chains []instChain) int64 {
 	return crit
 }
 
+// scratch is the pooled working memory of one bounds analysis; a warm
+// analysis allocates nothing for its dependence graph.
+type scratch struct {
+	entries []*memo.PreparedInst
+	chains  []instChain
+	edges   []depEdge
+	cycles  cycleScratch
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // chain computes the dependence-chain statistics of a block under the
 // simulator-congruent model: the single-iteration critical path (cycles
-// from clean state) and the steady-state loop-carried dependence height
-// (cycles per iteration, the maximum dependence-cycle ratio). It is the
+// from clean state) and a critical dependence cycle of the steady state,
+// as its latency and iteration sums (p, q); the loop-carried dependence
+// height is p/q cycles per iteration, and q = 0 means no cycle. It is the
 // shared computation behind blocklint's dependence facts and the
 // dependence term of the static lower bound.
-func chain(entries []*memo.PreparedInst) (crit int, height float64) {
-	chains := buildChains(entries)
-	edges := carriedEdges(chains)
-	return int(critPath(chains)), maxCycleRatio(len(chains), edges)
+func chain(entries []*memo.PreparedInst, s *scratch) (crit int, p, q int64, err error) {
+	s.chains = buildChains(s.chains, entries)
+	s.edges = carriedEdges(s.edges, s.chains)
+	p, q, err = maxCycleRatio(len(s.chains), s.edges, &s.cycles)
+	return int(critPath(s.chains)), p, q, err
 }

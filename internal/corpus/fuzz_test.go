@@ -24,10 +24,10 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add(sample.String())
 
 	f.Add("app,hex,freq\ngzip,4889c8,12\n")
-	f.Add("gzip,4889c8,12\n")                         // no header
-	f.Add("app,hex,freq\ngzip,4889c8\n")              // field count
-	f.Add("app,hex,freq\ngzip,4889c8,notanumber\n")   // bad frequency
-	f.Add("app,hex,freq\ngzip,zz,1\n")                // bad hex
+	f.Add("gzip,4889c8,12\n")                             // no header
+	f.Add("app,hex,freq\ngzip,4889c8\n")                  // field count
+	f.Add("app,hex,freq\ngzip,4889c8,notanumber\n")       // bad frequency
+	f.Add("app,hex,freq\ngzip,zz,1\n")                    // bad hex
 	f.Add("app,hex,freq\ngzip,4889c8,1\ngzip,4889c8,2\n") // duplicate row
 	f.Add("app,hex,freq\ngzip,4889C8,1\ngzip,4889c8,2\n") // duplicate, case-folded hex
 	f.Add("")

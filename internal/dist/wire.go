@@ -54,11 +54,11 @@ type LeaseRequest struct {
 // per job via GET /v1/dist/jobs/{id} and caches the built suite by
 // fingerprint.
 type Lease struct {
-	ID          string    `json:"id"`
-	JobID       string    `json:"job_id"`
-	Fingerprint string    `json:"fingerprint"`
+	ID          string     `json:"id"`
+	JobID       string     `json:"job_id"`
+	Fingerprint string     `json:"fingerprint"`
 	Shards      []ShardRef `json:"shards"`
-	Deadline    time.Time `json:"deadline"`
+	Deadline    time.Time  `json:"deadline"`
 }
 
 // JobSpec is the worker-facing description of a distributed job: the

@@ -30,8 +30,8 @@ var equivPool = []string{
 	"add rax, rbx",
 	"add rbx, 1",
 	"imul rcx, rdx",
-	"xor edx, edx",  // zero idiom
-	"mov rax, rbx",  // eliminated move
+	"xor edx, edx", // zero idiom
+	"mov rax, rbx", // eliminated move
 	"mov rcx, qword ptr [rsp+8]",
 	"mov qword ptr [rsp+8], rcx",
 	"mov qword ptr [rsp+12], rax", // partially overlaps the qword at +8
@@ -302,9 +302,9 @@ func FuzzSimulateEquivalence(f *testing.F) {
 	f.Add([]byte{6, 7, 8, 9, 10}, uint8(24), uint8(2))
 	f.Add([]byte{13, 14, 15, 2}, uint8(12), uint8(7))
 	f.Add([]byte{10, 10, 11}, uint8(30), uint8(5))
-	f.Add([]byte{0, 5, 6, 9}, uint8(16), uint8(12))  // modeled FE, haswell
+	f.Add([]byte{0, 5, 6, 9}, uint8(16), uint8(12))    // modeled FE, haswell
 	f.Add([]byte{13, 14, 15, 2}, uint8(12), uint8(15)) // modeled FE, icelake
-	f.Add([]byte{16, 3, 1, 1}, uint8(8), uint8(19))  // modeled FE + switches
+	f.Add([]byte{16, 3, 1, 1}, uint8(8), uint8(19))    // modeled FE + switches
 	f.Fuzz(func(t *testing.T, sel []byte, unrollByte, mode uint8) {
 		if len(sel) == 0 || len(sel) > 12 {
 			return

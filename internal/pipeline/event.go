@@ -49,8 +49,8 @@ type eventState struct {
 	itemRemain   []int32  // per item: µops not yet completed
 	itemAlloc    []bool
 	storeRetired []bool
-	ready        []int32  // allocated µops with pending == 0, sorted by id
-	newReady     []int32  // became ready during a completion drain
+	ready        []int32 // allocated µops with pending == 0, sorted by id
+	newReady     []int32 // became ready during a completion drain
 	mergeBuf     []int32
 	heap         []uint64 // completion min-heap (packed)
 	portBusy     []uint64

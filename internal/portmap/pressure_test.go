@@ -11,20 +11,20 @@ func TestSubsetPressure(t *testing.T) {
 	p := uarch.Ports
 	cases := []struct {
 		name string
-		load map[uarch.PortSet]float64
+		load []Load
 		want float64
 		set  uarch.PortSet
 	}{
 		{"empty", nil, 0, 0},
-		{"single port", map[uarch.PortSet]float64{p(0): 3}, 3, p(0)},
-		{"two spreadable", map[uarch.PortSet]float64{p(0, 1): 4}, 2, p(0, 1)},
+		{"single port", []Load{{p(0), 3}}, 3, p(0)},
+		{"two spreadable", []Load{{p(0, 1), 4}}, 2, p(0, 1)},
 		// Restricted µops force the shared subset even though the wide
 		// combination alone would spread: {0,1} holds 1+1+2 = 4 over 2.
-		{"hall deficiency", map[uarch.PortSet]float64{p(0): 1, p(1): 1, p(0, 1): 2}, 2, p(0, 1)},
+		{"hall deficiency", []Load{{p(0), 1}, {p(1), 1}, {p(0, 1), 2}}, 2, p(0, 1)},
 		// The narrow subset binds when the restricted load dominates.
-		{"narrow binds", map[uarch.PortSet]float64{p(0): 5, p(0, 1, 2): 3}, 5, p(0)},
+		{"narrow binds", []Load{{p(0), 5}, {p(0, 1, 2), 3}}, 5, p(0)},
 		// Zero and unconstrained (PortSet 0) entries are ignored.
-		{"ignores zero", map[uarch.PortSet]float64{p(0): 0, 0: 7}, 0, 0},
+		{"ignores zero", []Load{{p(0), 0}, {0, 7}}, 0, 0},
 	}
 	for _, c := range cases {
 		got, set := SubsetPressure(c.load)
@@ -39,11 +39,11 @@ func TestSubsetPressure(t *testing.T) {
 // can finish in fewer cycles than the subset bound.
 func TestSubsetPressureLowerBoundsSchedule(t *testing.T) {
 	p := uarch.Ports
-	load := map[uarch.PortSet]float64{
-		p(0):    2,
-		p(0, 1): 3,
-		p(1, 5): 1,
-		p(5):    2,
+	load := []Load{
+		{p(0), 2},
+		{p(0, 1), 3},
+		{p(1, 5), 1},
+		{p(5), 2},
 	}
 	bound, _ := SubsetPressure(load)
 
@@ -51,14 +51,14 @@ func TestSubsetPressureLowerBoundsSchedule(t *testing.T) {
 	// combination and take the best makespan.
 	type uop struct{ ports []int }
 	var uops []uop
-	for m, v := range load {
+	for _, l := range load {
 		var ps []int
 		for i := 0; i < 16; i++ {
-			if m.Has(i) {
+			if l.Ports.Has(i) {
 				ps = append(ps, i)
 			}
 		}
-		for k := 0; k < int(v); k++ {
+		for k := 0; k < int(l.Cycles); k++ {
 			uops = append(uops, uop{ports: ps})
 		}
 	}

@@ -44,42 +44,42 @@ func TestOptionsAblation(t *testing.T) {
 	}{
 		{
 			// Table I/II: without page mapping, any memory access faults.
-			technique: "MapPages",
-			toggle:    func(o *Options) { o.MapPages = false },
-			text:      "mov rax, qword ptr [rbx]\nadd rax, 1",
+			technique:   "MapPages",
+			toggle:      func(o *Options) { o.MapPages = false },
+			text:        "mov rax, qword ptr [rbx]\nadd rax, 1",
 			withDefault: StatusOK, withToggled: StatusCrashed,
 		},
 		{
 			// Register initialization gives pointers the mappable pattern;
 			// uninitialized registers dereference the unmappable null page.
-			technique: "InitRegisters",
-			toggle:    func(o *Options) { o.InitRegisters = false },
-			text:      "mov rax, qword ptr [rbx]\nadd rax, 1",
+			technique:   "InitRegisters",
+			toggle:      func(o *Options) { o.InitRegisters = false },
+			text:        "mov rax, qword ptr [rbx]\nadd rax, 1",
 			withDefault: StatusOK, withToggled: StatusCrashed,
 		},
 		{
 			// Table II "single physical page": distinct frames alias the
 			// same cache sets and the timed run takes L1D misses.
-			technique: "SinglePhysPage",
-			toggle:    func(o *Options) { o.SinglePhysPage = false },
-			text:      strided,
+			technique:   "SinglePhysPage",
+			toggle:      func(o *Options) { o.SinglePhysPage = false },
+			text:        strided,
 			withDefault: StatusOK, withToggled: StatusCacheMiss,
 		},
 		{
 			// Table II "smaller unroll factor": naive 100x unrolling blows
 			// the I-cache on large blocks; derived throughput profiles them.
-			technique: "DerivedThroughput",
-			toggle:    func(o *Options) { o.DerivedThroughput = false },
-			text:      big,
+			technique:   "DerivedThroughput",
+			toggle:      func(o *Options) { o.DerivedThroughput = false },
+			text:        big,
 			withDefault: StatusOK, withToggled: StatusCacheMiss,
 		},
 		{
 			// The misalignment filter rejects line-crossing accesses; with
 			// it off they pass — the failure mode is a silently accepted
 			// measurement, not a crash.
-			technique: "FilterMisaligned",
-			toggle:    func(o *Options) { o.FilterMisaligned = false },
-			text:      "mov rax, qword ptr [rbx+0x3c]",
+			technique:   "FilterMisaligned",
+			toggle:      func(o *Options) { o.FilterMisaligned = false },
+			text:        "mov rax, qword ptr [rbx+0x3c]",
 			withDefault: StatusMisaligned, withToggled: StatusOK,
 		},
 	}
