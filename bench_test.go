@@ -458,6 +458,56 @@ func TestPredictMixedFacileAllocs(t *testing.T) {
 	}
 }
 
+// simModels returns the simulator-backed predictors, whose Predict is
+// buildSimInsts followed by derivedPrediction.
+func simModels(cpu *uarch.CPU) []models.Predictor {
+	return []models.Predictor{models.NewIACA(cpu), models.NewLLVMMCA(cpu)}
+}
+
+// BenchmarkDerivedPrediction times the simulator-backed models' derived
+// predictions over the mixed-category block set; ns/op divided by
+// blocksPerOp is the per-block cost.
+func BenchmarkDerivedPrediction(b *testing.B) {
+	blocks := mixedBlockSet()
+	for _, m := range simModels(uarch.Haswell()) {
+		b.Run(m.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, blk := range blocks {
+					if _, err := m.Predict(blk); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(len(blocks)), "blocksPerOp")
+		})
+	}
+}
+
+// TestPredictMixedSimModelsAllocs pins the simulator-backed models'
+// allocation budget over the mixed block set: at most two allocations per
+// block, buildSimInsts' instruction and µop slices. Scheduling itself,
+// on either path, allocates nothing once its pooled scratch is warm.
+func TestPredictMixedSimModelsAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	blocks := mixedBlockSet()
+	for _, m := range simModels(uarch.Haswell()) {
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, b := range blocks {
+				if _, err := m.Predict(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if per := allocs / float64(len(blocks)); per > 2 {
+			t.Errorf("%s makes %.2f allocations per block, want at most 2", m.Name(), per)
+		}
+	}
+}
+
 func BenchmarkPredictIthemal(b *testing.B) {
 	block, _ := x86.ParseBlock(harness.CRCBlockText, x86.SyntaxATT)
 	m := ithemal.New(32, 64, 1)

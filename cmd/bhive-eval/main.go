@@ -31,6 +31,8 @@ import (
 	"bhive/internal/corpus"
 	_ "bhive/internal/counter" // registers the counter:<source> backend scheme
 	"bhive/internal/harness"
+	"bhive/internal/memo"
+	"bhive/internal/models"
 	"bhive/internal/profcache"
 )
 
@@ -229,6 +231,13 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		} else {
 			fmt.Fprintln(stderr, "bhive-eval: crosscheck: 0 static/dynamic mismatches")
 		}
+	}
+	if *progress {
+		m, sc := memo.Stats(), models.SchedStats()
+		fmt.Fprintf(stderr, "bhive-eval: memo insts=%d prepared=%d misses=%d uncacheable=%d  "+
+			"model scheduler in-order=%d occupancy-fallbacks=%d other-fallbacks=%d long-prologue-copies=%d\n",
+			m.Insts, m.Prepared, m.Misses, m.Uncacheable,
+			sc.InOrder, sc.OccupancyFallbacks, sc.OtherFallbacks, sc.LongPrologue)
 	}
 
 	if *memProf != "" {

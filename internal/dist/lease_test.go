@@ -1,10 +1,8 @@
 package dist
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -342,29 +340,5 @@ func TestManagerConcurrentWorkers(t *testing.T) {
 	defer mu.Unlock()
 	if len(seen) != shards {
 		t.Fatalf("sank %d distinct shards, want %d", len(seen), shards)
-	}
-}
-
-func TestNaNFloatRoundTrip(t *testing.T) {
-	in := map[string][]float64{
-		"m1": {1.5, math.NaN(), 3},
-		"m2": {math.NaN()},
-	}
-	raw, err := json.Marshal(ToNaNFloats(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dec map[string][]NaNFloat
-	if err := json.Unmarshal(raw, &dec); err != nil {
-		t.Fatal(err)
-	}
-	out := FromNaNFloats(dec)
-	for name, vs := range in {
-		for i, v := range vs {
-			got := out[name][i]
-			if math.IsNaN(v) != math.IsNaN(got) || (!math.IsNaN(v) && got != v) {
-				t.Fatalf("%s[%d]: %v -> %v", name, i, v, got)
-			}
-		}
 	}
 }

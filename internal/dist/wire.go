@@ -29,9 +29,9 @@ package dist
 
 import (
 	"encoding/json"
-	"math"
 	"time"
 
+	"bhive/internal/harness"
 	"bhive/internal/stats"
 )
 
@@ -82,9 +82,9 @@ type ShardResult struct {
 	Worker  string   `json:"worker"`
 	Ref     ShardRef `json:"ref"`
 
-	Tp     []float64             `json:"tp"`
-	Status []int                 `json:"status"`
-	Preds  map[string][]NaNFloat `json:"preds"`
+	Tp     []float64                     `json:"tp"`
+	Status []int                         `json:"status"`
+	Preds  map[string][]harness.NaNFloat `json:"preds"`
 
 	Overall map[string]stats.Running `json:"overall,omitempty"`
 	Tau     map[string]*stats.TauAcc `json:"tau,omitempty"`
@@ -99,52 +99,4 @@ type ResultAck struct {
 	// JobDone reports whether the job's fill is now complete, letting
 	// workers log progress.
 	JobDone bool `json:"job_done"`
-}
-
-// NaNFloat round-trips NaN through JSON as null: failed models
-// legitimately predict NaN, and encoding/json rejects it otherwise (the
-// same trick the checkpoint journal uses).
-type NaNFloat float64
-
-// MarshalJSON encodes NaN as null.
-func (f NaNFloat) MarshalJSON() ([]byte, error) {
-	if math.IsNaN(float64(f)) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(float64(f))
-}
-
-// UnmarshalJSON decodes null as NaN.
-func (f *NaNFloat) UnmarshalJSON(b []byte) error {
-	if string(b) == "null" {
-		*f = NaNFloat(math.NaN())
-		return nil
-	}
-	return json.Unmarshal(b, (*float64)(f))
-}
-
-// ToNaNFloats converts a prediction map to the wire form.
-func ToNaNFloats(preds map[string][]float64) map[string][]NaNFloat {
-	out := make(map[string][]NaNFloat, len(preds))
-	for name, vs := range preds {
-		ns := make([]NaNFloat, len(vs))
-		for i, v := range vs {
-			ns[i] = NaNFloat(v)
-		}
-		out[name] = ns
-	}
-	return out
-}
-
-// FromNaNFloats converts wire predictions back to plain float64 slices.
-func FromNaNFloats(preds map[string][]NaNFloat) map[string][]float64 {
-	out := make(map[string][]float64, len(preds))
-	for name, vs := range preds {
-		fs := make([]float64, len(vs))
-		for i, v := range vs {
-			fs[i] = float64(v)
-		}
-		out[name] = fs
-	}
-	return out
 }

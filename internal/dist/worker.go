@@ -161,7 +161,7 @@ func (w *Worker) serve(ctx context.Context, lease *Lease) {
 			Ref:     ref,
 			Tp:      p.Tp,
 			Status:  p.Status,
-			Preds:   ToNaNFloats(p.Preds),
+			Preds:   harness.ToNaNFloats(p.Preds),
 			Overall: p.Overall,
 			Tau:     p.Tau,
 		}

@@ -92,26 +92,56 @@ type ckptLine struct {
 	Stage  string                // "meas" or "pred"
 	Tp     []float64             `json:",omitempty"`
 	Status []int                 `json:",omitempty"`
-	Preds  map[string][]nanFloat `json:",omitempty"`
+	Preds  map[string][]NaNFloat `json:",omitempty"`
 }
 
-// nanFloat round-trips NaN through JSON as null (encoding/json rejects
-// NaN outright, and failed models legitimately predict NaN).
-type nanFloat float64
+// NaNFloat round-trips NaN through JSON as null: encoding/json rejects
+// NaN outright, and failed models legitimately predict NaN. The journal
+// and the distributed-worker wire format share it.
+type NaNFloat float64
 
-func (f nanFloat) MarshalJSON() ([]byte, error) {
+// MarshalJSON encodes NaN as null.
+func (f NaNFloat) MarshalJSON() ([]byte, error) {
 	if math.IsNaN(float64(f)) {
 		return []byte("null"), nil
 	}
 	return json.Marshal(float64(f))
 }
 
-func (f *nanFloat) UnmarshalJSON(b []byte) error {
+// UnmarshalJSON decodes null as NaN.
+func (f *NaNFloat) UnmarshalJSON(b []byte) error {
 	if string(b) == "null" {
-		*f = nanFloat(math.NaN())
+		*f = NaNFloat(math.NaN())
 		return nil
 	}
 	return json.Unmarshal(b, (*float64)(f))
+}
+
+// ToNaNFloats converts a prediction map to its JSON form.
+func ToNaNFloats(preds map[string][]float64) map[string][]NaNFloat {
+	out := make(map[string][]NaNFloat, len(preds))
+	for name, vs := range preds {
+		ns := make([]NaNFloat, len(vs))
+		for i, v := range vs {
+			ns[i] = NaNFloat(v)
+		}
+		out[name] = ns
+	}
+	return out
+}
+
+// FromNaNFloats converts JSON-form predictions back to plain float64
+// slices.
+func FromNaNFloats(preds map[string][]NaNFloat) map[string][]float64 {
+	out := make(map[string][]float64, len(preds))
+	for name, vs := range preds {
+		fs := make([]float64, len(vs))
+		for i, v := range vs {
+			fs[i] = float64(v)
+		}
+		out[name] = fs
+	}
+	return out
 }
 
 // OpenCheckpoint opens (or creates) the journal at path. Persisted shards
@@ -240,14 +270,7 @@ func (c *Checkpoint) apply(l *ckptLine) {
 		e.Status = l.Status
 	case "pred":
 		e.PredDone = true
-		e.Preds = make(map[string][]float64, len(l.Preds))
-		for name, vs := range l.Preds {
-			fs := make([]float64, len(vs))
-			for i, v := range vs {
-				fs[i] = float64(v)
-			}
-			e.Preds[name] = fs
-		}
+		e.Preds = FromNaNFloats(l.Preds)
 	}
 }
 
@@ -278,16 +301,7 @@ func (c *Checkpoint) PutMeas(arch string, idx int, tp []float64, status []int) e
 // PutPreds persists one shard's per-model predictions (synced per the
 // group-commit policy).
 func (c *Checkpoint) PutPreds(arch string, idx int, preds map[string][]float64) error {
-	l := &ckptLine{Arch: arch, Shard: idx, Stage: "pred",
-		Preds: make(map[string][]nanFloat, len(preds))}
-	for name, vs := range preds {
-		ns := make([]nanFloat, len(vs))
-		for i, v := range vs {
-			ns[i] = nanFloat(v)
-		}
-		l.Preds[name] = ns
-	}
-	return c.append(l)
+	return c.append(&ckptLine{Arch: arch, Shard: idx, Stage: "pred", Preds: ToNaNFloats(preds)})
 }
 
 // SetGroupCommit makes the journal sync once per n appends instead of on

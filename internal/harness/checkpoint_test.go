@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -452,5 +453,29 @@ func TestCheckpointCrashMidGroup(t *testing.T) {
 	defer ck.Close()
 	if ck.Shards() != 6 {
 		t.Fatalf("post-recovery append lost: %d shards, want 6", ck.Shards())
+	}
+}
+
+func TestNaNFloatRoundTrip(t *testing.T) {
+	in := map[string][]float64{
+		"m1": {1.5, math.NaN(), 3},
+		"m2": {math.NaN()},
+	}
+	raw, err := json.Marshal(ToNaNFloats(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec map[string][]NaNFloat
+	if err := json.Unmarshal(raw, &dec); err != nil {
+		t.Fatal(err)
+	}
+	out := FromNaNFloats(dec)
+	for name, vs := range in {
+		for i, v := range vs {
+			got := out[name][i]
+			if math.IsNaN(v) != math.IsNaN(got) || (!math.IsNaN(v) && got != v) {
+				t.Fatalf("%s[%d]: %v -> %v", name, i, v, got)
+			}
+		}
 	}
 }

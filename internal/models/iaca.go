@@ -44,29 +44,55 @@ func isVecClass(c uarch.UopClass) bool {
 	return false
 }
 
+// desc returns the description of a prepared instruction the model's
+// tables use: with or without the rename-time zero-idiom and
+// move-elimination tricks it knows.
+func (o *tableOpts) desc(p *memo.PreparedInst) (*uarch.Desc, error) {
+	if o.zeroIdioms && o.moveElim {
+		return &p.Desc, p.DescErr
+	}
+	if p.RawDescErr == nil && o.zeroIdioms && p.DescErr == nil && p.Desc.ZeroIdiom {
+		return &p.Desc, nil
+	}
+	return &p.RawDesc, p.RawDescErr
+}
+
 // buildSimInsts converts a block into the model's view of it. Display
 // text is built only when withText is set (schedule traces and reports).
-// Each instruction costs one memo lookup: both descriptions and the
-// register sets come from its entry.
+// Each instruction costs one memo lookup (two past the 64th): both
+// descriptions and the register sets come from its entry. It allocates
+// two slices, the instructions and their µops.
 func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts, withText bool) ([]simInst, error) {
 	arch := memo.For(cpu)
-	out := make([]simInst, 0, len(b.Insts))
-	// Every instruction's µops share one backing array; each simInst keeps
-	// a capped window of it, which later growth copies but never mutates.
-	uops := make([]simUop, 0, len(b.Insts)+len(b.Insts)/2)
+	// The first pass sizes the µop array exactly. It keeps the entries of
+	// the first 64 instructions on the stack; later ones are looked up
+	// again.
+	var preps [64]*memo.PreparedInst
+	nuops := 0
 	for i := range b.Insts {
-		in := &b.Insts[i]
-		p := arch.Prepared(in)
-		d, err := p.RawDesc, p.RawDescErr
-		if o.zeroIdioms && o.moveElim {
-			d, err = p.Desc, p.DescErr
-		} else if err == nil && o.zeroIdioms && p.DescErr == nil && p.Desc.ZeroIdiom {
-			d = p.Desc
-		}
+		p := arch.Prepared(&b.Insts[i])
+		d, err := o.desc(p)
 		if err != nil {
 			return nil, err
 		}
-
+		if i < len(preps) {
+			preps[i] = p
+		}
+		nuops += len(d.Uops)
+	}
+	out := make([]simInst, 0, len(b.Insts))
+	// Every instruction's µops share one backing array; each simInst keeps
+	// a capped window of it.
+	uops := make([]simUop, 0, nuops)
+	for i := range b.Insts {
+		in := &b.Insts[i]
+		var p *memo.PreparedInst
+		if i < len(preps) {
+			p = preps[i]
+		} else {
+			p = arch.Prepared(in)
+		}
+		d, _ := o.desc(p)
 		si := simInst{
 			fused:     d.FusedUops,
 			zeroIdiom: d.ZeroIdiom,

@@ -3,6 +3,7 @@ package models
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -59,18 +60,21 @@ type wiredUop struct {
 	inst     int32 // unrolled instruction index
 }
 
-// simScratch holds the dependence arena of one block and the scheduler
-// state that runs over it. Both are reused through simPool, so a Predict
-// allocates nothing here once the pool is warm.
+// simScratch holds the dependence arena of one block and the state of the
+// schedulers that run over it. Both are reused through simPool, so a
+// Predict allocates nothing here once the pool is warm.
 type simScratch struct {
 	// Wiring, built once per block for the largest unroll. µop ids are
 	// contiguous per unrolled instruction, so the wiring for k copies is
 	// the id prefix [0, start[k·len)) of the wiring for any larger count.
-	start  []int32 // start[k]: first µop id of unrolled instruction k
-	uops   []wiredUop
-	deps   []int32 // producer ids, grouped by consumer in id order
-	revOff []int32 // consumers of µop p: rev[revOff[p]:revOff[p+1]]
-	rev    []int32 // consumer ids, ascending within each producer
+	// The template covers only the copies wired explicitly; unroll and
+	// reverse complete the arena for the event loop.
+	start    []int32 // start[k]: first µop id of unrolled instruction k
+	uops     []wiredUop
+	deps     []int32 // producer ids, grouped by consumer in id order
+	copyEdge []int32 // copyEdge[c]: first edge of explicitly wired copy c
+	revOff   []int32 // consumers of µop p: rev[revOff[p]:revOff[p+1]]
+	rev      []int32 // consumer ids, ascending within each producer
 
 	// Scheduler state, reset by every run.
 	pending []int32  // unissued producers of each µop
@@ -78,6 +82,10 @@ type simScratch struct {
 	ready   []int32  // allocated µops whose inputs are ready, oldest first
 	merge   []int32  // second buffer for merging wake-ups into ready
 	heap    []uint64 // readyAt<<32 | id, for µops waiting on latency
+
+	// In-order pass state (inorder.go).
+	done []int32 // completion cycle of each µop
+	ring []resv  // port reservations by cycle, indexed cycle mod len
 }
 
 var simPool = sync.Pool{New: func() any { return new(simScratch) }}
@@ -100,85 +108,160 @@ func appendProducers(deps []int32, lastWriter *[simRegs]int32, regs []uint8) []i
 	return deps
 }
 
-// wire unrolls copies of the block and builds its dependence arena.
+// wireInst appends unrolled instruction k, a copy of in, to the arena:
+// its µops, their producer edges, and its entry in start. lastWriter maps
+// each register to the µop that last wrote it, or -1.
+func (s *simScratch) wireInst(in *simInst, k int, lastWriter *[simRegs]int32, valid uint32) {
+	s.start = append(s.start, int32(len(s.uops)))
+	if in.zeroIdiom {
+		for _, w := range in.writes {
+			lastWriter[w] = -1
+		}
+		return
+	}
+	if in.elimMove {
+		src := int32(-1)
+		if len(in.data) > 0 {
+			src = lastWriter[in.data[0]]
+		}
+		for _, w := range in.writes {
+			lastWriter[w] = src
+		}
+		return
+	}
+	hasLoad := false
+	for u := range in.uops {
+		hasLoad = hasLoad || in.uops[u].isLoad
+	}
+	var last, loadID int32 = -1, -1
+	for u := range in.uops {
+		spec := &in.uops[u]
+		d0 := len(s.deps)
+		if spec.isLoad {
+			// Loads wait only on address registers — this is what lets
+			// hardware (and IACA) hoist an independent load ahead of
+			// the dependent computation that consumes it.
+			s.deps = appendProducers(s.deps, lastWriter, in.addr)
+		} else {
+			s.deps = appendProducers(s.deps, lastWriter, in.data)
+			if !hasLoad {
+				// Store-address computation and fused load+op shapes
+				// consume the addressing registers directly.
+				s.deps = appendProducers(s.deps, lastWriter, in.addr)
+			}
+			if loadID >= 0 {
+				s.deps = append(s.deps, loadID)
+			}
+			if last >= 0 {
+				s.deps = append(s.deps, last)
+			}
+		}
+		id := int32(len(s.uops))
+		s.uops = append(s.uops, wiredUop{
+			ports: uint32(spec.ports) & valid,
+			lat:   int32(spec.lat),
+			occ:   int32(spec.occ),
+			deps:  int32(len(s.deps) - d0),
+			inst:  int32(k),
+		})
+		if spec.isLoad {
+			loadID = id
+		} else {
+			last = id
+		}
+	}
+	if len(in.uops) > 0 {
+		for _, w := range in.writes {
+			lastWriter[w] = int32(len(s.uops) - 1)
+		}
+	}
+}
+
+// wire unrolls copies of the block and builds its dependence arena: it
+// wires the template, then unrolls the remaining copies from it.
 func (s *simScratch) wire(insts []simInst, copies, nports int) {
-	valid := uint32(1)<<nports - 1
-	total := len(insts) * copies
+	s.template(insts, copies, uint32(1)<<nports-1)
+	s.unroll(insts, copies)
+}
+
+// relState returns the last-writer state relative to base, the first µop
+// id after a copy boundary; registers with no writer map to MinInt32.
+func relState(lastWriter *[simRegs]int32, base int32) [simRegs]int32 {
+	var rel [simRegs]int32
+	for r, w := range lastWriter {
+		rel[r] = math.MinInt32
+		if w >= 0 {
+			rel[r] = w - base
+		}
+	}
+	return rel
+}
+
+// template wires copies of the block, forward edges only, until the
+// last-writer state at a copy boundary, relative to the boundary's first
+// µop id, equals the previous boundary's. Every later copy then wires like
+// the one before it shifted by the per-copy µop count, so copy c > tmpl
+// reads copy tmpl's edges shifted by (c−tmpl)·U. The state, not the edges,
+// is compared: an eliminated move aliases a register without an edge. It
+// wires at most copies copies and returns tmpl; s.copyEdge[c] is the first
+// edge of copy c for every wired copy, and s.copyEdge[tmpl+1] ends tmpl's.
+func (s *simScratch) template(insts []simInst, copies int, valid uint32) int {
 	s.start, s.uops, s.deps = s.start[:0], s.uops[:0], s.deps[:0]
+	s.copyEdge = s.copyEdge[:0]
 	var lastWriter [simRegs]int32
 	for i := range lastWriter {
 		lastWriter[i] = -1
 	}
-	for k := 0; k < total; k++ {
-		in := &insts[k%len(insts)]
-		s.start = append(s.start, int32(len(s.uops)))
-		if in.zeroIdiom {
-			for _, w := range in.writes {
-				lastWriter[w] = -1
-			}
-			continue
+	prev := relState(&lastWriter, 0)
+	c := 0
+	for ; ; c++ {
+		s.copyEdge = append(s.copyEdge, int32(len(s.deps)))
+		for i := range insts {
+			s.wireInst(&insts[i], c*len(insts)+i, &lastWriter, valid)
 		}
-		if in.elimMove {
-			src := int32(-1)
-			if len(in.data) > 0 {
-				src = lastWriter[in.data[0]]
-			}
-			for _, w := range in.writes {
-				lastWriter[w] = src
-			}
-			continue
+		if c == copies-1 {
+			break
 		}
-		hasLoad := false
-		for u := range in.uops {
-			hasLoad = hasLoad || in.uops[u].isLoad
+		cur := relState(&lastWriter, int32(len(s.uops)))
+		if cur == prev {
+			break
 		}
-		var last, loadID int32 = -1, -1
-		for u := range in.uops {
-			spec := &in.uops[u]
-			d0 := len(s.deps)
-			if spec.isLoad {
-				// Loads wait only on address registers — this is what lets
-				// hardware (and IACA) hoist an independent load ahead of
-				// the dependent computation that consumes it.
-				s.deps = appendProducers(s.deps, &lastWriter, in.addr)
-			} else {
-				s.deps = appendProducers(s.deps, &lastWriter, in.data)
-				if !hasLoad {
-					// Store-address computation and fused load+op shapes
-					// consume the addressing registers directly.
-					s.deps = appendProducers(s.deps, &lastWriter, in.addr)
-				}
-				if loadID >= 0 {
-					s.deps = append(s.deps, loadID)
-				}
-				if last >= 0 {
-					s.deps = append(s.deps, last)
-				}
-			}
-			id := int32(len(s.uops))
-			s.uops = append(s.uops, wiredUop{
-				ports: uint32(spec.ports) & valid,
-				lat:   int32(spec.lat),
-				occ:   int32(spec.occ),
-				deps:  int32(len(s.deps) - d0),
-				inst:  int32(k),
-			})
-			if spec.isLoad {
-				loadID = id
-			} else {
-				last = id
-			}
+		prev = cur
+	}
+	s.copyEdge = append(s.copyEdge, int32(len(s.deps)))
+	s.start = append(s.start, int32(len(s.uops)))
+	return c
+}
+
+// unroll extends the template (copies 0 through tmpl) to copies copies,
+// each later copy repeating copy tmpl's µops and edges shifted by the
+// per-copy µop count, and builds the reverse edges.
+func (s *simScratch) unroll(insts []simInst, copies int) {
+	L := len(insts)
+	tmpl := len(s.copyEdge) - 2
+	U := s.start[L]
+	s.start = s.start[:(tmpl+1)*L]
+	uops, deps := s.uops[int(U)*tmpl:], s.deps[s.copyEdge[tmpl]:]
+	for c := 1; c < copies-tmpl; c++ {
+		for _, g := range s.start[tmpl*L : (tmpl+1)*L] {
+			s.start = append(s.start, g+int32(c)*U)
 		}
-		if len(in.uops) > 0 {
-			for _, w := range in.writes {
-				lastWriter[w] = int32(len(s.uops) - 1)
-			}
+		for _, u := range uops {
+			u.inst += int32(c * L)
+			s.uops = append(s.uops, u)
+		}
+		for _, p := range deps {
+			s.deps = append(s.deps, p+int32(c)*U)
 		}
 	}
 	s.start = append(s.start, int32(len(s.uops)))
+	s.reverse()
+}
 
-	// Reverse edges: count consumers per producer, prefix-sum, then fill
-	// in consumer id order so each producer's list comes out ascending.
+// reverse builds the reverse edges of the wired arena.
+func (s *simScratch) reverse() {
+	// Count consumers per producer, prefix-sum, then fill in consumer id
+	// order so each producer's list comes out ascending.
 	n := len(s.uops)
 	s.revOff = resize(s.revOff, n+1)
 	clear(s.revOff)
@@ -217,12 +300,7 @@ func (s *simScratch) run(insts []simInst, copies, width, nports int, trace *[]Sc
 	total := len(insts) * copies
 	n := s.start[total]
 	if n == 0 {
-		// Pure zero-idiom/eliminated blocks retire at the rename width.
-		fusedTotal := 0
-		for k := 0; k < total; k++ {
-			fusedTotal += insts[k%len(insts)].fused
-		}
-		return int64((fusedTotal + width - 1) / width), nil
+		return idleCycles(insts, copies, width), nil
 	}
 	s.pending = resize(s.pending, int(n))
 	for id := range s.pending {
@@ -452,34 +530,65 @@ func (s *simScratch) pop() {
 	s.heap = h
 }
 
-// derivedPrediction runs the simulator at two iteration counts and returns
-// the marginal cost per iteration — the same steady-state definition the
-// measurement framework uses. The block is wired once for 2k copies; the
-// k-copy run schedules its id prefix.
+// idleCycles is the cycle count of copies copies of a block with no µops
+// to schedule: pure zero-idiom/eliminated blocks retire at the rename width.
+func idleCycles(insts []simInst, copies, width int) int64 {
+	fused := 0
+	for i := range insts {
+		fused += insts[i].fused
+	}
+	return int64((fused*copies + width - 1) / width)
+}
+
+// derivedPrediction simulates k and 2k copies of the block and returns the
+// marginal cost per iteration — the same steady-state definition the
+// measurement framework uses. The in-order pass reads both counts off one
+// schedule; blocks it cannot decide run on the event loop.
 func derivedPrediction(insts []simInst, width, nports, blockLen int) (float64, error) {
-	k := 12
-	if blockLen > 0 && 100/blockLen > k {
-		k = 100 / blockLen
-	}
-	if k > 60 {
-		k = 60
-	}
+	k := unrollFor(blockLen)
 	s := simPool.Get().(*simScratch)
 	defer simPool.Put(s)
-	s.wire(insts, 2*k, nports)
-	c1, err := s.run(insts, k, width, nports, nil)
-	if err != nil {
-		return 0, err
+	c1, c2, path := s.inOrder(insts, k, width, nports)
+	schedPaths[path].Add(1)
+	if tmpl := len(s.copyEdge) - 2; tmpl > 1 {
+		longPrologue.Add(int64(tmpl - 1))
 	}
-	c2, err := s.run(insts, 2*k, width, nports, nil)
-	if err != nil {
-		return 0, err
+	if path != pathInOrder {
+		var err error
+		if c1, c2, err = s.eventPair(insts, k, width, nports); err != nil {
+			return 0, err
+		}
 	}
 	tp := float64(c2-c1) / float64(k)
 	if tp < 0 {
 		tp = float64(c2) / float64(2*k)
 	}
 	return tp, nil
+}
+
+// unrollFor is the smaller iteration count k of a derived prediction:
+// enough copies of a short block to cover about 100 instructions, between
+// 12 and 60.
+func unrollFor(blockLen int) int {
+	k := 12
+	if blockLen > 0 && 100/blockLen > k {
+		k = 100 / blockLen
+	}
+	return min(k, 60)
+}
+
+// eventPair runs the event loop at k and 2k copies, over the 2k-copy
+// unrolling of the template inOrder built. The k-copy run schedules its
+// id prefix.
+func (s *simScratch) eventPair(insts []simInst, k, width, nports int) (c1, c2 int64, err error) {
+	s.unroll(insts, 2*k)
+	if c1, err = s.run(insts, k, width, nports, nil); err != nil {
+		return 0, 0, err
+	}
+	if c2, err = s.run(insts, 2*k, width, nports, nil); err != nil {
+		return 0, 0, err
+	}
+	return c1, c2, nil
 }
 
 // schedule simulates iters copies of the block and returns the trace.
