@@ -160,6 +160,9 @@ func TestSimulateEquivalenceCorpus(t *testing.T) {
 		"add rdi, 1\nmov eax, edx\nshr rdx, 8\nmovzx eax, al\nxor rdx, qword ptr [rax*8+0x4110a]\ncmp rcx, rdi",
 		// Zero idiom + eliminated move breaking a chain.
 		"imul rcx, rdx\nxor edx, edx\nmov rdx, rcx\nadd rdx, 1",
+		// Read-modify-write: the load must not wait on its own store,
+		// and the next copy's load forwards from it.
+		"add qword ptr [rsp+8], rax\nmov rcx, qword ptr [rsp+8]\nadd rax, 1",
 	}
 	for _, text := range scenarios {
 		block, err := x86.Parse(text, x86.SyntaxAuto)
@@ -241,8 +244,8 @@ func TestTimeGraphMatchesTime(t *testing.T) {
 		mB, pB, stepsB := setup()
 		g := mB.PrepareGraph(pB, stepsB).Slice(slice)
 		got := [2]pipeline.Counters{
-			mB.TimeGraph(g, Config{}),
-			mB.TimeGraph(g, Config{}),
+			mB.TimeGraph(&g, Config{}),
+			mB.TimeGraph(&g, Config{}),
 		}
 		if got != want {
 			t.Errorf("slice %d: TimeGraph %+v != Time %+v", slice, got, want)
@@ -294,18 +297,19 @@ func TestLegacyCountersGolden(t *testing.T) {
 
 // FuzzSimulateEquivalence drives randomly composed, corpus-flavored blocks
 // through the reference and event-driven schedulers and requires identical
-// Counters on every run. Zero divergences is a merge requirement for any
+// Counters on every run. It also times each program with a random prefix
+// in one pass (TimeGraphPair) against the two timed one at a time. Zero divergences is a merge requirement for any
 // scheduler change.
 func FuzzSimulateEquivalence(f *testing.F) {
-	f.Add([]byte{0, 5, 6, 9}, uint8(16), uint8(0))
-	f.Add([]byte{16, 3, 1, 1}, uint8(8), uint8(4))
-	f.Add([]byte{6, 7, 8, 9, 10}, uint8(24), uint8(2))
-	f.Add([]byte{13, 14, 15, 2}, uint8(12), uint8(7))
-	f.Add([]byte{10, 10, 11}, uint8(30), uint8(5))
-	f.Add([]byte{0, 5, 6, 9}, uint8(16), uint8(12))    // modeled FE, haswell
-	f.Add([]byte{13, 14, 15, 2}, uint8(12), uint8(15)) // modeled FE, icelake
-	f.Add([]byte{16, 3, 1, 1}, uint8(8), uint8(19))    // modeled FE + switches
-	f.Fuzz(func(t *testing.T, sel []byte, unrollByte, mode uint8) {
+	f.Add([]byte{0, 5, 6, 9}, uint8(16), uint8(0), uint8(32))
+	f.Add([]byte{16, 3, 1, 1}, uint8(8), uint8(4), uint8(16))
+	f.Add([]byte{6, 7, 8, 9, 10}, uint8(24), uint8(2), uint8(61))
+	f.Add([]byte{13, 14, 15, 2}, uint8(12), uint8(7), uint8(24))
+	f.Add([]byte{10, 10, 11}, uint8(30), uint8(5), uint8(0))
+	f.Add([]byte{0, 5, 6, 9}, uint8(16), uint8(12), uint8(33))   // modeled FE, haswell
+	f.Add([]byte{13, 14, 15, 2}, uint8(12), uint8(15), uint8(8)) // modeled FE, icelake
+	f.Add([]byte{16, 3, 1, 1}, uint8(8), uint8(19), uint8(20))   // modeled FE + switches
+	f.Fuzz(func(t *testing.T, sel []byte, unrollByte, mode, cut uint8) {
 		if len(sel) == 0 || len(sel) > 12 {
 			return
 		}
@@ -334,5 +338,10 @@ func FuzzSimulateEquivalence(f *testing.F) {
 			insts = insts[:384]
 		}
 		checkEquivalence(t, "fuzz", cpu, insts, cfg)
+
+		// The one-pass pair at a random prefix length (0 is no prefix).
+		if m, p, steps, g, ok := pairSetup(cpu, insts, len(block)); ok {
+			checkPair(t, "fuzz pair", m, p, steps, g, int(cut)%len(insts), cfg, 42)
+		}
 	})
 }

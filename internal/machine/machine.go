@@ -309,7 +309,8 @@ func (m *Machine) Time(p *Program, steps []exec.Step, cfg Config) pipeline.Count
 // PrepareGraph builds the µop dependence graph for a completed trace once,
 // for reuse across many TimeGraph calls. The graph is owned by the machine
 // and valid until the next PrepareGraph call; prefix views for sliced
-// programs come from Graph.Slice. The trace itself may be released after
+// programs come from Graph.Slice or, timed in the same pass, from
+// TimeGraphPair. The trace itself may be released after
 // this returns — the graph copies what timing needs.
 func (m *Machine) PrepareGraph(p *Program, steps []exec.Step) *pipeline.Graph {
 	items := m.buildItems(p, steps)
@@ -323,6 +324,16 @@ func (m *Machine) PrepareGraph(p *Program, steps []exec.Step) *pipeline.Graph {
 // consumes items, not graphs; differential tests go through Time.
 func (m *Machine) TimeGraph(g *pipeline.Graph, cfg Config) pipeline.Counters {
 	return pipeline.SimulateGraph(m.CPU, g, m.L1I, m.L1D, m.pipelineConfig(cfg))
+}
+
+// TimeGraphPair is TimeGraph for g and, from the same scheduling pass,
+// for its prefix g.Slice(nLo): the profiler's two unroll factors in one
+// run (pipeline.SimulateGraphPair). When ok is false — the run missed in
+// a cache, cfg injects context switches, or nLo is not a proper prefix —
+// lo is zero and the caller times the prefix itself. Reference is not
+// honored, as with TimeGraph.
+func (m *Machine) TimeGraphPair(g *pipeline.Graph, nLo int, cfg Config) (hi, lo pipeline.Counters, ok bool) {
+	return pipeline.SimulateGraphPair(m.CPU, g, nLo, m.L1I, m.L1D, m.pipelineConfig(cfg))
 }
 
 // buildItems converts the functional trace into timed pipeline items. The

@@ -31,3 +31,42 @@ func TestSimulateAllocs(t *testing.T) {
 		t.Fatalf("Simulate allocates %.1f times per run in steady state; want <= 1", avg)
 	}
 }
+
+// TestSimulateGraphAllocs pins the graph paths at zero steady-state
+// allocations: SimulateGraph under both front ends (the modeled one works
+// in the pooled frontEnd buffers), the one-pass pair with a derived
+// prefix, and a prefix view from Graph.Slice, which is a value.
+func TestSimulateGraphAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cpu := uarch.Haswell()
+	items, body := equivWorkload(cpu, 12)
+	var g Graph
+	g.Build(cpu, items)
+	nLo := body * 6
+	l1i, l1d := caches(cpu)
+	for _, cfg := range []Config{{}, {ModeledFrontEnd: true, LoopBody: body}} {
+		// Grow the pooled state and warm the caches, so the pair derives.
+		SimulateGraphPair(cpu, &g, nLo, l1i, l1d, cfg)
+		if _, _, ok := SimulateGraphPair(cpu, &g, nLo, l1i, l1d, cfg); !ok {
+			t.Fatalf("modeled=%v: warm pair not derived", cfg.ModeledFrontEnd)
+		}
+		for _, tc := range []struct {
+			name string
+			run  func()
+		}{
+			{"SimulateGraph", func() { SimulateGraph(cpu, &g, l1i, l1d, cfg) }},
+			{"SimulateGraphPair", func() { SimulateGraphPair(cpu, &g, nLo, l1i, l1d, cfg) }},
+			{"Slice", func() {
+				sl := g.Slice(nLo)
+				SimulateGraph(cpu, &sl, l1i, l1d, cfg)
+			}},
+		} {
+			if avg := testing.AllocsPerRun(100, tc.run); avg != 0 {
+				t.Errorf("modeled=%v: %s allocates %.2f times per run in steady state; want 0",
+					cfg.ModeledFrontEnd, tc.name, avg)
+			}
+		}
+	}
+}

@@ -119,9 +119,40 @@ func TestSchedulerEquivalenceInPackage(t *testing.T) {
 	}
 }
 
+// TestFullPortMaskEquivalence drives the issue stage's early exit: on a
+// two-port machine that allocates four µops a cycle, the ready list
+// outgrows the ports, so most cycles use up every port with ready µops
+// left over. Those must stay ready, in age order, exactly as the
+// reference scan leaves them.
+func TestFullPortMaskEquivalence(t *testing.T) {
+	cpu := uarch.Haswell()
+	cpu.NumPorts = 2
+	var items []Item
+	for i := 0; i < 48; i++ {
+		r := uint8(i % 3)
+		it := aluItem(cpu, []uint8{r}, []uint8{r}, uint8(1+i%4))
+		it.Desc.Uops[0].Ports = uarch.Ports(0, 1)
+		if i%5 == 4 {
+			it.Desc.Uops[0].Ports = uarch.Ports(1)
+		}
+		items = append(items, it)
+	}
+	l1i, l1d := caches(cpu)
+	got := Simulate(cpu, items, l1i, l1d, Config{})
+	l1i, l1d = caches(cpu)
+	want := Simulate(cpu, items, l1i, l1d, Config{Reference: true})
+	if got != want {
+		t.Fatalf("event %+v != reference %+v", got, want)
+	}
+	if got.Cycles < uint64(len(items)/2) {
+		t.Fatalf("%d µops on two ports took %d cycles", len(items), got.Cycles)
+	}
+}
+
 // TestGraphSliceEquivalence pins the profiler's low-unroll derivation: a
 // prefix Slice of the high-unroll graph must time identically to a graph
-// built from the prefix items directly, in both front-end modes.
+// built from the prefix items directly, and the one-pass pair identically
+// to both, in both front-end modes.
 func TestGraphSliceEquivalence(t *testing.T) {
 	cpu := uarch.Skylake()
 	items, body := equivWorkload(cpu, 12)
@@ -137,15 +168,28 @@ func TestGraphSliceEquivalence(t *testing.T) {
 			t.Fatalf("Slice(%d).NumItems = %d", half, sl.NumItems())
 		}
 		l1i, l1d := caches(cpu)
-		got := SimulateGraph(cpu, sl, l1i, l1d, cfg)
+		got := SimulateGraph(cpu, &sl, l1i, l1d, cfg)
 		l1i2, l1d2 := caches(cpu)
 		want := Simulate(cpu, items[:half], l1i2, l1d2, cfg)
 		if got != want {
 			t.Fatalf("modeled=%v: sliced graph %+v != direct %+v",
 				cfg.ModeledFrontEnd, got, want)
 		}
+		// The one-pass pair derives the prefix run on warm caches.
+		l1i3, l1d3 := caches(cpu)
+		SimulateGraph(cpu, &g, l1i3, l1d3, cfg)
+		hi, lo, ok := SimulateGraphPair(cpu, &g, half, l1i3, l1d3, cfg)
+		l1i4, l1d4 := caches(cpu)
+		SimulateGraph(cpu, &g, l1i4, l1d4, cfg)
+		wantHi := SimulateGraph(cpu, &g, l1i4, l1d4, cfg)
+		wantLo := SimulateGraph(cpu, &sl, l1i4, l1d4, cfg)
+		if !ok || hi != wantHi || lo != wantLo {
+			t.Fatalf("modeled=%v: pair (%+v, %+v, ok=%v) != separate runs (%+v, %+v)",
+				cfg.ModeledFrontEnd, hi, lo, ok, wantHi, wantLo)
+		}
 		// Out-of-range slice clamps to the whole graph.
-		if g.Slice(-1).NumItems() != len(items) || g.Slice(len(items)+5).NumItems() != len(items) {
+		under, over := g.Slice(-1), g.Slice(len(items)+5)
+		if under.NumItems() != len(items) || over.NumItems() != len(items) {
 			t.Fatal("Slice must clamp out-of-range n to the full graph")
 		}
 	}

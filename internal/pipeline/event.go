@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"bhive/internal/cache"
@@ -39,22 +40,43 @@ const (
 	heapIDMask = 1<<heapIDBits - 1
 )
 
-// eventState holds the per-simulation mutable state of the event-driven
-// scheduler; the immutable structure lives in the Graph. Pooled, so the
-// steady-state path performs no heap allocation.
-type eventState struct {
-	fetchReady   []uint64
+// schedArrays are the scheduler's per-run arrays. A pair run keeps a
+// second set: the prefix run's state at the fork point.
+type schedArrays struct {
 	doneAt       []uint64 // per µop; MaxUint64 until issued
 	pending      []int32  // per µop: producers not yet completed
 	itemRemain   []int32  // per item: µops not yet completed
 	itemAlloc    []bool
 	storeRetired []bool
-	ready        []int32 // allocated µops with pending == 0, sorted by id
-	newReady     []int32 // became ready during a completion drain
-	mergeBuf     []int32
+	ready        []int32  // allocated µops with pending == 0, sorted by id
 	heap         []uint64 // completion min-heap (packed)
 	portBusy     []uint64
-	portUse      []bool
+}
+
+// regs is the scheduler's scalar state at the start of a cycle or, in a
+// fork snapshot, after the cycle's allocate stage.
+type regs struct {
+	cycle, nextSwitch                                              uint64
+	nextAlloc, retired, robUsed, rsUsed, loadBufUsed, storeBufUsed int
+	progress                                                       bool // the cycle has retired or allocated
+}
+
+// eventState holds the per-simulation mutable state of the event-driven
+// scheduler; the immutable structure lives in the Graph. Pooled, so the
+// steady-state path performs no heap allocation.
+type eventState struct {
+	schedArrays
+	fetchReady []uint64
+	newReady   []int32 // became ready during a completion drain
+	mergeBuf   []int32
+	scope      int32 // µops in scope: consumer edges at or past it are ignored
+	fe         frontEnd
+
+	// The prefix run's state where the pair run forks (SimulateGraphPair).
+	fork     schedArrays
+	forkRegs regs
+	forkCtr  Counters
+	forked   bool
 }
 
 var eventPool = sync.Pool{New: func() any { return new(eventState) }}
@@ -62,30 +84,48 @@ var eventPool = sync.Pool{New: func() any { return new(eventState) }}
 // SimulateGraph times a prebuilt µop graph on the CPU and returns the
 // counters. It is the graph-accepting form of Simulate: the caller builds
 // the Graph once per prepared program and reuses it across warm-up, both
-// unroll factors (via Graph.Slice), and every acceptance sample. l1i and
-// l1d carry cache state across calls exactly as in Simulate.
+// unroll factors, and every acceptance sample. l1i and l1d carry cache
+// state across calls exactly as in Simulate. It is SimulateGraphPair
+// with no prefix.
 func SimulateGraph(cpu *uarch.CPU, g *Graph, l1i, l1d *cache.Cache, cfg Config) Counters {
-	st := eventPool.Get().(*eventState)
-	defer eventPool.Put(st)
-	return st.run(cpu, g, l1i, l1d, cfg)
+	hi, _, _ := SimulateGraphPair(cpu, g, 0, l1i, l1d, cfg)
+	return hi
 }
 
-func (s *eventState) run(cpu *uarch.CPU, g *Graph, l1i, l1d *cache.Cache, cfg Config) Counters {
-	var ctr Counters
+// SimulateGraphPair times g like SimulateGraph and, from the same pass,
+// derives the counters a run of its prefix g.Slice(nLo) would return on
+// the same caches. The prefix run does exactly what the full run does
+// until the full run first reads item nLo, at its allocate stage; the
+// scheduler snapshots its state there and, once the full run is done,
+// resumes the prefix run from the snapshot at the issue stage.
+//
+// The caches are the one state the two runs do not share. When the full
+// run misses in neither L1, every access of both runs hits, so only the
+// LRU order differs and nothing can observe it. ok is true exactly then,
+// for a proper prefix (0 < nLo < items) with context switches off; with
+// switches on the prefix run would draw its own arrivals. With ok false,
+// lo is zero and the caller times the prefix on its own.
+func SimulateGraphPair(cpu *uarch.CPU, g *Graph, nLo int, l1i, l1d *cache.Cache, cfg Config) (hi, lo Counters, ok bool) {
+	st := eventPool.Get().(*eventState)
+	defer eventPool.Put(st)
+	return st.run(cpu, g, nLo, l1i, l1d, &cfg)
+}
+
+func (s *eventState) run(cpu *uarch.CPU, g *Graph, nLo int, l1i, l1d *cache.Cache, cfg *Config) (hi, lo Counters, ok bool) {
 	n := g.numItems
-	ctr.Instructions = uint64(n)
+	hi.Instructions = uint64(n)
 	if n == 0 {
-		return ctr
+		return hi, lo, false
 	}
 	nu := g.numUops
-	ctr.Uops = uint64(nu)
+	hi.Uops = uint64(nu)
 
 	s.fetchReady = grow(s.fetchReady, n)
-	fetchReady := s.fetchReady
 	if cfg.ModeledFrontEnd {
-		modeledFetch(cpu, feGraph{g}, cfg.LoopBody, l1i, &ctr, fetchReady)
+		src := feSource{g.codePhys[:n], g.codeLen[:n], g.itemFused[:n], g.lcp[:n]}
+		modeledFetch(cpu, &s.fe, src, cfg.LoopBody, l1i, &hi, s.fetchReady)
 	} else {
-		simulateFetchGraph(cpu, g, l1i, &ctr, fetchReady)
+		simulateFetchGraph(cpu, g, l1i, &hi, s.fetchReady)
 	}
 
 	s.doneAt = grow(s.doneAt, nu)
@@ -103,51 +143,98 @@ func (s *eventState) run(cpu *uarch.CPU, g *Graph, l1i, l1d *cache.Cache, cfg Co
 		itemAlloc[i] = false
 	}
 	s.storeRetired = grow(s.storeRetired, g.numStores)
-	storeRetired := s.storeRetired
-	for i := range storeRetired {
-		storeRetired[i] = false
-	}
+	clear(s.storeRetired)
 	s.ready = s.ready[:0]
 	s.newReady = s.newReady[:0]
 	s.heap = s.heap[:0]
 	s.portBusy = grow(s.portBusy, cpu.NumPorts)
-	s.portUse = grow(s.portUse, cpu.NumPorts)
-	portBusy, portUse := s.portBusy, s.portUse
-	for p := range portBusy {
-		portBusy[p] = 0
-	}
+	clear(s.portBusy)
+	s.scope = int32(nu)
+	s.forked = false
 
 	// Context-switch schedule — same draw as the reference loop.
-	drawSwitch := func(now uint64) uint64 {
-		if cfg.SwitchRate <= 0 || cfg.Rand == nil {
-			return math.MaxUint64
-		}
-		gap := cfg.Rand.ExpFloat64() / cfg.SwitchRate
-		if gap > 1e12 {
-			return math.MaxUint64
-		}
-		return now + uint64(gap) + 1
+	switches := cfg.SwitchRate > 0 && cfg.Rand != nil
+	fork := -1
+	if nLo > 0 && nLo < n && !switches {
+		fork = nLo
 	}
-	nextSwitch := drawSwitch(0)
+	hi.Cycles = s.schedule(cpu, g, n, l1i, l1d, cfg, &hi, regs{nextSwitch: drawSwitch(cfg, 0)}, fork, false)
+	if fork < 0 || hi.L1DReadMisses+hi.L1DWriteMisses+hi.L1IMisses > 0 {
+		return hi, lo, false
+	}
 
+	// The fetch pass is not repeated: the prefix's fetchReady entries are
+	// the full run's, and with no L1I miss the prefix fetch counts nothing.
+	nuLo := g.itemFirstUop[nLo]
+	if !s.forked {
+		// The full run hit the cycle cap before it reached item nLo, so
+		// the prefix run was the same run throughout.
+		lo = hi
+		lo.Instructions, lo.Uops = uint64(nLo), uint64(nuLo)
+		return hi, lo, true
+	}
+	// Resume the prefix run on its own arrays.
+	s.schedArrays, s.fork = s.fork, s.schedArrays
+	s.scope = nuLo
+	lo = s.forkCtr
+	lo.Instructions, lo.Uops = uint64(nLo), uint64(nuLo)
+	lo.Cycles = s.schedule(cpu, g, nLo, l1i, l1d, cfg, &lo, s.forkRegs, -1, true)
+	return hi, lo, true
+}
+
+// drawSwitch returns the cycle of the next context switch after now, or
+// MaxUint64 when switches are off — the reference loop's draw.
+func drawSwitch(cfg *Config, now uint64) uint64 {
+	if cfg.SwitchRate <= 0 || cfg.Rand == nil {
+		return math.MaxUint64
+	}
+	gap := cfg.Rand.ExpFloat64() / cfg.SwitchRate
+	if gap > 1e12 {
+		return math.MaxUint64
+	}
+	return now + uint64(gap) + 1
+}
+
+// schedule runs the cycle loop over the first n items of g from the
+// scalar state r and returns the final cycle. With fork > 0 it snapshots
+// the state into s.fork the first time the allocate stage reaches item
+// fork; resume starts the first cycle at the issue stage, continuing
+// such a snapshot.
+func (s *eventState) schedule(cpu *uarch.CPU, g *Graph, n int, l1i, l1d *cache.Cache, cfg *Config, ctr *Counters, r regs, fork int, resume bool) uint64 {
 	var (
-		cycle        uint64
-		nextAlloc    int
-		retired      int
-		robUsed      int
-		rsUsed       int
-		loadBufUsed  int
-		storeBufUsed int
+		cycle        = r.cycle
+		nextSwitch   = r.nextSwitch
+		nextAlloc    = r.nextAlloc
+		retired      = r.retired
+		robUsed      = r.robUsed
+		rsUsed       = r.rsUsed
+		loadBufUsed  = r.loadBufUsed
+		storeBufUsed = r.storeBufUsed
+		progress     = r.progress
+
+		retireBudget, allocBudget int
 	)
+	fetchReady, doneAt, pending := s.fetchReady, s.doneAt, s.pending
+	itemRemain, itemAlloc, storeRetired, portBusy := s.itemRemain, s.itemAlloc, s.storeRetired, s.portBusy
+	// Before the fork the allocate stage stops at the fork item.
+	allocEnd := n
+	if fork > 0 {
+		allocEnd = fork
+	}
 
 	for retired < n && cycle < maxCycles {
+		if resume {
+			resume = false
+			goto issue
+		}
+
 		// Context switch: jump the clock, flush caches.
 		if cycle >= nextSwitch {
 			ctr.ContextSwitches++
 			cycle += cfg.SwitchCost
 			l1i.Flush()
 			l1d.Flush()
-			nextSwitch = drawSwitch(cycle)
+			nextSwitch = drawSwitch(cfg, cycle)
 			continue
 		}
 
@@ -160,10 +247,10 @@ func (s *eventState) run(cpu *uarch.CPU, g *Graph, l1i, l1d *cache.Cache, cfg Co
 			s.mergeReady()
 		}
 
-		progress := false
+		progress = false
 
 		// Retire (in order, RetireWidth fused µops per cycle).
-		retireBudget := cpu.RetireWidth
+		retireBudget = cpu.RetireWidth
 		for retired < n && retireBudget > 0 {
 			i := retired
 			if !itemAlloc[i] || itemRemain[i] > 0 {
@@ -194,87 +281,97 @@ func (s *eventState) run(cpu *uarch.CPU, g *Graph, l1i, l1d *cache.Cache, cfg Co
 		}
 
 		// Allocate (in order, IssueWidth fused µops per cycle).
-		allocBudget := cpu.IssueWidth
-		for nextAlloc < n && allocBudget > 0 {
-			if fetchReady[nextAlloc] > cycle {
-				break
-			}
-			f := int(g.itemFused[nextAlloc])
-			if f > allocBudget {
-				break
-			}
-			first, next := g.itemFirstUop[nextAlloc], g.itemFirstUop[nextAlloc+1]
-			nExec := int(next - first)
-			if robUsed+f > cpu.ROBSize || rsUsed+nExec > cpu.RSSize {
-				break
-			}
-			hasLoad := g.itemLoad[nextAlloc] >= 0
-			hasStore := g.itemStore[nextAlloc] >= 0
-			if hasLoad && loadBufUsed+1 > cpu.LoadBufs {
-				break
-			}
-			if hasStore && storeBufUsed+1 > cpu.StoreBufs {
-				break
-			}
-			allocBudget -= f
-			robUsed += f
-			rsUsed += nExec
-			if hasLoad {
-				loadBufUsed++
-			}
-			if hasStore {
-				storeBufUsed++
-			}
-			itemAlloc[nextAlloc] = true
-			for id := first; id < next; id++ {
-				if pending[id] == 0 {
-					// Allocation is in µop-id order, so appending keeps
-					// the ready list sorted.
-					s.ready = append(s.ready, id)
+		allocBudget = cpu.IssueWidth
+		for {
+			for nextAlloc < allocEnd && allocBudget > 0 {
+				if fetchReady[nextAlloc] > cycle {
+					break
 				}
+				f := int(g.itemFused[nextAlloc])
+				if f > allocBudget {
+					break
+				}
+				first, next := g.itemFirstUop[nextAlloc], g.itemFirstUop[nextAlloc+1]
+				nExec := int(next - first)
+				if robUsed+f > cpu.ROBSize || rsUsed+nExec > cpu.RSSize {
+					break
+				}
+				hasLoad := g.itemLoad[nextAlloc] >= 0
+				hasStore := g.itemStore[nextAlloc] >= 0
+				if hasLoad && loadBufUsed+1 > cpu.LoadBufs {
+					break
+				}
+				if hasStore && storeBufUsed+1 > cpu.StoreBufs {
+					break
+				}
+				allocBudget -= f
+				robUsed += f
+				rsUsed += nExec
+				if hasLoad {
+					loadBufUsed++
+				}
+				if hasStore {
+					storeBufUsed++
+				}
+				itemAlloc[nextAlloc] = true
+				for id := first; id < next; id++ {
+					if pending[id] == 0 {
+						// Allocation is in µop-id order, so appending
+						// keeps the ready list sorted.
+						s.ready = append(s.ready, id)
+					}
+				}
+				nextAlloc++
+				progress = true
 			}
-			nextAlloc++
-			progress = true
+			if nextAlloc != fork {
+				break
+			}
+			// The prefix run's allocate stage ends here; the full run
+			// reads item fork next.
+			s.snapshot(g, fork, ctr, regs{cycle, nextSwitch, nextAlloc, retired,
+				robUsed, rsUsed, loadBufUsed, storeBufUsed, progress})
+			fork, allocEnd = -1, n
 		}
 
+	issue:
 		// Issue (oldest first, one µop per port per cycle). The ready list
 		// holds exactly the allocated µops whose producers have completed,
 		// in age order — the subset of the reference's reservation-station
-		// scan that can possibly issue.
-		for p := range portUse {
-			portUse[p] = false
+		// scan that can possibly issue. free holds the ports neither busy
+		// nor taken this cycle; each µop takes its lowest free allowed
+		// port, the reference's first-free choice.
+		var free uarch.PortSet
+		for p := 0; p < cpu.NumPorts; p++ {
+			if portBusy[p] <= cycle {
+				free |= 1 << p
+			}
 		}
 		ready := s.ready
 		w := 0
 		for idx := 0; idx < len(ready); idx++ {
+			if free == 0 {
+				// No port left: nothing else can issue this cycle.
+				w += copy(ready[w:], ready[idx:])
+				break
+			}
 			id := ready[idx]
 			spec := &g.uopSpec[id]
-			if spec.Class == uarch.ClassLoad && s.loadBlockedG(g, id, cycle) {
+			avail := spec.Ports & free
+			if avail == 0 || spec.Class == uarch.ClassLoad && s.loadBlockedG(g, id, cycle) {
 				ready[w] = id
 				w++
 				continue
 			}
-			// Find a free allowed port (least-loaded heuristic: first free).
-			port := -1
-			for p := 0; p < cpu.NumPorts; p++ {
-				if spec.Ports.Has(p) && !portUse[p] && portBusy[p] <= cycle {
-					port = p
-					break
-				}
-			}
-			if port < 0 {
-				ready[w] = id
-				w++
-				continue
-			}
-			portUse[port] = true
+			port := bits.TrailingZeros16(uint16(avail))
+			free &^= 1 << port
 			ctr.PortUops[port]++
 			if spec.Occupancy > 0 {
 				portBusy[port] = cycle + uint64(spec.Occupancy)
 			}
 			lat := uint64(spec.Lat)
 			if spec.Class == uarch.ClassLoad {
-				lat += s.loadExecuteG(g, id, l1d, &ctr, cpu)
+				lat += s.loadExecuteG(g, id, l1d, ctr, cpu)
 			}
 			rsUsed--
 			doneAt[id] = cycle + lat
@@ -324,18 +421,36 @@ func (s *eventState) run(cpu *uarch.CPU, g *Graph, l1i, l1d *cache.Cache, cfg Co
 		}
 		cycle = next
 	}
+	return cycle
+}
 
-	ctr.Cycles = cycle
-	return ctr
+// snapshot records the prefix run of the first nLo items at its fork
+// point: the scalars, the counters so far, the prefix of every per-µop and
+// per-item array, the ready list, the completion heap and the port
+// timers. Nothing at or past item nLo has been allocated yet, so the ready
+// list and the heap hold prefix µops only.
+func (s *eventState) snapshot(g *Graph, nLo int, ctr *Counters, r regs) {
+	nu, ns := g.itemFirstUop[nLo], g.storePrefix[nLo]
+	f := &s.fork
+	f.doneAt = append(f.doneAt[:0], s.doneAt[:nu]...)
+	f.pending = append(f.pending[:0], s.pending[:nu]...)
+	f.itemRemain = append(f.itemRemain[:0], s.itemRemain[:nLo]...)
+	f.itemAlloc = append(f.itemAlloc[:0], s.itemAlloc[:nLo]...)
+	f.storeRetired = append(f.storeRetired[:0], s.storeRetired[:ns]...)
+	f.ready = append(f.ready[:0], s.ready...)
+	f.heap = append(f.heap[:0], s.heap...)
+	f.portBusy = append(f.portBusy[:0], s.portBusy...)
+	s.forkRegs, s.forkCtr, s.forked = r, *ctr, true
 }
 
 // complete processes one µop completion: its item is one µop closer to
 // retirement, and consumers with no remaining producers become ready.
-// Consumer edges can point past a prefix slice's scope and are skipped.
+// Consumer edges can point past the run's scope (a prefix slice, or the
+// prefix run of a pair) and are skipped.
 func (s *eventState) complete(g *Graph, id int32) {
 	s.itemRemain[g.uopItem[id]]--
 	for _, c := range g.cons[g.consLo[id]:g.consHi[id]] {
-		if int(c) >= g.numUops {
+		if c >= s.scope {
 			continue
 		}
 		if s.pending[c]--; s.pending[c] == 0 && s.itemAlloc[g.uopItem[c]] {
@@ -351,7 +466,7 @@ func (s *eventState) complete(g *Graph, id int32) {
 func (s *eventState) completeInline(g *Graph, id int32, idx int, ready *[]int32) {
 	s.itemRemain[g.uopItem[id]]--
 	for _, c := range g.cons[g.consLo[id]:g.consHi[id]] {
-		if int(c) >= g.numUops {
+		if c >= s.scope {
 			continue
 		}
 		if s.pending[c]--; s.pending[c] == 0 && s.itemAlloc[g.uopItem[c]] {
@@ -397,15 +512,15 @@ func (s *eventState) mergeReady() {
 	s.newReady = nr[:0]
 }
 
-// loadBlockedG mirrors loadBlocked on the graph representation.
+// loadBlockedG mirrors loadBlocked on the graph representation. It has no
+// side effects. Like loadExecuteG it scans only the stores older than the
+// load's item — the reference's scan skips the younger ones — starting at
+// the youngest of them.
 func (s *eventState) loadBlockedG(g *Graph, loadID int32, cycle uint64) bool {
 	item := g.uopItem[loadID]
 	ld := &g.loads[g.itemLoad[item]]
-	for si := len(g.stores) - 1; si >= 0; si-- {
+	for si := g.storePrefix[item] - 1; si >= 0; si-- {
 		st := &g.stores[si]
-		if st.item >= item {
-			continue
-		}
 		if s.storeRetired[si] {
 			break // all older stores at or before this one are committed
 		}
@@ -431,11 +546,8 @@ func (s *eventState) loadExecuteG(g *Graph, loadID int32, l1d *cache.Cache, ctr 
 	ld := &g.loads[g.itemLoad[item]]
 
 	// Store-to-load forwarding?
-	for si := len(g.stores) - 1; si >= 0; si-- {
+	for si := g.storePrefix[item] - 1; si >= 0; si-- {
 		st := &g.stores[si]
-		if st.item >= item {
-			continue
-		}
 		if s.storeRetired[si] {
 			break
 		}

@@ -36,37 +36,22 @@ import (
 // (counted, and each adding MissPenalty stall cycles), but only on
 // MITE iterations — a DSB or LSD hit does not fetch from the L1I.
 
-// feSource abstracts the per-item fields the front end needs, so one
-// implementation serves the reference scheduler (items) and the
-// event-driven one (graph arenas).
-type feSource interface {
-	feLen() int
-	// feAt returns the instruction's physical code address and length,
-	// its fused-domain µop count, and whether it carries a
-	// length-changing prefix.
-	feAt(i int) (phys uint64, clen int, fused int, lcp bool)
-}
-
-// feItems adapts a prepared item slice.
-type feItems []Item
-
-func (s feItems) feLen() int { return len(s) }
-func (s feItems) feAt(i int) (uint64, int, int, bool) {
-	it := &s[i]
-	return it.CodePhys, it.CodeLen, it.Desc.FusedUops, it.LCP
-}
-
-// feGraph adapts a built µop graph.
-type feGraph struct{ g *Graph }
-
-func (s feGraph) feLen() int { return s.g.numItems }
-func (s feGraph) feAt(i int) (uint64, int, int, bool) {
-	g := s.g
-	return g.codePhys[i], int(g.codeLen[i]), int(g.itemFused[i]), g.lcp[i]
+// feSource is the per-instruction view the front end reads: each
+// instruction's physical code address and length, its fused-domain µop
+// count, and whether it carries a length-changing prefix. The event-driven
+// scheduler passes the graph's arrays directly; the reference scheduler
+// fills its own from the items, so one implementation serves both.
+type feSource struct {
+	codePhys []uint64
+	codeLen  []int32
+	fused    []int32
+	lcp      []bool
 }
 
 // frontEnd is the resolved parameter set, with defensive defaults for a
-// CPU whose FrontEnd block was left zero.
+// CPU whose FrontEnd block was left zero, plus the buffers one modeled
+// fetch works in. It lives in the pooled scheduler state, so a timed run
+// with the modeled front end performs no heap allocation.
 type frontEnd struct {
 	decodeWidth   int
 	lcpStall      uint64
@@ -76,10 +61,15 @@ type frontEnd struct {
 	dsbLineUops   int
 	lsdSize       int
 	switchPenalty uint64
+
+	offs    []int // body byte offsets, with an end sentinel
+	winUops []int // fused µops per 32-byte window
+	setWays []int // DSB ways taken per set
 }
 
-func feParams(cpu *uarch.CPU) frontEnd {
-	fe := frontEnd{
+// load resolves cpu's front-end parameters into fe, keeping its buffers.
+func (fe *frontEnd) load(cpu *uarch.CPU) {
+	*fe = frontEnd{
 		decodeWidth:   cpu.FE.DecodeWidth,
 		lcpStall:      uint64(cpu.FE.LCPStall),
 		dsbWidth:      cpu.FE.DSBWidth,
@@ -88,6 +78,9 @@ func feParams(cpu *uarch.CPU) frontEnd {
 		dsbLineUops:   cpu.FE.DSBLineUops,
 		lsdSize:       cpu.FE.LSDSize,
 		switchPenalty: uint64(cpu.FE.SwitchPenalty),
+		offs:          fe.offs,
+		winUops:       fe.winUops,
+		setWays:       fe.setWays,
 	}
 	if fe.decodeWidth <= 0 {
 		fe.decodeWidth = 4
@@ -104,7 +97,6 @@ func feParams(cpu *uarch.CPU) frontEnd {
 	if fe.dsbWays <= 0 {
 		fe.dsbWays = 8
 	}
-	return fe
 }
 
 // dsbWindowWays is the maximum number of µop-cache ways one 32-byte code
@@ -117,16 +109,19 @@ const dsbWindowWays = 3
 // fused[k] fused µops fits the DSB capacity model: per 32-byte window at
 // most dsbWindowWays lines of dsbLineUops µops, and per cache set at most
 // dsbWays lines across the windows that map to it.
-func (fe *frontEnd) dsbResident(offs []int, fused []int) bool {
+func (fe *frontEnd) dsbResident(offs []int, fused []int32) bool {
 	if len(fused) == 0 {
 		return false
 	}
 	nWin := (offs[len(offs)-1]-1)/32 + 1
-	winUops := make([]int, nWin)
+	winUops := grow(fe.winUops, nWin)
+	clear(winUops)
 	for k, f := range fused {
-		winUops[offs[k]/32] += f
+		winUops[offs[k]/32] += int(f)
 	}
-	setWays := make(map[int]int, nWin)
+	setWays := grow(fe.setWays, fe.dsbSets)
+	clear(setWays)
+	fe.winUops, fe.setWays = winUops, setWays
 	for w, u := range winUops {
 		ways := (u + fe.dsbLineUops - 1) / fe.dsbLineUops
 		if ways > dsbWindowWays {
@@ -166,30 +161,29 @@ func (d *decoder) assign(pre uint64, cplx bool) uint64 {
 }
 
 // modeledFetch fills ready (len n) with allocation-availability cycles
-// under the modeled front end. body is Config.LoopBody clamped to [1, n].
-func modeledFetch(cpu *uarch.CPU, src feSource, body int, l1i *cache.Cache, ctr *Counters, ready []uint64) {
-	n := src.feLen()
+// under the modeled front end, working in fe's buffers. body is
+// Config.LoopBody clamped to [1, n].
+func modeledFetch(cpu *uarch.CPU, fe *frontEnd, src feSource, body int, l1i *cache.Cache, ctr *Counters, ready []uint64) {
+	n := len(src.codePhys)
 	if n == 0 {
 		return
 	}
 	if body <= 0 || body > n {
 		body = n
 	}
-	fe := feParams(cpu)
+	fe.load(cpu)
 
 	// Static body metadata, from iteration 0's instructions. Offsets are
 	// cumulative code bytes from the body start — the layout every
 	// iteration repeats.
-	offs := make([]int, body+1)
-	fused := make([]int, body)
-	lcp := make([]bool, body)
+	offs := grow(fe.offs, body+1)
+	fe.offs = offs
+	fused, lcp := src.fused[:body], src.lcp[:body]
+	offs[0] = 0
 	bodyFused := 0
 	for k := 0; k < body; k++ {
-		_, clen, f, lc := src.feAt(k)
-		offs[k+1] = offs[k] + clen
-		fused[k] = f
-		lcp[k] = lc
-		bodyFused += f
+		offs[k+1] = offs[k] + int(src.codeLen[k])
+		bodyFused += int(fused[k])
 	}
 	lsd := fe.lsdSize > 0 && bodyFused <= fe.lsdSize
 	resident := fe.dsbResident(offs, fused)
@@ -199,7 +193,7 @@ func modeledFetch(cpu *uarch.CPU, src feSource, body int, l1i *cache.Cache, ctr 
 		lastLine = uint64(math.MaxUint64)
 		lastSF   uint64 // stall-free delivery cycle of the previous inst
 		lock     uint64 // LSD lock-down cycle (set after iteration 0)
-		dec      = decoder{fe: &fe}
+		dec      = decoder{fe: fe}
 	)
 
 	i := 0
@@ -223,7 +217,7 @@ func modeledFetch(cpu *uarch.CPU, src feSource, body int, l1i *cache.Cache, ctr 
 			dec.reset(iterStart)
 			var lcpCum uint64
 			for k := 0; i < end; i, k = i+1, k+1 {
-				phys, clen, f, _ := src.feAt(i)
+				phys, clen, f := src.codePhys[i], int(src.codeLen[i]), src.fused[i]
 				// The MITE path fetches from the L1I, exactly as the
 				// legacy front end models it.
 				first := phys / uint64(cpu.LineSize)
@@ -257,7 +251,7 @@ func modeledFetch(cpu *uarch.CPU, src feSource, body int, l1i *cache.Cache, ctr 
 			// cycle, no L1I fetch.
 			cum := 0
 			for k := 0; i < end; i, k = i+1, k+1 {
-				cum += fused[k]
+				cum += int(fused[k])
 				d := iterStart
 				if cum > 0 {
 					d += uint64((cum - 1) / fe.dsbWidth)

@@ -42,7 +42,8 @@ func runModeledFetch(cpu *uarch.CPU, items []Item, body int) ([]uint64, Counters
 	var ctr Counters
 	ready := make([]uint64, len(items))
 	l1i := cache.New(cpu.L1ISize, cpu.L1Assoc, cpu.LineSize)
-	modeledFetch(cpu, feItems(items), body, l1i, &ctr, ready)
+	var s SimScratch
+	modeledFetch(cpu, &s.fe, s.feSource(items), body, l1i, &ctr, ready)
 	return ready, ctr
 }
 
@@ -97,17 +98,17 @@ func TestDSBResident(t *testing.T) {
 	fe := frontEnd{dsbSets: 32, dsbWays: 8, dsbLineUops: 6}
 
 	// 4 instructions × 4 bytes × 1 µop in one window: 1 way — resident.
-	if !fe.dsbResident([]int{0, 4, 8, 12, 16}, []int{1, 1, 1, 1}) {
+	if !fe.dsbResident([]int{0, 4, 8, 12, 16}, []int32{1, 1, 1, 1}) {
 		t.Error("small body should be DSB-resident")
 	}
 
 	// One 32-byte window holding 19 µops needs ceil(19/6) = 4 > 3 ways:
 	// the window is MITE-only, so the body is not resident.
-	if fe.dsbResident([]int{0, 8, 16, 24, 32}, []int{5, 5, 5, 4}) {
+	if fe.dsbResident([]int{0, 8, 16, 24, 32}, []int32{5, 5, 5, 4}) {
 		t.Error("19 µops in one window should overflow the 3-way window limit")
 	}
 	// 18 µops is exactly 3 ways — still resident.
-	if !fe.dsbResident([]int{0, 8, 16, 24, 32}, []int{5, 5, 5, 3}) {
+	if !fe.dsbResident([]int{0, 8, 16, 24, 32}, []int32{5, 5, 5, 3}) {
 		t.Error("18 µops in one window should fit exactly 3 ways")
 	}
 
@@ -115,10 +116,10 @@ func TestDSBResident(t *testing.T) {
 	// the same set with dsbSets=1; 3 windows × 3 ways = 9 > 8 ways.
 	one := frontEnd{dsbSets: 1, dsbWays: 8, dsbLineUops: 6}
 	offs := []int{0, 32, 64, 96}
-	if one.dsbResident(offs, []int{18, 18, 18}) {
+	if one.dsbResident(offs, []int32{18, 18, 18}) {
 		t.Error("9 ways into one set should overflow dsbWays=8")
 	}
-	if !one.dsbResident(offs, []int{18, 18, 12}) {
+	if !one.dsbResident(offs, []int32{18, 18, 12}) {
 		t.Error("8 ways into one set should fit dsbWays=8")
 	}
 

@@ -15,7 +15,6 @@ type loadSpec struct {
 // for forwarding checks, its physical address for retirement commit, and
 // the µop that produces the store data (-1 if none).
 type storeSpec struct {
-	item    int32
 	addr    uint64
 	phys    uint64
 	size    int32
@@ -52,6 +51,8 @@ type Graph struct {
 	cons    []int32
 
 	// Per-item arrays (itemFirstUop and storePrefix carry one sentinel).
+	// storePrefix[i] also bounds the stores older than item i: the
+	// scheduler's forwarding scans start at storePrefix[i]-1.
 	itemFirstUop []int32
 	itemFused    []int32
 	itemLoad     []int32 // index into loads, -1 if none
@@ -69,27 +70,22 @@ type Graph struct {
 func (g *Graph) NumItems() int { return g.numItems }
 
 // Slice returns a prefix view of the first n items, sharing every arena
-// with g. The profiler uses this to derive the low-unroll graph from the
-// high-unroll one: the low-factor program is a prefix of the same prepared
-// code, so its dependence graph is a prefix of the same prepared graph.
-func (g *Graph) Slice(n int) *Graph {
+// with g. The view is returned by value, so taking it allocates nothing.
+// The profiler uses it when it has to time the low unroll on its own: the
+// low-factor program is a prefix of the same prepared code, so its
+// dependence graph is a prefix of the same prepared graph.
+func (g *Graph) Slice(n int) Graph {
 	if n < 0 || n > g.numItems {
 		n = g.numItems
 	}
+	u := int(g.itemFirstUop[n])
+	ns := int(g.storePrefix[n])
+	// The per-item and per-µop slice headers are trimmed to the in-scope
+	// lengths, so range loops stay in bounds without per-element scope
+	// checks. The consumer arena is left full-length: reverse edges are
+	// indexed per-µop and filtered against the scope at use.
 	out := *g
-	out.numItems = n
-	out.numUops = int(g.itemFirstUop[n])
-	out.numStores = int(g.storePrefix[n])
-	return out.shrink()
-}
-
-// shrink returns g with the per-item and per-µop slice headers trimmed to
-// the in-scope lengths, so range loops stay in bounds without per-element
-// scope checks. The consumer arena is left full-length: reverse edges are
-// indexed per-µop and filtered against numUops at use.
-func (g *Graph) shrink() *Graph {
-	n, u := g.numItems, g.numUops
-	out := *g
+	out.numItems, out.numUops, out.numStores = n, u, ns
 	out.uopItem = g.uopItem[:u]
 	out.uopSpec = g.uopSpec[:u]
 	out.depLo = g.depLo[:u]
@@ -104,8 +100,8 @@ func (g *Graph) shrink() *Graph {
 	out.codePhys = g.codePhys[:n]
 	out.codeLen = g.codeLen[:n]
 	out.lcp = g.lcp[:n]
-	out.stores = g.stores[:g.numStores]
-	return &out
+	out.stores = g.stores[:ns]
+	return out
 }
 
 // Build populates g from the item sequence, reusing g's arenas. The
@@ -249,7 +245,7 @@ func (g *Graph) Build(cpu *uarch.CPU, items []Item) {
 			}
 			g.itemStore[i] = int32(len(g.stores))
 			g.stores = append(g.stores, storeSpec{
-				item: int32(i), addr: it.Store.Addr, phys: it.Store.Phys,
+				addr: it.Store.Addr, phys: it.Store.Phys,
 				size: int32(it.Store.Size), dataUop: dataUop,
 			})
 		}

@@ -137,6 +137,8 @@ type SimScratch struct {
 	portBusy     []uint64 // busy-until for non-pipelined units
 	portUse      []bool
 	itemAlloc    []bool
+	fe           frontEnd
+	feSrc        feSource
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(SimScratch) }}
@@ -169,6 +171,24 @@ func Simulate(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cache, cfg Config) C
 
 var graphPool = sync.Pool{New: func() any { return new(Graph) }}
 
+// feSource gathers the items' front-end fields into the scratch's arrays.
+func (s *SimScratch) feSource(items []Item) feSource {
+	n := len(items)
+	src := &s.feSrc
+	src.codePhys = grow(src.codePhys, n)
+	src.codeLen = grow(src.codeLen, n)
+	src.fused = grow(src.fused, n)
+	src.lcp = grow(src.lcp, n)
+	for i := range items {
+		it := &items[i]
+		src.codePhys[i] = it.CodePhys
+		src.codeLen[i] = int32(it.CodeLen)
+		src.fused[i] = int32(it.Desc.FusedUops)
+		src.lcp[i] = it.LCP
+	}
+	return *src
+}
+
 func (s *SimScratch) simulate(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cache, cfg Config) Counters {
 	var ctr Counters
 	ctr.Instructions = uint64(len(items))
@@ -179,7 +199,7 @@ func (s *SimScratch) simulate(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cach
 	s.fetchReady = grow(s.fetchReady, len(items))
 	fetchReady := s.fetchReady
 	if cfg.ModeledFrontEnd {
-		modeledFetch(cpu, feItems(items), cfg.LoopBody, l1i, &ctr, fetchReady)
+		modeledFetch(cpu, &s.fe, s.feSource(items), cfg.LoopBody, l1i, &ctr, fetchReady)
 	} else {
 		simulateFetch(cpu, items, l1i, &ctr, fetchReady)
 	}

@@ -24,46 +24,72 @@ func mapAndTrace(t *testing.T, p *Profiler, insts []x86.Inst, unroll int, seed i
 	return sc.m, pass.Prog, pass.Steps, sc.m.PrepareGraph(pass.Prog, pass.Steps)
 }
 
-// TestMeasurementOrderIndependence pins down the two equivalences the hot
-// path relies on: each unroll factor's measurement draws its RNG stream
-// from (blockSeed, unroll) alone, and the low-factor measurement on the
-// machine the high factor already warmed is identical to measuring it on a
-// fresh machine. The low measurement must therefore come out the same
-// whether it runs alone or after the high one.
+// TestMeasurementOrderIndependence pins down the equivalences the hot path
+// relies on: each unroll factor's measurement draws its RNG stream from
+// (blockSeed, unroll) alone; the low-factor measurement on the machine the
+// high factor already warmed is identical to measuring it on a fresh
+// machine; and the low factor's run derived from the high factor's
+// scheduling pass, as Profile takes it, is identical to both. The low
+// measurement must therefore come out the same whichever way it runs.
 func TestMeasurementOrderIndependence(t *testing.T) {
-	p := New(uarch.Haswell(), DefaultOptions())
-	for _, text := range []string{
-		"add rax, rbx\nimul rcx, rdx",
-		"mov rcx, qword ptr [rsp+8]\nadd rcx, rax\nmov qword ptr [rsp+8], rcx",
-	} {
-		b := block(t, text)
-		seed := blockSeed(b.Insts)
-		lo, hi := p.Opts.UnrollFactors(len(b.Insts))
-		nLo := len(b.Insts) * lo
+	noisy := DefaultOptions()
+	noisy.RealSampleNoise = true
+	modeled := DefaultOptions()
+	modeled.ModeledFrontEnd = true
+	for name, opts := range map[string]Options{"default": DefaultOptions(), "noisy": noisy, "modeled": modeled} {
+		p := New(uarch.Haswell(), opts)
+		for _, text := range []string{
+			"add rax, rbx\nimul rcx, rdx",
+			"mov rcx, qword ptr [rsp+8]\nadd rcx, rax\nmov qword ptr [rsp+8], rcx",
+		} {
+			b := block(t, text)
+			seed := blockSeed(b.Insts)
+			lo, hi := p.Opts.UnrollFactors(len(b.Insts))
+			nLo := len(b.Insts) * lo
 
-		// Low factor alone, on a fresh machine.
-		mA, progA, stepsA, gA := mapAndTrace(t, p, b.Insts, lo, seed)
-		cA, rA := p.measureOn(mA, progA, gA, stepsA, lo, seed)
-		if rA.Status != StatusOK {
-			t.Fatalf("%q: lo-alone status = %v", text, rA.Status)
-		}
+			// Low factor alone, on a fresh machine.
+			mA, progA, stepsA, gA := mapAndTrace(t, p, b.Insts, lo, seed)
+			cA, rA := p.measureOn(mA, progA, gA, stepsA, lo, seed)
+			if rA.Status != StatusOK {
+				t.Fatalf("%s %q: lo-alone status = %v", name, text, rA.Status)
+			}
 
-		// High first, then low on the shared machine — Profile's order.
-		mB, progB, stepsB, gB := mapAndTrace(t, p, b.Insts, hi, seed)
-		if _, rHi := p.measureOn(mB, progB, gB, stepsB, hi, seed); rHi.Status != StatusOK {
-			t.Fatalf("%q: hi status = %v", text, rHi.Status)
-		}
-		cB, rB := p.measureOn(mB, progB.Slice(nLo), gB.Slice(nLo), stepsB[:nLo], lo, seed)
-		if rB.Status != StatusOK {
-			t.Fatalf("%q: lo-after-hi status = %v", text, rB.Status)
-		}
+			// High first, then low timed on its own on the shared machine.
+			mB, progB, stepsB, gB := mapAndTrace(t, p, b.Insts, hi, seed)
+			if _, rHi := p.measureOn(mB, progB, gB, stepsB, hi, seed); rHi.Status != StatusOK {
+				t.Fatalf("%s %q: hi status = %v", name, text, rHi.Status)
+			}
+			gLo := gB.Slice(nLo)
+			cB, rB := p.measureOn(mB, progB.Slice(nLo), &gLo, stepsB[:nLo], lo, seed)
 
-		if cA != cB {
-			t.Errorf("%q: lo cycles depend on measurement order: alone=%d after-hi=%d", text, cA, cB)
-		}
-		if rA.CleanSamples != rB.CleanSamples {
-			t.Errorf("%q: clean samples depend on measurement order: alone=%d after-hi=%d",
-				text, rA.CleanSamples, rB.CleanSamples)
+			// Both factors from one scheduling pass — Profile's order.
+			before := PairStats()
+			mC, progC, stepsC, gC := mapAndTrace(t, p, b.Insts, hi, seed)
+			_, rHi, cC, rC := p.measure(mC, progC, gC, stepsC, len(b.Insts), lo, hi, seed)
+			if rHi.Status != StatusOK {
+				t.Fatalf("%s %q: paired hi status = %v", name, text, rHi.Status)
+			}
+			if after := PairStats(); after.Derived != before.Derived+1 || after.Fallbacks != before.Fallbacks {
+				t.Errorf("%s %q: pair stats %+v -> %+v, want one derived run", name, text, before, after)
+			}
+
+			for _, leg := range []struct {
+				name string
+				c    uint64
+				r    Result
+			}{{"after-hi", cB, rB}, {"derived", cC, rC}} {
+				if leg.r.Status != StatusOK {
+					t.Fatalf("%s %q: lo %s status = %v", name, text, leg.name, leg.r.Status)
+				}
+				if cA != leg.c || rA.Counters != leg.r.Counters {
+					t.Errorf("%s %q: lo counters depend on measurement order: alone=%+v %s=%+v",
+						name, text, rA.Counters, leg.name, leg.r.Counters)
+				}
+				if rA.CleanSamples != leg.r.CleanSamples {
+					t.Errorf("%s %q: clean samples depend on measurement order: alone=%d %s=%d",
+						name, text, rA.CleanSamples, leg.name, leg.r.CleanSamples)
+				}
+			}
 		}
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"bhive/internal/exec"
 	"bhive/internal/machine"
@@ -541,7 +542,7 @@ func (p *Profiler) profile(b *x86.Block, seed int64) Result {
 	// graph is a prefix view of it.
 	g := m.PrepareGraph(prog, steps)
 
-	cHi, r := p.measureOn(m, prog, g, steps, hi, seed)
+	cHi, r, cLo, r2 := p.measure(m, prog, g, steps, len(b.Insts), lo, hi, seed)
 	r.PagesMapped = pagesMapped
 	if r.Status != StatusOK {
 		r.UnrollLo, r.UnrollHi = lo, hi
@@ -555,13 +556,6 @@ func (p *Profiler) profile(b *x86.Block, seed int64) Result {
 		res.Throughput = float64(cHi) / float64(hi)
 		return res
 	}
-
-	// The low measurement reuses the machine: its page working set is a
-	// subset of the high run's (same code prefix, same initial state), so
-	// the mapping is already in place and the warm-up run re-establishes
-	// the cache state the protocol requires.
-	nLo := len(b.Insts) * lo
-	cLo, r2 := p.measureOn(m, prog.Slice(nLo), g.Slice(nLo), steps[:nLo], lo, seed)
 	if r2.Status != StatusOK {
 		r2.UnrollLo, r2.UnrollHi = lo, hi
 		r2.PagesMapped = pagesMapped
@@ -575,28 +569,53 @@ func (p *Profiler) profile(b *x86.Block, seed int64) Result {
 	return res
 }
 
-// measureOn runs the measurement protocol for one unrolled program whose
-// pages are already mapped (profile's monitored pass), whose trace is
-// already known (deterministic execution — the trace doubles as the timed
-// run's), and whose dependence graph is already built. The per-factor cost
-// is the warm-up walk plus scheduling runs.
-func (p *Profiler) measureOn(m *machine.Machine, prog *machine.Program, g *pipeline.Graph, steps []exec.Step, unroll int, seed int64) (uint64, Result) {
-	var res Result
-	o := &p.Opts
+var pairsDerived, pairFallbacks atomic.Int64
 
-	// Base timing configuration: the front-end mode and the block size
-	// (the modeled front end treats the unrolled program as `unroll`
-	// iterations of the basic block).
-	base := machine.Config{ModeledFrontEnd: o.ModeledFrontEnd}
-	if o.ModeledFrontEnd && unroll > 0 {
-		base.LoopBody = len(prog.Insts) / unroll
+// PairCounters counts how profiles took the low unroll factor's timed run.
+type PairCounters struct {
+	// Derived counts low-factor runs derived from the high factor's
+	// scheduling pass (machine.TimeGraphPair).
+	Derived int64
+	// Fallbacks counts low-factor runs timed on their own because the
+	// high pass could not derive them. That takes a high run that missed
+	// in a cache, which acceptance rejects before the low factor is
+	// measured, so this stays 0 while that rule holds.
+	Fallbacks int64
+}
+
+// PairStats returns the process-wide pair counters.
+func PairStats() PairCounters {
+	return PairCounters{Derived: pairsDerived.Load(), Fallbacks: pairFallbacks.Load()}
+}
+
+// timing is the base timing configuration for a block of n instructions:
+// the front-end mode and, for the modeled front end, the loop body (an
+// unrolled program is unroll iterations of the block).
+func (p *Profiler) timing(n int) machine.Config {
+	base := machine.Config{ModeledFrontEnd: p.Opts.ModeledFrontEnd}
+	if p.Opts.ModeledFrontEnd {
+		base.LoopBody = n
 	}
+	return base
+}
 
-	rng := sampleRNG(unrollSeed(seed, unroll))
-	if o.RealSampleNoise {
-		// Only the fully-faithful mode consumes the machine RNG (for
-		// interrupt arrivals); seeding it otherwise is wasted work.
-		m.Rand = rand.New(rand.NewSource(int64(rng.next())))
+// measure runs the measurement protocol on the high-factor program of an
+// n-instruction block and, with derived throughput, on its low-factor
+// prefix; the low result is zero unless the high one is accepted. The
+// program's pages are already mapped (profile's monitored pass), its
+// trace is already known (deterministic execution — the trace doubles as
+// the timed run's), and its dependence graph is already built.
+//
+// One scheduling pass times both factors: the low program is a prefix of
+// the high one, so its timed run is derived from the high run
+// (machine.TimeGraphPair). The derivation holds when the high run hits in
+// both caches, which is also when it can be accepted; otherwise the low
+// factor is measured on its own, as the protocol states it.
+func (p *Profiler) measure(m *machine.Machine, prog *machine.Program, g *pipeline.Graph, steps []exec.Step, n, lo, hi int, seed int64) (cHi uint64, rHi Result, cLo uint64, rLo Result) {
+	base := p.timing(n)
+	nLo := 0
+	if p.Opts.DerivedThroughput {
+		nLo = n * lo
 	}
 
 	// Warm-up: all memory accesses made by the basic block are legal and
@@ -604,10 +623,55 @@ func (p *Profiler) measureOn(m *machine.Machine, prog *machine.Program, g *pipel
 	// matters here, so the warm-up touches lines directly rather than
 	// paying for a full pipeline simulation.
 	m.WarmCaches(prog, steps)
+	ctrHi, ctrLo, derived := m.TimeGraphPair(g, nLo, base)
+	cHi, rHi = p.accept(m, g, base, ctrHi, hi, seed)
+	if rHi.Status != StatusOK || nLo == 0 {
+		return cHi, rHi, 0, Result{}
+	}
 
-	// Timed run.
-	ctr := m.TimeGraph(g, base)
+	// The low measurement reuses the machine: its page working set is a
+	// subset of the high run's (same code prefix, same initial state), so
+	// the mapping is already in place.
+	gLo := g.Slice(nLo)
+	if !derived {
+		pairFallbacks.Add(1)
+		cLo, rLo = p.measureOn(m, prog.Slice(nLo), &gLo, steps[:nLo], lo, seed)
+		return cHi, rHi, cLo, rLo
+	}
+	pairsDerived.Add(1)
+	if p.Opts.RealSampleNoise {
+		// The noisy samples start from the cache state the high
+		// samples left, which their context switches may have flushed:
+		// re-establish the low program's resident set first. Without
+		// them nothing reads the caches again.
+		m.WarmCaches(prog.Slice(nLo), steps[:nLo])
+	}
+	cLo, rLo = p.accept(m, &gLo, base, ctrLo, lo, seed)
+	return cHi, rHi, cLo, rLo
+}
+
+// measureOn runs the measurement protocol for one unrolled program on its
+// own: the warm-up walk, the timed run, then acceptance.
+func (p *Profiler) measureOn(m *machine.Machine, prog *machine.Program, g *pipeline.Graph, steps []exec.Step, unroll int, seed int64) (uint64, Result) {
+	base := p.timing(len(prog.Insts) / unroll)
+	m.WarmCaches(prog, steps)
+	return p.accept(m, g, base, m.TimeGraph(g, base), unroll, seed)
+}
+
+// accept applies the acceptance half of the protocol to one unrolled
+// program's timed run ctr: the sample check, then the modeling
+// assumptions. It returns the cycle count to use and the verdict.
+func (p *Profiler) accept(m *machine.Machine, g *pipeline.Graph, base machine.Config, ctr pipeline.Counters, unroll int, seed int64) (uint64, Result) {
+	var res Result
+	o := &p.Opts
 	res.Counters = ctr
+
+	rng := sampleRNG(unrollSeed(seed, unroll))
+	if o.RealSampleNoise {
+		// Only the fully-faithful mode consumes the machine RNG (for
+		// interrupt arrivals); seeding it otherwise is wasted work.
+		m.Rand = rand.New(rand.NewSource(int64(rng.next())))
+	}
 
 	// Sample acceptance. The paper times each unrolled block 16 times and
 	// requires at least 8 clean, identical timings.
@@ -691,10 +755,7 @@ func (p *Profiler) MeasureRaw(b *x86.Block, unroll int) (pipeline.Counters, erro
 	}
 	m, prog, steps := sc.m, pass.Prog, pass.Steps
 	g := m.PrepareGraph(prog, steps)
-	base := machine.Config{ModeledFrontEnd: o.ModeledFrontEnd}
-	if o.ModeledFrontEnd {
-		base.LoopBody = len(b.Insts)
-	}
+	base := p.timing(len(b.Insts))
 	m.TimeGraph(g, base) // warm-up
 	return m.TimeGraph(g, base), nil
 }
