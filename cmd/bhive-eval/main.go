@@ -34,7 +34,6 @@ import (
 	"bhive/internal/memo"
 	"bhive/internal/models"
 	"bhive/internal/profcache"
-	"bhive/internal/profiler"
 )
 
 func main() {
@@ -234,13 +233,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	if *progress {
-		m, sc, ps := memo.Stats(), models.SchedStats(), profiler.PairStats()
+		m, sc := memo.Stats(), models.SchedStats()
 		fmt.Fprintf(stderr, "bhive-eval: memo insts=%d prepared=%d misses=%d uncacheable=%d  "+
-			"model scheduler in-order=%d occupancy-fallbacks=%d other-fallbacks=%d long-prologue-copies=%d  "+
-			"unroll pairs derived=%d fallbacks=%d\n",
+			"model scheduler in-order=%d occupancy-fallbacks=%d other-fallbacks=%d long-prologue-copies=%d\n",
 			m.Insts, m.Prepared, m.Misses, m.Uncacheable,
-			sc.InOrder, sc.OccupancyFallbacks, sc.OtherFallbacks, sc.LongPrologue,
-			ps.Derived, ps.Fallbacks)
+			sc.InOrder, sc.OccupancyFallbacks, sc.OtherFallbacks, sc.LongPrologue)
 	}
 
 	if *memProf != "" {

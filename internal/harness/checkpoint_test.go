@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"bhive/internal/profiler"
 	"bhive/internal/uarch"
 )
 
@@ -320,6 +321,92 @@ func TestResumeAfterInterrupt(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsMalformedMeasShard: a journaled measurement shard whose
+// status array is short, or holds a status outside the profiler's range,
+// is not resumed. The run re-profiles that shard and still produces the
+// uninterrupted output.
+func TestResumeRejectsMalformedMeasShard(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scale = 0.002
+	cfg.ShardSize = 64
+	cfg.Workers = 4
+	ref, err := New(cfg).Run("table5", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		status func(n int) []int
+	}{
+		{"short status", func(int) []int { return []int{0} }},
+		{"status out of range", func(n int) []int {
+			st := make([]int, n)
+			st[n/2] = profiler.NumStatus
+			return st
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cfg
+			cfg.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
+			cfg.StopAfterShards = 1
+			s1 := New(cfg)
+			if _, err := s1.Run("table5", ""); !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("want ErrInterrupted, got %v", err)
+			}
+			if err := s1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Journal a malformed measurement shard 1 for the µarch whose
+			// shard 0 the interrupted run completed.
+			raw, err := os.ReadFile(cfg.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+			if len(lines) != 2 {
+				t.Fatalf("interrupted journal has %d lines, want a header and one shard", len(lines))
+			}
+			var first ckptLine
+			if err := json.Unmarshal([]byte(lines[1]), &first); err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := s1.ShardRange(1)
+			bad, err := json.Marshal(ckptLine{Arch: first.Arch, Shard: 1, Stage: "meas",
+				Tp: make([]float64, hi-lo), Status: tc.status(hi - lo)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(cfg.CheckpointPath, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(append(bad, '\n')); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg.StopAfterShards = 0
+			s2 := New(cfg)
+			defer s2.Close()
+			got, err := s2.Run("table5", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != ref {
+				t.Fatalf("resumed output diverged.\n--- resumed ---\n%s\n--- reference ---\n%s", got, ref)
+			}
+			// Only the well-formed shard 0 is resumed.
+			if got, want := s2.profileCalls.Load(), uint64(3*len(s2.recs)-cfg.ShardSize); got != want {
+				t.Fatalf("resumed run profiled %d blocks, want %d (malformed shard resumed?)", got, want)
+			}
+		})
+	}
+}
+
 // TestResumeMatchesGolden is the acceptance check from the issue: an
 // interrupted table5 run at the golden configuration (seed 7, scale
 // 0.02), resumed from its checkpoint, must be byte-identical to
@@ -478,4 +565,59 @@ func TestNaNFloatRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzCheckpointLoad feeds arbitrary bytes to the journal loader. Any input
+// must yield an error or (ok, validLen) with validLen within the input and
+// on a line boundary, never a panic, and every entry it loads must be safe
+// to validate with measComplete before a resume trusts it.
+func FuzzCheckpointLoad(f *testing.F) {
+	journal := strings.Join([]string{
+		`{"Version":1,"Fingerprint":"fp","ShardSize":4}`,
+		`{"Arch":"haswell","Shard":0,"Stage":"meas","Tp":[1,2.5,0,3],"Status":[0,0,1,0]}`,
+		`{"Arch":"haswell","Shard":0,"Stage":"pred","Preds":{"IACA":[1.1,null,2,3]}}`,
+		`{"Arch":"skylake","Shard":1,"Stage":"meas","Tp":[1,2],"Status":[0,99]}`,
+		`{"Arch":"skylake","Shard":2,"Stage":"meas","Tp":[1,2,3,4],"Status":[0]}`,
+		``,
+	}, "\n")
+	for i := 0; i <= len(journal); i++ {
+		if i == len(journal) || i%11 == 0 || journal[i] == '\n' {
+			f.Add([]byte(journal[:i]))
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		c := &Checkpoint{shards: make(map[shardKey]*ShardEntry)}
+		ok, validLen, err := c.load(raw, "fp", 4)
+		if err != nil {
+			return
+		}
+		if validLen < 0 || validLen > int64(len(raw)) {
+			t.Fatalf("validLen %d outside [0, %d]", validLen, len(raw))
+		}
+		if !ok {
+			if validLen != 0 || len(c.shards) != 0 {
+				t.Fatalf("restart kept %d bytes and %d shards", validLen, len(c.shards))
+			}
+			return
+		}
+		if validLen == 0 || raw[validLen-1] != '\n' {
+			t.Fatalf("validLen %d is not at a line boundary", validLen)
+		}
+		for k, e := range c.shards {
+			for _, n := range []int{0, 1, 4, len(e.Tp), len(e.Status)} {
+				if !measComplete(*e, n) {
+					continue
+				}
+				if len(e.Status) != n || len(e.Tp) != n {
+					t.Fatalf("shard %v: measComplete accepted %d records from %d throughputs and %d statuses",
+						k, n, len(e.Tp), len(e.Status))
+				}
+				for _, st := range e.Status {
+					if st < 0 || st >= profiler.NumStatus {
+						t.Fatalf("shard %v: measComplete accepted status %d", k, st)
+					}
+				}
+			}
+		}
+	})
 }

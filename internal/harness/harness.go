@@ -286,7 +286,7 @@ func (s *Suite) resumedRecords(ck *Checkpoint, arch string) int {
 	resumed := 0
 	for si := 0; si < s.numShards(n); si++ {
 		lo, hi := s.shardBounds(si, n)
-		if sh, ok := ck.Shard(arch, si); ok && sh.MeasDone && len(sh.Tp) == hi-lo {
+		if sh, ok := ck.Shard(arch, si); ok && measComplete(sh, hi-lo) {
 			resumed += hi - lo
 		}
 	}
@@ -462,7 +462,7 @@ func (s *Suite) computeArch(cpu *uarch.CPU) (*archData, error) {
 	for si := 0; si < num; si++ {
 		lo, hi := s.shardBounds(si, n)
 		if ck != nil {
-			if sh, ok := ck.Shard(cpu.Name, si); ok && sh.MeasDone && len(sh.Tp) == hi-lo {
+			if sh, ok := ck.Shard(cpu.Name, si); ok && measComplete(sh, hi-lo) {
 				for i := lo; i < hi; i++ {
 					d.meas[i] = measurement{tp: sh.Tp[i-lo], status: profiler.Status(sh.Status[i-lo])}
 				}
@@ -577,6 +577,22 @@ func (s *Suite) aggregateShard(d *archData, lo, hi int) {
 			d.tau[name].Add(p, d.meas[i].tp)
 		}
 	}
+}
+
+// measComplete reports whether a checkpointed shard entry holds a
+// completed measurement stage for n records: throughputs and statuses
+// both of length n, every status a known profiler.Status. A shard that
+// fails it is re-profiled instead of resumed.
+func measComplete(e ShardEntry, n int) bool {
+	if !e.MeasDone || len(e.Tp) != n || len(e.Status) != n {
+		return false
+	}
+	for _, st := range e.Status {
+		if st < 0 || st >= profiler.NumStatus {
+			return false
+		}
+	}
+	return true
 }
 
 // predsMatch verifies a checkpointed prediction shard covers exactly the

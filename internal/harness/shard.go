@@ -85,8 +85,7 @@ func (s *Suite) ModelNames(archName string) ([]string, error) {
 // validation computeArch applies before resuming a shard, exposed so a
 // distributed coordinator skips exactly the shards a local run would.
 func ShardComplete(e ShardEntry, names []string, n int) bool {
-	return e.MeasDone && len(e.Tp) == n && len(e.Status) == n &&
-		e.PredDone && predsMatch(e.Preds, names, n)
+	return measComplete(e, n) && e.PredDone && predsMatch(e.Preds, names, n)
 }
 
 // NeedsCorpusData reports whether an experiment id drives the sharded

@@ -98,7 +98,7 @@ func (s *Suite) computeBackendArch(be backend.Backend, cpu *uarch.CPU) ([]measur
 	for si := 0; si < num; si++ {
 		lo, hi := s.shardBounds(si, n)
 		if ck != nil {
-			if sh, ok := ck.Shard(key, si); ok && sh.MeasDone && len(sh.Tp) == hi-lo {
+			if sh, ok := ck.Shard(key, si); ok && measComplete(sh, hi-lo) {
 				for i := lo; i < hi; i++ {
 					meas[i] = measurement{tp: sh.Tp[i-lo], status: profiler.Status(sh.Status[i-lo])}
 				}

@@ -15,11 +15,12 @@ import (
 )
 
 // The differential harness for the two pipeline schedulers: the retained
-// cycle-by-cycle reference loop (Config.Reference) and the default
-// event-driven one. They are required to be bit-identical — same Counters
-// on every run, including cache-state evolution across runs and the
-// context-switch RNG draw sequence. The deterministic tests sweep curated
-// scenarios; FuzzSimulateEquivalence explores random block compositions.
+// cycle-by-cycle reference loop (pipeline.SimulateReference, an oracle
+// only tests call) and the event-driven one every timed run takes. They
+// are required to be bit-identical — same Counters on every run,
+// including cache-state evolution across runs and the context-switch RNG
+// draw sequence. The deterministic tests sweep curated scenarios;
+// FuzzSimulateEquivalence explores random block compositions.
 
 // equivPool is the instruction vocabulary fuzz inputs select from. It is
 // chosen to reach every scheduler feature: dependence chains, zero idioms,
@@ -56,8 +57,8 @@ var equivCPUs = []func() *uarch.CPU{uarch.Haswell, uarch.Skylake, uarch.IvyBridg
 // page mapping, functional execution, then three timing runs (cold, warm,
 // and a third that advances any switch RNG) — on a fresh machine with the
 // chosen scheduler, and returns the counters of every run. The base config
-// carries everything but the scheduler selection (switch injection, the
-// modeled front end). ok is false if the input cannot be prepared or
+// carries switch injection and the front-end mode; reference selects the
+// scheduler. ok is false if the input cannot be prepared or
 // executed; that decision is taken before any timing happens, so it cannot
 // differ between schedulers.
 func equivCounters(cpu *uarch.CPU, insts []x86.Inst, base Config, reference bool) (out [3]pipeline.Counters, ok bool) {
@@ -91,10 +92,15 @@ func equivCounters(cpu *uarch.CPU, insts []x86.Inst, base Config, reference bool
 	if err != nil {
 		return out, false
 	}
-	cfg := base
-	cfg.Reference = reference
+	if reference {
+		for i := range out {
+			out[i] = pipeline.SimulateReference(m.CPU, m.buildItems(p, steps), m.L1I, m.L1D, m.pipelineConfig(base))
+		}
+		return out, true
+	}
+	g := m.PrepareGraph(p, steps)
 	for i := range out {
-		out[i] = m.Time(p, steps, cfg)
+		out[i] = m.TimeGraph(g, base)
 	}
 	return out, true
 }
@@ -192,9 +198,10 @@ func TestSimulateEquivalenceCorpus(t *testing.T) {
 		Config{ModeledFrontEnd: true, LoopBody: len(block)})
 }
 
-// TestTimeGraphMatchesTime pins the prepare-once graph path: timing through
-// PrepareGraph/TimeGraph — including prefix slices, as the profiler's
-// hi→lo derivation uses them — must equal the item-based Time path.
+// TestTimeGraphMatchesTime pins the prefix view the profiler's hi→lo
+// derivation relies on: a graph prepared from the sliced program and its
+// trace prefix must time exactly as a prefix view of the whole program's
+// prepared graph.
 func TestTimeGraphMatchesTime(t *testing.T) {
 	cpu := uarch.Haswell()
 	text := "add rdi, 1\nmov eax, edx\nshr rdx, 8\nmovzx eax, al\nxor rdx, qword ptr [rax*8+0x4110a]\ncmp rcx, rdi"
@@ -237,9 +244,10 @@ func TestTimeGraphMatchesTime(t *testing.T) {
 
 	for _, slice := range []int{16 * n, 5 * n} {
 		mA, pA, stepsA := setup()
+		gA := mA.PrepareGraph(pA.Slice(slice), stepsA[:slice])
 		want := [2]pipeline.Counters{
-			mA.Time(pA.Slice(slice), stepsA[:slice], Config{}),
-			mA.Time(pA.Slice(slice), stepsA[:slice], Config{}),
+			mA.TimeGraph(gA, Config{}),
+			mA.TimeGraph(gA, Config{}),
 		}
 		mB, pB, stepsB := setup()
 		g := mB.PrepareGraph(pB, stepsB).Slice(slice)
@@ -248,7 +256,7 @@ func TestTimeGraphMatchesTime(t *testing.T) {
 			mB.TimeGraph(&g, Config{}),
 		}
 		if got != want {
-			t.Errorf("slice %d: TimeGraph %+v != Time %+v", slice, got, want)
+			t.Errorf("slice %d: prefix view %+v != sliced program %+v", slice, got, want)
 		}
 	}
 }

@@ -31,25 +31,31 @@ type Machine struct {
 	codeFrames []*vm.PhysPage // frames backing the code mapping
 	codeLen    int
 
-	// Scratch buffers recycled across Prepare/Execute/Time calls.
+	// Scratch buffers recycled across Prepare/Execute/PrepareGraph calls.
 	trace []exec.Step
 	acc   []exec.MemAccess
 	items []pipeline.Item
 	code  []byte
 	graph pipeline.Graph
 	prog  Program
-	pis   []*memo.PreparedInst
 }
 
 // New builds a machine for the given microarchitecture.
 func New(cpu *uarch.CPU, seed int64) *Machine {
 	m := &Machine{CPU: cpu, Rand: rand.New(rand.NewSource(seed))}
-	m.ResetMemory()
+	m.Reset()
 	return m
 }
 
-// ResetMemory discards the address space and cold-resets both caches.
-func (m *Machine) ResetMemory() {
+// Reset returns the machine to the state a fresh New would produce,
+// recycling every allocation: it discards the address space and
+// cold-resets both caches. A reset machine is measurement-identical to a
+// fresh one: the address space restarts frame numbering and both caches
+// cold-reset including their LRU clocks. The RNG is deliberately left
+// untouched — deterministic timing never consumes it, and reseeding
+// math/rand's 607-word state costs more than the rest of Reset combined.
+// Callers using the noisy timing mode must reseed Rand themselves.
+func (m *Machine) Reset() {
 	if m.AS == nil {
 		m.AS = vm.New()
 		m.L1I = cache.New(m.CPU.L1ISize, m.CPU.L1Assoc, m.CPU.LineSize)
@@ -61,17 +67,6 @@ func (m *Machine) ResetMemory() {
 	}
 	m.codeFrames = m.codeFrames[:0]
 	m.codeLen = 0
-}
-
-// Reset returns the machine to the state a fresh New would produce,
-// recycling every allocation. A reset machine is measurement-identical to
-// a fresh one: the address space restarts frame numbering and both caches
-// cold-reset including their LRU clocks. The RNG is deliberately left
-// untouched — deterministic timing never consumes it, and reseeding
-// math/rand's 607-word state costs more than the rest of Reset combined.
-// Callers using the noisy timing mode must reseed Rand themselves.
-func (m *Machine) Reset() {
-	m.ResetMemory()
 }
 
 // WarmCaches touches every instruction and data cache line the trace
@@ -89,12 +84,11 @@ func (m *Machine) WarmCaches(p *Program, steps []exec.Step) {
 	)
 	for i := range steps {
 		st := &steps[i]
-		idx := i % len(p.Insts)
-		va := p.Addrs[idx]
+		va, size := p.Addrs[i], int(p.Addrs[i+1]-p.Addrs[i])
 		if base := va & vm.PageMask; havePage && base == pageBase {
-			m.L1I.AccessRange(pagePhys+(va-base), p.Lens[idx])
+			m.L1I.AccessRange(pagePhys+(va-base), size)
 		} else if _, phys, ok := m.AS.Translate(va); ok {
-			m.L1I.AccessRange(phys, p.Lens[idx])
+			m.L1I.AccessRange(phys, size)
 			havePage, pageBase, pagePhys = true, base, phys-(va-base)
 		}
 		if st.Load != nil {
@@ -111,20 +105,15 @@ func (m *Machine) WarmCaches(p *Program, steps []exec.Step) {
 type Program struct {
 	Insts []x86.Inst
 	// Addrs has len(Insts)+1 entries: each instruction's virtual address
-	// and the end address.
+	// and the end address. Instruction i's code length is
+	// Addrs[i+1]-Addrs[i].
 	Addrs []uint64
-	Lens  []int
-	Descs []uarch.Desc
-	// LCPs marks instructions whose encoding carries a length-changing
-	// prefix (x86.LengthChangingPrefix), for the modeled front end.
-	LCPs []bool
 
-	// Register-use sets per instruction, precomputed at Prepare time so
-	// timing runs do not re-derive them per dynamic instruction. The
-	// slices are shared memo entries — read-only.
-	AddrReads [][]uint8
-	DataReads [][]uint8
-	Writes    [][]uint8
+	// entries are the resolved memo entries of the repeated block (its
+	// description, length-changing-prefix flag and register-use sets,
+	// shared and read-only): instruction i is a copy of
+	// entries[i%len(entries)].
+	entries []*memo.PreparedInst
 }
 
 // CodeSize returns the program's encoded size in bytes — what determines
@@ -139,16 +128,7 @@ func (p *Program) CodeSize() int {
 // the underlying code mapping stays valid because the prefix occupies the
 // same addresses.
 func (p *Program) Slice(n int) *Program {
-	return &Program{
-		Insts:     p.Insts[:n],
-		Addrs:     p.Addrs[:n+1],
-		Lens:      p.Lens[:n],
-		Descs:     p.Descs[:n],
-		LCPs:      p.LCPs[:n],
-		AddrReads: p.AddrReads[:n],
-		DataReads: p.DataReads[:n],
-		Writes:    p.Writes[:n],
-	}
+	return &Program{Insts: p.Insts[:n], Addrs: p.Addrs[:n+1], entries: p.entries}
 }
 
 // Prepare encodes insts, maps the code pages (each to its own physical
@@ -162,9 +142,9 @@ func (m *Machine) Prepare(insts []x86.Inst) (*Program, error) {
 // PrepareUnrolled is Prepare for a program that repeats its first n
 // instructions (an unrolled basic block): encoding, description and
 // register-set lookups run once per distinct instruction — a single
-// combined memo hit each — and the results are replicated across the
-// copies, so preparing a 50× unroll costs the same lookups as preparing
-// the block itself.
+// combined memo hit each — and the program keeps those n entries, so
+// preparing a 50× unroll costs the same lookups as preparing the block
+// itself and only the addresses and code bytes grow with the unroll.
 //
 // The returned Program and its arrays are owned by the machine and remain
 // valid until the next Prepare/PrepareUnrolled call on it (prefix views
@@ -178,40 +158,27 @@ func (m *Machine) PrepareUnrolled(insts []x86.Inst, n int) (*Program, error) {
 
 	// Resolve the n distinct instructions once.
 	arch := memo.For(m.CPU)
-	pis := m.pis[:0]
+	p := &m.prog
+	pis := p.entries[:0]
 	for i := 0; i < n; i++ {
 		pi := arch.Prepared(&insts[i])
 		if pi.Err != nil {
-			m.pis = pis
+			p.entries = pis
 			return nil, pi.Err
 		}
 		pis = append(pis, pi)
 	}
-	m.pis = pis
-
-	p := &m.prog
+	p.entries = pis
 	p.Insts = insts
 	p.Addrs = p.Addrs[:0]
-	p.Lens = p.Lens[:0]
-	p.Descs = p.Descs[:0]
-	p.LCPs = p.LCPs[:0]
-	p.AddrReads = p.AddrReads[:0]
-	p.DataReads = p.DataReads[:0]
-	p.Writes = p.Writes[:0]
 
 	addr := uint64(CodeBase)
 	code := m.code[:0]
 	for i := 0; i < total; i++ {
-		pi := pis[i%n]
+		raw := pis[i%n].Raw
 		p.Addrs = append(p.Addrs, addr)
-		p.Lens = append(p.Lens, len(pi.Raw))
-		p.Descs = append(p.Descs, pi.Desc)
-		p.LCPs = append(p.LCPs, pi.LCP)
-		p.AddrReads = append(p.AddrReads, pi.Addr)
-		p.DataReads = append(p.DataReads, pi.Data)
-		p.Writes = append(p.Writes, pi.Writes)
-		addr += uint64(len(pi.Raw))
-		code = append(code, pi.Raw...)
+		addr += uint64(len(raw))
+		code = append(code, raw...)
 	}
 	p.Addrs = append(p.Addrs, addr)
 	m.code = code
@@ -274,9 +241,6 @@ type Config struct {
 	SwitchRate float64
 	// SwitchCost is the cycle cost of one context switch.
 	SwitchCost uint64
-	// Reference selects the pipeline's retained cycle-by-cycle scheduler
-	// instead of the event-driven one (differential testing only).
-	Reference bool
 	// ModeledFrontEnd selects the uiCA-style decoded front end
 	// (pipeline.Config.ModeledFrontEnd); LoopBody is its iteration length
 	// in instructions (the basic-block size of an unrolled program).
@@ -288,7 +252,6 @@ func (m *Machine) pipelineConfig(cfg Config) pipeline.Config {
 	pcfg := pipeline.Config{
 		SwitchRate:      cfg.SwitchRate,
 		SwitchCost:      cfg.SwitchCost,
-		Reference:       cfg.Reference,
 		ModeledFrontEnd: cfg.ModeledFrontEnd,
 		LoopBody:        cfg.LoopBody,
 	}
@@ -298,16 +261,9 @@ func (m *Machine) pipelineConfig(cfg Config) pipeline.Config {
 	return pcfg
 }
 
-// Time runs the cycle-level model over a completed trace and returns the
-// performance counters. Cache state persists across calls; use warm-up
-// runs deliberately, as the measurement protocol does.
-func (m *Machine) Time(p *Program, steps []exec.Step, cfg Config) pipeline.Counters {
-	items := m.buildItems(p, steps)
-	return pipeline.Simulate(m.CPU, items, m.L1I, m.L1D, m.pipelineConfig(cfg))
-}
-
 // PrepareGraph builds the µop dependence graph for a completed trace once,
-// for reuse across many TimeGraph calls. The graph is owned by the machine
+// for reuse across many TimeGraph calls: it is the one route from a trace
+// to the timing model. The graph is owned by the machine
 // and valid until the next PrepareGraph call; prefix views for sliced
 // programs come from Graph.Slice or, timed in the same pass, from
 // TimeGraphPair. The trace itself may be released after
@@ -318,27 +274,26 @@ func (m *Machine) PrepareGraph(p *Program, steps []exec.Step) *pipeline.Graph {
 	return &m.graph
 }
 
-// TimeGraph is Time over a prebuilt dependence graph: the per-run cost is
-// the scheduling loop alone. Cache state persists across calls exactly as
-// with Time. Reference is not honored here — the reference scheduler
-// consumes items, not graphs; differential tests go through Time.
+// TimeGraph runs the cycle-level model over a prebuilt dependence graph
+// and returns the performance counters; the per-run cost is the scheduling
+// loop alone. Cache state persists across calls; use warm-up runs
+// deliberately, as the measurement protocol does.
 func (m *Machine) TimeGraph(g *pipeline.Graph, cfg Config) pipeline.Counters {
 	return pipeline.SimulateGraph(m.CPU, g, m.L1I, m.L1D, m.pipelineConfig(cfg))
 }
 
 // TimeGraphPair is TimeGraph for g and, from the same scheduling pass,
 // for its prefix g.Slice(nLo): the profiler's two unroll factors in one
-// run (pipeline.SimulateGraphPair). When ok is false — the run missed in
-// a cache, cfg injects context switches, or nLo is not a proper prefix —
-// lo is zero and the caller times the prefix itself. Reference is not
-// honored, as with TimeGraph.
+// run (pipeline.SimulateGraphPair). ok is false, and lo zero, when the
+// run missed in a cache, cfg injects context switches, or nLo is not a
+// proper prefix.
 func (m *Machine) TimeGraphPair(g *pipeline.Graph, nLo int, cfg Config) (hi, lo pipeline.Counters, ok bool) {
 	return pipeline.SimulateGraphPair(m.CPU, g, nLo, m.L1I, m.L1D, m.pipelineConfig(cfg))
 }
 
 // buildItems converts the functional trace into timed pipeline items. The
-// returned slice aliases a machine-owned scratch buffer reused across Time
-// calls.
+// returned slice aliases a machine-owned scratch buffer reused across
+// PrepareGraph calls.
 func (m *Machine) buildItems(p *Program, steps []exec.Step) []pipeline.Item {
 	if cap(m.items) < len(steps) {
 		m.items = make([]pipeline.Item, len(steps))
@@ -351,27 +306,27 @@ func (m *Machine) buildItems(p *Program, steps []exec.Step) []pipeline.Item {
 		pageBase uint64
 		pagePhys uint64
 	)
-	for i := range steps {
+	for i := range steps { // traces are the program in order
 		st := &steps[i]
-		idx := i % len(p.Insts) // traces are the program in order
+		pi := p.entries[i%len(p.entries)]
 		it := &items[i]
-		it.Desc = p.Descs[idx]
+		it.Desc = pi.Desc
 		it.Load = st.Load
 		it.Store = st.Store
 		it.Subnormal = st.Subnormal
-		it.CodeLen = p.Lens[idx]
-		it.LCP = p.LCPs[idx]
+		it.CodeLen = int(p.Addrs[i+1] - p.Addrs[i])
+		it.LCP = pi.LCP
 		it.CodePhys = 0
-		va := p.Addrs[idx]
+		va := p.Addrs[i]
 		if base := va & vm.PageMask; havePage && base == pageBase {
 			it.CodePhys = pagePhys + (va - base)
 		} else if _, phys, ok := m.AS.Translate(va); ok {
 			it.CodePhys = phys
 			havePage, pageBase, pagePhys = true, base, phys-(va-base)
 		}
-		it.AddrReads = p.AddrReads[idx]
-		it.DataReads = p.DataReads[idx]
-		it.Writes = p.Writes[idx]
+		it.AddrReads = pi.Addr
+		it.DataReads = pi.Data
+		it.Writes = pi.Writes
 	}
 	return items
 }

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"bhive/internal/exec"
@@ -55,17 +57,14 @@ func measureTP(t *testing.T, cpu *uarch.CPU, text string, u1, u2 int) float64 {
 			m.AS.Map(f.Addr, frame)
 		}
 
-		// Warm-up run, then the timed run.
+		// Warm-up run, then the timed run, over one graph.
 		steps, err := m.Execute(p, newState())
 		if err != nil {
 			t.Fatalf("post-mapping execute: %v", err)
 		}
-		m.Time(p, steps, Config{})
-		steps, err = m.Execute(p, newState())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctr := m.Time(p, steps, Config{})
+		g := m.PrepareGraph(p, steps)
+		m.TimeGraph(g, Config{})
+		ctr := m.TimeGraph(g, Config{})
 		if ctr.L1DReadMisses+ctr.L1DWriteMisses != 0 {
 			t.Fatalf("unexpected D-cache misses: %+v", ctr)
 		}
@@ -205,16 +204,9 @@ func TestSubnormalPenalty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Time(p, steps, Config{})
-		st2 := &exec.State{FTZ: ftz, DAZ: ftz}
-		st2.InitRegisters(0x12345600)
-		st2.Vec[1] = [32]byte{1}
-		st2.Vec[0] = [32]byte{0, 0, 0x80, 0x3F}
-		steps, err = m.Execute(p, st2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Time(p, steps, Config{}).Cycles
+		g := m.PrepareGraph(p, steps)
+		m.TimeGraph(g, Config{}) // warm-up
+		return m.TimeGraph(g, Config{}).Cycles
 	}
 	slow, fast := run(false), run(true)
 	if slow < 5*fast {
@@ -252,11 +244,9 @@ func TestICacheOverflowOnLargeUnroll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Time(p, steps, Config{}) // warm-up
-	st2 := &exec.State{FTZ: true, DAZ: true}
-	st2.InitRegisters(0x12345600)
-	steps, _ = m.Execute(p, st2)
-	ctr := m.Time(p, steps, Config{})
+	g := m.PrepareGraph(p, steps)
+	m.TimeGraph(g, Config{}) // warm-up
+	ctr := m.TimeGraph(g, Config{})
 	if ctr.L1IMisses == 0 {
 		t.Fatal("expected steady-state I-cache misses for a 40KB unroll")
 	}
@@ -279,12 +269,13 @@ func TestContextSwitchInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := m.PrepareGraph(p, steps)
 	// A huge switch rate guarantees at least one interrupt.
-	ctr := m.Time(p, steps, Config{SwitchRate: 0.05, SwitchCost: 1000})
+	ctr := m.TimeGraph(g, Config{SwitchRate: 0.05, SwitchCost: 1000})
 	if ctr.ContextSwitches == 0 {
 		t.Fatal("expected injected context switches")
 	}
-	quiet := m.Time(p, steps, Config{})
+	quiet := m.TimeGraph(g, Config{})
 	if quiet.Cycles >= ctr.Cycles {
 		t.Fatal("context switches must inflate the cycle count")
 	}
@@ -307,7 +298,7 @@ func TestMisalignedAccessCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctr := m.Time(p, steps, Config{})
+	ctr := m.TimeGraph(m.PrepareGraph(p, steps), Config{})
 	if ctr.MisalignedLoads == 0 {
 		t.Fatal("line-crossing load must bump the misaligned counter")
 	}
@@ -337,9 +328,64 @@ func TestResetAndRemap(t *testing.T) {
 	if m.AS.NumMappings() == 0 {
 		t.Fatal("RemapCode must restore the code pages")
 	}
-	m.ResetMemory()
+	m.Reset()
 	if m.AS.NumMappings() != 0 {
-		t.Fatal("ResetMemory must clear the address space")
+		t.Fatal("Reset must clear the address space")
+	}
+}
+
+// TestPrepareUnrolledItems pins the Program layout: a program prepared
+// with PrepareUnrolled keeps only the block's resolved entries, and must
+// yield the same addresses, timed items and counters as Prepare, which
+// resolves every copy, for whole programs and for Slice cuts that end
+// inside a block copy.
+func TestPrepareUnrolledItems(t *testing.T) {
+	const unroll = 12
+	for _, text := range []string{
+		"add rax, rbx",
+		"mov rcx, qword ptr [rsp+8]\nadd ax, 0x1234\nmov qword ptr [rsp+12], rcx\nxor edx, edx\ndiv ecx",
+		"add rdi, 1\nmov eax, edx\nshr rdx, 8\nmovzx eax, al\nxor rdx, qword ptr [rax*8+0x4110a]\ncmp rcx, rdi",
+	} {
+		block, err := x86.Parse(text, x86.SyntaxAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(block)
+		insts := unrollInsts(block, unroll)
+		mA, pA, stepsA, _, okA := pairSetup(uarch.Skylake(), insts, n)
+		mB, pB, stepsB, _, okB := pairSetup(uarch.Skylake(), insts, len(insts))
+		if !okA || !okB {
+			t.Fatalf("%q does not run", text)
+		}
+		if len(pA.entries) != n || len(pB.entries) != len(insts) {
+			t.Fatalf("%q: %d and %d entries, want %d and %d", text, len(pA.entries), len(pB.entries), n, len(insts))
+		}
+		if !reflect.DeepEqual(pA.Addrs, pB.Addrs) {
+			t.Fatalf("%q: addresses differ", text)
+		}
+		lcp := false
+		for _, k := range []int{len(insts), 5*n + n/2 + 1, 1} {
+			itemsA := mA.buildItems(pA.Slice(k), stepsA[:k])
+			itemsB := mB.buildItems(pB.Slice(k), stepsB[:k])
+			if !reflect.DeepEqual(itemsA, itemsB) {
+				t.Fatalf("%q cut %d: PrepareUnrolled items differ from Prepare's", text, k)
+			}
+			for _, it := range itemsA {
+				lcp = lcp || it.LCP
+			}
+			for _, cfg := range []Config{{}, {ModeledFrontEnd: true, LoopBody: n}} {
+				gA := mA.PrepareGraph(pA.Slice(k), stepsA[:k])
+				gB := mB.PrepareGraph(pB.Slice(k), stepsB[:k])
+				mA.WarmCaches(pA.Slice(k), stepsA[:k])
+				mB.WarmCaches(pB.Slice(k), stepsB[:k])
+				if a, b := mA.TimeGraph(gA, cfg), mB.TimeGraph(gB, cfg); a != b {
+					t.Fatalf("%q cut %d %+v: counters %+v != %+v", text, k, cfg, a, b)
+				}
+			}
+		}
+		if strings.Contains(text, "ax, 0x1234") && !lcp {
+			t.Errorf("%q: no item carries the length-changing prefix", text)
+		}
 	}
 }
 

@@ -6,11 +6,10 @@ import (
 	"bhive/internal/uarch"
 )
 
-// TestSimulateAllocs guards the scratch-arena design: once the pooled
-// scratch has grown to the working-set size, steady-state Simulate calls
-// must not allocate. The budget of 1 absorbs rare pool-miss refills under
-// concurrent GC; the pre-arena implementation allocated ~10 slices per
-// call and trips this immediately.
+// TestSimulateAllocs guards the arena design of the timing route
+// machine.PrepareGraph/TimeGraph takes: once a reused Graph and the pooled
+// scheduler state have grown to the working-set size, rebuilding the
+// graph and scheduling it must not allocate.
 func TestSimulateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -21,14 +20,17 @@ func TestSimulateAllocs(t *testing.T) {
 		items = append(items, aluItem(cpu, []uint8{0, 1}, []uint8{0}, 1))
 	}
 	l1i, l1d := caches(cpu)
-	// Grow the pooled scratch and warm the caches.
-	Simulate(cpu, items, l1i, l1d, Config{})
+	var g Graph
+	// Grow the graph arenas and the pooled state, and warm the caches.
+	g.Build(cpu, items)
+	SimulateGraph(cpu, &g, l1i, l1d, Config{})
 
 	avg := testing.AllocsPerRun(200, func() {
-		Simulate(cpu, items, l1i, l1d, Config{})
+		g.Build(cpu, items)
+		SimulateGraph(cpu, &g, l1i, l1d, Config{})
 	})
-	if avg > 1 {
-		t.Fatalf("Simulate allocates %.1f times per run in steady state; want <= 1", avg)
+	if avg != 0 {
+		t.Fatalf("Build+SimulateGraph allocates %.2f times per run in steady state; want 0", avg)
 	}
 }
 

@@ -91,17 +91,20 @@ func TestSchedulerEquivalenceInPackage(t *testing.T) {
 		}
 		for _, tc := range configs {
 			run := func(reference bool) (Counters, Counters) {
+				sim := simulate
+				if reference {
+					sim = SimulateReference
+				}
 				cfg := tc.cfg
-				cfg.Reference = reference
 				if cfg.SwitchRate > 0 {
 					cfg.Rand = rand.New(rand.NewSource(42))
 				}
 				l1i, l1d := caches(cpu)
-				cold := Simulate(cpu, items, l1i, l1d, cfg)
+				cold := sim(cpu, items, l1i, l1d, cfg)
 				if cfg.SwitchRate > 0 {
 					cfg.Rand = rand.New(rand.NewSource(42))
 				}
-				warm := Simulate(cpu, items, l1i, l1d, cfg)
+				warm := sim(cpu, items, l1i, l1d, cfg)
 				return cold, warm
 			}
 			evCold, evWarm := run(false)
@@ -138,9 +141,9 @@ func TestFullPortMaskEquivalence(t *testing.T) {
 		items = append(items, it)
 	}
 	l1i, l1d := caches(cpu)
-	got := Simulate(cpu, items, l1i, l1d, Config{})
+	got := simulate(cpu, items, l1i, l1d, Config{})
 	l1i, l1d = caches(cpu)
-	want := Simulate(cpu, items, l1i, l1d, Config{Reference: true})
+	want := SimulateReference(cpu, items, l1i, l1d, Config{})
 	if got != want {
 		t.Fatalf("event %+v != reference %+v", got, want)
 	}
@@ -170,7 +173,7 @@ func TestGraphSliceEquivalence(t *testing.T) {
 		l1i, l1d := caches(cpu)
 		got := SimulateGraph(cpu, &sl, l1i, l1d, cfg)
 		l1i2, l1d2 := caches(cpu)
-		want := Simulate(cpu, items[:half], l1i2, l1d2, cfg)
+		want := simulate(cpu, items[:half], l1i2, l1d2, cfg)
 		if got != want {
 			t.Fatalf("modeled=%v: sliced graph %+v != direct %+v",
 				cfg.ModeledFrontEnd, got, want)

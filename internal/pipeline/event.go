@@ -9,13 +9,13 @@ import (
 	"bhive/internal/uarch"
 )
 
-// This file is the event-driven scheduler: the default simulation core.
-// It computes bit-identical Counters to the reference cycle-by-cycle loop
-// in pipeline.go (selected with Config.Reference and cross-checked by
-// FuzzSimulateEquivalence) but replaces the two per-cycle O(state) scans —
-// the reservation-station walk and the retire-readiness walk — with a
-// completion heap plus per-µop dependence counters, and skips runs of
-// cycles in which nothing can happen.
+// This file is the event-driven scheduler: the simulation core every
+// timed run goes through. It computes bit-identical Counters to the
+// reference cycle-by-cycle loop in reference.go (SimulateReference,
+// cross-checked by FuzzSimulateEquivalence) but replaces the two
+// per-cycle O(state) scans — the reservation-station walk and the
+// retire-readiness walk — with a completion heap plus per-µop dependence
+// counters, and skips runs of cycles in which nothing can happen.
 //
 // The determinism argument: every per-cycle decision in the reference loop
 // compares a precomputed threshold against the current cycle — µop
@@ -82,11 +82,12 @@ type eventState struct {
 var eventPool = sync.Pool{New: func() any { return new(eventState) }}
 
 // SimulateGraph times a prebuilt µop graph on the CPU and returns the
-// counters. It is the graph-accepting form of Simulate: the caller builds
-// the Graph once per prepared program and reuses it across warm-up, both
-// unroll factors, and every acceptance sample. l1i and l1d carry cache
-// state across calls exactly as in Simulate. It is SimulateGraphPair
-// with no prefix.
+// counters. The caller builds the Graph once per prepared program and
+// reuses it across warm-up, both unroll factors, and every acceptance
+// sample. l1i and l1d carry cache state across calls (warm-up vs. timed
+// runs). Scheduler state is drawn from an internal pool, making the
+// steady-state path allocation-free (see TestSimulateAllocs). It is
+// SimulateGraphPair with no prefix.
 func SimulateGraph(cpu *uarch.CPU, g *Graph, l1i, l1d *cache.Cache, cfg Config) Counters {
 	hi, _, _ := SimulateGraphPair(cpu, g, 0, l1i, l1d, cfg)
 	return hi

@@ -42,7 +42,7 @@ func runModeledFetch(cpu *uarch.CPU, items []Item, body int) ([]uint64, Counters
 	var ctr Counters
 	ready := make([]uint64, len(items))
 	l1i := cache.New(cpu.L1ISize, cpu.L1Assoc, cpu.LineSize)
-	var s SimScratch
+	var s simScratch
 	modeledFetch(cpu, &s.fe, s.feSource(items), body, l1i, &ctr, ready)
 	return ready, ctr
 }

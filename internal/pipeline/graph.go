@@ -24,13 +24,13 @@ type storeSpec struct {
 // Graph is the prepare-once µop dependence graph of an item sequence: the
 // rename-time analysis (zero idioms, move elimination, register dependence
 // edges, store/load records, subnormal penalties) performed once and
-// shared by every Simulate call over the same prepared program. It is
+// shared by every timed run over the same prepared program. It is
 // immutable after Build; all per-simulation state lives in the scheduler's
 // scratch. A Graph obtained from Slice shares the arenas of its parent —
 // neither may be mutated while the other is in use.
 //
 // The graph mirrors the dependence construction of the reference
-// cycle-by-cycle loop ((*SimScratch).simulate) exactly; the two builds are
+// cycle-by-cycle loop (SimulateReference) exactly; the two builds are
 // deliberately independent so FuzzSimulateEquivalence cross-checks them.
 type Graph struct {
 	numItems  int
@@ -71,9 +71,9 @@ func (g *Graph) NumItems() int { return g.numItems }
 
 // Slice returns a prefix view of the first n items, sharing every arena
 // with g. The view is returned by value, so taking it allocates nothing.
-// The profiler uses it when it has to time the low unroll on its own: the
-// low-factor program is a prefix of the same prepared code, so its
-// dependence graph is a prefix of the same prepared graph.
+// The profiler's noisy samples time the low unroll on it: the low-factor
+// program is a prefix of the same prepared code, so its dependence graph
+// is a prefix of the same prepared graph.
 func (g *Graph) Slice(n int) Graph {
 	if n < 0 || n > g.numItems {
 		n = g.numItems

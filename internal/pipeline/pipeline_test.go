@@ -28,11 +28,19 @@ func aluItem(cpu *uarch.CPU, reads, writes []uint8, lat uint8) Item {
 	}
 }
 
+// simulate builds the items' graph and times it once: the route every
+// timed run takes.
+func simulate(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cache, cfg Config) Counters {
+	var g Graph
+	g.Build(cpu, items)
+	return SimulateGraph(cpu, &g, l1i, l1d, cfg)
+}
+
 func run(cpu *uarch.CPU, items []Item) Counters {
 	l1i, l1d := caches(cpu)
 	// Warm-up, then the measured pass, like the profiler does.
-	Simulate(cpu, items, l1i, l1d, Config{})
-	return Simulate(cpu, items, l1i, l1d, Config{})
+	simulate(cpu, items, l1i, l1d, Config{})
+	return simulate(cpu, items, l1i, l1d, Config{})
 }
 
 func TestDependentChainLatency(t *testing.T) {
@@ -176,7 +184,7 @@ func TestStoreLoadForwarding(t *testing.T) {
 	}
 	// All loads forwarded: no cache read misses even on a cold D-cache.
 	l1i, l1d := caches(cpu)
-	cold := Simulate(cpu, items, l1i, l1d, Config{})
+	cold := simulate(cpu, items, l1i, l1d, Config{})
 	if cold.L1DReadMisses != 0 {
 		t.Fatalf("forwarded loads must not touch the cache: %d misses", cold.L1DReadMisses)
 	}
@@ -222,7 +230,7 @@ func TestContextSwitchFlushesCaches(t *testing.T) {
 		items = append(items, aluItem(cpu, []uint8{0}, []uint8{0}, 1))
 	}
 	l1i, l1d := caches(cpu)
-	ctr := Simulate(cpu, items, l1i, l1d, Config{
+	ctr := simulate(cpu, items, l1i, l1d, Config{
 		SwitchRate: 0.01, SwitchCost: 500, Rand: rand.New(rand.NewSource(1)),
 	})
 	if ctr.ContextSwitches == 0 {
@@ -242,11 +250,11 @@ func TestFetchStallsOnColdICache(t *testing.T) {
 		items = append(items, it)
 	}
 	l1i, l1d := caches(cpu)
-	cold := Simulate(cpu, items, l1i, l1d, Config{})
+	cold := simulate(cpu, items, l1i, l1d, Config{})
 	if cold.L1IMisses == 0 {
 		t.Fatal("cold I-cache must miss")
 	}
-	warm := Simulate(cpu, items, l1i, l1d, Config{})
+	warm := simulate(cpu, items, l1i, l1d, Config{})
 	if warm.L1IMisses != 0 {
 		t.Fatalf("warm I-cache must hit: %d misses", warm.L1IMisses)
 	}
@@ -258,12 +266,12 @@ func TestFetchStallsOnColdICache(t *testing.T) {
 func TestEmptyAndCounters(t *testing.T) {
 	cpu := uarch.Haswell()
 	l1i, l1d := caches(cpu)
-	ctr := Simulate(cpu, nil, l1i, l1d, Config{})
+	ctr := simulate(cpu, nil, l1i, l1d, Config{})
 	if ctr.Cycles != 0 || ctr.Instructions != 0 {
 		t.Fatal("empty input")
 	}
 	items := []Item{aluItem(cpu, nil, []uint8{0}, 1)}
-	ctr = Simulate(cpu, items, l1i, l1d, Config{})
+	ctr = simulate(cpu, items, l1i, l1d, Config{})
 	if ctr.Instructions != 1 || ctr.Uops != 1 {
 		t.Fatalf("counters: %+v", ctr)
 	}

@@ -111,14 +111,9 @@ func runCycles(cpu *uarch.CPU, insts []x86.Inst, unroll int) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		m.Time(prog, steps, machine.Config{})
-		st2 := &exec.State{FTZ: true, DAZ: true}
-		st2.InitRegisters(0x12345600)
-		steps, err = m.Execute(prog, st2)
-		if err != nil {
-			return 0, err
-		}
-		return m.Time(prog, steps, machine.Config{}).Cycles, nil
+		g := m.PrepareGraph(prog, steps)
+		m.TimeGraph(g, machine.Config{}) // warm-up
+		return m.TimeGraph(g, machine.Config{}).Cycles, nil
 	}
 	c1, err := measure(unroll)
 	if err != nil {

@@ -104,14 +104,9 @@ func Infer(cpu *uarch.CPU, template x86.Inst) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	m.Time(prog, steps, machine.Config{}) // warm-up
-	st2 := &exec.State{FTZ: true, DAZ: true}
-	st2.InitRegisters(0x12345600)
-	steps, err = m.Execute(prog, st2)
-	if err != nil {
-		return Result{}, err
-	}
-	ctr := m.Time(prog, steps, machine.Config{})
+	g := m.PrepareGraph(prog, steps)
+	m.TimeGraph(g, machine.Config{}) // warm-up
+	ctr := m.TimeGraph(g, machine.Config{})
 
 	var total uint64
 	for _, c := range ctr.PortUops {

@@ -39,7 +39,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"bhive/internal/exec"
 	"bhive/internal/machine"
@@ -569,25 +568,6 @@ func (p *Profiler) profile(b *x86.Block, seed int64) Result {
 	return res
 }
 
-var pairsDerived, pairFallbacks atomic.Int64
-
-// PairCounters counts how profiles took the low unroll factor's timed run.
-type PairCounters struct {
-	// Derived counts low-factor runs derived from the high factor's
-	// scheduling pass (machine.TimeGraphPair).
-	Derived int64
-	// Fallbacks counts low-factor runs timed on their own because the
-	// high pass could not derive them. That takes a high run that missed
-	// in a cache, which acceptance rejects before the low factor is
-	// measured, so this stays 0 while that rule holds.
-	Fallbacks int64
-}
-
-// PairStats returns the process-wide pair counters.
-func PairStats() PairCounters {
-	return PairCounters{Derived: pairsDerived.Load(), Fallbacks: pairFallbacks.Load()}
-}
-
 // timing is the base timing configuration for a block of n instructions:
 // the front-end mode and, for the modeled front end, the loop body (an
 // unrolled program is unroll iterations of the block).
@@ -608,9 +588,9 @@ func (p *Profiler) timing(n int) machine.Config {
 //
 // One scheduling pass times both factors: the low program is a prefix of
 // the high one, so its timed run is derived from the high run
-// (machine.TimeGraphPair). The derivation holds when the high run hits in
-// both caches, which is also when it can be accepted; otherwise the low
-// factor is measured on its own, as the protocol states it.
+// (machine.TimeGraphPair). The derivation holds whenever the high run can
+// be accepted: acceptance rejects any run that missed in a cache, the
+// base timing injects no context switches, and 0 < nLo < n·hi.
 func (p *Profiler) measure(m *machine.Machine, prog *machine.Program, g *pipeline.Graph, steps []exec.Step, n, lo, hi int, seed int64) (cHi uint64, rHi Result, cLo uint64, rLo Result) {
 	base := p.timing(n)
 	nLo := 0
@@ -629,16 +609,15 @@ func (p *Profiler) measure(m *machine.Machine, prog *machine.Program, g *pipelin
 		return cHi, rHi, 0, Result{}
 	}
 
+	if !derived {
+		panic(fmt.Sprintf("profiler: invariant violated: an accepted high run (%d instructions) did not derive "+
+			"its %d-instruction low run; accepted runs hit in both caches and the base timing injects no "+
+			"context switches", len(steps), nLo))
+	}
 	// The low measurement reuses the machine: its page working set is a
 	// subset of the high run's (same code prefix, same initial state), so
 	// the mapping is already in place.
 	gLo := g.Slice(nLo)
-	if !derived {
-		pairFallbacks.Add(1)
-		cLo, rLo = p.measureOn(m, prog.Slice(nLo), &gLo, steps[:nLo], lo, seed)
-		return cHi, rHi, cLo, rLo
-	}
-	pairsDerived.Add(1)
 	if p.Opts.RealSampleNoise {
 		// The noisy samples start from the cache state the high
 		// samples left, which their context switches may have flushed:
@@ -648,14 +627,6 @@ func (p *Profiler) measure(m *machine.Machine, prog *machine.Program, g *pipelin
 	}
 	cLo, rLo = p.accept(m, &gLo, base, ctrLo, lo, seed)
 	return cHi, rHi, cLo, rLo
-}
-
-// measureOn runs the measurement protocol for one unrolled program on its
-// own: the warm-up walk, the timed run, then acceptance.
-func (p *Profiler) measureOn(m *machine.Machine, prog *machine.Program, g *pipeline.Graph, steps []exec.Step, unroll int, seed int64) (uint64, Result) {
-	base := p.timing(len(prog.Insts) / unroll)
-	m.WarmCaches(prog, steps)
-	return p.accept(m, g, base, m.TimeGraph(g, base), unroll, seed)
 }
 
 // accept applies the acceptance half of the protocol to one unrolled
