@@ -1,8 +1,9 @@
 // Package dist is the distributed-evaluation layer behind bhive-serve's
 // coordinator mode and cmd/bhive-worker: a coordinator splits a job's
 // corpus into shard-range leases, hands them to workers over HTTP, and
-// folds the returned per-shard payloads into the job's checkpoint
-// journal — from which the final tables replay byte-identically to a
+// writes each returned shard — exactly the checkpoint journal line a
+// local run would have written — into the job's journal, from which the
+// final tables and every aggregate replay byte-identically to a
 // single-node run (the journal is the merge point; see internal/harness).
 //
 // The package has two halves: the lease Manager (coordinator-side
@@ -32,7 +33,6 @@ import (
 	"time"
 
 	"bhive/internal/harness"
-	"bhive/internal/stats"
 )
 
 // ShardRef names one unit of leased work: one shard of one
@@ -73,9 +73,10 @@ type JobSpec struct {
 }
 
 // ShardResult is the body of POST /v1/dist/result: one computed shard's
-// per-record data (the journal line the coordinator will write) plus the
-// shard's partial per-model aggregates (merged coordinator-side for live
-// status without re-walking records).
+// per-record data, the journal line the coordinator validates and
+// writes. Aggregates are not shipped; the coordinator folds them when it
+// replays the journal. Unknown fields (such as the "overall" and "tau"
+// aggregates older workers sent) are ignored on decode.
 type ShardResult struct {
 	LeaseID string   `json:"lease_id"`
 	JobID   string   `json:"job_id"`
@@ -85,9 +86,6 @@ type ShardResult struct {
 	Tp     []float64                     `json:"tp"`
 	Status []int                         `json:"status"`
 	Preds  map[string][]harness.NaNFloat `json:"preds"`
-
-	Overall map[string]stats.Running `json:"overall,omitempty"`
-	Tau     map[string]*stats.TauAcc `json:"tau,omitempty"`
 }
 
 // ResultAck is the coordinator's response to a posted shard.

@@ -162,8 +162,6 @@ func (w *Worker) serve(ctx context.Context, lease *Lease) {
 			Tp:      p.Tp,
 			Status:  p.Status,
 			Preds:   harness.ToNaNFloats(p.Preds),
-			Overall: p.Overall,
-			Tau:     p.Tau,
 		}
 		ack, err := w.postResult(ctx, res)
 		if err != nil {

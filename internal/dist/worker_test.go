@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -126,8 +127,22 @@ func TestWorkerLoopAgainstStubCoordinator(t *testing.T) {
 		if len(res.Preds[name]) != hi-lo {
 			t.Fatalf("missing predictions for %s", name)
 		}
-		if agg := res.Overall[name]; agg.N() == 0 {
-			t.Fatalf("empty aggregate for %s", name)
+	}
+	// The posted journal line is the shard a local run computes, bit for
+	// bit (NaN = the model failed on that record).
+	want, err := suite.ComputeShard("haswell", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Tp {
+		if res.Tp[i] != want.Tp[i] || res.Status[i] != want.Status[i] {
+			t.Fatalf("record %d: posted (%v, %d), local (%v, %d)", i, res.Tp[i], res.Status[i], want.Tp[i], want.Status[i])
+		}
+		for _, name := range names {
+			got, exp := float64(res.Preds[name][i]), want.Preds[name][i]
+			if got != exp && !(math.IsNaN(got) && math.IsNaN(exp)) {
+				t.Fatalf("record %d %s: posted %v, local %v", i, name, got, exp)
+			}
 		}
 	}
 	if w.ShardsDone() != 1 {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"bhive/internal/bound"
 	"bhive/internal/profiler"
@@ -117,25 +116,10 @@ func (s *Suite) BoundCheck(cpus []*uarch.CPU) ([]*Table, error) {
 // the second pass cheap when both run).
 func (s *Suite) profileResults(cpu *uarch.CPU) []profiler.Result {
 	out := make([]profiler.Result, len(s.recs))
-	var wg sync.WaitGroup
-	ch := make(chan int, len(s.recs))
-	for i := range s.recs {
-		ch <- i
-	}
-	close(ch)
-	for w := 0; w < s.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := profiler.New(cpu, profiler.DefaultOptions())
-			p.Cache = s.cfg.ProfileCache
-			p.Metrics = s.cfg.Metrics
-			for i := range ch {
-				out[i] = p.Profile(s.recs[i].Block)
-				s.profileCalls.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
+	newProfiler := func() *profiler.Profiler { return s.newProfiler(cpu, profiler.DefaultOptions(), s.cfg.Metrics) }
+	parallel(s, len(s.recs), newProfiler, func(p *profiler.Profiler, i int) {
+		out[i] = p.Profile(s.recs[i].Block)
+		s.profileCalls.Add(1)
+	})
 	return out
 }

@@ -161,13 +161,35 @@ type archData struct {
 	tau     map[string]*stats.TauAcc  // per-model streaming Kendall-tau accumulator
 }
 
-// archOnce singleflights the expensive per-µarch computation: concurrent
-// experiments requesting the same microarchitecture share one profiling
-// pass instead of racing to duplicate it.
-type archOnce struct {
+// onceMap singleflights one expensive computation per key: concurrent
+// callers asking for the same key share a single run and its result.
+// The suite keeps one for the model-evaluation passes (keyed by µarch)
+// and one for the xval measurement passes (keyed by µarch@backend).
+type onceMap[T any] struct {
+	mu sync.Mutex
+	m  map[string]*onceEntry[T]
+}
+
+type onceEntry[T any] struct {
 	once sync.Once
-	d    *archData
+	v    T
 	err  error
+}
+
+// do returns compute's result for key, running compute at most once.
+func (o *onceMap[T]) do(key string, compute func() (T, error)) (T, error) {
+	o.mu.Lock()
+	if o.m == nil {
+		o.m = make(map[string]*onceEntry[T])
+	}
+	e := o.m[key]
+	if e == nil {
+		e = new(onceEntry[T])
+		o.m[key] = e
+	}
+	o.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = compute() })
+	return e.v, e.err
 }
 
 // Suite owns the corpus and caches expensive intermediate results.
@@ -176,10 +198,10 @@ type Suite struct {
 	recs []corpus.Record
 	fp   string // run fingerprint binding checkpoints to this configuration
 
+	arch      onceMap[*archData]     // per-µarch model-evaluation passes
+	bmeas     onceMap[[]measurement] // per-(µarch, backend) xval measurements
 	mu        sync.Mutex
-	arch      map[string]*archOnce
-	bmeas     map[string]*bmeasOnce // per-(µarch, backend) xval measurements
-	defaultBE backend.Backend       // lazily built when Config.Backends is empty
+	defaultBE backend.Backend // lazily built when Config.Backends is empty
 	cls       *classify.Classifier
 	learn     map[string]*ithemal.Model
 	ckpt      *Checkpoint
@@ -210,7 +232,6 @@ func New(cfg Config) *Suite {
 	s := &Suite{
 		cfg:   cfg,
 		recs:  recs,
-		arch:  make(map[string]*archOnce),
 		learn: make(map[string]*ithemal.Model),
 	}
 	if cfg.CheckpointPath != "" {
@@ -328,18 +349,13 @@ func (s *Suite) shardBounds(si, n int) (lo, hi int) {
 // progress stream; the full count is always in the metrics.
 const maxMismatchLines = 20
 
-// profileRange profiles recs into out (parallel index-aligned slices)
-// under the given options, feeding met. With Config.Prescreen, statically
-// rejected blocks are skipped; with Config.Crosscheck, dynamic statuses
-// are validated against the static predictions.
-func (s *Suite) profileRange(cpu *uarch.CPU, opts profiler.Options, recs []corpus.Record, out []measurement, met *profiler.Metrics) {
-	var lint *blocklint.Analyzer
-	if s.cfg.Prescreen || s.cfg.Crosscheck {
-		lint = blocklint.New(cpu, opts)
-	}
+// parallel runs do(st, i) for every i in [0, n) on the suite's worker
+// pool. Each worker builds its own state st with newState (a profiler,
+// say) before it takes indices off a shared channel.
+func parallel[T any](s *Suite, n int, newState func() T, do func(st T, i int)) {
 	var wg sync.WaitGroup
-	ch := make(chan int, len(recs))
-	for i := range recs {
+	ch := make(chan int, n)
+	for i := 0; i < n; i++ {
 		ch <- i
 	}
 	close(ch)
@@ -347,34 +363,66 @@ func (s *Suite) profileRange(cpu *uarch.CPU, opts profiler.Options, recs []corpu
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := profiler.New(cpu, opts)
-			p.Cache = s.cfg.ProfileCache
-			p.Metrics = met
+			st := newState()
 			for i := range ch {
-				var rep *blocklint.Report
-				if lint != nil {
-					rep = lint.Analyze(recs[i].Block)
-					if s.cfg.Prescreen && rep.Rejected() {
-						out[i] = measurement{tp: 0, status: rep.Predicted}
-						met.RecordPrescreened(rep.Predicted)
-						continue
-					}
-				}
-				r := p.Profile(recs[i].Block)
-				out[i] = measurement{tp: r.Throughput, status: r.Status}
-				s.profileCalls.Add(1)
-				if s.cfg.Crosscheck && rep != nil && !rep.Agrees(r.Status) {
-					met.RecordCrosscheckMismatch()
-					if n := s.crossMismatches.Add(1); n <= maxMismatchLines {
-						hexStr, _ := recs[i].Block.Hex()
-						s.progressf("[%s] crosscheck mismatch: %s static=%s(exact=%v) dynamic=%s\n",
-							cpu.Name, hexStr, rep.PredictedName, rep.Exact, r.Status)
-					}
-				}
+				do(st, i)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// measurer measures one block; each pool worker owns one.
+type measurer func(b *x86.Block) measurement
+
+// newProfiler builds one worker's profiler, sharing the suite's profile
+// cache and feeding met.
+func (s *Suite) newProfiler(cpu *uarch.CPU, opts profiler.Options, met *profiler.Metrics) *profiler.Profiler {
+	p := profiler.New(cpu, opts)
+	p.Cache = s.cfg.ProfileCache
+	p.Metrics = met
+	return p
+}
+
+// profileStep is the measure step of the model-evaluation passes: each
+// worker profiles under opts, feeding met. With Config.Prescreen,
+// statically rejected blocks are skipped; with Config.Crosscheck, dynamic
+// statuses are validated against the static predictions.
+func (s *Suite) profileStep(cpu *uarch.CPU, opts profiler.Options, met *profiler.Metrics) func() measurer {
+	var lint *blocklint.Analyzer
+	if s.cfg.Prescreen || s.cfg.Crosscheck {
+		lint = blocklint.New(cpu, opts)
+	}
+	return func() measurer {
+		p := s.newProfiler(cpu, opts, met)
+		return func(b *x86.Block) measurement {
+			var rep *blocklint.Report
+			if lint != nil {
+				rep = lint.Analyze(b)
+				if s.cfg.Prescreen && rep.Rejected() {
+					met.RecordPrescreened(rep.Predicted)
+					return measurement{tp: 0, status: rep.Predicted}
+				}
+			}
+			r := p.Profile(b)
+			s.profileCalls.Add(1)
+			if s.cfg.Crosscheck && rep != nil && !rep.Agrees(r.Status) {
+				met.RecordCrosscheckMismatch()
+				if n := s.crossMismatches.Add(1); n <= maxMismatchLines {
+					hexStr, _ := b.Hex()
+					s.progressf("[%s] crosscheck mismatch: %s static=%s(exact=%v) dynamic=%s\n",
+						cpu.Name, hexStr, rep.PredictedName, rep.Exact, r.Status)
+				}
+			}
+			return measurement{tp: r.Throughput, status: r.Status}
+		}
+	}
+}
+
+// measureInto measures recs into out (index-aligned) on the worker pool,
+// one measurer per worker from step.
+func (s *Suite) measureInto(step func() measurer, recs []corpus.Record, out []measurement) {
+	parallel(s, len(recs), step, func(m measurer, i int) { out[i] = m(recs[i].Block) })
 }
 
 // CrosscheckMismatches reports how many static/dynamic disagreements the
@@ -385,50 +433,96 @@ func (s *Suite) CrosscheckMismatches() uint64 { return s.crossMismatches.Load() 
 // (unsharded: the ablation tables and Google corpora are small).
 func (s *Suite) profileAll(cpu *uarch.CPU, opts profiler.Options, recs []corpus.Record) []measurement {
 	out := make([]measurement, len(recs))
-	s.profileRange(cpu, opts, recs, out, nil)
+	s.measureInto(s.profileStep(cpu, opts, nil), recs, out)
 	return out
 }
 
-// predictRange runs every predictor over recs, writing into d.preds at
-// offset base.
-func (s *Suite) predictRange(preds []models.Predictor, recs []corpus.Record, d *archData, base int) {
-	var wg sync.WaitGroup
-	ch := make(chan int, len(recs))
-	for i := range recs {
-		ch <- i
-	}
-	close(ch)
-	for w := 0; w < s.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				for _, m := range preds {
-					p, err := m.Predict(recs[i].Block)
-					if err != nil {
-						p = math.NaN()
-					}
-					d.preds[m.Name()][base+i] = p
-				}
+// predictRange runs every predictor over recs, writing into out (model
+// name -> index-aligned predictions; NaN = the model failed).
+func (s *Suite) predictRange(preds []models.Predictor, recs []corpus.Record, out map[string][]float64) {
+	parallel(s, len(recs), func() struct{} { return struct{}{} }, func(_ struct{}, i int) {
+		for _, m := range preds {
+			p, err := m.Predict(recs[i].Block)
+			if err != nil {
+				p = math.NaN()
 			}
-		}()
-	}
-	wg.Wait()
+			out[m.Name()][i] = p
+		}
+	})
 }
 
 // data returns (and lazily computes, exactly once per microarchitecture)
 // the measurements and model predictions for one microarchitecture.
 // Concurrent callers share a single computation.
 func (s *Suite) data(cpu *uarch.CPU) (*archData, error) {
-	s.mu.Lock()
-	ao := s.arch[cpu.Name]
-	if ao == nil {
-		ao = new(archOnce)
-		s.arch[cpu.Name] = ao
+	return s.arch.do(cpu.Name, func() (*archData, error) { return s.computeArch(cpu) })
+}
+
+// journalMeas converts measurements into the checkpoint journal's
+// throughput and status columns.
+func journalMeas(meas []measurement) (tp []float64, status []int) {
+	tp = make([]float64, len(meas))
+	status = make([]int, len(meas))
+	for i, m := range meas {
+		tp[i] = m.tp
+		status[i] = int(m.status)
 	}
-	s.mu.Unlock()
-	ao.once.Do(func() { ao.d, ao.err = s.computeArch(cpu) })
-	return ao.d, ao.err
+	return tp, status
+}
+
+// measureShards drives one sharded measurement pass over the corpus,
+// journaled under the checkpoint key key (cpu.Name for model evaluation,
+// cpu.Name@backend for xval): resume completed shards from the
+// checkpoint, measure the rest with step and persist them. met feeds the
+// progress lines' overall rate and ETA; rejects adds each shard's
+// cache-hit rate and reject-status histogram to its line.
+func (s *Suite) measureShards(key string, step func() measurer, met *profiler.Metrics, rejects bool) ([]measurement, error) {
+	ck, err := s.checkpoint()
+	if err != nil {
+		return nil, err
+	}
+	n := len(s.recs)
+	num := s.numShards(n)
+	meas := make([]measurement, n)
+
+	// Register this pass's non-resumed work up front so the per-shard
+	// progress lines can carry an overall rate and time-to-finish;
+	// AddPlanned is a no-op on a nil sink.
+	met.AddPlanned(n - s.resumedRecords(ck, key))
+
+	for si := 0; si < num; si++ {
+		lo, hi := s.shardBounds(si, n)
+		if ck != nil {
+			if sh, ok := ck.Shard(key, si); ok && measComplete(sh, hi-lo) {
+				for i := lo; i < hi; i++ {
+					meas[i] = measurement{tp: sh.Tp[i-lo], status: profiler.Status(sh.Status[i-lo])}
+				}
+				s.progressf("[%s] meas shard %d/%d: %d blocks resumed from checkpoint\n",
+					key, si+1, num, hi-lo)
+				continue
+			}
+		}
+		start := time.Now()
+		before := met.Snapshot()
+		s.measureInto(step, s.recs[lo:hi], meas[lo:hi])
+		if ck != nil {
+			tp, st := journalMeas(meas[lo:hi])
+			if err := ck.PutMeas(key, si, tp, st); err != nil {
+				return nil, err
+			}
+		}
+		line := fmt.Sprintf("[%s] meas shard %d/%d: %d blocks  %.0f blocks/s%s",
+			key, si+1, num, hi-lo, float64(hi-lo)/time.Since(start).Seconds(), etaSuffix(met))
+		if rejects {
+			delta := met.Snapshot().Sub(before)
+			line += fmt.Sprintf("  cache-hit %.1f%%  reject: %s", 100*delta.HitRate(), delta.RejectHistogram())
+		}
+		s.progressf("%s\n", line)
+		if s.spendShard() {
+			return nil, ErrInterrupted
+		}
+	}
+	return meas, nil
 }
 
 // computeArch drives the sharded measurement and prediction pipeline for
@@ -436,81 +530,40 @@ func (s *Suite) data(cpu *uarch.CPU) (*archData, error) {
 // compute and persist the rest, and stream every shard into the
 // incremental aggregators.
 func (s *Suite) computeArch(cpu *uarch.CPU) (*archData, error) {
+	met := s.cfg.Metrics
+	if met == nil {
+		met = new(profiler.Metrics)
+	}
+
+	// Pass 1: measurements, shard by shard.
+	meas, err := s.measureShards(cpu.Name, s.profileStep(cpu, profiler.DefaultOptions(), met), met, true)
+	if err != nil {
+		return nil, err
+	}
 	ck, err := s.checkpoint()
 	if err != nil {
 		return nil, err
 	}
 	n := len(s.recs)
 	num := s.numShards(n)
-
 	d := &archData{
-		meas:    make([]measurement, n),
+		meas:    meas,
 		preds:   make(map[string][]float64),
 		overall: make(map[string]*stats.Running),
 		tau:     make(map[string]*stats.TauAcc),
 	}
-	met := s.cfg.Metrics
-	if met == nil {
-		met = new(profiler.Metrics)
-	}
-
-	// Register this pass's non-resumed work up front so the per-shard
-	// progress lines can carry an overall rate and time-to-finish.
-	met.AddPlanned(n - s.resumedRecords(ck, cpu.Name))
-
-	// Pass 1: measurements, shard by shard.
-	for si := 0; si < num; si++ {
-		lo, hi := s.shardBounds(si, n)
-		if ck != nil {
-			if sh, ok := ck.Shard(cpu.Name, si); ok && measComplete(sh, hi-lo) {
-				for i := lo; i < hi; i++ {
-					d.meas[i] = measurement{tp: sh.Tp[i-lo], status: profiler.Status(sh.Status[i-lo])}
-				}
-				s.progressf("[%s] meas shard %d/%d: %d blocks resumed from checkpoint\n",
-					cpu.Name, si+1, num, hi-lo)
-				continue
-			}
-		}
-		start := time.Now()
-		before := met.Snapshot()
-		s.profileRange(cpu, profiler.DefaultOptions(), s.recs[lo:hi], d.meas[lo:hi], met)
-		if ck != nil {
-			tp := make([]float64, hi-lo)
-			st := make([]int, hi-lo)
-			for i := lo; i < hi; i++ {
-				tp[i-lo] = d.meas[i].tp
-				st[i-lo] = int(d.meas[i].status)
-			}
-			if err := ck.PutMeas(cpu.Name, si, tp, st); err != nil {
-				return nil, err
-			}
-		}
-		delta := met.Snapshot().Sub(before)
-		s.progressf("[%s] meas shard %d/%d: %d blocks  %.0f blocks/s%s  cache-hit %.1f%%  reject: %s\n",
-			cpu.Name, si+1, num, hi-lo,
-			float64(hi-lo)/time.Since(start).Seconds(), etaSuffix(met),
-			100*delta.HitRate(), delta.RejectHistogram())
-		if s.spendShard() {
-			return nil, ErrInterrupted
-		}
-	}
 
 	// Predictors: the analytical models, plus the learned model trained on
 	// the (now complete) measurements.
-	var preds []models.Predictor
-	for _, m := range models.All(cpu) {
-		preds = append(preds, m)
-	}
+	preds := models.All(cpu)
 	if s.cfg.TrainIthemal {
 		preds = append(preds, s.ithemalFor(cpu, d.meas))
 	}
 	for _, m := range preds {
 		d.names = append(d.names, m.Name())
 		d.preds[m.Name()] = make([]float64, n)
-	}
-	for _, name := range d.names {
-		d.overall[name] = new(stats.Running)
-		d.tau[name] = new(stats.TauAcc)
+		d.overall[m.Name()] = new(stats.Running)
+		d.tau[m.Name()] = new(stats.TauAcc)
 	}
 
 	// Pass 2: predictions, shard by shard; every shard (resumed or
@@ -518,11 +571,15 @@ func (s *Suite) computeArch(cpu *uarch.CPU) (*archData, error) {
 	// runs fold the same values in the same order.
 	for si := 0; si < num; si++ {
 		lo, hi := s.shardBounds(si, n)
+		shard := make(map[string][]float64, len(d.names))
+		for _, name := range d.names {
+			shard[name] = d.preds[name][lo:hi]
+		}
 		resumed := false
 		if ck != nil {
 			if sh, ok := ck.Shard(cpu.Name, si); ok && sh.PredDone && predsMatch(sh.Preds, d.names, hi-lo) {
 				for _, name := range d.names {
-					copy(d.preds[name][lo:hi], sh.Preds[name])
+					copy(shard[name], sh.Preds[name])
 				}
 				resumed = true
 				s.progressf("[%s] pred shard %d/%d: %d blocks resumed from checkpoint\n",
@@ -531,12 +588,8 @@ func (s *Suite) computeArch(cpu *uarch.CPU) (*archData, error) {
 		}
 		if !resumed {
 			start := time.Now()
-			s.predictRange(preds, s.recs[lo:hi], d, lo)
+			s.predictRange(preds, s.recs[lo:hi], shard)
 			if ck != nil {
-				shard := make(map[string][]float64, len(d.names))
-				for _, name := range d.names {
-					shard[name] = d.preds[name][lo:hi]
-				}
 				if err := ck.PutPreds(cpu.Name, si, shard); err != nil {
 					return nil, err
 				}

@@ -2,11 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"math"
 
 	"bhive/internal/models"
 	"bhive/internal/profiler"
-	"bhive/internal/stats"
 	"bhive/internal/uarch"
 )
 
@@ -19,9 +17,9 @@ import (
 // byte-identically to a single-node run.
 
 // ShardPayload is one computed shard: the per-record measurements and
-// per-model predictions (the same data a checkpoint journal line holds),
-// plus the shard's mergeable partial aggregates — the coordinator merges
-// those for live status without re-walking the records.
+// per-model predictions, exactly the data a checkpoint journal line
+// holds. The coordinator journals it and derives every aggregate from
+// the journal's replay.
 type ShardPayload struct {
 	Arch  string
 	Shard int
@@ -32,12 +30,6 @@ type ShardPayload struct {
 	// Preds maps model name to per-record predictions (NaN = the model
 	// failed on that record).
 	Preds map[string][]float64
-
-	// Overall/Tau are this shard's partial per-model aggregates over its
-	// accepted records (status OK, positive throughput): the streaming
-	// mean relative error and the Kendall-tau pair set.
-	Overall map[string]stats.Running
-	Tau     map[string]*stats.TauAcc
 }
 
 // Fingerprint returns the run identity checkpoints (and distributed shard
@@ -120,52 +112,15 @@ func (s *Suite) ComputeShard(archName string, si int) (*ShardPayload, error) {
 	lo, hi := s.shardBounds(si, n)
 	recs := s.recs[lo:hi]
 
-	// Stage 1: measurements, exactly as computeArch's pass 1.
+	// The measure and predict steps of computeArch's two passes.
 	meas := make([]measurement, hi-lo)
-	s.profileRange(cpu, profiler.DefaultOptions(), recs, meas, s.cfg.Metrics)
-
-	// Stage 2: predictions, exactly as computeArch's pass 2.
-	var preds []models.Predictor
-	for _, m := range models.All(cpu) {
-		preds = append(preds, m)
-	}
-	d := &archData{preds: make(map[string][]float64)}
+	s.measureInto(s.profileStep(cpu, profiler.DefaultOptions(), s.cfg.Metrics), recs, meas)
+	tp, status := journalMeas(meas)
+	preds := models.All(cpu)
+	out := make(map[string][]float64, len(preds))
 	for _, m := range preds {
-		d.names = append(d.names, m.Name())
-		d.preds[m.Name()] = make([]float64, hi-lo)
+		out[m.Name()] = make([]float64, hi-lo)
 	}
-	s.predictRange(preds, recs, d, 0)
-
-	p := &ShardPayload{
-		Arch:    archName,
-		Shard:   si,
-		Tp:      make([]float64, hi-lo),
-		Status:  make([]int, hi-lo),
-		Preds:   d.preds,
-		Overall: make(map[string]stats.Running, len(d.names)),
-		Tau:     make(map[string]*stats.TauAcc, len(d.names)),
-	}
-	for i := range meas {
-		p.Tp[i] = meas[i].tp
-		p.Status[i] = int(meas[i].status)
-	}
-	for _, name := range d.names {
-		p.Tau[name] = new(stats.TauAcc)
-	}
-	for i := range meas {
-		if meas[i].status != profiler.StatusOK || meas[i].tp <= 0 {
-			continue
-		}
-		for _, name := range d.names {
-			pr := d.preds[name][i]
-			if math.IsNaN(pr) {
-				continue
-			}
-			agg := p.Overall[name]
-			agg.Add(stats.RelError(pr, meas[i].tp))
-			p.Overall[name] = agg
-			p.Tau[name].Add(pr, meas[i].tp)
-		}
-	}
-	return p, nil
+	s.predictRange(preds, recs, out)
+	return &ShardPayload{Arch: archName, Shard: si, Tp: tp, Status: status, Preds: out}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"bhive/internal/stats"
 	"bhive/internal/uarch"
 )
 
@@ -85,58 +84,6 @@ func TestComputeShardFillReplaysByteIdentically(t *testing.T) {
 	}
 	if n := replay.profileCalls.Load(); n != 0 {
 		t.Fatalf("replay profiled %d blocks locally, want 0 (all shards filled)", n)
-	}
-}
-
-// TestComputeShardAggregatesMatchLocal: the shard payload's partial
-// aggregates, merged across all shards, must agree with the aggregates
-// the local pipeline streams (tau bit-identically; means to float
-// rounding — the coordinator uses these for live status and cross-checks,
-// not for the final tables).
-func TestComputeShardAggregatesMatchLocal(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Scale = 0.002
-	cfg.ShardSize = 64
-	cfg.Workers = 4
-
-	local := New(cfg)
-	hsw := uarch.Haswell()
-	d, err := local.data(hsw)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	worker := New(cfg)
-	merged := map[string]*stats.Running{}
-	mergedTau := map[string]*stats.TauAcc{}
-	for si := 0; si < worker.NumCorpusShards(); si++ {
-		p, err := worker.ComputeShard(hsw.Name, si)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, agg := range p.Overall {
-			if merged[name] == nil {
-				merged[name] = new(stats.Running)
-				mergedTau[name] = new(stats.TauAcc)
-			}
-			merged[name].Merge(agg)
-			mergedTau[name].Merge(p.Tau[name])
-		}
-	}
-	for _, name := range d.names {
-		if merged[name] == nil {
-			t.Fatalf("no merged aggregate for model %s", name)
-		}
-		if got, want := merged[name].N(), d.overall[name].N(); got != want {
-			t.Fatalf("%s: merged N=%d, local N=%d", name, got, want)
-		}
-		gm, wm := merged[name].Mean(), d.overall[name].Mean()
-		if diff := gm - wm; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("%s: merged mean %v, local %v", name, gm, wm)
-		}
-		if got, want := mergedTau[name].Value(), d.tau[name].Value(); got != want {
-			t.Fatalf("%s: merged tau %v, local %v", name, got, want)
-		}
 	}
 }
 

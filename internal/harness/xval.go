@@ -2,14 +2,12 @@ package harness
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"bhive/internal/backend"
-	"bhive/internal/corpus"
 	"bhive/internal/profiler"
 	"bhive/internal/stats"
 	"bhive/internal/uarch"
+	"bhive/internal/x86"
 )
 
 // XValID is the experiment id of the backend cross-validation report. It
@@ -49,107 +47,28 @@ func backendArchKey(cpu *uarch.CPU, be backend.Backend) string {
 	return cpu.Name + "@" + be.Name()
 }
 
-// bmeasOnce singleflights one (µarch, backend) measurement pass, the way
-// archOnce does for the model-evaluation passes.
-type bmeasOnce struct {
-	once sync.Once
-	meas []measurement
-	err  error
-}
-
 // backendData measures the whole corpus with one backend on one
 // microarchitecture — sharded, checkpointed, and computed at most once
-// per suite.
+// per suite. Backends that share Config.Metrics (the evaluation server
+// wires its job metrics into both) get the same overall-rate/ETA
+// reporting as the stock measurement pass.
 func (s *Suite) backendData(be backend.Backend, cpu *uarch.CPU) ([]measurement, error) {
 	key := backendArchKey(cpu, be)
-	s.mu.Lock()
-	if s.bmeas == nil {
-		s.bmeas = make(map[string]*bmeasOnce)
-	}
-	bo := s.bmeas[key]
-	if bo == nil {
-		bo = new(bmeasOnce)
-		s.bmeas[key] = bo
-	}
-	s.mu.Unlock()
-	bo.once.Do(func() { bo.meas, bo.err = s.computeBackendArch(be, cpu) })
-	return bo.meas, bo.err
+	return s.bmeas.do(key, func() ([]measurement, error) {
+		return s.measureShards(key, s.backendStep(be, cpu), s.cfg.Metrics, false)
+	})
 }
 
-// computeBackendArch is the backend analogue of computeArch's measurement
-// pass: resume completed shards from the checkpoint, measure and persist
-// the rest.
-func (s *Suite) computeBackendArch(be backend.Backend, cpu *uarch.CPU) ([]measurement, error) {
-	ck, err := s.checkpoint()
-	if err != nil {
-		return nil, err
-	}
-	key := backendArchKey(cpu, be)
-	n := len(s.recs)
-	num := s.numShards(n)
-	meas := make([]measurement, n)
-
-	// Backends that share Config.Metrics (the evaluation server wires its
-	// job metrics into both) get the same overall-rate/ETA reporting as
-	// the stock measurement pass; AddPlanned is a no-op on a nil sink.
-	met := s.cfg.Metrics
-	met.AddPlanned(n - s.resumedRecords(ck, key))
-
-	for si := 0; si < num; si++ {
-		lo, hi := s.shardBounds(si, n)
-		if ck != nil {
-			if sh, ok := ck.Shard(key, si); ok && measComplete(sh, hi-lo) {
-				for i := lo; i < hi; i++ {
-					meas[i] = measurement{tp: sh.Tp[i-lo], status: profiler.Status(sh.Status[i-lo])}
-				}
-				s.progressf("[%s] meas shard %d/%d: %d blocks resumed from checkpoint\n",
-					key, si+1, num, hi-lo)
-				continue
-			}
-		}
-		start := time.Now()
-		s.measureBackendRange(be, cpu, s.recs[lo:hi], meas[lo:hi])
-		if ck != nil {
-			tp := make([]float64, hi-lo)
-			st := make([]int, hi-lo)
-			for i := lo; i < hi; i++ {
-				tp[i-lo] = meas[i].tp
-				st[i-lo] = int(meas[i].status)
-			}
-			if err := ck.PutMeas(key, si, tp, st); err != nil {
-				return nil, err
-			}
-		}
-		s.progressf("[%s] meas shard %d/%d: %d blocks  %.0f blocks/s%s\n",
-			key, si+1, num, hi-lo, float64(hi-lo)/time.Since(start).Seconds(), etaSuffix(met))
-		if s.spendShard() {
-			return nil, ErrInterrupted
+// backendStep is the measure step of the xval passes: every worker
+// measures through the one backend.
+func (s *Suite) backendStep(be backend.Backend, cpu *uarch.CPU) func() measurer {
+	return func() measurer {
+		return func(b *x86.Block) measurement {
+			m := be.Measure(b, cpu)
+			s.profileCalls.Add(1)
+			return measurement{tp: m.Throughput, status: m.Status}
 		}
 	}
-	return meas, nil
-}
-
-// measureBackendRange drives one backend over recs with the suite's
-// worker pool, filling out (index-aligned).
-func (s *Suite) measureBackendRange(be backend.Backend, cpu *uarch.CPU, recs []corpus.Record, out []measurement) {
-	var wg sync.WaitGroup
-	ch := make(chan int, len(recs))
-	for i := range recs {
-		ch <- i
-	}
-	close(ch)
-	for w := 0; w < s.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				m := be.Measure(recs[i].Block, cpu)
-				out[i] = measurement{tp: m.Throughput, status: m.Status}
-				s.profileCalls.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // CrossValidation measures the corpus with every configured backend on

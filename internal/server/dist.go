@@ -6,13 +6,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
-	"strings"
 	"sync"
 
 	"bhive/internal/dist"
 	"bhive/internal/harness"
-	"bhive/internal/stats"
 	"bhive/internal/uarch"
 )
 
@@ -195,15 +192,7 @@ func (s *Server) distFill(j *Job, suite *harness.Suite, cfg harness.Config) erro
 		return fmt.Errorf("server: %w", err)
 	}
 
-	fill := &fillState{
-		ck:      ck,
-		suite:   suite,
-		names:   names,
-		total:   len(missing),
-		j:       j,
-		overall: map[string]stats.Running{},
-		tau:     map[string]*stats.TauAcc{},
-	}
+	fill := &fillState{ck: ck, suite: suite, names: names, total: len(missing), j: j}
 	done, err := s.dist.AddJob(dist.JobSpec{
 		ID:          j.ID,
 		Fingerprint: fp,
@@ -222,7 +211,7 @@ func (s *Server) distFill(j *Job, suite *harness.Suite, cfg harness.Config) erro
 			fill.close()
 			return err
 		}
-		j.appendProgress("dist: fill complete; " + fill.summary())
+		j.appendProgress("dist: fill complete; replaying the journal")
 		return fill.close()
 	case <-s.interrupt:
 		s.dist.RemoveJob(j.ID)
@@ -232,21 +221,19 @@ func (s *Server) distFill(j *Job, suite *harness.Suite, cfg harness.Config) erro
 	}
 }
 
-// fillState is one distributed fill in flight: the journal handle, the
-// validation context, and the merged live aggregates. The mutex
-// serializes sink calls (the manager may deliver results concurrently)
-// and fences Close against late writers.
+// fillState is one distributed fill in flight: the journal handle and
+// the validation context. The mutex serializes sink calls (the manager
+// may deliver results concurrently) and fences Close against late
+// writers.
 type fillState struct {
-	mu      sync.Mutex
-	ck      *harness.Checkpoint
-	suite   *harness.Suite
-	names   map[string][]string
-	filled  int
-	total   int
-	j       *Job
-	closed  bool
-	overall map[string]stats.Running
-	tau     map[string]*stats.TauAcc
+	mu     sync.Mutex
+	ck     *harness.Checkpoint
+	suite  *harness.Suite
+	names  map[string][]string
+	filled int
+	total  int
+	j      *Job
+	closed bool
 }
 
 // sink validates and journals one worker shard.
@@ -256,59 +243,42 @@ func (f *fillState) sink(res *dist.ShardResult) error {
 	if f.closed {
 		return errors.New("server: fill already closed")
 	}
+	e, err := f.entry(res)
+	if err != nil {
+		return err
+	}
 	arch, si := res.Ref.Arch, res.Ref.Shard
-	lo, hi := f.suite.ShardRange(si)
-	n := hi - lo
-	if len(res.Tp) != n || len(res.Status) != n {
-		return fmt.Errorf("server: shard %s/%d payload covers %d records, want %d", arch, si, len(res.Tp), n)
-	}
-	preds := harness.FromNaNFloats(res.Preds)
-	for _, name := range f.names[arch] {
-		if len(preds[name]) != n {
-			return fmt.Errorf("server: shard %s/%d payload missing model %q", arch, si, name)
-		}
-	}
-	if err := f.ck.PutMeas(arch, si, res.Tp, res.Status); err != nil {
+	if err := f.ck.PutMeas(arch, si, e.Tp, e.Status); err != nil {
 		return err
 	}
-	if err := f.ck.PutPreds(arch, si, preds); err != nil {
+	if err := f.ck.PutPreds(arch, si, e.Preds); err != nil {
 		return err
-	}
-	for name, agg := range res.Overall {
-		cur := f.overall[name]
-		cur.Merge(agg)
-		f.overall[name] = cur
-		if res.Tau[name] != nil {
-			if f.tau[name] == nil {
-				f.tau[name] = new(stats.TauAcc)
-			}
-			f.tau[name].Merge(res.Tau[name])
-		}
 	}
 	f.filled++
 	f.j.appendProgress(fmt.Sprintf("dist: shard %s/%d from %s (%d/%d)", arch, si, res.Worker, f.filled, f.total))
 	return nil
 }
 
-// summary renders the merged live aggregates (approximate — the final
-// tables come from journal replay, not from these merges).
-func (f *fillState) summary() string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	names := make([]string, 0, len(f.overall))
-	for name := range f.overall {
-		names = append(names, name)
+// entry turns a worker payload into the journal entry it fills, or
+// rejects it. The check is harness.ShardComplete, the one the replay
+// applies before trusting a shard, so nothing is journaled that the
+// replay would then quietly recompute.
+func (f *fillState) entry(res *dist.ShardResult) (harness.ShardEntry, error) {
+	arch, si := res.Ref.Arch, res.Ref.Shard
+	names, ok := f.names[arch]
+	if !ok || si < 0 || si >= f.suite.NumCorpusShards() {
+		return harness.ShardEntry{}, fmt.Errorf("server: shard %s/%d is not part of this fill", arch, si)
 	}
-	sort.Strings(names)
-	parts := make([]string, 0, len(names))
-	for _, name := range names {
-		agg := f.overall[name]
-		parts = append(parts, fmt.Sprintf("%s err≈%.4f tau≈%.3f (n=%d)", name, agg.Mean(), f.tau[name].Value(), agg.N()))
+	lo, hi := f.suite.ShardRange(si)
+	e := harness.ShardEntry{
+		MeasDone: true, Tp: res.Tp, Status: res.Status,
+		PredDone: true, Preds: harness.FromNaNFloats(res.Preds),
 	}
-	if len(parts) == 0 {
-		return "no accepted records"
+	if !harness.ShardComplete(e, names, hi-lo) {
+		return harness.ShardEntry{}, fmt.Errorf("server: shard %s/%d payload is not a complete shard of %d records with statuses in range and models %v",
+			arch, si, hi-lo, names)
 	}
-	return "merged worker aggregates: " + strings.Join(parts, ", ")
+	return e, nil
 }
 
 // close flushes and closes the journal exactly once, fencing out any

@@ -7,12 +7,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"bhive/internal/corpus"
 	"bhive/internal/dist"
 	"bhive/internal/harness"
+	"bhive/internal/profiler"
 )
 
 // distTestBody is a table5 job over the deterministic test corpus, with
@@ -56,6 +60,7 @@ func TestDistributedGoldenByteIdentical(t *testing.T) {
 	refID := postJob(t, refTS, body).ID
 	waitFor(t, refTS, refID, "single-node done", func(st JobStatus) bool { return st.State == stateDone })
 	ref := getResult(t, refTS, refID)
+	refDone := doneLines(t, refSrv, refID)
 	refTS.Close()
 	if err := refSrv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -110,6 +115,12 @@ func TestDistributedGoldenByteIdentical(t *testing.T) {
 	got := getResult(t, ts, id)
 	if !bytes.Equal(got, ref) {
 		t.Fatalf("distributed result diverged from single-node run.\n--- distributed ---\n%s\n--- single-node ---\n%s", got, ref)
+	}
+
+	// The fill's summary is the replay's exact per-µarch done line, the
+	// one a single-node run prints.
+	if got := doneLines(t, srv, id); strings.Join(got, "\n") != strings.Join(refDone, "\n") || len(got) == 0 {
+		t.Fatalf("distributed done lines %q, single-node %q", got, refDone)
 	}
 
 	// Every measurement happened on the workers: the coordinator only
@@ -184,6 +195,30 @@ func TestDistFillInterruptRequeues(t *testing.T) {
 	if err := srv2.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// doneLines returns a job's "[arch] done: …" progress lines, checking
+// that a distributed fill's completion line precedes them.
+func doneLines(t *testing.T, s *Server, id string) []string {
+	t.Helper()
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	lines, _, _ := j.progressFrom(0)
+	var done []string
+	filled := -1
+	for i, line := range lines {
+		switch {
+		case line == "dist: fill complete; replaying the journal":
+			filled = i
+		case strings.Contains(line, "] done: "):
+			if s.dist != nil && filled < 0 {
+				t.Fatalf("done line %q before the fill completed", line)
+			}
+			done = append(done, line)
+		}
+	}
+	return done
 }
 
 // jobStatus2 reads status straight off the server (no HTTP listener).
@@ -302,4 +337,264 @@ func TestDistStatusEndpoint(t *testing.T) {
 	if st := jobStatus2(t, srv, id); st.State != stateQueued {
 		t.Fatalf("state after shutdown %q, want queued", st.State)
 	}
+}
+
+// TestDistRejectsMalformedShard: a worker payload the replay would not
+// trust (a status outside profiler.Status, a model the fill did not ask
+// for) fails the job through the sink-error path, and nothing of it is
+// journaled. A valid shard posted first is journaled, so the journal
+// check below is not vacuous.
+func TestDistRejectsMalformedShard(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*dist.ShardResult)
+	}{
+		{"status-out-of-range", func(r *dist.ShardResult) {
+			for i := range r.Status {
+				r.Status[i] = 99
+			}
+		}},
+		{"extra-model", func(r *dist.ShardResult) {
+			r.Preds["bogus"] = r.Preds["IACA"]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := New(Config{DataDir: t.TempDir(), Dist: true, DistShardsPerLease: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			defer srv.Shutdown(context.Background())
+			id := postJob(t, ts, distTestBody(t)).ID
+
+			good := leaseShard(t, ts)
+			var spec dist.JobSpec
+			getJSON(t, ts, "/v1/dist/jobs/"+good.JobID, &spec)
+			cfg, err := WorkerHarnessConfig(spec.Request, spec.ShardSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			suite := harness.New(cfg)
+			if code := postShard(t, ts, computeResult(t, suite, good)); code != http.StatusOK {
+				t.Fatalf("valid shard: status %d", code)
+			}
+
+			bad := leaseShard(t, ts)
+			res := computeResult(t, suite, bad)
+			tc.corrupt(res)
+			if code := postShard(t, ts, res); code == http.StatusOK {
+				t.Fatalf("malformed shard accepted")
+			}
+			st := jobStatus(t, ts, id)
+			for deadline := time.Now().Add(time.Minute); st.State != stateFailed; st = jobStatus(t, ts, id) {
+				if time.Now().After(deadline) {
+					t.Fatalf("job state %q after a malformed shard, want failed", st.State)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			if !strings.Contains(st.Detail, "sink") {
+				t.Fatalf("job failed with %q, want the sink error", st.Detail)
+			}
+
+			srv.mu.Lock()
+			path := filepath.Join(srv.jobs[id].dir, "checkpoint.jsonl")
+			srv.mu.Unlock()
+			ck, err := harness.OpenCheckpoint(path, spec.Fingerprint, spec.ShardSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ck.Close()
+			goodRef, badRef := good.Shards[0], bad.Shards[0]
+			if _, ok := ck.Shard(goodRef.Arch, goodRef.Shard); !ok {
+				t.Fatalf("valid shard %v missing from the journal", goodRef)
+			}
+			if e, ok := ck.Shard(badRef.Arch, badRef.Shard); ok {
+				t.Fatalf("malformed shard %v journaled: %+v", badRef, e)
+			}
+		})
+	}
+}
+
+// leaseShard polls the coordinator until it grants a one-shard lease.
+func leaseShard(t *testing.T, ts *httptest.Server) *dist.Lease {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Post(ts.URL+"/v1/dist/lease", "application/json", strings.NewReader(`{"worker":"test"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var l dist.Lease
+		if resp.StatusCode == http.StatusOK {
+			err = json.NewDecoder(resp.Body).Decode(&l)
+		}
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.Shards) == 1 {
+			return &l
+		}
+	}
+	t.Fatal("no lease granted")
+	return nil
+}
+
+func getJSON(t *testing.T, ts *httptest.Server, path string, v any) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// computeResult computes a lease's shard the way a worker does.
+func computeResult(t *testing.T, suite *harness.Suite, l *dist.Lease) *dist.ShardResult {
+	t.Helper()
+	ref := l.Shards[0]
+	p, err := suite.ComputeShard(ref.Arch, ref.Shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &dist.ShardResult{
+		LeaseID: l.ID, JobID: l.JobID, Worker: "test", Ref: ref,
+		Tp: p.Tp, Status: p.Status, Preds: harness.ToNaNFloats(p.Preds),
+	}
+}
+
+// postShard posts a shard result and returns the HTTP status.
+func postShard(t *testing.T, ts *httptest.Server, res *dist.ShardResult) int {
+	t.Helper()
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/dist/result", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// testFill is a fill validating haswell shards of a small corpus, plus
+// the JSON of one valid worker payload for its shard 0.
+func testFill(t testing.TB) (*fillState, []string, []byte) {
+	t.Helper()
+	cfg := harness.DefaultConfig()
+	cfg.Records = corpus.GenerateAll(0.002, 7)
+	cfg.ShardSize = 8
+	suite := harness.New(cfg)
+	names, err := suite.ModelNames("haswell")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := suite.ComputeShard("haswell", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(dist.ShardResult{
+		LeaseID: "l-1", JobID: "job", Worker: "w", Ref: dist.ShardRef{Arch: "haswell", Shard: 0},
+		Tp: p.Tp, Status: p.Status, Preds: harness.ToNaNFloats(p.Preds),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &fillState{suite: suite, names: map[string][]string{"haswell": names}}, names, raw
+}
+
+// legacyPayload appends the per-shard aggregates older workers shipped.
+func legacyPayload(valid []byte) []byte {
+	return append(bytes.TrimSuffix(valid, []byte("}")),
+		`,"overall":{"IACA":{"sum":1.5,"n":3}},"tau":{"IACA":{"a":[1,2],"b":[2,1]}}}`...)
+}
+
+// decodeShard decodes a result body the way the result handler does.
+func decodeShard(raw []byte) (*dist.ShardResult, error) {
+	var res dist.ShardResult
+	return &res, json.NewDecoder(bytes.NewReader(raw)).Decode(&res)
+}
+
+// TestShardEntryValidation pins which payloads the fill journals: whole
+// shards of the fill's µarchs with in-range statuses and exactly the
+// expected models, including payloads that still carry the aggregates
+// older workers sent.
+func TestShardEntryValidation(t *testing.T) {
+	fill, names, valid := testFill(t)
+	for _, tc := range []struct {
+		name   string
+		edit   func(*dist.ShardResult)
+		accept bool
+	}{
+		{"valid", func(*dist.ShardResult) {}, true},
+		{"negative-status", func(r *dist.ShardResult) { r.Status[0] = -1 }, false},
+		{"status-past-range", func(r *dist.ShardResult) { r.Status[1] = profiler.NumStatus }, false},
+		{"short-tp", func(r *dist.ShardResult) { r.Tp = r.Tp[1:] }, false},
+		{"short-status", func(r *dist.ShardResult) { r.Status = r.Status[1:] }, false},
+		{"missing-model", func(r *dist.ShardResult) { delete(r.Preds, names[0]) }, false},
+		{"short-model", func(r *dist.ShardResult) { r.Preds[names[1]] = r.Preds[names[1]][1:] }, false},
+		{"extra-model", func(r *dist.ShardResult) { r.Preds["bogus"] = r.Preds[names[0]] }, false},
+		{"other-arch", func(r *dist.ShardResult) { r.Ref.Arch = "skylake" }, false},
+		{"negative-shard", func(r *dist.ShardResult) { r.Ref.Shard = -1 }, false},
+		{"shard-past-range", func(r *dist.ShardResult) { r.Ref.Shard = fill.suite.NumCorpusShards() }, false},
+		// The 740-record corpus leaves a 4-record last shard.
+		{"last-shard-length", func(r *dist.ShardResult) { r.Ref.Shard = fill.suite.NumCorpusShards() - 1 }, false},
+	} {
+		res, err := decodeShard(valid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(res)
+		if _, err := fill.entry(res); (err == nil) != tc.accept {
+			t.Errorf("%s: entry error %v, want accepted=%v", tc.name, err, tc.accept)
+		}
+	}
+
+	res, err := decodeShard(legacyPayload(valid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fill.entry(res); err != nil {
+		t.Fatalf("payload with legacy aggregates rejected: %v", err)
+	}
+}
+
+// FuzzShardResult: any result body decodes to an error or a payload, and
+// a payload the fill accepts is a journal entry the replay trusts.
+func FuzzShardResult(f *testing.F) {
+	fill, names, valid := testFill(f)
+	for _, seed := range [][]byte{valid, legacyPayload(valid)} {
+		for i := 0; i <= len(seed); i++ {
+			if i == len(seed) || i%37 == 0 {
+				f.Add(seed[:i])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		res, err := decodeShard(raw)
+		if err != nil {
+			return
+		}
+		e, err := fill.entry(res)
+		if err != nil {
+			return
+		}
+		lo, hi := fill.suite.ShardRange(res.Ref.Shard)
+		if !harness.ShardComplete(e, names, hi-lo) {
+			t.Fatalf("accepted shard %v fails ShardComplete", res.Ref)
+		}
+		if len(e.Tp) != hi-lo || len(e.Status) != hi-lo || len(e.Preds) != len(names) {
+			t.Fatalf("accepted shard %v: %d throughputs, %d statuses, %d models for %d records",
+				res.Ref, len(e.Tp), len(e.Status), len(e.Preds), hi-lo)
+		}
+		for _, st := range e.Status {
+			if st < 0 || st >= profiler.NumStatus {
+				t.Fatalf("accepted shard %v with status %d", res.Ref, st)
+			}
+		}
+	})
 }

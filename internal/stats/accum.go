@@ -1,17 +1,14 @@
 package stats
 
-import (
-	"encoding/json"
-	"fmt"
-	"math"
-)
+import "math"
 
 // This file holds the incremental aggregators the sharded evaluation
-// pipeline streams into: per-shard results are folded in as they
-// complete, so summary tables are produced without re-walking (or even
-// retaining) full per-record slices. All aggregators follow the package
-// NaN policy (NaN inputs are dropped) and are mergeable, so shards can be
-// aggregated independently and combined.
+// pipeline streams into: each shard's results are folded in, in record
+// order, as the shard completes or resumes, so summary tables are
+// produced without re-walking the per-record slices. All aggregators
+// follow the package NaN policy (NaN inputs are dropped). They are not
+// mergeable across shards: a distributed run ships the per-record data
+// and folds it once, on replay.
 //
 // Determinism note: Running/RunningWeighted accumulate with the same
 // left-to-right float additions as Mean/WeightedMean, so feeding the same
@@ -31,12 +28,6 @@ func (r *Running) Add(x float64) {
 	}
 	r.sum += x
 	r.n++
-}
-
-// Merge folds another accumulator in.
-func (r *Running) Merge(o Running) {
-	r.sum += o.sum
-	r.n += o.n
 }
 
 // N returns the number of accumulated values.
@@ -68,13 +59,6 @@ func (r *RunningWeighted) Add(x float64, weight uint64) {
 	r.n++
 }
 
-// Merge folds another accumulator in.
-func (r *RunningWeighted) Merge(o RunningWeighted) {
-	r.sum += o.sum
-	r.w += o.w
-	r.n += o.n
-}
-
 // N returns the number of accumulated values.
 func (r *RunningWeighted) N() int { return r.n }
 
@@ -91,8 +75,8 @@ func (r *RunningWeighted) Mean() float64 {
 // Exact tau needs every pair at evaluation time, so the accumulator
 // retains the values it is fed (O(n) memory — but only two float64 per
 // pair, not the full per-record bookkeeping of the harness); what it buys
-// is a mergeable, incrementally fed interface: shards Add their pairs as
-// they complete and independent accumulators Merge associatively.
+// is an incrementally fed interface: shards Add their pairs as they
+// complete.
 type TauAcc struct {
 	a, b []float64
 }
@@ -107,115 +91,9 @@ func (t *TauAcc) Add(pred, meas float64) {
 	t.b = append(t.b, meas)
 }
 
-// Merge folds another accumulator in.
-func (t *TauAcc) Merge(o *TauAcc) {
-	t.a = append(t.a, o.a...)
-	t.b = append(t.b, o.b...)
-}
-
 // N returns the number of accumulated pairs.
 func (t *TauAcc) N() int { return len(t.a) }
 
 // Value computes Kendall's tau over the accumulated pairs (0 if fewer
 // than two pairs were accumulated, matching KendallTau).
 func (t *TauAcc) Value() float64 { return KendallTau(t.a, t.b) }
-
-// The aggregators serialize to JSON so per-shard partial results can
-// cross process boundaries — a distributed worker computes a shard's
-// aggregates locally, ships them over HTTP, and the coordinator Merges
-// them. The wire forms expose exactly the internal state, and JSON's
-// shortest-round-trip float encoding restores every float64 bit-exactly.
-// Note the precision boundary: TauAcc merges are *identical* to direct
-// accumulation (pairs concatenate in order), but Running/RunningWeighted
-// merges add per-shard partial sums, which rounds differently than one
-// left-to-right fold over all values (floating-point addition is not
-// associative) — close to machine epsilon, but not bitwise. That is why
-// the distributed coordinator derives its byte-identical final tables
-// from journal replay and uses merged aggregates only for live partial
-// status and cross-checks.
-
-// runningJSON is the wire form of Running.
-type runningJSON struct {
-	Sum float64 `json:"sum"`
-	N   int     `json:"n"`
-}
-
-// MarshalJSON serializes the accumulator state.
-func (r Running) MarshalJSON() ([]byte, error) {
-	return json.Marshal(runningJSON{Sum: r.sum, N: r.n})
-}
-
-// UnmarshalJSON restores serialized accumulator state, replacing the
-// receiver's contents.
-func (r *Running) UnmarshalJSON(raw []byte) error {
-	var w runningJSON
-	if err := json.Unmarshal(raw, &w); err != nil {
-		return fmt.Errorf("stats: Running: %w", err)
-	}
-	if w.N < 0 {
-		return fmt.Errorf("stats: Running: negative count %d", w.N)
-	}
-	r.sum, r.n = w.Sum, w.N
-	return nil
-}
-
-// runningWeightedJSON is the wire form of RunningWeighted.
-type runningWeightedJSON struct {
-	Sum float64 `json:"sum"`
-	W   float64 `json:"w"`
-	N   int     `json:"n"`
-}
-
-// MarshalJSON serializes the accumulator state.
-func (r RunningWeighted) MarshalJSON() ([]byte, error) {
-	return json.Marshal(runningWeightedJSON{Sum: r.sum, W: r.w, N: r.n})
-}
-
-// UnmarshalJSON restores serialized accumulator state, replacing the
-// receiver's contents.
-func (r *RunningWeighted) UnmarshalJSON(raw []byte) error {
-	var w runningWeightedJSON
-	if err := json.Unmarshal(raw, &w); err != nil {
-		return fmt.Errorf("stats: RunningWeighted: %w", err)
-	}
-	if w.N < 0 {
-		return fmt.Errorf("stats: RunningWeighted: negative count %d", w.N)
-	}
-	r.sum, r.w, r.n = w.Sum, w.W, w.N
-	return nil
-}
-
-// tauJSON is the wire form of TauAcc. The accumulator retains its pairs
-// (exact tau needs them all), so the wire form does too; NaN never
-// appears — Add drops NaN pairs before they are retained.
-type tauJSON struct {
-	A []float64 `json:"a"`
-	B []float64 `json:"b"`
-}
-
-// MarshalJSON serializes the accumulated pairs.
-func (t TauAcc) MarshalJSON() ([]byte, error) {
-	// Empty slices (not null) keep the round-trip symmetric.
-	a, b := t.a, t.b
-	if a == nil {
-		a = []float64{}
-	}
-	if b == nil {
-		b = []float64{}
-	}
-	return json.Marshal(tauJSON{A: a, B: b})
-}
-
-// UnmarshalJSON restores serialized pairs, replacing the receiver's
-// contents.
-func (t *TauAcc) UnmarshalJSON(raw []byte) error {
-	var w tauJSON
-	if err := json.Unmarshal(raw, &w); err != nil {
-		return fmt.Errorf("stats: TauAcc: %w", err)
-	}
-	if len(w.A) != len(w.B) {
-		return fmt.Errorf("stats: TauAcc: mismatched pair slices (%d vs %d)", len(w.A), len(w.B))
-	}
-	t.a, t.b = w.A, w.B
-	return nil
-}

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,17 +26,15 @@ func TestRunningMatchesMean(t *testing.T) {
 }
 
 func TestRunningSkipsNaNAndMerges(t *testing.T) {
-	var a, b Running
+	var a Running
 	a.Add(1)
 	a.Add(math.NaN())
 	a.Add(3)
-	b.Add(5)
-	a.Merge(b)
-	if a.N() != 3 {
+	if a.N() != 2 {
 		t.Fatalf("NaN must be dropped: n=%d", a.N())
 	}
-	if a.Mean() != 3 {
-		t.Fatalf("merged mean %v", a.Mean())
+	if a.Mean() != 2 {
+		t.Fatalf("mean %v", a.Mean())
 	}
 	var empty Running
 	if empty.Mean() != 0 {
@@ -58,13 +55,6 @@ func TestRunningWeightedMatchesWeightedMean(t *testing.T) {
 	}
 	if r.N() != 2 {
 		t.Fatalf("NaN must be dropped: n=%d", r.N())
-	}
-	var x, y RunningWeighted
-	x.Add(1, 1)
-	y.Add(3, 3)
-	x.Merge(y)
-	if math.Abs(x.Mean()-2.5) > 1e-12 {
-		t.Fatalf("merged %v", x.Mean())
 	}
 	var empty RunningWeighted
 	if empty.Mean() != 0 {
@@ -93,137 +83,8 @@ func TestTauAccMatchesKendallTau(t *testing.T) {
 		t.Fatalf("acc tau %v != KendallTau %v", got, want)
 	}
 
-	// Merging shard-wise accumulators must agree with one big accumulator.
-	var merged TauAcc
-	for lo := 0; lo < n; lo += 64 {
-		hi := lo + 64
-		if hi > n {
-			hi = n
-		}
-		var shard TauAcc
-		for i := lo; i < hi; i++ {
-			shard.Add(a[i], b[i])
-		}
-		merged.Merge(&shard)
-	}
-	if merged.Value() != acc.Value() || merged.N() != acc.N() {
-		t.Fatalf("merged tau %v (n=%d) != %v (n=%d)",
-			merged.Value(), merged.N(), acc.Value(), acc.N())
-	}
-
 	var empty TauAcc
 	if empty.Value() != 0 {
 		t.Fatal("empty tau")
-	}
-}
-
-// TestAggregateWireRoundTrip pins the distributed-merge contract: an
-// accumulator serialized on a worker, decoded on the coordinator, and
-// Merged must agree with one accumulator fed directly — bit-identically
-// for TauAcc (pairs concatenate in order), and to within float rounding
-// for the running means (merging partial sums re-associates the
-// additions, which is why byte-identical distributed results come from
-// journal replay, not from these merges).
-func TestAggregateWireRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	n := 500
-	vals := make([]float64, n)
-	meas := make([]float64, n)
-	ws := make([]uint64, n)
-	for i := range vals {
-		vals[i] = rng.NormFloat64() * 10
-		meas[i] = float64(rng.Intn(9))
-		ws[i] = uint64(rng.Intn(100))
-		if rng.Intn(25) == 0 {
-			vals[i] = math.NaN()
-		}
-	}
-
-	// Reference: one accumulator fed directly, in order.
-	var wantR Running
-	var wantW RunningWeighted
-	var wantT TauAcc
-	for i := range vals {
-		wantR.Add(vals[i])
-		wantW.Add(vals[i], ws[i])
-		wantT.Add(vals[i], meas[i])
-	}
-
-	// Distributed: per-shard accumulators round-trip through JSON, then
-	// merge in shard order.
-	var gotR Running
-	var gotW RunningWeighted
-	var gotT TauAcc
-	for lo := 0; lo < n; lo += 128 {
-		hi := lo + 128
-		if hi > n {
-			hi = n
-		}
-		var sr Running
-		var sw RunningWeighted
-		var st TauAcc
-		for i := lo; i < hi; i++ {
-			sr.Add(vals[i])
-			sw.Add(vals[i], ws[i])
-			st.Add(vals[i], meas[i])
-		}
-		raw, err := json.Marshal(struct {
-			R Running         `json:"r"`
-			W RunningWeighted `json:"w"`
-			T TauAcc          `json:"t"`
-		}{sr, sw, st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var dec struct {
-			R Running         `json:"r"`
-			W RunningWeighted `json:"w"`
-			T TauAcc          `json:"t"`
-		}
-		if err := json.Unmarshal(raw, &dec); err != nil {
-			t.Fatal(err)
-		}
-		gotR.Merge(dec.R)
-		gotW.Merge(dec.W)
-		gotT.Merge(&dec.T)
-	}
-
-	relClose := func(a, b float64) bool {
-		return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
-	}
-	if !relClose(gotR.Mean(), wantR.Mean()) || gotR.N() != wantR.N() {
-		t.Fatalf("Running wire merge: %v/%d != %v/%d", gotR.Mean(), gotR.N(), wantR.Mean(), wantR.N())
-	}
-	if !relClose(gotW.Mean(), wantW.Mean()) || gotW.N() != wantW.N() {
-		t.Fatalf("RunningWeighted wire merge: %v/%d != %v/%d", gotW.Mean(), gotW.N(), wantW.Mean(), wantW.N())
-	}
-	// Tau pairs concatenate in shard order: identical, not just close.
-	if gotT.Value() != wantT.Value() || gotT.N() != wantT.N() {
-		t.Fatalf("TauAcc wire merge: %v/%d != %v/%d", gotT.Value(), gotT.N(), wantT.Value(), wantT.N())
-	}
-}
-
-// TestAggregateWireRejectsCorruption: malformed wire payloads must fail
-// loudly, not decode into silently-wrong aggregates.
-func TestAggregateWireRejectsCorruption(t *testing.T) {
-	var r Running
-	if err := json.Unmarshal([]byte(`{"sum":1,"n":-2}`), &r); err == nil {
-		t.Fatal("negative count accepted")
-	}
-	var w RunningWeighted
-	if err := json.Unmarshal([]byte(`{"sum":1,"w":1,"n":-1}`), &w); err == nil {
-		t.Fatal("negative count accepted")
-	}
-	var acc TauAcc
-	if err := json.Unmarshal([]byte(`{"a":[1,2],"b":[1]}`), &acc); err == nil {
-		t.Fatal("mismatched pair slices accepted")
-	}
-	var empty TauAcc
-	raw, err := json.Marshal(empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw) != `{"a":[],"b":[]}` {
-		t.Fatalf("empty TauAcc wire form %s", raw)
 	}
 }
