@@ -136,32 +136,37 @@ func TestCrosscheckMismatchFails(t *testing.T) {
 		t.Fatalf("clean run did not report zero mismatches:\n%s", stderr.String())
 	}
 
+	// The cache is a header line and one {Key, Entry} record per line:
+	// flip the status of every record.
 	raw, err := os.ReadFile(cacheF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var file struct {
-		Version int
-		Entries map[string]profcache.Entry
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	if len(lines) < 3 || len(lines[len(lines)-1]) != 0 {
+		t.Fatalf("the clean run cached no profiles:\n%s", raw)
 	}
-	if err := json.Unmarshal(raw, &file); err != nil {
-		t.Fatal(err)
-	}
-	if len(file.Entries) == 0 {
-		t.Fatal("the clean run cached no profiles")
-	}
-	for k, e := range file.Entries {
-		if profiler.Status(e.Status) == profiler.StatusOK {
-			e.Status = int(profiler.StatusCrashed)
-		} else {
-			e.Status = int(profiler.StatusOK)
+	poisoned := append([]byte(nil), lines[0]...)
+	for _, line := range lines[1 : len(lines)-1] {
+		var rec struct {
+			Key   string
+			Entry profcache.Entry
 		}
-		file.Entries[k] = e
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if profiler.Status(rec.Entry.Status) == profiler.StatusOK {
+			rec.Entry.Status = int(profiler.StatusCrashed)
+		} else {
+			rec.Entry.Status = int(profiler.StatusOK)
+		}
+		out, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		poisoned = append(append(poisoned, out...), '\n')
 	}
-	if raw, err = json.Marshal(file); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cacheF, raw, 0o644); err != nil {
+	if err := os.WriteFile(cacheF, poisoned, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -175,6 +175,60 @@ func TestOpenTraceErrors(t *testing.T) {
 	}
 }
 
+// TestOpenTraceCrashSweep cuts a recorded trace at every byte offset
+// short of its full length, and separately zeroes each byte of its last
+// entry. A published trace is complete, so a torn or damaged entry fails
+// to open, never loads a prefix. A cut exactly on a line boundary leaves
+// a well-formed shorter trace, which the format cannot tell from one that
+// measured fewer blocks: it loads exactly the whole entries, and replay
+// of the missing blocks reports them as unmeasured.
+func TestOpenTraceCrashSweep(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "full.trace")
+	rec, err := NewRecorder(NewSim(Options{}), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{"add rax, rbx", "imul rcx, rdx", "mov rax, qword ptr [rsi]"} {
+		rec.Measure(block(t, text), uarch.Haswell())
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb, err := OpenTrace(path); err != nil || rb.Len() != 3 {
+		t.Fatalf("full trace: %v", err)
+	}
+
+	cut := filepath.Join(dir, "cut.trace")
+	open := func(raw []byte) (*RecordedBackend, error) {
+		if err := os.WriteFile(cut, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return OpenTrace(cut)
+	}
+	for k := 0; k < len(full); k++ {
+		rb, err := open(full[:k])
+		if lines := bytes.Count(full[:k], []byte("\n")); k > 0 && full[k-1] == '\n' {
+			if err != nil || rb.Len() != lines-1 {
+				t.Fatalf("cut on the line boundary %d: err %v, want %d whole entries", k, err, lines-1)
+			}
+		} else if err == nil || rb != nil {
+			t.Fatalf("cut at %d of %d: OpenTrace accepted a torn trace", k, len(full))
+		}
+	}
+	for i := bytes.LastIndexByte(full[:len(full)-1], '\n') + 1; i < len(full); i++ {
+		bad := append([]byte(nil), full...)
+		bad[i] = 0
+		if rb, err := open(bad); err == nil || rb != nil {
+			t.Fatalf("zeroed byte %d of the last entry: OpenTrace accepted it", i)
+		}
+	}
+}
+
 // TestRecorderCrashMidRecord: a recording that never reaches Close must
 // not disturb the final trace path. Before the atomic-write fix the
 // Recorder created (truncating!) the final file up front, so a crash

@@ -2,15 +2,16 @@ package backend
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"bhive/internal/journal"
 	"bhive/internal/pipeline"
 	"bhive/internal/profiler"
 	"bhive/internal/uarch"
@@ -21,7 +22,7 @@ import (
 // wholesale (they fail to open rather than replaying stale semantics).
 const TraceVersion = 1
 
-// A measurement trace is a JSONL file:
+// A measurement trace is a journal (internal/journal):
 //
 //	line 1:  {"Version":1,"Backend":"sim","Fingerprint":"sim|{...}"}
 //	line 2+: {"Key":"5f0c…","CPU":"haswell","Status":0,"Tp":1.25,"Counters":{…}}
@@ -168,7 +169,7 @@ func (r *Recorder) Close() error {
 			err = os.Rename(tmp, r.path)
 		}
 		if err == nil {
-			err = syncDir(filepath.Dir(r.path))
+			err = journal.SyncDir(filepath.Dir(r.path))
 		}
 		if err != nil {
 			os.Remove(tmp)
@@ -182,22 +183,6 @@ func (r *Recorder) Close() error {
 		return fmt.Errorf("backend: trace: %w", err)
 	}
 	return nil
-}
-
-// syncDir makes the just-renamed directory entry durable: rename alone
-// only updates the entry in memory, so a crash shortly after Close could
-// otherwise roll the published trace back out of the directory.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("syncing %s: %w", dir, serr)
-	}
-	return cerr
 }
 
 // RecordedBackend replays a measurement trace deterministically: every
@@ -215,52 +200,49 @@ type RecordedBackend struct {
 
 // OpenTrace loads a trace written by a Recorder. The whole file is
 // validated eagerly: version mismatches, corrupt lines, and duplicate
-// keys with conflicting payloads all fail here rather than mid-run.
+// keys with conflicting payloads all fail here rather than mid-run. A
+// published trace is complete, so a torn last line — which the journal
+// loader leaves out of the valid prefix — is an error too.
 func OpenTrace(path string) (*RecordedBackend, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("backend: trace: %w", err)
 	}
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("backend: trace: %s: missing header", path)
-	}
-	var hdr traceHeader
-	if err := json.Unmarshal(raw[:nl], &hdr); err != nil {
-		return nil, fmt.Errorf("backend: trace: %s: bad header: %w", path, err)
-	}
-	if hdr.Version != TraceVersion {
-		return nil, fmt.Errorf("backend: trace: %s: version %d, want %d", path, hdr.Version, TraceVersion)
-	}
-	if hdr.Backend == "" {
-		return nil, fmt.Errorf("backend: trace: %s: header names no backend", path)
-	}
-	rb := &RecordedBackend{
-		name:        hdr.Backend,
-		fingerprint: hdr.Fingerprint,
-		path:        path,
-		entries:     make(map[string]traceEntry),
-	}
-	line := 1
-	rest := raw[nl+1:]
-	for len(rest) > 0 {
-		line++
-		nl = bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			return nil, fmt.Errorf("backend: trace: %s:%d: truncated entry", path, line)
+	rb := &RecordedBackend{path: path, entries: make(map[string]traceEntry)}
+	valid, err := journal.Read(raw, func(line []byte) (bool, error) {
+		var hdr traceHeader
+		if err := json.Unmarshal(line, &hdr); err != nil {
+			return false, fmt.Errorf("bad header: %w", err)
 		}
+		if hdr.Version != TraceVersion {
+			return false, fmt.Errorf("version %d, want %d", hdr.Version, TraceVersion)
+		}
+		if hdr.Backend == "" {
+			return false, errors.New("header names no backend")
+		}
+		rb.name, rb.fingerprint = hdr.Backend, hdr.Fingerprint
+		return true, nil
+	}, func(line []byte) error {
 		var e traceEntry
-		if err := json.Unmarshal(rest[:nl], &e); err != nil {
-			return nil, fmt.Errorf("backend: trace: %s:%d: %w", path, line, err)
+		if err := json.Unmarshal(line, &e); err != nil {
+			return err
 		}
 		// Full-payload comparison: traceEntry is comparable, so any field
 		// diverging — Counters included, which Status+Tp checks would let
 		// slip through to a silent last-write-wins — is a conflict.
 		if prev, dup := rb.entries[e.Key]; dup && prev != e {
-			return nil, fmt.Errorf("backend: trace: %s:%d: key %s recorded twice with conflicting payloads", path, line, e.Key)
+			return fmt.Errorf("key %s recorded twice with conflicting payloads", e.Key)
 		}
 		rb.entries[e.Key] = e
-		rest = rest[nl+1:]
+		return nil
+	})
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("backend: trace: %s: %w", path, err)
+	case valid == 0:
+		return nil, fmt.Errorf("backend: trace: %s: missing header", path)
+	case valid < int64(len(raw)):
+		return nil, fmt.Errorf("backend: trace: %s: truncated entry after byte %d", path, valid)
 	}
 	return rb, nil
 }

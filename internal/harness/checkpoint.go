@@ -1,30 +1,28 @@
 package harness
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"bhive/internal/corpus"
+	"bhive/internal/journal"
 	"bhive/internal/memo"
 	"bhive/internal/profcache"
 	"bhive/internal/profiler"
 )
 
 // CheckpointVersion tags the journal format and the evaluation semantics
-// it captures. A bump discards persisted shards wholesale, like
-// profcache.Version does for profiles.
+// it captures. A bump discards persisted shards wholesale: the header no
+// longer matches, so the journal restarts empty.
 const CheckpointVersion = 1
 
 // A Checkpoint persists completed evaluation shards so an interrupted run
 // resumes from the last completed shard instead of recomputing the whole
-// corpus. The file is an append-only JSONL journal:
+// corpus. The file is a journal (internal/journal):
 //
 //	line 1:  {"Version":1,"Fingerprint":"…","ShardSize":512}
 //	line 2+: {"Arch":"haswell","Shard":0,"Stage":"meas","Tp":[…],"Status":[…]}
@@ -36,29 +34,23 @@ const CheckpointVersion = 1
 // shard in flight. SetGroupCommit relaxes that to one sync per N appends
 // (group commit) — small, fast shards then stop paying a device flush
 // each; a crash can lose up to the last unsynced group, which a resume
-// simply recomputes. Close and Flush always sync the tail. The fingerprint
-// binds the journal to one run identity — corpus content, seed, scale,
-// profiling options, and model configuration (the same key space
-// profcache uses, lifted to whole runs) — so a journal written by a
-// different corpus or configuration is discarded on open, never merged.
-// A truncated trailing line (the crash case) is dropped silently; any
-// other malformed content is an error, so silent checkpoint loss stays
-// visible.
+// simply recomputes. The framing, the group commit, the sync of a new
+// journal's directory entry and the torn-tail rule are the journal
+// package's; Close and Flush sync the tail. The fingerprint binds the
+// journal to one run identity — corpus content, seed, scale, profiling
+// options, and model configuration (the same key space profcache uses,
+// lifted to whole runs) — so a journal written by a different corpus or
+// configuration is discarded on open, never merged. A line without its
+// newline (the crash case) is dropped and cut off; any other malformed
+// content is an error, so silent checkpoint loss stays visible.
 //
 // NaN predictions (failed models) round-trip as JSON null.
 type Checkpoint struct {
 	path string
 
 	mu     sync.Mutex
-	f      *os.File
+	w      *journal.Writer // nil once closed
 	shards map[shardKey]*ShardEntry
-
-	// Group-commit state: sync once per groupEvery appends (<=1: every
-	// append). pending counts appends written since the last sync; syncs
-	// counts Sync calls (observed by tests to pin the batching behavior).
-	groupEvery int
-	pending    int
-	syncs      int
 }
 
 type shardKey struct {
@@ -152,108 +144,33 @@ func FromNaNFloats(preds map[string][]NaNFloat) map[string][]float64 {
 // clean line boundary; any other corruption is an error.
 func OpenCheckpoint(path, fingerprint string, shardSize int) (*Checkpoint, error) {
 	c := &Checkpoint{path: path, shards: make(map[shardKey]*ShardEntry)}
-
-	raw, err := os.ReadFile(path)
-	fresh := false
-	validLen := int64(0)
-	switch {
-	case os.IsNotExist(err):
-		fresh = true
-	case err != nil:
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	default:
-		var ok bool
-		ok, validLen, err = c.load(raw, fingerprint, shardSize)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
-		}
-		fresh = !ok
-	}
-
-	if fresh {
-		if dir := filepath.Dir(path); dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return nil, fmt.Errorf("checkpoint: %w", err)
-			}
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		hdr, err := json.Marshal(ckptHeader{
-			Version: CheckpointVersion, Fingerprint: fingerprint, ShardSize: shardSize,
-		})
-		if err == nil {
-			_, err = f.Write(append(hdr, '\n'))
-		}
-		if err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-		c.f = f
-		return c, nil
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	w, err := journal.Open(path, ckptHeader{
+		Version: CheckpointVersion, Fingerprint: fingerprint, ShardSize: shardSize,
+	}, func(raw []byte) (int64, error) { return c.load(raw, fingerprint, shardSize) })
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	if validLen < int64(len(raw)) {
-		// Drop the interrupted trailing fragment before appending to it.
-		if err := f.Truncate(validLen); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("checkpoint: %w", err)
-		}
-	}
-	c.f = f
+	c.w = w
 	return c, nil
 }
 
-// load replays a journal. It reports whether the header matched (false
-// means: restart empty) and how many leading bytes hold complete, valid
-// lines.
-func (c *Checkpoint) load(raw []byte, fingerprint string, shardSize int) (ok bool, validLen int64, err error) {
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
-		return false, 0, nil // empty or truncated header: restart
-	}
-	var hdr ckptHeader
-	if err := json.Unmarshal(raw[:nl], &hdr); err != nil {
-		return false, 0, fmt.Errorf("bad header: %w", err)
-	}
-	if hdr.Version != CheckpointVersion || hdr.Fingerprint != fingerprint || hdr.ShardSize != shardSize {
-		return false, 0, nil // different run identity: restart
-	}
-	off := int64(nl + 1)
-	rest := raw[nl+1:]
-	for len(rest) > 0 {
-		nl = bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			// Unterminated final line: an append died mid-write. The record
-			// and its newline are written and synced as one unit, so a line
-			// without a newline was never durably committed — even when the
-			// fragment happens to parse as complete JSON (a tear exactly at
-			// the closing brace). Applying such a fragment would also leave
-			// the next append to concatenate onto it, corrupting the
-			// journal for every later open. Keep everything before it and
-			// let Open truncate the rest.
-			return true, off, nil
+// load replays a journal and returns the length of its valid prefix; 0
+// means the header did not match and the journal restarts empty.
+func (c *Checkpoint) load(raw []byte, fingerprint string, shardSize int) (int64, error) {
+	return journal.Read(raw, func(line []byte) (bool, error) {
+		var hdr ckptHeader
+		if err := json.Unmarshal(line, &hdr); err != nil {
+			return false, fmt.Errorf("bad header: %w", err)
 		}
-		line := rest[:nl]
-		if len(line) > 0 {
-			var l ckptLine
-			if uerr := json.Unmarshal(line, &l); uerr != nil {
-				return false, 0, fmt.Errorf("corrupt journal line: %w", uerr)
-			}
-			c.apply(&l)
+		return hdr.Version == CheckpointVersion && hdr.Fingerprint == fingerprint && hdr.ShardSize == shardSize, nil
+	}, func(line []byte) error {
+		var l ckptLine
+		if err := json.Unmarshal(line, &l); err != nil {
+			return fmt.Errorf("corrupt journal line: %w", err)
 		}
-		off += int64(nl + 1)
-		rest = rest[nl+1:]
-	}
-	return true, off, nil
+		c.apply(&l)
+		return nil
+	})
 }
 
 func (c *Checkpoint) apply(l *ckptLine) {
@@ -313,7 +230,7 @@ func (c *Checkpoint) PutPreds(arch string, idx int, preds map[string][]float64) 
 func (c *Checkpoint) SetGroupCommit(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.groupEvery = n
+	c.w.SetGroupCommit(max(n, 1))
 }
 
 func (c *Checkpoint) append(l *ckptLine) error {
@@ -323,29 +240,13 @@ func (c *Checkpoint) append(l *ckptLine) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
+	if c.w == nil {
 		return fmt.Errorf("checkpoint: %s: closed", c.path)
 	}
-	if _, err := c.f.Write(append(raw, '\n')); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	c.pending++
-	if c.pending >= c.groupEvery || c.groupEvery <= 1 {
-		if err := c.sync(); err != nil {
-			return err
-		}
+	if err := c.w.Append(raw); err != nil {
+		return err
 	}
 	c.apply(l)
-	return nil
-}
-
-// sync flushes pending appends to stable storage. Callers hold c.mu.
-func (c *Checkpoint) sync() error {
-	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	c.syncs++
-	c.pending = 0
 	return nil
 }
 
@@ -355,10 +256,10 @@ func (c *Checkpoint) sync() error {
 func (c *Checkpoint) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil || c.pending == 0 {
+	if c.w == nil {
 		return nil
 	}
-	return c.sync()
+	return c.w.Flush()
 }
 
 // Close flushes the group-commit tail and releases the journal's append
@@ -366,17 +267,11 @@ func (c *Checkpoint) Flush() error {
 func (c *Checkpoint) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
+	if c.w == nil {
 		return nil
 	}
-	var err error
-	if c.pending > 0 {
-		err = c.sync()
-	}
-	if cerr := c.f.Close(); err == nil {
-		err = cerr
-	}
-	c.f = nil
+	err := c.w.Close()
+	c.w = nil
 	return err
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
@@ -442,6 +443,191 @@ func TestResumeMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestCheckpointCrashSweep cuts a journal at every byte offset and
+// reopens it: the checkpoint keeps exactly the records whose lines are
+// whole and cuts the rest off, so the next append starts on a line
+// boundary. Separately, it zeroes each byte of the last record in turn: a
+// damaged record is an error, except a lost newline, which is a torn
+// append and drops only that record.
+func TestCheckpointCrashSweep(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "full.ckpt")
+	ck, err := OpenCheckpoint(path, "fp", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type rec struct {
+		shard int
+		pred  bool
+	}
+	recs := []rec{{0, false}, {0, true}, {1, false}, {1, true}}
+	for _, r := range recs {
+		if r.pred {
+			err = ck.PutPreds("haswell", r.shard, map[string][]float64{"IACA": {1.5, math.NaN()}})
+		} else {
+			err = ck.PutMeas("haswell", r.shard, []float64{1, 2.5}, []int{0, 1})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int // ends[i]: length of the header plus i records
+	for i, b := range full {
+		if b == '\n' {
+			ends = append(ends, i+1)
+		}
+	}
+	if len(ends) != len(recs)+1 {
+		t.Fatalf("journal has %d lines, want %d", len(ends), len(recs)+1)
+	}
+
+	cut := filepath.Join(dir, "cut.ckpt")
+	reopen := func(raw []byte) (*Checkpoint, error) {
+		if err := os.WriteFile(cut, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return OpenCheckpoint(cut, "fp", 2)
+	}
+	for k := 0; k <= len(full); k++ {
+		ck, err := reopen(full[:k])
+		if err != nil {
+			t.Fatalf("cut at %d: %v", k, err)
+		}
+		whole, keep := 0, ends[0]
+		for i, e := range ends[1:] {
+			if e <= k {
+				whole, keep = i+1, e
+			}
+		}
+		for i, r := range recs {
+			sh, _ := ck.Shard("haswell", r.shard)
+			loaded := sh.MeasDone && sh.Tp[1] == 2.5 && sh.Status[1] == 1
+			if r.pred {
+				loaded = sh.PredDone && math.IsNaN(sh.Preds["IACA"][1])
+			}
+			if loaded != (i < whole) {
+				t.Fatalf("cut at %d: record %d loaded=%v, want %v", k, i, loaded, i < whole)
+			}
+		}
+		ck.Close()
+		if raw, _ := os.ReadFile(cut); !bytes.Equal(raw, full[:keep]) {
+			t.Fatalf("cut at %d: reopened journal holds %d bytes, want the %d-byte whole-line prefix", k, len(raw), keep)
+		}
+	}
+
+	for i := ends[len(recs)-1]; i < len(full); i++ {
+		bad := append([]byte(nil), full...)
+		bad[i] = 0
+		ck, err := reopen(bad)
+		if i < len(full)-1 {
+			if err == nil {
+				t.Fatalf("zeroed byte %d of the last record: OpenCheckpoint succeeded", i)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("lost newline: %v", err)
+		}
+		if sh, _ := ck.Shard("haswell", 1); !sh.MeasDone || sh.PredDone {
+			t.Fatalf("lost newline: shard 1 = %+v, want measurements only", sh)
+		}
+		ck.Close()
+	}
+}
+
+// TestResumeCrashSweepGolden cuts a complete golden-configuration journal
+// at each record boundary and one byte either side, and resumes from
+// each cut: every resumed Table V must equal the golden byte for byte,
+// and the resumed journal must equal the uninterrupted one. Large shards
+// keep the journal to a dozen records. A cut one byte either side of a
+// boundary must reopen to exactly the bytes of a boundary cut; the run
+// that resumes from it is then the boundary's run, so the sweep resumes
+// only from boundaries.
+func TestResumeCrashSweepGolden(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		// Sequential deterministic runs: the race detector only slows
+		// them; TestResumeMatchesGolden covers resume under -race.
+		t.Skip("resumes Table V at scale 0.02 a dozen times")
+	}
+	want, err := os.ReadFile("testdata/table5_seed7_scale002.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := DefaultConfig() // scale 0.02, seed 7: the golden configuration
+	cfg.ShardSize = 4096
+	cfg.CheckpointPath = filepath.Join(dir, "full.ckpt")
+	run := func() string {
+		t.Helper()
+		s := New(cfg)
+		defer s.Close()
+		got, err := s.Run("table5", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := run(); got != string(want) {
+		t.Fatalf("uninterrupted run diverged from the golden:\n%s", got)
+	}
+	full, err := os.ReadFile(cfg.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := runFingerprint(cfg, New(cfg).Records())
+	var ends []int
+	for i, b := range full {
+		if b == '\n' {
+			ends = append(ends, i+1)
+		}
+	}
+	if len(ends) < 10 {
+		t.Fatalf("journal has %d lines, want a dozen", len(ends))
+	}
+
+	cfg.CheckpointPath = filepath.Join(dir, "cut.ckpt")
+	cut := func(k int) {
+		t.Helper()
+		if err := os.WriteFile(cfg.CheckpointPath, full[:k], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, b := range ends {
+		for _, k := range []int{b - 1, b + 1} {
+			if k > len(full) {
+				continue
+			}
+			keep := b
+			if k < b {
+				keep = ends[max(i-1, 0)]
+			}
+			cut(k)
+			ck, err := OpenCheckpoint(cfg.CheckpointPath, fp, cfg.ShardSize)
+			if err != nil {
+				t.Fatalf("cut at byte %d: %v", k, err)
+			}
+			ck.Close()
+			if raw, _ := os.ReadFile(cfg.CheckpointPath); !bytes.Equal(raw, full[:keep]) {
+				t.Fatalf("cut at byte %d reopened to %d bytes, want the %d-byte boundary", k, len(raw), keep)
+			}
+		}
+		cut(b)
+		if got := run(); got != string(want) {
+			t.Fatalf("resume from the record boundary at byte %d of %d diverged from the golden:\n%s", b, len(full), got)
+		}
+		if raw, _ := os.ReadFile(cfg.CheckpointPath); !bytes.Equal(raw, full) {
+			t.Fatalf("resume from byte %d did not rebuild the journal byte for byte", b)
+		}
+	}
+}
+
 // TestCheckpointGroupCommit pins the group-commit batching: N appends
 // share one Sync, Flush drains a partial group, and every line written
 // (synced or not) replays after a clean Close.
@@ -457,19 +643,19 @@ func TestCheckpointGroupCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := ck.syncs; got != 2 {
+	if got := ck.w.Syncs(); got != 2 {
 		t.Fatalf("7 appends at group size 3 took %d syncs, want 2", got)
 	}
 	if err := ck.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := ck.syncs; got != 3 {
+	if got := ck.w.Syncs(); got != 3 {
 		t.Fatalf("Flush did not sync the partial group: %d syncs, want 3", got)
 	}
 	if err := ck.Flush(); err != nil { // nothing pending: must not sync again
 		t.Fatal(err)
 	}
-	if got := ck.syncs; got != 3 {
+	if got := ck.w.Syncs(); got != 3 {
 		t.Fatalf("empty Flush synced: %d syncs, want 3", got)
 	}
 	if err := ck.Close(); err != nil {
@@ -502,13 +688,12 @@ func TestCheckpointCrashMidGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ck.syncs != 0 {
-		t.Fatalf("group of 8 synced after 5 appends: %d syncs", ck.syncs)
+	if ck.w.Syncs() != 0 {
+		t.Fatalf("group of 8 synced after 5 appends: %d syncs", ck.w.Syncs())
 	}
 	// Crash: drop the handle without Flush/Close, then tear the tail the
 	// way an interrupted append would.
-	ck.f.Close()
-	ck.f = nil
+	ck.w = nil
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -568,9 +753,9 @@ func TestNaNFloatRoundTrip(t *testing.T) {
 }
 
 // FuzzCheckpointLoad feeds arbitrary bytes to the journal loader. Any input
-// must yield an error or (ok, validLen) with validLen within the input and
-// on a line boundary, never a panic, and every entry it loads must be safe
-// to validate with measComplete before a resume trusts it.
+// must yield an error or a validLen within the input and on a line
+// boundary (0 meaning restart), never a panic, and every entry it loads
+// must be safe to validate with measComplete before a resume trusts it.
 func FuzzCheckpointLoad(f *testing.F) {
 	journal := strings.Join([]string{
 		`{"Version":1,"Fingerprint":"fp","ShardSize":4}`,
@@ -587,20 +772,20 @@ func FuzzCheckpointLoad(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		c := &Checkpoint{shards: make(map[shardKey]*ShardEntry)}
-		ok, validLen, err := c.load(raw, "fp", 4)
+		validLen, err := c.load(raw, "fp", 4)
 		if err != nil {
 			return
 		}
 		if validLen < 0 || validLen > int64(len(raw)) {
 			t.Fatalf("validLen %d outside [0, %d]", validLen, len(raw))
 		}
-		if !ok {
-			if validLen != 0 || len(c.shards) != 0 {
-				t.Fatalf("restart kept %d bytes and %d shards", validLen, len(c.shards))
+		if validLen == 0 {
+			if len(c.shards) != 0 {
+				t.Fatalf("restart kept %d shards", len(c.shards))
 			}
 			return
 		}
-		if validLen == 0 || raw[validLen-1] != '\n' {
+		if raw[validLen-1] != '\n' {
 			t.Fatalf("validLen %d is not at a line boundary", validLen)
 		}
 		for k, e := range c.shards {

@@ -1,9 +1,12 @@
 // Package profcache is the persistent on-disk profile cache: it maps
 // (block machine code, microarchitecture, profiling options, block seed)
 // to the profiling result, so repeated evaluation runs over an unchanged
-// corpus skip re-profiling entirely. The cache is a single JSON file
-// carrying a format/semantics version; a version bump invalidates every
-// persisted entry (the file is simply ignored and rewritten).
+// corpus skip re-profiling entirely. The cache is an append-only journal
+// (internal/journal): a header line carrying a format/semantics version,
+// then one {Key, Entry} record per line, the last record for a key winning
+// on load. A version bump invalidates every persisted entry: the file is
+// restarted empty. So is a file in the older single-JSON-object format,
+// which has no header line.
 package profcache
 
 import (
@@ -11,10 +14,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
+	"bhive/internal/journal"
 	"bhive/internal/pipeline"
 )
 
@@ -35,54 +37,54 @@ type Entry struct {
 	Counters     pipeline.Counters
 }
 
-// fileFormat is the on-disk representation.
-type fileFormat struct {
+type header struct {
 	Version int
-	Entries map[string]Entry
 }
 
-// Cache is a thread-safe persistent profile cache. Save snapshots the
-// entries under the lock but performs the disk write unlocked, so
-// long-running callers (the evaluation server flushes the shared cache
-// while other jobs keep profiling) never stall Get/Put behind I/O.
+// record is one journal line.
+type record struct {
+	Key   string
+	Entry Entry
+}
+
+// Cache is a thread-safe persistent profile cache. Put appends each new
+// or changed entry to the file at once; Save only syncs what was appended.
 type Cache struct {
-	path string
-
-	// saveMu serializes Save calls: two concurrent Saves would otherwise
-	// race their renames, and an older snapshot winning the rename would
-	// roll back entries the newer one had already persisted.
-	saveMu sync.Mutex
-
 	mu      sync.Mutex
+	w       *journal.Writer
 	entries map[string]Entry
-	dirty   bool
-	gen     uint64 // bumped by every mutating Put; gates clearing dirty
+	err     error // first failed append; Save reports it
 }
 
-// Open loads the cache at path. A missing file or a version mismatch
-// yields an empty cache bound to the same path; corrupt files are an
-// error so silent cache loss is visible.
+// Open loads the cache at path, creating it if it is missing. A version
+// mismatch yields an empty cache bound to the same path; a corrupt record
+// is an error so silent cache loss is visible.
 func Open(path string) (*Cache, error) {
-	c := &Cache{path: path, entries: make(map[string]Entry)}
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return c, nil
-	}
+	c := &Cache{entries: make(map[string]Entry)}
+	w, err := journal.Open(path, header{Version}, c.load)
 	if err != nil {
 		return nil, fmt.Errorf("profcache: %w", err)
 	}
-	var f fileFormat
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, fmt.Errorf("profcache: %s: %w", path, err)
-	}
-	if f.Version != Version {
-		// Version bump: discard persisted entries, start fresh.
-		return c, nil
-	}
-	if f.Entries != nil {
-		c.entries = f.Entries
-	}
+	w.SetGroupCommit(0) // Save is the durability point
+	c.w = w
 	return c, nil
+}
+
+func (c *Cache) load(raw []byte) (int64, error) {
+	return journal.Read(raw, func(line []byte) (bool, error) {
+		var h header
+		if err := json.Unmarshal(line, &h); err != nil {
+			return false, fmt.Errorf("bad header: %w", err)
+		}
+		return h.Version == Version, nil
+	}, func(line []byte) error {
+		var r record
+		if err := json.Unmarshal(line, &r); err != nil {
+			return err
+		}
+		c.entries[r.Key] = r.Entry
+		return nil
+	})
 }
 
 // Key derives the cache key for one profiling attempt. optsFingerprint
@@ -102,7 +104,10 @@ func (c *Cache) Get(key string) (Entry, bool) {
 	return e, ok
 }
 
-// Put records an entry.
+// Put records an entry and appends it to the file unless the cache
+// already holds it unchanged. After a failed append the cache stops
+// writing (a later line would land on the torn one) and Save reports the
+// failure.
 func (c *Cache) Put(key string, e Entry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -110,8 +115,16 @@ func (c *Cache) Put(key string, e Entry) {
 		return
 	}
 	c.entries[key] = e
-	c.dirty = true
-	c.gen++
+	if c.err != nil {
+		return
+	}
+	raw, err := json.Marshal(record{key, e})
+	if err == nil {
+		err = c.w.Append(raw)
+	}
+	if err != nil {
+		c.err = fmt.Errorf("profcache: %w", err)
+	}
 }
 
 // Len returns the number of cached entries.
@@ -121,83 +134,13 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Save writes the cache back to its path atomically (temp file + rename).
-// It is a no-op when nothing changed since Open/the last Save. The write
-// happens outside the entry lock, so concurrent Get/Put never block on
-// disk I/O; entries Put during the write window stay dirty (the snapshot
-// predates them) and are picked up by the next Save instead of being
-// silently dropped.
+// Save makes every entry Put so far durable by syncing the appended
+// records. When nothing was Put since the last Save it does no I/O.
 func (c *Cache) Save() error {
-	c.saveMu.Lock()
-	defer c.saveMu.Unlock()
-
 	c.mu.Lock()
-	if !c.dirty {
-		c.mu.Unlock()
-		return nil
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return c.err
 	}
-	snap := make(map[string]Entry, len(c.entries))
-	for k, v := range c.entries {
-		snap[k] = v
-	}
-	genAtSnap := c.gen
-	c.mu.Unlock()
-
-	raw, err := json.Marshal(fileFormat{Version: Version, Entries: snap})
-	if err != nil {
-		return fmt.Errorf("profcache: %w", err)
-	}
-	dir := filepath.Dir(c.path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("profcache: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, ".profcache-*")
-	if err != nil {
-		return fmt.Errorf("profcache: %w", err)
-	}
-	// Sync before rename: a crash right after Save must leave either the
-	// old file or the complete new one, never a short write behind the
-	// final name.
-	_, werr := tmp.Write(raw)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("profcache: writing %s: %v/%v/%v", c.path, werr, serr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("profcache: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	// Only what was in the snapshot is on disk. A Put that landed during
-	// the write bumped gen past genAtSnap; leaving dirty set then makes
-	// the next Save persist it.
-	if c.gen == genAtSnap {
-		c.dirty = false
-	}
-	c.mu.Unlock()
-	return nil
-}
-
-// syncDir makes the just-renamed directory entry durable: rename alone
-// only updates the entry in memory, so a crash shortly after Save could
-// otherwise roll the whole cache file back to its previous contents.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("profcache: %w", err)
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("profcache: syncing %s: %w", dir, serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("profcache: %w", cerr)
-	}
-	return nil
+	return c.w.Flush()
 }

@@ -12,50 +12,6 @@ import (
 	"time"
 )
 
-// TestWriteFileAtomicDirSync pins the durability discipline of the
-// terminal-marker writes: after the rename lands, the parent directory
-// must be fsynced, or a crash can roll the rename back and lose a
-// "committed" result.json while the checkpoint journal says the job
-// finished.
-func TestWriteFileAtomicDirSync(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "result.json")
-
-	before := dirSyncs.Load()
-	if err := writeFileAtomic(path, []byte(`{"ok":true}`)); err != nil {
-		t.Fatal(err)
-	}
-	if got := dirSyncs.Load(); got != before+1 {
-		t.Fatalf("dir syncs %d -> %d, want exactly one directory sync after the rename", before, got)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(raw) != `{"ok":true}` {
-		t.Fatalf("content %q", raw)
-	}
-
-	// No temp files may survive the commit.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".tmp-") {
-			t.Fatalf("leftover temp file %s", e.Name())
-		}
-	}
-
-	// Overwrite follows the same path (rename over an existing file).
-	if err := writeFileAtomic(path, []byte(`{"ok":false}`)); err != nil {
-		t.Fatal(err)
-	}
-	if got := dirSyncs.Load(); got != before+2 {
-		t.Fatalf("overwrite did not sync the directory (syncs %d, want %d)", got, before+2)
-	}
-}
-
 // testServer builds a Server without New's worker pool or disk scan, for
 // tests that need to drive the internals deterministically.
 func testServer(t *testing.T, queueCap int) *Server {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"bhive/internal/journal"
 	"bhive/internal/profiler"
 )
 
@@ -66,7 +67,7 @@ func (j *Job) persistRequest() error {
 	if err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
-	return writeFileAtomic(filepath.Join(j.dir, "request.json"), append(raw, '\n'))
+	return journal.WriteFileAtomic(filepath.Join(j.dir, "request.json"), append(raw, '\n'))
 }
 
 // signal wakes every waiter. Callers must hold j.mu.

@@ -32,13 +32,13 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bhive/internal/backend"
 	"bhive/internal/corpus"
 	"bhive/internal/dist"
 	"bhive/internal/harness"
+	"bhive/internal/journal"
 	"bhive/internal/profcache"
 	"bhive/internal/profiler"
 	"bhive/internal/uarch"
@@ -657,12 +657,12 @@ func (s *Server) runJob(j *Job) {
 		j.setState(stateQueued, "interrupted on a shard boundary; resumes on restart")
 	case err != nil:
 		msg := err.Error()
-		if ferr := writeFileAtomic(filepath.Join(j.dir, "error.json"), mustJSON(failureFile{Error: msg})); ferr != nil {
+		if ferr := journal.WriteFileAtomic(filepath.Join(j.dir, "error.json"), mustJSON(failureFile{Error: msg})); ferr != nil {
 			msg = fmt.Sprintf("%s (and persisting the failure failed: %v)", msg, ferr)
 		}
 		j.setState(stateFailed, msg)
 	default:
-		if werr := writeFileAtomic(j.resultPath(), raw); werr != nil {
+		if werr := journal.WriteFileAtomic(j.resultPath(), raw); werr != nil {
 			j.setState(stateFailed, werr.Error())
 		} else {
 			j.setState(stateDone, "")
@@ -728,60 +728,6 @@ func mustJSON(v any) []byte {
 	}
 	return raw
 }
-
-// writeFileAtomic lands bytes under path via temp file + fsync + rename +
-// parent-directory fsync, the same crash discipline profcache.Save uses: a
-// parallel reader (or a crash mid-write) sees either nothing or the
-// complete file. The final directory sync matters: rename only updates the
-// directory entry in memory, so without it a crash shortly after "commit"
-// can roll the rename back — a result.json or error.json terminal marker
-// would vanish while the job's checkpoint journal says the work finished.
-func writeFileAtomic(path string, raw []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
-	_, werr := tmp.Write(raw)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: writing %s: %v/%v/%v", path, werr, serr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: %w", err)
-	}
-	return syncDir(dir)
-}
-
-// syncDir makes a just-renamed directory entry durable. Split out (and
-// recorded) so the atomic-write test can assert the rename is actually
-// followed by a directory sync.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return fmt.Errorf("server: syncing %s: %w", dir, serr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("server: %w", cerr)
-	}
-	dirSyncs.Add(1)
-	return nil
-}
-
-// dirSyncs counts completed directory syncs (observed by tests to pin the
-// durability behavior of writeFileAtomic).
-var dirSyncs atomic.Uint64
 
 // MetricsStatus is the job-status view of profiler.Metrics.
 type MetricsStatus struct {
