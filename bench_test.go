@@ -320,6 +320,43 @@ func BenchmarkProfileHotPath(b *testing.B) {
 	b.ReportMetric(float64(len(blocks)), "blocksPerOp")
 }
 
+// BenchmarkProfileGroup measures generated blocks on the six xval keys —
+// the three paper µarchs, stock and perturbed — from one functional pass
+// per block (profiler.ProfileEach, "group") and, as the baseline, with one
+// Profile call per key ("per-key"). One op is one block on all six keys,
+// so ns/op and allocs/op are per block.
+func BenchmarkProfileGroup(b *testing.B) {
+	recs := corpus.GenerateAll(0.001, 7)
+	var ps []*profiler.Profiler
+	for _, cpu := range uarch.All() {
+		ps = append(ps,
+			profiler.New(cpu, profiler.DefaultOptions()),
+			profiler.New(cpu.Perturbed(), profiler.DefaultOptions()))
+	}
+	out := make([]profiler.Result, len(ps))
+	group := func(blk *x86.Block) { profiler.ProfileEach(blk, ps, out) }
+	perKey := func(blk *x86.Block) {
+		for k, p := range ps {
+			out[k] = p.Profile(blk)
+		}
+	}
+	for _, mode := range []struct {
+		name    string
+		measure func(*x86.Block)
+	}{{"group", group}, {"per-key", perKey}} {
+		b.Run(mode.name, func(b *testing.B) {
+			for _, r := range recs { // warm the memo tables and the pools
+				mode.measure(r.Block)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mode.measure(recs[i%len(recs)].Block)
+			}
+		})
+	}
+}
+
 func BenchmarkProfileSmallBlock(b *testing.B) {
 	block, _ := x86.ParseBlock("add rax, rbx\nmov rcx, qword ptr [rsp+8]", x86.SyntaxIntel)
 	p := profiler.New(uarch.Haswell(), profiler.DefaultOptions())

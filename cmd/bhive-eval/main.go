@@ -34,6 +34,7 @@ import (
 	"bhive/internal/memo"
 	"bhive/internal/models"
 	"bhive/internal/profcache"
+	"bhive/internal/profiler"
 )
 
 func main() {
@@ -104,6 +105,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	cfg.Prescreen = *prescreen
 	cfg.Crosscheck = *crosschk
 	cfg.StopAfterShards = *stopAfter
+	// One metrics sink for the whole run, backends included, so each
+	// progress line counts the functional passes its shard ran.
+	cfg.Metrics = new(profiler.Metrics)
 	if *progress {
 		cfg.Progress = stderr
 	}
@@ -152,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	// suite, whose run fingerprint includes their identities.
 	runExp := *exp
 	if *backends != "" {
-		bes, berr := backend.ParseList(*backends, backend.Options{Cache: pc})
+		bes, berr := backend.ParseList(*backends, backend.Options{Cache: pc, Metrics: cfg.Metrics})
 		if berr != nil {
 			return berr
 		}

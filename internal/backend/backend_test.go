@@ -306,3 +306,31 @@ func TestPerturbedSharesCacheSafely(t *testing.T) {
 		t.Fatalf("perturbed under shared infra: %v, want %v", got.Throughput, perNoCache.Throughput)
 	}
 }
+
+// TestSimProfiler: the simulator backends expose the profiler their
+// Measure runs — one per CPU, the perturbed one on the remapped CPU.
+func TestSimProfiler(t *testing.T) {
+	b := block(t, "add rax, rbx\nimul rcx, rdx")
+	for _, be := range []interface {
+		Backend
+		Profiler(*uarch.CPU) *profiler.Profiler
+	}{NewSim(Options{}), NewPerturbedSim(Options{})} {
+		for _, cpu := range uarch.All() {
+			p := be.Profiler(cpu)
+			if p != be.Profiler(cpu) {
+				t.Fatalf("%s: a second Profiler call on %s built another profiler", be.Name(), cpu.Name)
+			}
+			wantCPU := cpu.Name
+			if be.Name() == "perturbed" {
+				wantCPU = cpu.Perturbed().Name
+			}
+			if p.CPU.Name != wantCPU {
+				t.Errorf("%s on %s profiles on %s, want %s", be.Name(), cpu.Name, p.CPU.Name, wantCPU)
+			}
+			r, m := p.Profile(b), be.Measure(b, cpu)
+			if r.Status != m.Status || r.Throughput != m.Throughput || r.Counters != m.Counters {
+				t.Errorf("%s on %s: Profile %+v, Measure %+v", be.Name(), cpu.Name, r, m)
+			}
+		}
+	}
+}

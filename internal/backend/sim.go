@@ -54,7 +54,11 @@ func (s *sim) Fingerprint() string {
 	return s.name + "|" + s.opts.profilerOptions().Fingerprint()
 }
 
-func (s *sim) profilerFor(cpu *uarch.CPU) *profiler.Profiler {
+// Profiler returns the profiler the backend measures cpu with, built on
+// first use and the same on every call: Measure is exactly
+// Profiler(cpu).Profile, so a caller measuring one block on several keys
+// can measure them all from one functional pass (profiler.ProfileEach).
+func (s *sim) Profiler(cpu *uarch.CPU) *profiler.Profiler {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.profs == nil {
@@ -75,7 +79,7 @@ func (s *sim) profilerFor(cpu *uarch.CPU) *profiler.Profiler {
 }
 
 func (s *sim) Measure(b *x86.Block, cpu *uarch.CPU) Measurement {
-	r := s.profilerFor(cpu).Profile(b)
+	r := s.Profiler(cpu).Profile(b)
 	return Measurement{
 		Status:     r.Status,
 		Throughput: r.Throughput,

@@ -92,9 +92,7 @@ func (c *Cache) AccessRange(physAddr uint64, size int) (misses int, split bool) 
 // a context switch).
 func (c *Cache) Flush() {
 	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-		}
+		clear(c.valid[s])
 	}
 }
 

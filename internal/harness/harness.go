@@ -23,6 +23,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -163,8 +164,9 @@ type archData struct {
 
 // onceMap singleflights one expensive computation per key: concurrent
 // callers asking for the same key share a single run and its result.
-// The suite keeps one for the model-evaluation passes (keyed by µarch)
-// and one for the xval measurement passes (keyed by µarch@backend).
+// The suite keeps one for the model-evaluation passes (keyed by µarch);
+// measurement passes, which measure several keys at once, have their own
+// (Suite.measured).
 type onceMap[T any] struct {
 	mu sync.Mutex
 	m  map[string]*onceEntry[T]
@@ -198,10 +200,10 @@ type Suite struct {
 	recs []corpus.Record
 	fp   string // run fingerprint binding checkpoints to this configuration
 
-	arch      onceMap[*archData]     // per-µarch model-evaluation passes
-	bmeas     onceMap[[]measurement] // per-(µarch, backend) xval measurements
+	arch      onceMap[*archData] // per-µarch model-evaluation passes
 	mu        sync.Mutex
-	defaultBE backend.Backend // lazily built when Config.Backends is empty
+	meas      map[string]*measEntry // per-lane-key measurement passes
+	defaultBE backend.Backend       // lazily built when Config.Backends is empty
 	cls       *classify.Classifier
 	learn     map[string]*ithemal.Model
 	ckpt      *Checkpoint
@@ -276,6 +278,15 @@ func (s *Suite) progressf(format string, args ...any) {
 	if s.cfg.Progress != nil {
 		fmt.Fprintf(s.cfg.Progress, format, args...)
 	}
+}
+
+// shardBudget is how many more shards StopAfterShards lets the run
+// compute: 0 means no limit.
+func (s *Suite) shardBudget() int {
+	if s.cfg.StopAfterShards <= 0 {
+		return 0
+	}
+	return max(s.cfg.StopAfterShards-int(s.computedShards.Load()), 1)
 }
 
 // spendShard charges one computed shard against StopAfterShards and
@@ -372,11 +383,48 @@ func parallel[T any](s *Suite, n int, newState func() T, do func(st T, i int)) {
 	wg.Wait()
 }
 
-// measurer measures one block; each pool worker owns one.
-type measurer func(b *x86.Block) measurement
+// lane is one key of a measurement pass — a µarch for model evaluation,
+// a (µarch, backend) pair for xval — and how its blocks are measured. A
+// pass measures block-major: each pool worker measures one block for
+// every lane before it takes the next, and the lanes whose profilers
+// share Options measure it from one functional pass
+// (profiler.ProfileEach).
+type lane struct {
+	// key is the lane's checkpoint shard key: cpu.Name for model
+	// evaluation, cpu.Name@backend for xval.
+	key string
+	// prof measures the lane when non-nil. It is shared by the workers.
+	prof *profiler.Profiler
+	// lint, when non-nil, statically screens the lane's blocks before
+	// profiling (Config.Prescreen) and checks the dynamic statuses after
+	// (Config.Crosscheck).
+	lint *blocklint.Analyzer
+	// measure measures a block for a lane without a profiler.
+	measure func(b *x86.Block) measurement
+	// alone says why the lane cannot share the block's functional pass
+	// ("" when it does): set by the builder of a lane without a profiler,
+	// and by shareLanes for one whose options differ.
+	alone string
+}
 
-// newProfiler builds one worker's profiler, sharing the suite's profile
-// cache and feeding met.
+// shareLanes marks the profiled lanes that cannot join the shared
+// functional pass: those whose options differ from the first profiled
+// lane's.
+func shareLanes(lanes []lane) {
+	var opts *profiler.Options
+	for i := range lanes {
+		switch l := &lanes[i]; {
+		case l.prof == nil:
+		case opts == nil:
+			opts = &l.prof.Opts
+		case l.prof.Opts != *opts:
+			l.alone = "different options"
+		}
+	}
+}
+
+// newProfiler builds a profiler sharing the suite's profile cache and
+// feeding met.
 func (s *Suite) newProfiler(cpu *uarch.CPU, opts profiler.Options, met *profiler.Metrics) *profiler.Profiler {
 	p := profiler.New(cpu, opts)
 	p.Cache = s.cfg.ProfileCache
@@ -384,45 +432,95 @@ func (s *Suite) newProfiler(cpu *uarch.CPU, opts profiler.Options, met *profiler
 	return p
 }
 
-// profileStep is the measure step of the model-evaluation passes: each
-// worker profiles under opts, feeding met. With Config.Prescreen,
-// statically rejected blocks are skipped; with Config.Crosscheck, dynamic
-// statuses are validated against the static predictions.
-func (s *Suite) profileStep(cpu *uarch.CPU, opts profiler.Options, met *profiler.Metrics) func() measurer {
-	var lint *blocklint.Analyzer
+// modelLane is the lane of the model-evaluation passes on cpu: it
+// profiles under opts, feeding met. With Config.Prescreen, statically
+// rejected blocks are skipped; with Config.Crosscheck, dynamic statuses
+// are validated against the static predictions.
+func (s *Suite) modelLane(cpu *uarch.CPU, opts profiler.Options, met *profiler.Metrics) lane {
+	l := lane{key: cpu.Name, prof: s.newProfiler(cpu, opts, met)}
 	if s.cfg.Prescreen || s.cfg.Crosscheck {
-		lint = blocklint.New(cpu, opts)
+		l.lint = blocklint.New(cpu, opts)
 	}
-	return func() measurer {
-		p := s.newProfiler(cpu, opts, met)
-		return func(b *x86.Block) measurement {
-			var rep *blocklint.Report
-			if lint != nil {
-				rep = lint.Analyze(b)
-				if s.cfg.Prescreen && rep.Rejected() {
-					met.RecordPrescreened(rep.Predicted)
-					return measurement{tp: 0, status: rep.Predicted}
-				}
+	return l
+}
+
+// laneWorker is one pool worker's scratch for measuring a block on every
+// lane.
+type laneWorker struct {
+	s     *Suite
+	lanes []lane
+	profs []*profiler.Profiler // this block's shared-pass profilers
+	idx   []int                // and their lanes
+	res   []profiler.Result
+	reps  []*blocklint.Report // per lane
+}
+
+// measure measures block i of the pass, b, on every lane into out[lane][i].
+func (w *laneWorker) measure(b *x86.Block, out [][]measurement, i int) {
+	s := w.s
+	w.profs, w.idx = w.profs[:0], w.idx[:0]
+	for li := range w.lanes {
+		l := &w.lanes[li]
+		w.reps[li] = nil
+		if l.lint != nil {
+			rep := l.lint.Analyze(b)
+			if s.cfg.Prescreen && rep.Rejected() {
+				l.prof.Metrics.RecordPrescreened(rep.Predicted)
+				out[li][i] = measurement{tp: 0, status: rep.Predicted}
+				continue
 			}
-			r := p.Profile(b)
-			s.profileCalls.Add(1)
-			if s.cfg.Crosscheck && rep != nil && !rep.Agrees(r.Status) {
-				met.RecordCrosscheckMismatch()
-				if n := s.crossMismatches.Add(1); n <= maxMismatchLines {
-					hexStr, _ := b.Hex()
-					s.progressf("[%s] crosscheck mismatch: %s static=%s(exact=%v) dynamic=%s\n",
-						cpu.Name, hexStr, rep.PredictedName, rep.Exact, r.Status)
-				}
-			}
-			return measurement{tp: r.Throughput, status: r.Status}
+			w.reps[li] = rep
 		}
+		switch {
+		case l.prof == nil:
+			out[li][i] = l.measure(b)
+			s.profileCalls.Add(1)
+		case l.alone != "":
+			out[li][i] = w.profiled(l, w.reps[li], b, l.prof.Profile(b))
+		default:
+			w.profs = append(w.profs, l.prof)
+			w.idx = append(w.idx, li)
+		}
+	}
+	if len(w.profs) == 0 {
+		return
+	}
+	res := w.res[:len(w.profs)]
+	profiler.ProfileEach(b, w.profs, res)
+	for k, li := range w.idx {
+		out[li][i] = w.profiled(&w.lanes[li], w.reps[li], b, res[k])
 	}
 }
 
-// measureInto measures recs into out (index-aligned) on the worker pool,
-// one measurer per worker from step.
-func (s *Suite) measureInto(step func() measurer, recs []corpus.Record, out []measurement) {
-	parallel(s, len(recs), step, func(m measurer, i int) { out[i] = m(recs[i].Block) })
+// profiled accounts one profiled (block, lane) result and cross-checks
+// it against the static prediction rep.
+func (w *laneWorker) profiled(l *lane, rep *blocklint.Report, b *x86.Block, r profiler.Result) measurement {
+	s := w.s
+	s.profileCalls.Add(1)
+	if s.cfg.Crosscheck && rep != nil && !rep.Agrees(r.Status) {
+		l.prof.Metrics.RecordCrosscheckMismatch()
+		if n := s.crossMismatches.Add(1); n <= maxMismatchLines {
+			hexStr, _ := b.Hex()
+			s.progressf("[%s] crosscheck mismatch: %s static=%s(exact=%v) dynamic=%s\n",
+				l.prof.CPU.Name, hexStr, rep.PredictedName, rep.Exact, r.Status)
+		}
+	}
+	return measurement{tp: r.Throughput, status: r.Status}
+}
+
+// measureInto measures recs on every lane into out[lane] (index-aligned
+// with recs) on the worker pool, block-major.
+func (s *Suite) measureInto(lanes []lane, recs []corpus.Record, out [][]measurement) {
+	shareLanes(lanes)
+	newWorker := func() *laneWorker {
+		return &laneWorker{
+			s:     s,
+			lanes: lanes,
+			res:   make([]profiler.Result, len(lanes)),
+			reps:  make([]*blocklint.Report, len(lanes)),
+		}
+	}
+	parallel(s, len(recs), newWorker, func(w *laneWorker, i int) { w.measure(recs[i].Block, out, i) })
 }
 
 // CrosscheckMismatches reports how many static/dynamic disagreements the
@@ -433,7 +531,7 @@ func (s *Suite) CrosscheckMismatches() uint64 { return s.crossMismatches.Load() 
 // (unsharded: the ablation tables and Google corpora are small).
 func (s *Suite) profileAll(cpu *uarch.CPU, opts profiler.Options, recs []corpus.Record) []measurement {
 	out := make([]measurement, len(recs))
-	s.measureInto(s.profileStep(cpu, opts, nil), recs, out)
+	s.measureInto([]lane{s.modelLane(cpu, opts, nil)}, recs, [][]measurement{out})
 	return out
 }
 
@@ -470,59 +568,197 @@ func journalMeas(meas []measurement) (tp []float64, status []int) {
 	return tp, status
 }
 
-// measureShards drives one sharded measurement pass over the corpus,
-// journaled under the checkpoint key key (cpu.Name for model evaluation,
-// cpu.Name@backend for xval): resume completed shards from the
-// checkpoint, measure the rest with step and persist them. met feeds the
-// progress lines' overall rate and ETA; rejects adds each shard's
-// cache-hit rate and reject-status histogram to its line.
-func (s *Suite) measureShards(key string, step func() measurer, met *profiler.Metrics, rejects bool) ([]measurement, error) {
+// measEntry is one lane key's measurement pass, computed at most once per
+// suite: done closes when v and err are set.
+type measEntry struct {
+	done chan struct{}
+	v    []measurement
+	err  error
+}
+
+// measured returns the corpus measurements of every lane, index-aligned
+// with lanes. A key's pass runs at most once per suite: the keys no
+// caller has claimed yet are measured together, block-major, by one
+// measureShards pass; keys another caller claimed are waited for.
+// Concurrent callers asking for the same key share a single run and its
+// result.
+func (s *Suite) measured(lanes []lane, met *profiler.Metrics, rejects bool) ([][]measurement, error) {
+	entries := make([]*measEntry, len(lanes))
+	var mine []lane
+	var mineEntries []*measEntry
+	s.mu.Lock()
+	if s.meas == nil {
+		s.meas = make(map[string]*measEntry)
+	}
+	for i, l := range lanes {
+		e := s.meas[l.key]
+		if e == nil {
+			e = &measEntry{done: make(chan struct{})}
+			s.meas[l.key] = e
+			mine = append(mine, l)
+			mineEntries = append(mineEntries, e)
+		}
+		entries[i] = e
+	}
+	s.mu.Unlock()
+
+	if len(mine) > 0 {
+		vs, err := s.measureShards(mine, met, rejects)
+		for k, e := range mineEntries {
+			if err == nil {
+				e.v = vs[k]
+			}
+			e.err = err
+			close(e.done)
+		}
+	}
+	out := make([][]measurement, len(lanes))
+	for i, e := range entries {
+		<-e.done
+		if e.err != nil {
+			return nil, e.err
+		}
+		out[i] = e.v
+	}
+	return out, nil
+}
+
+// passMetrics is the sink a measurement pass reports its progress from:
+// the run's Metrics, or private counters when the run has none.
+func (s *Suite) passMetrics() *profiler.Metrics {
+	if s.cfg.Metrics != nil {
+		return s.cfg.Metrics
+	}
+	return new(profiler.Metrics)
+}
+
+// modelMeas returns the model-evaluation measurements of every cpu,
+// measuring the ones no earlier pass has measured block-major in one pass.
+func (s *Suite) modelMeas(cpus []*uarch.CPU) ([][]measurement, error) {
+	met := s.passMetrics()
+	lanes := make([]lane, len(cpus))
+	for i, cpu := range cpus {
+		lanes[i] = s.modelLane(cpu, profiler.DefaultOptions(), met)
+	}
+	return s.measured(lanes, met, true)
+}
+
+// measureShards drives one sharded measurement pass over the corpus for a
+// set of lanes, each journaled under its own checkpoint key: resume the
+// (lane, shard) cells the checkpoint holds, measure the rest block-major
+// and persist them, one journal line per lane in lane order after each
+// shard. met feeds the progress lines' overall rate and ETA and their
+// functional-pass counts; rejects adds each shard's cache-hit rate and
+// reject-status histogram to its line.
+//
+// StopAfterShards counts journal lines, so a shard measured for k lanes
+// spends k. A shard is measured only for as many lanes as the budget has
+// left, so an interrupted run has measured exactly what it journaled.
+func (s *Suite) measureShards(lanes []lane, met *profiler.Metrics, rejects bool) ([][]measurement, error) {
 	ck, err := s.checkpoint()
 	if err != nil {
 		return nil, err
 	}
 	n := len(s.recs)
 	num := s.numShards(n)
-	meas := make([]measurement, n)
+	meas := make([][]measurement, len(lanes))
+	planned := 0
+	for li := range lanes {
+		meas[li] = make([]measurement, n)
+		planned += n - s.resumedRecords(ck, lanes[li].key)
+	}
 
 	// Register this pass's non-resumed work up front so the per-shard
 	// progress lines can carry an overall rate and time-to-finish;
 	// AddPlanned is a no-op on a nil sink.
-	met.AddPlanned(n - s.resumedRecords(ck, key))
+	met.AddPlanned(planned)
 
+	todo := make([]int, 0, len(lanes))
 	for si := 0; si < num; si++ {
 		lo, hi := s.shardBounds(si, n)
-		if ck != nil {
-			if sh, ok := ck.Shard(key, si); ok && measComplete(sh, hi-lo) {
-				for i := lo; i < hi; i++ {
-					meas[i] = measurement{tp: sh.Tp[i-lo], status: profiler.Status(sh.Status[i-lo])}
+		todo = todo[:0]
+		for li, l := range lanes {
+			if ck != nil {
+				if sh, ok := ck.Shard(l.key, si); ok && measComplete(sh, hi-lo) {
+					for i := lo; i < hi; i++ {
+						meas[li][i] = measurement{tp: sh.Tp[i-lo], status: profiler.Status(sh.Status[i-lo])}
+					}
+					s.progressf("[%s] meas shard %d/%d: %d blocks resumed from checkpoint\n",
+						l.key, si+1, num, hi-lo)
+					continue
 				}
-				s.progressf("[%s] meas shard %d/%d: %d blocks resumed from checkpoint\n",
-					key, si+1, num, hi-lo)
-				continue
 			}
+			todo = append(todo, li)
 		}
+		if left := s.shardBudget(); left > 0 && left < len(todo) {
+			todo = todo[:left]
+		}
+		if len(todo) == 0 {
+			continue
+		}
+
 		start := time.Now()
 		before := met.Snapshot()
-		s.measureInto(step, s.recs[lo:hi], meas[lo:hi])
-		if ck != nil {
-			tp, st := journalMeas(meas[lo:hi])
-			if err := ck.PutMeas(key, si, tp, st); err != nil {
-				return nil, err
+		sub := make([]lane, len(todo))
+		out := make([][]measurement, len(todo))
+		for k, li := range todo {
+			sub[k], out[k] = lanes[li], meas[li][lo:hi]
+		}
+		s.measureInto(sub, s.recs[lo:hi], out)
+		stop := false
+		for k, l := range sub {
+			if ck != nil {
+				tp, st := journalMeas(out[k])
+				if err := ck.PutMeas(l.key, si, tp, st); err != nil {
+					return nil, err
+				}
 			}
+			stop = s.spendShard() || stop
 		}
-		line := fmt.Sprintf("[%s] meas shard %d/%d: %d blocks  %.0f blocks/s%s",
-			key, si+1, num, hi-lo, float64(hi-lo)/time.Since(start).Seconds(), etaSuffix(met))
-		if rejects {
-			delta := met.Snapshot().Sub(before)
-			line += fmt.Sprintf("  cache-hit %.1f%%  reject: %s", 100*delta.HitRate(), delta.RejectHistogram())
-		}
-		s.progressf("%s\n", line)
-		if s.spendShard() {
+		s.measLines(sub, si, num, hi-lo, time.Since(start), met, before, rejects)
+		if stop {
 			return nil, ErrInterrupted
 		}
 	}
 	return meas, nil
+}
+
+// measLines writes one measured shard's progress lines, one per lane
+// journaled, as a resumed shard writes one per lane resumed. The first
+// lane's line carries the shard's numbers: the other lanes, the rate and
+// ETA, the functional passes and the measurements they served, the
+// measurements that could not share a pass and why, and with rejects the
+// cache-hit rate and reject histogram. Its rates count (block, lane)
+// measurements, as the overall rate does.
+func (s *Suite) measLines(lanes []lane, si, num, blocks int, took time.Duration, met *profiler.Metrics, before profiler.Snapshot, rejects bool) {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "[%s] meas shard %d/%d: %d blocks", lanes[0].key, si+1, num, blocks)
+	if len(lanes) > 1 {
+		keys := make([]string, len(lanes)-1)
+		for k, l := range lanes[1:] {
+			keys[k] = l.key
+		}
+		fmt.Fprintf(&sb, " (+%s)", strings.Join(keys, ","))
+	}
+	fmt.Fprintf(&sb, "  %.0f blocks/s%s", float64(blocks*len(lanes))/took.Seconds(), etaSuffix(met))
+	delta := met.Snapshot().Sub(before)
+	fmt.Fprintf(&sb, "  functional passes %d for %d measurements", delta.Passes, delta.PassServed)
+	var alone []string
+	for _, l := range lanes {
+		if l.alone != "" {
+			alone = append(alone, l.key+": "+l.alone)
+		}
+	}
+	if len(alone) > 0 {
+		fmt.Fprintf(&sb, "  alone %d (%s)", blocks*len(alone), strings.Join(alone, ", "))
+	}
+	if rejects {
+		fmt.Fprintf(&sb, "  cache-hit %.1f%%  reject: %s", 100*delta.HitRate(), delta.RejectHistogram())
+	}
+	s.progressf("%s\n", sb.String())
+	for _, l := range lanes[1:] {
+		s.progressf("[%s] meas shard %d/%d: %d blocks (with %s)\n", l.key, si+1, num, blocks, lanes[0].key)
+	}
 }
 
 // computeArch drives the sharded measurement and prediction pipeline for
@@ -530,16 +766,13 @@ func (s *Suite) measureShards(key string, step func() measurer, met *profiler.Me
 // compute and persist the rest, and stream every shard into the
 // incremental aggregators.
 func (s *Suite) computeArch(cpu *uarch.CPU) (*archData, error) {
-	met := s.cfg.Metrics
-	if met == nil {
-		met = new(profiler.Metrics)
-	}
-
-	// Pass 1: measurements, shard by shard.
-	meas, err := s.measureShards(cpu.Name, s.profileStep(cpu, profiler.DefaultOptions(), met), met, true)
+	// Pass 1: measurements, shard by shard — already done when the
+	// caller requested its µarch set whole (Table5).
+	ms, err := s.modelMeas([]*uarch.CPU{cpu})
 	if err != nil {
 		return nil, err
 	}
+	meas := ms[0]
 	ck, err := s.checkpoint()
 	if err != nil {
 		return nil, err

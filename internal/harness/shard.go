@@ -114,7 +114,7 @@ func (s *Suite) ComputeShard(archName string, si int) (*ShardPayload, error) {
 
 	// The measure and predict steps of computeArch's two passes.
 	meas := make([]measurement, hi-lo)
-	s.measureInto(s.profileStep(cpu, profiler.DefaultOptions(), s.cfg.Metrics), recs, meas)
+	s.measureInto([]lane{s.modelLane(cpu, profiler.DefaultOptions(), s.cfg.Metrics)}, recs, [][]measurement{meas})
 	tp, status := journalMeas(meas)
 	preds := models.All(cpu)
 	out := make(map[string][]float64, len(preds))

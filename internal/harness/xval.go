@@ -47,28 +47,57 @@ func backendArchKey(cpu *uarch.CPU, be backend.Backend) string {
 	return cpu.Name + "@" + be.Name()
 }
 
-// backendData measures the whole corpus with one backend on one
-// microarchitecture — sharded, checkpointed, and computed at most once
-// per suite. Backends that share Config.Metrics (the evaluation server
-// wires its job metrics into both) get the same overall-rate/ETA
-// reporting as the stock measurement pass.
-func (s *Suite) backendData(be backend.Backend, cpu *uarch.CPU) ([]measurement, error) {
-	key := backendArchKey(cpu, be)
-	return s.bmeas.do(key, func() ([]measurement, error) {
-		return s.measureShards(key, s.backendStep(be, cpu), s.cfg.Metrics, false)
-	})
-}
-
-// backendStep is the measure step of the xval passes: every worker
-// measures through the one backend.
-func (s *Suite) backendStep(be backend.Backend, cpu *uarch.CPU) func() measurer {
-	return func() measurer {
-		return func(b *x86.Block) measurement {
-			m := be.Measure(b, cpu)
-			s.profileCalls.Add(1)
-			return measurement{tp: m.Throughput, status: m.Status}
+// xvalMeas measures the whole corpus with every backend on every cpu —
+// sharded, checkpointed, block-major over all the (µarch, backend) keys
+// no earlier pass measured, and computed at most once per key per suite.
+// The result is indexed [cpu][backend]. Simulator-backed backends
+// (profiledBackend) share each block's functional pass; any other
+// backend, or a Recorder, measures through Measure on its own. Backends
+// that share Config.Metrics (the evaluation server wires its job metrics
+// into both) get the same overall-rate/ETA reporting as the stock
+// measurement pass.
+func (s *Suite) xvalMeas(cpus []*uarch.CPU, bes []backend.Backend) ([][][]measurement, error) {
+	lanes := make([]lane, 0, len(cpus)*len(bes))
+	for _, cpu := range cpus {
+		for _, be := range bes {
+			lanes = append(lanes, backendLane(be, cpu))
 		}
 	}
+	ms, err := s.measured(lanes, s.passMetrics(), false)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][][]measurement, len(cpus))
+	for ci := range cpus {
+		out[ci] = ms[ci*len(bes) : (ci+1)*len(bes)]
+	}
+	return out, nil
+}
+
+// profiledBackend is a backend whose Measure is exactly
+// Profiler(cpu).Profile: the simulator backends. Wrappers that must see
+// every measurement, like the Recorder, do not implement it.
+type profiledBackend interface {
+	Profiler(cpu *uarch.CPU) *profiler.Profiler
+}
+
+// backendLane is the xval lane of one backend on one µarch.
+func backendLane(be backend.Backend, cpu *uarch.CPU) lane {
+	l := lane{key: backendArchKey(cpu, be)}
+	switch b := be.(type) {
+	case profiledBackend:
+		l.prof = b.Profiler(cpu)
+		return l
+	case *backend.Recorder:
+		l.alone = "recorder"
+	default:
+		l.alone = "not a simulator backend"
+	}
+	l.measure = func(b *x86.Block) measurement {
+		m := be.Measure(b, cpu)
+		return measurement{tp: m.Throughput, status: m.Status}
+	}
+	return l
 }
 
 // CrossValidation measures the corpus with every configured backend on
@@ -99,14 +128,14 @@ func (s *Suite) CrossValidation(cpus []*uarch.CPU) ([]*Table, error) {
 		Header: []string{"Microarchitecture", "Backends", "Status A", "Status B", "Blocks"},
 	}
 
-	for _, cpu := range cpus {
-		meas := make([][]measurement, len(bes))
+	all, err := s.xvalMeas(cpus, bes)
+	if err != nil {
+		return nil, err
+	}
+	for ci, cpu := range cpus {
+		meas := all[ci]
 		for bi, be := range bes {
-			m, err := s.backendData(be, cpu)
-			if err != nil {
-				return nil, err
-			}
-			meas[bi] = m
+			m := meas[bi]
 
 			var mean stats.Running
 			ok := 0

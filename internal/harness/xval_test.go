@@ -10,6 +10,7 @@ import (
 
 	"bhive/internal/backend"
 	"bhive/internal/corpus"
+	"bhive/internal/profiler"
 )
 
 // xvalConfig is a small, fast cross-validation configuration: a sub-1%
@@ -210,5 +211,109 @@ func TestXValDefaultBackend(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("AllNames() missing xval")
+	}
+}
+
+// measureOnly hides a backend's profiler, so the harness measures it
+// through Measure alone.
+type measureOnly struct{ backend.Backend }
+
+// TestXValSharesFunctionalPass: with sim and perturbed on the three paper
+// µarchs, the six keys of a block share one functional pass — at most one
+// pass per block where a key-by-key pass ran six — and every shard's
+// progress line counts the passes and the measurements they served. A
+// backend on other profiler options, or a Recorder (which must see every
+// measurement), cannot share the pass, and its keys are named on the line
+// as measured alone.
+func TestXValSharesFunctionalPass(t *testing.T) {
+	cfg := xvalConfig(t)
+	met := new(profiler.Metrics)
+	cfg.Metrics = met
+	bopts := backend.Options{Metrics: met}
+	cfg.Backends = []backend.Backend{backend.NewSim(bopts), backend.NewPerturbedSim(bopts)}
+	var progress bytes.Buffer
+	cfg.Progress = &progress
+	s := New(cfg)
+	if _, err := s.Run(XValID, ""); err != nil {
+		t.Fatal(err)
+	}
+	snap := met.Snapshot()
+	blocks := uint64(len(s.Records()))
+	if snap.Passes == 0 || snap.Passes > blocks {
+		t.Fatalf("%d functional passes for %d blocks, want between 1 and one per block", snap.Passes, blocks)
+	}
+	if snap.PassServed <= 4*snap.Passes {
+		t.Errorf("%d passes served only %d measurements of six keys", snap.Passes, snap.PassServed)
+	}
+	// One line per journaled (key, shard); the first key's line carries
+	// the shard's numbers.
+	lines, heads := 0, 0
+	for _, line := range strings.Split(progress.String(), "\n") {
+		if !strings.Contains(line, "] meas shard ") {
+			continue
+		}
+		lines++
+		if strings.HasPrefix(line, "[ivybridge@sim] ") {
+			heads++
+			if !strings.Contains(line, " (+ivybridge@perturbed,haswell@sim,haswell@perturbed,skylake@sim,skylake@perturbed)") ||
+				!strings.Contains(line, "functional passes ") || strings.Contains(line, "alone") {
+				t.Errorf("progress line %q: want six shared keys and their pass count", line)
+			}
+		} else if !strings.HasSuffix(line, " blocks (with ivybridge@sim)") {
+			t.Errorf("progress line %q: want a key measured with the shard's first key", line)
+		}
+	}
+	if want := 6 * s.NumCorpusShards(); lines != want || heads != s.NumCorpusShards() {
+		t.Errorf("%d measurement progress lines (%d with the shard's numbers) for %d shards of six keys",
+			lines, heads, s.NumCorpusShards())
+	}
+
+	// A backend on other profiler options measures alone, and the
+	// report equals one measured entirely through Measure.
+	modeled := profiler.DefaultOptions()
+	modeled.ModeledFrontEnd = true
+	mixed := func(hide bool) (string, string) {
+		bes := []backend.Backend{
+			backend.NewSim(backend.Options{}),
+			backend.NewPerturbedSim(backend.Options{Profiler: &modeled}),
+		}
+		if hide {
+			for i, be := range bes {
+				bes[i] = measureOnly{be}
+			}
+		}
+		cfg := xvalConfig(t)
+		cfg.Backends = bes
+		var progress bytes.Buffer
+		cfg.Progress = &progress
+		out, err := New(cfg).Run(XValID, "haswell")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, progress.String()
+	}
+	shared, sharedProgress := mixed(false)
+	alone, _ := mixed(true)
+	if shared != alone {
+		t.Errorf("xval report measured from shared passes diverged from Measure's.\n--- shared ---\n%s\n--- Measure ---\n%s", shared, alone)
+	}
+	if !strings.Contains(sharedProgress, "alone 64 (haswell@perturbed: different options)") {
+		t.Errorf("a backend on other options not reported as measured alone:\n%s", sharedProgress)
+	}
+
+	cfg = xvalConfig(t)
+	rec, err := backend.NewRecorder(backend.NewSim(backend.Options{}), filepath.Join(t.TempDir(), "sim.trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	cfg.Backends = []backend.Backend{rec}
+	progress.Reset()
+	cfg.Progress = &progress
+	if _, err := New(cfg).Run(XValID, "haswell"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(progress.String(), "alone 64 (haswell@sim: recorder)") {
+		t.Errorf("recorder keys not reported as measured alone:\n%s", progress.String())
 	}
 }

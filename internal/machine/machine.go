@@ -31,13 +31,15 @@ type Machine struct {
 	codeFrames []*vm.PhysPage // frames backing the code mapping
 	codeLen    int
 
-	// Scratch buffers recycled across Prepare/Execute/PrepareGraph calls.
-	trace []exec.Step
-	acc   []exec.MemAccess
-	items []pipeline.Item
-	code  []byte
-	graph pipeline.Graph
-	prog  Program
+	// Scratch buffers recycled across Prepare/Execute/PrepareGraph calls;
+	// entries backs the entries PrepareUnrolled resolves itself.
+	entries []*memo.PreparedInst
+	trace   []exec.Step
+	acc     []exec.MemAccess
+	items   []pipeline.Item
+	code    []byte
+	graph   pipeline.Graph
+	prog    Program
 }
 
 // New builds a machine for the given microarchitecture.
@@ -147,35 +149,44 @@ func (m *Machine) Prepare(insts []x86.Inst) (*Program, error) {
 // itself and only the addresses and code bytes grow with the unroll.
 //
 // The returned Program and its arrays are owned by the machine and remain
-// valid until the next Prepare/PrepareUnrolled call on it (prefix views
-// from Program.Slice share the same lifetime). Every caller in this
-// repository prepares and consumes one program at a time.
+// valid until the next Prepare/PrepareUnrolled/PrepareResolved call on it
+// (prefix views from Program.Slice share the same lifetime). Every caller
+// in this repository prepares and consumes one program at a time.
 func (m *Machine) PrepareUnrolled(insts []x86.Inst, n int) (*Program, error) {
-	total := len(insts)
-	if n <= 0 || n > total {
-		n = total
+	if n <= 0 || n > len(insts) {
+		n = len(insts)
 	}
 
 	// Resolve the n distinct instructions once.
 	arch := memo.For(m.CPU)
-	p := &m.prog
-	pis := p.entries[:0]
+	pis := m.entries[:0]
 	for i := 0; i < n; i++ {
 		pi := arch.Prepared(&insts[i])
 		if pi.Err != nil {
-			p.entries = pis
+			m.entries = pis
 			return nil, pi.Err
 		}
 		pis = append(pis, pi)
 	}
-	p.entries = pis
+	m.entries = pis
+	m.prog.entries = pis
+	return m.PrepareResolved(insts), nil
+}
+
+// PrepareResolved is PrepareUnrolled for a block whose memo entries the
+// caller resolved itself and installed with Retarget: insts repeats that
+// block, and PrepareResolved lays the copies out at CodeBase and maps the
+// code. The program shares PrepareUnrolled's lifetime.
+func (m *Machine) PrepareResolved(insts []x86.Inst) *Program {
+	p := &m.prog
+	pis := p.entries
 	p.Insts = insts
 	p.Addrs = p.Addrs[:0]
 
 	addr := uint64(CodeBase)
 	code := m.code[:0]
-	for i := 0; i < total; i++ {
-		raw := pis[i%n].Raw
+	for i := range insts {
+		raw := pis[i%len(pis)].Raw
 		p.Addrs = append(p.Addrs, addr)
 		addr += uint64(len(raw))
 		code = append(code, raw...)
@@ -184,7 +195,29 @@ func (m *Machine) PrepareUnrolled(insts []x86.Inst, n int) (*Program, error) {
 	m.code = code
 
 	m.mapCode(code)
-	return p, nil
+	return p
+}
+
+// Retarget makes m a core of cpu over the memory it already has: entries
+// are the repeated block of the current program (or of the next
+// PrepareResolved) resolved on cpu, none failing, and both caches restart
+// cold with cpu's geometry. The address space, the code mapping, the
+// program's addresses and the last trace stay as they are — the monitored
+// run does not depend on the microarchitecture — so one run's trace is
+// timed on every µarch that can run the block, with no copy. The caller
+// keeps entries unchanged while the program is in use.
+func (m *Machine) Retarget(cpu *uarch.CPU, entries []*memo.PreparedInst) *Program {
+	if old := m.CPU; cpu.L1ISize != old.L1ISize || cpu.L1DSize != old.L1DSize ||
+		cpu.L1Assoc != old.L1Assoc || cpu.LineSize != old.LineSize {
+		m.L1I = cache.New(cpu.L1ISize, cpu.L1Assoc, cpu.LineSize)
+		m.L1D = cache.New(cpu.L1DSize, cpu.L1Assoc, cpu.LineSize)
+	} else {
+		m.L1I.Reset()
+		m.L1D.Reset()
+	}
+	m.CPU = cpu
+	m.prog.entries = entries
+	return &m.prog
 }
 
 // mapCode installs the code bytes at CodeBase on dedicated frames.

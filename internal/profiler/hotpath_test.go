@@ -12,12 +12,23 @@ import (
 	"bhive/internal/x86"
 )
 
+// seedOf is the RNG seed Profile derives for a block.
+func seedOf(t *testing.T, insts []x86.Inst) int64 {
+	t.Helper()
+	ents, _ := resolve(uarch.Haswell(), insts, nil, true)
+	return blockSeed(encoding(ents, nil))
+}
+
 // mapAndTrace runs profile's functional pass at the given unroll factor
 // on a fresh scratch, for tests that drive measureOn directly.
-func mapAndTrace(t *testing.T, p *Profiler, insts []x86.Inst, unroll int, seed int64) (*machine.Machine, *machine.Program, []exec.Step, *pipeline.Graph) {
+func mapAndTrace(t *testing.T, p *Profiler, insts []x86.Inst, unroll int) (*machine.Machine, *machine.Program, []exec.Step, *pipeline.Graph) {
 	t.Helper()
 	sc := &scratch{}
-	pass := p.functional(sc, insts, unroll, p.Opts.MaxFaults, seed)
+	ents, err := resolve(p.CPU, insts, nil, false)
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	pass := p.functional(sc, ents, insts, unroll, p.Opts.MaxFaults)
 	if pass.Err != nil {
 		t.Fatalf("functional pass: %v", pass.Err)
 	}
@@ -53,19 +64,19 @@ func TestMeasurementOrderIndependence(t *testing.T) {
 			"mov rcx, qword ptr [rsp+8]\nadd rcx, rax\nmov qword ptr [rsp+8], rcx",
 		} {
 			b := block(t, text)
-			seed := blockSeed(b.Insts)
+			seed := seedOf(t, b.Insts)
 			lo, hi := p.Opts.UnrollFactors(len(b.Insts))
 			nLo := len(b.Insts) * lo
 
 			// Low factor alone, on a fresh machine.
-			mA, progA, stepsA, gA := mapAndTrace(t, p, b.Insts, lo, seed)
+			mA, progA, stepsA, gA := mapAndTrace(t, p, b.Insts, lo)
 			cA, rA := measureOn(p, mA, progA, gA, stepsA, lo, seed)
 			if rA.Status != StatusOK {
 				t.Fatalf("%s %q: lo-alone status = %v", name, text, rA.Status)
 			}
 
 			// High first, then low timed on its own on the shared machine.
-			mB, progB, stepsB, gB := mapAndTrace(t, p, b.Insts, hi, seed)
+			mB, progB, stepsB, gB := mapAndTrace(t, p, b.Insts, hi)
 			if _, rHi := measureOn(p, mB, progB, gB, stepsB, hi, seed); rHi.Status != StatusOK {
 				t.Fatalf("%s %q: hi status = %v", name, text, rHi.Status)
 			}
@@ -73,7 +84,7 @@ func TestMeasurementOrderIndependence(t *testing.T) {
 			cB, rB := measureOn(p, mB, progB.Slice(nLo), &gLo, stepsB[:nLo], lo, seed)
 
 			// Both factors from one scheduling pass — Profile's order.
-			mC, progC, stepsC, gC := mapAndTrace(t, p, b.Insts, hi, seed)
+			mC, progC, stepsC, gC := mapAndTrace(t, p, b.Insts, hi)
 			_, rHi, cC, rC := p.measure(mC, progC, gC, stepsC, len(b.Insts), lo, hi, seed)
 			if rHi.Status != StatusOK {
 				t.Fatalf("%s %q: paired hi status = %v", name, text, rHi.Status)

@@ -22,6 +22,8 @@ type Metrics struct {
 	profiled    atomic.Uint64
 	prescreened atomic.Uint64
 	crossMism   atomic.Uint64
+	passes      atomic.Uint64
+	passServed  atomic.Uint64
 	status      [NumStatus]atomic.Uint64
 
 	// planned is the number of block outcomes registered as upcoming work
@@ -139,6 +141,13 @@ func (m *Metrics) record(s Status, hit bool) {
 	}
 }
 
+// recordPass accounts one functional pass that served n of the
+// measurements recorded here.
+func (m *Metrics) recordPass(n int) {
+	m.passes.Add(1)
+	m.passServed.Add(uint64(n))
+}
+
 // RecordPrescreened accounts one block that static analysis rejected
 // before profiling: the predicted status lands in the histogram like a
 // dynamic outcome, and the Prescreened counter records that no
@@ -176,6 +185,12 @@ type Snapshot struct {
 	// CrosscheckMismatch counts blocks whose dynamic status disagreed
 	// with the static prediction outside the whitelisted cases.
 	CrosscheckMismatch uint64
+	// Passes counts functional passes — monitored runs of a block — and
+	// PassServed the measurements they served: every µarch (and simulator
+	// backend) measuring a block shares its one pass (ProfileEach), so
+	// PassServed/Passes is the sharing factor. A measurement that failed
+	// before the pass (an unsupported instruction) used none.
+	Passes, PassServed uint64
 	// ByStatus histograms the outcome of every Profile call, indexed by
 	// Status (cache hits included — a cached rejection is still a
 	// rejection; prescreened blocks contribute their predicted status).
@@ -192,6 +207,8 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.Profiled = m.profiled.Load()
 	s.Prescreened = m.prescreened.Load()
 	s.CrosscheckMismatch = m.crossMism.Load()
+	s.Passes = m.passes.Load()
+	s.PassServed = m.passServed.Load()
 	for i := range s.ByStatus {
 		s.ByStatus[i] = m.status[i].Load()
 	}
@@ -205,6 +222,8 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		Profiled:           s.Profiled - prev.Profiled,
 		Prescreened:        s.Prescreened - prev.Prescreened,
 		CrosscheckMismatch: s.CrosscheckMismatch - prev.CrosscheckMismatch,
+		Passes:             s.Passes - prev.Passes,
+		PassServed:         s.PassServed - prev.PassServed,
 	}
 	for i := range s.ByStatus {
 		d.ByStatus[i] = s.ByStatus[i] - prev.ByStatus[i]

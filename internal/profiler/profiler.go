@@ -22,6 +22,17 @@
 // Every technique can be disabled individually, which is how the paper's
 // ablation tables are regenerated.
 //
+// The protocol splits into a functional half and a timing half. The
+// functional half — the block's encoding (its identity: the seed and the
+// cache hex), the unrolled code, and the monitored run that maps every
+// page the block touches onto the physical page and records the trace —
+// does not depend on the microarchitecture. So ProfileEach measures a
+// block for several profilers (µarchs, or the stock and perturbed
+// parameterizations of one) from one functional pass, and runs only the
+// timing half per key: the key's memo entries and unsupported check, the
+// µop graph, the cache warm-up, the timed run and acceptance, on the same
+// address space and trace. Profile is its one-key case.
+//
 // The hot path is allocation-conscious: each Profiler recycles machines,
 // architectural state and unroll buffers through an internal pool (so
 // Profile is safe for concurrent use), the unrolled program is prepared
@@ -223,6 +234,24 @@ type scratch struct {
 	// method value, bound on first use so later passes allocate no closure.
 	mon     monitor
 	onFault func(*vm.Fault) bool
+
+	// Per-key state of ProfileEach: each key's resolved entries of the
+	// block, its cache key and whether the shared pass served it; raw is
+	// the block's encoding, the identity behind its seed and cache hex.
+	ents   [][]*memo.PreparedInst
+	keys   []string
+	served []bool
+	raw    []byte
+}
+
+// grow sizes the per-key state for k keys.
+func (sc *scratch) grow(k int) {
+	for len(sc.ents) < k {
+		sc.ents = append(sc.ents, nil)
+		sc.keys = append(sc.keys, "")
+		sc.served = append(sc.served, false)
+	}
+	clear(sc.served[:k])
 }
 
 func (p *Profiler) getScratch() *scratch {
@@ -277,13 +306,17 @@ func (mo *monitor) frame() *vm.PhysPage {
 	return f
 }
 
-// machine returns the scratch machine reset to fresh-construction state.
-func (sc *scratch) machine(cpu *uarch.CPU, seed int64) *machine.Machine {
-	if sc.m == nil || sc.m.CPU != cpu {
-		sc.m = machine.New(cpu, seed)
+// machine returns the scratch machine reset to fresh-construction state
+// as a core of cpu, with ents as its program's resolved block.
+func (sc *scratch) machine(cpu *uarch.CPU, ents []*memo.PreparedInst) *machine.Machine {
+	if sc.m == nil {
+		// The machine RNG is reseeded before each use (accept), so its
+		// construction seed is immaterial.
+		sc.m = machine.New(cpu, 0)
 	} else {
 		sc.m.Reset()
 	}
+	sc.m.Retarget(cpu, ents)
 	return sc.m
 }
 
@@ -310,14 +343,44 @@ func (p *Profiler) resetState(st *exec.State) *exec.State {
 	return st
 }
 
-// blockSeed derives a deterministic per-block RNG seed.
-func blockSeed(insts []x86.Inst) int64 {
-	h := fnv.New64a()
+// resolve looks insts up on cpu, appending each entry to dst, and returns
+// the entries and the first failure to prepare an instruction, in
+// instruction order. It stops at that failure unless all is set; the
+// block identity (encoding) needs every instruction's encoding.
+func resolve(cpu *uarch.CPU, insts []x86.Inst, dst []*memo.PreparedInst, all bool) ([]*memo.PreparedInst, error) {
+	arch := memo.For(cpu)
+	var first error
 	for i := range insts {
-		if e := memo.Inst(&insts[i]); e.EncErr == nil {
-			h.Write(e.Raw)
+		e := arch.Prepared(&insts[i])
+		dst = append(dst, e)
+		if e.Err != nil && first == nil {
+			first = e.Err
+			if !all {
+				break
+			}
 		}
 	}
+	return dst, first
+}
+
+// encoding appends the block's machine code to dst: the encodings of its
+// instructions, resolved on any microarchitecture, skipping those that do
+// not encode. It is the block's identity — the hex is the canonical BHive
+// corpus representation and the cache identity, and blockSeed hashes it.
+func encoding(ents []*memo.PreparedInst, dst []byte) []byte {
+	for _, e := range ents {
+		if e.EncErr == nil {
+			dst = append(dst, e.Raw...)
+		}
+	}
+	return dst
+}
+
+// blockSeed derives a deterministic per-block RNG seed: the 64-bit FNV-1a
+// hash of the block's encoding.
+func blockSeed(code []byte) int64 {
+	h := fnv.New64a()
+	h.Write(code)
 	return int64(h.Sum64())
 }
 
@@ -352,18 +415,6 @@ func (r *sampleRNG) float64() float64 {
 	return float64(r.next()>>11) / (1 << 53)
 }
 
-// blockHex is the lowercase hex of the block's encoded bytes — the
-// canonical BHive corpus representation, used as the cache identity.
-func blockHex(insts []x86.Inst) string {
-	var buf []byte
-	for i := range insts {
-		if e := memo.Inst(&insts[i]); e.EncErr == nil {
-			buf = append(buf, e.Raw...)
-		}
-	}
-	return hex.EncodeToString(buf)
-}
-
 // UnrollFactors picks the unroll factors the protocol would use for a
 // block of n instructions: large enough to reach steady state while
 // keeping the unrolled code compact (the point of the derived method).
@@ -388,28 +439,145 @@ func (o Options) UnrollFactors(n int) (lo, hi int) {
 	return lo, 2 * lo
 }
 
-// Profile measures one basic block.
+// Profile measures one basic block. It is ProfileEach with one key.
 func (p *Profiler) Profile(b *x86.Block) Result {
-	if len(b.Insts) == 0 {
-		p.Metrics.record(StatusCrashed, false)
-		return Result{Status: StatusCrashed}
+	var out [1]Result
+	ProfileEach(b, []*Profiler{p}, out[:])
+	return out[0]
+}
+
+// ProfileEach measures b with every profiler of ps, each on its own
+// microarchitecture, cache and metrics: out[i] is exactly what
+// ps[i].Profile(b) returns, and each key's cache lookup, cache update and
+// Metrics record are the ones Profile makes. The µarch-independent half
+// of the protocol — the block's encoding and seed, the unrolled code, the
+// monitored run with its trace and mapped pages — is computed once for
+// all keys; each key that misses its cache then runs only its own memo
+// lookups (and unsupported check), the graph build, the warm-up, the
+// timed run and the acceptance test, on the same address space and
+// trace. The profilers must share Options (ProfileEach panics otherwise):
+// the options decide the unroll factors and the monitored run. Each
+// Metrics sink counts the functional pass once and the measurements it
+// served.
+func ProfileEach(b *x86.Block, ps []*Profiler, out []Result) {
+	if len(ps) == 0 {
+		return
 	}
-	seed := blockSeed(b.Insts)
-	if p.Cache == nil {
-		res := p.profile(b, seed)
+	lead := ps[0]
+	for _, p := range ps[1:] {
+		if p.Opts != lead.Opts {
+			panic("profiler: ProfileEach: the profilers' Options differ; a shared functional pass needs equal options")
+		}
+	}
+	n := len(b.Insts)
+	if n == 0 {
+		for i, p := range ps {
+			p.Metrics.record(StatusCrashed, false)
+			out[i] = Result{Status: StatusCrashed}
+		}
+		return
+	}
+
+	sc := lead.getScratch()
+	defer lead.pool.Put(sc)
+	sc.grow(len(ps))
+
+	// One walk resolves the lead key's entries and the block's identity.
+	var leadErr error
+	sc.ents[0], leadErr = resolve(lead.CPU, b.Insts, sc.ents[0][:0], true)
+	sc.raw = encoding(sc.ents[0], sc.raw[:0])
+	seed := blockSeed(sc.raw)
+	hexID, haveHex := "", false
+
+	lo, hi := lead.Opts.UnrollFactors(n)
+	var (
+		pass    Pass
+		passRan bool
+	)
+	for i, p := range ps {
+		if p.Cache != nil {
+			if !haveHex {
+				hexID, haveHex = hex.EncodeToString(sc.raw), true
+			}
+			sc.keys[i] = profcache.Key(hexID, p.CPU.Name, p.Opts.Fingerprint(), seed)
+			if e, ok := p.Cache.Get(sc.keys[i]); ok {
+				out[i] = resultFromEntry(e)
+				p.Metrics.record(out[i].Status, true)
+				continue
+			}
+		}
+		ents, err := sc.ents[0], leadErr
+		if i > 0 {
+			ents, err = resolve(p.CPU, b.Insts, sc.ents[i][:0], false)
+			sc.ents[i] = ents
+		}
+		var res Result
+		switch {
+		case err != nil:
+			res = failed(err, lo, hi)
+		case !passRan:
+			// Prepare once at the high factor; the low-factor program is
+			// a prefix of the same prepared code. One monitored pass at
+			// the high factor maps every page the block touches and
+			// yields the dynamic trace; execution of a straight-line
+			// block is deterministic and µarch-independent, so the pass
+			// serves both factors of every key.
+			pass, passRan = p.functional(sc, ents, b.Insts, hi, p.Opts.MaxFaults), true
+		default:
+			// Move the machine from the last key it served to this one.
+			sc.m.Retarget(p.CPU, ents)
+		}
+		if err == nil {
+			sc.served[i] = true
+			if pass.Err != nil {
+				res = failed(pass.Err, lo, hi)
+			} else {
+				res = p.time(sc.m, pass.Prog, pass.Steps, pass.PagesMapped, n, lo, hi, seed)
+			}
+		}
+		if p.Cache != nil {
+			p.Cache.Put(sc.keys[i], entryFromResult(res))
+		}
 		p.Metrics.record(res.Status, false)
-		return res
+		out[i] = res
 	}
-	key := profcache.Key(blockHex(b.Insts), p.CPU.Name, p.Opts.Fingerprint(), seed)
-	if e, ok := p.Cache.Get(key); ok {
-		res := resultFromEntry(e)
-		p.Metrics.record(res.Status, true)
-		return res
+	if passRan {
+		recordPass(ps, sc.served[:len(ps)])
 	}
-	res := p.profile(b, seed)
-	p.Cache.Put(key, entryFromResult(res))
-	p.Metrics.record(res.Status, false)
-	return res
+}
+
+// recordPass counts one functional pass, and the measurements it served,
+// in each distinct Metrics sink of the keys it served.
+func recordPass(ps []*Profiler, served []bool) {
+	for i, p := range ps {
+		if !served[i] || p.Metrics == nil {
+			continue
+		}
+		first, n := true, 0
+		for j, q := range ps {
+			if served[j] && q.Metrics == p.Metrics {
+				if j < i {
+					first = false
+					break
+				}
+				n++
+			}
+		}
+		if first {
+			p.Metrics.recordPass(n)
+		}
+	}
+}
+
+// failed is the result of a block that could not be run: an instruction
+// the µarch does not support, or any other preparation or execution
+// failure.
+func failed(err error, lo, hi int) Result {
+	st := StatusCrashed
+	if _, ok := err.(*uarch.UnsupportedError); ok {
+		st = StatusUnsupported
+	}
+	return Result{Status: st, Err: err, UnrollLo: lo, UnrollHi: hi}
 }
 
 // Stop says why the protocol's functional pass ended before the last
@@ -457,14 +625,12 @@ type Pass struct {
 }
 
 // functional runs the functional half of the protocol on the scratch
-// machine: prepare unroll copies of insts, then one monitored pass that
-// maps each faulting page (up to budget pages) and records the trace.
-func (p *Profiler) functional(sc *scratch, insts []x86.Inst, unroll, budget int, seed int64) Pass {
-	m := sc.machine(p.CPU, seed)
-	prog, err := m.PrepareUnrolled(sc.unrolled(insts, unroll), len(insts))
-	if err != nil {
-		return Pass{Stop: StopPrepare, Err: err}
-	}
+// machine: lay out unroll copies of insts, the block ents resolved on
+// p.CPU, then one monitored pass that maps each faulting page (up to
+// budget pages) and records the trace.
+func (p *Profiler) functional(sc *scratch, ents []*memo.PreparedInst, insts []x86.Inst, unroll, budget int) Pass {
+	m := sc.machine(p.CPU, ents)
+	prog := m.PrepareResolved(sc.unrolled(insts, unroll))
 
 	// The monitor repairs each fault and resumes in place, so the trace is
 	// identical to a clean run's.
@@ -499,49 +665,36 @@ func (p *Profiler) functional(sc *scratch, insts []x86.Inst, unroll, budget int,
 }
 
 // Functional runs the functional half of the measurement protocol for b —
-// PrepareUnrolled at the high unroll factor, then the single monitored
-// pass profile times — and calls fn with the outcome. The pass aliases
-// pooled buffers and is valid only until fn returns. b must be non-empty.
+// the unrolled program at the high unroll factor, then the single
+// monitored pass profile times — and calls fn with the outcome. The pass
+// aliases pooled buffers and is valid only until fn returns. b must be
+// non-empty.
 func (p *Profiler) Functional(b *x86.Block, fn func(*Pass)) {
 	_, hi := p.Opts.UnrollFactors(len(b.Insts))
 	sc := p.getScratch()
 	defer p.pool.Put(sc)
-	// The functional pass never consumes the machine RNG, so its seed is
-	// immaterial.
-	pass := p.functional(sc, b.Insts, hi, p.Opts.MaxFaults, 0)
+	sc.grow(1)
+	ents, err := resolve(p.CPU, b.Insts, sc.ents[0][:0], false)
+	sc.ents[0] = ents
+	if err != nil {
+		fn(&Pass{Stop: StopPrepare, Err: err})
+		return
+	}
+	pass := p.functional(sc, ents, b.Insts, hi, p.Opts.MaxFaults)
 	fn(&pass)
 }
 
-// profile runs the measurement protocol, bypassing the persistent cache.
-func (p *Profiler) profile(b *x86.Block, seed int64) Result {
-	lo, hi := p.Opts.UnrollFactors(len(b.Insts))
+// time runs the timing half of the protocol on p's microarchitecture for
+// the monitored run of an n-instruction block: prog is the high-factor
+// program described for p.CPU on m, steps its trace.
+func (p *Profiler) time(m *machine.Machine, prog *machine.Program, steps []exec.Step, pagesMapped, n, lo, hi int, seed int64) Result {
 	res := Result{UnrollLo: lo, UnrollHi: hi}
 
-	sc := p.getScratch()
-	defer p.pool.Put(sc)
-
-	// Prepare once at the high factor; the low-factor program is a prefix
-	// of the same prepared code, so it is derived by slicing. One
-	// monitored functional pass at the high factor maps every page the
-	// block touches and yields the dynamic trace; execution of a
-	// straight-line block is deterministic, so the low factor's trace is
-	// its prefix. One pass therefore serves the warm-ups and every timing
-	// of both factors.
-	pass := p.functional(sc, b.Insts, hi, p.Opts.MaxFaults, seed)
-	if pass.Err != nil {
-		st := StatusCrashed
-		if _, ok := pass.Err.(*uarch.UnsupportedError); ok {
-			st = StatusUnsupported
-		}
-		return Result{Status: st, Err: pass.Err, UnrollLo: lo, UnrollHi: hi}
-	}
-	m, prog, steps, pagesMapped := sc.m, pass.Prog, pass.Steps, pass.PagesMapped
-
-	// The µop dependence graph is likewise built once; the low factor's
-	// graph is a prefix view of it.
+	// The µop dependence graph is built once; the low factor's graph is a
+	// prefix view of it.
 	g := m.PrepareGraph(prog, steps)
 
-	cHi, r, cLo, r2 := p.measure(m, prog, g, steps, len(b.Insts), lo, hi, seed)
+	cHi, r, cLo, r2 := p.measure(m, prog, g, steps, n, lo, hi, seed)
 	r.PagesMapped = pagesMapped
 	if r.Status != StatusOK {
 		r.UnrollLo, r.UnrollHi = lo, hi
@@ -714,13 +867,16 @@ func (p *Profiler) accept(m *machine.Machine, g *pipeline.Graph, base machine.Co
 // (Table II), where even broken configurations report a number.
 func (p *Profiler) MeasureRaw(b *x86.Block, unroll int) (pipeline.Counters, error) {
 	o := &p.Opts
-	seed := blockSeed(b.Insts)
-
 	sc := p.getScratch()
 	defer p.pool.Put(sc)
-
+	sc.grow(1)
+	ents, err := resolve(p.CPU, b.Insts, sc.ents[0][:0], false)
+	sc.ents[0] = ents
+	if err != nil {
+		return pipeline.Counters{}, err
+	}
 	// The ablation's monitor tolerates one fault beyond MaxFaults.
-	pass := p.functional(sc, b.Insts, unroll, o.MaxFaults+1, unrollSeed(seed, unroll))
+	pass := p.functional(sc, ents, b.Insts, unroll, o.MaxFaults+1)
 	if pass.Err != nil {
 		return pipeline.Counters{}, pass.Err
 	}
