@@ -1,8 +1,10 @@
 // Command bhive-vet runs the repository's custom static-analysis passes
 // (internal/analyzers) over the module: exitcheck, which confines
 // process-terminating calls to main.main/main.run so deferred cache
-// flushes cannot be skipped, and nanaggr, which rejects NaN-unsafe
-// float64 accumulation of internal/stats results.
+// flushes cannot be skipped; nanaggr, which rejects NaN-unsafe float64
+// accumulation of internal/stats results; atomicwrite and poolput; and
+// oprange, which rejects ordered comparisons of an x86.Op against an
+// opcode constant (the opcode table owns those facts).
 //
 // It is a self-contained, stdlib-only driver — no go/analysis framework
 // and no vettool plumbing — so it runs anywhere the repo builds:

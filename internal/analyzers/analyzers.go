@@ -27,6 +27,11 @@
 //
 //   - poolput: every sync.Pool.Get must pair with a deferred Put or
 //     hand the object to the caller via return; see PoolPut.
+//
+//   - oprange: no ordered comparison of an x86.Op against an opcode
+//     constant other than NumOps; facts such as "is VEX" or "needs
+//     AVX2" come from x86's opcode table, not the enum's order; see
+//     OpRange.
 package analyzers
 
 import (
@@ -60,7 +65,7 @@ type Analyzer struct {
 
 // All returns every registered pass, in a stable order.
 func All() []*Analyzer {
-	return []*Analyzer{ExitCheck, NaNAggr, AtomicWrite, PoolPut}
+	return []*Analyzer{ExitCheck, NaNAggr, AtomicWrite, PoolPut, OpRange}
 }
 
 // ExitCheck flags os.Exit and log.Fatal/Fatalf/Fatalln calls anywhere

@@ -318,6 +318,63 @@ func TransferDirect() *[]byte {
 	}
 }
 
+// x86Stub stands in for bhive/internal/x86 in synthetic modules: the
+// opcode enum with its sentinel, and bounds checks of its own.
+const x86Stub = `package x86
+
+type Op uint16
+
+const (
+	BAD Op = iota
+	MOV
+	VMOVSS
+	VADDPS
+	NumOps
+
+	vexAfterMov = VMOVSS > MOV // fine: the enum's own declaration
+)
+
+const vexLast = VADDPS >= VMOVSS // flagged
+
+func (op Op) Valid() bool { return op < NumOps }
+
+func (op Op) IsVexByRange() bool { return op >= VMOVSS } // flagged
+`
+
+func TestOpRangeFlagsEnumOrder(t *testing.T) {
+	got := check(t, map[string]string{
+		"internal/x86/x86.go": x86Stub,
+		"internal/exec/exec.go": `package exec
+
+import x "bhive/internal/x86"
+
+type Reg uint8
+
+func Vex(op x.Op) bool {
+	return op >= x.VMOVSS && // flagged
+		x.VADDPS >= op // flagged: constant on the left
+}
+
+func Bounded(op x.Op) bool { return op < x.NumOps && (x.NumOps) > op } // fine: the sentinel
+
+func Same(op x.Op) bool { return op == x.MOV } // fine: equality
+
+func Literal(op x.Op) bool { return op <= 2 } // flagged: an untyped opcode
+
+func Regs(r Reg) bool { return r < 3 } // fine: not an Op
+`,
+	})
+	want := []string{"exec.go:8", "exec.go:9", "exec.go:16", "x86.go:15", "x86.go:19"}
+	if len(got) != len(want) {
+		t.Fatalf("findings = %v, want %d at %v", got, len(want), want)
+	}
+	for i, w := range want {
+		if !strings.Contains(got[i], "oprange") || !strings.Contains(got[i], w) {
+			t.Errorf("finding %q, want oprange at %s", got[i], w)
+		}
+	}
+}
+
 // TestRepoIsClean runs both passes over the real repository: the
 // invariants hold on the tree as committed. This is the same check CI
 // runs via cmd/bhive-vet, kept here so `go test ./...` catches a

@@ -25,7 +25,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"reflect"
+	"slices"
 
 	"bhive/internal/bound"
 	"bhive/internal/memo"
@@ -306,7 +306,7 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 	rep.Hex = hex.EncodeToString(code)
 	a.roundTrip(rep, b.Insts, code, orig)
 
-	rep.Facts = computeFacts(b.Insts, offsets, lo, hi, len(code)*hi)
+	rep.Facts = computeFacts(b.Insts, entries, offsets, lo, hi, len(code)*hi)
 
 	// Static cycle bounds over the same descriptors; the dependence facts
 	// come from the same simulator-congruent chain analysis the bounds use
@@ -351,7 +351,7 @@ func (a *Analyzer) roundTrip(rep *Report, insts []x86.Inst, code, orig []byte) {
 		return
 	}
 	for i := range insts {
-		if !reflect.DeepEqual(insts[i], again[i]) {
+		if insts[i].Op != again[i].Op || !slices.Equal(insts[i].Args, again[i].Args) {
 			rep.addDiag(Diag{Code: CodeRoundTripMismatch, Inst: i, Offset: -1,
 				Msg: fmt.Sprintf("round trip changes %s to %s", insts[i].String(), again[i].String())})
 			return

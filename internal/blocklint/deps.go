@@ -1,6 +1,9 @@
 package blocklint
 
-import "bhive/internal/x86"
+import (
+	"bhive/internal/memo"
+	"bhive/internal/x86"
+)
 
 // Facts carries the per-block static facts the analyzer derives from the
 // instructions, plus the observed-address aggregates read off the
@@ -80,41 +83,27 @@ type MemFact struct {
 	Splits bool `json:"splits,omitempty"`
 }
 
-// resName names a dependence-tracking resource.
-func resName(r x86.Reg) string { return r.Base64().String() }
+// numRes counts the dependence-tracking resources: the pipeline register
+// ids of the memo's register sets (0–15 GPRs, 16–31 vector registers,
+// memo.RegFlags the status flags).
+const numRes = memo.RegFlags + 1
 
-const flagsRes = "flags"
+// resNames names each resource as reports print it: a GPR by its 64-bit
+// register, a vector register by its YMM register, the flags as "flags".
+var resNames = func() (names [numRes]string) {
+	for i := 0; i < 16; i++ {
+		names[i] = (x86.RAX + x86.Reg(i)).String()
+		names[16+i] = (x86.Y0 + x86.Reg(i)).String()
+	}
+	names[memo.RegFlags] = "flags"
+	return names
+}()
 
-// reads returns the resources an instruction consumes, writes the ones it
-// defines, using the decoder's register-level IO tables plus the flags
-// pseudo-resource.
-func reads(in *x86.Inst) []string {
-	var out []string
-	for _, r := range in.RegReads() {
-		out = append(out, resName(r))
-	}
-	if in.Op.ReadsFlags() {
-		out = append(out, flagsRes)
-	}
-	return out
-}
-
-func writes(in *x86.Inst) []string {
-	var out []string
-	for _, r := range in.RegWrites() {
-		out = append(out, resName(r))
-	}
-	if in.Op.WritesFlags() {
-		out = append(out, flagsRes)
-	}
-	return out
-}
-
-// computeFacts derives the static facts for one block. offsets is indexed
-// like insts; codeBytes is the hi-unrolled footprint. The dependence
-// heights and the observed memory fields are filled in later, from the
-// bound analysis and the functional pass.
-func computeFacts(insts []x86.Inst, offsets []int, lo, hi, codeBytes int) *Facts {
+// computeFacts derives the static facts for one block. entries and
+// offsets are indexed like insts; codeBytes is the hi-unrolled footprint.
+// The dependence heights and the observed memory fields are filled in
+// later, from the bound analysis and the functional pass.
+func computeFacts(insts []x86.Inst, entries []*memo.PreparedInst, offsets []int, lo, hi, codeBytes int) *Facts {
 	n := len(insts)
 	f := &Facts{
 		NumInsts:  n,
@@ -123,48 +112,48 @@ func computeFacts(insts []x86.Inst, offsets []int, lo, hi, codeBytes int) *Facts
 		CodeBytes: codeBytes,
 	}
 
-	rds := make([][]string, n)
-	wrs := make([][]string, n)
-	for i := range insts {
-		rds[i] = reads(&insts[i])
-		wrs[i] = writes(&insts[i])
+	// Def-use edges within one iteration and carried into the next, over
+	// each entry's register sets: its address registers, then its data
+	// registers. lastDef holds each resource's defining instruction in
+	// the current iteration; a resource still undefined at a read comes
+	// from the previous iteration's last writer (a carried edge) if the
+	// block writes it at all.
+	var finalDef, lastDef [numRes]int32
+	for r := range finalDef {
+		finalDef[r], lastDef[r] = -1, -1
 	}
-
-	// Def-use edges within one iteration and carried into the next.
-	// lastDef maps resource -> defining instruction of the current
-	// iteration; resources still undefined at a read come from the
-	// previous iteration's writer (a carried edge) if the block writes
-	// them at all.
-	finalDef := map[string]int{}
-	for i := n - 1; i >= 0; i-- {
-		for _, w := range wrs[i] {
-			if _, ok := finalDef[w]; !ok {
-				finalDef[w] = i
-			}
+	for i, e := range entries {
+		for _, w := range e.Writes {
+			finalDef[w] = int32(i)
 		}
 	}
-	lastDef := map[string]int{}
-	seenEdge := map[DepEdge]bool{}
-	for i := 0; i < n; i++ {
-		for _, r := range rds[i] {
-			var e DepEdge
-			if def, ok := lastDef[r]; ok {
-				e = DepEdge{From: def, To: i, Resource: r}
-			} else if def, ok := finalDef[r]; ok {
-				e = DepEdge{From: def, To: i, Resource: r, Carried: true}
-				if !containsStr(f.LoopCarried, r) {
-					f.LoopCarried = append(f.LoopCarried, r)
+	var carried uint64
+	for i, e := range entries {
+		var seen uint64 // resources with an edge into i already
+		for _, set := range [2][]uint8{e.Addr, e.Data} {
+			for _, r := range set {
+				if seen&(1<<r) != 0 {
+					continue
 				}
-			} else {
-				continue // read of pristine initial state
-			}
-			if !seenEdge[e] {
-				seenEdge[e] = true
-				f.DefUse = append(f.DefUse, e)
+				seen |= 1 << r
+				edge := DepEdge{To: i, Resource: resNames[r]}
+				switch {
+				case lastDef[r] >= 0:
+					edge.From = int(lastDef[r])
+				case finalDef[r] >= 0:
+					edge.From, edge.Carried = int(finalDef[r]), true
+					if carried&(1<<r) == 0 {
+						carried |= 1 << r
+						f.LoopCarried = append(f.LoopCarried, resNames[r])
+					}
+				default:
+					continue // read of pristine initial state
+				}
+				f.DefUse = append(f.DefUse, edge)
 			}
 		}
-		for _, w := range wrs[i] {
-			lastDef[w] = i
+		for _, w := range e.Writes {
+			lastDef[w] = int32(i)
 		}
 	}
 
@@ -205,13 +194,4 @@ func classifyAddr(m x86.Mem) string {
 		return "indexed"
 	}
 	return "base-relative"
-}
-
-func containsStr(s []string, v string) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

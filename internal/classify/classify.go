@@ -335,21 +335,3 @@ func (c *Classifier) Example(cat Category) int {
 	}
 	return best
 }
-
-// DebugTopics renders each topic's port-combination distribution, feature
-// mix and assigned label — used when tuning the labeller.
-func (c *Classifier) DebugTopics() string {
-	combos := c.cpu.PortCombinations()
-	var sb []byte
-	for k := 0; k < c.model.K; k++ {
-		dist := c.model.TopicWordDist(k)
-		sb = append(sb, fmt.Sprintf("topic %d -> %v:", k, c.topicCat[k])...)
-		for w, p := range dist {
-			if p > 0.08 {
-				sb = append(sb, fmt.Sprintf(" %s=%.2f", combos[w], p)...)
-			}
-		}
-		sb = append(sb, '\n')
-	}
-	return string(sb)
-}

@@ -102,15 +102,6 @@ func GenerateTable3(scale float64, seed int64) []Record {
 	return out
 }
 
-// ByApp groups records by application, preserving order.
-func ByApp(recs []Record) map[string][]*Record {
-	m := make(map[string][]*Record)
-	for i := range recs {
-		m[recs[i].App] = append(m[recs[i].App], &recs[i])
-	}
-	return m
-}
-
 // TopByFreq returns the n most frequently executed records (the case study
 // profiles the 100,000 hottest blocks of Spanner and Dremel).
 func TopByFreq(recs []Record, n int) []Record {

@@ -350,7 +350,7 @@ func (r *Runner) exec(in *x86.Inst, step *Step) error {
 	// Conditional moves and sets.
 	if c := op.Cond(); c != x86.CondNone {
 		switch {
-		case op >= x86.CMOVE && op <= x86.CMOVNS:
+		case op.IsCMov():
 			if s.Cond(c) {
 				v, err := r.readIntArg(in, 1, step)
 				if err != nil {
@@ -364,7 +364,7 @@ func (r *Runner) exec(in *x86.Inst, step *Step) error {
 				return err
 			}
 			return nil
-		case op >= x86.SETE && op <= x86.SETNS:
+		case op.IsSetCC():
 			v := uint64(0)
 			if s.Cond(c) {
 				v = 1

@@ -18,21 +18,10 @@ func (e *AlignmentError) Error() string {
 	return fmt.Sprintf("exec: alignment fault: %#x not %d-byte aligned", e.Addr, e.Req)
 }
 
-// IsVector reports whether op runs on the vector unit: every VEX-encoded
-// instruction (VZEROUPPER included) and every legacy SSE instruction.
-func IsVector(op x86.Op) bool { return op.IsVex() || (op >= x86.MOVSS && op <= x86.PMOVMSKB) }
-
-// vecWidth returns the operation width in bytes.
-func vecWidth(in *x86.Inst) int {
-	for _, a := range in.Args {
-		if a.Kind == x86.KindReg && a.Reg.Class() == x86.ClassYMM {
-			return 32
-		}
-		if a.Kind == x86.KindMem && a.Mem.Size == 32 {
-			return 32
-		}
-	}
-	return 16
+// IsVector reports whether op runs on the vector unit: every op of a
+// vector ISA extension, legacy SSE and VEX alike (VZEROUPPER included).
+func IsVector(op x86.Op) bool {
+	return op.Features()&(x86.FeatSSE|x86.FeatAVX|x86.FeatAVX2|x86.FeatFMA) != 0
 }
 
 // readVecArg materializes operand k as a 256-bit value (memory operands are
@@ -55,16 +44,13 @@ func (r *Runner) readVecArg(in *x86.Inst, k int, step *Step) ([32]byte, error) {
 	return [32]byte{}, fmt.Errorf("exec: bad vector operand")
 }
 
-// alignedMoveOps require natural alignment.
-var alignedMoveOps = map[x86.Op]bool{
-	x86.MOVAPS: true, x86.MOVAPD: true, x86.MOVDQA: true,
-	x86.VMOVAPS: true, x86.VMOVAPD: true, x86.VMOVDQA: true,
-}
-
 func (r *Runner) execVec(in *x86.Inst, step *Step) error {
 	op := in.Op
 	vex := op.IsVex()
-	width := vecWidth(in)
+	width := 16
+	if in.Is256() {
+		width = 32
+	}
 
 	if op == x86.VZEROUPPER {
 		for i := range r.State.Vec {
@@ -127,7 +113,7 @@ func (r *Runner) execVec(in *x86.Inst, step *Step) error {
 	}
 
 	// FMA reads three vector inputs: dst, src2, src3.
-	if op >= x86.VFMADD132PS && op <= x86.VFNMADD231PD {
+	if op.Features()&x86.FeatFMA != 0 {
 		return r.execFMA(in, step, width)
 	}
 
@@ -436,7 +422,7 @@ func (r *Runner) execVecMove(in *x86.Inst, step *Step, width int, vex bool) erro
 	if in.Args[0].Kind == x86.KindMem { // store
 		m := in.Args[0].Mem
 		addr := r.ea(m)
-		if alignedMoveOps[in.Op] && addr%uint64(width) != 0 {
+		if in.Op.IsAlignedMove() && addr%uint64(width) != 0 {
 			return &AlignmentError{Addr: addr, Req: width}
 		}
 		src := r.State.ReadVec(in.Args[1].Reg)
@@ -444,7 +430,7 @@ func (r *Runner) execVecMove(in *x86.Inst, step *Step, width int, vex bool) erro
 	}
 	if in.Args[1].Kind == x86.KindMem { // load
 		addr := r.ea(in.Args[1].Mem)
-		if alignedMoveOps[in.Op] && addr%uint64(width) != 0 {
+		if in.Op.IsAlignedMove() && addr%uint64(width) != 0 {
 			return &AlignmentError{Addr: addr, Req: width}
 		}
 		var v [32]byte

@@ -46,8 +46,9 @@ func (s *Suite) BoundCheck(cpus []*uarch.CPU) ([]*Table, error) {
 	}
 
 	total := 0
-	for _, cpu := range cpus {
-		results := s.profileResults(cpu)
+	all := s.profileResults(cpus)
+	for k, cpu := range cpus {
+		results := all[k]
 		checked, vacuous, violations := 0, 0, 0
 		var verdicts [3]int
 		for i := range s.recs {
@@ -110,16 +111,26 @@ func (s *Suite) BoundCheck(cpus []*uarch.CPU) ([]*Table, error) {
 	return tables, nil
 }
 
-// profileResults profiles the whole corpus keeping full results (the
-// model-evaluation path keeps only throughput+status, but the bound check
-// needs the cycle counters and unroll factors; the profile cache makes
-// the second pass cheap when both run).
-func (s *Suite) profileResults(cpu *uarch.CPU) []profiler.Result {
-	out := make([]profiler.Result, len(s.recs))
-	newProfiler := func() *profiler.Profiler { return s.newProfiler(cpu, profiler.DefaultOptions(), s.cfg.Metrics) }
-	parallel(s, len(s.recs), newProfiler, func(p *profiler.Profiler, i int) {
-		out[i] = p.Profile(s.recs[i].Block)
-		s.profileCalls.Add(1)
+// profileResults profiles the whole corpus on every µarch of cpus keeping
+// full results (the model-evaluation path keeps only throughput+status,
+// but the bound check needs the cycle counters and unroll factors; the
+// profile cache makes the second pass cheap when both run). It measures
+// block-major: one functional pass per block serves every µarch
+// (profiler.ProfileEach). out[k][i] is block i on cpus[k].
+func (s *Suite) profileResults(cpus []*uarch.CPU) [][]profiler.Result {
+	ps := make([]*profiler.Profiler, len(cpus))
+	out := make([][]profiler.Result, len(cpus))
+	for k, cpu := range cpus {
+		ps[k] = s.newProfiler(cpu, profiler.DefaultOptions(), s.cfg.Metrics)
+		out[k] = make([]profiler.Result, len(s.recs))
+	}
+	newResults := func() []profiler.Result { return make([]profiler.Result, len(ps)) }
+	parallel(s, len(s.recs), newResults, func(res []profiler.Result, i int) {
+		profiler.ProfileEach(s.recs[i].Block, ps, res)
+		for k := range ps {
+			out[k][i] = res[k]
+		}
+		s.profileCalls.Add(uint64(len(ps)))
 	})
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"bhive/internal/profiler"
 	"bhive/internal/uarch"
 )
 
@@ -353,6 +354,31 @@ func TestBoundCheck(t *testing.T) {
 	}
 	if len(res.Tables) == 0 || !strings.Contains(res.Text, "boundcheck") {
 		t.Fatal("RunStructured must render the boundcheck tables")
+	}
+}
+
+// TestBoundCheckOnePassPerBlock: the crosscheck measures block-major, so
+// one functional pass per block serves every µarch it checks.
+func TestBoundCheckOnePassPerBlock(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scale = 0.001
+	met := new(profiler.Metrics)
+	cfg.Metrics = met
+	s := New(cfg)
+	cpus := uarch.Extended()
+	if _, err := s.BoundCheck(cpus); err != nil {
+		t.Fatal(err)
+	}
+	snap := met.Snapshot()
+	blocks := uint64(len(s.Records()))
+	if snap.Passes == 0 || snap.Passes > blocks {
+		t.Fatalf("%d functional passes for %d blocks, want between 1 and one per block", snap.Passes, blocks)
+	}
+	if snap.Profiled != uint64(len(cpus))*blocks {
+		t.Fatalf("%d measurements, want %d blocks on %d µarchs", snap.Profiled, blocks, len(cpus))
+	}
+	if snap.PassServed <= snap.Passes {
+		t.Errorf("%d passes served only %d measurements of %d µarchs", snap.Passes, snap.PassServed, len(cpus))
 	}
 }
 

@@ -287,7 +287,10 @@ func Stats() Counters {
 const RegFlags = 32
 
 // regSets maps an instruction's register usage onto the pipeline register
-// ids.
+// ids. It is the one reading of register I/O: every consumer (simulator,
+// models, bounds, blocklint's def-use facts) takes these sets. Addr holds
+// the address registers in operand order; Data the explicit reads, then
+// the implicit ones, then the flags; Writes likewise.
 func regSets(in *x86.Inst) (addr, data, writes []uint8) {
 	id := func(r x86.Reg) (uint8, bool) {
 		switch b := r.Base64(); b.Class() {
@@ -302,8 +305,8 @@ func regSets(in *x86.Inst) (addr, data, writes []uint8) {
 		switch a.Kind {
 		case x86.KindReg:
 			r, w := in.ArgIO(k)
-			// Sub-register writes merge, hence also read (RegReads models
-			// this); replicate that rule here.
+			// Writes to 8/16-bit sub-registers merge into the old value,
+			// so they also read; 32-bit writes zero-extend and do not.
 			merge := w && (a.Reg.Class() == x86.ClassGP8 || a.Reg.Class() == x86.ClassGP16)
 			if r || merge {
 				if n, ok := id(a.Reg); ok {

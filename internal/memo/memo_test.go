@@ -128,6 +128,60 @@ func TestRegSetsStable(t *testing.T) {
 	}
 }
 
+// reads reports whether the entry for the one-instruction listing text
+// reads GPR r (by its pipeline id, the 64-bit register number).
+func reads(t *testing.T, text string, r x86.Reg) bool {
+	t.Helper()
+	e := Inst(&parse(t, text).Insts[0])
+	for _, id := range e.Data {
+		if int(id) == r.Num() {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDivReadsDividend: DIV reads its implicit dividend RDX:RAX besides
+// its explicit divisor.
+func TestDivReadsDividend(t *testing.T) {
+	for _, r := range []x86.Reg{x86.RAX, x86.RDX, x86.RCX} {
+		if !reads(t, "div ecx", r) {
+			t.Errorf("div ecx does not read %s", r)
+		}
+	}
+}
+
+// TestSubRegisterWriteReadsOld: an 8- or 16-bit destination write merges
+// into the old register value, so it reads it; 32- and 64-bit writes
+// replace it (a 32-bit write zero-extends) and do not.
+func TestSubRegisterWriteReadsOld(t *testing.T) {
+	for _, tc := range []struct {
+		text  string
+		reads bool
+	}{
+		{"mov al, 5", true},
+		{"mov ah, 5", true},
+		{"mov ax, 5", true},
+		{"mov eax, 5", false},
+		{"mov rax, 5", false},
+	} {
+		if got := reads(t, tc.text, x86.RAX); got != tc.reads {
+			t.Errorf("%s reads rax = %v, want %v", tc.text, got, tc.reads)
+		}
+	}
+}
+
+// TestShiftCountReadsCL: a shift by CL reads RCX; a shift by an
+// immediate does not.
+func TestShiftCountReadsCL(t *testing.T) {
+	if !reads(t, "shl rax, cl", x86.RCX) {
+		t.Error("shl rax, cl does not read rcx")
+	}
+	if reads(t, "shl rax, 3", x86.RCX) {
+		t.Error("shl rax, 3 reads rcx")
+	}
+}
+
 // TestPreparedMatchesDirect checks every field of the memo entries against
 // the direct derivations over a generated corpus and a hand-written mixed
 // block on every microarchitecture, on the miss path (the derivation a

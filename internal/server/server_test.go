@@ -96,12 +96,24 @@ func getResult(t *testing.T, ts *httptest.Server, id string) []byte {
 	return raw
 }
 
+// sseDeadline bounds one readSSE call: a job that stops writing before
+// the reader has what it waits for fails the test instead of hanging it.
+const sseDeadline = 5 * time.Second
+
 // readSSE collects "data:" lines from the events stream until n lines
 // arrived or the stream ended; it returns the lines and whether a
-// terminal "done" event was seen.
+// terminal "done" event was seen. It fails the test, reporting the lines
+// seen so far, when the stream neither delivers them nor ends within
+// sseDeadline.
 func readSSE(t *testing.T, ts *httptest.Server, id string, n int) (lines []string, done bool) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	ctx, cancel := context.WithTimeout(context.Background(), sseDeadline)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/jobs/"+id+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +139,9 @@ func readSSE(t *testing.T, ts *httptest.Server, id string, n int) (lines []strin
 				return lines, false
 			}
 		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("events stream: %v after %d data lines: %q", err, len(lines), lines)
 	}
 	return lines, false
 }

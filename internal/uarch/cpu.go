@@ -9,6 +9,8 @@ package uarch
 import (
 	"fmt"
 	"strings"
+
+	"bhive/internal/x86"
 )
 
 // PortSet is a bitmask of execution ports (bit i = port i).
@@ -190,9 +192,9 @@ type CPU struct {
 	StoreAddrPorts PortSet
 	StoreDataPorts PortSet
 
-	// Capabilities.
-	HasAVX2         bool
-	HasFMA          bool
+	// Capabilities. Features is the set of ISA extensions the core
+	// implements; an instruction needing any other is unsupported.
+	Features        x86.Feature
 	MoveElimination bool
 
 	// FE parameterizes the modeled decode front end (opt-in; see
@@ -260,8 +262,7 @@ func IvyBridge() *CPU {
 		StoreAddrPorts: Ports(2, 3),
 		StoreDataPorts: Ports(4),
 
-		HasAVX2:         false,
-		HasFMA:          false,
+		Features:        x86.FeatSSE | x86.FeatAVX,
 		MoveElimination: true,
 
 		FE: FrontEnd{
@@ -334,8 +335,7 @@ func Haswell() *CPU {
 		StoreAddrPorts: Ports(2, 3, 7),
 		StoreDataPorts: Ports(4),
 
-		HasAVX2:         true,
-		HasFMA:          true,
+		Features:        x86.FeatSSE | x86.FeatAVX | x86.FeatAVX2 | x86.FeatFMA,
 		MoveElimination: true,
 
 		FE: FrontEnd{

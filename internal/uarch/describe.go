@@ -68,33 +68,13 @@ func (c *CPU) describe(in *x86.Inst, renameTricks bool) (Desc, error) {
 	return Desc{Uops: uops, FusedUops: fused, FP: fp, Generic: generic}, nil
 }
 
-// checkSupported rejects vector extensions the core lacks.
+// checkSupported rejects instructions that need an ISA extension the core
+// lacks.
 func (c *CPU) checkSupported(in *x86.Inst) error {
-	op := in.Op
-	if !c.HasFMA && op >= x86.VFMADD132PS && op <= x86.VFNMADD231PD {
-		return &UnsupportedError{CPU: c.Name, Op: op}
-	}
-	if !c.HasAVX2 {
-		if op >= x86.VPBROADCASTB && op <= x86.VINSERTI128 {
-			return &UnsupportedError{CPU: c.Name, Op: op}
-		}
-		if op >= x86.VPXOR && op <= x86.VPMOVMSKB && is256(in) {
-			return &UnsupportedError{CPU: c.Name, Op: op}
-		}
+	if in.Features()&^c.Features != 0 {
+		return &UnsupportedError{CPU: c.Name, Op: in.Op}
 	}
 	return nil
-}
-
-func is256(in *x86.Inst) bool {
-	for _, a := range in.Args {
-		if a.Kind == x86.KindReg && a.Reg.Class() == x86.ClassYMM {
-			return true
-		}
-		if a.Kind == x86.KindMem && a.Mem.Size == 32 {
-			return true
-		}
-	}
-	return false
 }
 
 // isZeroIdiom recognizes the dependency-breaking zeroing idioms that the
@@ -258,13 +238,13 @@ func (c *CPU) computeUops(in *x86.Inst) ([]Uop, bool, bool) {
 		return []Uop{{Class: ClassFPDiv, Ports: c.divPorts, Lat: c.divSSLat, Occupancy: c.divSSOcc}}, true, false
 	case x86.DIVPS, x86.DIVPD, x86.VDIVPS, x86.VDIVPD:
 		occ := c.divSSOcc
-		if is256(in) {
+		if in.Is256() {
 			occ *= 2
 		}
 		return []Uop{{Class: ClassFPDiv, Ports: c.divPorts, Lat: c.divPSLat, Occupancy: occ}}, true, false
 	case x86.SQRTSS, x86.SQRTSD, x86.SQRTPS, x86.SQRTPD, x86.VSQRTPS, x86.VSQRTPD:
 		occ := c.sqrtOcc
-		if is256(in) {
+		if in.Is256() {
 			occ *= 2
 		}
 		return []Uop{{Class: ClassFPDiv, Ports: c.divPorts, Lat: c.sqrtLat, Occupancy: occ}}, true, false

@@ -90,26 +90,3 @@ func (b *Block) HasVector() bool {
 	}
 	return false
 }
-
-// HasAVX2 reports whether the block needs post-Ivy-Bridge vector extensions:
-// 256-bit integer operations, VEX broadcasts/inserts from the AVX2 group, or
-// FMA. Such blocks are excluded from Ivy Bridge validation, as in the paper.
-func (b *Block) HasAVX2() bool {
-	for i := range b.Insts {
-		in := &b.Insts[i]
-		switch {
-		case in.Op >= VFMADD132PS && in.Op <= VFNMADD231PD:
-			return true
-		case in.Op >= VPBROADCASTB && in.Op <= VINSERTI128:
-			return true
-		case in.Op >= VPXOR && in.Op <= VPMOVMSKB:
-			// 128-bit VEX integer ops are AVX1; 256-bit ones are AVX2.
-			for _, a := range in.Args {
-				if a.Kind == KindReg && a.Reg.Class() == ClassYMM {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}

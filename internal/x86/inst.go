@@ -109,59 +109,28 @@ func (in *Inst) IsStore() bool {
 	return false
 }
 
-// RegReads returns the architectural registers read by the instruction:
-// explicit read operands, addressing registers of any memory operand, and
-// implicit reads. High-level consumers dedupe as needed.
-func (in *Inst) RegReads() []Reg {
-	var out []Reg
-	for k, a := range in.Args {
-		switch a.Kind {
-		case KindReg:
-			r, w := in.ArgIO(k)
-			// Writes to 8/16-bit sub-registers merge into the old value, so
-			// they also read; 32-bit writes zero-extend and do not.
-			if r || (w && (a.Reg.Class() == ClassGP8 || a.Reg.Class() == ClassGP16)) {
-				out = append(out, a.Reg)
-			}
-		case KindMem:
-			if a.Mem.Base != RegNone && a.Mem.Base != RIP {
-				out = append(out, a.Mem.Base)
-			}
-			if a.Mem.Index != RegNone {
-				out = append(out, a.Mem.Index)
-			}
+// Is256 reports whether the instruction operates on 256 bits: it names a
+// YMM register or accesses 32 bytes of memory.
+func (in *Inst) Is256() bool {
+	for _, a := range in.Args {
+		if a.Kind == KindReg && a.Reg.Class() == ClassYMM {
+			return true
 		}
-	}
-	out = append(out, in.Op.ImplicitReads()...)
-	if in.hasCLCount() {
-		out = append(out, RCX)
-	}
-	return out
-}
-
-// RegWrites returns the architectural registers written by the instruction.
-func (in *Inst) RegWrites() []Reg {
-	var out []Reg
-	for k, a := range in.Args {
-		if a.Kind != KindReg {
-			continue
+		if a.Kind == KindMem && a.Mem.Size == 32 {
+			return true
 		}
-		if _, w := in.ArgIO(k); w {
-			out = append(out, a.Reg)
-		}
-	}
-	out = append(out, in.Op.ImplicitWrites()...)
-	return out
-}
-
-// hasCLCount reports whether the instruction is a shift/rotate whose count
-// operand is the CL register.
-func (in *Inst) hasCLCount() bool {
-	switch in.Op {
-	case SHL, SHR, SAR, ROL, ROR:
-		return len(in.Args) == 2 && in.Args[1].IsReg(CL)
 	}
 	return false
+}
+
+// Features returns the ISA extensions the instruction needs: its op's,
+// plus those of the op's 256-bit forms when it is one.
+func (in *Inst) Features() Feature {
+	f := in.Op.Features()
+	if in.Op < NumOps && opInfos[in.Op].feat256 != 0 && in.Is256() {
+		f |= opInfos[in.Op].feat256
+	}
+	return f
 }
 
 // String renders the instruction in Intel syntax.

@@ -333,7 +333,35 @@ type opInfo struct {
 	implicitW []Reg
 	// cond is the condition code for CMOVcc/SETcc/Jcc, else condNone.
 	cond cond
+	// feat is the set of ISA extensions every form of the op needs, and
+	// feat256 what its 256-bit forms need on top: AVX2 for the VEX integer
+	// ops, whose 128-bit forms are AVX.
+	feat, feat256 Feature
+	// aligned marks the moves that fault on an address not aligned to
+	// their width (movaps/movapd/movdqa and their VEX forms).
+	aligned bool
 }
+
+// Feature is a set of ISA extensions. An instruction needs one set and a
+// core implements one; the core runs the instruction when
+// need&^have == 0.
+type Feature uint8
+
+const (
+	// FeatSSE is the legacy SSE/SSE2 vector baseline of x86-64.
+	FeatSSE Feature = 1 << iota
+	// FeatAVX covers the VEX-encoded float ops and the 128-bit forms of the
+	// VEX integer ops.
+	FeatAVX
+	// FeatAVX2 covers the 256-bit VEX integer forms, the integer
+	// broadcasts and the 128-bit integer lane inserts and extracts.
+	FeatAVX2
+	// FeatFMA covers the fused multiply-adds.
+	FeatFMA
+)
+
+// vexFeatures are the extensions whose instructions are VEX-encoded.
+const vexFeatures = FeatAVX | FeatAVX2 | FeatFMA
 
 // cond enumerates x86 condition codes used by this subset. The exported
 // alias Cond and CondXX constants let other packages evaluate conditions.
@@ -471,186 +499,186 @@ var opInfos = [NumOps]opInfo{
 	CALL: {name: "call", class: clsBranch, implicitR: []Reg{RSP}, implicitW: []Reg{RSP}},
 	RET:  {name: "ret", class: clsBranch, implicitR: []Reg{RSP}, implicitW: []Reg{RSP}},
 
-	MOVSS:     {name: "movss", class: clsMov},
-	MOVSD:     {name: "movsd", class: clsMov},
-	ADDSS:     {name: "addss", class: clsRMW},
-	ADDSD:     {name: "addsd", class: clsRMW},
-	SUBSS:     {name: "subss", class: clsRMW},
-	SUBSD:     {name: "subsd", class: clsRMW},
-	MULSS:     {name: "mulss", class: clsRMW},
-	MULSD:     {name: "mulsd", class: clsRMW},
-	DIVSS:     {name: "divss", class: clsRMW},
-	DIVSD:     {name: "divsd", class: clsRMW},
-	SQRTSS:    {name: "sqrtss", class: clsMov},
-	SQRTSD:    {name: "sqrtsd", class: clsMov},
-	MINSS:     {name: "minss", class: clsRMW},
-	MINSD:     {name: "minsd", class: clsRMW},
-	MAXSS:     {name: "maxss", class: clsRMW},
-	MAXSD:     {name: "maxsd", class: clsRMW},
-	UCOMISS:   {name: "ucomiss", class: clsCmp, flags: flagsW},
-	UCOMISD:   {name: "ucomisd", class: clsCmp, flags: flagsW},
-	CVTSI2SS:  {name: "cvtsi2ss", class: clsMov},
-	CVTSI2SD:  {name: "cvtsi2sd", class: clsMov},
-	CVTTSS2SI: {name: "cvttss2si", class: clsMov},
-	CVTTSD2SI: {name: "cvttsd2si", class: clsMov},
-	CVTSS2SD:  {name: "cvtss2sd", class: clsMov},
-	CVTSD2SS:  {name: "cvtsd2ss", class: clsMov},
+	MOVSS:     {name: "movss", class: clsMov, feat: FeatSSE},
+	MOVSD:     {name: "movsd", class: clsMov, feat: FeatSSE},
+	ADDSS:     {name: "addss", class: clsRMW, feat: FeatSSE},
+	ADDSD:     {name: "addsd", class: clsRMW, feat: FeatSSE},
+	SUBSS:     {name: "subss", class: clsRMW, feat: FeatSSE},
+	SUBSD:     {name: "subsd", class: clsRMW, feat: FeatSSE},
+	MULSS:     {name: "mulss", class: clsRMW, feat: FeatSSE},
+	MULSD:     {name: "mulsd", class: clsRMW, feat: FeatSSE},
+	DIVSS:     {name: "divss", class: clsRMW, feat: FeatSSE},
+	DIVSD:     {name: "divsd", class: clsRMW, feat: FeatSSE},
+	SQRTSS:    {name: "sqrtss", class: clsMov, feat: FeatSSE},
+	SQRTSD:    {name: "sqrtsd", class: clsMov, feat: FeatSSE},
+	MINSS:     {name: "minss", class: clsRMW, feat: FeatSSE},
+	MINSD:     {name: "minsd", class: clsRMW, feat: FeatSSE},
+	MAXSS:     {name: "maxss", class: clsRMW, feat: FeatSSE},
+	MAXSD:     {name: "maxsd", class: clsRMW, feat: FeatSSE},
+	UCOMISS:   {name: "ucomiss", class: clsCmp, flags: flagsW, feat: FeatSSE},
+	UCOMISD:   {name: "ucomisd", class: clsCmp, flags: flagsW, feat: FeatSSE},
+	CVTSI2SS:  {name: "cvtsi2ss", class: clsMov, feat: FeatSSE},
+	CVTSI2SD:  {name: "cvtsi2sd", class: clsMov, feat: FeatSSE},
+	CVTTSS2SI: {name: "cvttss2si", class: clsMov, feat: FeatSSE},
+	CVTTSD2SI: {name: "cvttsd2si", class: clsMov, feat: FeatSSE},
+	CVTSS2SD:  {name: "cvtss2sd", class: clsMov, feat: FeatSSE},
+	CVTSD2SS:  {name: "cvtsd2ss", class: clsMov, feat: FeatSSE},
 
-	MOVD:   {name: "movd", class: clsMov},
-	MOVQ:   {name: "movq", class: clsMov},
-	MOVAPS: {name: "movaps", class: clsMov},
-	MOVUPS: {name: "movups", class: clsMov},
-	MOVAPD: {name: "movapd", class: clsMov},
-	MOVUPD: {name: "movupd", class: clsMov},
-	MOVDQA: {name: "movdqa", class: clsMov},
-	MOVDQU: {name: "movdqu", class: clsMov},
+	MOVD:   {name: "movd", class: clsMov, feat: FeatSSE},
+	MOVQ:   {name: "movq", class: clsMov, feat: FeatSSE},
+	MOVAPS: {name: "movaps", class: clsMov, feat: FeatSSE, aligned: true},
+	MOVUPS: {name: "movups", class: clsMov, feat: FeatSSE},
+	MOVAPD: {name: "movapd", class: clsMov, feat: FeatSSE, aligned: true},
+	MOVUPD: {name: "movupd", class: clsMov, feat: FeatSSE},
+	MOVDQA: {name: "movdqa", class: clsMov, feat: FeatSSE, aligned: true},
+	MOVDQU: {name: "movdqu", class: clsMov, feat: FeatSSE},
 
-	ADDPS:    {name: "addps", class: clsRMW},
-	ADDPD:    {name: "addpd", class: clsRMW},
-	SUBPS:    {name: "subps", class: clsRMW},
-	SUBPD:    {name: "subpd", class: clsRMW},
-	MULPS:    {name: "mulps", class: clsRMW},
-	MULPD:    {name: "mulpd", class: clsRMW},
-	DIVPS:    {name: "divps", class: clsRMW},
-	DIVPD:    {name: "divpd", class: clsRMW},
-	SQRTPS:   {name: "sqrtps", class: clsMov},
-	SQRTPD:   {name: "sqrtpd", class: clsMov},
-	MINPS:    {name: "minps", class: clsRMW},
-	MAXPS:    {name: "maxps", class: clsRMW},
-	XORPS:    {name: "xorps", class: clsRMW},
-	XORPD:    {name: "xorpd", class: clsRMW},
-	ANDPS:    {name: "andps", class: clsRMW},
-	ANDPD:    {name: "andpd", class: clsRMW},
-	ORPS:     {name: "orps", class: clsRMW},
-	ORPD:     {name: "orpd", class: clsRMW},
-	SHUFPS:   {name: "shufps", class: clsRMW},
-	UNPCKLPS: {name: "unpcklps", class: clsRMW},
-	CVTDQ2PS: {name: "cvtdq2ps", class: clsMov},
-	CVTPS2DQ: {name: "cvtps2dq", class: clsMov},
-	MOVMSKPS: {name: "movmskps", class: clsMov},
+	ADDPS:    {name: "addps", class: clsRMW, feat: FeatSSE},
+	ADDPD:    {name: "addpd", class: clsRMW, feat: FeatSSE},
+	SUBPS:    {name: "subps", class: clsRMW, feat: FeatSSE},
+	SUBPD:    {name: "subpd", class: clsRMW, feat: FeatSSE},
+	MULPS:    {name: "mulps", class: clsRMW, feat: FeatSSE},
+	MULPD:    {name: "mulpd", class: clsRMW, feat: FeatSSE},
+	DIVPS:    {name: "divps", class: clsRMW, feat: FeatSSE},
+	DIVPD:    {name: "divpd", class: clsRMW, feat: FeatSSE},
+	SQRTPS:   {name: "sqrtps", class: clsMov, feat: FeatSSE},
+	SQRTPD:   {name: "sqrtpd", class: clsMov, feat: FeatSSE},
+	MINPS:    {name: "minps", class: clsRMW, feat: FeatSSE},
+	MAXPS:    {name: "maxps", class: clsRMW, feat: FeatSSE},
+	XORPS:    {name: "xorps", class: clsRMW, feat: FeatSSE},
+	XORPD:    {name: "xorpd", class: clsRMW, feat: FeatSSE},
+	ANDPS:    {name: "andps", class: clsRMW, feat: FeatSSE},
+	ANDPD:    {name: "andpd", class: clsRMW, feat: FeatSSE},
+	ORPS:     {name: "orps", class: clsRMW, feat: FeatSSE},
+	ORPD:     {name: "orpd", class: clsRMW, feat: FeatSSE},
+	SHUFPS:   {name: "shufps", class: clsRMW, feat: FeatSSE},
+	UNPCKLPS: {name: "unpcklps", class: clsRMW, feat: FeatSSE},
+	CVTDQ2PS: {name: "cvtdq2ps", class: clsMov, feat: FeatSSE},
+	CVTPS2DQ: {name: "cvtps2dq", class: clsMov, feat: FeatSSE},
+	MOVMSKPS: {name: "movmskps", class: clsMov, feat: FeatSSE},
 
-	PXOR:      {name: "pxor", class: clsRMW},
-	PAND:      {name: "pand", class: clsRMW},
-	PANDN:     {name: "pandn", class: clsRMW},
-	POR:       {name: "por", class: clsRMW},
-	PADDB:     {name: "paddb", class: clsRMW},
-	PADDW:     {name: "paddw", class: clsRMW},
-	PADDD:     {name: "paddd", class: clsRMW},
-	PADDQ:     {name: "paddq", class: clsRMW},
-	PSUBB:     {name: "psubb", class: clsRMW},
-	PSUBW:     {name: "psubw", class: clsRMW},
-	PSUBD:     {name: "psubd", class: clsRMW},
-	PSUBQ:     {name: "psubq", class: clsRMW},
-	PMULLW:    {name: "pmullw", class: clsRMW},
-	PMULLD:    {name: "pmulld", class: clsRMW},
-	PMULUDQ:   {name: "pmuludq", class: clsRMW},
-	PCMPEQB:   {name: "pcmpeqb", class: clsRMW},
-	PCMPEQD:   {name: "pcmpeqd", class: clsRMW},
-	PCMPGTB:   {name: "pcmpgtb", class: clsRMW},
-	PCMPGTD:   {name: "pcmpgtd", class: clsRMW},
-	PSLLW:     {name: "psllw", class: clsRMW},
-	PSLLD:     {name: "pslld", class: clsRMW},
-	PSLLQ:     {name: "psllq", class: clsRMW},
-	PSRLW:     {name: "psrlw", class: clsRMW},
-	PSRLD:     {name: "psrld", class: clsRMW},
-	PSRLQ:     {name: "psrlq", class: clsRMW},
-	PSRAW:     {name: "psraw", class: clsRMW},
-	PSRAD:     {name: "psrad", class: clsRMW},
-	PUNPCKLBW: {name: "punpcklbw", class: clsRMW},
-	PUNPCKLWD: {name: "punpcklwd", class: clsRMW},
-	PUNPCKLDQ: {name: "punpckldq", class: clsRMW},
-	PUNPCKHDQ: {name: "punpckhdq", class: clsRMW},
-	PSHUFD:    {name: "pshufd", class: clsMov},
-	PMOVMSKB:  {name: "pmovmskb", class: clsMov},
+	PXOR:      {name: "pxor", class: clsRMW, feat: FeatSSE},
+	PAND:      {name: "pand", class: clsRMW, feat: FeatSSE},
+	PANDN:     {name: "pandn", class: clsRMW, feat: FeatSSE},
+	POR:       {name: "por", class: clsRMW, feat: FeatSSE},
+	PADDB:     {name: "paddb", class: clsRMW, feat: FeatSSE},
+	PADDW:     {name: "paddw", class: clsRMW, feat: FeatSSE},
+	PADDD:     {name: "paddd", class: clsRMW, feat: FeatSSE},
+	PADDQ:     {name: "paddq", class: clsRMW, feat: FeatSSE},
+	PSUBB:     {name: "psubb", class: clsRMW, feat: FeatSSE},
+	PSUBW:     {name: "psubw", class: clsRMW, feat: FeatSSE},
+	PSUBD:     {name: "psubd", class: clsRMW, feat: FeatSSE},
+	PSUBQ:     {name: "psubq", class: clsRMW, feat: FeatSSE},
+	PMULLW:    {name: "pmullw", class: clsRMW, feat: FeatSSE},
+	PMULLD:    {name: "pmulld", class: clsRMW, feat: FeatSSE},
+	PMULUDQ:   {name: "pmuludq", class: clsRMW, feat: FeatSSE},
+	PCMPEQB:   {name: "pcmpeqb", class: clsRMW, feat: FeatSSE},
+	PCMPEQD:   {name: "pcmpeqd", class: clsRMW, feat: FeatSSE},
+	PCMPGTB:   {name: "pcmpgtb", class: clsRMW, feat: FeatSSE},
+	PCMPGTD:   {name: "pcmpgtd", class: clsRMW, feat: FeatSSE},
+	PSLLW:     {name: "psllw", class: clsRMW, feat: FeatSSE},
+	PSLLD:     {name: "pslld", class: clsRMW, feat: FeatSSE},
+	PSLLQ:     {name: "psllq", class: clsRMW, feat: FeatSSE},
+	PSRLW:     {name: "psrlw", class: clsRMW, feat: FeatSSE},
+	PSRLD:     {name: "psrld", class: clsRMW, feat: FeatSSE},
+	PSRLQ:     {name: "psrlq", class: clsRMW, feat: FeatSSE},
+	PSRAW:     {name: "psraw", class: clsRMW, feat: FeatSSE},
+	PSRAD:     {name: "psrad", class: clsRMW, feat: FeatSSE},
+	PUNPCKLBW: {name: "punpcklbw", class: clsRMW, feat: FeatSSE},
+	PUNPCKLWD: {name: "punpcklwd", class: clsRMW, feat: FeatSSE},
+	PUNPCKLDQ: {name: "punpckldq", class: clsRMW, feat: FeatSSE},
+	PUNPCKHDQ: {name: "punpckhdq", class: clsRMW, feat: FeatSSE},
+	PSHUFD:    {name: "pshufd", class: clsMov, feat: FeatSSE},
+	PMOVMSKB:  {name: "pmovmskb", class: clsMov, feat: FeatSSE},
 
-	VMOVSS:       {name: "vmovss", class: clsVex3},
-	VMOVSD:       {name: "vmovsd", class: clsVex3},
-	VMOVAPS:      {name: "vmovaps", class: clsMov},
-	VMOVUPS:      {name: "vmovups", class: clsMov},
-	VMOVAPD:      {name: "vmovapd", class: clsMov},
-	VMOVUPD:      {name: "vmovupd", class: clsMov},
-	VMOVDQA:      {name: "vmovdqa", class: clsMov},
-	VMOVDQU:      {name: "vmovdqu", class: clsMov},
-	VADDSS:       {name: "vaddss", class: clsVex3},
-	VADDSD:       {name: "vaddsd", class: clsVex3},
-	VSUBSS:       {name: "vsubss", class: clsVex3},
-	VSUBSD:       {name: "vsubsd", class: clsVex3},
-	VMULSS:       {name: "vmulss", class: clsVex3},
-	VMULSD:       {name: "vmulsd", class: clsVex3},
-	VDIVSS:       {name: "vdivss", class: clsVex3},
-	VDIVSD:       {name: "vdivsd", class: clsVex3},
-	VADDPS:       {name: "vaddps", class: clsVex3},
-	VADDPD:       {name: "vaddpd", class: clsVex3},
-	VSUBPS:       {name: "vsubps", class: clsVex3},
-	VSUBPD:       {name: "vsubpd", class: clsVex3},
-	VMULPS:       {name: "vmulps", class: clsVex3},
-	VMULPD:       {name: "vmulpd", class: clsVex3},
-	VDIVPS:       {name: "vdivps", class: clsVex3},
-	VDIVPD:       {name: "vdivpd", class: clsVex3},
-	VSQRTPS:      {name: "vsqrtps", class: clsMov},
-	VSQRTPD:      {name: "vsqrtpd", class: clsMov},
-	VMINPS:       {name: "vminps", class: clsVex3},
-	VMAXPS:       {name: "vmaxps", class: clsVex3},
-	VXORPS:       {name: "vxorps", class: clsVex3},
-	VXORPD:       {name: "vxorpd", class: clsVex3},
-	VANDPS:       {name: "vandps", class: clsVex3},
-	VANDPD:       {name: "vandpd", class: clsVex3},
-	VORPS:        {name: "vorps", class: clsVex3},
-	VORPD:        {name: "vorpd", class: clsVex3},
-	VUCOMISS:     {name: "vucomiss", class: clsCmp, flags: flagsW},
-	VUCOMISD:     {name: "vucomisd", class: clsCmp, flags: flagsW},
-	VSHUFPS:      {name: "vshufps", class: clsVex3},
-	VCVTDQ2PS:    {name: "vcvtdq2ps", class: clsMov},
-	VCVTPS2DQ:    {name: "vcvtps2dq", class: clsMov},
-	VBROADCASTSS: {name: "vbroadcastss", class: clsMov},
-	VBROADCASTSD: {name: "vbroadcastsd", class: clsMov},
-	VEXTRACTF128: {name: "vextractf128", class: clsMov},
-	VINSERTF128:  {name: "vinsertf128", class: clsVex3},
-	VZEROUPPER:   {name: "vzeroupper", class: clsNone},
+	VMOVSS:       {name: "vmovss", class: clsVex3, feat: FeatAVX},
+	VMOVSD:       {name: "vmovsd", class: clsVex3, feat: FeatAVX},
+	VMOVAPS:      {name: "vmovaps", class: clsMov, feat: FeatAVX, aligned: true},
+	VMOVUPS:      {name: "vmovups", class: clsMov, feat: FeatAVX},
+	VMOVAPD:      {name: "vmovapd", class: clsMov, feat: FeatAVX, aligned: true},
+	VMOVUPD:      {name: "vmovupd", class: clsMov, feat: FeatAVX},
+	VMOVDQA:      {name: "vmovdqa", class: clsMov, feat: FeatAVX, aligned: true},
+	VMOVDQU:      {name: "vmovdqu", class: clsMov, feat: FeatAVX},
+	VADDSS:       {name: "vaddss", class: clsVex3, feat: FeatAVX},
+	VADDSD:       {name: "vaddsd", class: clsVex3, feat: FeatAVX},
+	VSUBSS:       {name: "vsubss", class: clsVex3, feat: FeatAVX},
+	VSUBSD:       {name: "vsubsd", class: clsVex3, feat: FeatAVX},
+	VMULSS:       {name: "vmulss", class: clsVex3, feat: FeatAVX},
+	VMULSD:       {name: "vmulsd", class: clsVex3, feat: FeatAVX},
+	VDIVSS:       {name: "vdivss", class: clsVex3, feat: FeatAVX},
+	VDIVSD:       {name: "vdivsd", class: clsVex3, feat: FeatAVX},
+	VADDPS:       {name: "vaddps", class: clsVex3, feat: FeatAVX},
+	VADDPD:       {name: "vaddpd", class: clsVex3, feat: FeatAVX},
+	VSUBPS:       {name: "vsubps", class: clsVex3, feat: FeatAVX},
+	VSUBPD:       {name: "vsubpd", class: clsVex3, feat: FeatAVX},
+	VMULPS:       {name: "vmulps", class: clsVex3, feat: FeatAVX},
+	VMULPD:       {name: "vmulpd", class: clsVex3, feat: FeatAVX},
+	VDIVPS:       {name: "vdivps", class: clsVex3, feat: FeatAVX},
+	VDIVPD:       {name: "vdivpd", class: clsVex3, feat: FeatAVX},
+	VSQRTPS:      {name: "vsqrtps", class: clsMov, feat: FeatAVX},
+	VSQRTPD:      {name: "vsqrtpd", class: clsMov, feat: FeatAVX},
+	VMINPS:       {name: "vminps", class: clsVex3, feat: FeatAVX},
+	VMAXPS:       {name: "vmaxps", class: clsVex3, feat: FeatAVX},
+	VXORPS:       {name: "vxorps", class: clsVex3, feat: FeatAVX},
+	VXORPD:       {name: "vxorpd", class: clsVex3, feat: FeatAVX},
+	VANDPS:       {name: "vandps", class: clsVex3, feat: FeatAVX},
+	VANDPD:       {name: "vandpd", class: clsVex3, feat: FeatAVX},
+	VORPS:        {name: "vorps", class: clsVex3, feat: FeatAVX},
+	VORPD:        {name: "vorpd", class: clsVex3, feat: FeatAVX},
+	VUCOMISS:     {name: "vucomiss", class: clsCmp, flags: flagsW, feat: FeatAVX},
+	VUCOMISD:     {name: "vucomisd", class: clsCmp, flags: flagsW, feat: FeatAVX},
+	VSHUFPS:      {name: "vshufps", class: clsVex3, feat: FeatAVX},
+	VCVTDQ2PS:    {name: "vcvtdq2ps", class: clsMov, feat: FeatAVX},
+	VCVTPS2DQ:    {name: "vcvtps2dq", class: clsMov, feat: FeatAVX},
+	VBROADCASTSS: {name: "vbroadcastss", class: clsMov, feat: FeatAVX},
+	VBROADCASTSD: {name: "vbroadcastsd", class: clsMov, feat: FeatAVX},
+	VEXTRACTF128: {name: "vextractf128", class: clsMov, feat: FeatAVX},
+	VINSERTF128:  {name: "vinsertf128", class: clsVex3, feat: FeatAVX},
+	VZEROUPPER:   {name: "vzeroupper", class: clsNone, feat: FeatAVX},
 
-	VPXOR:        {name: "vpxor", class: clsVex3},
-	VPAND:        {name: "vpand", class: clsVex3},
-	VPANDN:       {name: "vpandn", class: clsVex3},
-	VPOR:         {name: "vpor", class: clsVex3},
-	VPADDB:       {name: "vpaddb", class: clsVex3},
-	VPADDW:       {name: "vpaddw", class: clsVex3},
-	VPADDD:       {name: "vpaddd", class: clsVex3},
-	VPADDQ:       {name: "vpaddq", class: clsVex3},
-	VPSUBB:       {name: "vpsubb", class: clsVex3},
-	VPSUBW:       {name: "vpsubw", class: clsVex3},
-	VPSUBD:       {name: "vpsubd", class: clsVex3},
-	VPSUBQ:       {name: "vpsubq", class: clsVex3},
-	VPMULLW:      {name: "vpmullw", class: clsVex3},
-	VPMULLD:      {name: "vpmulld", class: clsVex3},
-	VPCMPEQB:     {name: "vpcmpeqb", class: clsVex3},
-	VPCMPEQD:     {name: "vpcmpeqd", class: clsVex3},
-	VPCMPGTD:     {name: "vpcmpgtd", class: clsVex3},
-	VPSLLD:       {name: "vpslld", class: clsVex3},
-	VPSLLQ:       {name: "vpsllq", class: clsVex3},
-	VPSRLD:       {name: "vpsrld", class: clsVex3},
-	VPSRLQ:       {name: "vpsrlq", class: clsVex3},
-	VPSHUFD:      {name: "vpshufd", class: clsMov},
-	VPMOVMSKB:    {name: "vpmovmskb", class: clsMov},
-	VPBROADCASTB: {name: "vpbroadcastb", class: clsMov},
-	VPBROADCASTD: {name: "vpbroadcastd", class: clsMov},
-	VPBROADCASTQ: {name: "vpbroadcastq", class: clsMov},
-	VEXTRACTI128: {name: "vextracti128", class: clsMov},
-	VINSERTI128:  {name: "vinserti128", class: clsVex3},
+	VPXOR:        {name: "vpxor", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPAND:        {name: "vpand", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPANDN:       {name: "vpandn", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPOR:         {name: "vpor", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPADDB:       {name: "vpaddb", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPADDW:       {name: "vpaddw", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPADDD:       {name: "vpaddd", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPADDQ:       {name: "vpaddq", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPSUBB:       {name: "vpsubb", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPSUBW:       {name: "vpsubw", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPSUBD:       {name: "vpsubd", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPSUBQ:       {name: "vpsubq", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPMULLW:      {name: "vpmullw", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPMULLD:      {name: "vpmulld", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPCMPEQB:     {name: "vpcmpeqb", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPCMPEQD:     {name: "vpcmpeqd", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPCMPGTD:     {name: "vpcmpgtd", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPSLLD:       {name: "vpslld", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPSLLQ:       {name: "vpsllq", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPSRLD:       {name: "vpsrld", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPSRLQ:       {name: "vpsrlq", class: clsVex3, feat: FeatAVX, feat256: FeatAVX2},
+	VPSHUFD:      {name: "vpshufd", class: clsMov, feat: FeatAVX, feat256: FeatAVX2},
+	VPMOVMSKB:    {name: "vpmovmskb", class: clsMov, feat: FeatAVX, feat256: FeatAVX2},
+	VPBROADCASTB: {name: "vpbroadcastb", class: clsMov, feat: FeatAVX2},
+	VPBROADCASTD: {name: "vpbroadcastd", class: clsMov, feat: FeatAVX2},
+	VPBROADCASTQ: {name: "vpbroadcastq", class: clsMov, feat: FeatAVX2},
+	VEXTRACTI128: {name: "vextracti128", class: clsMov, feat: FeatAVX2},
+	VINSERTI128:  {name: "vinserti128", class: clsVex3, feat: FeatAVX2},
 
-	VFMADD132PS:  {name: "vfmadd132ps", class: clsFMA},
-	VFMADD213PS:  {name: "vfmadd213ps", class: clsFMA},
-	VFMADD231PS:  {name: "vfmadd231ps", class: clsFMA},
-	VFMADD132PD:  {name: "vfmadd132pd", class: clsFMA},
-	VFMADD213PD:  {name: "vfmadd213pd", class: clsFMA},
-	VFMADD231PD:  {name: "vfmadd231pd", class: clsFMA},
-	VFMADD132SS:  {name: "vfmadd132ss", class: clsFMA},
-	VFMADD213SS:  {name: "vfmadd213ss", class: clsFMA},
-	VFMADD231SS:  {name: "vfmadd231ss", class: clsFMA},
-	VFMADD132SD:  {name: "vfmadd132sd", class: clsFMA},
-	VFMADD213SD:  {name: "vfmadd213sd", class: clsFMA},
-	VFMADD231SD:  {name: "vfmadd231sd", class: clsFMA},
-	VFNMADD231PS: {name: "vfnmadd231ps", class: clsFMA},
-	VFNMADD231PD: {name: "vfnmadd231pd", class: clsFMA},
+	VFMADD132PS:  {name: "vfmadd132ps", class: clsFMA, feat: FeatFMA},
+	VFMADD213PS:  {name: "vfmadd213ps", class: clsFMA, feat: FeatFMA},
+	VFMADD231PS:  {name: "vfmadd231ps", class: clsFMA, feat: FeatFMA},
+	VFMADD132PD:  {name: "vfmadd132pd", class: clsFMA, feat: FeatFMA},
+	VFMADD213PD:  {name: "vfmadd213pd", class: clsFMA, feat: FeatFMA},
+	VFMADD231PD:  {name: "vfmadd231pd", class: clsFMA, feat: FeatFMA},
+	VFMADD132SS:  {name: "vfmadd132ss", class: clsFMA, feat: FeatFMA},
+	VFMADD213SS:  {name: "vfmadd213ss", class: clsFMA, feat: FeatFMA},
+	VFMADD231SS:  {name: "vfmadd231ss", class: clsFMA, feat: FeatFMA},
+	VFMADD132SD:  {name: "vfmadd132sd", class: clsFMA, feat: FeatFMA},
+	VFMADD213SD:  {name: "vfmadd213sd", class: clsFMA, feat: FeatFMA},
+	VFMADD231SD:  {name: "vfmadd231sd", class: clsFMA, feat: FeatFMA},
+	VFNMADD231PS: {name: "vfnmadd231ps", class: clsFMA, feat: FeatFMA},
+	VFNMADD231PD: {name: "vfnmadd231pd", class: clsFMA, feat: FeatFMA},
 }
 
 // String returns the lowercase mnemonic.
@@ -682,8 +710,29 @@ func (op Op) ImplicitWrites() []Reg { return opInfos[op].implicitW }
 // terminates a basic block and never appears inside one).
 func (op Op) IsBranch() bool { return op < NumOps && opInfos[op].class == clsBranch }
 
+// Features returns the ISA extensions every form of the op needs (for the
+// instruction-level set, which adds the 256-bit rule, see Inst.Features).
+func (op Op) Features() Feature {
+	if op >= NumOps {
+		return 0
+	}
+	return opInfos[op].feat
+}
+
 // IsVex reports whether the op is VEX-encoded (AVX/AVX2/FMA).
-func (op Op) IsVex() bool { return op >= VMOVSS && op <= VFNMADD231PD }
+func (op Op) IsVex() bool { return op.Features()&vexFeatures != 0 }
+
+// IsCMov reports whether the op is a conditional move: a conditional
+// read-modify-write, which keeps the destination when the condition fails.
+func (op Op) IsCMov() bool { return opInfos[op].cond != condNone && opInfos[op].class == clsRMW }
+
+// IsSetCC reports whether the op is a conditional set: a conditional
+// write of 0 or 1.
+func (op Op) IsSetCC() bool { return opInfos[op].cond != condNone && opInfos[op].class == clsMov }
+
+// IsAlignedMove reports whether the op is a move that faults unless its
+// memory operand is aligned to the operation width.
+func (op Op) IsAlignedMove() bool { return op < NumOps && opInfos[op].aligned }
 
 // opByName maps mnemonics to Ops.
 var opByName = func() map[string]Op {

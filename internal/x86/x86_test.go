@@ -202,37 +202,6 @@ func TestInstIO(t *testing.T) {
 	if lea.IsLoad() || lea.IsStore() {
 		t.Fatal("lea must not access memory")
 	}
-	div, _ := ParseInst("div ecx", SyntaxIntel)
-	reads := div.RegReads()
-	var hasRAX, hasRDX bool
-	for _, r := range reads {
-		hasRAX = hasRAX || r == RAX
-		hasRDX = hasRDX || r == RDX
-	}
-	if !hasRAX || !hasRDX {
-		t.Fatalf("div implicit reads missing: %v", reads)
-	}
-}
-
-func TestSubRegisterWriteReadsOld(t *testing.T) {
-	// mov al, 5 merges into rax: the write must count as a read of rax.
-	in := NewInst(MOV, RegOp(AL), ImmOp(5))
-	found := false
-	for _, r := range in.RegReads() {
-		if r == AL {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("8-bit destination write must read the old register value")
-	}
-	// 32-bit writes zero-extend: no read.
-	in32 := NewInst(MOV, RegOp(EAX), ImmOp(5))
-	for _, r := range in32.RegReads() {
-		if r == EAX {
-			t.Fatal("32-bit destination write must not read the old value")
-		}
-	}
 }
 
 // randomInst generates a random encodable instruction by picking a form and
