@@ -545,6 +545,68 @@ func TestPredictMixedSimModelsAllocs(t *testing.T) {
 	}
 }
 
+// TestRetargetTimingAllocs pins the timing half of every key after a
+// block's first: with the functional pass done and its graph built and
+// caches warmed once, moving the machine to another µarch and timing the
+// block there — Retarget, the graph retimed, the warm-up restored (or
+// walked again on Ice Lake's geometry), the one-pass unroll pair —
+// allocates nothing.
+func TestRetargetTimingAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	block, _ := x86.ParseBlock(harness.CRCBlockText, x86.SyntaxATT)
+	n := len(block.Insts)
+	lo, hi := profiler.DefaultOptions().UnrollFactors(n)
+	var insts []x86.Inst
+	for i := 0; i < hi; i++ {
+		insts = append(insts, block.Insts...)
+	}
+	hsw := uarch.Haswell()
+	keys := []*uarch.CPU{hsw.Perturbed(), uarch.Skylake(), uarch.IceLake(), hsw}
+	ents := make([][]*memo.PreparedInst, len(keys))
+	for k, cpu := range keys {
+		for i := range block.Insts {
+			ents[k] = append(ents[k], memo.For(cpu).Prepared(&block.Insts[i]))
+		}
+	}
+	m := machine.New(hsw, 1)
+	prog, err := m.PrepareUnrolled(insts, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := m.AS.NewPhysPage()
+	frame.Fill(profiler.InitPattern)
+	st := &exec.State{FTZ: true, DAZ: true}
+	st.InitRegisters(profiler.InitPattern)
+	steps, err := m.ExecuteMonitored(prog, st, func(f *vm.Fault) bool {
+		m.AS.Map(f.Addr, frame)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.WarmCaches(prog, steps)
+	m.TimeGraphPair(m.PrepareGraph(prog, steps), n*lo, machine.Config{})
+	before := m.Work()
+	allocs := testing.AllocsPerRun(20, func() {
+		for k, cpu := range keys {
+			m.Retarget(cpu, ents[k])
+			g := m.PrepareGraph(prog, steps)
+			m.WarmCaches(prog, steps)
+			if _, _, ok := m.TimeGraphPair(g, n*lo, machine.Config{}); !ok {
+				t.Fatalf("%s: the unroll pair did not derive", cpu.Name)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("timing %d further keys makes %.0f allocations, want 0", len(keys), allocs)
+	}
+	if w := m.Work().Since(before); w.Builds != 0 || w.Restores == 0 {
+		t.Fatalf("further keys %+v: want every graph retimed and warm-ups restored", w)
+	}
+}
+
 func BenchmarkPredictIthemal(b *testing.B) {
 	block, _ := x86.ParseBlock(harness.CRCBlockText, x86.SyntaxATT)
 	m := ithemal.New(32, 64, 1)

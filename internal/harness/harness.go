@@ -726,7 +726,9 @@ func (s *Suite) measureShards(lanes []lane, met *profiler.Metrics, rejects bool)
 // measLines writes one measured shard's progress lines, one per lane
 // journaled, as a resumed shard writes one per lane resumed. The first
 // lane's line carries the shard's numbers: the other lanes, the rate and
-// ETA, the functional passes and the measurements they served, the
+// ETA, the functional passes and the measurements they served, how their
+// µop graphs and cache warm-ups were prepared (built or retimed, walked or
+// restored), the
 // measurements that could not share a pass and why, and with rejects the
 // cache-hit rate and reject histogram. Its rates count (block, lane)
 // measurements, as the overall rate does.
@@ -742,7 +744,8 @@ func (s *Suite) measLines(lanes []lane, si, num, blocks int, took time.Duration,
 	}
 	fmt.Fprintf(&sb, "  %.0f blocks/s%s", float64(blocks*len(lanes))/took.Seconds(), etaSuffix(met))
 	delta := met.Snapshot().Sub(before)
-	fmt.Fprintf(&sb, "  functional passes %d for %d measurements", delta.Passes, delta.PassServed)
+	fmt.Fprintf(&sb, "  functional passes %d for %d measurements (graphs %d built, %d retimed; warm-ups %d walked, %d restored)",
+		delta.Passes, delta.PassServed, delta.GraphsBuilt, delta.GraphsRetimed, delta.WarmWalks, delta.WarmRestores)
 	var alone []string
 	for _, l := range lanes {
 		if l.alone != "" {

@@ -306,8 +306,10 @@ func TestLegacyCountersGolden(t *testing.T) {
 // FuzzSimulateEquivalence drives randomly composed, corpus-flavored blocks
 // through the reference and event-driven schedulers and requires identical
 // Counters on every run. It also times each program with a random prefix
-// in one pass (TimeGraphPair) against the two timed one at a time. Zero divergences is a merge requirement for any
-// scheduler change.
+// in one pass (TimeGraphPair) against the two timed one at a time, and
+// retargets each program to a perturbed µarch and to Ice Lake against a
+// fresh build there (checkRetarget). Zero divergences is a merge
+// requirement for any scheduler change.
 func FuzzSimulateEquivalence(f *testing.F) {
 	f.Add([]byte{0, 5, 6, 9}, uint8(16), uint8(0), uint8(32))
 	f.Add([]byte{16, 3, 1, 1}, uint8(8), uint8(4), uint8(16))
@@ -351,5 +353,42 @@ func FuzzSimulateEquivalence(f *testing.F) {
 		if m, p, steps, g, ok := pairSetup(cpu, insts, len(block)); ok {
 			checkPair(t, "fuzz pair", m, p, steps, g, int(cut)%len(insts), cfg, 42)
 		}
+		checkRetarget(t, cpu, insts, len(block), cfg)
 	})
+}
+
+// checkRetarget runs insts (repeats of their first body instructions) on
+// cpu and times them, then retargets the machine to cpu's perturbation
+// (the same cache geometry: the graph is retimed and the warm-up
+// restored) and to Ice Lake (another geometry: the warm-up walks again),
+// and requires each retargeted machine's counters to equal a fresh
+// machine's on that µarch.
+func checkRetarget(t *testing.T, cpu *uarch.CPU, insts []x86.Inst, body int, cfg Config) {
+	t.Helper()
+	timed := func(m *Machine, p *Program, steps []exec.Step) [2]pipeline.Counters {
+		m.Rand.Seed(42)
+		g := m.PrepareGraph(p, steps)
+		m.WarmCaches(p, steps)
+		return [2]pipeline.Counters{m.TimeGraph(g, cfg), m.TimeGraph(g, cfg)}
+	}
+	m, p, steps, ok := monitoredRun(cpu, insts, body, 0x12345600, true)
+	if !ok {
+		return
+	}
+	timed(m, p, steps)
+	for _, to := range []*uarch.CPU{cpu.Perturbed(), uarch.IceLake()} {
+		ents := resolveOn(to, insts[:body])
+		if ents == nil {
+			continue
+		}
+		m.Retarget(to, ents)
+		got := timed(m, p, steps)
+		fm, fp, fsteps, ok := monitoredRun(to, insts, body, 0x12345600, true)
+		if !ok {
+			t.Fatalf("%s → %s: the block runs on %s only", cpu.Name, to.Name, cpu.Name)
+		}
+		if want := timed(fm, fp, fsteps); got != want {
+			t.Errorf("%s → %s: retargeted counters %+v, a fresh machine's %+v", cpu.Name, to.Name, got, want)
+		}
+	}
 }

@@ -40,6 +40,50 @@ type Machine struct {
 	code    []byte
 	graph   pipeline.Graph
 	prog    Program
+
+	// What the machine carries across Retarget for the current trace
+	// (last, the trace of the last ExecuteMonitored over prog): graphOK
+	// says graph was built from it, and retime that the graph is still
+	// timed for an earlier CPU whose µop shapes match; warmOK says warmI
+	// and warmD hold both caches as the first WarmCaches over it left
+	// them, from cold, in the current geometry. Reset, PrepareResolved and
+	// ExecuteMonitored drop both (forget).
+	last         []exec.Step
+	graphOK      bool
+	retime       bool
+	warmOK       bool
+	warmI, warmD cache.Cache
+	descs        []*uarch.Desc
+	work         Work
+}
+
+// Work counts how a machine prepared its timing runs: µop graphs built
+// from the trace or retimed from the graph of an earlier µarch with the
+// same µop shapes, and cache warm-ups walked over the trace or restored
+// from the snapshot of the first walk.
+type Work struct {
+	Builds, Retimes, Walks, Restores uint64
+}
+
+// Since returns the work done after prev.
+func (w Work) Since(prev Work) Work {
+	return Work{w.Builds - prev.Builds, w.Retimes - prev.Retimes, w.Walks - prev.Walks, w.Restores - prev.Restores}
+}
+
+// Work returns the machine's cumulative work counts.
+func (m *Machine) Work() Work { return m.work }
+
+// forget drops the graph and the warm snapshot carried for the current
+// trace: the program, its trace or the memory they describe changed.
+func (m *Machine) forget() {
+	m.graphOK, m.retime, m.warmOK = false, false, false
+}
+
+// current reports whether (p, steps) is the machine's program and the
+// whole trace of its last monitored run — what the carried graph and warm
+// snapshot were made from.
+func (m *Machine) current(p *Program, steps []exec.Step) bool {
+	return p == &m.prog && len(steps) == len(m.last) && len(steps) > 0 && &steps[0] == &m.last[0]
 }
 
 // New builds a machine for the given microarchitecture.
@@ -69,6 +113,7 @@ func (m *Machine) Reset() {
 	}
 	m.codeFrames = m.codeFrames[:0]
 	m.codeLen = 0
+	m.forget()
 }
 
 // WarmCaches touches every instruction and data cache line the trace
@@ -78,7 +123,30 @@ func (m *Machine) Reset() {
 // a timed run has zero misses exactly when each cache set sees at most
 // associativity-many distinct lines — a property of the access set, not of
 // the LRU ordering a particular warm-up leaves behind.
+//
+// The first warm-up of the current trace from cold caches is snapshotted;
+// a later one from cold caches of the same geometry, after Retarget,
+// restores the snapshot instead of walking again — the caches end exactly
+// as the walk would leave them.
 func (m *Machine) WarmCaches(p *Program, steps []exec.Step) {
+	cold := m.L1I.Cold() && m.L1D.Cold()
+	if cold && m.warmOK && m.current(p, steps) {
+		m.L1I.CopyFrom(&m.warmI)
+		m.L1D.CopyFrom(&m.warmD)
+		m.work.Restores++
+		return
+	}
+	m.walk(p, steps)
+	m.work.Walks++
+	if cold && m.current(p, steps) {
+		m.warmI.CopyFrom(m.L1I)
+		m.warmD.CopyFrom(m.L1D)
+		m.warmOK = true
+	}
+}
+
+// walk is WarmCaches' walk over the trace.
+func (m *Machine) walk(p *Program, steps []exec.Step) {
 	var (
 		havePage bool
 		pageBase uint64
@@ -178,6 +246,7 @@ func (m *Machine) PrepareUnrolled(insts []x86.Inst, n int) (*Program, error) {
 // block, and PrepareResolved lays the copies out at CodeBase and maps the
 // code. The program shares PrepareUnrolled's lifetime.
 func (m *Machine) PrepareResolved(insts []x86.Inst) *Program {
+	m.forget()
 	p := &m.prog
 	pis := p.entries
 	p.Insts = insts
@@ -206,18 +275,46 @@ func (m *Machine) PrepareResolved(insts []x86.Inst) *Program {
 // run does not depend on the microarchitecture — so one run's trace is
 // timed on every µarch that can run the block, with no copy. The caller
 // keeps entries unchanged while the program is in use.
+//
+// What was prepared from the trace carries over where it does not depend
+// on the µarch: when every entry has the µop shape of the one it replaces
+// (pipeline.SameShape), the next PrepareGraph retimes the trace's graph
+// instead of building it, and when the cache geometry is unchanged the
+// next WarmCaches restores the first warm-up's caches instead of walking.
 func (m *Machine) Retarget(cpu *uarch.CPU, entries []*memo.PreparedInst) *Program {
 	if old := m.CPU; cpu.L1ISize != old.L1ISize || cpu.L1DSize != old.L1DSize ||
 		cpu.L1Assoc != old.L1Assoc || cpu.LineSize != old.LineSize {
-		m.L1I = cache.New(cpu.L1ISize, cpu.L1Assoc, cpu.LineSize)
-		m.L1D = cache.New(cpu.L1DSize, cpu.L1Assoc, cpu.LineSize)
+		m.L1I.Reshape(cpu.L1ISize, cpu.L1Assoc, cpu.LineSize)
+		m.L1D.Reshape(cpu.L1DSize, cpu.L1Assoc, cpu.LineSize)
+		m.warmOK = false
 	} else {
 		m.L1I.Reset()
 		m.L1D.Reset()
 	}
+	if m.graphOK {
+		if sameShape(m.prog.entries, entries) {
+			m.retime = true
+		} else {
+			m.graphOK = false
+		}
+	}
 	m.CPU = cpu
 	m.prog.entries = entries
 	return &m.prog
+}
+
+// sameShape reports whether two resolutions of one block give the same
+// µop graph structure, entry by entry.
+func sameShape(a, b []*memo.PreparedInst) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] && !pipeline.SameShape(&a[i].Desc, &b[i].Desc) {
+			return false
+		}
+	}
+	return true
 }
 
 // mapCode installs the code bytes at CodeBase on dedicated frames.
@@ -255,6 +352,7 @@ func (m *Machine) Execute(p *Program, st *exec.State) ([]exec.Step, error) {
 // paper's monitor protocol — one functional pass discovers and maps every
 // page the block touches.
 func (m *Machine) ExecuteMonitored(p *Program, st *exec.State, onFault func(f *vm.Fault) bool) ([]exec.Step, error) {
+	m.forget()
 	if m.trace == nil {
 		m.trace = make([]exec.Step, 0, len(p.Insts))
 	}
@@ -262,6 +360,7 @@ func (m *Machine) ExecuteMonitored(p *Program, st *exec.State, onFault func(f *v
 	err := r.Run(p.Insts, p.Addrs)
 	m.trace = r.Trace[:0] // keep the (possibly grown) buffers
 	m.acc = r.Acc
+	m.last = r.Trace
 	if err != nil {
 		return r.Trace, err
 	}
@@ -301,9 +400,27 @@ func (m *Machine) pipelineConfig(cfg Config) pipeline.Config {
 // programs come from Graph.Slice or, timed in the same pass, from
 // TimeGraphPair. The trace itself may be released after
 // this returns — the graph copies what timing needs.
+//
+// After Retarget to a µarch with the same µop shapes, the graph of the
+// current trace is retimed (pipeline.Graph.Retime) rather than rebuilt;
+// the result is the graph a build would give.
 func (m *Machine) PrepareGraph(p *Program, steps []exec.Step) *pipeline.Graph {
+	if m.graphOK && m.current(p, steps) {
+		if m.retime {
+			m.descs = m.descs[:0]
+			for _, e := range m.prog.entries {
+				m.descs = append(m.descs, &e.Desc)
+			}
+			m.graph.Retime(m.CPU, m.descs)
+			m.retime = false
+			m.work.Retimes++
+		}
+		return &m.graph
+	}
 	items := m.buildItems(p, steps)
 	m.graph.Build(m.CPU, items)
+	m.graphOK, m.retime = m.current(p, steps), false
+	m.work.Builds++
 	return &m.graph
 }
 

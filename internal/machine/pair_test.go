@@ -14,34 +14,55 @@ import (
 
 // pairSetup prepares insts (repeats of their first body instructions) on a
 // fresh machine and runs them once, mapping every faulting page onto one
-// pattern-filled frame as the profiler's monitor does. ok is false when the
-// program cannot be prepared or run.
+// pattern-filled frame as the profiler's monitor does, and builds the
+// run's graph. ok is false when the program cannot be prepared or run.
 func pairSetup(cpu *uarch.CPU, insts []x86.Inst, body int) (m *Machine, p *Program, steps []exec.Step, g *pipeline.Graph, ok bool) {
+	m, p, steps, ok = monitoredRun(cpu, insts, body, 0x12345600, true)
+	if !ok {
+		return nil, nil, nil, nil, false
+	}
+	return m, p, steps, m.PrepareGraph(p, steps), true
+}
+
+// monitoredRun is pairSetup's prepare and monitored run, with registers
+// and the frame initialized to init and MXCSR FTZ/DAZ set to daz.
+func monitoredRun(cpu *uarch.CPU, insts []x86.Inst, body int, init uint64, daz bool) (m *Machine, p *Program, steps []exec.Step, ok bool) {
 	m = New(cpu, 42)
 	p, err := m.PrepareUnrolled(insts, body)
 	if err != nil {
-		return nil, nil, nil, nil, false
+		return nil, nil, nil, false
 	}
+	steps, err = m.ExecuteMonitored(p, monitoredState(init, daz), monitor(m, init))
+	if err != nil {
+		return nil, nil, nil, false
+	}
+	return m, p, steps, true
+}
+
+// monitoredState is the profiler's initial architectural state.
+func monitoredState(init uint64, daz bool) *exec.State {
+	st := &exec.State{FTZ: daz, DAZ: daz}
+	st.InitRegisters(init)
+	return st
+}
+
+// monitor is the profiler's page-fault policy on m: map up to 64 valid
+// user pages onto one frame filled with init.
+func monitor(m *Machine, init uint64) func(*vm.Fault) bool {
 	var frame *vm.PhysPage
 	mapped := 0
-	st := &exec.State{FTZ: true, DAZ: true}
-	st.InitRegisters(0x12345600)
-	steps, err = m.ExecuteMonitored(p, st, func(f *vm.Fault) bool {
+	return func(f *vm.Fault) bool {
 		if !vm.ValidUserAddress(f.Addr) || mapped >= 64 {
 			return false
 		}
 		if frame == nil {
 			frame = m.AS.NewPhysPage()
-			frame.Fill(0x12345600)
+			frame.Fill(uint32(init))
 		}
 		m.AS.Map(f.Addr, frame)
 		mapped++
 		return true
-	})
-	if err != nil {
-		return nil, nil, nil, nil, false
 	}
-	return m, p, steps, m.PrepareGraph(p, steps), true
 }
 
 // checkPair times the program and its first nLo instructions in one pass

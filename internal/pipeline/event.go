@@ -222,6 +222,14 @@ func (s *eventState) schedule(cpu *uarch.CPU, g *Graph, n int, l1i, l1d *cache.C
 	if fork > 0 {
 		allocEnd = fork
 	}
+	// Only µops with an occupancy (the non-pipelined units) set a port
+	// busy. maxBusy is the latest busy-until, so no port scan is needed
+	// while no busy window is open at all.
+	allPorts := uarch.PortSet(1<<cpu.NumPorts - 1)
+	var maxBusy uint64
+	for _, b := range portBusy {
+		maxBusy = max(maxBusy, b)
+	}
 
 	for retired < n && cycle < maxCycles {
 		if resume {
@@ -342,10 +350,13 @@ func (s *eventState) schedule(cpu *uarch.CPU, g *Graph, n int, l1i, l1d *cache.C
 		// scan that can possibly issue. free holds the ports neither busy
 		// nor taken this cycle; each µop takes its lowest free allowed
 		// port, the reference's first-free choice.
-		var free uarch.PortSet
-		for p := 0; p < cpu.NumPorts; p++ {
-			if portBusy[p] <= cycle {
-				free |= 1 << p
+		free := allPorts
+		if maxBusy > cycle {
+			free = 0
+			for p := 0; p < cpu.NumPorts; p++ {
+				if portBusy[p] <= cycle {
+					free |= 1 << p
+				}
 			}
 		}
 		ready := s.ready
@@ -369,6 +380,7 @@ func (s *eventState) schedule(cpu *uarch.CPU, g *Graph, n int, l1i, l1d *cache.C
 			ctr.PortUops[port]++
 			if spec.Occupancy > 0 {
 				portBusy[port] = cycle + uint64(spec.Occupancy)
+				maxBusy = max(maxBusy, portBusy[port])
 			}
 			lat := uint64(spec.Lat)
 			if spec.Class == uarch.ClassLoad {
@@ -410,9 +422,11 @@ func (s *eventState) schedule(cpu *uarch.CPU, g *Graph, n int, l1i, l1d *cache.C
 				next = fr
 			}
 		}
-		for p := 0; p < cpu.NumPorts; p++ {
-			if b := portBusy[p]; b > cycle && b < next {
-				next = b
+		if maxBusy > cycle {
+			for p := 0; p < cpu.NumPorts; p++ {
+				if b := portBusy[p]; b > cycle && b < next {
+					next = b
+				}
 			}
 		}
 		if next > maxCycles {

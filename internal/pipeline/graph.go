@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"slices"
+
 	"bhive/internal/uarch"
 )
 
@@ -24,10 +26,11 @@ type storeSpec struct {
 // Graph is the prepare-once µop dependence graph of an item sequence: the
 // rename-time analysis (zero idioms, move elimination, register dependence
 // edges, store/load records, subnormal penalties) performed once and
-// shared by every timed run over the same prepared program. It is
-// immutable after Build; all per-simulation state lives in the scheduler's
-// scratch. A Graph obtained from Slice shares the arenas of its parent —
-// neither may be mutated while the other is in use.
+// shared by every timed run over the same prepared program. Timing never
+// mutates it: all per-simulation state lives in the scheduler's scratch.
+// Only Build and Retime write it, and Retime writes only the µop timings.
+// A Graph obtained from Slice shares the arenas of its parent — neither
+// may be mutated while the other is in use.
 //
 // The graph mirrors the dependence construction of the reference
 // cycle-by-cycle loop (SimulateReference) exactly; the two builds are
@@ -64,6 +67,10 @@ type Graph struct {
 
 	loads  []loadSpec
 	stores []storeSpec
+
+	// subnormal lists the items whose computation µops take the subnormal
+	// penalty: FP items whose run hit the gradual-underflow slow path.
+	subnormal []int32
 }
 
 // NumItems returns the number of items in scope.
@@ -121,6 +128,7 @@ func (g *Graph) Build(cpu *uarch.CPU, items []Item) {
 	g.deps = g.deps[:0]
 	g.loads = g.loads[:0]
 	g.stores = g.stores[:0]
+	g.subnormal = g.subnormal[:0]
 	g.itemFirstUop = grow(g.itemFirstUop, n+1)
 	g.itemFused = grow(g.itemFused, n)
 	g.itemLoad = grow(g.itemLoad, n)
@@ -184,6 +192,10 @@ func (g *Graph) Build(cpu *uarch.CPU, items []Item) {
 			}
 		}
 
+		sub := it.Subnormal && it.Desc.FP
+		if sub {
+			g.subnormal = append(g.subnormal, int32(i))
+		}
 		var loadUop, lastCompute int32 = -1, -1
 		for k := range it.Desc.Uops {
 			spec := it.Desc.Uops[k]
@@ -213,17 +225,10 @@ func (g *Graph) Build(cpu *uarch.CPU, items []Item) {
 					// Multi-µop instructions chain internally.
 					g.deps = append(g.deps, lastCompute)
 				}
-				if it.Subnormal && it.Desc.FP {
-					pen := uint8(min(250, cpu.SubnormalPenalty))
-					spec.Lat += pen
-					if spec.Occupancy < pen {
-						spec.Occupancy = pen
-					}
-				}
 				lastCompute = id
 			}
 			g.uopItem = append(g.uopItem, int32(i))
-			g.uopSpec = append(g.uopSpec, spec)
+			g.uopSpec = append(g.uopSpec, timedUop(cpu, spec, sub))
 			g.depLo = append(g.depLo, depLo)
 			g.depHi = append(g.depHi, int32(len(g.deps)))
 		}
@@ -256,6 +261,92 @@ func (g *Graph) Build(cpu *uarch.CPU, items []Item) {
 	g.numStores = len(g.stores)
 
 	g.buildConsumers()
+}
+
+// timedUop is u as the scheduler times it on cpu. With subnormal set (an
+// FP item whose run hit the gradual-underflow slow path), computation
+// µops — not the load, store-address or store-data µops — take the
+// microcode-assist penalty on both latency and port occupancy. It is the
+// one owner of that rule for Build and Retime.
+func timedUop(cpu *uarch.CPU, u uarch.Uop, subnormal bool) uarch.Uop {
+	if subnormal && u.Class != uarch.ClassLoad && u.Class != uarch.ClassStoreAddr && u.Class != uarch.ClassStoreData {
+		pen := uint8(min(250, cpu.SubnormalPenalty))
+		u.Lat += pen
+		if u.Occupancy < pen {
+			u.Occupancy = pen
+		}
+	}
+	return u
+}
+
+// SameShape reports whether items described by a and by b give the same
+// dependence graph: the same fused-domain µop count, rename-time
+// eliminations, FP flag (which decides the subnormal penalty) and µop
+// classes in order. Only their ports, latencies and occupancies may
+// differ, and Retime rewrites exactly those.
+func SameShape(a, b *uarch.Desc) bool {
+	if a.FusedUops != b.FusedUops || a.ZeroIdiom != b.ZeroIdiom ||
+		a.EliminatedMove != b.EliminatedMove || a.FP != b.FP || len(a.Uops) != len(b.Uops) {
+		return false
+	}
+	for k := range a.Uops {
+		if a.Uops[k].Class != b.Uops[k].Class {
+			return false
+		}
+	}
+	return true
+}
+
+// Retime rewrites g's µop timing for cpu, leaving its dependence
+// structure as Build made it. descs is the repeated block: item i of g is
+// a copy of descs[i%len(descs)], and each desc is SameShape as the one g
+// was built or last retimed with. The result equals a fresh Build over
+// the same items described by descs on cpu. g must be a graph Build made,
+// not a Slice view. Only uopSpec is written: the first copy of the block
+// is filled from descs, the rest is copied from it, and the subnormal
+// items are patched.
+func (g *Graph) Retime(cpu *uarch.CPU, descs []*uarch.Desc) {
+	n := len(descs)
+	if n == 0 || g.numItems == 0 {
+		return
+	}
+	first := min(n, g.numItems)
+	for i := 0; i < first; i++ {
+		g.retimeItem(cpu, i, descs[i], false)
+	}
+	// Every copy of the block has the same µop layout, so the timings
+	// repeat with the first copy's µop count as period, and each doubling
+	// copy keeps that alignment.
+	spec := g.uopSpec
+	for k := int(g.itemFirstUop[first]); k > 0 && k < len(spec); k += k {
+		copy(spec[k:], spec[:k])
+	}
+	for _, i := range g.subnormal {
+		g.retimeItem(cpu, int(i), descs[int(i)%n], true)
+	}
+}
+
+// retimeItem rewrites item i's µop timings from d.
+func (g *Graph) retimeItem(cpu *uarch.CPU, i int, d *uarch.Desc, subnormal bool) {
+	lo, hi := g.itemFirstUop[i], g.itemFirstUop[i+1]
+	for k, u := range d.Uops[:hi-lo] {
+		g.uopSpec[int(lo)+k] = timedUop(cpu, u, subnormal)
+	}
+}
+
+// Equal reports whether g and h are the same graph, array by array (an
+// empty array equals a nil one).
+func (g *Graph) Equal(h *Graph) bool {
+	return g.numItems == h.numItems && g.numUops == h.numUops && g.numStores == h.numStores &&
+		slices.Equal(g.uopItem, h.uopItem) && slices.Equal(g.uopSpec, h.uopSpec) &&
+		slices.Equal(g.depLo, h.depLo) && slices.Equal(g.depHi, h.depHi) && slices.Equal(g.deps, h.deps) &&
+		slices.Equal(g.consLo, h.consLo) && slices.Equal(g.consHi, h.consHi) && slices.Equal(g.cons, h.cons) &&
+		slices.Equal(g.itemFirstUop, h.itemFirstUop) && slices.Equal(g.itemFused, h.itemFused) &&
+		slices.Equal(g.itemLoad, h.itemLoad) && slices.Equal(g.itemStore, h.itemStore) &&
+		slices.Equal(g.storePrefix, h.storePrefix) && slices.Equal(g.codePhys, h.codePhys) &&
+		slices.Equal(g.codeLen, h.codeLen) && slices.Equal(g.lcp, h.lcp) &&
+		slices.Equal(g.loads, h.loads) && slices.Equal(g.stores, h.stores) &&
+		slices.Equal(g.subnormal, h.subnormal)
 }
 
 // buildConsumers derives the reverse (producer → consumers) adjacency from

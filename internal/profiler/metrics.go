@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"bhive/internal/machine"
 )
 
 // NumStatus is the number of distinct profiling statuses; ByStatus arrays
@@ -24,6 +26,7 @@ type Metrics struct {
 	crossMism   atomic.Uint64
 	passes      atomic.Uint64
 	passServed  atomic.Uint64
+	work        [4]atomic.Uint64 // graphs built, retimed; warm-ups walked, restored
 	status      [NumStatus]atomic.Uint64
 
 	// planned is the number of block outcomes registered as upcoming work
@@ -148,6 +151,17 @@ func (m *Metrics) recordPass(n int) {
 	m.passServed.Add(uint64(n))
 }
 
+// recordWork accounts how one measurement's timing half prepared its
+// graph and its warm caches.
+func (m *Metrics) recordWork(w machine.Work) {
+	if m == nil {
+		return
+	}
+	for i, n := range [...]uint64{w.Builds, w.Retimes, w.Walks, w.Restores} {
+		m.work[i].Add(n)
+	}
+}
+
 // RecordPrescreened accounts one block that static analysis rejected
 // before profiling: the predicted status lands in the histogram like a
 // dynamic outcome, and the Prescreened counter records that no
@@ -191,6 +205,14 @@ type Snapshot struct {
 	// PassServed/Passes is the sharing factor. A measurement that failed
 	// before the pass (an unsupported instruction) used none.
 	Passes, PassServed uint64
+	// GraphsBuilt and GraphsRetimed count the µop graphs the measurements
+	// built from their trace and retimed from another key's graph of the
+	// same pass; WarmWalks and WarmRestores count the cache warm-ups that
+	// walked the trace and that restored the pass's first warm-up. A key
+	// whose µop shapes or cache geometry differ from the key before it
+	// builds or walks, so a retime or restore that does not happen shows
+	// here.
+	GraphsBuilt, GraphsRetimed, WarmWalks, WarmRestores uint64
 	// ByStatus histograms the outcome of every Profile call, indexed by
 	// Status (cache hits included — a cached rejection is still a
 	// rejection; prescreened blocks contribute their predicted status).
@@ -209,6 +231,10 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.CrosscheckMismatch = m.crossMism.Load()
 	s.Passes = m.passes.Load()
 	s.PassServed = m.passServed.Load()
+	s.GraphsBuilt = m.work[0].Load()
+	s.GraphsRetimed = m.work[1].Load()
+	s.WarmWalks = m.work[2].Load()
+	s.WarmRestores = m.work[3].Load()
 	for i := range s.ByStatus {
 		s.ByStatus[i] = m.status[i].Load()
 	}
@@ -224,6 +250,10 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		CrosscheckMismatch: s.CrosscheckMismatch - prev.CrosscheckMismatch,
 		Passes:             s.Passes - prev.Passes,
 		PassServed:         s.PassServed - prev.PassServed,
+		GraphsBuilt:        s.GraphsBuilt - prev.GraphsBuilt,
+		GraphsRetimed:      s.GraphsRetimed - prev.GraphsRetimed,
+		WarmWalks:          s.WarmWalks - prev.WarmWalks,
+		WarmRestores:       s.WarmRestores - prev.WarmRestores,
 	}
 	for i := range s.ByStatus {
 		d.ByStatus[i] = s.ByStatus[i] - prev.ByStatus[i]

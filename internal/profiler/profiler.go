@@ -29,9 +29,16 @@
 // does not depend on the microarchitecture. So ProfileEach measures a
 // block for several profilers (µarchs, or the stock and perturbed
 // parameterizations of one) from one functional pass, and runs only the
-// timing half per key: the key's memo entries and unsupported check, the
-// µop graph, the cache warm-up, the timed run and acceptance, on the same
-// address space and trace. Profile is its one-key case.
+// timing half per key, on the same address space and trace:
+//
+//   - the key's memo entries and unsupported check;
+//   - the µop graph: built on the first key, retimed on every later key
+//     whose µop shapes match (only the µop timings change);
+//   - the cache warm-up: walked on the first key, restored from its
+//     snapshot on every later key with the same L1 geometry;
+//   - the timed run of both unroll factors and acceptance.
+//
+// Profile is its one-key case.
 //
 // The hot path is allocation-conscious: each Profiler recycles machines,
 // architectural state and unroll buffers through an internal pool (so
@@ -453,12 +460,12 @@ func (p *Profiler) Profile(b *x86.Block) Result {
 // of the protocol — the block's encoding and seed, the unrolled code, the
 // monitored run with its trace and mapped pages — is computed once for
 // all keys; each key that misses its cache then runs only its own memo
-// lookups (and unsupported check), the graph build, the warm-up, the
-// timed run and the acceptance test, on the same address space and
-// trace. The profilers must share Options (ProfileEach panics otherwise):
-// the options decide the unroll factors and the monitored run. Each
-// Metrics sink counts the functional pass once and the measurements it
-// served.
+// lookups (and unsupported check), the graph build or retime, the warm-up
+// walk or restore, the timed run and the acceptance test, on the same
+// address space and trace. The profilers must share Options (ProfileEach
+// panics otherwise): the options decide the unroll factors and the
+// monitored run. Each Metrics sink counts the functional pass once and
+// the measurements it served, and how each prepared its graph and caches.
 func ProfileEach(b *x86.Block, ps []*Profiler, out []Result) {
 	if len(ps) == 0 {
 		return
@@ -532,7 +539,9 @@ func ProfileEach(b *x86.Block, ps []*Profiler, out []Result) {
 			if pass.Err != nil {
 				res = failed(pass.Err, lo, hi)
 			} else {
+				w := sc.m.Work()
 				res = p.time(sc.m, pass.Prog, pass.Steps, pass.PagesMapped, n, lo, hi, seed)
+				p.Metrics.recordWork(sc.m.Work().Since(w))
 			}
 		}
 		if p.Cache != nil {
