@@ -12,6 +12,7 @@ package bhive
 
 import (
 	"os"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -495,8 +496,76 @@ func TestPredictMixedFacileAllocs(t *testing.T) {
 	}
 }
 
-// simModels returns the simulator-backed predictors, whose Predict is
-// buildSimInsts followed by derivedPrediction.
+// TestPredictResolvedAllocs pins the prediction workers' path over the
+// mixed block set on Haswell: each block resolved once and predicted by
+// all four analytical models on one warm models.Scratch. IACA, llvm-mca
+// and OSACA allocate nothing per block they predict, Facile at most the
+// *Bounds it returns. Collecting twice between blocks empties every
+// sync.Pool, so the pin fails if the path falls back to one. A block
+// OSACA's parser refuses costs one allocation, the error value.
+func TestPredictResolvedAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	hsw := uarch.Haswell()
+	arch := memo.For(hsw)
+	var (
+		entries []*memo.PreparedInst
+		scr     models.Scratch
+	)
+	predict := func(m models.ResolvedPredictor, b *x86.Block) error {
+		entries = arch.Resolve(entries[:0], b)
+		_, err := m.PredictResolved(b, entries, &scr)
+		return err
+	}
+	blocks := mixedBlockSet()
+	preds := models.All(hsw)
+	// Warm the scratch with every model, and split the set by verdict.
+	accepted := make([][]*x86.Block, len(preds))
+	refused := make([][]*x86.Block, len(preds))
+	for _, b := range blocks {
+		for k, p := range preds {
+			if err := predict(p.(models.ResolvedPredictor), b); err != nil {
+				refused[k] = append(refused[k], b)
+			} else {
+				accepted[k] = append(accepted[k], b)
+			}
+		}
+	}
+	perBlock := func(m models.ResolvedPredictor, set []*x86.Block) float64 {
+		allocs := testing.AllocsPerRun(2, func() {
+			for _, b := range set {
+				// Two collections: the first moves pooled items to the
+				// victim cache, the second drops them.
+				runtime.GC()
+				runtime.GC()
+				predict(m, b)
+			}
+		})
+		return allocs / float64(len(set))
+	}
+	for k, p := range preds {
+		m := p.(models.ResolvedPredictor)
+		budget := 0.0
+		if m.Name() == "Facile" {
+			budget = 1
+		}
+		if m.Name() != "OSACA" && len(refused[k]) > 0 {
+			t.Fatalf("%s refuses %d mixed blocks", m.Name(), len(refused[k]))
+		}
+		if per := perBlock(m, accepted[k]); per > budget {
+			t.Errorf("%s makes %.2f allocations per predicted block, want at most %.0f", m.Name(), per, budget)
+		}
+		if len(refused[k]) > 0 {
+			if per := perBlock(m, refused[k]); per > 1 {
+				t.Errorf("%s makes %.2f allocations per refused block, want at most 1 (the error)", m.Name(), per)
+			}
+			t.Logf("%s: %d predicted, %d refused", m.Name(), len(accepted[k]), len(refused[k]))
+		}
+	}
+}
+
+// simModels returns the simulator-backed predictors.
 func simModels(cpu *uarch.CPU) []models.Predictor {
 	return []models.Predictor{models.NewIACA(cpu), models.NewLLVMMCA(cpu)}
 }
@@ -523,9 +592,10 @@ func BenchmarkDerivedPrediction(b *testing.B) {
 }
 
 // TestPredictMixedSimModelsAllocs pins the simulator-backed models'
-// allocation budget over the mixed block set: at most two allocations per
-// block, buildSimInsts' instruction and µop slices. Scheduling itself,
-// on either path, allocates nothing once its pooled scratch is warm.
+// Predict over the mixed block set: at most two allocations per block.
+// Predict resolves the block into a pooled scratch and predicts on it, so
+// a warm pool allocates nothing; TestPredictResolvedAllocs pins the path
+// without the pool.
 func TestPredictMixedSimModelsAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are meaningless under -race")

@@ -273,16 +273,14 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 	lo, hi := a.prof.Opts.UnrollFactors(n)
 
 	// Mirror machine.PrepareUnrolled: encode then describe each distinct
-	// instruction in order; the first failure decides the status. Each
-	// instruction is one memo lookup; every later stage reads its entry.
-	arch := memo.For(cpu)
-	entries := make([]*memo.PreparedInst, n)
+	// instruction in order; the first failure decides the status. The
+	// block is resolved once; every later stage reads the entries.
+	entries := memo.For(cpu).Resolve(make([]*memo.PreparedInst, 0, n), b)
 	offsets := make([]int, n)
 	var code []byte
-	for i := 0; i < n; i++ {
+	for i, e := range entries {
 		off := len(code)
 		offsets[i] = off
-		e := arch.Prepared(&b.Insts[i])
 		if e.EncErr != nil {
 			rep.Predicted = profiler.StatusCrashed
 			rep.addDiag(Diag{Code: CodeNoEncode, Inst: i, Offset: off,
@@ -299,7 +297,6 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 			}
 			return rep
 		}
-		entries[i] = e
 		code = append(code, e.Raw...)
 	}
 

@@ -108,25 +108,30 @@ func Analyze(cpu *uarch.CPU, b *x86.Block) (*Bounds, error) {
 // and the upper bound absorbs worst-case per-iteration decode, LCP-stall
 // and delivery-switch costs instead.
 func AnalyzeFE(cpu *uarch.CPU, b *x86.Block, modeled bool) (*Bounds, error) {
-	if len(b.Insts) == 0 {
-		return nil, fmt.Errorf("bound: empty block")
-	}
-	s := scratchPool.Get().(*scratch)
+	s := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(s)
-	arch := memo.For(cpu)
-	s.entries = grow(s.entries, len(b.Insts))
-	for i := range b.Insts {
-		e := arch.Prepared(&b.Insts[i])
-		if e.DescErr != nil {
-			return nil, fmt.Errorf("bound: instruction %d: %w", i, e.DescErr)
-		}
-		s.entries[i] = e
-	}
-	bs, err := fromPrepared(cpu, s.entries, s)
+	s.entries = memo.For(cpu).Resolve(s.entries[:0], b)
+	bs, err := s.Analyze(cpu, s.entries)
 	if err == nil && modeled {
 		modeledFrontEnd(cpu, bs, s.entries)
 	}
 	return bs, err
+}
+
+// Analyze computes Analyze's bounds for a block already resolved into its
+// memo entries on cpu (memo.Arch.Resolve), in s. It applies Analyze's
+// error rule to the entries: an empty block fails, then the first entry,
+// in block order, whose description failed.
+func (s *Scratch) Analyze(cpu *uarch.CPU, entries []*memo.PreparedInst) (*Bounds, error) {
+	if len(entries) == 0 {
+		return nil, fmt.Errorf("bound: empty block")
+	}
+	for i, e := range entries {
+		if e.DescErr != nil {
+			return nil, fmt.Errorf("bound: instruction %d: %w", i, e.DescErr)
+		}
+	}
+	return fromPrepared(cpu, entries, s)
 }
 
 // FromPrepared computes the legacy-front-end bounds from one memo entry
@@ -137,7 +142,7 @@ func AnalyzeFE(cpu *uarch.CPU, b *x86.Block, modeled bool) (*Bounds, error) {
 // (weakening, never unsounding, the bound). It fails only if the
 // dependence analysis does (see maxCycleRatio).
 func FromPrepared(cpu *uarch.CPU, entries []*memo.PreparedInst) (*Bounds, error) {
-	s := scratchPool.Get().(*scratch)
+	s := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(s)
 	return fromPrepared(cpu, entries, s)
 }
@@ -146,7 +151,7 @@ func FromPrepared(cpu *uarch.CPU, entries []*memo.PreparedInst) (*Bounds, error)
 // distinct port combinations than this spill it to the heap.
 const maxPortCombos = 32
 
-func fromPrepared(cpu *uarch.CPU, entries []*memo.PreparedInst, s *scratch) (*Bounds, error) {
+func fromPrepared(cpu *uarch.CPU, entries []*memo.PreparedInst, s *Scratch) (*Bounds, error) {
 	bs := &Bounds{}
 	if len(entries) == 0 {
 		return bs, nil

@@ -513,16 +513,18 @@ func critPath(chains []instChain) int64 {
 	return crit
 }
 
-// scratch is the pooled working memory of one bounds analysis; a warm
-// analysis allocates nothing for its dependence graph.
-type scratch struct {
+// Scratch is the working memory of bounds analyses; a warm analysis
+// allocates nothing for its dependence graph. A goroutine that analyzes
+// many blocks may keep its own (the prediction workers do); Analyze and
+// FromPrepared take one from a pool. The zero value is ready to use.
+type Scratch struct {
 	entries []*memo.PreparedInst
 	chains  []instChain
 	edges   []depEdge
 	cycles  cycleScratch
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // chain computes the dependence-chain statistics of a block under the
 // simulator-congruent model: the single-iteration critical path (cycles
@@ -531,7 +533,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // height is p/q cycles per iteration, and q = 0 means no cycle. It is the
 // shared computation behind blocklint's dependence facts and the
 // dependence term of the static lower bound.
-func chain(entries []*memo.PreparedInst, s *scratch) (crit int, p, q int64, err error) {
+func chain(entries []*memo.PreparedInst, s *Scratch) (crit int, p, q int64, err error) {
 	s.chains = buildChains(s.chains, entries)
 	s.edges = carriedEdges(s.edges, s.chains)
 	p, q, err = maxCycleRatio(len(s.chains), s.edges, &s.cycles)

@@ -180,7 +180,7 @@ func FuzzMaxCycleRatio(f *testing.F) {
 // it than the oracle's tolerance.
 func TestMaxCycleRatioMatchesBisection(t *testing.T) {
 	recs := corpus.GenerateAll(0.01, 1)
-	s := new(scratch)
+	s := new(Scratch)
 	checked, cyclic := 0, 0
 	for _, cpu := range uarch.Extended() {
 		arch := memo.For(cpu)

@@ -75,9 +75,8 @@ func classFeature(c uarch.UopClass) feature {
 // word being the µop's port-combination index. The parallel feature slice
 // is used only for topic labelling.
 func BlockDoc(cpu *uarch.CPU, comboIdx map[uarch.PortSet]int, b *x86.Block) (words []int, feats []feature) {
-	arch := memo.For(cpu)
-	for i := range b.Insts {
-		e := arch.Prepared(&b.Insts[i])
+	var buf [32]*memo.PreparedInst
+	for _, e := range memo.For(cpu).Resolve(buf[:0], b) {
 		if e.DescErr != nil {
 			continue
 		}

@@ -32,6 +32,7 @@ import (
 	"bhive/internal/blocklint"
 	"bhive/internal/classify"
 	"bhive/internal/corpus"
+	"bhive/internal/memo"
 	"bhive/internal/models"
 	"bhive/internal/models/ithemal"
 	"bhive/internal/profcache"
@@ -209,6 +210,8 @@ type Suite struct {
 	ckpt      *Checkpoint
 	ckptErr   error
 	ckptOpen  bool
+
+	idlePredict []*predictWorker // prediction workers no pass is using
 
 	computedShards  atomic.Int64  // shards computed (not resumed) this run
 	profileCalls    atomic.Uint64 // Profile invocations (resumed shards skip these)
@@ -535,16 +538,73 @@ func (s *Suite) profileAll(cpu *uarch.CPU, opts profiler.Options, recs []corpus.
 	return out
 }
 
-// predictRange runs every predictor over recs, writing into out (model
-// name -> index-aligned predictions; NaN = the model failed).
-func (s *Suite) predictRange(preds []models.Predictor, recs []corpus.Record, out map[string][]float64) {
-	parallel(s, len(recs), func() struct{} { return struct{}{} }, func(_ struct{}, i int) {
-		for _, m := range preds {
-			p, err := m.Predict(recs[i].Block)
+// predictWorker is one prediction worker's working memory, kept for a
+// whole prediction pass: the memo entries of the block it is predicting
+// and the analytical models' arenas (DESIGN.md §15).
+type predictWorker struct {
+	entries []*memo.PreparedInst
+	scr     models.Scratch
+}
+
+// takePredictWorkers hands a prediction pass one worker per pool
+// worker, reusing those earlier passes returned: the models' arenas, once
+// grown, serve every later pass of the suite.
+func (s *Suite) takePredictWorkers() []*predictWorker {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ws := make([]*predictWorker, s.cfg.Workers)
+	for i := range ws {
+		if n := len(s.idlePredict); n > 0 {
+			ws[i], s.idlePredict = s.idlePredict[n-1], s.idlePredict[:n-1]
+		} else {
+			ws[i] = new(predictWorker)
+		}
+	}
+	return ws
+}
+
+// putPredictWorkers returns a finished pass's workers to the suite.
+func (s *Suite) putPredictWorkers(ws []*predictWorker) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.idlePredict = append(s.idlePredict, ws...)
+}
+
+// resolve looks b up once on arch, for every model of the pass.
+func (w *predictWorker) resolve(arch *memo.Arch, b *x86.Block) {
+	w.entries = arch.Resolve(w.entries[:0], b)
+}
+
+// predict runs m on the block the worker last resolved, b: a resolved
+// predictor reads the entries and the worker's scratch, any other model
+// (the learned one) reads the block.
+func (w *predictWorker) predict(m models.Predictor, b *x86.Block) (float64, error) {
+	if r, ok := m.(models.ResolvedPredictor); ok {
+		return r.PredictResolved(b, w.entries, &w.scr)
+	}
+	return m.Predict(b)
+}
+
+// predictRange runs every predictor, all on cpu, over recs on the workers
+// ws, writing into out (model name -> index-aligned predictions; NaN =
+// the model failed). Each block is resolved once for all the models.
+func (s *Suite) predictRange(ws []*predictWorker, cpu *uarch.CPU, preds []models.Predictor, recs []corpus.Record, out map[string][]float64) {
+	arch := memo.For(cpu)
+	cols := make([][]float64, len(preds))
+	for k, m := range preds {
+		cols[k] = out[m.Name()]
+	}
+	var taken atomic.Int32
+	take := func() *predictWorker { return ws[taken.Add(1)-1] }
+	parallel(s, len(recs), take, func(w *predictWorker, i int) {
+		b := recs[i].Block
+		w.resolve(arch, b)
+		for k, m := range preds {
+			p, err := w.predict(m, b)
 			if err != nil {
 				p = math.NaN()
 			}
-			out[m.Name()][i] = p
+			cols[k][i] = p
 		}
 	})
 }
@@ -804,7 +864,10 @@ func (s *Suite) computeArch(cpu *uarch.CPU) (*archData, error) {
 
 	// Pass 2: predictions, shard by shard; every shard (resumed or
 	// computed) streams into the aggregators in record order, so resumed
-	// runs fold the same values in the same order.
+	// runs fold the same values in the same order. The workers, and the
+	// models' arenas in them, serve every shard of the pass.
+	ws := s.takePredictWorkers()
+	defer s.putPredictWorkers(ws)
 	for si := 0; si < num; si++ {
 		lo, hi := s.shardBounds(si, n)
 		shard := make(map[string][]float64, len(d.names))
@@ -824,7 +887,7 @@ func (s *Suite) computeArch(cpu *uarch.CPU) (*archData, error) {
 		}
 		if !resumed {
 			start := time.Now()
-			s.predictRange(preds, s.recs[lo:hi], shard)
+			s.predictRange(ws, cpu, preds, s.recs[lo:hi], shard)
 			if ck != nil {
 				if err := ck.PutPreds(cpu.Name, si, shard); err != nil {
 					return nil, err

@@ -121,6 +121,8 @@ func (s *Suite) ComputeShard(archName string, si int) (*ShardPayload, error) {
 	for _, m := range preds {
 		out[m.Name()] = make([]float64, hi-lo)
 	}
-	s.predictRange(preds, recs, out)
+	ws := s.takePredictWorkers()
+	defer s.putPredictWorkers(ws)
+	s.predictRange(ws, cpu, preds, recs, out)
 	return &ShardPayload{Arch: archName, Shard: si, Tp: tp, Status: status, Preds: out}, nil
 }

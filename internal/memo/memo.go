@@ -234,6 +234,17 @@ func (a *Arch) Prepared(in *x86.Inst) *PreparedInst {
 	return a.preps.publish(&k, a.prepare(in, instOf(&k, in)))
 }
 
+// Resolve appends the entry of each of b's instructions on this
+// microarchitecture to dst, in block order, and returns the extended
+// slice. It does not stop at a failed entry: each caller applies its own
+// error rule to the entries.
+func (a *Arch) Resolve(dst []*PreparedInst, b *x86.Block) []*PreparedInst {
+	for i := range b.Insts {
+		dst = append(dst, a.Prepared(&b.Insts[i]))
+	}
+	return dst
+}
+
 func (a *Arch) prepare(in *x86.Inst, info *InstInfo) *PreparedInst {
 	p := &PreparedInst{InstInfo: info}
 	p.Desc, p.DescErr = a.cpu.Describe(in)

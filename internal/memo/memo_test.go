@@ -372,6 +372,31 @@ func TestLookupAllocFree(t *testing.T) {
 	}
 }
 
+// TestResolve pins Resolve against per-instruction lookups: it appends
+// one entry per instruction in block order, past a failed entry (vfmadd
+// on Ivy Bridge), and allocates nothing into a large enough dst.
+func TestResolve(t *testing.T) {
+	b := parse(t, mixedBlock)
+	a := For(uarch.IvyBridge())
+	head := &PreparedInst{}
+	got := a.Resolve([]*PreparedInst{head}, b)
+	if len(got) != 1+len(b.Insts) || got[0] != head {
+		t.Fatalf("Resolve returned %d entries, want dst's one plus %d", len(got), len(b.Insts))
+	}
+	for i := range b.Insts {
+		if got[1+i] != a.Prepared(&b.Insts[i]) {
+			t.Fatalf("entry %d differs from Prepared", i)
+		}
+	}
+	if last := got[len(got)-1]; last.DescErr == nil {
+		t.Fatalf("want the FMA form unsupported on Ivy Bridge")
+	}
+	dst := make([]*PreparedInst, 0, len(b.Insts))
+	if n := testing.AllocsPerRun(100, func() { dst = a.Resolve(dst[:0], b) }); n != 0 {
+		t.Fatalf("Resolve allocates %.1f times per block", n)
+	}
+}
+
 // BenchmarkMemoLookup times the per-(instruction, µarch) hit path from
 // every GOMAXPROCS goroutine at once over a fixed instruction set.
 func BenchmarkMemoLookup(b *testing.B) {

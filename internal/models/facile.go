@@ -1,7 +1,7 @@
 package models
 
 import (
-	"bhive/internal/bound"
+	"bhive/internal/memo"
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
 )
@@ -29,7 +29,13 @@ func (f *Facile) Name() string { return "Facile" }
 // Predict implements Predictor: the static lower bound in cycles per
 // iteration.
 func (f *Facile) Predict(b *x86.Block) (float64, error) {
-	bs, err := bound.Analyze(f.cpu, b)
+	return predictPooled(f.cpu, b, f.PredictResolved)
+}
+
+// PredictResolved implements ResolvedPredictor: bound.Analyze on the
+// resolved entries, with its error rule.
+func (f *Facile) PredictResolved(_ *x86.Block, entries []*memo.PreparedInst, s *Scratch) (float64, error) {
+	bs, err := s.bound.Analyze(f.cpu, entries)
 	if err != nil {
 		return 0, err
 	}

@@ -57,41 +57,33 @@ func (o *tableOpts) desc(p *memo.PreparedInst) (*uarch.Desc, error) {
 	return &p.RawDesc, p.RawDescErr
 }
 
-// buildSimInsts converts a block into the model's view of it. Display
-// text is built only when withText is set (schedule traces and reports).
-// Each instruction costs one memo lookup (two past the 64th): both
-// descriptions and the register sets come from its entry. It allocates
-// two slices, the instructions and their µops.
-func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts, withText bool) ([]simInst, error) {
-	arch := memo.For(cpu)
-	// The first pass sizes the µop array exactly. It keeps the entries of
-	// the first 64 instructions on the stack; later ones are looked up
-	// again.
-	var preps [64]*memo.PreparedInst
+// simInsts fills s's instruction and µop arenas with the model's view of
+// b, whose memo entries on the model's µarch are entries, and returns the
+// instructions; they stay valid until s's next use. Display text is built
+// only when withText is set (schedule traces and reports). It fails with
+// the first entry, in block order, whose description in the model's
+// tables failed.
+func (s *Scratch) simInsts(b *x86.Block, entries []*memo.PreparedInst, o *tableOpts, withText bool) ([]simInst, error) {
+	// The first pass applies the error rule and sizes the µop arena
+	// exactly, so the per-instruction windows below never move.
 	nuops := 0
-	for i := range b.Insts {
-		p := arch.Prepared(&b.Insts[i])
+	for _, p := range entries {
 		d, err := o.desc(p)
 		if err != nil {
 			return nil, err
 		}
-		if i < len(preps) {
-			preps[i] = p
-		}
 		nuops += len(d.Uops)
 	}
-	out := make([]simInst, 0, len(b.Insts))
+	if len(entries) == 0 {
+		return nil, errEmptyBlock
+	}
+	out := s.insts[:0]
 	// Every instruction's µops share one backing array; each simInst keeps
 	// a capped window of it.
-	uops := make([]simUop, 0, nuops)
-	for i := range b.Insts {
+	s.uops = reserve(s.uops[:0], nuops)
+	uops := s.uops
+	for i, p := range entries {
 		in := &b.Insts[i]
-		var p *memo.PreparedInst
-		if i < len(preps) {
-			p = preps[i]
-		} else {
-			p = arch.Prepared(in)
-		}
 		d, _ := o.desc(p)
 		si := simInst{
 			fused:     d.FusedUops,
@@ -150,10 +142,14 @@ func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts, withText bool) ([]
 		si.uops = uops[lo:len(uops):len(uops)]
 		out = append(out, si)
 	}
-	if len(out) == 0 {
-		return nil, errEmptyBlock
-	}
+	s.insts = out
 	return out, nil
+}
+
+// buildSimInsts is simInsts on a fresh scratch, for the callers that keep
+// the view (reports and schedule traces).
+func buildSimInsts(cpu *uarch.CPU, b *x86.Block, o tableOpts, withText bool) ([]simInst, error) {
+	return new(Scratch).simInsts(b, memo.For(cpu).Resolve(nil, b), &o, withText)
 }
 
 // fuseLoadUops merges a load µop into the first computation µop: the fused
@@ -242,11 +238,16 @@ type simModel struct {
 
 // Predict implements Predictor.
 func (m *simModel) Predict(b *x86.Block) (float64, error) {
-	insts, err := buildSimInsts(m.cpu, b, m.opts, false)
+	return predictPooled(m.cpu, b, m.PredictResolved)
+}
+
+// PredictResolved implements ResolvedPredictor.
+func (m *simModel) PredictResolved(b *x86.Block, entries []*memo.PreparedInst, s *Scratch) (float64, error) {
+	insts, err := s.simInsts(b, entries, &m.opts, false)
 	if err != nil {
 		return 0, err
 	}
-	return derivedPrediction(insts, m.cpu.IssueWidth, m.cpu.NumPorts, len(b.Insts))
+	return s.sim.derivedPrediction(insts, m.cpu.IssueWidth, m.cpu.NumPorts, len(entries))
 }
 
 // Schedule implements ScheduleTracer.

@@ -35,13 +35,12 @@ func derivedByEvent(insts []simInst, width, nports, blockLen int) (c1, c2 int64,
 func checkDerived(t *testing.T, label string, insts []simInst, width, nports, blockLen int) schedPath {
 	t.Helper()
 	c1, c2, want, wantErr := derivedByEvent(insts, width, nports, blockLen)
-	s := simPool.Get().(*simScratch)
+	s := new(simScratch)
 	g1, g2, path := s.inOrder(insts, unrollFor(blockLen), width, nports)
-	simPool.Put(s)
 	if path == pathInOrder && (wantErr != nil || g1 != c1 || g2 != c2) {
 		t.Fatalf("%s: in-order c(k), c(2k) = %d, %d; event loop %d, %d (%v)", label, g1, g2, c1, c2, wantErr)
 	}
-	got, err := derivedPrediction(insts, width, nports, blockLen)
+	got, err := s.derivedPrediction(insts, width, nports, blockLen)
 	if !errors.Is(err, wantErr) || (wantErr != nil) != (err != nil) {
 		t.Fatalf("%s: derivedPrediction error %v, event loop %v", label, err, wantErr)
 	}

@@ -14,7 +14,10 @@ package models
 
 import (
 	"hash/fnv"
+	"sync"
 
+	"bhive/internal/bound"
+	"bhive/internal/memo"
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
 )
@@ -24,6 +27,53 @@ import (
 type Predictor interface {
 	Name() string
 	Predict(b *x86.Block) (float64, error)
+}
+
+// ResolvedPredictor is a Predictor that also predicts a block already
+// resolved on its microarchitecture. IACA, llvm-mca, OSACA and Facile
+// implement it, and their Predict is PredictResolved on the block's
+// entries and a pooled Scratch; a caller that predicts many blocks
+// resolves each once and keeps its own Scratch (DESIGN.md §15).
+type ResolvedPredictor interface {
+	Predictor
+	// PredictResolved returns what Predict(b) returns. entries must be
+	// b's memo entries on the model's microarchitecture, in block order
+	// (memo.Arch.Resolve); s holds all the working memory, and the result
+	// does not keep it. Each model applies its own error rule by scanning
+	// the entries in order.
+	PredictResolved(b *x86.Block, entries []*memo.PreparedInst, s *Scratch) (float64, error)
+}
+
+// Scratch is the working memory of resolved predictions: every arena the
+// analytical models fill while predicting one block, reused for the next.
+// One goroutine owns it; the zero value is ready to use.
+type Scratch struct {
+	insts []simInst // IACA and llvm-mca: the model's view of the block
+	uops  []simUop  // the µops insts window into
+	sim   simScratch
+
+	pressure []float64   // OSACA: per-port pressure
+	osaca    []osacaInst // OSACA: the parsed instructions
+
+	bound bound.Scratch // Facile
+}
+
+// pooled is the working memory of one Predict call: the block's entries
+// and a Scratch.
+type pooled struct {
+	entries []*memo.PreparedInst
+	Scratch
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(pooled) }}
+
+// predictPooled is Predict for a model on cpu with the resolved path
+// predict: it resolves b and predicts it on a pooled scratch.
+func predictPooled(cpu *uarch.CPU, b *x86.Block, predict func(*x86.Block, []*memo.PreparedInst, *Scratch) (float64, error)) (float64, error) {
+	p := scratchPool.Get().(*pooled)
+	defer scratchPool.Put(p)
+	p.entries = memo.For(cpu).Resolve(p.entries[:0], b)
+	return predict(b, p.entries, &p.Scratch)
 }
 
 // ScheduleEntry is one row of a predicted execution trace (for the paper's

@@ -33,11 +33,13 @@ type OSACA struct {
 
 // ErrUnsupportedForm is returned when OSACA's parser rejects a block.
 type ErrUnsupportedForm struct {
-	Inst string
+	// Inst is the refused instruction. Error formats it, so a caller that
+	// only counts failures never pays for the text.
+	Inst x86.Inst
 }
 
 func (e *ErrUnsupportedForm) Error() string {
-	return fmt.Sprintf("osaca: unrecognized instruction form %q", e.Inst)
+	return fmt.Sprintf("osaca: unrecognized instruction form %q", e.Inst.String())
 }
 
 // NewOSACA builds the OSACA-like model for a CPU.
@@ -67,10 +69,10 @@ func parseCheck(in *x86.Inst) (skip bool, err error) {
 	// 8-bit memory operands and high-byte registers trip the parser.
 	for _, a := range in.Args {
 		if a.Kind == x86.KindMem && a.Mem.Size == 1 {
-			return false, &ErrUnsupportedForm{Inst: in.String()}
+			return false, &ErrUnsupportedForm{Inst: *in}
 		}
 		if a.Kind == x86.KindReg && a.Reg.IsHighByte() {
-			return false, &ErrUnsupportedForm{Inst: in.String()}
+			return false, &ErrUnsupportedForm{Inst: *in}
 		}
 	}
 	// Memory destination + immediate source => parsed as a NOP.
@@ -89,16 +91,24 @@ type osacaInst struct {
 
 // Predict implements Predictor.
 func (m *OSACA) Predict(b *x86.Block) (float64, error) {
+	return predictPooled(m.cpu, b, m.PredictResolved)
+}
+
+// PredictResolved implements ResolvedPredictor. Its error rule, in block
+// order: the parser's verdict on an instruction first, then, unless the
+// parser skipped it, its table entry (the raw description).
+func (m *OSACA) PredictResolved(b *x86.Block, entries []*memo.PreparedInst, s *Scratch) (float64, error) {
 	if len(b.Insts) == 0 {
 		return 0, errEmptyBlock
 	}
-	arch := memo.For(m.cpu)
-	pressure := make([]float64, m.cpu.NumPorts)
+	s.pressure = resize(s.pressure, m.cpu.NumPorts)
+	pressure := s.pressure
+	clear(pressure)
 	frontEnd := 0.0
 
 	// Resolve every instruction once: the parser verdict, its table entry,
 	// latency, port pressure and register use are the same in every sweep.
-	insts := make([]osacaInst, 0, len(b.Insts))
+	insts := s.osaca[:0]
 	for i := range b.Insts {
 		in := &b.Insts[i]
 		skip, err := parseCheck(in)
@@ -108,7 +118,7 @@ func (m *OSACA) Predict(b *x86.Block) (float64, error) {
 		if skip {
 			continue
 		}
-		e := arch.Prepared(in)
+		e := entries[i]
 		if e.RawDescErr != nil {
 			return 0, e.RawDescErr
 		}
@@ -161,6 +171,7 @@ func (m *OSACA) Predict(b *x86.Block) (float64, error) {
 		reads, writes := regUse(in)
 		insts = append(insts, osacaInst{lat: instLat, reads: reads, writes: writes})
 	}
+	s.osaca = insts
 
 	// Per-register dependency chains. The block is swept several times and
 	// the LCD bound is the steady-state chain *growth* per sweep: latency

@@ -22,7 +22,7 @@ func Report(cpu *uarch.CPU, b *x86.Block) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	tp, err := derivedPrediction(insts, cpu.IssueWidth, cpu.NumPorts, len(b.Insts))
+	tp, err := new(simScratch).derivedPrediction(insts, cpu.IssueWidth, cpu.NumPorts, len(b.Insts))
 	if err != nil {
 		return "", err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"bhive/internal/uarch"
 )
@@ -61,8 +60,9 @@ type wiredUop struct {
 }
 
 // simScratch holds the dependence arena of one block and the state of the
-// schedulers that run over it. Both are reused through simPool, so a
-// Predict allocates nothing here once the pool is warm.
+// schedulers that run over it. Both live in a Scratch and are reused for
+// every block its owner predicts, so a prediction allocates nothing here
+// once the scratch has grown.
 type simScratch struct {
 	// Wiring, built once per block for the largest unroll. µop ids are
 	// contiguous per unrolled instruction, so the wiring for k copies is
@@ -88,14 +88,24 @@ type simScratch struct {
 	ring []resv  // port reservations by cycle, indexed cycle mod len
 }
 
-var simPool = sync.Pool{New: func() any { return new(simScratch) }}
-
-// resize returns b with length n, reallocating only when it must grow.
+// resize returns b with length n, reallocating only when it must grow,
+// and then at least twofold, so a scratch that meets ever larger blocks
+// reallocates a logarithmic number of times. The contents are
+// unspecified.
 func resize[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(b)))
 	}
 	return b[:n]
+}
+
+// reserve returns b with room for extra more elements, growing it like
+// resize.
+func reserve[T any](b []T, extra int) []T {
+	if n := len(b) + extra; cap(b) < n {
+		return append(make([]T, 0, max(n, 2*cap(b))), b...)
+	}
+	return b
 }
 
 // appendProducers appends the current producer of each register in regs.
@@ -241,6 +251,10 @@ func (s *simScratch) unroll(insts []simInst, copies int) {
 	tmpl := len(s.copyEdge) - 2
 	U := s.start[L]
 	s.start = s.start[:(tmpl+1)*L]
+	more := copies - tmpl - 1
+	s.start = reserve(s.start, more*L+1)
+	s.uops = reserve(s.uops, more*int(U))
+	s.deps = reserve(s.deps, more*len(s.deps[s.copyEdge[tmpl]:]))
 	uops, deps := s.uops[int(U)*tmpl:], s.deps[s.copyEdge[tmpl]:]
 	for c := 1; c < copies-tmpl; c++ {
 		for _, g := range s.start[tmpl*L : (tmpl+1)*L] {
@@ -544,10 +558,8 @@ func idleCycles(insts []simInst, copies, width int) int64 {
 // marginal cost per iteration — the same steady-state definition the
 // measurement framework uses. The in-order pass reads both counts off one
 // schedule; blocks it cannot decide run on the event loop.
-func derivedPrediction(insts []simInst, width, nports, blockLen int) (float64, error) {
+func (s *simScratch) derivedPrediction(insts []simInst, width, nports, blockLen int) (float64, error) {
 	k := unrollFor(blockLen)
-	s := simPool.Get().(*simScratch)
-	defer simPool.Put(s)
 	c1, c2, path := s.inOrder(insts, k, width, nports)
 	schedPaths[path].Add(1)
 	if tmpl := len(s.copyEdge) - 2; tmpl > 1 {
@@ -593,8 +605,7 @@ func (s *simScratch) eventPair(insts []simInst, k, width, nports int) (c1, c2 in
 
 // schedule simulates iters copies of the block and returns the trace.
 func schedule(insts []simInst, width, nports, iters int) ([]ScheduleEntry, error) {
-	s := simPool.Get().(*simScratch)
-	defer simPool.Put(s)
+	s := new(simScratch)
 	s.wire(insts, iters, nports)
 	var trace []ScheduleEntry
 	if _, err := s.run(insts, iters, width, nports, &trace); err != nil {

@@ -12,8 +12,7 @@ import (
 // eventRun wires copies of the block once and schedules it, as Schedule
 // does.
 func eventRun(insts []simInst, width, nports, copies int, trace *[]ScheduleEntry) (int64, error) {
-	s := simPool.Get().(*simScratch)
-	defer simPool.Put(s)
+	s := new(simScratch)
 	s.wire(insts, copies, nports)
 	return s.run(insts, copies, width, nports, trace)
 }
@@ -49,8 +48,7 @@ func checkSimEquivalent(t *testing.T, label string, insts []simInst, width, npor
 		}
 	}
 
-	s := simPool.Get().(*simScratch)
-	defer simPool.Put(s)
+	s := new(simScratch)
 	s.wire(insts, 2*iters, nports)
 	if cyc, err := s.run(insts, iters, width, nports, nil); err != nil || cyc != ref {
 		t.Fatalf("%s: prefix of a %d-copy wiring: %d (%v), reference %d", label, 2*iters, cyc, err, ref)
@@ -89,7 +87,7 @@ func TestSimulateEquivalenceCorpus(t *testing.T) {
 					label := fmt.Sprintf("%s/%s/block %d/%d iters", cpu.Name, o.name, bi, it)
 					checkSimEquivalent(t, label, insts, cpu.IssueWidth, cpu.NumPorts, it)
 				}
-				got, err := derivedPrediction(insts, cpu.IssueWidth, cpu.NumPorts, len(b.Insts))
+				got, err := new(simScratch).derivedPrediction(insts, cpu.IssueWidth, cpu.NumPorts, len(b.Insts))
 				if want := derivedRef(insts, cpu.IssueWidth, cpu.NumPorts, len(b.Insts)); err != nil || got != want {
 					t.Fatalf("%s/%s/block %d: derived %v (%v), reference %v", cpu.Name, o.name, bi, got, err, want)
 				}
@@ -192,7 +190,7 @@ func TestSimulateStallIsAnError(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		if _, err := derivedPrediction(tc.insts, 4, 6, len(tc.insts)); !errors.Is(err, errSimStalled) {
+		if _, err := new(simScratch).derivedPrediction(tc.insts, 4, 6, len(tc.insts)); !errors.Is(err, errSimStalled) {
 			t.Errorf("%s: derivedPrediction error %v, want %v", tc.name, err, errSimStalled)
 		}
 		if _, err := schedule(tc.insts, 4, 6, 3); !errors.Is(err, errSimStalled) {
@@ -227,8 +225,8 @@ func TestSimulateZeroLatencyWakeup(t *testing.T) {
 	checkSimEquivalent(t, "zero-latency chain", insts, 4, 3, 5)
 }
 
-// TestPredictAllocs guards the pooled arena: once the scratch has grown,
-// a derived prediction allocates nothing in the scheduler.
+// TestPredictAllocs guards the scheduler's arena: once the scratch has
+// grown, a derived prediction allocates nothing in the scheduler.
 func TestPredictAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -238,8 +236,9 @@ func TestPredictAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var s simScratch
 	run := func() {
-		if _, err := derivedPrediction(insts, hsw.IssueWidth, hsw.NumPorts, 7); err != nil {
+		if _, err := s.derivedPrediction(insts, hsw.IssueWidth, hsw.NumPorts, 7); err != nil {
 			t.Fatal(err)
 		}
 	}
