@@ -539,9 +539,10 @@ func (s *Suite) profileAll(cpu *uarch.CPU, opts profiler.Options, recs []corpus.
 }
 
 // predictWorker is one prediction worker's working memory, kept for a
-// whole prediction pass: the memo entries of the block it is predicting
-// and the analytical models' arenas (DESIGN.md §15).
+// whole prediction pass: the memo ids and entries of the block it is
+// predicting and the analytical models' arenas (DESIGN.md §15).
 type predictWorker struct {
+	ids     []memo.ID
 	entries []*memo.PreparedInst
 	scr     models.Scratch
 }
@@ -570,9 +571,11 @@ func (s *Suite) putPredictWorkers(ws []*predictWorker) {
 	s.idlePredict = append(s.idlePredict, ws...)
 }
 
-// resolve looks b up once on arch, for every model of the pass.
+// resolve interns b and looks it up once on arch, for every model of the
+// pass.
 func (w *predictWorker) resolve(arch *memo.Arch, b *x86.Block) {
-	w.entries = arch.Resolve(w.entries[:0], b)
+	w.ids = memo.InternBlock(w.ids[:0], b)
+	w.entries = arch.ResolveIDs(w.entries[:0], w.ids)
 }
 
 // predict runs m on the block the worker last resolved, b: a resolved

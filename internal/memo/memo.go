@@ -4,22 +4,28 @@
 // dynamic instruction: machine-code encoding, the pipeline register-use
 // sets, and the microarchitecture-specific µop descriptions.
 //
-// Two typed tables hold the results (DESIGN.md §16):
+// Each distinct instruction value gets a dense ID once (Intern, the one
+// hashed lookup), and every entry is then found by that id (DESIGN.md §16):
 //
 //   - Inst: one *InstInfo per instruction value — everything that does
-//     not depend on the microarchitecture;
-//   - For(cpu).Prepared: one *PreparedInst per (instruction, µarch) —
-//     both µop descriptions, sharing the instruction's *InstInfo.
+//     not depend on the microarchitecture — published when the
+//     instruction is interned;
+//   - For(cpu).At(id): one *PreparedInst per (instruction, µarch) — both
+//     µop descriptions, sharing the instruction's *InstInfo — held in
+//     fixed-size chunks indexed by id, with no lock and no hash on a hit.
 //
-// Each entry is derived on the first miss and published exactly once: on a
-// concurrent miss the first store wins and every caller receives that same
-// pointer. Entries are immutable once published; callers must treat every
-// field, slices included, as read-only (the pipeline copies µop specs
-// before mutating latencies). A consumer resolves each instruction with one
-// lookup and reads every derivation it needs from that entry.
+// Prepared and Resolve are Intern followed by At. Each entry is derived
+// on the first miss and published exactly once: on a concurrent miss the
+// first store wins and every caller receives that same pointer. Entries
+// are immutable once published; callers must treat every field, slices
+// included, as read-only (the pipeline copies µop specs before mutating
+// latencies). A consumer resolves each instruction with one lookup and
+// reads every derivation it needs from that entry.
 package memo
 
 import (
+	"encoding/binary"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -41,8 +47,8 @@ type instKey [1 + maxArgs]uint64
 
 // keyOf builds the memo key. ok is false for instructions the key cannot
 // represent exactly — more than maxArgs operands, or an operand carrying a
-// field its kind does not use — which are derived directly and counted in
-// Counters.Uncacheable.
+// field its kind does not use — which Intern looks up in a side map and
+// counts in Counters.Uncacheable.
 func keyOf(in *x86.Inst) (k instKey, ok bool) {
 	if len(in.Args) > maxArgs {
 		return k, false
@@ -77,8 +83,8 @@ func keyOf(in *x86.Inst) (k instKey, ok bool) {
 	return k, true
 }
 
-// shard picks the key's table shard from a multiplicative mix of all its
-// words (the top bits of the product are the well-mixed ones).
+// shard picks the key's shard of the id map from a multiplicative mix of
+// all its words (the top bits of the product are the well-mixed ones).
 func (k *instKey) shard() int {
 	const mix = 0x9E3779B97F4A7C15
 	h := k[0] * mix
@@ -93,44 +99,66 @@ const (
 	numShards = 1 << shardBits
 )
 
-// table maps instruction keys to published entries: numShards maps, each
-// behind its own RWMutex, so hits on different shards never contend and a
-// hit takes only a read lock.
-type table[V any] struct {
-	shards  [numShards]shard[V]
-	entries atomic.Int64
+// ID is an instruction's dense memo id. Intern hands out 0, 1, 2, … in
+// order of first sight, one per distinct instruction value, and an id
+// never changes for the life of the process.
+type ID uint32
+
+const (
+	chunkBits = 10
+	chunkSize = 1 << chunkBits
+)
+
+// chunk is one fixed-size block of id-indexed slots.
+type chunk[T any] [chunkSize]atomic.Pointer[T]
+
+// chunks is an id-indexed table of published pointers: a directory of
+// chunks. A reader loads the directory atomically and indexes it, with no
+// lock and no hash. The directory grows copy-on-write under mu, and a
+// chunk never moves once published, so growth copies no entry and a
+// slot's address is stable.
+type chunks[T any] struct {
+	dir atomic.Pointer[[]*chunk[T]]
+	mu  sync.Mutex
 }
 
-type shard[V any] struct {
-	mu sync.RWMutex
-	m  map[instKey]*V
-}
-
-// load returns the published entry for k, or nil.
-func (t *table[V]) load(k *instKey) *V {
-	s := &t.shards[k.shard()]
-	s.mu.RLock()
-	v := s.m[*k]
-	s.mu.RUnlock()
-	return v
-}
-
-// publish stores v under k unless a concurrent miss published first, and
-// returns the entry every caller must use.
-func (t *table[V]) publish(k *instKey, v *V) *V {
-	misses.Add(1)
-	s := &t.shards[k.shard()]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old := s.m[*k]; old != nil {
-		return old
+// load returns the pointer published at id, or nil.
+func (c *chunks[T]) load(id ID) *T {
+	if d := c.dir.Load(); d != nil && int(id>>chunkBits) < len(*d) {
+		return (*d)[id>>chunkBits][id&(chunkSize-1)].Load()
 	}
-	if s.m == nil {
-		s.m = make(map[instKey]*V)
+	return nil
+}
+
+// slot returns id's slot, growing the directory to cover it.
+func (c *chunks[T]) slot(id ID) *atomic.Pointer[T] {
+	i := int(id >> chunkBits)
+	d := c.dir.Load()
+	if d == nil || i >= len(*d) {
+		d = c.grow(i)
 	}
-	s.m[*k] = v
-	t.entries.Add(1)
-	return v
+	return &(*d)[i][id&(chunkSize-1)]
+}
+
+// grow publishes a directory covering chunk i: the old chunks, then new
+// empty ones.
+func (c *chunks[T]) grow(i int) *[]*chunk[T] {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var old []*chunk[T]
+	if d := c.dir.Load(); d != nil {
+		if i < len(*d) {
+			return d
+		}
+		old = *d
+	}
+	grown := make([]*chunk[T], i+1)
+	copy(grown, old)
+	for j := len(old); j <= i; j++ {
+		grown[j] = new(chunk[T])
+	}
+	c.dir.Store(&grown)
+	return &grown
 }
 
 // InstInfo is the per-instruction memo entry: every derivation that
@@ -165,8 +193,30 @@ type PreparedInst struct {
 	Err error
 }
 
+// instRec is what Intern publishes for an id: the instruction's entry and
+// a copy of the instruction, from which each µarch derives its entry.
+type instRec struct {
+	info InstInfo
+	in   x86.Inst
+}
+
 var (
-	insts table[InstInfo]
+	// interned maps instruction keys to ids: numShards maps, each behind
+	// its own RWMutex, so interning on different shards never contends
+	// and a hit takes only a read lock.
+	interned [numShards]struct {
+		mu sync.RWMutex
+		m  map[instKey]ID
+	}
+	// odd maps the instructions keyOf cannot represent to ids, keyed on
+	// every field (oddKey).
+	odd struct {
+		mu sync.Mutex
+		m  map[string]ID
+	}
+	// recs holds each id's record; nextID is the next id to hand out.
+	recs   chunks[instRec]
+	nextID atomic.Uint32
 
 	archMu sync.Mutex
 	archs  = map[string]*Arch{}
@@ -174,42 +224,114 @@ var (
 	misses, uncacheable atomic.Int64
 )
 
-// Inst returns the per-instruction entry for in.
-func Inst(in *x86.Inst) *InstInfo {
+// Intern returns in's id, deriving and publishing its InstInfo on first
+// sight. It is the memo's one hashed lookup: every per-µarch lookup after
+// it is an index (Arch.At). An instruction keyOf cannot represent gets an
+// id too, from a side map, and each such call counts in
+// Counters.Uncacheable.
+func Intern(in *x86.Inst) ID {
 	k, ok := keyOf(in)
 	if !ok {
 		uncacheable.Add(1)
-		return instDirect(in)
+		return internOdd(in)
 	}
-	return instOf(&k, in)
+	s := &interned[k.shard()]
+	s.mu.RLock()
+	id, hit := s.m[k]
+	s.mu.RUnlock()
+	if hit {
+		return id
+	}
+	rec := newRec(in)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if id, hit := s.m[k]; hit {
+		return id
+	}
+	if s.m == nil {
+		s.m = make(map[instKey]ID)
+	}
+	id = publishRec(rec)
+	s.m[k] = id
+	return id
 }
 
-func instOf(k *instKey, in *x86.Inst) *InstInfo {
-	if e := insts.load(k); e != nil {
-		return e
+// internOdd is Intern for an instruction with no key.
+func internOdd(in *x86.Inst) ID {
+	k := oddKey(in)
+	odd.mu.Lock()
+	defer odd.mu.Unlock()
+	if id, hit := odd.m[k]; hit {
+		return id
 	}
-	return insts.publish(k, instDirect(in))
+	if odd.m == nil {
+		odd.m = make(map[string]ID)
+	}
+	id := publishRec(newRec(in))
+	odd.m[k] = id
+	return id
 }
 
-func instDirect(in *x86.Inst) *InstInfo {
-	e := new(InstInfo)
+// oddKey packs every field of in, so two instructions share it only if
+// they are equal.
+func oddKey(in *x86.Inst) string {
+	k := binary.LittleEndian.AppendUint16(nil, uint16(in.Op))
+	for _, a := range in.Args {
+		m := a.Mem
+		k = append(k, byte(a.Kind), byte(a.Reg), byte(m.Base), byte(m.Index), m.Scale, m.Size)
+		k = binary.LittleEndian.AppendUint64(k, uint64(a.Imm))
+		k = binary.LittleEndian.AppendUint32(k, uint32(m.Disp))
+	}
+	return string(k)
+}
+
+// newRec derives the record of in.
+func newRec(in *x86.Inst) *instRec {
+	misses.Add(1)
+	r := &instRec{in: x86.Inst{Op: in.Op, Args: slices.Clone(in.Args)}}
+	e := &r.info
 	e.Raw, e.EncErr = x86.Encode(*in)
 	e.LCP = x86.LengthChangingPrefix(e.Raw)
 	e.Addr, e.Data, e.Writes = regSets(in)
-	return e
+	return r
 }
 
-// Arch is the per-(instruction, µarch) table of one microarchitecture.
+// publishRec gives rec the next id and stores it. The caller holds the
+// lock of the map that hands the id out, so no reader learns the id
+// before its record is stored.
+func publishRec(rec *instRec) ID {
+	id := ID(nextID.Add(1) - 1)
+	recs.slot(id).Store(rec)
+	return id
+}
+
+// InternBlock appends the id of each of b's instructions to dst, in block
+// order, and returns the extended slice.
+func InternBlock(dst []ID, b *x86.Block) []ID {
+	for i := range b.Insts {
+		dst = append(dst, Intern(&b.Insts[i]))
+	}
+	return dst
+}
+
+// Inst returns the per-instruction entry for in.
+func Inst(in *x86.Inst) *InstInfo {
+	return &recs.load(Intern(in)).info
+}
+
+// Arch is the per-(instruction, µarch) table of one microarchitecture,
+// indexed by id.
 type Arch struct {
-	cpu   *uarch.CPU
-	preps table[PreparedInst]
+	cpu     *uarch.CPU
+	preps   chunks[PreparedInst]
+	entries atomic.Int64
 }
 
 // For returns the table of cpu's microarchitecture. Tables are keyed by
 // CPU name — uarch.CPU.Perturbed renames its result for exactly this
 // reason — and the first CPU registered under a name derives every entry.
-// Resolve the table once per block (or once per model) and call Prepared
-// per instruction.
+// Resolve the table once per block (or once per model) and look entries
+// up by id.
 func For(cpu *uarch.CPU) *Arch {
 	archMu.Lock()
 	defer archMu.Unlock()
@@ -221,17 +343,34 @@ func For(cpu *uarch.CPU) *Arch {
 	return a
 }
 
-// Prepared returns the entry for in on this microarchitecture.
-func (a *Arch) Prepared(in *x86.Inst) *PreparedInst {
-	k, ok := keyOf(in)
-	if !ok {
-		uncacheable.Add(1)
-		return a.prepare(in, instDirect(in))
-	}
-	if p := a.preps.load(&k); p != nil {
+// At returns the entry of the instruction with the given id on this
+// microarchitecture; the id must come from Intern. A hit is an index: no
+// lock and no hash.
+func (a *Arch) At(id ID) *PreparedInst {
+	if p := a.preps.load(id); p != nil {
 		return p
 	}
-	return a.preps.publish(&k, a.prepare(in, instOf(&k, in)))
+	return a.derive(id)
+}
+
+// derive is At's miss path: it derives the entry from id's record and
+// publishes it with a compare-and-swap, so on a concurrent miss the first
+// store wins and every caller returns that pointer.
+func (a *Arch) derive(id ID) *PreparedInst {
+	misses.Add(1)
+	r := recs.load(id)
+	p := a.prepare(&r.in, &r.info)
+	slot := a.preps.slot(id)
+	if !slot.CompareAndSwap(nil, p) {
+		return slot.Load()
+	}
+	a.entries.Add(1)
+	return p
+}
+
+// Prepared returns the entry for in on this microarchitecture.
+func (a *Arch) Prepared(in *x86.Inst) *PreparedInst {
+	return a.At(Intern(in))
 }
 
 // Resolve appends the entry of each of b's instructions on this
@@ -241,6 +380,15 @@ func (a *Arch) Prepared(in *x86.Inst) *PreparedInst {
 func (a *Arch) Resolve(dst []*PreparedInst, b *x86.Block) []*PreparedInst {
 	for i := range b.Insts {
 		dst = append(dst, a.Prepared(&b.Insts[i]))
+	}
+	return dst
+}
+
+// ResolveIDs is Resolve for a block interned with InternBlock: it appends
+// the entry of each id to dst, in order.
+func (a *Arch) ResolveIDs(dst []*PreparedInst, ids []ID) []*PreparedInst {
+	for _, id := range ids {
+		dst = append(dst, a.At(id))
 	}
 	return dst
 }
@@ -266,29 +414,29 @@ func (a *Arch) prepare(in *x86.Inst, info *InstInfo) *PreparedInst {
 // Counters is a snapshot of the memo's counters. Only slow paths (misses
 // and uncacheable lookups) update them, so hits stay uncontended.
 type Counters struct {
-	// Insts and Prepared are the entries published in the per-instruction
-	// table and, summed over microarchitectures, the per-(instruction,
-	// µarch) tables.
+	// Insts is the number of ids handed out, one per interned
+	// instruction; Prepared the per-(instruction, µarch) entries
+	// published, summed over microarchitectures.
 	Insts, Prepared int64
 	// Misses counts derivations run for a table, including those that lost
-	// the publish race to a concurrent miss on the same key.
+	// the publish race to a concurrent miss on the same instruction.
 	Misses int64
-	// Uncacheable counts lookups of instructions with no memo key, derived
-	// directly on every call.
+	// Uncacheable counts lookups of instructions with no memo key, which
+	// take the side map's exact, slower path.
 	Uncacheable int64
 }
 
 // Stats returns the current counters.
 func Stats() Counters {
 	s := Counters{
-		Insts:       insts.entries.Load(),
+		Insts:       int64(nextID.Load()),
 		Misses:      misses.Load(),
 		Uncacheable: uncacheable.Load(),
 	}
 	archMu.Lock()
 	defer archMu.Unlock()
 	for _, a := range archs {
-		s.Prepared += a.preps.entries.Load()
+		s.Prepared += a.entries.Load()
 	}
 	return s
 }

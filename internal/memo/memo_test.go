@@ -203,7 +203,8 @@ func TestPreparedMatchesDirect(t *testing.T) {
 					keys[k] = in
 				}
 				want := direct(cpu, in)
-				if miss := a.prepare(in, instDirect(in)); !reflect.DeepEqual(miss, want) {
+				r := newRec(in)
+				if miss := a.prepare(&r.in, &r.info); !reflect.DeepEqual(miss, want) {
 					t.Fatalf("%s/%s: miss derivation %+v, want %+v", cpu.Name, in, miss, want)
 				}
 				got := a.Prepared(in)
@@ -271,7 +272,8 @@ func TestNoUncacheableFallbacks(t *testing.T) {
 }
 
 // TestUncacheableCounted checks that an instruction the key cannot
-// represent is derived directly, correctly, and counted.
+// represent gets an id from the side map, a correct entry, and one count
+// per lookup.
 func TestUncacheableCounted(t *testing.T) {
 	in := x86.NewInst(x86.ADD, x86.RegOp(x86.RAX), x86.RegOp(x86.RBX))
 	in.Args[1].Imm = 7 // a field register operands do not use
@@ -279,13 +281,25 @@ func TestUncacheableCounted(t *testing.T) {
 		t.Fatal("non-canonical operand got a key")
 	}
 	cpu := uarch.Haswell()
-	before := Stats()
-	got := For(cpu).Prepared(&in)
-	if n := Stats().Uncacheable - before.Uncacheable; n != 1 {
-		t.Fatalf("uncacheable count moved by %d, want 1", n)
+	a := For(cpu)
+	for round := 0; round < 2; round++ {
+		before := Stats()
+		got := a.Prepared(&in)
+		if n := Stats().Uncacheable - before.Uncacheable; n != 1 {
+			t.Fatalf("round %d: uncacheable count moved by %d, want 1", round, n)
+		}
+		if want := direct(cpu, &in); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: fallback entry %+v, want %+v", round, got, want)
+		}
 	}
-	if want := direct(cpu, &in); !reflect.DeepEqual(got, want) {
-		t.Fatalf("fallback entry %+v, want %+v", got, want)
+	// The side map is exact: the canonical form and another stray value
+	// are different instructions.
+	canon := x86.NewInst(x86.ADD, x86.RegOp(x86.RAX), x86.RegOp(x86.RBX))
+	other := x86.NewInst(x86.ADD, x86.RegOp(x86.RAX), x86.RegOp(x86.RBX))
+	other.Args[1].Imm = 8
+	id := Intern(&in)
+	if Intern(&in) != id || Intern(&canon) == id || Intern(&other) == id {
+		t.Fatal("side-map ids are not exact per instruction")
 	}
 }
 
@@ -293,10 +307,17 @@ func TestUncacheableCounted(t *testing.T) {
 // builds an instruction that misses both tables.
 var freshImm atomic.Int64
 
+// fresh returns an instruction no other lookup has used.
+func fresh() x86.Inst {
+	return x86.NewInst(x86.ADD, x86.RegOp(x86.RAX), x86.ImmOp(1<<40+freshImm.Add(1)))
+}
+
 // TestConcurrentAccess hammers the memo tables from many goroutines; run
 // under -race this is the regression test for the shared tables. Then
 // goroutines released together miss on the same fresh keys, and all of
-// them must receive the one published pointer.
+// them must receive the one published pointer. Last, they miss together on
+// fresh instructions whose ids straddle a chunk boundary, so the record
+// and per-µarch directories grow under contention.
 func TestConcurrentAccess(t *testing.T) {
 	b := parse(t, mixedBlock)
 	cpus := []*uarch.CPU{uarch.IvyBridge(), uarch.Haswell(), uarch.Skylake()}
@@ -353,6 +374,79 @@ func TestConcurrentAccess(t *testing.T) {
 			t.Fatalf("round %d: µarch entry does not share the instruction entry", round)
 		}
 	}
+
+	// Fill the ids up to span/2 below the next chunk boundary, then
+	// release the goroutines onto span fresh instructions, each starting
+	// at a different one.
+	const span = 64
+	boundary := (nextID.Load()/chunkSize + 1) * chunkSize
+	for nextID.Load() < boundary-span/2 {
+		in := fresh()
+		Intern(&in)
+	}
+	if d := hsw.preps.dir.Load(); d != nil && len(*d) > int(boundary/chunkSize) {
+		t.Fatalf("the Haswell table already covers id %d", boundary)
+	}
+	// A chunk never moves: an entry published before the growth keeps
+	// its slot.
+	oldID := Intern(&b.Insts[0])
+	oldSlot, oldRec := hsw.preps.slot(oldID), recs.slot(oldID)
+	base := ID(nextID.Load())
+	insts := make([]x86.Inst, span)
+	for i := range insts {
+		insts[i] = fresh()
+	}
+	var (
+		start = make(chan struct{})
+		ids   [workers][span]ID
+		infos [workers][span]*InstInfo
+		preps [workers][span]*PreparedInst
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for j := range insts {
+				i := (j + w*span/workers) % span
+				own := x86.Inst{Op: insts[i].Op, Args: append([]x86.Operand(nil), insts[i].Args...)}
+				id := Intern(&own)
+				ids[w][i], infos[w][i], preps[w][i] = id, Inst(&own), hsw.At(id)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	seen := map[ID]bool{}
+	for i := range insts {
+		id := ids[0][i]
+		for w := 1; w < workers; w++ {
+			if ids[w][i] != id || infos[w][i] != infos[0][i] || preps[w][i] != preps[0][i] {
+				t.Fatalf("%s: concurrent misses published more than one id or entry", &insts[i])
+			}
+		}
+		if id < base || id >= base+span || seen[id] {
+			t.Fatalf("%s: id %d is not one of the dense ids %d..%d", &insts[i], id, base, base+span-1)
+		}
+		seen[id] = true
+		if preps[0][i].InstInfo != infos[0][i] {
+			t.Fatalf("%s: µarch entry does not share the instruction entry", &insts[i])
+		}
+		if Intern(&insts[i]) != id || hsw.At(id) != preps[0][i] || Inst(&insts[i]) != infos[0][i] {
+			t.Fatalf("%s: id or entry changed after publication", &insts[i])
+		}
+	}
+	if n := ID(nextID.Load()); n != base+span {
+		t.Fatalf("%d ids handed out for %d instructions", n-base, span)
+	}
+	if hsw.preps.slot(oldID) != oldSlot || recs.slot(oldID) != oldRec || oldSlot.Load() != hsw.Prepared(&b.Insts[0]) {
+		t.Fatal("directory growth moved a published entry")
+	}
+	for name, c := range map[string]int{"record": len(*recs.dir.Load()), "Haswell": len(*hsw.preps.dir.Load())} {
+		if c <= int(boundary/chunkSize) {
+			t.Fatalf("the %s directory did not grow past id %d", name, boundary)
+		}
+	}
 }
 
 // TestLookupAllocFree pins the hit path at zero allocations.
@@ -397,6 +491,79 @@ func TestResolve(t *testing.T) {
 	}
 }
 
+// corpusBlocks returns the blocks of GenerateAll(scale, 7).
+func corpusBlocks(scale float64) []*x86.Block {
+	var blocks []*x86.Block
+	for _, r := range corpus.GenerateAll(scale, 7) {
+		blocks = append(blocks, r.Block)
+	}
+	return blocks
+}
+
+// TestIDPathMatchesDirect checks the id path over a generated corpus on
+// every microarchitecture: At(Intern(in)) equals the direct derivation,
+// and ResolveIDs over InternBlock hands out the entries Prepared does.
+func TestIDPathMatchesDirect(t *testing.T) {
+	scale := 0.01
+	if testing.Short() || raceEnabled {
+		scale = 0.001
+	}
+	blocks := corpusBlocks(scale)
+	var (
+		ids  []ID
+		ents []*PreparedInst
+	)
+	for _, cpu := range uarch.Extended() {
+		a := For(cpu)
+		for _, b := range blocks {
+			ids = InternBlock(ids[:0], b)
+			ents = a.ResolveIDs(ents[:0], ids)
+			if len(ids) != len(b.Insts) || len(ents) != len(b.Insts) {
+				t.Fatalf("%d ids and %d entries for %d instructions", len(ids), len(ents), len(b.Insts))
+			}
+			for i := range b.Insts {
+				in := &b.Insts[i]
+				if got, want := a.At(Intern(in)), direct(cpu, in); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s: entry %+v, want %+v", cpu.Name, in, got, want)
+				}
+				if ents[i] != a.Prepared(in) {
+					t.Fatalf("%s/%s: ResolveIDs entry differs from Prepared", cpu.Name, in)
+				}
+			}
+		}
+	}
+}
+
+// TestResolveIDsAllocs pins the id path at zero allocations on a warm
+// corpus-scale block set: interning each block and resolving it on every
+// microarchitecture.
+func TestResolveIDsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	blocks := corpusBlocks(0.01)
+	var archs []*Arch
+	for _, cpu := range uarch.All() {
+		archs = append(archs, For(cpu))
+	}
+	var (
+		ids  []ID
+		ents []*PreparedInst
+	)
+	pass := func() {
+		for _, b := range blocks {
+			ids = InternBlock(ids[:0], b)
+			for _, a := range archs {
+				ents = a.ResolveIDs(ents[:0], ids)
+			}
+		}
+	}
+	pass()
+	if n := testing.AllocsPerRun(3, pass); n != 0 {
+		t.Fatalf("the id path allocates %.1f times per pass over %d blocks", n, len(blocks))
+	}
+}
+
 // BenchmarkMemoLookup times the per-(instruction, µarch) hit path from
 // every GOMAXPROCS goroutine at once over a fixed instruction set.
 func BenchmarkMemoLookup(b *testing.B) {
@@ -417,3 +584,56 @@ func BenchmarkMemoLookup(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkMemoResolveCorpus times one warm lookup per (instruction,
+// µarch) over GenerateAll(0.03, 7) on uarch.All(), block by block as
+// Resolve walks it: the hashed path (Prepared, which interns each time)
+// against the id path (At on ids interned once per block beforehand).
+// Unlike BenchmarkMemoLookup's ten instructions, the corpus's entries and
+// id maps do not stay in the CPU caches.
+func BenchmarkMemoResolveCorpus(b *testing.B) {
+	blocks := corpusBlocks(0.03)
+	var archs []*Arch
+	for _, cpu := range uarch.All() {
+		archs = append(archs, For(cpu))
+	}
+	ids := make([][]ID, len(blocks))
+	lookups := 0
+	for i, blk := range blocks {
+		ids[i] = InternBlock(nil, blk)
+		for _, a := range archs {
+			a.ResolveIDs(nil, ids[i])
+		}
+		lookups += len(ids[i]) * len(archs)
+	}
+	perLookup := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lookups), "ns/lookup")
+	}
+	b.Run("hashed", func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			for _, blk := range blocks {
+				for _, a := range archs {
+					for i := range blk.Insts {
+						sink = a.Prepared(&blk.Insts[i])
+					}
+				}
+			}
+		}
+		perLookup(b)
+	})
+	b.Run("ids", func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			for _, blk := range ids {
+				for _, a := range archs {
+					for _, id := range blk {
+						sink = a.At(id)
+					}
+				}
+			}
+		}
+		perLookup(b)
+	})
+}
+
+// sink keeps the benchmarks' lookups live.
+var sink *PreparedInst

@@ -6,6 +6,7 @@ import (
 
 	"bhive/internal/exec"
 	"bhive/internal/machine"
+	"bhive/internal/memo"
 	"bhive/internal/pipeline"
 	"bhive/internal/profcache"
 	"bhive/internal/uarch"
@@ -15,7 +16,7 @@ import (
 // seedOf is the RNG seed Profile derives for a block.
 func seedOf(t *testing.T, insts []x86.Inst) int64 {
 	t.Helper()
-	ents, _ := resolve(uarch.Haswell(), insts, nil, true)
+	ents, _ := resolve(uarch.Haswell(), memo.InternBlock(nil, &x86.Block{Insts: insts}), nil, true)
 	return blockSeed(encoding(ents, nil))
 }
 
@@ -24,7 +25,7 @@ func seedOf(t *testing.T, insts []x86.Inst) int64 {
 func mapAndTrace(t *testing.T, p *Profiler, insts []x86.Inst, unroll int) (*machine.Machine, *machine.Program, []exec.Step, *pipeline.Graph) {
 	t.Helper()
 	sc := &scratch{}
-	ents, err := resolve(p.CPU, insts, nil, false)
+	ents, err := resolve(p.CPU, memo.InternBlock(nil, &x86.Block{Insts: insts}), nil, false)
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"bhive/internal/memo"
 	"bhive/internal/profcache"
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
@@ -46,7 +47,7 @@ func TestBlockIdentityPinned(t *testing.T) {
 		}
 		// The identity does not depend on the µarch that resolves it.
 		for _, cpu := range []*uarch.CPU{uarch.Haswell(), uarch.IvyBridge()} {
-			ents, _ := resolve(cpu, b.Insts, nil, true)
+			ents, _ := resolve(cpu, memo.InternBlock(nil, b), nil, true)
 			code := encoding(ents, nil)
 			if got := blockSeed(code); got != tc.seed {
 				t.Errorf("%q on %s: seed %d, pinned %d", tc.text, cpu.Name, got, tc.seed)

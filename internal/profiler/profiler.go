@@ -243,8 +243,10 @@ type scratch struct {
 	onFault func(*vm.Fault) bool
 
 	// Per-key state of ProfileEach: each key's resolved entries of the
-	// block, its cache key and whether the shared pass served it; raw is
-	// the block's encoding, the identity behind its seed and cache hex.
+	// block, its cache key and whether the shared pass served it; ids are
+	// the block's memo ids, interned once for every key, and raw is the
+	// block's encoding, the identity behind its seed and cache hex.
+	ids    []memo.ID
 	ents   [][]*memo.PreparedInst
 	keys   []string
 	served []bool
@@ -350,15 +352,16 @@ func (p *Profiler) resetState(st *exec.State) *exec.State {
 	return st
 }
 
-// resolve looks insts up on cpu, appending each entry to dst, and returns
-// the entries and the first failure to prepare an instruction, in
-// instruction order. It stops at that failure unless all is set; the
-// block identity (encoding) needs every instruction's encoding.
-func resolve(cpu *uarch.CPU, insts []x86.Inst, dst []*memo.PreparedInst, all bool) ([]*memo.PreparedInst, error) {
+// resolve looks the interned block ids up on cpu, appending each entry to
+// dst, and returns the entries and the first failure to prepare an
+// instruction, in instruction order. It stops at that failure unless all
+// is set; the block identity (encoding) needs every instruction's
+// encoding.
+func resolve(cpu *uarch.CPU, ids []memo.ID, dst []*memo.PreparedInst, all bool) ([]*memo.PreparedInst, error) {
 	arch := memo.For(cpu)
 	var first error
-	for i := range insts {
-		e := arch.Prepared(&insts[i])
+	for _, id := range ids {
+		e := arch.At(id)
 		dst = append(dst, e)
 		if e.Err != nil && first == nil {
 			first = e.Err
@@ -489,9 +492,11 @@ func ProfileEach(b *x86.Block, ps []*Profiler, out []Result) {
 	defer lead.pool.Put(sc)
 	sc.grow(len(ps))
 
-	// One walk resolves the lead key's entries and the block's identity.
+	// One walk interns the block for every key and resolves the lead
+	// key's entries and the block's identity.
 	var leadErr error
-	sc.ents[0], leadErr = resolve(lead.CPU, b.Insts, sc.ents[0][:0], true)
+	sc.ids = memo.InternBlock(sc.ids[:0], b)
+	sc.ents[0], leadErr = resolve(lead.CPU, sc.ids, sc.ents[0][:0], true)
 	sc.raw = encoding(sc.ents[0], sc.raw[:0])
 	seed := blockSeed(sc.raw)
 	hexID, haveHex := "", false
@@ -515,7 +520,7 @@ func ProfileEach(b *x86.Block, ps []*Profiler, out []Result) {
 		}
 		ents, err := sc.ents[0], leadErr
 		if i > 0 {
-			ents, err = resolve(p.CPU, b.Insts, sc.ents[i][:0], false)
+			ents, err = resolve(p.CPU, sc.ids, sc.ents[i][:0], false)
 			sc.ents[i] = ents
 		}
 		var res Result
@@ -683,7 +688,8 @@ func (p *Profiler) Functional(b *x86.Block, fn func(*Pass)) {
 	sc := p.getScratch()
 	defer p.pool.Put(sc)
 	sc.grow(1)
-	ents, err := resolve(p.CPU, b.Insts, sc.ents[0][:0], false)
+	sc.ids = memo.InternBlock(sc.ids[:0], b)
+	ents, err := resolve(p.CPU, sc.ids, sc.ents[0][:0], false)
 	sc.ents[0] = ents
 	if err != nil {
 		fn(&Pass{Stop: StopPrepare, Err: err})
@@ -879,7 +885,8 @@ func (p *Profiler) MeasureRaw(b *x86.Block, unroll int) (pipeline.Counters, erro
 	sc := p.getScratch()
 	defer p.pool.Put(sc)
 	sc.grow(1)
-	ents, err := resolve(p.CPU, b.Insts, sc.ents[0][:0], false)
+	sc.ids = memo.InternBlock(sc.ids[:0], b)
+	ents, err := resolve(p.CPU, sc.ids, sc.ents[0][:0], false)
 	sc.ents[0] = ents
 	if err != nil {
 		return pipeline.Counters{}, err
