@@ -238,9 +238,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	if *progress {
 		m, sc := memo.Stats(), models.SchedStats()
-		fmt.Fprintf(stderr, "bhive-eval: memo insts=%d prepared=%d misses=%d uncacheable=%d  "+
+		fmt.Fprintf(stderr, "bhive-eval: memo insts=%d prepared=%d shapes=%d misses=%d uncacheable=%d  "+
 			"model scheduler in-order=%d occupancy-fallbacks=%d other-fallbacks=%d long-prologue-copies=%d\n",
-			m.Insts, m.Prepared, m.Misses, m.Uncacheable,
+			m.Insts, m.Prepared, m.Shapes, m.Misses, m.Uncacheable,
 			sc.InOrder, sc.OccupancyFallbacks, sc.OtherFallbacks, sc.LongPrologue)
 	}
 

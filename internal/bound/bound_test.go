@@ -169,6 +169,8 @@ func TestVacuous(t *testing.T) {
 	hsw := uarch.Haswell()
 	b := block(t, "4801d8")
 	e := *memo.For(hsw).Prepared(&b.Insts[0]) // a copy: entries are shared
+	sh := *e.Shape                            // and so are their shapes
+	e.Shape = &sh
 	if e.DescErr != nil {
 		t.Fatal(e.DescErr)
 	}
@@ -250,12 +252,14 @@ func TestLowerLeUpperCorpus(t *testing.T) {
 }
 
 // raiseLats returns copies of entries with every µop latency raised by
-// delta (saturating at the uint8 ceiling); the shared entries are left
-// untouched.
+// delta (saturating at the uint8 ceiling); the shared entries and their
+// shared shapes are left untouched.
 func raiseLats(entries []*memo.PreparedInst, delta int) []*memo.PreparedInst {
 	out := make([]*memo.PreparedInst, len(entries))
 	for i, e := range entries {
 		c := *e
+		sh := *e.Shape
+		c.Shape = &sh
 		c.Desc.Uops = make([]uarch.Uop, len(e.Desc.Uops))
 		copy(c.Desc.Uops, e.Desc.Uops)
 		for j := range c.Desc.Uops {

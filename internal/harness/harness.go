@@ -862,7 +862,9 @@ func (s *Suite) computeArch(cpu *uarch.CPU) (*archData, error) {
 		d.names = append(d.names, m.Name())
 		d.preds[m.Name()] = make([]float64, n)
 		d.overall[m.Name()] = new(stats.Running)
-		d.tau[m.Name()] = new(stats.TauAcc)
+		tau := new(stats.TauAcc)
+		tau.Reserve(n) // one pair per record at most
+		d.tau[m.Name()] = tau
 	}
 
 	// Pass 2: predictions, shard by shard; every shard (resumed or

@@ -159,6 +159,7 @@ func (s *Suite) CrossValidation(cpus []*uarch.CPU) ([]*Table, error) {
 				label := bes[ai].Name() + " vs " + bes[bi].Name()
 				var errMean stats.Running
 				var tau stats.TauAcc
+				tau.Reserve(len(s.recs))
 				agree, both := 0, 0
 				counts := map[[2]profiler.Status]int{}
 				for i := range s.recs {

@@ -10,17 +10,27 @@
 //   - Inst: one *InstInfo per instruction value — everything that does
 //     not depend on the microarchitecture — published when the
 //     instruction is interned;
-//   - For(cpu).At(id): one *PreparedInst per (instruction, µarch) — both
-//     µop descriptions, sharing the instruction's *InstInfo — held in
-//     fixed-size chunks indexed by id, with no lock and no hash on a hit.
+//   - For(cpu).At(id): one *PreparedInst per (instruction, µarch), held
+//     in fixed-size chunks indexed by id, with no lock and no hash on a
+//     hit. An entry is 32 bytes: the instruction's *InstInfo, a *Shape
+//     (both µop descriptions and their failures) and the entry's first
+//     failure. Each Arch interns error-free shapes by content on its miss
+//     path, so the instructions whose descriptions are equal on one µarch
+//     — a few dozen shapes cover a generated corpus — share one Shape.
 //
 // Prepared and Resolve are Intern followed by At. Each entry is derived
 // on the first miss and published exactly once: on a concurrent miss the
 // first store wins and every caller receives that same pointer. Entries
-// are immutable once published; callers must treat every field, slices
-// included, as read-only (the pipeline copies µop specs before mutating
-// latencies). A consumer resolves each instruction with one lookup and
-// reads every derivation it needs from that entry.
+// and shapes are immutable once published; callers must treat every
+// field, slices included, as read-only (the pipeline copies µop specs
+// before mutating latencies). Copying an entry does not copy its shape:
+// a caller that edits a description copies the Shape first. A consumer
+// resolves each instruction with one lookup and reads every derivation it
+// needs from that entry.
+//
+// Entries are not stored by value in the chunks: the bytes are in the
+// descriptions, which shapes share, so a value slot would save only the
+// 8-byte slot pointer and would need a second publication protocol.
 package memo
 
 import (
@@ -176,11 +186,13 @@ type InstInfo struct {
 	Addr, Data, Writes []uint8
 }
 
-// PreparedInst is the per-(instruction, µarch) memo entry: the
-// instruction's InstInfo plus both µop descriptions on one
-// microarchitecture.
-type PreparedInst struct {
-	*InstInfo
+// Shape is an instruction's pair of µop descriptions on one
+// microarchitecture. An Arch interns error-free shapes by content, so
+// every instruction whose descriptions are equal on that µarch points at
+// one Shape; a shape carrying an error belongs to its one entry. Shapes
+// are shared and immutable: a caller that wants to change a description
+// copies the Shape (and the µop slice) first.
+type Shape struct {
 	// Desc is cpu.Describe (with the rename-time zero-idiom and
 	// move-elimination tricks); DescErr its failure.
 	Desc    uarch.Desc
@@ -188,6 +200,14 @@ type PreparedInst struct {
 	// RawDesc is cpu.DescribeRaw (without them); RawDescErr its failure.
 	RawDesc    uarch.Desc
 	RawDescErr error
+}
+
+// PreparedInst is the per-(instruction, µarch) memo entry: the
+// instruction's InstInfo and its µop descriptions on one
+// microarchitecture, 32 bytes in all.
+type PreparedInst struct {
+	*InstInfo
+	*Shape
 	// Err is the first failure of preparing the instruction for execution:
 	// EncErr, else DescErr.
 	Err error
@@ -325,6 +345,11 @@ type Arch struct {
 	cpu     *uarch.CPU
 	preps   chunks[PreparedInst]
 	entries atomic.Int64
+
+	// shapes maps the content key (shapeKey) of each error-free shape
+	// published on this µarch to that shape.
+	shapeMu sync.Mutex
+	shapes  map[string]*Shape
 }
 
 // For returns the table of cpu's microarchitecture. Tables are keyed by
@@ -393,22 +418,76 @@ func (a *Arch) ResolveIDs(dst []*PreparedInst, ids []ID) []*PreparedInst {
 	return dst
 }
 
+// prepare derives the entry of in on this microarchitecture. The shape is
+// built on the stack and heap-allocated only if it carries an error or
+// this µarch has not published its content yet.
 func (a *Arch) prepare(in *x86.Inst, info *InstInfo) *PreparedInst {
-	p := &PreparedInst{InstInfo: info}
-	p.Desc, p.DescErr = a.cpu.Describe(in)
-	if p.Desc.ZeroIdiom || p.Desc.EliminatedMove {
-		p.RawDesc, p.RawDescErr = a.cpu.DescribeRaw(in)
+	var sh Shape
+	sh.Desc, sh.DescErr = a.cpu.Describe(in)
+	if sh.Desc.ZeroIdiom || sh.Desc.EliminatedMove {
+		sh.RawDesc, sh.RawDescErr = a.cpu.DescribeRaw(in)
 	} else {
 		// Describe differs from DescribeRaw only by those two rename-time
 		// eliminations; without them the two views are one derivation and
 		// share its µop slice.
-		p.RawDesc, p.RawDescErr = p.Desc, p.DescErr
+		sh.RawDesc, sh.RawDescErr = sh.Desc, sh.DescErr
 	}
-	p.Err = info.EncErr
+	p := &PreparedInst{InstInfo: info, Err: info.EncErr}
+	if sh.DescErr != nil || sh.RawDescErr != nil {
+		p.Shape = new(Shape)
+		*p.Shape = sh
+	} else {
+		p.Shape = a.intern(&sh)
+	}
 	if p.Err == nil {
 		p.Err = p.DescErr
 	}
 	return p
+}
+
+// intern returns the published shape equal to sh, publishing a heap copy
+// of sh if there is none.
+func (a *Arch) intern(sh *Shape) *Shape {
+	var buf [128]byte
+	k := shapeKey(buf[:0], sh)
+	a.shapeMu.Lock()
+	defer a.shapeMu.Unlock()
+	if s, ok := a.shapes[string(k)]; ok {
+		return s
+	}
+	if a.shapes == nil {
+		a.shapes = make(map[string]*Shape)
+	}
+	s := new(Shape)
+	*s = *sh
+	a.shapes[string(k)] = s
+	return s
+}
+
+// shapeKey appends the content key of an error-free shape to dst: two
+// shapes get one key only if they are reflect.DeepEqual, so a nil µop
+// slice and an empty one differ. (Whether RawDesc shares Desc's µop
+// slice follows from Desc's flags, as prepare builds it.)
+func shapeKey(dst []byte, sh *Shape) []byte {
+	return descKey(descKey(dst, &sh.Desc), &sh.RawDesc)
+}
+
+// descKey appends the content of d to dst.
+func descKey(dst []byte, d *uarch.Desc) []byte {
+	dst = append(dst, flag(d.Uops == nil), flag(d.ZeroIdiom), flag(d.EliminatedMove), flag(d.FP), flag(d.Generic))
+	dst = binary.AppendVarint(dst, int64(d.FusedUops))
+	dst = binary.AppendUvarint(dst, uint64(len(d.Uops)))
+	for _, u := range d.Uops {
+		dst = append(dst, byte(u.Class), byte(u.Ports), byte(u.Ports>>8), u.Lat, u.Occupancy)
+	}
+	return dst
+}
+
+func flag(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Counters is a snapshot of the memo's counters. Only slow paths (misses
@@ -418,6 +497,10 @@ type Counters struct {
 	// instruction; Prepared the per-(instruction, µarch) entries
 	// published, summed over microarchitectures.
 	Insts, Prepared int64
+	// Shapes is the number of shared shapes published, summed over
+	// microarchitectures: Prepared/Shapes is roughly how many entries
+	// share each one (entries whose shape carries an error share none).
+	Shapes int64
 	// Misses counts derivations run for a table, including those that lost
 	// the publish race to a concurrent miss on the same instruction.
 	Misses int64
@@ -437,6 +520,9 @@ func Stats() Counters {
 	defer archMu.Unlock()
 	for _, a := range archs {
 		s.Prepared += a.entries.Load()
+		a.shapeMu.Lock()
+		s.Shapes += int64(len(a.shapes))
+		a.shapeMu.Unlock()
 	}
 	return s
 }

@@ -41,10 +41,10 @@ func direct(cpu *uarch.CPU, in *x86.Inst) *PreparedInst {
 	info.Raw, info.EncErr = x86.Encode(*in)
 	info.LCP = x86.LengthChangingPrefix(info.Raw)
 	info.Addr, info.Data, info.Writes = regSets(in)
-	p := &PreparedInst{InstInfo: info}
-	p.Desc, p.DescErr = cpu.Describe(in)
-	p.RawDesc, p.RawDescErr = cpu.DescribeRaw(in)
-	p.Err = info.EncErr
+	sh := new(Shape)
+	sh.Desc, sh.DescErr = cpu.Describe(in)
+	sh.RawDesc, sh.RawDescErr = cpu.DescribeRaw(in)
+	p := &PreparedInst{InstInfo: info, Shape: sh, Err: info.EncErr}
 	if p.Err == nil {
 		p.Err = p.DescErr
 	}
@@ -248,6 +248,55 @@ func TestUnsupportedMemoized(t *testing.T) {
 	}
 }
 
+// TestShapesShared checks the shape interning on each microarchitecture:
+// entries whose descriptions are equal and error-free share one *Shape,
+// and an entry whose shape carries an error shares it with no other entry.
+func TestShapesShared(t *testing.T) {
+	blocks := testBlocks(t)
+	for _, cpu := range uarch.Extended() {
+		a := For(cpu)
+		var shared []*Shape
+		owned := map[*Shape]*x86.Inst{}
+		entries := 0
+		for _, b := range blocks {
+			for i := range b.Insts {
+				in := &b.Insts[i]
+				e := a.Prepared(in)
+				entries++
+				if e.DescErr != nil || e.RawDescErr != nil {
+					if prev, ok := owned[e.Shape]; ok && !reflect.DeepEqual(prev, in) {
+						t.Fatalf("%s: %s and %s share a shape carrying an error", cpu.Name, prev, in)
+					}
+					owned[e.Shape] = in
+					continue
+				}
+				found := false
+				for _, s := range shared {
+					if reflect.DeepEqual(*s, *e.Shape) {
+						if s != e.Shape {
+							t.Fatalf("%s/%s: equal descriptions in two shapes", cpu.Name, in)
+						}
+						found = true
+						break
+					}
+				}
+				if !found {
+					shared = append(shared, e.Shape)
+				}
+			}
+		}
+		for _, s := range shared {
+			if _, ok := owned[s]; ok {
+				t.Fatalf("%s: an erroring entry shares a published shape", cpu.Name)
+			}
+		}
+		t.Logf("%s: %d entries over %d shared shapes and %d erroring ones", cpu.Name, entries, len(shared), len(owned))
+	}
+	if s := Stats(); s.Shapes == 0 || s.Shapes > s.Prepared {
+		t.Fatalf("implausible shape count: %+v", s)
+	}
+}
+
 // TestNoUncacheableFallbacks checks that every instruction of the
 // generated corpus has a memo key on every microarchitecture: the
 // uncacheable fallback is for malformed instruction values only.
@@ -447,6 +496,40 @@ func TestConcurrentAccess(t *testing.T) {
 			t.Fatalf("the %s directory did not grow past id %d", name, boundary)
 		}
 	}
+
+	// Last, goroutines released together miss on distinct instructions
+	// with one description, on a table with no shape published yet: all
+	// of them must receive the one published shape.
+	for round := 0; round < 20; round++ {
+		a := &Arch{cpu: uarch.Haswell()}
+		var (
+			start  = make(chan struct{})
+			shapes [workers]*Shape
+		)
+		ids := make([]ID, workers)
+		for w := range ids {
+			in := fresh()
+			ids[w] = Intern(&in)
+		}
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				shapes[w] = a.At(ids[w]).Shape
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for w := 1; w < workers; w++ {
+			if shapes[w] != shapes[0] {
+				t.Fatalf("round %d: concurrent misses on one description published more than one shape", round)
+			}
+		}
+		if shapes[0].DescErr != nil || len(a.shapes) != 1 {
+			t.Fatalf("round %d: %d shapes published (error %v), want one", round, len(a.shapes), shapes[0].DescErr)
+		}
+	}
 }
 
 // TestLookupAllocFree pins the hit path at zero allocations.
@@ -561,6 +644,37 @@ func TestResolveIDsAllocs(t *testing.T) {
 	pass()
 	if n := testing.AllocsPerRun(3, pass); n != 0 {
 		t.Fatalf("the id path allocates %.1f times per pass over %d blocks", n, len(blocks))
+	}
+}
+
+// TestSharedShapeMissAllocs pins a miss on an instruction whose shape is
+// already published: it allocates the 32-byte entry and Describe's µop
+// slice, and no shape.
+func TestSharedShapeMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const runs = 100
+	cpu := uarch.Haswell()
+	a := For(cpu)
+	insts := make([]x86.Inst, runs+2)
+	ids := make([]ID, len(insts))
+	for i := range insts {
+		insts[i] = fresh()
+		ids[i] = Intern(&insts[i])
+	}
+	a.preps.slot(ids[len(ids)-1]) // grow the directory outside the count
+	shape := a.At(ids[0]).Shape
+	describe := testing.AllocsPerRun(runs, func() { cpu.Describe(&insts[0]) })
+	next := 1
+	n := testing.AllocsPerRun(runs, func() {
+		if a.At(ids[next]).Shape != shape {
+			t.Fatal("an instruction of a published shape got its own")
+		}
+		next++
+	})
+	if want := 1 + describe; n != want {
+		t.Fatalf("a miss on a published shape allocates %.1f times, want %.1f (the entry and Describe's %.1f)", n, want, describe)
 	}
 }
 

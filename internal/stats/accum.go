@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file holds the incremental aggregators the sharded evaluation
 // pipeline streams into: each shard's results are folded in, in record
@@ -89,6 +92,13 @@ func (t *TauAcc) Add(pred, meas float64) {
 	}
 	t.a = append(t.a, pred)
 	t.b = append(t.b, meas)
+}
+
+// Reserve makes room for n more pairs, so that feeding up to n pairs
+// allocates each slice once instead of growing it step by step.
+func (t *TauAcc) Reserve(n int) {
+	t.a = slices.Grow(t.a, n)
+	t.b = slices.Grow(t.b, n)
 }
 
 // N returns the number of accumulated pairs.

@@ -87,4 +87,20 @@ func TestTauAccMatchesKendallTau(t *testing.T) {
 	if empty.Value() != 0 {
 		t.Fatal("empty tau")
 	}
+
+	// A reserved accumulator yields the same tau and allocates nothing
+	// while it is fed.
+	var reserved TauAcc
+	reserved.Reserve(n)
+	if allocs := testing.AllocsPerRun(1, func() {
+		reserved = TauAcc{a: reserved.a[:0], b: reserved.b[:0]}
+		for i := range a {
+			reserved.Add(a[i], b[i])
+		}
+	}); allocs != 0 {
+		t.Fatalf("feeding %d reserved pairs allocates %.1f times", n, allocs)
+	}
+	if got, want := reserved.Value(), acc.Value(); got != want {
+		t.Fatalf("reserved tau %v != tau %v", got, want)
+	}
 }

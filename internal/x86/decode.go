@@ -3,6 +3,7 @@ package x86
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // decKey identifies a decode-table bucket.
@@ -69,22 +70,37 @@ func Decode(code []byte) (Inst, int, error) {
 	return in, d.pos, nil
 }
 
-// DecodeBlock decodes an entire basic block of machine code.
+// blockScratch recycles DecodeBlock's growing instruction buffer, so
+// each call allocates its result once, at its exact size.
+var blockScratch = sync.Pool{New: func() any { return new([]Inst) }}
+
+// DecodeBlock decodes an entire basic block of machine code. The result
+// is nil for an empty block.
 func DecodeBlock(code []byte) ([]Inst, error) {
-	var out []Inst
+	buf := blockScratch.Get().(*[]Inst)
+	defer func() {
+		clear(*buf) // drop the operand slices the result now owns
+		*buf = (*buf)[:0]
+		blockScratch.Put(buf)
+	}()
 	off := 0
 	for off < len(code) {
 		in, n, err := Decode(code[off:])
 		if err != nil {
 			if de, ok := err.(*DecodeErr); ok {
 				de.Offset += off
-				de.Index = len(out)
+				de.Index = len(*buf)
 			}
 			return nil, err
 		}
-		out = append(out, in)
+		*buf = append(*buf, in)
 		off += n
 	}
+	if len(*buf) == 0 {
+		return nil, nil
+	}
+	out := make([]Inst, len(*buf))
+	copy(out, *buf)
 	return out, nil
 }
 

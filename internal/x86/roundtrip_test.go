@@ -239,6 +239,36 @@ func TestDecodeErrIndex(t *testing.T) {
 	}
 }
 
+// TestDecodeBlockResult pins DecodeBlock's result: nil for an empty block,
+// exactly as long as its capacity, and owned by the caller — a later
+// decode through the recycled buffer leaves it unchanged.
+func TestDecodeBlockResult(t *testing.T) {
+	if insts, err := DecodeBlock(nil); insts != nil || err != nil {
+		t.Fatalf("empty block: %v, %v; want nil, nil", insts, err)
+	}
+	raw, _ := hex.DecodeString("4889c84889d94801d8")
+	first, err := DecodeBlock(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 3 || cap(first) != len(first) {
+		t.Fatalf("%d instructions in a slice of capacity %d, want 3 in 3", len(first), cap(first))
+	}
+	want := make([]string, len(first))
+	for i := range first {
+		want[i] = first[i].String()
+	}
+	other, _ := hex.DecodeString("31c0ffc0")
+	if _, err := DecodeBlock(other); err != nil {
+		t.Fatal(err)
+	}
+	for i := range first {
+		if got := first[i].String(); got != want[i] {
+			t.Fatalf("instruction %d changed to %s after another decode, want %s", i, got, want[i])
+		}
+	}
+}
+
 func containsAll(s string, subs ...string) bool {
 	for _, sub := range subs {
 		found := false
