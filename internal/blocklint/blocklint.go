@@ -22,10 +22,12 @@ package blocklint
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"bhive/internal/bound"
 	"bhive/internal/memo"
@@ -212,6 +214,8 @@ func (r *Report) Agrees(dyn profiler.Status) bool {
 type Analyzer struct {
 	// prof runs the functional pass; its CPU and Opts are the analyzer's.
 	prof *profiler.Profiler
+	// pool holds the per-call scratches.
+	pool sync.Pool
 }
 
 // New builds an analyzer mirroring a profiler.New(cpu, opts).
@@ -219,11 +223,41 @@ func New(cpu *uarch.CPU, opts profiler.Options) *Analyzer {
 	return &Analyzer{prof: profiler.New(cpu, opts)}
 }
 
+// scratch is one analysis's working memory, reused through the analyzer's
+// pool. Nothing in a Report points into it: diagnostics hold formatted
+// strings, and the facts and bounds are values.
+type scratch struct {
+	raw       []byte        // AnalyzeHex: the row's bytes
+	block     x86.Block     // AnalyzeHex: the row decoded into insts
+	insts     []x86.Inst    // the decoded instructions
+	args      []x86.Operand // their operands
+	again     []x86.Inst    // roundTrip: the re-decoded instructions
+	againArgs []x86.Operand // their operands
+	entries   []*memo.PreparedInst
+	offsets   []int     // each instruction's byte offset in code
+	code      []byte    // the canonical encoding
+	hex       []byte    // code's hex
+	defUse    []DepEdge // computeFacts: the def-use edges, before their exact copy
+	aggs      []memAgg  // observe: per-instruction access aggregates
+}
+
+// getScratch takes a scratch from the pool; return it with a.pool.Put.
+func (a *Analyzer) getScratch() *scratch {
+	if v := a.pool.Get(); v != nil {
+		return v.(*scratch)
+	}
+	return new(scratch)
+}
+
 // AnalyzeHex analyzes a block given as corpus machine-code hex. Undecodable
 // input yields a report with CodeNoDecode and a Crashed prediction (such a
 // row cannot be profiled at all).
 func (a *Analyzer) AnalyzeHex(hexStr string) *Report {
-	raw, err := hex.DecodeString(hexStr)
+	s := a.getScratch()
+	defer a.pool.Put(s)
+	s.raw = append(s.raw[:0], hexStr...)
+	n, err := hex.Decode(s.raw, s.raw)
+	s.raw = s.raw[:n]
 	if err != nil {
 		return &Report{
 			Predicted:     profiler.StatusCrashed,
@@ -232,7 +266,7 @@ func (a *Analyzer) AnalyzeHex(hexStr string) *Report {
 			Diags:         []Diag{{Code: CodeNoDecode, Inst: -1, Offset: -1, Msg: fmt.Sprintf("not hex: %v", err)}},
 		}
 	}
-	insts, err := x86.DecodeBlock(raw)
+	s.insts, s.args, err = x86.DecodeBlockInto(s.insts, s.args, s.raw)
 	if err != nil {
 		d := Diag{Code: CodeNoDecode, Inst: -1, Offset: -1, Msg: err.Error()}
 		if de, ok := err.(*x86.DecodeErr); ok {
@@ -246,15 +280,21 @@ func (a *Analyzer) AnalyzeHex(hexStr string) *Report {
 			Diags:         []Diag{d},
 		}
 	}
-	return a.analyze(&x86.Block{Insts: insts}, raw)
+	s.block.Insts = s.insts
+	return a.analyze(s, &s.block, s.raw, hexStr)
 }
 
 // Analyze analyzes a decoded block.
-func (a *Analyzer) Analyze(b *x86.Block) *Report { return a.analyze(b, nil) }
+func (a *Analyzer) Analyze(b *x86.Block) *Report {
+	s := a.getScratch()
+	defer a.pool.Put(s)
+	return a.analyze(s, b, nil, "")
+}
 
-// analyze runs the full pipeline; orig, when non-nil, is the block's
-// original encoding (for round-trip fidelity checking).
-func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
+// analyze runs the full pipeline in s; orig, when non-nil, is the block's
+// original encoding (for round-trip fidelity checking), and hexStr its
+// hex as given, which the report reuses when it is the canonical hex.
+func (a *Analyzer) analyze(s *scratch, b *x86.Block, orig []byte, hexStr string) *Report {
 	rep := &Report{NumInsts: len(b.Insts), Predicted: profiler.StatusOK, Exact: true}
 	defer func() {
 		rep.PredictedName = rep.Predicted.String()
@@ -275,9 +315,11 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 	// Mirror machine.PrepareUnrolled: encode then describe each distinct
 	// instruction in order; the first failure decides the status. The
 	// block is resolved once; every later stage reads the entries.
-	entries := memo.For(cpu).Resolve(make([]*memo.PreparedInst, 0, n), b)
-	offsets := make([]int, n)
-	var code []byte
+	s.entries = memo.For(cpu).Resolve(s.entries[:0], b)
+	entries := s.entries
+	s.offsets = slices.Grow(s.offsets[:0], n)[:n]
+	offsets := s.offsets
+	code := s.code[:0]
 	for i, e := range entries {
 		off := len(code)
 		offsets[i] = off
@@ -299,11 +341,16 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 		}
 		code = append(code, e.Raw...)
 	}
+	s.code = code
 
-	rep.Hex = hex.EncodeToString(code)
-	a.roundTrip(rep, b.Insts, code, orig)
+	s.hex = hex.AppendEncode(s.hex[:0], code)
+	rep.Hex = hexStr
+	if string(s.hex) != hexStr {
+		rep.Hex = string(s.hex)
+	}
+	a.roundTrip(s, rep, b.Insts, code, orig)
 
-	rep.Facts = computeFacts(b.Insts, entries, offsets, lo, hi, len(code)*hi)
+	rep.Facts = computeFacts(s, b.Insts, entries, offsets, lo, hi, len(code)*hi)
 
 	// Static cycle bounds over the same descriptors; the dependence facts
 	// come from the same simulator-congruent chain analysis the bounds use
@@ -324,15 +371,22 @@ func (a *Analyzer) analyze(b *x86.Block, orig []byte) *Report {
 
 	// The profiler's own functional pass decides the verdict.
 	a.prof.Functional(b, func(pass *profiler.Pass) {
-		rep.Predicted = a.replay(rep, b.Insts, pass)
+		rep.Predicted = a.replay(s, rep, b.Insts, pass)
 	})
 	return rep
 }
 
 // roundTrip checks decode→encode→decode fidelity: code is the block's
-// canonical re-encoding, orig its original bytes (nil if unknown).
-func (a *Analyzer) roundTrip(rep *Report, insts []x86.Inst, code, orig []byte) {
-	again, err := x86.DecodeBlock(code)
+// canonical re-encoding, orig its original bytes (nil if unknown). When
+// code equals orig there is nothing to find: insts were decoded from
+// orig, so decoding code yields them again, and the encoding is not
+// lossy. Otherwise code is re-decoded into s.
+func (a *Analyzer) roundTrip(s *scratch, rep *Report, insts []x86.Inst, code, orig []byte) {
+	if orig != nil && bytes.Equal(orig, code) {
+		return
+	}
+	again, args, err := x86.DecodeBlockInto(s.again, s.againArgs, code)
+	s.again, s.againArgs = again, args
 	if err != nil {
 		d := Diag{Code: CodeRoundTripMismatch, Inst: -1, Offset: -1,
 			Msg: fmt.Sprintf("re-encoded block does not decode: %v", err)}
@@ -365,16 +419,7 @@ func (r *Report) addDiag(d Diag) { r.Diags = append(r.Diags, d) }
 // sortDiags orders reject diagnostics first, then warns, then infos,
 // preserving discovery order within a severity.
 func sortDiags(ds []Diag) {
-	if len(ds) < 2 {
-		return
-	}
-	ordered := make([]Diag, 0, len(ds))
-	for sev := SevReject; sev >= SevInfo; sev-- {
-		for _, d := range ds {
-			if d.Code.Severity() == sev {
-				ordered = append(ordered, d)
-			}
-		}
-	}
-	copy(ds, ordered)
+	slices.SortStableFunc(ds, func(x, y Diag) int {
+		return cmp.Compare(y.Code.Severity(), x.Code.Severity())
+	})
 }

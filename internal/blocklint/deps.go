@@ -102,11 +102,11 @@ var resNames = func() (names [numRes]string) {
 // computeFacts derives the static facts for one block. entries and
 // offsets are indexed like insts; codeBytes is the hi-unrolled footprint.
 // The dependence heights and the observed memory fields are filled in
-// later, from the bound analysis and the functional pass.
-func computeFacts(insts []x86.Inst, entries []*memo.PreparedInst, offsets []int, lo, hi, codeBytes int) *Facts {
-	n := len(insts)
+// later, from the bound analysis and the functional pass. Each slice is
+// allocated once, at its exact size, and stays nil when empty.
+func computeFacts(s *scratch, insts []x86.Inst, entries []*memo.PreparedInst, offsets []int, lo, hi, codeBytes int) *Facts {
 	f := &Facts{
-		NumInsts:  n,
+		NumInsts:  len(insts),
 		UnrollLo:  lo,
 		UnrollHi:  hi,
 		CodeBytes: codeBytes,
@@ -117,7 +117,8 @@ func computeFacts(insts []x86.Inst, entries []*memo.PreparedInst, offsets []int,
 	// registers. lastDef holds each resource's defining instruction in
 	// the current iteration; a resource still undefined at a read comes
 	// from the previous iteration's last writer (a carried edge) if the
-	// block writes it at all.
+	// block writes it at all. The edges collect in s, the carried
+	// resources in discovery order in carriedOrder.
 	var finalDef, lastDef [numRes]int32
 	for r := range finalDef {
 		finalDef[r], lastDef[r] = -1, -1
@@ -127,7 +128,12 @@ func computeFacts(insts []x86.Inst, entries []*memo.PreparedInst, offsets []int,
 			finalDef[w] = int32(i)
 		}
 	}
-	var carried uint64
+	var (
+		carried      uint64
+		carriedOrder [numRes]uint8
+		numCarried   int
+	)
+	edges := s.defUse[:0]
 	for i, e := range entries {
 		var seen uint64 // resources with an edge into i already
 		for _, set := range [2][]uint8{e.Addr, e.Data} {
@@ -144,29 +150,50 @@ func computeFacts(insts []x86.Inst, entries []*memo.PreparedInst, offsets []int,
 					edge.From, edge.Carried = int(finalDef[r]), true
 					if carried&(1<<r) == 0 {
 						carried |= 1 << r
-						f.LoopCarried = append(f.LoopCarried, resNames[r])
+						carriedOrder[numCarried] = r
+						numCarried++
 					}
 				default:
 					continue // read of pristine initial state
 				}
-				f.DefUse = append(f.DefUse, edge)
+				edges = append(edges, edge)
 			}
 		}
 		for _, w := range e.Writes {
 			lastDef[w] = int32(i)
 		}
 	}
+	s.defUse = edges
+	if len(edges) > 0 {
+		f.DefUse = make([]DepEdge, len(edges))
+		copy(f.DefUse, edges)
+	}
+	if numCarried > 0 {
+		f.LoopCarried = make([]string, numCarried)
+		for j, r := range carriedOrder[:numCarried] {
+			f.LoopCarried[j] = resNames[r]
+		}
+	}
 
 	// Static memory-operand classification (observed fields come later).
+	numMem := 0
+	for i := range insts {
+		if memFactArg(&insts[i]) >= 0 {
+			numMem++
+		}
+	}
+	if numMem > 0 {
+		f.Mem = make([]MemFact, 0, numMem)
+	}
 	for i := range insts {
 		in := &insts[i]
-		k := in.MemArg()
-		if k < 0 || in.Op == x86.LEA {
+		k := memFactArg(in)
+		if k < 0 {
 			continue
 		}
 		rd, wr := in.ArgIO(k)
 		m := in.Args[k].Mem
-		mf := MemFact{
+		f.Mem = append(f.Mem, MemFact{
 			Inst:      i,
 			Offset:    offsets[i],
 			Class:     classifyAddr(m),
@@ -175,10 +202,18 @@ func computeFacts(insts []x86.Inst, entries []*memo.PreparedInst, offsets []int,
 			Size:      int(m.Size),
 			Disp:      m.Disp,
 			DispMod64: int(((int64(m.Disp) % 64) + 64) % 64),
-		}
-		f.Mem = append(f.Mem, mf)
+		})
 	}
 	return f
+}
+
+// memFactArg returns the index of in's memory operand when it accesses
+// memory (LEA only computes an address), or -1.
+func memFactArg(in *x86.Inst) int {
+	if in.Op == x86.LEA {
+		return -1
+	}
+	return in.MemArg()
 }
 
 // classifyAddr buckets a memory operand by its static address shape.

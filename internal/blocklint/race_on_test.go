@@ -1,0 +1,5 @@
+//go:build race
+
+package blocklint
+
+const raceEnabled = true

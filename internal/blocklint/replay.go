@@ -3,6 +3,7 @@ package blocklint
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"bhive/internal/exec"
 	"bhive/internal/profiler"
@@ -13,7 +14,7 @@ import (
 // replay reads the predicted status off the profiler's functional pass,
 // adding its diagnostics to rep and its observed addresses to rep.Facts.
 // Execution-stage diagnostics carry no byte offset (Offset -1).
-func (a *Analyzer) replay(rep *Report, insts []x86.Inst, pass *profiler.Pass) profiler.Status {
+func (a *Analyzer) replay(s *scratch, rep *Report, insts []x86.Inst, pass *profiler.Pass) profiler.Status {
 	n := len(insts)
 
 	// BL013 fires at the first vector instruction execution reaches,
@@ -36,7 +37,7 @@ func (a *Analyzer) replay(rep *Report, insts []x86.Inst, pass *profiler.Pass) pr
 		return profiler.StatusCrashed
 	}
 
-	split := observe(rep.Facts, pass.Steps, n, uint64(a.lineSize()))
+	split := observe(s, rep.Facts, pass.Steps, n, uint64(a.lineSize()))
 	if split >= 0 && a.prof.Opts.FilterMisaligned {
 		rep.addDiag(Diag{Code: CodeLineSplit, Inst: split, Offset: -1,
 			Msg: "access crosses a cache-line boundary in the timed run"})
@@ -140,9 +141,14 @@ func containsPage(pages []uint64, base uint64) bool {
 
 // observe folds the completed trace's memory accesses into the observed
 // fields of f.Mem and returns the static index of the first instruction
-// whose access crosses a cache line (-1 if none does).
-func observe(f *Facts, steps []exec.Step, n int, lineSize uint64) int {
-	aggs := make([]memAgg, n)
+// whose access crosses a cache line (-1 if none does). The per-instruction
+// aggregates and their page lists live in s.
+func observe(s *scratch, f *Facts, steps []exec.Step, n int, lineSize uint64) int {
+	s.aggs = slices.Grow(s.aggs[:0], n)[:n]
+	aggs := s.aggs
+	for i := range aggs {
+		aggs[i] = memAgg{pages: aggs[i].pages[:0]}
+	}
 	split := -1
 	for i := range steps {
 		idx := i % n

@@ -3,6 +3,7 @@ package models
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -48,6 +49,49 @@ func checkDerived(t *testing.T, label string, insts []simInst, width, nports, bl
 		t.Fatalf("%s: derivedPrediction %v, event loop %v", label, got, want)
 	}
 	return path
+}
+
+// TestEventPairFork checks the fork of the k-copy run off the 2k-copy
+// run against derivedByEvent's two separate runs, cycles and errors
+// alike: on a block whose k-copy run issues its last µop while its
+// trailing zero-µop instructions still wait to allocate, and on random
+// synthetic blocks, wild ones included, whether or not the in-order pass
+// would have claimed them.
+func TestEventPairFork(t *testing.T) {
+	check := func(label string, insts []simInst, width, nports int) *simScratch {
+		t.Helper()
+		k := unrollFor(len(insts))
+		c1, c2, _, wantErr := derivedByEvent(insts, width, nports, len(insts))
+		s := new(simScratch)
+		s.template(insts, 2*k, uint32(1)<<nports-1)
+		g1, g2, err := s.eventPair(insts, k, width, nports)
+		if err != wantErr || g1 != c1 || g2 != c2 {
+			t.Fatalf("%s: eventPair c(k), c(2k) = %d, %d (%v); two runs %d, %d (%v)", label, g1, g2, err, c1, c2, wantErr)
+		}
+		return s
+	}
+
+	tail := []simInst{{uops: []simUop{{ports: uarch.Ports(0), class: uarch.ClassIntALU}}, fused: 1}}
+	for range 8 {
+		tail = append(tail, simInst{fused: 1, zeroIdiom: true})
+	}
+	if s := check("zero-µop tail", tail, 4, 2); !s.fork.done {
+		t.Fatal("zero-µop tail: the k-copy run did not end before its allocation stopped")
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	data := make([]byte, 40)
+	for i := range 3000 {
+		rng.Read(data)
+		width, nports := 1+rng.Intn(6), 1+rng.Intn(10)
+		insts := synthInsts(data[:1+rng.Intn(len(data))], width, nports)
+		if rng.Intn(4) == 0 {
+			insts = synthInsts(data, width+1, min(nports+2, 16))
+		}
+		if len(insts) > 0 {
+			check(fmt.Sprintf("synthetic %d", i), insts, width, nports)
+		}
+	}
 }
 
 // FuzzDerivedPrediction drives synthetic blocks — random port sets,

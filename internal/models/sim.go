@@ -86,6 +86,41 @@ type simScratch struct {
 	// In-order pass state (inorder.go).
 	done []int32 // completion cycle of each µop
 	ring []resv  // port reservations by cycle, indexed cycle mod len
+
+	// fork is a shorter run's state, saved from a longer one (eventPair).
+	fork fork
+}
+
+// evState is the event loop's state between cycles, apart from the
+// scheduler's arrays.
+type evState struct {
+	cycle, lastDone int64
+	inFlight        int       // allocated, unissued µops
+	completed       int32     // issued µops
+	portBusy        [16]int64 // cycle until which each port is busy
+	maxBusy         int64     // latest portBusy entry
+}
+
+// fork is the state of a run of fewer copies, taken from a run of more at
+// the point where the shorter run's allocation stops: µop ids are
+// allocated in order, so until then both runs are the same run on the
+// shorter run's id prefix. The longer run's wake-ups of µops beyond the
+// prefix touch only their own pending and readyAt entries, which the
+// shorter run never reads.
+type fork struct {
+	insts int   // unrolled instructions of the shorter run
+	uops  int32 // their µops
+	// done: the shorter run issued its last µop before its allocation
+	// stopped, and c is its cycle count. Otherwise the state below is
+	// where its allocation stopped.
+	done bool
+	c    int64
+
+	st      evState
+	pending []int32
+	readyAt []int64
+	ready   []int32
+	heap    []uint64
 }
 
 // resize returns b with length n, reallocating only when it must grow,
@@ -311,11 +346,16 @@ func (s *simScratch) reverse() {
 // min-heap until its readyAt. Cycles in which nothing can happen are
 // skipped. It returns an error when the block can never finish.
 func (s *simScratch) run(insts []simInst, copies, width, nports int, trace *[]ScheduleEntry) (int64, error) {
-	total := len(insts) * copies
-	n := s.start[total]
+	n := s.start[len(insts)*copies]
 	if n == 0 {
 		return idleCycles(insts, copies, width), nil
 	}
+	s.reset(n)
+	return s.loop(insts, copies, width, nports, evState{}, 0, nil, trace)
+}
+
+// reset readies the scheduler's arrays for a run over the first n µops.
+func (s *simScratch) reset(n int32) {
 	s.pending = resize(s.pending, int(n))
 	for id := range s.pending {
 		s.pending[id] = s.uops[id].deps
@@ -323,16 +363,29 @@ func (s *simScratch) run(insts []simInst, copies, width, nports int, trace *[]Sc
 	s.readyAt = resize(s.readyAt, int(n))
 	clear(s.readyAt)
 	s.ready, s.heap = s.ready[:0], s.heap[:0]
+}
 
+// loop runs the event loop of run over copies copies from st, with the
+// first nextInst unrolled instructions allocated. A resumed run
+// (nextInst > 0) starts at the issue stage of st.cycle, where the saved
+// run stopped allocating. With fk non-nil, it saves into fk the state of
+// the run over fk.insts instructions (see fork).
+func (s *simScratch) loop(insts []simInst, copies, width, nports int, st evState, nextInst int, fk *fork, trace *[]ScheduleEntry) (int64, error) {
+	total := len(insts) * copies
+	n := s.start[total]
 	var (
-		cycle, lastDone int64
-		nextInst        int   // next unrolled instruction to allocate
-		slot            int   // nextInst's position in the block
-		inFlight        int   // allocated, unissued µops
-		completed       int32 // issued µops
-		portBusy        [16]int64
-		maxBusy         int64 // latest portBusy entry
+		cycle, lastDone = st.cycle, st.lastDone
+		inFlight        = st.inFlight
+		completed       = st.completed
+		portBusy        = st.portBusy
+		maxBusy         = st.maxBusy
+		slot            = nextInst % len(insts) // nextInst's position in the block
+		resume          = nextInst > 0
+		forkAt, forkN   = -1, int32(-1)
 	)
+	if fk != nil {
+		forkAt, forkN = fk.insts, fk.uops
+	}
 	valid := uint32(1)<<nports - 1
 	// canAllocate reports whether the next instruction fits a fresh cycle's
 	// budget and the window.
@@ -342,6 +395,10 @@ func (s *simScratch) run(insts []simInst, copies, width, nports int, trace *[]Sc
 	}
 
 	for {
+		if resume {
+			resume = false
+			goto issue // the saved run's wake-ups and allocation are done
+		}
 		if len(s.heap) > 0 && int64(s.heap[0]>>32) <= cycle {
 			s.wakeDue(cycle)
 		}
@@ -367,8 +424,14 @@ func (s *simScratch) run(insts []simInst, copies, width, nports int, trace *[]Sc
 			inFlight += int(hi - lo)
 			if slot++; slot == len(insts) {
 				slot = 0
+				if nextInst+1 == forkAt {
+					// The shorter run's allocation stops here.
+					s.saveFork(fk, evState{cycle, lastDone, inFlight, completed, portBusy, maxBusy})
+					forkN = -1
+				}
 			}
 		}
+	issue:
 		allocated := s.start[nextInst]
 
 		// Issue, oldest first.
@@ -436,6 +499,13 @@ func (s *simScratch) run(insts []simInst, copies, width, nports int, trace *[]Sc
 			cycle++
 			break
 		}
+		if completed == forkN {
+			// The shorter run issued its last µop before its allocation
+			// stopped (its remaining instructions have no µops): it ends
+			// here, as the check above ends this run.
+			fk.done, fk.c = true, max(cycle+1, lastDone+1)
+			forkAt, forkN = -1, -1
+		}
 		next := cycle + 1
 		if !canAllocate() {
 			next = s.nextEvent(cycle, &portBusy)
@@ -454,6 +524,18 @@ func (s *simScratch) run(insts []simInst, copies, width, nports int, trace *[]Sc
 		cycle = lastDone + 1
 	}
 	return cycle, nil
+}
+
+// saveFork saves the scheduler's state, at st, into f for the shorter
+// run: its arrays up to its µop count, the ready list and the heap.
+func (s *simScratch) saveFork(f *fork, st evState) {
+	f.st = st
+	f.pending = resize(f.pending, int(f.uops))
+	copy(f.pending, s.pending)
+	f.readyAt = resize(f.readyAt, int(f.uops))
+	copy(f.readyAt, s.readyAt)
+	f.ready = append(f.ready[:0], s.ready...)
+	f.heap = append(f.heap[:0], s.heap...)
 }
 
 // insertReady inserts id into the ready list at its age position at or
@@ -590,14 +672,38 @@ func unrollFor(blockLen int) int {
 }
 
 // eventPair runs the event loop at k and 2k copies, over the 2k-copy
-// unrolling of the template inOrder built. The k-copy run schedules its
-// id prefix.
+// unrolling of the template inOrder built. The k-copy run schedules the
+// id prefix of the 2k-copy run's µops, so it forks off that run where its
+// allocation stops (see fork) and resumes from there. If the 2k-copy run
+// fails, the k-copy run runs alone first, so the error is the one running
+// k copies and then 2k reports.
 func (s *simScratch) eventPair(insts []simInst, k, width, nports int) (c1, c2 int64, err error) {
 	s.unroll(insts, 2*k)
-	if c1, err = s.run(insts, k, width, nports, nil); err != nil {
+	n1 := s.start[len(insts)*k]
+	if n1 == 0 {
+		// No µops at all (each copy has as many): both counts are idle.
+		return idleCycles(insts, k, width), idleCycles(insts, 2*k, width), nil
+	}
+	f := &s.fork
+	f.insts, f.uops, f.done = len(insts)*k, n1, false
+	s.reset(s.start[len(insts)*2*k])
+	c2, err = s.loop(insts, 2*k, width, nports, evState{}, 0, f, nil)
+	if err != nil {
+		if _, err1 := s.run(insts, k, width, nports, nil); err1 != nil {
+			return 0, 0, err1
+		}
 		return 0, 0, err
 	}
-	if c2, err = s.run(insts, 2*k, width, nports, nil); err != nil {
+	if f.done {
+		return f.c, c2, nil
+	}
+	// Copy the saved state back rather than swap buffers, so the fork's
+	// arrays stay the size of the shorter run.
+	copy(s.pending, f.pending)
+	copy(s.readyAt, f.readyAt)
+	s.ready = append(s.ready[:0], f.ready...)
+	s.heap = append(s.heap[:0], f.heap...)
+	if c1, err = s.loop(insts, k, width, nports, f.st, f.insts, nil, nil); err != nil {
 		return 0, 0, err
 	}
 	return c1, c2, nil

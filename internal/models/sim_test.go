@@ -226,7 +226,8 @@ func TestSimulateZeroLatencyWakeup(t *testing.T) {
 }
 
 // TestPredictAllocs guards the scheduler's arena: once the scratch has
-// grown, a derived prediction allocates nothing in the scheduler.
+// grown, a derived prediction allocates nothing in the scheduler, on the
+// in-order pass and on the event loop's forked k- and 2k-copy runs.
 func TestPredictAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -246,4 +247,34 @@ func TestPredictAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, run); avg > 0.5 {
 		t.Fatalf("derivedPrediction allocates %.1f times per call in steady state; want 0", avg)
 	}
+
+	// Blocks the in-order pass hands to the event loop: the 2k-copy run,
+	// the k-copy run's saved state and its resumed run reuse the scratch.
+	var fallbacks [][]simInst
+	for _, rec := range corpus.GenerateAll(0.003, 7) {
+		for _, opts := range []tableOpts{NewIACA(hsw).opts, NewLLVMMCA(hsw).opts} {
+			insts, err := buildSimInsts(hsw, rec.Block, opts, false)
+			if err != nil {
+				continue
+			}
+			if _, _, path := s.inOrder(insts, unrollFor(len(insts)), hsw.IssueWidth, hsw.NumPorts); path == pathConflict {
+				fallbacks = append(fallbacks, insts)
+			}
+		}
+	}
+	if len(fallbacks) < 10 {
+		t.Fatalf("only %d occupancy fallbacks in the corpus sample", len(fallbacks))
+	}
+	runFallbacks := func() {
+		for _, insts := range fallbacks {
+			if _, err := s.derivedPrediction(insts, hsw.IssueWidth, hsw.NumPorts, len(insts)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runFallbacks()
+	if avg := testing.AllocsPerRun(10, runFallbacks); avg != 0 {
+		t.Fatalf("derivedPrediction allocates %.1f times per pass over %d fallback blocks in steady state; want 0", avg, len(fallbacks))
+	}
+	t.Logf("%d occupancy fallbacks", len(fallbacks))
 }

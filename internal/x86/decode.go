@@ -3,6 +3,7 @@ package x86
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -70,43 +71,80 @@ func Decode(code []byte) (Inst, int, error) {
 	return in, d.pos, nil
 }
 
-// blockScratch recycles DecodeBlock's growing instruction buffer, so
-// each call allocates its result once, at its exact size.
-var blockScratch = sync.Pool{New: func() any { return new([]Inst) }}
+// decodeBuf is DecodeBlock's pooled working set.
+type decodeBuf struct {
+	insts []Inst
+	args  []Operand
+}
+
+// blockScratch recycles DecodeBlock's buffers, so each call allocates its
+// result once, at its exact size: the instructions and one operand array.
+var blockScratch = sync.Pool{New: func() any { return new(decodeBuf) }}
 
 // DecodeBlock decodes an entire basic block of machine code. The result
-// is nil for an empty block.
+// is nil for an empty block. Its instructions' operands share one array,
+// each instruction's Args a window of it with no spare capacity.
 func DecodeBlock(code []byte) ([]Inst, error) {
-	buf := blockScratch.Get().(*[]Inst)
-	defer func() {
-		clear(*buf) // drop the operand slices the result now owns
-		*buf = (*buf)[:0]
-		blockScratch.Put(buf)
-	}()
-	off := 0
-	for off < len(code) {
-		in, n, err := Decode(code[off:])
+	buf := blockScratch.Get().(*decodeBuf)
+	defer blockScratch.Put(buf)
+	var err error
+	buf.insts, buf.args, err = DecodeBlockInto(buf.insts, buf.args, code)
+	if err != nil || len(buf.insts) == 0 {
+		return nil, err
+	}
+	out := make([]Inst, len(buf.insts))
+	copy(out, buf.insts)
+	args := make([]Operand, len(buf.args))
+	copy(args, buf.args)
+	rebase(out, args)
+	return out, nil
+}
+
+// DecodeBlockInto decodes an entire basic block of machine code into
+// caller buffers, reusing their capacity: the instructions into insts[:0]
+// and their operands, one instruction after another, into args[:0]. Each
+// returned instruction's Args is a window of the returned args with no
+// spare capacity (nil for an instruction without operands), so the
+// instructions stay valid only until the buffers are reused. It fails
+// exactly as DecodeBlock does, returning both buffers emptied; an empty
+// block yields no instructions and no error.
+func DecodeBlockInto(insts []Inst, args []Operand, code []byte) ([]Inst, []Operand, error) {
+	insts, args = insts[:0], args[:0]
+	for off := 0; off < len(code); {
+		d := decoder{code: code[off:], args: args}
+		in, err := d.decode()
+		args = d.args
 		if err != nil {
 			if de, ok := err.(*DecodeErr); ok {
 				de.Offset += off
-				de.Index = len(*buf)
+				de.Index = len(insts)
 			}
-			return nil, err
+			return insts[:0], args[:0], err
 		}
-		*buf = append(*buf, in)
-		off += n
+		insts = append(insts, in)
+		off += d.pos
 	}
-	if len(*buf) == 0 {
-		return nil, nil
+	rebase(insts, args)
+	return insts, args, nil
+}
+
+// rebase points each instruction's Args at its window of args, which holds
+// the instructions' operands in order: the arena may have moved as it grew.
+func rebase(insts []Inst, args []Operand) {
+	off := 0
+	for i := range insts {
+		if n := len(insts[i].Args); n > 0 {
+			insts[i].Args = args[off : off+n : off+n]
+			off += n
+		}
 	}
-	out := make([]Inst, len(*buf))
-	copy(out, *buf)
-	return out, nil
 }
 
 type decoder struct {
 	code []byte
 	pos  int
+	// args is the operand arena decodeOperands appends to.
+	args []Operand
 
 	// prefix state
 	pfx66, pfxF2, pfxF3 bool
@@ -210,7 +248,8 @@ func (d *decoder) decodeOpcode(b byte) (Inst, error) {
 	if d.vex {
 		key = decKey{vex: true, vexPP: d.vexPP, vexMap: d.vexMap, opcode: string(b)}
 	} else {
-		opc := []byte{b}
+		var buf [3]byte
+		opc := append(buf[:0], b)
 		if b == 0x0F {
 			b1, err := d.byte()
 			if err != nil {
@@ -239,7 +278,7 @@ func (d *decoder) decodeOpcode(b byte) (Inst, error) {
 
 	cands := decIndex[key]
 	if len(cands) == 0 {
-		return Inst{}, d.errf("unknown opcode % x (prefix %x, vex %v)", key.opcode, key.prefix, d.vex)
+		return Inst{}, d.errf("unknown opcode % x (prefix %x, vex %v)", []byte(key.opcode), key.prefix, d.vex)
 	}
 
 	// Peek at the ModRM byte, which several candidates may need for
@@ -290,7 +329,7 @@ func (d *decoder) decodeOpcode(b byte) (Inst, error) {
 		d.opcodeEnd = d.pos
 		return d.decodeOperands(f)
 	}
-	return Inst{}, d.errf("no matching form for opcode % x", key.opcode)
+	return Inst{}, d.errf("no matching form for opcode % x", []byte(key.opcode))
 }
 
 func hasVvvvRole(f *Form) bool {
@@ -318,7 +357,10 @@ func (d *decoder) decodeOperands(f *Form) (Inst, error) {
 	if len(f.Args) == 0 {
 		return in, nil
 	}
-	in.Args = make([]Operand, len(f.Args))
+	base := len(d.args)
+	d.args = slices.Grow(d.args, len(f.Args))[:base+len(f.Args)]
+	in.Args = d.args[base : base+len(f.Args) : base+len(f.Args)]
+	clear(in.Args)
 
 	var regField, rmField byte
 	var mod byte

@@ -1,0 +1,5 @@
+//go:build !race
+
+package x86
+
+const raceEnabled = false

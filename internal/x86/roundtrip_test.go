@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -174,16 +175,57 @@ func TestCorpusRoundTrip(t *testing.T) {
 }
 
 // TestRandomRoundTrip extends the byte-soup fuzzing to the block-level
-// round-trip invariant.
+// round-trip invariant, and to DecodeBlockInto on reused buffers.
 func TestRandomRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	buf := make([]byte, 24)
+	var into intoBufs
 	for i := 0; i < 50000; i++ {
 		n := 1 + rng.Intn(23)
 		for j := 0; j < n; j++ {
 			buf[j] = byte(rng.Intn(256))
 		}
 		roundTrip(t, buf[:n])
+		into.check(t, buf[:n])
+	}
+}
+
+// intoBufs are DecodeBlockInto's buffers, reused from one input to the
+// next so each decode starts on the previous one's leftovers.
+type intoBufs struct {
+	insts []Inst
+	args  []Operand
+}
+
+// check requires DecodeBlockInto on the reused buffers to equal
+// DecodeBlock: the same error, DecodeErr's Offset and Index included, or
+// the same instructions, each one's Args a window of the returned args
+// with no spare capacity, nil when it has no operands.
+func (b *intoBufs) check(t *testing.T, raw []byte) {
+	t.Helper()
+	want, wantErr := DecodeBlock(raw)
+	got, args, err := DecodeBlockInto(b.insts, b.args, raw)
+	b.insts, b.args = got, args
+	if !reflect.DeepEqual(err, wantErr) {
+		t.Fatalf("% x: DecodeBlockInto error %v, DecodeBlock %v", raw, err, wantErr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("% x: DecodeBlockInto yields %d instructions, DecodeBlock %d", raw, len(got), len(want))
+	}
+	off := 0
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("% x: instruction %d: DecodeBlockInto %q, DecodeBlock %q", raw, i, got[i].String(), want[i].String())
+		}
+		if n := len(got[i].Args); n > 0 {
+			if cap(got[i].Args) != n || &got[i].Args[0] != &args[off] {
+				t.Fatalf("% x: instruction %d's operands are not its window of the arena", raw, i)
+			}
+			off += n
+		}
+	}
+	if off != len(args) {
+		t.Fatalf("% x: %d operands in an arena of %d", raw, off, len(args))
 	}
 }
 
@@ -197,11 +239,18 @@ func FuzzDecodeEncodeDecode(f *testing.F) {
 		}
 		f.Add(raw)
 	}
+	var (
+		mu   sync.Mutex
+		into intoBufs
+	)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			return
 		}
 		roundTrip(t, data)
+		mu.Lock()
+		defer mu.Unlock()
+		into.check(t, data)
 	})
 }
 
@@ -266,6 +315,44 @@ func TestDecodeBlockResult(t *testing.T) {
 		if got := first[i].String(); got != want[i] {
 			t.Fatalf("instruction %d changed to %s after another decode, want %s", i, got, want[i])
 		}
+	}
+}
+
+// TestDecodeBlockAllocs pins decode's allocations over the corpus seeds:
+// DecodeBlockInto on warm buffers allocates nothing, and DecodeBlock
+// allocates its exact-size result, the instructions and their one operand
+// array.
+func TestDecodeBlockAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	var raws [][]byte
+	for _, seed := range corpusSeeds {
+		raw, err := hex.DecodeString(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws = append(raws, raw)
+	}
+	var into intoBufs
+	decodeInto := func() {
+		for _, raw := range raws {
+			into.insts, into.args, _ = DecodeBlockInto(into.insts, into.args, raw)
+		}
+	}
+	decodeInto()
+	if allocs := testing.AllocsPerRun(20, decodeInto); allocs != 0 {
+		t.Errorf("DecodeBlockInto makes %.1f allocations per pass over %d blocks on warm buffers, want 0", allocs, len(raws))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, raw := range raws {
+			if _, err := DecodeBlock(raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if per := allocs / float64(len(raws)); per > 2 {
+		t.Errorf("DecodeBlock makes %.2f allocations per block, want at most 2", per)
 	}
 }
 
