@@ -8,7 +8,6 @@
 //	bhive-eval -exp case-study
 //	bhive-eval -exp fig-cluster-err -uarch haswell
 //	bhive-eval -exp all -scale 0.005 -ithemal
-//	bhive-eval -exp table5 -profile-cache /tmp/bhive.cache
 //	bhive-eval -exp table5 -scale 0.2 -checkpoint /tmp/run.ckpt -progress
 //	bhive-eval -backend sim,perturbed -scale 0.01
 //	bhive-eval -backend sim -record /tmp/sim.trace
@@ -33,7 +32,6 @@ import (
 	"bhive/internal/harness"
 	"bhive/internal/memo"
 	"bhive/internal/models"
-	"bhive/internal/profcache"
 	"bhive/internal/profiler"
 )
 
@@ -49,10 +47,9 @@ func main() {
 }
 
 // run is the whole command behind a single exit point: every cleanup —
-// saving the profile cache, closing the checkpoint journal, stopping the
+// closing the checkpoint journal and the backends' traces, stopping the
 // CPU profiler — is a defer, so it runs on the error paths too. The old
-// fatal()/os.Exit(1) shape silently skipped all of them, losing the
-// profile cache whenever an experiment failed.
+// fatal()/os.Exit(1) shape silently skipped all of them.
 func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("bhive-eval", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -65,11 +62,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		epochs    = fs.Int("ithemal-epochs", 12, "LSTM training epochs")
 		corpusF   = fs.String("corpus", "", "load the corpus from a bhive-collect CSV instead of generating it")
 		asmF      = fs.String("asm", "", "load the corpus from an assembly listing ('@ app [freq]' headers, Intel or AT&T instructions)")
-		cacheF    = fs.String("profile-cache", "", "persistent profile cache file (created if absent; reruns skip profiling)")
 		shardSize = fs.Int("shard-size", harness.DefaultShardSize, "corpus records per evaluation shard (the unit of checkpointing)")
-		ckptF     = fs.String("checkpoint", "", "shard checkpoint journal (created if absent; an interrupted run resumes from it)")
+		ckptF     = fs.String("checkpoint", "", "shard checkpoint journal (created if absent; an interrupted run or a rerun resumes from it)")
 		fsyncN    = fs.Int("fsync-every", 1, "fsync the checkpoint once per N shards (group commit; a crash loses at most the last N-1 shards)")
-		progress  = fs.Bool("progress", false, "print per-shard progress lines (blocks/s, cache-hit rate, rejects) to stderr")
+		progress  = fs.Bool("progress", false, "print per-shard progress lines (blocks/s, rejects) to stderr")
 		prescreen = fs.Bool("prescreen", false, "statically reject blocks before profiling (skips counted as prescreened=N)")
 		crosschk  = fs.Bool("crosscheck", false, "validate dynamic reject statuses against static predictions (mismatches to -progress; any mismatch fails the run)")
 		backends  = fs.String("backend", "", "comma-separated measurement backends to cross-validate (sim, perturbed, recorded:<path>); implies -exp xval")
@@ -137,26 +133,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 
-	var pc *profcache.Cache
-	if *cacheF != "" {
-		pc, err = profcache.Open(*cacheF)
-		if err != nil {
-			return err
-		}
-		cfg.ProfileCache = pc
-		defer func() {
-			if serr := pc.Save(); serr != nil && err == nil {
-				err = serr
-			}
-		}()
-	}
-
-	// Backend selection (cross-validation runs). Backends are built after
-	// the profile cache opens (simulator backends share it) and before the
-	// suite, whose run fingerprint includes their identities.
+	// Backend selection (cross-validation runs). Backends are built before
+	// the suite, whose run fingerprint includes their identities.
 	runExp := *exp
 	if *backends != "" {
-		bes, berr := backend.ParseList(*backends, backend.Options{Cache: pc, Metrics: cfg.Metrics})
+		bes, berr := backend.ParseList(*backends, backend.Options{Metrics: cfg.Metrics})
 		if berr != nil {
 			return berr
 		}
@@ -193,9 +174,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	defer s.Close()
 
 	// On SIGINT/SIGTERM, flush what a plain os.Exit would lose — the
-	// profile cache (completed checkpoint shards are already durable) —
-	// then exit with the conventional interrupted status. The handler is
-	// installed after the cache is open so it never races cache creation.
+	// checkpoint's group-commit tail and the CPU profile — then exit with
+	// the conventional interrupted status.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	done := make(chan struct{})
@@ -204,16 +184,11 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		select {
 		case <-done:
 		case got := <-sig:
-			fmt.Fprintf(stderr, "bhive-eval: %v: flushing caches before exit\n", got)
+			fmt.Fprintf(stderr, "bhive-eval: %v: flushing the checkpoint before exit\n", got)
 			if *cpuProf != "" {
 				pprof.StopCPUProfile()
 			}
 			s.Close()
-			if pc != nil {
-				if serr := pc.Save(); serr != nil {
-					fmt.Fprintln(stderr, "bhive-eval:", serr)
-				}
-			}
 			os.Exit(130)
 		}
 	}()
@@ -230,11 +205,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	// heap profile are written.
 	var crossErr error
 	if *crosschk {
-		if n := s.CrosscheckMismatches(); n > 0 {
-			crossErr = fmt.Errorf("crosscheck: %d static/dynamic mismatches", n)
-		} else {
-			fmt.Fprintln(stderr, "bhive-eval: crosscheck: 0 static/dynamic mismatches")
-		}
+		crossErr = crosscheckVerdict(s.CrosscheckMismatches(), stderr)
 	}
 	if *progress {
 		m, sc := memo.Stats(), models.SchedStats()
@@ -257,4 +228,15 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	return crossErr
+}
+
+// crosscheckVerdict is -crosscheck's outcome for a run with n
+// static/dynamic mismatches: any mismatch fails the run, and a clean run
+// says so on stderr.
+func crosscheckVerdict(n uint64, stderr io.Writer) error {
+	if n > 0 {
+		return fmt.Errorf("crosscheck: %d static/dynamic mismatches", n)
+	}
+	fmt.Fprintln(stderr, "bhive-eval: crosscheck: 0 static/dynamic mismatches")
+	return nil
 }

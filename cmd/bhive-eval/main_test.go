@@ -2,38 +2,72 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"bhive/internal/profcache"
-	"bhive/internal/profiler"
 )
 
-// TestErrorPathStillSavesCache is the regression test for the old
-// fatal()/os.Exit(1) bug: a failure after profiling (here, an unwritable
-// -memprofile path) must not skip the deferred cache save, or every
-// profiled block is silently re-measured on the next run.
-func TestErrorPathStillSavesCache(t *testing.T) {
-	cacheF := filepath.Join(t.TempDir(), "profiles.cache")
-	err := run([]string{
-		"-exp", "table1", "-scale", "0.002",
-		"-profile-cache", cacheF,
-		"-memprofile", filepath.Join(t.TempDir(), "no-such-dir", "mem"),
-	}, io.Discard, io.Discard)
+// allResumed fails unless progress holds shard lines and every one of
+// them was resumed from the checkpoint journal.
+func allResumed(t *testing.T, progress string) {
+	t.Helper()
+	n := 0
+	for _, line := range strings.Split(progress, "\n") {
+		if !strings.Contains(line, " shard ") {
+			continue
+		}
+		n++
+		if !strings.Contains(line, "resumed from checkpoint") {
+			t.Fatalf("a shard was computed again instead of resumed: %q\n%s", line, progress)
+		}
+	}
+	if n == 0 {
+		t.Fatalf("-progress printed no shard lines:\n%s", progress)
+	}
+}
+
+// TestErrorPathStillResumes: a run that fails after its evaluation (here,
+// on an unwritable -memprofile path) goes through the same deferred
+// cleanups as a clean one and leaves every shard in its checkpoint, so
+// the rerun resumes them all and prints the same tables.
+func TestErrorPathStillResumes(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{
+		"-exp", "table5", "-scale", "0.002", "-shard-size", "64",
+		"-checkpoint", filepath.Join(dir, "run.ckpt"),
+	}
+	var out1 bytes.Buffer
+	err := run(append(args, "-memprofile", filepath.Join(dir, "no-such-dir", "mem")), &out1, io.Discard)
 	if err == nil {
 		t.Fatal("unwritable -memprofile must fail the run")
 	}
-	pc, perr := profcache.Open(cacheF)
-	if perr != nil {
-		t.Fatal(perr)
+
+	var out2, prog2 bytes.Buffer
+	if err := run(append(args, "-progress"), &out2, &prog2); err != nil {
+		t.Fatal(err)
 	}
-	if pc.Len() == 0 {
-		t.Fatal("profile cache was not saved on the error path")
+	if out1.String() != out2.String() {
+		t.Fatalf("rerun diverged.\n--- failed run ---\n%s\n--- rerun ---\n%s", out1.String(), out2.String())
 	}
+	allResumed(t, prog2.String())
+}
+
+// TestSecondExperimentResumes: the journal is keyed by the run, not by the
+// experiment, so a second experiment over the same corpus and options
+// resumes every shard the first one measured and predicted.
+func TestSecondExperimentResumes(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+	common := []string{"-scale", "0.002", "-shard-size", "64", "-checkpoint", ckpt}
+	if err := run(append([]string{"-exp", "table5"}, common...), io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var prog bytes.Buffer
+	if err := run(append([]string{"-exp", "fig-app-err", "-progress"}, common...), io.Discard, &prog); err != nil {
+		t.Fatal(err)
+	}
+	allResumed(t, prog.String())
 }
 
 // TestCheckpointedRunFlags drives the new sharding flags end to end: a
@@ -115,9 +149,10 @@ func TestXValAgainstCounterFixture(t *testing.T) {
 }
 
 // TestCrosscheckMismatchFails drives the -crosscheck gate both ways: a
-// clean run reports zero mismatches and succeeds; after every cached
-// profiling status is flipped (a poisoned profile cache the static
-// analyzer disagrees with), the same run must fail.
+// clean run reports zero mismatches and succeeds, and any mismatch fails
+// the run. No corpus makes the static and dynamic verdicts disagree, so
+// the counting of a real mismatch is internal/harness's
+// TestCrosscheckMismatchCounted.
 func TestCrosscheckMismatchFails(t *testing.T) {
 	dir := t.TempDir()
 	csv := filepath.Join(dir, "corpus.csv")
@@ -125,8 +160,7 @@ func TestCrosscheckMismatchFails(t *testing.T) {
 	if err := os.WriteFile(csv, []byte("app,hex,freq\nt,4889c8,1\nt,31c9f7f1,1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cacheF := filepath.Join(dir, "profiles.cache")
-	args := []string{"-exp", "table5", "-corpus", csv, "-uarch", "haswell", "-profile-cache", cacheF, "-crosscheck"}
+	args := []string{"-exp", "table5", "-corpus", csv, "-uarch", "haswell", "-crosscheck"}
 
 	var stderr bytes.Buffer
 	if err := run(args, io.Discard, &stderr); err != nil {
@@ -136,42 +170,9 @@ func TestCrosscheckMismatchFails(t *testing.T) {
 		t.Fatalf("clean run did not report zero mismatches:\n%s", stderr.String())
 	}
 
-	// The cache is a header line and one {Key, Entry} record per line:
-	// flip the status of every record.
-	raw, err := os.ReadFile(cacheF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(raw, []byte("\n"))
-	if len(lines) < 3 || len(lines[len(lines)-1]) != 0 {
-		t.Fatalf("the clean run cached no profiles:\n%s", raw)
-	}
-	poisoned := append([]byte(nil), lines[0]...)
-	for _, line := range lines[1 : len(lines)-1] {
-		var rec struct {
-			Key   string
-			Entry profcache.Entry
-		}
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatal(err)
-		}
-		if profiler.Status(rec.Entry.Status) == profiler.StatusOK {
-			rec.Entry.Status = int(profiler.StatusCrashed)
-		} else {
-			rec.Entry.Status = int(profiler.StatusOK)
-		}
-		out, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		poisoned = append(append(poisoned, out...), '\n')
-	}
-	if err := os.WriteFile(cacheF, poisoned, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	err = run(args, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "static/dynamic mismatches") {
-		t.Fatalf("crosscheck over a poisoned cache returned %v, want a mismatch error", err)
+	stderr.Reset()
+	err := crosscheckVerdict(2, &stderr)
+	if err == nil || err.Error() != "crosscheck: 2 static/dynamic mismatches" || stderr.Len() != 0 {
+		t.Fatalf("two mismatches gave %v (stderr %q), want a failed run", err, stderr.String())
 	}
 }

@@ -1,16 +1,15 @@
 // Command bhive-serve runs the evaluation service: a long-running HTTP
 // front end over the same sharded, checkpointed pipeline bhive-eval
 // drives. Jobs are submitted as corpora of hex blocks (or generation
-// requests), run through per-job fingerprint-bound checkpoint journals
-// and a shared profile cache, and stream per-shard progress to clients
-// over SSE. Killing the server mid-job loses nothing: the next start
+// requests), run through per-job fingerprint-bound checkpoint journals,
+// and stream per-shard progress to clients over SSE. Killing the server mid-job loses nothing: the next start
 // over the same -data directory resumes every unfinished job from its
 // last completed shard and serves byte-identical results.
 //
 // Usage:
 //
 //	bhive-serve -addr :8421 -data /var/lib/bhive
-//	bhive-serve -data ./serve-data -profile-cache ./serve-data/profiles.json
+//	bhive-serve -data ./serve-data -max-jobs 2
 //
 //	curl -s localhost:8421/v1/evaluate -d '{"experiments":["table5"],"scale":0.002}'
 //	curl -s localhost:8421/v1/jobs/<id>
@@ -37,7 +36,6 @@ import (
 	"time"
 
 	_ "bhive/internal/counter" // registers the counter:<source> backend scheme
-	"bhive/internal/profcache"
 	"bhive/internal/server"
 )
 
@@ -52,16 +50,14 @@ func main() {
 	os.Exit(code)
 }
 
-// run is the whole command behind a single exit point: shutdown drains
-// running jobs to a durable shard boundary and flushes the shared profile
-// cache via defers, so the error paths clean up exactly like SIGTERM.
-func run(args []string, stdout, stderr io.Writer) (err error) {
+// run is the whole command behind a single exit point: a dead listener
+// drains running jobs to a durable shard boundary exactly like SIGTERM.
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bhive-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		addr    = fs.String("addr", ":8421", "listen address")
 		dataDir = fs.String("data", "bhive-serve-data", "job state directory (requests, checkpoints, results)")
-		cacheF  = fs.String("profile-cache", "", "shared persistent profile cache file (created if absent)")
 		workers = fs.Int("workers", 0, "profiling workers per job (0 = GOMAXPROCS)")
 		maxJobs = fs.Int("max-jobs", 1, "jobs running concurrently (queued jobs wait)")
 		drain   = fs.Duration("drain-timeout", 5*time.Minute, "max wait for running jobs to reach a shard boundary on shutdown")
@@ -78,22 +74,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return err
 	}
 
-	var pc *profcache.Cache
-	if *cacheF != "" {
-		pc, err = profcache.Open(*cacheF)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if serr := pc.Save(); serr != nil && err == nil {
-				err = serr
-			}
-		}()
-	}
-
 	srv, err := server.New(server.Config{
 		DataDir:            *dataDir,
-		Cache:              pc,
 		Workers:            *workers,
 		MaxJobs:            *maxJobs,
 		FsyncEvery:         *fsyncN,

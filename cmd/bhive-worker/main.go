@@ -11,7 +11,7 @@
 // Usage:
 //
 //	bhive-worker -coordinator http://localhost:8421
-//	bhive-worker -coordinator http://host:8421 -token sekrit -name rack3-a -profile-cache worker-profiles.json
+//	bhive-worker -coordinator http://host:8421 -token sekrit -name rack3-a
 package main
 
 import (
@@ -27,7 +27,6 @@ import (
 
 	"bhive/internal/dist"
 	"bhive/internal/harness"
-	"bhive/internal/profcache"
 	"bhive/internal/server"
 )
 
@@ -49,7 +48,6 @@ func run(args []string, stderr io.Writer) (err error) {
 		coord   = fs.String("coordinator", "http://localhost:8421", "coordinator base URL (bhive-serve -dist)")
 		token   = fs.String("token", "", "bearer token for non-loopback coordinators")
 		name    = fs.String("name", "", "worker name in leases and logs (default: host-pid)")
-		cacheF  = fs.String("profile-cache", "", "persistent profile cache file for this worker (created if absent)")
 		workers = fs.Int("workers", 0, "profiling parallelism within a shard (0 = GOMAXPROCS)")
 		poll    = fs.Duration("poll", time.Second, "idle sleep between no-work polls (jittered)")
 		timeout = fs.Duration("request-timeout", 30*time.Second, "per-HTTP-call timeout")
@@ -64,19 +62,6 @@ func run(args []string, stderr io.Writer) (err error) {
 			host = "worker"
 		}
 		*name = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-
-	var pc *profcache.Cache
-	if *cacheF != "" {
-		pc, err = profcache.Open(*cacheF)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if serr := pc.Save(); serr != nil && err == nil {
-				err = serr
-			}
-		}()
 	}
 
 	var logger *log.Logger
@@ -96,7 +81,6 @@ func run(args []string, stderr io.Writer) (err error) {
 				return nil, err
 			}
 			cfg.Workers = *workers
-			cfg.ProfileCache = pc
 			return harness.New(cfg), nil
 		},
 	})

@@ -11,7 +11,7 @@
 //     running deferred cleanups. The CLIs were refactored to a single
 //     exit point (`main` calls `run`, every cleanup is a defer inside
 //     `run`), precisely so an error path cannot skip flushing the
-//     profile cache or the checkpoint journal. The pass enforces that
+//     checkpoint journal or a recorded trace. The pass enforces that
 //     shape: such calls may appear only in package main, lexically
 //     inside the top-level functions `main` or `run`.
 //

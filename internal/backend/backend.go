@@ -29,7 +29,6 @@ import (
 	"sync"
 
 	"bhive/internal/pipeline"
-	"bhive/internal/profcache"
 	"bhive/internal/profiler"
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
@@ -67,10 +66,6 @@ type Options struct {
 	// Profiler parameterizes simulator-backed backends; zero value means
 	// profiler.DefaultOptions().
 	Profiler *profiler.Options
-	// Cache, when non-nil, is consulted by simulator-backed backends
-	// (keyed by CPU name, so the perturbed parameterization — which
-	// renames its CPUs — shares the file without colliding).
-	Cache *profcache.Cache
 	// Metrics, when non-nil, receives every profiling outcome.
 	Metrics *profiler.Metrics
 }

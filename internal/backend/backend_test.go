@@ -286,9 +286,10 @@ func TestRecorderCrashMidRecord(t *testing.T) {
 	}
 }
 
-// TestPerturbedSharesCacheSafely: both parameterizations can share one
-// profile cache because the perturbed CPUs carry distinct names — a
-// cached sim profile must never satisfy a perturbed lookup.
+// TestPerturbedSharesCacheSafely: both parameterizations can share the
+// process-wide µop-description memo and one metrics sink because the
+// perturbed CPUs carry distinct names — a memoized sim description must
+// never satisfy a perturbed lookup.
 func TestPerturbedSharesCacheSafely(t *testing.T) {
 	b := block(t, "addss xmm1, xmm0\naddss xmm2, xmm1")
 	cpu := uarch.Haswell()

@@ -71,7 +71,6 @@ func (s *sim) Profiler(cpu *uarch.CPU) *profiler.Profiler {
 			target = s.remap(cpu)
 		}
 		p = profiler.New(target, s.opts.profilerOptions())
-		p.Cache = s.opts.Cache
 		p.Metrics = s.opts.Metrics
 		s.profs[cpu.Name] = p
 	}

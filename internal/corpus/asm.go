@@ -24,9 +24,9 @@ import (
 // Every block is canonicalized by round-tripping through the encoder:
 // the Record holds the parsed instructions, and its hex (Block.Hex) is the
 // same canonical machine code a hex submission of the block would carry,
-// so downstream identities — profile-cache keys, server job ids — cannot
-// distinguish the two front doors. Duplicate (app, canonical code) blocks
-// are rejected like duplicate CSV rows. Every failure is a *ParseError
+// so downstream identities — checkpoint fingerprints, server job ids —
+// cannot distinguish the two front doors. Duplicate (app, canonical code)
+// blocks are rejected like duplicate CSV rows. Every failure is a *ParseError
 // carrying the 1-based listing line.
 // RawRecords converts parsed records into the raw hex-row form the lint
 // auditor consumes, canonicalizing each block through the encoder. Line is

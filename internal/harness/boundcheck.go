@@ -113,15 +113,14 @@ func (s *Suite) BoundCheck(cpus []*uarch.CPU) ([]*Table, error) {
 
 // profileResults profiles the whole corpus on every µarch of cpus keeping
 // full results (the model-evaluation path keeps only throughput+status,
-// but the bound check needs the cycle counters and unroll factors; the
-// profile cache makes the second pass cheap when both run). It measures
-// block-major: one functional pass per block serves every µarch
+// but the bound check needs the cycle counters and unroll factors). It
+// measures block-major: one functional pass per block serves every µarch
 // (profiler.ProfileEach). out[k][i] is block i on cpus[k].
 func (s *Suite) profileResults(cpus []*uarch.CPU) [][]profiler.Result {
 	ps := make([]*profiler.Profiler, len(cpus))
 	out := make([][]profiler.Result, len(cpus))
 	for k, cpu := range cpus {
-		ps[k] = s.newProfiler(cpu, profiler.DefaultOptions(), s.cfg.Metrics)
+		ps[k] = newProfiler(cpu, profiler.DefaultOptions(), s.cfg.Metrics)
 		out[k] = make([]profiler.Result, len(s.recs))
 	}
 	newResults := func() []profiler.Result { return make([]profiler.Result, len(ps)) }

@@ -11,7 +11,6 @@ import (
 	"bhive/internal/corpus"
 	"bhive/internal/journal"
 	"bhive/internal/memo"
-	"bhive/internal/profcache"
 	"bhive/internal/profiler"
 )
 
@@ -38,9 +37,8 @@ const CheckpointVersion = 1
 // journal's directory entry and the torn-tail rule are the journal
 // package's; Close and Flush sync the tail. The fingerprint binds the
 // journal to one run identity — corpus content, seed, scale, profiling
-// options, and model configuration (the same key space profcache uses,
-// lifted to whole runs) — so a journal written by a different corpus or
-// configuration is discarded on open, never merged. A line without its
+// options, and model configuration — so a journal written by a different
+// corpus or configuration is discarded on open, never merged. A line without its
 // newline (the crash case) is dropped and cut off; any other malformed
 // content is an error, so silent checkpoint loss stays visible.
 //
@@ -230,7 +228,7 @@ func (c *Checkpoint) PutPreds(arch string, idx int, preds map[string][]float64) 
 func (c *Checkpoint) SetGroupCommit(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.w.SetGroupCommit(max(n, 1))
+	c.w.SetGroupCommit(n)
 }
 
 func (c *Checkpoint) append(l *ckptLine) error {
@@ -277,15 +275,16 @@ func (c *Checkpoint) Close() error {
 
 // runFingerprint derives the run identity a checkpoint is bound to:
 // format version, seed, scale, model configuration, profiling options,
-// profile-cache semantics version, and the full corpus content (app,
-// frequency, machine code of every record). Any change misses — exactly
-// the profcache key discipline, applied to whole runs.
+// the prescreen setting, the backends' fingerprints, and the full corpus
+// content (app, frequency, machine code of every record). Any change
+// misses: the journal restarts instead of resuming. The experiment is not
+// part of it, so every experiment over one run identity shares a journal.
 func runFingerprint(cfg Config, recs []corpus.Record) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "ckpt-v%d|seed=%d|scale=%g|ithemal=%v/%d/%d|opts=%s|profcache-v%d|prescreen=%v|n=%d\n",
+	fmt.Fprintf(h, "ckpt-v%d|seed=%d|scale=%g|ithemal=%v/%d/%d|opts=%s|prescreen=%v|n=%d\n",
 		CheckpointVersion, cfg.Seed, cfg.Scale,
 		cfg.TrainIthemal, cfg.IthemalEpochs, cfg.IthemalTrainCap,
-		profiler.DefaultOptions().Fingerprint(), profcache.Version, cfg.Prescreen, len(recs))
+		profiler.DefaultOptions().Fingerprint(), cfg.Prescreen, len(recs))
 	// Backend identity (cross-validation runs): a trace replay adopts the
 	// fingerprint of the backend that produced it, so a replayed run
 	// deliberately shares the originating run's checkpoints.

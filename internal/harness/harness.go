@@ -12,8 +12,7 @@
 // checkpoint file resumes from the last completed shard and produces
 // byte-identical tables. Shard results stream into the incremental
 // aggregators of internal/stats as they complete, and per-shard progress
-// lines (blocks/s, cache-hit rate, reject-status histogram) go to
-// Config.Progress.
+// lines (blocks/s, reject-status histogram) go to Config.Progress.
 package harness
 
 import (
@@ -35,7 +34,6 @@ import (
 	"bhive/internal/memo"
 	"bhive/internal/models"
 	"bhive/internal/models/ithemal"
-	"bhive/internal/profcache"
 	"bhive/internal/profiler"
 	"bhive/internal/stats"
 	"bhive/internal/uarch"
@@ -69,10 +67,6 @@ type Config struct {
 	// Records, when non-empty, overrides corpus generation — e.g. a corpus
 	// loaded from a CSV written by bhive-collect.
 	Records []corpus.Record
-	// ProfileCache, when non-nil, is shared by all profiling workers:
-	// previously profiled (block, uarch, options, seed) tuples are served
-	// from it instead of being re-measured.
-	ProfileCache *profcache.Cache
 
 	// ShardSize is the number of corpus records per evaluation shard
 	// (0 = DefaultShardSize). Shards are the unit of checkpointing,
@@ -90,9 +84,8 @@ type Config struct {
 	// always flush, so only a hard kill pays that price.
 	FsyncEvery int
 	// Progress, when non-nil, receives one line per completed shard
-	// (blocks/s, cache-hit rate, reject-status histogram) and a per-µarch
-	// summary line. It must be distinct from the stream the rendered
-	// tables go to.
+	// (blocks/s, reject-status histogram) and a per-µarch summary line.
+	// It must be distinct from the stream the rendered tables go to.
 	Progress io.Writer
 	// StopAfterShards, when positive, aborts the run with ErrInterrupted
 	// once that many shards have been computed (resumed shards don't
@@ -127,8 +120,8 @@ type Config struct {
 
 	// Backends supplies the measurement backends the cross-validation
 	// experiment (XValID) compares; empty means a single stock-simulator
-	// backend wired to ProfileCache and Metrics. The suite does not own
-	// them: the caller Closes them after the run (traces flush there).
+	// backend wired to Metrics. The suite does not own them: the caller
+	// Closes them after the run (traces flush there).
 	// Their fingerprints are part of the run fingerprint, so checkpoints
 	// written under one backend set never resume another.
 	Backends []backend.Backend
@@ -426,11 +419,9 @@ func shareLanes(lanes []lane) {
 	}
 }
 
-// newProfiler builds a profiler sharing the suite's profile cache and
-// feeding met.
-func (s *Suite) newProfiler(cpu *uarch.CPU, opts profiler.Options, met *profiler.Metrics) *profiler.Profiler {
+// newProfiler builds a profiler feeding met.
+func newProfiler(cpu *uarch.CPU, opts profiler.Options, met *profiler.Metrics) *profiler.Profiler {
 	p := profiler.New(cpu, opts)
-	p.Cache = s.cfg.ProfileCache
 	p.Metrics = met
 	return p
 }
@@ -440,7 +431,7 @@ func (s *Suite) newProfiler(cpu *uarch.CPU, opts profiler.Options, met *profiler
 // rejected blocks are skipped; with Config.Crosscheck, dynamic statuses
 // are validated against the static predictions.
 func (s *Suite) modelLane(cpu *uarch.CPU, opts profiler.Options, met *profiler.Metrics) lane {
-	l := lane{key: cpu.Name, prof: s.newProfiler(cpu, opts, met)}
+	l := lane{key: cpu.Name, prof: newProfiler(cpu, opts, met)}
 	if s.cfg.Prescreen || s.cfg.Crosscheck {
 		l.lint = blocklint.New(cpu, opts)
 	}
@@ -711,8 +702,8 @@ func (s *Suite) modelMeas(cpus []*uarch.CPU) ([][]measurement, error) {
 // (lane, shard) cells the checkpoint holds, measure the rest block-major
 // and persist them, one journal line per lane in lane order after each
 // shard. met feeds the progress lines' overall rate and ETA and their
-// functional-pass counts; rejects adds each shard's cache-hit rate and
-// reject-status histogram to its line.
+// functional-pass counts; rejects adds each shard's reject-status
+// histogram to its line.
 //
 // StopAfterShards counts journal lines, so a shard measured for k lanes
 // spends k. A shard is measured only for as many lanes as the budget has
@@ -791,9 +782,8 @@ func (s *Suite) measureShards(lanes []lane, met *profiler.Metrics, rejects bool)
 // lane's line carries the shard's numbers: the other lanes, the rate and
 // ETA, the functional passes and the measurements they served, how their
 // µop graphs and cache warm-ups were prepared (built or retimed, walked or
-// restored), the
-// measurements that could not share a pass and why, and with rejects the
-// cache-hit rate and reject histogram. Its rates count (block, lane)
+// restored), the measurements that could not share a pass and why, and
+// with rejects the reject histogram. Its rates count (block, lane)
 // measurements, as the overall rate does.
 func (s *Suite) measLines(lanes []lane, si, num, blocks int, took time.Duration, met *profiler.Metrics, before profiler.Snapshot, rejects bool) {
 	var sb strings.Builder
@@ -819,7 +809,7 @@ func (s *Suite) measLines(lanes []lane, si, num, blocks int, took time.Duration,
 		fmt.Fprintf(&sb, "  alone %d (%s)", blocks*len(alone), strings.Join(alone, ", "))
 	}
 	if rejects {
-		fmt.Fprintf(&sb, "  cache-hit %.1f%%  reject: %s", 100*delta.HitRate(), delta.RejectHistogram())
+		fmt.Fprintf(&sb, "  reject: %s", delta.RejectHistogram())
 	}
 	s.progressf("%s\n", sb.String())
 	for _, l := range lanes[1:] {

@@ -1,12 +1,15 @@
 package harness
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"testing"
 
+	"bhive/internal/corpus"
 	"bhive/internal/profiler"
 	"bhive/internal/uarch"
+	"bhive/internal/x86"
 )
 
 // testSuite is shared across tests: building measurements is the expensive
@@ -397,5 +400,51 @@ func TestFigLenErr(t *testing.T) {
 	}
 	if total < 500 {
 		t.Fatalf("buckets cover too few blocks: %v", total)
+	}
+}
+
+// TestCrosscheckMismatchCounted is -crosscheck's failing leg: a profiled
+// status the block's static report disagrees with is counted by the suite
+// (CrosscheckMismatches, which bhive-eval turns into a failed run) and by
+// the lane's metrics, and printed as one progress line; an agreeing
+// status is neither.
+func TestCrosscheckMismatchCounted(t *testing.T) {
+	b, err := x86.ParseBlock("mov rax, rcx", x86.SyntaxIntel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var progress bytes.Buffer
+	met := new(profiler.Metrics)
+	s := New(Config{
+		Records:    []corpus.Record{{App: "t", Block: b, Freq: 1}},
+		Crosscheck: true,
+		Progress:   &progress,
+		Metrics:    met,
+	})
+	lanes := []lane{s.modelLane(uarch.Haswell(), profiler.DefaultOptions(), met)}
+	w := &laneWorker{s: s, lanes: lanes}
+	rep := lanes[0].lint.Analyze(b)
+	if rep.Predicted != profiler.StatusOK {
+		t.Fatalf("static verdict %s, want ok", rep.Predicted)
+	}
+
+	w.profiled(&lanes[0], rep, b, profiler.Result{Status: profiler.StatusOK, Throughput: 1})
+	if n := s.CrosscheckMismatches(); n != 0 || progress.Len() != 0 {
+		t.Fatalf("an agreeing status counted %d mismatches and printed %q", n, progress.String())
+	}
+
+	got := w.profiled(&lanes[0], rep, b, profiler.Result{Status: profiler.StatusCrashed})
+	if got.status != profiler.StatusCrashed {
+		t.Errorf("measurement status %s, want the dynamic crashed", got.status)
+	}
+	if n := s.CrosscheckMismatches(); n != 1 {
+		t.Fatalf("CrosscheckMismatches() = %d, want 1", n)
+	}
+	if snap := met.Snapshot(); snap.CrosscheckMismatch != 1 || !strings.Contains(snap.RejectHistogram(), "cross-mismatch=1") {
+		t.Errorf("metrics %+v (%s), want one cross-mismatch", snap, snap.RejectHistogram())
+	}
+	want := "[haswell] crosscheck mismatch: 4889c8 static=ok(exact=true) dynamic=crashed\n"
+	if progress.String() != want {
+		t.Errorf("progress %q, want %q", progress.String(), want)
 	}
 }

@@ -21,7 +21,7 @@ const XValID = "xval"
 func AllNames() []string { return append(Names(), XValID, BoundCheckID) }
 
 // backends returns the configured measurement backends, defaulting to a
-// single stock-simulator backend wired to the suite's cache and metrics —
+// single stock-simulator backend wired to the suite's metrics —
 // so `xval` with no -backend flag is exactly the ground truth every other
 // experiment uses.
 func (s *Suite) backends() []backend.Backend {
@@ -31,10 +31,7 @@ func (s *Suite) backends() []backend.Backend {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.defaultBE == nil {
-		s.defaultBE = backend.NewSim(backend.Options{
-			Cache:   s.cfg.ProfileCache,
-			Metrics: s.cfg.Metrics,
-		})
+		s.defaultBE = backend.NewSim(backend.Options{Metrics: s.cfg.Metrics})
 	}
 	return []backend.Backend{s.defaultBE}
 }

@@ -11,8 +11,8 @@
 // line without its newline: the valid prefix ends on the last newline,
 // and reopening cuts the torn tail off before the next append.
 //
-// The checkpoint journal, the profile cache and the recorded measurement
-// trace all use this framing. The package also holds the one whole-file
+// The checkpoint journal and the recorded measurement trace both use this
+// framing. The package also holds the one whole-file
 // atomic writer and the one parent-directory sync.
 package journal
 
@@ -66,7 +66,7 @@ func Read(raw []byte, header func(line []byte) (bool, error), record func(line [
 // concurrent use: callers serialize appends under their own lock.
 type Writer struct {
 	f       *os.File
-	every   int // sync once per every appends; <= 0: only Flush and Close sync
+	every   int // sync once per every appends (>= 1)
 	pending int // appends since the last sync
 	syncs   int // Sync calls made
 }
@@ -129,10 +129,10 @@ func create(path string, hdr any) (*Writer, error) {
 	return &Writer{f: f, every: 1}, nil
 }
 
-// SetGroupCommit makes the Writer sync once per n appends; n <= 0 leaves
-// every sync to Flush and Close. Lines written since the last sync are
-// what a crash (not a clean Close) can lose.
-func (w *Writer) SetGroupCommit(n int) { w.every = n }
+// SetGroupCommit makes the Writer sync once per n appends (n <= 1 syncs
+// every append). Lines written since the last sync are what a crash (not
+// a clean Close) can lose.
+func (w *Writer) SetGroupCommit(n int) { w.every = max(n, 1) }
 
 // Append writes rec, which must not contain a newline, as one line.
 func (w *Writer) Append(rec []byte) error {
@@ -140,7 +140,7 @@ func (w *Writer) Append(rec []byte) error {
 		return err
 	}
 	w.pending++
-	if w.every > 0 && w.pending >= w.every {
+	if w.pending >= w.every {
 		return w.sync()
 	}
 	return nil

@@ -124,24 +124,24 @@ func TestOpenSyncsNewJournalDir(t *testing.T) {
 	}
 }
 
-// TestWriterFlushOnly: at group size 0 (the profile cache's setting)
-// appends never sync, one Flush syncs them all, and a Flush with nothing
-// pending does no I/O. Group sizes >= 1 are pinned by the checkpoint's
-// TestCheckpointGroupCommit.
+// TestWriterFlushOnly: appends inside an open group-commit window do not
+// sync, one Flush syncs them all, and a Flush with nothing pending does no
+// I/O. A group size below 1 syncs every append; the batching of larger
+// groups is pinned by the checkpoint's TestCheckpointGroupCommit.
 func TestWriterFlushOnly(t *testing.T) {
 	w, err := Open(filepath.Join(t.TempDir(), "j"), struct{}{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	w.SetGroupCommit(0)
+	w.SetGroupCommit(8)
 	for i := 0; i < 5; i++ {
 		if err := w.Append([]byte("{}")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if w.Syncs() != 0 {
-		t.Fatalf("appends at group size 0 synced %d times", w.Syncs())
+		t.Fatalf("5 appends in a group of 8 synced %d times", w.Syncs())
 	}
 	for i := 0; i < 2; i++ {
 		if err := w.Flush(); err != nil {
@@ -150,6 +150,13 @@ func TestWriterFlushOnly(t *testing.T) {
 	}
 	if w.Syncs() != 1 {
 		t.Fatalf("two Flushes synced %d times, want 1", w.Syncs())
+	}
+	w.SetGroupCommit(0)
+	if err := w.Append([]byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	if w.Syncs() != 2 {
+		t.Fatalf("an append at group size 0 left %d syncs, want 2", w.Syncs())
 	}
 }
 
@@ -208,13 +215,13 @@ func FuzzJournalRead(f *testing.F) {
 		`{"Version":1,"Fingerprint":"fp","ShardSize":4}` + "\n" +
 			`{"Arch":"haswell","Shard":0,"Stage":"meas","Tp":[1,2.5,0,3],"Status":[0,0,1,0]}` + "\n" +
 			`{"Arch":"haswell","Shard":0,"Stage":"pred","Preds":{"IACA":[1.1,null,2,3]}}` + "\n",
-		// profile cache
-		`{"Version":1}` + "\n" +
-			`{"Key":"5f0c","Entry":{"Status":0,"Throughput":1.25,"UnrollHi":100,"UnrollLo":50,"PagesMapped":2,"CleanSamples":16,"Counters":{"Cycles":125}}}` + "\n",
 		// measurement trace, with a torn last entry
 		`{"Version":1,"Backend":"sim","Fingerprint":"sim|{}"}` + "\n" +
 			`{"Key":"ab","CPU":"haswell","Status":0,"Tp":1.25,"Counters":{"Cycles":125}}` + "\n" +
 			`{"Key":"cd","CPU":"haswell","Sta`,
+		// blank lines between records, which Read skips
+		`{"Version":1}` + "\n\n" +
+			`{"Key":"5f0c","Entry":{"Status":0,"Counters":{"Cycles":125}}}` + "\n\n",
 	} {
 		f.Add([]byte(seed))
 	}

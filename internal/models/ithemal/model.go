@@ -177,21 +177,40 @@ func (m *Model) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(&g)
 }
 
-// Load reads model weights written by Save.
+// tensorLens is the length of each tensor New(d, h) allocates, in
+// params order.
+func tensorLens(d, h int) []int {
+	return []int{VocabSize * d, h, 1, 4 * h * d, 4 * h * h, 4 * h, 4 * h * h, 4 * h * h, 4 * h}
+}
+
+// Load reads model weights written by Save. The sizes must be positive and
+// the tensors exactly the ones New allocates for them; both are checked
+// before New allocates, so a corrupt file costs no more memory than the
+// weights it holds.
 func Load(r io.Reader) (*Model, error) {
 	var g modelGob
 	if err := gob.NewDecoder(r).Decode(&g); err != nil {
 		return nil, err
 	}
-	m := New(g.D, g.H, 0)
-	ps := m.params()
-	if len(ps) != len(g.Ws) {
+	if g.D < 1 || g.H < 1 {
+		return nil, fmt.Errorf("ithemal: sizes D=%d H=%d, want both positive", g.D, g.H)
+	}
+	if len(g.Ws) != len(tensorLens(1, 1)) {
 		return nil, fmt.Errorf("ithemal: weight count mismatch")
 	}
-	for i, p := range ps {
-		if len(p.w) != len(g.Ws[i]) {
+	// The embedding holds VocabSize·D weights and the output layer H, so
+	// sizes above those lengths cannot match; bounding them first keeps
+	// tensorLens from overflowing.
+	if g.D > len(g.Ws[0]) || g.H > len(g.Ws[1]) {
+		return nil, fmt.Errorf("ithemal: sizes D=%d H=%d exceed the stored weights", g.D, g.H)
+	}
+	for i, n := range tensorLens(g.D, g.H) {
+		if len(g.Ws[i]) != n {
 			return nil, fmt.Errorf("ithemal: weight shape mismatch at tensor %d", i)
 		}
+	}
+	m := New(g.D, g.H, 0)
+	for i, p := range m.params() {
 		copy(p.w, g.Ws[i])
 	}
 	m.step = g.Step

@@ -27,11 +27,11 @@ func TestProfileEachStaleness(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			met := new(profiler.Metrics)
-			group := groupKeys(tc.opts, nil, met)
+			group := groupKeys(tc.opts, met)
 			got := make([]profiler.Result, len(group))
 			for bi, b := range blocks {
 				profiler.ProfileEach(b, group, got)
-				for ki, p := range groupKeys(tc.opts, nil, nil) {
+				for ki, p := range groupKeys(tc.opts, nil) {
 					if want := p.Profile(b); !sameResult(got[ki], want) {
 						t.Fatalf("block %d on %s after block %d: ProfileEach %+v, fresh Profile %+v",
 							bi, p.CPU.Name, bi-1, got[ki], want)

@@ -1,14 +1,12 @@
 package profiler
 
 import (
-	"path/filepath"
 	"testing"
 
 	"bhive/internal/exec"
 	"bhive/internal/machine"
 	"bhive/internal/memo"
 	"bhive/internal/pipeline"
-	"bhive/internal/profcache"
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
 )
@@ -122,81 +120,6 @@ func TestProfileDeterministic(t *testing.T) {
 		if got := p.Profile(b); got != first {
 			t.Fatalf("Profile run %d = %+v, first run %+v", i+2, got, first)
 		}
-	}
-}
-
-// TestProfileCacheIdentity: results served through the persistent cache —
-// freshly stored, hit in memory, and hit after a save/reload cycle — must
-// match the uncached profiler on every field.
-func TestProfileCacheIdentity(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "profiles.json")
-	pc, err := profcache.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cpu := uarch.IvyBridge()
-	plain := New(cpu, DefaultOptions())
-	cached := New(cpu, DefaultOptions())
-	cached.Cache = pc
-
-	blocks := []string{
-		"add rax, rbx\nimul rcx, rdx",              // ok
-		"vfmadd231pd ymm0, ymm1, ymm2",             // unsupported on IVB
-		"mov rax, qword ptr [0]\nadd rax, 1",       // crashes: null page
-		"mov rcx, qword ptr [rsp+8]\nadd rax, rcx", // ok, memory
-	}
-	check := func(text string, got, want Result) {
-		t.Helper()
-		// Errors round-trip as text only; compare the rest field-wise.
-		gotErr, wantErr := "", ""
-		if got.Err != nil {
-			gotErr = got.Err.Error()
-		}
-		if want.Err != nil {
-			wantErr = want.Err.Error()
-		}
-		got.Err, want.Err = nil, nil
-		if got != want || gotErr != wantErr {
-			t.Errorf("%q: cached result %+v (err %q) != uncached %+v (err %q)",
-				text, got, gotErr, want, wantErr)
-		}
-	}
-	for _, text := range blocks {
-		b := block(t, text)
-		want := plain.Profile(b)
-		check(text, cached.Profile(b), want) // fills the cache
-		check(text, cached.Profile(b), want) // in-memory hit
-	}
-	if pc.Len() != len(blocks) {
-		t.Fatalf("cache holds %d entries, want %d", pc.Len(), len(blocks))
-	}
-
-	if err := pc.Save(); err != nil {
-		t.Fatal(err)
-	}
-	pc2, err := profcache.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pc2.Len() != len(blocks) {
-		t.Fatalf("reloaded cache holds %d entries, want %d", pc2.Len(), len(blocks))
-	}
-	reloaded := New(cpu, DefaultOptions())
-	reloaded.Cache = pc2
-	for _, text := range blocks {
-		b := block(t, text)
-		check(text, reloaded.Profile(b), plain.Profile(b))
-	}
-
-	// A different option set must miss the cache, not serve stale entries.
-	other := New(cpu, MappingOptions())
-	other.Cache = pc2
-	b := block(t, blocks[0])
-	want := New(cpu, MappingOptions()).Profile(b)
-	check(blocks[0], other.Profile(b), want)
-	if pc2.Len() != len(blocks)+1 {
-		t.Fatalf("option change did not create a new entry: %d entries", pc2.Len())
 	}
 }
 

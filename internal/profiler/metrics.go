@@ -14,13 +14,12 @@ import (
 const NumStatus = len(statusNames)
 
 // Metrics aggregates Profile outcomes across the goroutines sharing it:
-// how many blocks were served from the persistent cache vs. actually
-// measured, and the per-status outcome histogram. It is the first
-// observability layer of the sharded evaluation pipeline — per-shard
-// progress lines are derived from Snapshot deltas. All counters are
+// how many blocks were measured or statically prescreened, and the
+// per-status outcome histogram. It is the first observability layer of
+// the sharded evaluation pipeline — per-shard progress lines are derived
+// from Snapshot deltas. All counters are
 // atomic; a nil *Metrics is a valid no-op sink.
 type Metrics struct {
-	cacheHits   atomic.Uint64
 	profiled    atomic.Uint64
 	prescreened atomic.Uint64
 	crossMism   atomic.Uint64
@@ -33,9 +32,9 @@ type Metrics struct {
 	// (AddPlanned); startNanos is the wall time of the first recorded
 	// outcome (0 = none yet). Together they drive Throughput's ETA.
 	// measStartNanos is the wall time of the first *measured* outcome —
-	// cache hits and prescreens are near-instant, so the ETA for work that
-	// still has to be measured must come from the measured rate alone, not
-	// the hit-inflated overall rate.
+	// prescreens are near-instant, so the ETA for work that still has to
+	// be measured must come from the measured rate alone, not the
+	// prescreen-inflated overall rate.
 	planned        atomic.Uint64
 	startNanos     atomic.Int64
 	measStartNanos atomic.Int64
@@ -70,14 +69,14 @@ func (m *Metrics) AddPlanned(n int) {
 }
 
 // Rate is a Throughput report: the overall processing rate (every
-// outcome, cache hits and prescreens included), the measured-only rate
+// outcome, prescreens included), the measured-only rate
 // (zero until a block is actually measured), and the ETA for the planned
 // work remaining.
 type Rate struct {
 	// BlocksPerSec is the overall rate since the first recorded outcome.
 	BlocksPerSec float64
-	// MeasuredPerSec is the rate of measured (cache-miss) outcomes since
-	// the first one; 0 while everything has come from the cache.
+	// MeasuredPerSec is the rate of measured outcomes since the first
+	// one; 0 while every outcome has been a prescreen.
 	MeasuredPerSec float64
 	// Eta estimates the time to finish the registered remaining work
 	// (0 when none remains).
@@ -90,12 +89,11 @@ type Rate struct {
 // nil receiver).
 //
 // The ETA is derived from the measured-only rate once any block has been
-// measured: cache hits and prescreens complete in microseconds, so a
-// warm-cache resume that replays thousands of hits would otherwise report
-// a wildly optimistic ETA for the cold blocks still waiting on the
-// measurement protocol. Only when the run has measured nothing (fully
-// warm so far) does the overall rate drive the ETA — then the hits *are*
-// the workload.
+// measured: prescreens complete in microseconds, so a run whose first
+// thousands of outcomes are static rejections would otherwise report a
+// wildly optimistic ETA for the blocks still waiting on the measurement
+// protocol. Only when the run has measured nothing yet does the overall
+// rate drive the ETA — then the prescreens *are* the workload.
 func (m *Metrics) Throughput() (r Rate, ok bool) {
 	if m == nil {
 		return Rate{}, false
@@ -126,19 +124,14 @@ func (m *Metrics) Throughput() (r Rate, ok bool) {
 	return r, true
 }
 
-// record accounts one Profile call. hit reports whether the result came
-// from the persistent cache (a miss means the block was measured).
-func (m *Metrics) record(s Status, hit bool) {
+// record accounts one Profile call: one measured block.
+func (m *Metrics) record(s Status) {
 	if m == nil {
 		return
 	}
 	m.markStart()
-	if hit {
-		m.cacheHits.Add(1)
-	} else {
-		m.markMeasStart()
-		m.profiled.Add(1)
-	}
+	m.markMeasStart()
+	m.profiled.Add(1)
 	if int(s) < NumStatus {
 		m.status[s].Add(1)
 	}
@@ -189,8 +182,6 @@ func (m *Metrics) RecordCrosscheckMismatch() {
 // Snapshot is a point-in-time copy of the counters, suitable for delta
 // arithmetic between shards.
 type Snapshot struct {
-	// CacheHits counts blocks served from the persistent profile cache.
-	CacheHits uint64
 	// Profiled counts blocks that went through the measurement protocol.
 	Profiled uint64
 	// Prescreened counts blocks skipped by static prescreening before any
@@ -214,8 +205,7 @@ type Snapshot struct {
 	// here.
 	GraphsBuilt, GraphsRetimed, WarmWalks, WarmRestores uint64
 	// ByStatus histograms the outcome of every Profile call, indexed by
-	// Status (cache hits included — a cached rejection is still a
-	// rejection; prescreened blocks contribute their predicted status).
+	// Status (prescreened blocks contribute their predicted status).
 	ByStatus [NumStatus]uint64
 }
 
@@ -225,7 +215,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	if m == nil {
 		return s
 	}
-	s.CacheHits = m.cacheHits.Load()
 	s.Profiled = m.profiled.Load()
 	s.Prescreened = m.prescreened.Load()
 	s.CrosscheckMismatch = m.crossMism.Load()
@@ -244,7 +233,6 @@ func (m *Metrics) Snapshot() Snapshot {
 // Sub returns the counter deltas since prev (for per-shard reporting).
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	d := Snapshot{
-		CacheHits:          s.CacheHits - prev.CacheHits,
 		Profiled:           s.Profiled - prev.Profiled,
 		Prescreened:        s.Prescreened - prev.Prescreened,
 		CrosscheckMismatch: s.CrosscheckMismatch - prev.CrosscheckMismatch,
@@ -263,15 +251,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 
 // Total is the number of blocks covered by the snapshot, including the
 // statically prescreened ones that never reached the protocol.
-func (s Snapshot) Total() uint64 { return s.CacheHits + s.Profiled + s.Prescreened }
-
-// HitRate is the persistent-cache hit fraction (0 with no calls).
-func (s Snapshot) HitRate() float64 {
-	if t := s.Total(); t > 0 {
-		return float64(s.CacheHits) / float64(t)
-	}
-	return 0
-}
+func (s Snapshot) Total() uint64 { return s.Profiled + s.Prescreened }
 
 // RejectHistogram renders the non-OK statuses as "crashed=3 unstable=1"
 // ("none" if every call succeeded), with prescreen skips and cross-check

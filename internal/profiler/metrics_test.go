@@ -1,39 +1,26 @@
 package profiler
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"bhive/internal/profcache"
 	"bhive/internal/uarch"
 )
 
 func TestMetricsCountsAndHistogram(t *testing.T) {
-	pc, err := profcache.Open(filepath.Join(t.TempDir(), "c.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := New(uarch.Haswell(), DefaultOptions())
-	p.Cache = pc
 	p.Metrics = new(Metrics)
 
 	ok := block(t, "add rax, rbx")
 	crash := block(t, "mov rax, qword ptr [0]")
 	p.Profile(ok)
 	p.Profile(crash)
-	p.Profile(ok) // served from cache
+	p.Profile(ok)
 
 	s := p.Metrics.Snapshot()
-	if s.Profiled != 2 || s.CacheHits != 1 {
-		t.Fatalf("profiled=%d hits=%d, want 2/1", s.Profiled, s.CacheHits)
-	}
-	if s.Total() != 3 {
-		t.Fatalf("total %d", s.Total())
-	}
-	if got := s.HitRate(); got < 0.3 || got > 0.4 {
-		t.Fatalf("hit rate %v", got)
+	if s.Profiled != 3 || s.Total() != 3 {
+		t.Fatalf("profiled=%d total=%d, want 3/3", s.Profiled, s.Total())
 	}
 	if s.ByStatus[StatusOK] != 2 || s.ByStatus[StatusCrashed] != 1 {
 		t.Fatalf("status histogram %v", s.ByStatus)
@@ -43,20 +30,20 @@ func TestMetricsCountsAndHistogram(t *testing.T) {
 	}
 
 	// Deltas since a snapshot isolate one shard's worth of work.
-	p.Profile(crash) // cache hit, still a rejection
+	p.Profile(crash)
 	d := p.Metrics.Snapshot().Sub(s)
-	if d.Total() != 1 || d.CacheHits != 1 || d.ByStatus[StatusCrashed] != 1 {
+	if d.Total() != 1 || d.Profiled != 1 || d.ByStatus[StatusCrashed] != 1 {
 		t.Fatalf("delta %+v", d)
 	}
 }
 
 func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
-	m.record(StatusOK, false) // must not panic
+	m.record(StatusOK) // must not panic
 	m.RecordPrescreened(StatusCrashed)
 	m.RecordCrosscheckMismatch()
 	s := m.Snapshot()
-	if s.Total() != 0 || s.HitRate() != 0 {
+	if s.Total() != 0 {
 		t.Fatalf("nil metrics snapshot %+v", s)
 	}
 	if s.RejectHistogram() != "none" {
@@ -66,7 +53,7 @@ func TestMetricsNilSafe(t *testing.T) {
 
 func TestMetricsPrescreenAndCrosscheck(t *testing.T) {
 	m := new(Metrics)
-	m.record(StatusOK, false)
+	m.record(StatusOK)
 	m.RecordPrescreened(StatusCrashed)
 	m.RecordPrescreened(StatusMisaligned)
 	m.RecordCrosscheckMismatch()
@@ -121,7 +108,7 @@ func TestMetricsThroughput(t *testing.T) {
 		t.Fatal("planned work alone must not start the clock")
 	}
 	for i := 0; i < 4; i++ {
-		m.record(StatusOK, i%2 == 0)
+		m.record(StatusOK)
 	}
 	r, ok := m.Throughput()
 	if !ok || r.BlocksPerSec <= 0 {
@@ -134,7 +121,7 @@ func TestMetricsThroughput(t *testing.T) {
 	// With the plan exhausted (or never registered) the ETA drops to zero
 	// while the rate survives.
 	done := new(Metrics)
-	done.record(StatusOK, false)
+	done.record(StatusOK)
 	r, ok = done.Throughput()
 	if !ok || r.BlocksPerSec <= 0 || r.Eta != 0 {
 		t.Fatalf("unplanned run: %+v ok=%v", r, ok)
@@ -142,9 +129,9 @@ func TestMetricsThroughput(t *testing.T) {
 }
 
 // TestMetricsWarmResumeETA is the regression test for the optimistic-ETA
-// bug: a warm-cache resume replays thousands of cache hits in
-// milliseconds, and an ETA derived from the overall rate then promises
-// the remaining *measured* work at cache speed. The ETA must instead
+// bug: a run that opens on thousands of prescreened blocks records them
+// in milliseconds, and an ETA derived from the overall rate then promises
+// the remaining *measured* work at prescreen speed. The ETA must instead
 // track the measured-only rate once any block has actually been measured.
 func TestMetricsWarmResumeETA(t *testing.T) {
 	base := time.Unix(1000, 0)
@@ -155,26 +142,26 @@ func TestMetricsWarmResumeETA(t *testing.T) {
 	m := new(Metrics)
 	m.AddPlanned(1000)
 
-	// 500 cache hits land in 100ms — a warm resume replaying old work.
+	// 500 prescreens land in 100ms — static rejections, nothing measured.
 	for i := 0; i < 500; i++ {
-		m.record(StatusOK, true)
+		m.RecordPrescreened(StatusCrashed)
 	}
 	now = base.Add(100 * time.Millisecond)
 
 	// One cold block takes a full second to measure.
-	m.record(StatusOK, false)
+	m.record(StatusOK)
 	now = base.Add(1100 * time.Millisecond)
 
 	r, ok := m.Throughput()
 	if !ok {
 		t.Fatal("no throughput after 501 outcomes")
 	}
-	// Overall rate is hit-dominated (~455 blocks/s) — fine for display.
+	// Overall rate is prescreen-dominated (~455 blocks/s) — fine for display.
 	if r.BlocksPerSec < 100 {
-		t.Fatalf("overall rate %v, want hit-dominated (>100/s)", r.BlocksPerSec)
+		t.Fatalf("overall rate %v, want prescreen-dominated (>100/s)", r.BlocksPerSec)
 	}
 	// Measured rate is 1 block/s: that is what the remaining 499 blocks
-	// will cost if they miss. The old ETA (remaining/overall) would have
+	// will cost. The old ETA (remaining/overall) would have
 	// been ~1.1s; the fixed ETA must be ~499s.
 	if r.MeasuredPerSec <= 0.5 || r.MeasuredPerSec > 1.5 {
 		t.Fatalf("measured rate %v, want ~1/s", r.MeasuredPerSec)
@@ -183,20 +170,20 @@ func TestMetricsWarmResumeETA(t *testing.T) {
 		t.Fatalf("eta %v still optimistic: want ~499s from the measured rate", r.Eta)
 	}
 
-	// A fully warm run (no measurements at all) falls back to the overall
-	// rate — there the hits are the workload.
-	warm := new(Metrics)
-	warm.AddPlanned(100)
+	// A run that has measured nothing yet falls back to the overall rate
+	// — there the prescreens are the workload.
+	screened := new(Metrics)
+	screened.AddPlanned(100)
 	now = base
 	for i := 0; i < 50; i++ {
-		warm.record(StatusOK, true)
+		screened.RecordPrescreened(StatusCrashed)
 	}
 	now = base.Add(time.Second)
-	r, ok = warm.Throughput()
+	r, ok = screened.Throughput()
 	if !ok || r.MeasuredPerSec != 0 {
-		t.Fatalf("warm run: %+v ok=%v, want measured rate 0", r, ok)
+		t.Fatalf("prescreen-only run: %+v ok=%v, want measured rate 0", r, ok)
 	}
 	if r.Eta <= 0 || r.Eta > 10*time.Second {
-		t.Fatalf("warm run eta %v, want ~1s from the overall rate", r.Eta)
+		t.Fatalf("prescreen-only run eta %v, want ~1s from the overall rate", r.Eta)
 	}
 }

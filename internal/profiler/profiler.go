@@ -23,8 +23,8 @@
 // ablation tables are regenerated.
 //
 // The protocol splits into a functional half and a timing half. The
-// functional half — the block's encoding (its identity: the seed and the
-// cache hex), the unrolled code, and the monitored run that maps every
+// functional half — the block's encoding (its identity, hashed into the
+// sample seed), the unrolled code, and the monitored run that maps every
 // page the block touches onto the physical page and records the trace —
 // does not depend on the microarchitecture. So ProfileEach measures a
 // block for several profilers (µarchs, or the stock and perturbed
@@ -50,7 +50,6 @@ package profiler
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -62,7 +61,6 @@ import (
 	"bhive/internal/machine"
 	"bhive/internal/memo"
 	"bhive/internal/pipeline"
-	"bhive/internal/profcache"
 	"bhive/internal/uarch"
 	"bhive/internal/vm"
 	"bhive/internal/x86"
@@ -155,7 +153,8 @@ func MappingOptions() Options {
 }
 
 // Fingerprint encodes every Options field into a string, so any change in
-// measurement configuration changes persistent-cache keys.
+// measurement configuration changes the checkpoint fingerprint: a journal
+// written under other options restarts instead of resuming.
 func (o Options) Fingerprint() string {
 	return fmt.Sprintf("%+v", o)
 }
@@ -213,11 +212,7 @@ type Profiler struct {
 	CPU  *uarch.CPU
 	Opts Options
 
-	// Cache, when non-nil, is consulted before profiling and updated
-	// after, keyed by (block bytes, microarchitecture, options, seed).
-	Cache *profcache.Cache
-
-	// Metrics, when non-nil, accumulates cache-hit counts and the
+	// Metrics, when non-nil, accumulates the measurement counts and the
 	// per-status outcome histogram across every Profile call (shared by
 	// all goroutines using this profiler).
 	Metrics *Metrics
@@ -243,12 +238,11 @@ type scratch struct {
 	onFault func(*vm.Fault) bool
 
 	// Per-key state of ProfileEach: each key's resolved entries of the
-	// block, its cache key and whether the shared pass served it; ids are
-	// the block's memo ids, interned once for every key, and raw is the
-	// block's encoding, the identity behind its seed and cache hex.
+	// block and whether the shared pass served it; ids are the block's
+	// memo ids, interned once for every key, and raw is the block's
+	// encoding, the identity behind its seed.
 	ids    []memo.ID
 	ents   [][]*memo.PreparedInst
-	keys   []string
 	served []bool
 	raw    []byte
 }
@@ -257,7 +251,6 @@ type scratch struct {
 func (sc *scratch) grow(k int) {
 	for len(sc.ents) < k {
 		sc.ents = append(sc.ents, nil)
-		sc.keys = append(sc.keys, "")
 		sc.served = append(sc.served, false)
 	}
 	clear(sc.served[:k])
@@ -376,7 +369,7 @@ func resolve(cpu *uarch.CPU, ids []memo.ID, dst []*memo.PreparedInst, all bool) 
 // encoding appends the block's machine code to dst: the encodings of its
 // instructions, resolved on any microarchitecture, skipping those that do
 // not encode. It is the block's identity — the hex is the canonical BHive
-// corpus representation and the cache identity, and blockSeed hashes it.
+// corpus representation, and blockSeed hashes it.
 func encoding(ents []*memo.PreparedInst, dst []byte) []byte {
 	for _, e := range ents {
 		if e.EncErr == nil {
@@ -457,12 +450,11 @@ func (p *Profiler) Profile(b *x86.Block) Result {
 }
 
 // ProfileEach measures b with every profiler of ps, each on its own
-// microarchitecture, cache and metrics: out[i] is exactly what
-// ps[i].Profile(b) returns, and each key's cache lookup, cache update and
-// Metrics record are the ones Profile makes. The µarch-independent half
-// of the protocol — the block's encoding and seed, the unrolled code, the
-// monitored run with its trace and mapped pages — is computed once for
-// all keys; each key that misses its cache then runs only its own memo
+// microarchitecture and metrics: out[i] is exactly what ps[i].Profile(b)
+// returns, and each key's Metrics record is the one Profile makes. The
+// µarch-independent half of the protocol — the block's encoding and seed,
+// the unrolled code, the monitored run with its trace and mapped pages —
+// is computed once for all keys; each key then runs only its own memo
 // lookups (and unsupported check), the graph build or retime, the warm-up
 // walk or restore, the timed run and the acceptance test, on the same
 // address space and trace. The profilers must share Options (ProfileEach
@@ -482,7 +474,7 @@ func ProfileEach(b *x86.Block, ps []*Profiler, out []Result) {
 	n := len(b.Insts)
 	if n == 0 {
 		for i, p := range ps {
-			p.Metrics.record(StatusCrashed, false)
+			p.Metrics.record(StatusCrashed)
 			out[i] = Result{Status: StatusCrashed}
 		}
 		return
@@ -499,7 +491,6 @@ func ProfileEach(b *x86.Block, ps []*Profiler, out []Result) {
 	sc.ents[0], leadErr = resolve(lead.CPU, sc.ids, sc.ents[0][:0], true)
 	sc.raw = encoding(sc.ents[0], sc.raw[:0])
 	seed := blockSeed(sc.raw)
-	hexID, haveHex := "", false
 
 	lo, hi := lead.Opts.UnrollFactors(n)
 	var (
@@ -507,17 +498,6 @@ func ProfileEach(b *x86.Block, ps []*Profiler, out []Result) {
 		passRan bool
 	)
 	for i, p := range ps {
-		if p.Cache != nil {
-			if !haveHex {
-				hexID, haveHex = hex.EncodeToString(sc.raw), true
-			}
-			sc.keys[i] = profcache.Key(hexID, p.CPU.Name, p.Opts.Fingerprint(), seed)
-			if e, ok := p.Cache.Get(sc.keys[i]); ok {
-				out[i] = resultFromEntry(e)
-				p.Metrics.record(out[i].Status, true)
-				continue
-			}
-		}
 		ents, err := sc.ents[0], leadErr
 		if i > 0 {
 			ents, err = resolve(p.CPU, sc.ids, sc.ents[i][:0], false)
@@ -549,10 +529,7 @@ func ProfileEach(b *x86.Block, ps []*Profiler, out []Result) {
 				p.Metrics.recordWork(sc.m.Work().Since(w))
 			}
 		}
-		if p.Cache != nil {
-			p.Cache.Put(sc.keys[i], entryFromResult(res))
-		}
-		p.Metrics.record(res.Status, false)
+		p.Metrics.record(res.Status)
 		out[i] = res
 	}
 	if passRan {
@@ -901,38 +878,4 @@ func (p *Profiler) MeasureRaw(b *x86.Block, unroll int) (pipeline.Counters, erro
 	base := p.timing(len(b.Insts))
 	m.TimeGraph(g, base) // warm-up
 	return m.TimeGraph(g, base), nil
-}
-
-// entryFromResult converts a Result for persistence. The error is stored
-// as text; its concrete type is not preserved across the cache.
-func entryFromResult(r Result) profcache.Entry {
-	e := profcache.Entry{
-		Status:       int(r.Status),
-		Throughput:   r.Throughput,
-		UnrollHi:     r.UnrollHi,
-		UnrollLo:     r.UnrollLo,
-		PagesMapped:  r.PagesMapped,
-		CleanSamples: r.CleanSamples,
-		Counters:     r.Counters,
-	}
-	if r.Err != nil {
-		e.ErrText = r.Err.Error()
-	}
-	return e
-}
-
-func resultFromEntry(e profcache.Entry) Result {
-	r := Result{
-		Status:       Status(e.Status),
-		Throughput:   e.Throughput,
-		UnrollHi:     e.UnrollHi,
-		UnrollLo:     e.UnrollLo,
-		PagesMapped:  e.PagesMapped,
-		CleanSamples: e.CleanSamples,
-		Counters:     e.Counters,
-	}
-	if e.ErrText != "" {
-		r.Err = errors.New(e.ErrText)
-	}
-	return r
 }

@@ -2,13 +2,11 @@ package profiler_test
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 
 	"bhive/internal/corpus"
 	"bhive/internal/exec"
-	"bhive/internal/profcache"
 	"bhive/internal/profiler"
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
@@ -126,13 +124,13 @@ func TestMonitoredRunIsMicroarchIndependent(t *testing.T) {
 
 // groupKeys is one profiler per key of a block-major pass: every extended
 // µarch, stock and perturbed (the xval backend pair), all on opts and
-// sharing cache and met.
-func groupKeys(opts profiler.Options, cache *profcache.Cache, met *profiler.Metrics) []*profiler.Profiler {
+// sharing met.
+func groupKeys(opts profiler.Options, met *profiler.Metrics) []*profiler.Profiler {
 	var ps []*profiler.Profiler
 	for _, cpu := range uarch.Extended() {
 		for _, c := range []*uarch.CPU{cpu, cpu.Perturbed()} {
 			p := profiler.New(c, opts)
-			p.Cache, p.Metrics = cache, met
+			p.Metrics = met
 			ps = append(ps, p)
 		}
 	}
@@ -169,7 +167,7 @@ func groupBlocks(t *testing.T) []*x86.Block {
 }
 
 // sameResult compares two results field by field, the error by its text
-// (a cached result carries only the text).
+// (each call builds its own error value).
 func sameResult(a, b profiler.Result) bool {
 	ea, eb := "", ""
 	if a.Err != nil {
@@ -185,9 +183,8 @@ func sameResult(a, b profiler.Result) bool {
 // TestProfileEachEqualsProfile: measuring a block for every key from one
 // shared functional pass gives each key exactly what its own Profile call
 // gives, error text included, under every option set the harness
-// measures with — for blocks only some µarchs support, and with a
-// profile cache that serves some keys from warm entries and misses the
-// rest. The Metrics records agree too, and the group ran at most one
+// measures with — for blocks only some µarchs support. The Metrics
+// records agree too, and the group ran at most one
 // functional pass per block. Two workers drive the group concurrently, so
 // `go test -race` checks the shared scratch.
 func TestProfileEachEqualsProfile(t *testing.T) {
@@ -207,26 +204,9 @@ func TestProfileEachEqualsProfile(t *testing.T) {
 		{"baseline", profiler.BaselineOptions()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Two caches warmed identically for a third of the (block, key)
-			// cells: one serves the group, one the per-key calls.
-			var caches [2]*profcache.Cache
-			for i := range caches {
-				c, err := profcache.Open(filepath.Join(t.TempDir(), "profiles.json"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				caches[i] = c
-				for bi, b := range blocks {
-					for ki, p := range groupKeys(tc.opts, c, nil) {
-						if (bi+ki)%3 == 0 {
-							p.Profile(b)
-						}
-					}
-				}
-			}
 			groupMet, singleMet := new(profiler.Metrics), new(profiler.Metrics)
-			group := groupKeys(tc.opts, caches[0], groupMet)
-			single := groupKeys(tc.opts, caches[1], singleMet)
+			group := groupKeys(tc.opts, groupMet)
+			single := groupKeys(tc.opts, singleMet)
 
 			got := make([][]profiler.Result, len(blocks))
 			var wg sync.WaitGroup
@@ -250,11 +230,8 @@ func TestProfileEachEqualsProfile(t *testing.T) {
 				}
 			}
 			g, s := groupMet.Snapshot(), singleMet.Snapshot()
-			if g.CacheHits != s.CacheHits || g.Profiled != s.Profiled || g.ByStatus != s.ByStatus {
+			if g.Profiled != s.Profiled || g.ByStatus != s.ByStatus {
 				t.Errorf("metrics differ: group %+v, per key %+v", g, s)
-			}
-			if g.CacheHits == 0 || g.Profiled == 0 {
-				t.Errorf("the cache served %d keys and missed %d; the test needs both", g.CacheHits, g.Profiled)
 			}
 			if g.Passes > uint64(len(blocks)) || g.PassServed > g.Profiled || g.PassServed < g.Passes {
 				t.Errorf("group ran %d functional passes serving %d measurements for %d blocks (%d measured)",
@@ -263,8 +240,8 @@ func TestProfileEachEqualsProfile(t *testing.T) {
 			if s.PassServed != s.Passes {
 				t.Errorf("per-key calls: %d passes served %d measurements", s.Passes, s.PassServed)
 			}
-			t.Logf("%d blocks × %d keys: %d cache hits, %d measured, %d functional passes (per key: %d)",
-				len(blocks), len(group), g.CacheHits, g.Profiled, g.Passes, s.Passes)
+			t.Logf("%d blocks × %d keys: %d measured, %d functional passes (per key: %d)",
+				len(blocks), len(group), g.Profiled, g.Passes, s.Passes)
 		})
 	}
 }

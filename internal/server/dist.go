@@ -298,8 +298,7 @@ func (f *fillState) close() error {
 // under. The fields that feed the run fingerprint (seed, scale, corpus,
 // model options) come straight from the request, so the worker's suite
 // fingerprints identically to the coordinator's; execution-only knobs
-// (parallelism, a local profile cache) are the caller's to set on the
-// returned config.
+// (parallelism) are the caller's to set on the returned config.
 func WorkerHarnessConfig(raw []byte, shardSize int) (harness.Config, error) {
 	var req Request
 	if err := json.Unmarshal(raw, &req); err != nil {

@@ -2,11 +2,10 @@
 // long-running HTTP front end over the same sharded, checkpointed
 // pipeline the batch CLI drives. Clients POST a corpus (or a generation
 // request) to /v1/evaluate and get a job id; jobs run through
-// internal/harness with a per-job fingerprint-bound checkpoint journal
-// and the shared profile cache, so a server restart resumes in-flight
-// jobs from their last completed shard and produces byte-identical
-// results. Progress streams to clients over SSE, mirroring the CLI's
-// -progress lines.
+// internal/harness with a per-job fingerprint-bound checkpoint journal,
+// so a server restart resumes in-flight jobs from their last completed
+// shard and produces byte-identical results. Progress streams to clients
+// over SSE, mirroring the CLI's -progress lines.
 //
 // Endpoints:
 //
@@ -39,7 +38,6 @@ import (
 	"bhive/internal/dist"
 	"bhive/internal/harness"
 	"bhive/internal/journal"
-	"bhive/internal/profcache"
 	"bhive/internal/profiler"
 	"bhive/internal/uarch"
 )
@@ -49,10 +47,6 @@ type Config struct {
 	// DataDir roots all persistent job state: DataDir/jobs/<id>/ holds the
 	// normalized request, the checkpoint journal, and the final result.
 	DataDir string
-	// Cache, when non-nil, is the profile cache shared by every job (and
-	// flushed after each one). Restarted servers re-open it and skip
-	// re-measuring blocks any earlier job already profiled.
-	Cache *profcache.Cache
 	// Workers bounds per-job profiling parallelism (0 = GOMAXPROCS).
 	Workers int
 	// MaxJobs bounds concurrently running jobs (default 1; queued jobs
@@ -235,10 +229,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Shutdown drains the server: running jobs stop at their next shard
-// boundary (the shard in flight is finished and checkpointed first),
-// workers exit, and the shared profile cache is flushed. Jobs still
-// queued or interrupted stay pending on disk; the next New over the same
-// DataDir re-queues and resumes them.
+// boundary (the shard in flight is finished and checkpointed first) and
+// workers exit. Jobs still queued or interrupted stay pending on disk;
+// the next New over the same DataDir re-queues and resumes them.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.closed {
@@ -254,13 +247,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
+		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	if s.cfg.Cache != nil {
-		return s.cfg.Cache.Save()
-	}
-	return nil
 }
 
 // worker runs queued jobs until Shutdown. The interrupt check comes
@@ -625,7 +615,6 @@ func (s *Server) harnessConfig(j *Job) (harness.Config, error) {
 	cfg.Workers = s.cfg.Workers
 	cfg.CheckpointPath = filepath.Join(j.dir, "checkpoint.jsonl")
 	cfg.FsyncEvery = s.cfg.FsyncEvery
-	cfg.ProfileCache = s.cfg.Cache
 	cfg.Progress = &progressWriter{j: j}
 	cfg.Interrupt = s.interrupt
 	cfg.Metrics = j.metrics
@@ -647,8 +636,7 @@ type failureFile struct {
 
 // runJob executes one job to a terminal state — or back to the queue
 // state if it was interrupted by shutdown (its checkpoint makes the
-// eventual re-run cheap). The shared profile cache is flushed after every
-// job so a crash loses at most one job's worth of profiles.
+// eventual re-run cheap).
 func (s *Server) runJob(j *Job) {
 	j.setState(stateRunning, "")
 	raw, err := s.executeJob(j)
@@ -668,11 +656,6 @@ func (s *Server) runJob(j *Job) {
 			j.setState(stateDone, "")
 		}
 	}
-	if s.cfg.Cache != nil {
-		if serr := s.cfg.Cache.Save(); serr != nil {
-			j.appendProgress(fmt.Sprintf("warning: profile cache save failed: %v", serr))
-		}
-	}
 }
 
 // executeJob drives the harness for one job and renders the result bytes.
@@ -683,7 +666,7 @@ func (s *Server) executeJob(j *Job) (_ []byte, err error) {
 	}
 	if len(j.req.Backends) > 0 {
 		bes, berr := backend.ParseList(strings.Join(j.req.Backends, ","),
-			backend.Options{Cache: s.cfg.Cache, Metrics: j.metrics})
+			backend.Options{Metrics: j.metrics})
 		if berr != nil {
 			return nil, berr
 		}
@@ -731,17 +714,16 @@ func mustJSON(v any) []byte {
 
 // MetricsStatus is the job-status view of profiler.Metrics.
 type MetricsStatus struct {
-	CacheHits          uint64            `json:"cache_hits"`
 	Profiled           uint64            `json:"profiled"`
 	Prescreened        uint64            `json:"prescreened,omitempty"`
 	CrosscheckMismatch uint64            `json:"crosscheck_mismatch,omitempty"`
 	ByStatus           map[string]uint64 `json:"by_status,omitempty"`
 	// BlocksPerSec is the job's overall processing rate since its first
-	// block outcome (cache hits included); MeasuredPerSec is the rate of
+	// block outcome (prescreens included); MeasuredPerSec is the rate of
 	// actually-measured blocks only. EtaSeconds estimates the time left
 	// for the work the run has planned so far, derived from the measured
-	// rate so a warm-cache resume doesn't report a hit-speed ETA for cold
-	// work. All are omitted until a block completes.
+	// rate so a prescreen-heavy start doesn't report a prescreen-speed
+	// ETA for measured work. All are omitted until a block completes.
 	BlocksPerSec   float64 `json:"blocks_per_sec,omitempty"`
 	MeasuredPerSec float64 `json:"measured_per_sec,omitempty"`
 	EtaSeconds     float64 `json:"eta_seconds,omitempty"`
@@ -750,7 +732,6 @@ type MetricsStatus struct {
 func metricsStatus(m *profiler.Metrics) *MetricsStatus {
 	snap := m.Snapshot()
 	ms := &MetricsStatus{
-		CacheHits:          snap.CacheHits,
 		Profiled:           snap.Profiled,
 		Prescreened:        snap.Prescreened,
 		CrosscheckMismatch: snap.CrosscheckMismatch,

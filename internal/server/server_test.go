@@ -9,14 +9,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"bhive/internal/corpus"
 	"bhive/internal/harness"
-	"bhive/internal/profcache"
 )
 
 // testCorpusCSV renders a small deterministic corpus in the interchange
@@ -176,12 +174,7 @@ func TestServerLifecycleGolden(t *testing.T) {
 	// Interrupted: the first server stops the job after three computed
 	// shards (a durable boundary — exactly what the SIGTERM drain does).
 	dir := t.TempDir()
-	cachePath := filepath.Join(dir, "profiles.json")
-	pc, err := profcache.Open(cachePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := New(Config{DataDir: dir, Cache: pc, StopAfterShards: 3})
+	s1, err := New(Config{DataDir: dir, StopAfterShards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +210,7 @@ func TestServerLifecycleGolden(t *testing.T) {
 
 	// Restart over the same data directory: the job is re-queued, resumes
 	// from the checkpoint, and completes.
-	pc2, err := profcache.Open(cachePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := New(Config{DataDir: dir, Cache: pc2})
+	s2, err := New(Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,10 @@ package uarch
 // hardware truth per microarchitecture.
 //
 // The perturbed CPU carries a distinct Name. That is load-bearing, not
-// cosmetic: µop descriptions (internal/memo) and persistent profiles
-// (internal/profcache) are keyed by CPU name, so a shared name would let
-// one parameterization's cached results leak into the other's.
+// cosmetic: µop descriptions (internal/memo) are keyed by CPU name, so a
+// shared name would let one parameterization's descriptions leak into the
+// other's, and the perturbed backend's part of the checkpoint fingerprint
+// (backend.Fingerprint) names the backend, not these parameters.
 func (c *CPU) Perturbed() *CPU {
 	p := *c
 	p.Name = c.Name + "-perturbed"

@@ -3,9 +3,8 @@ package uarch
 import "testing"
 
 // TestPerturbedIdentity: the perturbation must rename the CPU (µop-
-// description memoization and the profile cache are keyed by name, so a
-// shared name would alias the two parameterizations) and must not touch
-// the original.
+// description memoization is keyed by name, so a shared name would alias
+// the two parameterizations) and must not touch the original.
 func TestPerturbedIdentity(t *testing.T) {
 	for _, cpu := range All() {
 		orig := *cpu

@@ -25,8 +25,7 @@ trap cleanup EXIT
 
 echo "smoke: building bhive-serve"
 go build -o "$WORK/bhive-serve" ./cmd/bhive-serve
-"$WORK/bhive-serve" -addr "127.0.0.1:$PORT" -data "$WORK/state" \
-  -profile-cache "$WORK/profiles.json" &
+"$WORK/bhive-serve" -addr "127.0.0.1:$PORT" -data "$WORK/state" &
 SRV_PID=$!
 
 for _ in $(seq 1 100); do
