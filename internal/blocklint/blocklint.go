@@ -28,6 +28,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"bhive/internal/bound"
 	"bhive/internal/memo"
@@ -214,8 +215,6 @@ func (r *Report) Agrees(dyn profiler.Status) bool {
 type Analyzer struct {
 	// prof runs the functional pass; its CPU and Opts are the analyzer's.
 	prof *profiler.Profiler
-	// pool holds the per-call scratches.
-	pool sync.Pool
 }
 
 // New builds an analyzer mirroring a profiler.New(cpu, opts).
@@ -223,9 +222,15 @@ func New(cpu *uarch.CPU, opts profiler.Options) *Analyzer {
 	return &Analyzer{prof: profiler.New(cpu, opts)}
 }
 
-// scratch is one analysis's working memory, reused through the analyzer's
-// pool. Nothing in a Report points into it: diagnostics hold formatted
-// strings, and the facts and bounds are values.
+// scratches holds the per-call scratches of every analyzer. One pool for
+// all of them means a worker that lints a row on several µarchs in turn
+// usually gets back the scratch of its last call, and with it that call's
+// functional pass (scratch.last).
+var scratches sync.Pool
+
+// scratch is one analysis's working memory. Nothing in a Report points
+// into it: diagnostics hold formatted strings, and the facts and bounds
+// are values.
 type scratch struct {
 	raw       []byte        // AnalyzeHex: the row's bytes
 	block     x86.Block     // AnalyzeHex: the row decoded into insts
@@ -233,17 +238,44 @@ type scratch struct {
 	args      []x86.Operand // their operands
 	again     []x86.Inst    // roundTrip: the re-decoded instructions
 	againArgs []x86.Operand // their operands
+	ids       []memo.ID     // the block's interned instructions
 	entries   []*memo.PreparedInst
 	offsets   []int     // each instruction's byte offset in code
 	code      []byte    // the canonical encoding
 	hex       []byte    // code's hex
 	defUse    []DepEdge // computeFacts: the def-use edges, before their exact copy
-	aggs      []memAgg  // observe: per-instruction access aggregates
+	aggs      []memAgg  // aggregate: per-instruction access aggregates
+	last      lastPass
 }
 
-// getScratch takes a scratch from the pool; return it with a.pool.Put.
-func (a *Analyzer) getScratch() *scratch {
-	if v := a.pool.Get(); v != nil {
+// lastPass is the outcome of the last functional pass a scratch ran,
+// keyed by all it depends on once every instruction encodes and
+// describes: the instructions (their memo ids), the options (unroll
+// factors, page mapping, fault budget, misaligned filter) and the
+// cache-line size. The µarch is not part of the key: execution is
+// µarch-independent, as profiler.ProfileEach relies on for every key.
+type lastPass struct {
+	valid    bool // the fields below are one pass's complete record
+	ids      []memo.ID
+	opts     profiler.Options
+	lineSize int
+	diags    []Diag          // what replay added to the report
+	status   profiler.Status // the predicted status
+	observed bool            // the trace completed; s.aggs holds its aggregates
+}
+
+func (l *lastPass) matches(ids []memo.ID, opts profiler.Options, lineSize int) bool {
+	return l.valid && l.opts == opts && l.lineSize == lineSize && slices.Equal(l.ids, ids)
+}
+
+// passHits and passRuns count the analyze calls that reached the
+// functional pass and reused a scratch's last one, or ran their own.
+var passHits, passRuns atomic.Int64
+
+// getScratch takes a scratch from the shared pool; return it with
+// scratches.Put.
+func getScratch() *scratch {
+	if v := scratches.Get(); v != nil {
 		return v.(*scratch)
 	}
 	return new(scratch)
@@ -253,8 +285,12 @@ func (a *Analyzer) getScratch() *scratch {
 // input yields a report with CodeNoDecode and a Crashed prediction (such a
 // row cannot be profiled at all).
 func (a *Analyzer) AnalyzeHex(hexStr string) *Report {
-	s := a.getScratch()
-	defer a.pool.Put(s)
+	s := getScratch()
+	defer scratches.Put(s)
+	return a.analyzeHex(s, hexStr)
+}
+
+func (a *Analyzer) analyzeHex(s *scratch, hexStr string) *Report {
 	s.raw = append(s.raw[:0], hexStr...)
 	n, err := hex.Decode(s.raw, s.raw)
 	s.raw = s.raw[:n]
@@ -286,8 +322,8 @@ func (a *Analyzer) AnalyzeHex(hexStr string) *Report {
 
 // Analyze analyzes a decoded block.
 func (a *Analyzer) Analyze(b *x86.Block) *Report {
-	s := a.getScratch()
-	defer a.pool.Put(s)
+	s := getScratch()
+	defer scratches.Put(s)
 	return a.analyze(s, b, nil, "")
 }
 
@@ -314,8 +350,10 @@ func (a *Analyzer) analyze(s *scratch, b *x86.Block, orig []byte, hexStr string)
 
 	// Mirror machine.PrepareUnrolled: encode then describe each distinct
 	// instruction in order; the first failure decides the status. The
-	// block is resolved once; every later stage reads the entries.
-	s.entries = memo.For(cpu).Resolve(s.entries[:0], b)
+	// block is interned and resolved once; every later stage, the
+	// functional pass included, reads the entries.
+	s.ids = memo.InternBlock(s.ids[:0], b)
+	s.entries = memo.For(cpu).ResolveIDs(s.entries[:0], s.ids)
 	entries := s.entries
 	s.offsets = slices.Grow(s.offsets[:0], n)[:n]
 	offsets := s.offsets
@@ -369,10 +407,32 @@ func (a *Analyzer) analyze(s *scratch, b *x86.Block, orig []byte, hexStr string)
 		}
 	}
 
-	// The profiler's own functional pass decides the verdict.
-	a.prof.Functional(b, func(pass *profiler.Pass) {
+	// The profiler's own functional pass decides the verdict. Every
+	// return before this point is an encode or describe failure, so the
+	// pass and its replay depend on nothing outside the key of s.last.
+	opts, lineSize := a.prof.Opts, a.lineSize()
+	last := &s.last
+	if last.matches(s.ids, opts, lineSize) {
+		passHits.Add(1)
+		rep.Diags = append(rep.Diags, last.diags...)
+		if last.observed {
+			fold(s.aggs, rep.Facts)
+		}
+		rep.Predicted = last.status
+		return rep
+	}
+	passRuns.Add(1)
+	last.valid = false
+	first := len(rep.Diags)
+	a.prof.FunctionalResolved(b.Insts, entries, func(pass *profiler.Pass) {
 		rep.Predicted = a.replay(s, rep, b.Insts, pass)
+		last.observed = pass.Err == nil
 	})
+	last.ids = append(last.ids[:0], s.ids...)
+	last.opts, last.lineSize = opts, lineSize
+	last.diags = append(last.diags[:0], rep.Diags[first:]...)
+	last.status = rep.Predicted
+	last.valid = true
 	return rep
 }
 

@@ -279,13 +279,20 @@ func TestAgreementHandcrafted(t *testing.T) {
 	}
 }
 
-// TestAnalyzeConcurrent shares one analyzer (and so one profiler's pooled
-// machines) across goroutines: every report must match the sequential one.
+// TestAnalyzeConcurrent shares one analyzer per extended µarch (and so
+// each profiler's pooled machines, and the scratches every analyzer
+// shares) across goroutines that each lint every row on every µarch in
+// turn: every report must match the sequential one.
 func TestAnalyzeConcurrent(t *testing.T) {
-	a := defaultAnalyzer(t)
-	want := make([]*Report, len(handcrafted))
-	for i, h := range handcrafted {
-		want[i] = a.AnalyzeHex(h)
+	var as []*Analyzer
+	for _, cpu := range uarch.Extended() {
+		as = append(as, New(cpu, profiler.DefaultOptions()))
+	}
+	want := make([][]*Report, len(as))
+	for ai, a := range as {
+		for _, h := range handcrafted {
+			want[ai] = append(want[ai], a.AnalyzeHex(h))
+		}
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -293,8 +300,10 @@ func TestAnalyzeConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, h := range handcrafted {
-				if got := a.AnalyzeHex(h); !reflect.DeepEqual(got, want[i]) {
-					t.Errorf("%s: concurrent report differs from the sequential one", h)
+				for ai, a := range as {
+					if got := a.AnalyzeHex(h); !reflect.DeepEqual(got, want[ai][i]) {
+						t.Errorf("%s on %s: concurrent report differs from the sequential one", h, a.prof.CPU.Name)
+					}
 				}
 			}
 		}()
@@ -303,8 +312,10 @@ func TestAnalyzeConcurrent(t *testing.T) {
 }
 
 // FuzzAnalyzeAgrees feeds arbitrary bytes to the analyzer: AnalyzeHex
-// must never panic, and on every block that decodes the static verdict
-// must agree with the profiler's status.
+// must never panic; analyzing the row on every extended µarch in turn, on
+// one scratch, must give each µarch a fresh analyzer's report; and on
+// every block that decodes the static verdict must agree with the
+// profiler's status.
 func FuzzAnalyzeAgrees(f *testing.F) {
 	for _, h := range handcrafted {
 		raw, err := hex.DecodeString(h)
@@ -317,8 +328,20 @@ func FuzzAnalyzeAgrees(f *testing.F) {
 	opts := profiler.DefaultOptions()
 	a := New(cpu, opts)
 	p := profiler.New(cpu, opts)
+	var seq []*Analyzer
+	for _, cpu := range uarch.Extended() {
+		seq = append(seq, New(cpu, opts))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		rep := a.AnalyzeHex(hex.EncodeToString(raw))
+		h := hex.EncodeToString(raw)
+		rep := a.AnalyzeHex(h)
+		s := new(scratch)
+		for _, x := range seq {
+			if got, want := x.analyzeHex(s, h), freshHex(x.prof.CPU, opts, h); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%x: the %s report after the earlier µarchs' differs from a fresh analyzer's\n  got:  %+v\n  want: %+v",
+					raw, x.prof.CPU.Name, got, want)
+			}
+		}
 		insts, err := x86.DecodeBlock(raw)
 		if err != nil {
 			return

@@ -37,7 +37,8 @@ func (a *Analyzer) replay(s *scratch, rep *Report, insts []x86.Inst, pass *profi
 		return profiler.StatusCrashed
 	}
 
-	split := observe(s, rep.Facts, pass.Steps, n, uint64(a.lineSize()))
+	split := aggregate(s, pass.Steps, n, uint64(a.lineSize()))
+	fold(s.aggs, rep.Facts)
 	if split >= 0 && a.prof.Opts.FilterMisaligned {
 		rep.addDiag(Diag{Code: CodeLineSplit, Inst: split, Offset: -1,
 			Msg: "access crosses a cache-line boundary in the timed run"})
@@ -139,11 +140,11 @@ func containsPage(pages []uint64, base uint64) bool {
 	return false
 }
 
-// observe folds the completed trace's memory accesses into the observed
-// fields of f.Mem and returns the static index of the first instruction
-// whose access crosses a cache line (-1 if none does). The per-instruction
-// aggregates and their page lists live in s.
-func observe(s *scratch, f *Facts, steps []exec.Step, n int, lineSize uint64) int {
+// aggregate gathers the completed trace's memory accesses into s.aggs,
+// one aggregate (with its page list) per static instruction, and returns
+// the static index of the first instruction whose access crosses a cache
+// line (-1 if none does).
+func aggregate(s *scratch, steps []exec.Step, n int, lineSize uint64) int {
 	s.aggs = slices.Grow(s.aggs[:0], n)[:n]
 	aggs := s.aggs
 	for i := range aggs {
@@ -158,6 +159,12 @@ func observe(s *scratch, f *Facts, steps []exec.Step, n int, lineSize uint64) in
 			}
 		}
 	}
+	return split
+}
+
+// fold sets the observed fields of f.Mem from the aggregates of the
+// trace.
+func fold(aggs []memAgg, f *Facts) {
 	for i := range f.Mem {
 		mf := &f.Mem[i]
 		g := &aggs[mf.Inst]
@@ -176,5 +183,4 @@ func observe(s *scratch, f *Facts, steps []exec.Step, n int, lineSize uint64) in
 		mf.Pages = len(g.pages)
 		mf.Splits = g.splits
 	}
-	return split
 }

@@ -3,6 +3,7 @@ package blocklint
 import (
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -59,11 +60,11 @@ func TestAnalyzeScratchReuse(t *testing.T) {
 	for _, cpu := range uarch.Extended() {
 		wantHex := make([]*Report, len(hexes))
 		for i, h := range hexes {
-			wantHex[i] = New(cpu, opts).AnalyzeHex(h)
+			wantHex[i] = freshHex(cpu, opts, h)
 		}
 		wantBlock := make([]*Report, len(blocks))
 		for i, b := range blocks {
-			wantBlock[i] = New(cpu, opts).Analyze(b)
+			wantBlock[i] = New(cpu, opts).analyze(new(scratch), b, nil, "")
 		}
 		a := New(cpu, opts)
 		check := func(order string, i int) {
@@ -100,6 +101,97 @@ func TestAnalyzeScratchReuse(t *testing.T) {
 	}
 }
 
+// freshHex is the report of a fresh analyzer on a fresh scratch, which
+// has no earlier pass to reuse.
+func freshHex(cpu *uarch.CPU, opts profiler.Options, h string) *Report {
+	return New(cpu, opts).analyzeHex(new(scratch), h)
+}
+
+// reachesPass reports whether analyzing rep's row ran (or reused) a
+// functional pass: the row decodes, and every instruction encodes and
+// describes.
+func reachesPass(rep *Report) bool {
+	for _, d := range rep.Diags {
+		switch d.Code {
+		case CodeNoDecode, CodeEmpty, CodeNoEncode, CodeUnsupported:
+			return false
+		}
+	}
+	return true
+}
+
+// TestAnalyzeReuseAcrossArchs analyzes each row on one µarch and then, on
+// the same scratch, on another: the second report, which reuses the first
+// call's functional pass whenever both calls reach one, must equal a fresh
+// analyzer's. The rows include AVX2 blocks Ivy Bridge refuses, so some
+// pairs reach the pass on one side only. Analyzers whose options differ
+// must not reuse each other's pass.
+func TestAnalyzeReuseAcrossArchs(t *testing.T) {
+	scale := 0.002
+	if testing.Short() || raceEnabled {
+		scale = 0.001
+	}
+	hexes, _ := scratchRows(t, scale)
+	opts := profiler.DefaultOptions()
+	cpus := uarch.Extended()
+	want := make([][]*Report, len(cpus))
+	for ci, cpu := range cpus {
+		for _, h := range hexes {
+			want[ci] = append(want[ci], freshHex(cpu, opts, h))
+		}
+	}
+	var wantHits, wantRuns int64
+	hits0, runs0 := passCounts()
+	for ai, cpuA := range cpus {
+		for bi, cpuB := range cpus {
+			if ai == bi {
+				continue
+			}
+			a, b := New(cpuA, opts), New(cpuB, opts)
+			for i, h := range hexes {
+				s := new(scratch)
+				a.analyzeHex(s, h)
+				if got := b.analyzeHex(s, h); !reflect.DeepEqual(got, want[bi][i]) {
+					t.Errorf("%s after %s: AnalyzeHex(%s) differs from a fresh analyzer's report", cpuB.Name, cpuA.Name, h)
+				}
+				reachA, reachB := reachesPass(want[ai][i]), reachesPass(want[bi][i])
+				switch {
+				case reachA && reachB:
+					wantRuns++
+					wantHits++
+				case reachA || reachB:
+					wantRuns++
+				}
+			}
+		}
+	}
+	hits, runs := passCounts()
+	if hits-hits0 != wantHits || runs-runs0 != wantRuns {
+		t.Errorf("passes reused %d and run %d, want %d and %d", hits-hits0, runs-runs0, wantHits, wantRuns)
+	}
+	if wantHits == 0 {
+		t.Fatal("no call reused a pass")
+	}
+
+	other := opts
+	other.FilterMisaligned, other.MaxFaults = false, 1
+	for _, cpu := range cpus {
+		x, y := New(cpu, opts), New(cpu, other)
+		for _, h := range hexes {
+			wantY := freshHex(cpu, other, h)
+			hits0, _ := passCounts()
+			s := new(scratch)
+			x.analyzeHex(s, h)
+			if got := y.analyzeHex(s, h); !reflect.DeepEqual(got, wantY) {
+				t.Errorf("%s: AnalyzeHex(%s) with other options differs from a fresh analyzer's report", cpu.Name, h)
+			}
+			if hits, _ := passCounts(); hits != hits0 {
+				t.Fatalf("%s: AnalyzeHex(%s) with other options reused a pass", cpu.Name, h)
+			}
+		}
+	}
+}
+
 // reportObjects counts the heap objects a report without diagnostics
 // owns: itself, its facts and their non-nil slices, its bounds, and its
 // hex unless it is the input string.
@@ -122,41 +214,83 @@ func reportObjects(rep *Report, input string) int {
 	return n
 }
 
-// TestAnalyzeHexAllocs pins the static path's working memory: on a warm
-// analyzer, AnalyzeHex of a row that yields no diagnostic allocates only
-// the report's own objects and the functional pass's: its Pass, which
-// escapes to the profiler's callback, and one *vm.Fault for each page the
-// monitor maps.
+// allocRows returns the rows the allocation pins measure: rows whose
+// reports under every analyzer of as carry no diagnostic, with the total
+// count of those reports' own objects.
+func allocRows(t *testing.T, as ...*Analyzer) (hexes []string, objects []int) {
+	t.Helper()
+	all, _ := scratchRows(t, 0.002)
+	lowercase := 0
+rows:
+	for _, h := range all {
+		own := 0
+		for _, a := range as {
+			rep := a.AnalyzeHex(h)
+			if len(rep.Diags) > 0 {
+				continue rows
+			}
+			own += reportObjects(rep, h)
+		}
+		hexes, objects = append(hexes, h), append(objects, own)
+		if h == strings.ToLower(h) {
+			lowercase++
+		}
+	}
+	if len(hexes) < 100 || lowercase == len(hexes) {
+		t.Fatalf("pinned %d rows (%d lowercase), want at least 100 and one with uppercase hex", len(hexes), lowercase)
+	}
+	t.Logf("%d rows pinned", len(hexes))
+	return hexes, objects
+}
+
+// TestAnalyzeHexAllocs pins the static path's working memory when the
+// functional pass runs: on warm analyzers, AnalyzeHex of a row that yields
+// no diagnostic allocates only the report's own objects. The pass, its
+// outcome and the faults the monitor repairs allocate nothing. Two
+// analyzers whose options differ take turns on the row, so every call
+// runs its own pass.
 func TestAnalyzeHexAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
-	hexes, _ := scratchRows(t, 0.002)
-	a := New(uarch.Haswell(), profiler.DefaultOptions())
-	var pinned, lowercase int
-	for _, h := range hexes {
-		rep := a.AnalyzeHex(h)
-		if len(rep.Diags) > 0 {
-			continue
+	opts := profiler.DefaultOptions()
+	other := opts
+	other.MaxFaults++
+	a, b := New(uarch.Haswell(), opts), New(uarch.Haswell(), other)
+	hexes, objects := allocRows(t, a, b)
+	for i, h := range hexes {
+		_, runs0 := passCounts()
+		allocs := testing.AllocsPerRun(10, func() { a.AnalyzeHex(h); b.AnalyzeHex(h) })
+		if _, runs := passCounts(); runs-runs0 != 2*11 {
+			t.Fatalf("%s: %d of 22 calls ran a pass, want all", h, runs-runs0)
 		}
-		pinned++
-		if h == strings.ToLower(h) {
-			lowercase++
-		}
-		b, err := x86.BlockFromHex(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var pages int
-		a.prof.Functional(b, func(pass *profiler.Pass) { pages = pass.PagesMapped })
-		own := reportObjects(rep, h)
-		allocs := testing.AllocsPerRun(10, func() { a.AnalyzeHex(h) })
-		if want := own + 1 + pages; int(allocs) > want {
-			t.Errorf("%s: AnalyzeHex makes %.0f allocations, want at most %d (the report's %d, the Pass and %d faults)", h, allocs, want, own, pages)
+		if int(allocs) != objects[i] {
+			t.Errorf("%s: two AnalyzeHex calls make %.0f allocations, want the reports' %d", h, allocs, objects[i])
 		}
 	}
-	if pinned < 100 || lowercase == pinned {
-		t.Fatalf("pinned %d rows (%d lowercase), want at least 100 and one with uppercase hex", pinned, lowercase)
+}
+
+// TestAnalyzeHexReuseAllocs pins the reuse path: AnalyzeHex of a row on
+// one µarch right after another allocates exactly the report's objects.
+func TestAnalyzeHexReuseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
-	t.Logf("%d rows pinned", pinned)
+	// One P, as in AllocsPerRun, so the calls before it put their
+	// scratch where the measured calls look first.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	opts := profiler.DefaultOptions()
+	a, b := New(uarch.Haswell(), opts), New(uarch.Skylake(), opts)
+	hexes, objects := allocRows(t, a, b)
+	for i, h := range hexes {
+		b.AnalyzeHex(h)
+		hits0, _ := passCounts()
+		allocs := testing.AllocsPerRun(10, func() { a.AnalyzeHex(h); b.AnalyzeHex(h) })
+		if hits, _ := passCounts(); hits-hits0 != 2*11 {
+			t.Fatalf("%s: %d of 22 calls reused a pass, want all", h, hits-hits0)
+		}
+		if int(allocs) != objects[i] {
+			t.Errorf("%s: two AnalyzeHex calls make %.0f allocations, want the reports' %d", h, allocs, objects[i])
+		}
+	}
 }

@@ -71,8 +71,14 @@ type Runner struct {
 	// as an error. Because execution is deterministic and mapping only adds
 	// pages, continuing in place yields exactly the trace that the
 	// restart-per-fault monitor protocol converges to — this is what lets
-	// one functional pass discover and map every faulting page.
+	// one functional pass discover and map every faulting page. The fault
+	// it is handed is valid only during the call; a fault it refuses is
+	// returned as a *vm.Fault of its own.
 	OnFault func(f *vm.Fault) bool
+
+	// fault is the fault handed to OnFault, so a repaired one allocates
+	// nothing.
+	fault vm.Fault
 }
 
 // NewRunner builds a runner over fresh architectural state.
@@ -123,19 +129,27 @@ func (r *Runner) ea(m x86.Mem) uint64 {
 }
 
 func (r *Runner) loadBytes(addr uint64, buf []byte, step *Step) error {
-	for {
-		err := r.AS.Read(addr, buf)
-		if err == nil {
-			break
-		}
-		if f, ok := err.(*vm.Fault); ok && r.OnFault != nil && r.OnFault(f) {
-			continue // repaired: retry the access in place
-		}
+	if err := r.access(addr, buf, false); err != nil {
 		return err
 	}
 	_, phys, _ := r.AS.Translate(addr)
 	step.Load = r.newAccess(MemAccess{Addr: addr, Phys: phys, Size: uint8(len(buf))})
 	return nil
+}
+
+// access copies between buf and the memory at addr (vm.AddressSpace.Access),
+// retrying in place after each fault OnFault repairs.
+func (r *Runner) access(addr uint64, buf []byte, write bool) error {
+	for {
+		f, ok := r.AS.Access(addr, buf, write)
+		if ok {
+			return nil
+		}
+		r.fault = f
+		if r.OnFault == nil || !r.OnFault(&r.fault) {
+			return &vm.Fault{Addr: f.Addr, Write: f.Write}
+		}
+	}
 }
 
 // newAccess places an access record in the arena and returns its stable
@@ -152,14 +166,7 @@ func (r *Runner) newAccess(a MemAccess) *MemAccess {
 }
 
 func (r *Runner) storeBytes(addr uint64, buf []byte, step *Step) error {
-	for {
-		err := r.AS.Write(addr, buf)
-		if err == nil {
-			break
-		}
-		if f, ok := err.(*vm.Fault); ok && r.OnFault != nil && r.OnFault(f) {
-			continue
-		}
+	if err := r.access(addr, buf, true); err != nil {
 		return err
 	}
 	_, phys, _ := r.AS.Translate(addr)

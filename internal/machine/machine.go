@@ -32,10 +32,11 @@ type Machine struct {
 	codeLen    int
 
 	// Scratch buffers recycled across Prepare/Execute/PrepareGraph calls;
-	// entries backs the entries PrepareUnrolled resolves itself.
+	// entries backs the entries PrepareUnrolled resolves itself, and run
+	// is the runner ExecuteMonitored executes on (its trace and access
+	// arena, and the fault it hands the monitor).
 	entries []*memo.PreparedInst
-	trace   []exec.Step
-	acc     []exec.MemAccess
+	run     exec.Runner
 	items   []pipeline.Item
 	code    []byte
 	graph   pipeline.Graph
@@ -353,18 +354,16 @@ func (m *Machine) Execute(p *Program, st *exec.State) ([]exec.Step, error) {
 // page the block touches.
 func (m *Machine) ExecuteMonitored(p *Program, st *exec.State, onFault func(f *vm.Fault) bool) ([]exec.Step, error) {
 	m.forget()
-	if m.trace == nil {
-		m.trace = make([]exec.Step, 0, len(p.Insts))
+	r := &m.run
+	if r.Trace == nil {
+		r.Trace = make([]exec.Step, 0, len(p.Insts))
 	}
-	r := &exec.Runner{State: st, AS: m.AS, Record: true, Trace: m.trace[:0], Acc: m.acc[:0], OnFault: onFault}
+	r.State, r.AS, r.Record, r.OnFault = st, m.AS, true, onFault
+	r.Trace, r.Acc = r.Trace[:0], r.Acc[:0]
 	err := r.Run(p.Insts, p.Addrs)
-	m.trace = r.Trace[:0] // keep the (possibly grown) buffers
-	m.acc = r.Acc
+	r.State, r.OnFault = nil, nil // drop the caller's references
 	m.last = r.Trace
-	if err != nil {
-		return r.Trace, err
-	}
-	return r.Trace, nil
+	return r.Trace, err
 }
 
 // Config controls a timing run.

@@ -237,6 +237,9 @@ type scratch struct {
 	mon     monitor
 	onFault func(*vm.Fault) bool
 
+	// pass is the outcome FunctionalResolved hands its callback.
+	pass Pass
+
 	// Per-key state of ProfileEach: each key's resolved entries of the
 	// block and whether the shared pass served it; ids are the block's
 	// memo ids, interned once for every key, and raw is the block's
@@ -661,19 +664,25 @@ func (p *Profiler) functional(sc *scratch, ents []*memo.PreparedInst, insts []x8
 // aliases pooled buffers and is valid only until fn returns. b must be
 // non-empty.
 func (p *Profiler) Functional(b *x86.Block, fn func(*Pass)) {
-	_, hi := p.Opts.UnrollFactors(len(b.Insts))
+	p.FunctionalResolved(b.Insts, memo.For(p.CPU).ResolveIDs(nil, memo.InternBlock(nil, b)), fn)
+}
+
+// FunctionalResolved is Functional for a block whose instructions insts
+// the caller has already resolved on p.CPU as ents (memo.InternBlock,
+// then memo.Arch.ResolveIDs), so they are not looked up again.
+func (p *Profiler) FunctionalResolved(insts []x86.Inst, ents []*memo.PreparedInst, fn func(*Pass)) {
 	sc := p.getScratch()
 	defer p.pool.Put(sc)
-	sc.grow(1)
-	sc.ids = memo.InternBlock(sc.ids[:0], b)
-	ents, err := resolve(p.CPU, sc.ids, sc.ents[0][:0], false)
-	sc.ents[0] = ents
-	if err != nil {
-		fn(&Pass{Stop: StopPrepare, Err: err})
-		return
+	for _, e := range ents {
+		if e.Err != nil {
+			sc.pass = Pass{Stop: StopPrepare, Err: e.Err}
+			fn(&sc.pass)
+			return
+		}
 	}
-	pass := p.functional(sc, ents, b.Insts, hi, p.Opts.MaxFaults)
-	fn(&pass)
+	_, hi := p.Opts.UnrollFactors(len(insts))
+	sc.pass = p.functional(sc, ents, insts, hi, p.Opts.MaxFaults)
+	fn(&sc.pass)
 }
 
 // time runs the timing half of the protocol on p's microarchitecture for

@@ -150,35 +150,27 @@ func (as *AddressSpace) DistinctFrames() int {
 	return len(seen)
 }
 
-// Read copies size bytes at vaddr into buf, possibly crossing a page
-// boundary. It returns a *Fault if any byte is unmapped.
-func (as *AddressSpace) Read(vaddr uint64, buf []byte) error {
+// Access copies between buf and the memory at vaddr, possibly crossing a
+// page boundary: into buf for a read, from buf for a write. At the first
+// unmapped page it stops and returns the fault, as a value, and false;
+// the pages before it have been copied.
+func (as *AddressSpace) Access(vaddr uint64, buf []byte, write bool) (Fault, bool) {
 	for len(buf) > 0 {
 		frame, _, ok := as.Translate(vaddr)
 		if !ok {
-			return &Fault{Addr: vaddr}
+			return Fault{Addr: vaddr, Write: write}, false
 		}
 		off := vaddr % PageSize
-		n := copy(buf, frame.Data[off:])
+		var n int
+		if write {
+			n = copy(frame.Data[off:], buf)
+		} else {
+			n = copy(buf, frame.Data[off:])
+		}
 		buf = buf[n:]
 		vaddr += uint64(n)
 	}
-	return nil
-}
-
-// Write copies buf to vaddr, possibly crossing a page boundary.
-func (as *AddressSpace) Write(vaddr uint64, buf []byte) error {
-	for len(buf) > 0 {
-		frame, _, ok := as.Translate(vaddr)
-		if !ok {
-			return &Fault{Addr: vaddr, Write: true}
-		}
-		off := vaddr % PageSize
-		n := copy(frame.Data[off:], buf)
-		buf = buf[n:]
-		vaddr += uint64(n)
-	}
-	return nil
+	return Fault{}, true
 }
 
 // ValidUserAddress reports whether an address can legally be mapped for a

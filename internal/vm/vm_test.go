@@ -28,12 +28,12 @@ func TestSinglePhysPageAliasing(t *testing.T) {
 	}
 	// A write through one virtual page is visible through the other: the
 	// aliasing the single-physical-page trick relies on.
-	if err := as.Write(0x10008, []byte{0xAB}); err != nil {
-		t.Fatal(err)
+	if f, ok := as.Access(0x10008, []byte{0xAB}, true); !ok {
+		t.Fatal(f.Error())
 	}
 	var buf [1]byte
-	if err := as.Read(0x99008, buf[:]); err != nil {
-		t.Fatal(err)
+	if f, ok := as.Access(0x99008, buf[:], false); !ok {
+		t.Fatal(f.Error())
 	}
 	if buf[0] != 0xAB {
 		t.Fatal("aliased frame must share contents")
@@ -42,15 +42,13 @@ func TestSinglePhysPageAliasing(t *testing.T) {
 
 func TestFaultReporting(t *testing.T) {
 	as := New()
-	err := as.Read(0x5000, make([]byte, 8))
-	f, ok := err.(*Fault)
-	if !ok || f.Addr != 0x5000 || f.Write {
-		t.Fatalf("got %v", err)
+	f, ok := as.Access(0x5000, make([]byte, 8), false)
+	if ok || f.Addr != 0x5000 || f.Write {
+		t.Fatalf("got %+v, %v", f, ok)
 	}
-	err = as.Write(0x5000, make([]byte, 8))
-	f, ok = err.(*Fault)
-	if !ok || !f.Write {
-		t.Fatalf("got %v", err)
+	f, ok = as.Access(0x5000, make([]byte, 8), true)
+	if ok || f.Addr != 0x5000 || !f.Write {
+		t.Fatalf("got %+v, %v", f, ok)
 	}
 }
 
@@ -60,12 +58,12 @@ func TestCrossPageAccess(t *testing.T) {
 	as.Map(0x10000, p1)
 	as.Map(0x11000, p2)
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	if err := as.Write(0x10FFC, data); err != nil {
-		t.Fatal(err)
+	if f, ok := as.Access(0x10FFC, data, true); !ok {
+		t.Fatal(f.Error())
 	}
 	got := make([]byte, 8)
-	if err := as.Read(0x10FFC, got); err != nil {
-		t.Fatal(err)
+	if f, ok := as.Access(0x10FFC, got, false); !ok {
+		t.Fatal(f.Error())
 	}
 	for i := range data {
 		if got[i] != data[i] {
@@ -77,8 +75,8 @@ func TestCrossPageAccess(t *testing.T) {
 	}
 	// Fault midway: second page unmapped.
 	as.Unmap(0x11000)
-	if err := as.Write(0x10FFC, data); err == nil {
-		t.Fatal("expected fault on second page")
+	if f, ok := as.Access(0x10FFC, data, true); ok || f.Addr != 0x11000 {
+		t.Fatalf("got %+v, %v; want a fault on the second page", f, ok)
 	}
 }
 
