@@ -17,8 +17,10 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"bhive/internal/bound"
+	"bhive/internal/cache"
 	"bhive/internal/classify"
 	"bhive/internal/corpus"
 	"bhive/internal/exec"
@@ -27,6 +29,7 @@ import (
 	"bhive/internal/memo"
 	"bhive/internal/models"
 	"bhive/internal/models/ithemal"
+	"bhive/internal/pipeline"
 	"bhive/internal/profiler"
 	"bhive/internal/uarch"
 	"bhive/internal/vm"
@@ -739,4 +742,97 @@ func BenchmarkPipelineSimulation(b *testing.B) {
 		m.TimeGraph(g, machine.Config{})
 	}
 	b.ReportMetric(float64(len(steps)), "dynInsts")
+}
+
+// BenchmarkTimedRunCorpus measures the timing layer alone: the timed pair
+// run — the high unroll factor and, from the same pass, its low prefix —
+// of every block of a small generated corpus on xval's six keys (the three
+// paper µarchs, stock and perturbed), on the warm caches the profiler
+// times on. "timed" is the route every measurement takes, the in-order
+// pass wherever it is exact; "event" is the event scheduler alone. One op
+// readies one block on one key, as a measurement does, and times it four
+// times; ns/µop counts only the timed runs, per µop of the high run.
+func BenchmarkTimedRunCorpus(b *testing.B) {
+	const reps = 4
+	type key struct {
+		cpu *uarch.CPU
+		m   *machine.Machine
+	}
+	var keys []key
+	for _, cpu := range uarch.All() {
+		for _, c := range []*uarch.CPU{cpu, cpu.Perturbed()} {
+			keys = append(keys, key{c, machine.New(c, 1)})
+		}
+	}
+	opts := profiler.DefaultOptions()
+	// prepare readies block r on key k as the profiler does: the
+	// high-factor program run once with every faulting page mapped onto
+	// one pattern-filled frame, its graph built and the caches warm. It
+	// returns the graph and the prefix length, or ok false if the block
+	// does not run there.
+	prepare := func(r corpus.Record, k key) (g *pipeline.Graph, nLo int, ok bool) {
+		n := len(r.Block.Insts)
+		lo, hi := opts.UnrollFactors(n)
+		insts := make([]x86.Inst, 0, n*hi)
+		for u := 0; u < hi; u++ {
+			insts = append(insts, r.Block.Insts...)
+		}
+		m := k.m
+		m.Reset()
+		p, err := m.PrepareUnrolled(insts, n)
+		if err != nil {
+			return nil, 0, false
+		}
+		var frame *vm.PhysPage
+		st := &exec.State{FTZ: true, DAZ: true}
+		st.InitRegisters(profiler.InitPattern)
+		steps, err := m.ExecuteMonitored(p, st, func(f *vm.Fault) bool {
+			if !vm.ValidUserAddress(f.Addr) {
+				return false
+			}
+			if frame == nil {
+				frame = m.AS.NewPhysPage()
+				frame.Fill(profiler.InitPattern)
+			}
+			m.AS.Map(f.Addr, frame)
+			return true
+		})
+		if err != nil {
+			return nil, 0, false
+		}
+		g = m.PrepareGraph(p, steps)
+		m.WarmCaches(p, steps)
+		return g, n * lo, true
+	}
+	type job struct{ rec, key int }
+	var jobs []job
+	recs := corpus.GenerateAll(0.001, 7)
+	for ri, r := range recs {
+		for ki, k := range keys {
+			if _, _, ok := prepare(r, k); ok {
+				jobs = append(jobs, job{ri, ki})
+			}
+		}
+	}
+	for _, path := range []struct {
+		name string
+		time func(*uarch.CPU, *pipeline.Graph, int, *cache.Cache, *cache.Cache, pipeline.Config) (pipeline.Counters, pipeline.Counters, bool)
+	}{{"timed", pipeline.SimulateGraphPair}, {"event", pipeline.SimulateEvent}} {
+		b.Run(path.name, func(b *testing.B) {
+			var nanos time.Duration
+			var uops uint64
+			for i := 0; i < b.N; i++ {
+				j := jobs[i%len(jobs)]
+				k := keys[j.key]
+				g, nLo, _ := prepare(recs[j.rec], k)
+				start := time.Now()
+				for r := 0; r < reps; r++ {
+					hi, _, _ := path.time(k.cpu, g, nLo, k.m.L1I, k.m.L1D, pipeline.Config{})
+					uops += hi.Uops
+				}
+				nanos += time.Since(start)
+			}
+			b.ReportMetric(float64(nanos)/float64(max(uops, 1)), "ns/µop")
+		})
+	}
 }

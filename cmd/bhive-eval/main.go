@@ -32,6 +32,7 @@ import (
 	"bhive/internal/harness"
 	"bhive/internal/memo"
 	"bhive/internal/models"
+	"bhive/internal/pipeline"
 	"bhive/internal/profiler"
 )
 
@@ -210,9 +211,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *progress {
 		m, sc := memo.Stats(), models.SchedStats()
 		fmt.Fprintf(stderr, "bhive-eval: memo insts=%d prepared=%d shapes=%d misses=%d uncacheable=%d  "+
-			"model scheduler in-order=%d occupancy-fallbacks=%d other-fallbacks=%d long-prologue-copies=%d\n",
+			"model scheduler in-order=%d occupancy-fallbacks=%d other-fallbacks=%d long-prologue-copies=%d  "+
+			"timed runs %s\n",
 			m.Insts, m.Prepared, m.Shapes, m.Misses, m.Uncacheable,
-			sc.InOrder, sc.OccupancyFallbacks, sc.OtherFallbacks, sc.LongPrologue)
+			sc.InOrder, sc.OccupancyFallbacks, sc.OtherFallbacks, sc.LongPrologue, pipeline.SchedStats())
 	}
 
 	if *memProf != "" {

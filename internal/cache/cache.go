@@ -120,6 +120,31 @@ func (c *Cache) AccessRange(physAddr uint64, size int) (misses int, split bool) 
 	return misses, last != first
 }
 
+// Holds reports whether every line overlapped by [physAddr,
+// physAddr+size) is resident, touching none of them: the LRU state and the
+// hit and miss counts stay as they are.
+func (c *Cache) Holds(physAddr uint64, size int) bool {
+	first := physAddr >> c.lineShift
+	last := (physAddr + uint64(size) - 1) >> c.lineShift
+	for line := first; line <= last; line++ {
+		set := line & c.setMask
+		if !c.pow2 {
+			set = line % uint64(c.sets)
+		}
+		found := false
+		for _, w := range c.ways[int(set)*c.assoc:][:c.assoc] {
+			if w.line == line && w.lru != 0 {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
 // Flush invalidates the whole cache (used to model the pollution caused by
 // a context switch).
 func (c *Cache) Flush() {

@@ -4,9 +4,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"bhive/internal/cache"
 	"bhive/internal/exec"
 	"bhive/internal/pipeline"
 	"bhive/internal/uarch"
@@ -14,13 +17,15 @@ import (
 	"bhive/internal/x86"
 )
 
-// The differential harness for the two pipeline schedulers: the retained
-// cycle-by-cycle reference loop (pipeline.SimulateReference, an oracle
-// only tests call) and the event-driven one every timed run takes. They
-// are required to be bit-identical — same Counters on every run,
-// including cache-state evolution across runs and the context-switch RNG
-// draw sequence. The deterministic tests sweep curated scenarios;
-// FuzzSimulateEquivalence explores random block compositions.
+// The differential harness for the pipeline's three schedulers: the
+// retained cycle-by-cycle reference loop (pipeline.SimulateReference, an
+// oracle only tests call), the event-driven scheduler
+// (pipeline.SimulateEvent) and the route every timed run takes, which is
+// the in-order pass wherever that is exact and the event scheduler
+// otherwise. They are required to be bit-identical — same Counters on
+// every run, including cache-state evolution across runs and the
+// context-switch RNG draw sequence. The deterministic tests sweep curated
+// scenarios; FuzzSimulateEquivalence explores random block compositions.
 
 // equivPool is the instruction vocabulary fuzz inputs select from. It is
 // chosen to reach every scheduler feature: dependence chains, zero idioms,
@@ -53,15 +58,33 @@ var equivPool = []string{
 
 var equivCPUs = []func() *uarch.CPU{uarch.Haswell, uarch.Skylake, uarch.IvyBridge, uarch.IceLake}
 
+// scheduler selects the timing route equivCounters drives.
+type scheduler int
+
+const (
+	schedReference scheduler = iota // pipeline.SimulateReference
+	schedEvent                      // pipeline.SimulateEvent: the event scheduler alone
+	schedTimed                      // TimeGraph: the in-order pass where exact
+)
+
+var schedNames = [...]string{"reference", "event", "timed"}
+
+// equivRun is what equivCounters observes: the counters of every timing
+// run and the caches they leave behind.
+type equivRun struct {
+	ctr      [3]pipeline.Counters
+	l1i, l1d cache.Cache
+}
+
 // equivCounters runs the full measurement motion — prepare, fault-driven
 // page mapping, functional execution, then three timing runs (cold, warm,
 // and a third that advances any switch RNG) — on a fresh machine with the
-// chosen scheduler, and returns the counters of every run. The base config
-// carries switch injection and the front-end mode; reference selects the
-// scheduler. ok is false if the input cannot be prepared or
-// executed; that decision is taken before any timing happens, so it cannot
-// differ between schedulers.
-func equivCounters(cpu *uarch.CPU, insts []x86.Inst, base Config, reference bool) (out [3]pipeline.Counters, ok bool) {
+// chosen scheduler, and returns the counters of every run and the final
+// caches. The base config carries switch injection and the front-end
+// mode. ok is false if the input cannot be prepared or executed; that
+// decision is taken before any timing happens, so it cannot differ
+// between schedulers.
+func equivCounters(cpu *uarch.CPU, insts []x86.Inst, base Config, sched scheduler) (out equivRun, ok bool) {
 	m := New(cpu, 42)
 	p, err := m.Prepare(insts)
 	if err != nil {
@@ -92,34 +115,51 @@ func equivCounters(cpu *uarch.CPU, insts []x86.Inst, base Config, reference bool
 	if err != nil {
 		return out, false
 	}
-	if reference {
-		for i := range out {
-			out[i] = pipeline.SimulateReference(m.CPU, m.buildItems(p, steps), m.L1I, m.L1D, m.pipelineConfig(base))
+	for i := range out.ctr {
+		switch sched {
+		case schedReference:
+			out.ctr[i] = pipeline.SimulateReference(m.CPU, m.buildItems(p, steps), m.L1I, m.L1D, m.pipelineConfig(base))
+		case schedEvent:
+			out.ctr[i], _, _ = pipeline.SimulateEvent(m.CPU, m.PrepareGraph(p, steps), 0, m.L1I, m.L1D, m.pipelineConfig(base))
+		default:
+			out.ctr[i] = m.TimeGraph(m.PrepareGraph(p, steps), base)
 		}
-		return out, true
 	}
-	g := m.PrepareGraph(p, steps)
-	for i := range out {
-		out[i] = m.TimeGraph(g, base)
-	}
+	out.l1i.CopyFrom(m.L1I)
+	out.l1d.CopyFrom(m.L1D)
 	return out, true
 }
 
-// checkEquivalence drives one block through both schedulers and fails the
-// test on any counter divergence.
+// checkEquivalence drives one block through every scheduler and fails the
+// test on any counter or cache divergence.
 func checkEquivalence(t *testing.T, label string, cpu *uarch.CPU, insts []x86.Inst, base Config) {
 	t.Helper()
-	ref, okRef := equivCounters(cpu, insts, base, true)
-	evt, okEvt := equivCounters(cpu, insts, base, false)
-	if okRef != okEvt {
-		t.Fatalf("%s: schedulers disagree on runnability: reference=%v event=%v", label, okRef, okEvt)
-	}
-	if !okRef {
-		return
-	}
-	for i := range ref {
-		if ref[i] != evt[i] {
-			t.Errorf("%s: run %d diverges:\n  reference %+v\n  event     %+v", label, i, ref[i], evt[i])
+	checkSchedulers(t, label, cpu, insts, base, schedReference)
+}
+
+// checkSchedulers is checkEquivalence over the schedulers from first on:
+// schedEvent leaves the reference out, for runs it would spin through to
+// the cycle cap one cycle at a time.
+func checkSchedulers(t *testing.T, label string, cpu *uarch.CPU, insts []x86.Inst, base Config, first scheduler) {
+	t.Helper()
+	want, okWant := equivCounters(cpu, insts, base, first)
+	for sched := first + 1; sched <= schedTimed; sched++ {
+		got, ok := equivCounters(cpu, insts, base, sched)
+		if ok != okWant {
+			t.Fatalf("%s: schedulers disagree on runnability: %s=%v %s=%v",
+				label, schedNames[first], okWant, schedNames[sched], ok)
+		}
+		if !ok {
+			return
+		}
+		for i := range want.ctr {
+			if want.ctr[i] != got.ctr[i] {
+				t.Errorf("%s: run %d diverges:\n  %-9s %+v\n  %-9s %+v",
+					label, i, schedNames[first], want.ctr[i], schedNames[sched], got.ctr[i])
+			}
+		}
+		if !reflect.DeepEqual(want.l1i, got.l1i) || !reflect.DeepEqual(want.l1d, got.l1d) {
+			t.Errorf("%s: %s leaves other caches than %s", label, schedNames[sched], schedNames[first])
 		}
 	}
 }
@@ -279,12 +319,12 @@ func TestLegacyCountersGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", text, err)
 			}
-			out, ok := equivCounters(cpu, unrollInsts(block, 16), Config{}, false)
+			out, ok := equivCounters(cpu, unrollInsts(block, 16), Config{}, schedTimed)
 			if !ok {
 				fmt.Fprintf(&sb, "%s %2d unsupported  # %s\n", cpu.Name, pi, text)
 				continue
 			}
-			fmt.Fprintf(&sb, "%s %2d %+v  # %s\n", cpu.Name, pi, out[1], text)
+			fmt.Fprintf(&sb, "%s %2d %+v  # %s\n", cpu.Name, pi, out.ctr[1], text)
 		}
 	}
 	const path = "testdata/legacy_counters.golden"
@@ -304,12 +344,17 @@ func TestLegacyCountersGolden(t *testing.T) {
 }
 
 // FuzzSimulateEquivalence drives randomly composed, corpus-flavored blocks
-// through the reference and event-driven schedulers and requires identical
-// Counters on every run. It also times each program with a random prefix
-// in one pass (TimeGraphPair) against the two timed one at a time, and
-// retargets each program to a perturbed µarch and to Ice Lake against a
-// fresh build there (checkRetarget). Zero divergences is a merge
-// requirement for any scheduler change.
+// through the reference scheduler, the event scheduler and the timed route
+// (the in-order pass where exact) and requires identical Counters and
+// caches on every run, for the program and for its prefix at a random
+// cut. It also times each program with that prefix in one pass
+// (TimeGraphPair) against the two timed one at a time and against the
+// event scheduler's pair, and retargets each program to a perturbed µarch
+// and to Ice Lake against a fresh build there (checkRetarget). mode picks
+// the µarch, context switches, the front end and a cramped variant of the
+// µarch (crampedCPU) that makes some items over-wide or some µops
+// portless. Zero divergences is a merge requirement for any scheduler
+// change.
 func FuzzSimulateEquivalence(f *testing.F) {
 	f.Add([]byte{0, 5, 6, 9}, uint8(16), uint8(0), uint8(32))
 	f.Add([]byte{16, 3, 1, 1}, uint8(8), uint8(4), uint8(16))
@@ -319,42 +364,97 @@ func FuzzSimulateEquivalence(f *testing.F) {
 	f.Add([]byte{0, 5, 6, 9}, uint8(16), uint8(12), uint8(33))   // modeled FE, haswell
 	f.Add([]byte{13, 14, 15, 2}, uint8(12), uint8(15), uint8(8)) // modeled FE, icelake
 	f.Add([]byte{16, 3, 1, 1}, uint8(8), uint8(19), uint8(20))   // modeled FE + switches
-	f.Fuzz(func(t *testing.T, sel []byte, unrollByte, mode, cut uint8) {
-		if len(sel) == 0 || len(sel) > 12 {
-			return
-		}
-		cpu := equivCPUs[int(mode)%len(equivCPUs)]()
-		var cfg Config
-		switch (int(mode) / len(equivCPUs)) % 3 {
-		case 1:
-			cfg.SwitchRate, cfg.SwitchCost = 0.01, 500
-		case 2:
-			cfg.SwitchRate, cfg.SwitchCost = 0.0004, 12000
-		}
-		var block []x86.Inst
-		for _, b := range sel {
-			insts, err := x86.Parse(equivPool[int(b)%len(equivPool)], x86.SyntaxAuto)
-			if err != nil {
-				t.Fatalf("pool parse: %v", err)
-			}
-			block = append(block, insts...)
-		}
-		if (int(mode)/(len(equivCPUs)*3))%2 == 1 {
-			cfg.ModeledFrontEnd, cfg.LoopBody = true, len(block)
-		}
-		unroll := 1 + int(unrollByte)%32
-		insts := unrollInsts(block, unroll)
-		if len(insts) > 384 {
-			insts = insts[:384]
-		}
-		checkEquivalence(t, "fuzz", cpu, insts, cfg)
+	// One seed per event-scheduler fallback of the timed route. The
+	// cold first run of any block with memory access is not resident.
+	f.Add([]byte{3, 0, 16, 0, 11}, uint8(11), uint8(0), uint8(20)) // occupancy conflict
+	f.Add([]byte{5, 6, 0}, uint8(10), uint8(4), uint8(12))         // context switches
+	f.Add([]byte{6, 0, 1}, uint8(10), uint8(24), uint8(9))         // over-wide: a store in a one-slot RS
+	f.Add([]byte{6, 0, 1}, uint8(10), uint8(48), uint8(9))         // cycle cap: a store-data µop with no port
+	f.Fuzz(fuzzEquivalence)
+}
 
-		// The one-pass pair at a random prefix length (0 is no prefix).
-		if m, p, steps, g, ok := pairSetup(cpu, insts, len(block)); ok {
-			checkPair(t, "fuzz pair", m, p, steps, g, int(cut)%len(insts), cfg, 42)
+// fuzzEquivalence is FuzzSimulateEquivalence's check of one input.
+func fuzzEquivalence(t *testing.T, sel []byte, unrollByte, mode, cut uint8) {
+	if len(sel) == 0 || len(sel) > 12 {
+		return
+	}
+	nCPU := len(equivCPUs)
+	variant := (int(mode) / (nCPU * 6)) % 3
+	cpu := crampedCPU(int(mode)%nCPU, variant)
+	var cfg Config
+	switch (int(mode) / nCPU) % 3 {
+	case 1:
+		cfg.SwitchRate, cfg.SwitchCost = 0.01, 500
+	case 2:
+		cfg.SwitchRate, cfg.SwitchCost = 0.0004, 12000
+	}
+	if variant > 0 {
+		// A cramped µarch deadlocks, and a deadlocked run would take
+		// every context switch up to the cycle cap.
+		cfg.SwitchRate = 0
+	}
+	var block []x86.Inst
+	for _, b := range sel {
+		insts, err := x86.Parse(equivPool[int(b)%len(equivPool)], x86.SyntaxAuto)
+		if err != nil {
+			t.Fatalf("pool parse: %v", err)
 		}
-		checkRetarget(t, cpu, insts, len(block), cfg)
-	})
+		block = append(block, insts...)
+	}
+	if (int(mode)/(nCPU*3))%2 == 1 {
+		cfg.ModeledFrontEnd, cfg.LoopBody = true, len(block)
+	}
+	unroll := 1 + int(unrollByte)%32
+	insts := unrollInsts(block, unroll)
+	if len(insts) > 384 {
+		insts = insts[:384]
+	}
+	// The reference would spin a deadlock to the cycle cap one cycle at
+	// a time: on a cramped µarch the check starts at the event scheduler.
+	first := schedReference
+	if variant > 0 {
+		first = schedEvent
+	}
+	checkSchedulers(t, "fuzz", cpu, insts, cfg, first)
+	nLo := int(cut) % len(insts)
+	if nLo > 0 {
+		checkSchedulers(t, "fuzz prefix", cpu, insts[:nLo], cfg, first)
+	}
+
+	// The one-pass pair at the random prefix length (0 is no prefix).
+	if m, p, steps, g, ok := pairSetup(cpu, insts, len(block)); ok {
+		checkPair(t, "fuzz pair", m, p, steps, g, nLo, cfg, 42)
+		checkPairEvent(t, "fuzz pair", m, p, steps, g, nLo, cfg, 42)
+	}
+	checkRetarget(t, cpu, insts, len(block), cfg)
+}
+
+// crampedCPUs caches the cramped variants by µarch and variant, so the
+// memo derives each variant's descriptions once.
+var crampedCPUs sync.Map
+
+// crampedCPU returns equivCPUs[k] for variant 0. Variant 1 has a one-slot
+// reservation station, so every multi-µop item is over-wide; variant 2
+// has two ports, so every µop bound to a higher port never issues. Both
+// deadlock, which the timed route hands to the event scheduler.
+func crampedCPU(k, variant int) *uarch.CPU {
+	if variant == 0 {
+		return equivCPUs[k]()
+	}
+	key := [2]int{k, variant}
+	if c, ok := crampedCPUs.Load(key); ok {
+		return c.(*uarch.CPU)
+	}
+	c := equivCPUs[k]()
+	if variant == 1 {
+		c.Name += "-rs1"
+		c.RSSize = 1
+	} else {
+		c.Name += "-2port"
+		c.NumPorts = 2
+	}
+	v, _ := crampedCPUs.LoadOrStore(key, c)
+	return v.(*uarch.CPU)
 }
 
 // checkRetarget runs insts (repeats of their first body instructions) on

@@ -61,14 +61,17 @@ type Machine struct {
 // Work counts how a machine prepared its timing runs: µop graphs built
 // from the trace or retimed from the graph of an earlier µarch with the
 // same µop shapes, and cache warm-ups walked over the trace or restored
-// from the snapshot of the first walk.
+// from the snapshot of the first walk. Sched counts the timed runs by the
+// pipeline path that scheduled them.
 type Work struct {
 	Builds, Retimes, Walks, Restores uint64
+	Sched                            pipeline.SchedCounters
 }
 
 // Since returns the work done after prev.
 func (w Work) Since(prev Work) Work {
-	return Work{w.Builds - prev.Builds, w.Retimes - prev.Retimes, w.Walks - prev.Walks, w.Restores - prev.Restores}
+	return Work{w.Builds - prev.Builds, w.Retimes - prev.Retimes, w.Walks - prev.Walks, w.Restores - prev.Restores,
+		w.Sched.Sub(prev.Sched)}
 }
 
 // Work returns the machine's cumulative work counts.
@@ -385,6 +388,7 @@ func (m *Machine) pipelineConfig(cfg Config) pipeline.Config {
 		SwitchCost:      cfg.SwitchCost,
 		ModeledFrontEnd: cfg.ModeledFrontEnd,
 		LoopBody:        cfg.LoopBody,
+		Sched:           &m.work.Sched,
 	}
 	if cfg.SwitchRate > 0 {
 		pcfg.Rand = m.Rand

@@ -2,8 +2,10 @@ package machine
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"bhive/internal/cache"
 	"bhive/internal/corpus"
 	"bhive/internal/exec"
 	"bhive/internal/pipeline"
@@ -109,6 +111,36 @@ func checkPair(t *testing.T, label string, m *Machine, p *Program, steps []exec.
 	return true
 }
 
+// checkPairEvent times the program and its first nLo instructions in one
+// pass, from warm caches, on the timed route (the in-order pass where
+// exact) and on the event scheduler alone, and requires the same pair and
+// the same L1D after it (scheduling reads the L1I only through the fetch
+// pass both share).
+func checkPairEvent(t *testing.T, label string, m *Machine, p *Program, steps []exec.Step, g *pipeline.Graph, nLo int, cfg Config, seed int64) {
+	t.Helper()
+	var got [2]cache.Cache
+	var hi, lo [2]pipeline.Counters
+	var ok [2]bool
+	for k := range got {
+		m.L1I.Reset()
+		m.L1D.Reset()
+		m.Rand.Seed(seed)
+		m.WarmCaches(p, steps)
+		if k == 0 {
+			hi[k], lo[k], ok[k] = m.TimeGraphPair(g, nLo, cfg)
+		} else {
+			hi[k], lo[k], ok[k] = pipeline.SimulateEvent(m.CPU, g, nLo, m.L1I, m.L1D, m.pipelineConfig(cfg))
+		}
+		got[k].CopyFrom(m.L1D)
+	}
+	if hi[0] != hi[1] || lo[0] != lo[1] || ok[0] != ok[1] {
+		t.Errorf("%s: pair (%+v, %+v, ok=%v) != event scheduler's (%+v, %+v, ok=%v)", label, hi[0], lo[0], ok[0], hi[1], lo[1], ok[1])
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Errorf("%s: pair leaves another L1D than the event scheduler", label)
+	}
+}
+
 // TestTimeGraphPairCorpus pins the one-pass derivation of the low unroll
 // factor over the generated suite on every microarchitecture and both
 // front ends, at the profiler's unroll factors: the derived low-factor
@@ -174,6 +206,75 @@ func TestTimeGraphPairCorpus(t *testing.T) {
 		label := fmt.Sprintf("%d insts x %d, %+v", len(block), tc.unroll, tc.cfg)
 		if checkPair(t, label, m, p, steps, g, len(block)*tc.unroll/2, tc.cfg, 42) {
 			t.Errorf("%s: pair derived", label)
+		}
+	}
+}
+
+// TestInOrderMatchesEvent checks, over the generated suite on every µarch
+// stock and perturbed and on both front ends, that the timed route's pair
+// run — the in-order pass wherever it is exact — equals the event
+// scheduler's alone: the high and low counters, ok, and the caches left
+// behind, on the warm caches the profiler times on and once more on the
+// caches that run left. The suite is 0.01 of the paper's, 0.001 under
+// -short and -race.
+func TestInOrderMatchesEvent(t *testing.T) {
+	scale := 0.01
+	if testing.Short() || raceEnabled {
+		scale = 0.001
+	}
+	recs := corpus.GenerateAll(scale, 7)
+	cpus := keyCPUs()
+	m := New(cpus[0], 42)
+	var snapI, snapD, gotI, gotD cache.Cache
+	var paths [2]pipeline.SchedCounters // by front end
+	for bi, r := range recs {
+		block := r.Block.Insts
+		n := len(block)
+		kr, ok := runForKeys(m, cpus, block, true)
+		if !ok {
+			continue
+		}
+		nLo := n * min(max((100+n-1)/n, 4), 50)
+		for k, c := range cpus {
+			if kr.ents[k] == nil {
+				continue
+			}
+			m.Retarget(c, kr.ents[k])
+			g := m.PrepareGraph(kr.p, kr.steps)
+			for fe, modeled := range []bool{false, true} {
+				cfg := Config{ModeledFrontEnd: modeled, LoopBody: n}
+				m.L1I.Reset()
+				m.L1D.Reset()
+				m.WarmCaches(kr.p, kr.steps)
+				before := m.Work().Sched
+				for rep := 0; rep < 2; rep++ {
+					snapI.CopyFrom(m.L1I)
+					snapD.CopyFrom(m.L1D)
+					hi, lo, ok := m.TimeGraphPair(g, nLo, cfg)
+					gotI.CopyFrom(m.L1I)
+					gotD.CopyFrom(m.L1D)
+					m.L1I.CopyFrom(&snapI)
+					m.L1D.CopyFrom(&snapD)
+					eHi, eLo, eOK := pipeline.SimulateEvent(c, g, nLo, m.L1I, m.L1D, m.pipelineConfig(cfg))
+					if hi != eHi || lo != eLo || ok != eOK {
+						t.Fatalf("block %d on %s (modeled %v, run %d): (%+v, %+v, %v) != event scheduler's (%+v, %+v, %v)",
+							bi, c.Name, modeled, rep, hi, lo, ok, eHi, eLo, eOK)
+					}
+					if !reflect.DeepEqual(gotI, *m.L1I) || !reflect.DeepEqual(gotD, *m.L1D) {
+						t.Fatalf("block %d on %s (modeled %v, run %d): caches differ from the event scheduler's",
+							bi, c.Name, modeled, rep)
+					}
+				}
+				for p, v := range m.Work().Sched.Sub(before) {
+					paths[fe][p] += v
+				}
+			}
+		}
+	}
+	for fe, p := range paths {
+		t.Logf("modeled %v: timed runs %s", fe == 1, p)
+		if p[pipeline.PathInOrder] == 0 || p[pipeline.PathInOrder] < 10*p.Fallbacks() {
+			t.Errorf("modeled %v: the in-order pass timed too few runs: %s", fe == 1, p)
 		}
 	}
 }

@@ -37,7 +37,9 @@ func TestSimulateAllocs(t *testing.T) {
 // TestSimulateGraphAllocs pins the graph paths at zero steady-state
 // allocations: SimulateGraph under both front ends (the modeled one works
 // in the pooled frontEnd buffers), the one-pass pair with a derived
-// prefix, and a prefix view from Graph.Slice, which is a value.
+// prefix, and a prefix view from Graph.Slice, which is a value. Every
+// warm run takes the in-order pass, whose ring and per-µop arrays live in
+// the pooled state too.
 func TestSimulateGraphAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -51,6 +53,8 @@ func TestSimulateGraphAllocs(t *testing.T) {
 	for _, cfg := range []Config{{}, {ModeledFrontEnd: true, LoopBody: body}} {
 		// Grow the pooled state and warm the caches, so the pair derives.
 		SimulateGraphPair(cpu, &g, nLo, l1i, l1d, cfg)
+		var sink SchedCounters
+		cfg.Sched = &sink
 		if _, _, ok := SimulateGraphPair(cpu, &g, nLo, l1i, l1d, cfg); !ok {
 			t.Fatalf("modeled=%v: warm pair not derived", cfg.ModeledFrontEnd)
 		}
@@ -69,6 +73,9 @@ func TestSimulateGraphAllocs(t *testing.T) {
 				t.Errorf("modeled=%v: %s allocates %.2f times per run in steady state; want 0",
 					cfg.ModeledFrontEnd, tc.name, avg)
 			}
+		}
+		if sink.Fallbacks() > 0 || sink[PathInOrder] == 0 {
+			t.Errorf("modeled=%v: warm runs took %s; want the in-order pass only", cfg.ModeledFrontEnd, sink)
 		}
 	}
 }

@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"bhive/internal/cache"
 	"bhive/internal/exec"
 	"bhive/internal/uarch"
 )
@@ -194,6 +196,117 @@ func TestGraphSliceEquivalence(t *testing.T) {
 		under, over := g.Slice(-1), g.Slice(len(items)+5)
 		if under.NumItems() != len(items) || over.NumItems() != len(items) {
 			t.Fatal("Slice must clamp out-of-range n to the full graph")
+		}
+	}
+}
+
+// TestSchedPaths drives one run down each path of SimulateGraphPair — the
+// in-order pass and every event-scheduler fallback — and checks that the
+// path is counted, in cfg.Sched and process-wide, and that the run's
+// counters, prefix counters and caches equal the event scheduler's alone
+// (and the reference's, for runs that finish).
+func TestSchedPaths(t *testing.T) {
+	cpu := uarch.Haswell()
+	alu := func(port int, reads, writes []uint8, lat uint8) Item {
+		it := aluItem(cpu, reads, writes, lat)
+		it.Desc.Uops[0].Ports = uarch.Ports(port)
+		return it
+	}
+	load := Item{
+		Desc: uarch.Desc{
+			Uops:      []uarch.Uop{{Class: uarch.ClassLoad, Ports: cpu.LoadPorts, Lat: uint8(cpu.L1DLatency)}},
+			FusedUops: 1,
+		},
+		Load:    &exec.MemAccess{Addr: 0x1000, Phys: 0x1000, Size: 8},
+		Writes:  []uint8{5},
+		CodeLen: 4,
+	}
+	div := Item{
+		Desc: uarch.Desc{
+			Uops:      []uarch.Uop{{Class: uarch.ClassIntDiv, Ports: uarch.Ports(0), Lat: 21, Occupancy: 21}},
+			FusedUops: 1,
+		},
+		Writes:  []uint8{3},
+		CodeLen: 3,
+	}
+	wide := aluItem(cpu, nil, []uint8{6}, 1)
+	wide.Desc.FusedUops = cpu.IssueWidth + 1
+	portless := aluItem(cpu, nil, []uint8{7}, 1)
+	portless.Desc.Uops[0].Ports = uarch.Ports(cpu.NumPorts)
+	repeat := func(body []Item, times int) []Item {
+		var out []Item
+		for k := 0; k < times; k++ {
+			out = append(out, body...)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name   string
+		items  []Item
+		cfg    Config
+		cold   bool // time on cold caches, not after a warm-up run
+		path   Path
+		stalls bool // the run spins to the cycle cap
+	}{
+		{"in-order", repeat([]Item{alu(0, []uint8{0}, []uint8{0}, 1), load, alu(1, []uint8{5}, []uint8{4}, 3)}, 16), Config{}, false, PathInOrder, false},
+		// The divider, younger, issues first and holds port 0 over the
+		// cycle the older dependent ALU µop takes it.
+		{"conflict", []Item{alu(1, []uint8{1}, []uint8{1}, 10), alu(0, []uint8{1}, []uint8{2}, 1), div}, Config{}, false, PathConflict, false},
+		{"not-resident", repeat([]Item{load}, 8), Config{}, true, PathNotResident, false},
+		{"switches", repeat([]Item{alu(0, []uint8{0}, []uint8{0}, 1)}, 32), Config{SwitchRate: 0.05, SwitchCost: 100}, false, PathSwitches, false},
+		{"over-wide", []Item{alu(0, nil, []uint8{0}, 1), wide}, Config{}, false, PathOverWide, true},
+		{"cycle-cap", []Item{alu(0, nil, []uint8{0}, 1), portless}, Config{}, false, PathCycleCap, true},
+	} {
+		var g Graph
+		g.Build(cpu, tc.items)
+		nLo := len(tc.items) / 2
+		run := func(sim func(*uarch.CPU, *Graph, int, *cache.Cache, *cache.Cache, Config) (Counters, Counters, bool), cfg Config) (hi, lo Counters, ok bool, l1i, l1d *cache.Cache) {
+			l1i, l1d = caches(cpu)
+			if tc.cfg.SwitchRate > 0 {
+				cfg.Rand = rand.New(rand.NewSource(7))
+			}
+			if !tc.cold {
+				SimulateEvent(cpu, &g, 0, l1i, l1d, cfg)
+			}
+			hi, lo, ok = sim(cpu, &g, nLo, l1i, l1d, cfg)
+			return hi, lo, ok, l1i, l1d
+		}
+		var sink SchedCounters
+		cfg := tc.cfg
+		cfg.Sched = &sink
+		before := SchedStats()
+		hi, lo, ok, l1i, l1d := run(SimulateGraphPair, cfg)
+		want := SchedCounters{}
+		want[tc.path] = 1
+		if sink != want {
+			t.Errorf("%s: counted %s, want %s", tc.name, sink, want)
+		}
+		if d := SchedStats().Sub(before); d[tc.path] < 1 {
+			t.Errorf("%s: process-wide counts moved by %s", tc.name, d)
+		}
+		eHi, eLo, eOK, eI, eD := run(SimulateEvent, tc.cfg)
+		if hi != eHi || lo != eLo || ok != eOK {
+			t.Errorf("%s: (%+v, %+v, %v) != event scheduler's (%+v, %+v, %v)", tc.name, hi, lo, ok, eHi, eLo, eOK)
+		}
+		if !reflect.DeepEqual(l1i, eI) || !reflect.DeepEqual(l1d, eD) {
+			t.Errorf("%s: caches differ from the event scheduler's", tc.name)
+		}
+		if stalled := hi.Cycles >= maxCycles; stalled != tc.stalls {
+			t.Errorf("%s: %d cycles", tc.name, hi.Cycles)
+		}
+		if tc.stalls {
+			continue // the reference would spin to the cap one cycle at a time
+		}
+		rcfg := tc.cfg
+		if rcfg.SwitchRate > 0 {
+			rcfg.Rand = rand.New(rand.NewSource(7))
+		}
+		rI, rD := caches(cpu)
+		if !tc.cold {
+			SimulateReference(cpu, tc.items, rI, rD, rcfg)
+		}
+		if ref := SimulateReference(cpu, tc.items, rI, rD, rcfg); ref != hi {
+			t.Errorf("%s: %+v != reference %+v", tc.name, hi, ref)
 		}
 	}
 }

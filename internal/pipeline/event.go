@@ -77,6 +77,11 @@ type eventState struct {
 	forkRegs regs
 	forkCtr  Counters
 	forked   bool
+
+	// The in-order pass (inorder.go): retirement cycles per item, load
+	// and store, the loads' L1D replay keys and the port-reservation ring.
+	retireAt, loadRet, storeRet, loadKeys []uint64
+	ring                                  []resv
 }
 
 var eventPool = sync.Pool{New: func() any { return new(eventState) }}
@@ -95,24 +100,35 @@ func SimulateGraph(cpu *uarch.CPU, g *Graph, l1i, l1d *cache.Cache, cfg Config) 
 
 // SimulateGraphPair times g like SimulateGraph and, from the same pass,
 // derives the counters a run of its prefix g.Slice(nLo) would return on
-// the same caches. The prefix run does exactly what the full run does
-// until the full run first reads item nLo, at its allocate stage; the
-// scheduler snapshots its state there and, once the full run is done,
-// resumes the prefix run from the snapshot at the issue stage.
+// the same caches. ok is true exactly when the full run misses in
+// neither L1, for a proper prefix (0 < nLo < items) with context switches
+// off; with switches on the prefix run would draw its own arrivals. With
+// ok false, lo is zero and the caller times the prefix on its own.
 //
-// The caches are the one state the two runs do not share. When the full
-// run misses in neither L1, every access of both runs hits, so only the
-// LRU order differs and nothing can observe it. ok is true exactly then,
-// for a proper prefix (0 < nLo < items) with context switches off; with
-// switches on the prefix run would draw its own arrivals. With ok false,
-// lo is zero and the caller times the prefix on its own.
+// The run takes the in-order pass (inorder.go) whenever that is exact:
+// context switches off, every data line of the trace resident in l1d, no
+// item wider than the machine, no occupancy conflict and no cycle past
+// the cap. Otherwise the event scheduler times it. Both give the same
+// counters and leave the caches alike; SchedStats counts the runs by
+// path, and so does cfg.Sched when set.
 func SimulateGraphPair(cpu *uarch.CPU, g *Graph, nLo int, l1i, l1d *cache.Cache, cfg Config) (hi, lo Counters, ok bool) {
 	st := eventPool.Get().(*eventState)
 	defer eventPool.Put(st)
-	return st.run(cpu, g, nLo, l1i, l1d, &cfg)
+	return st.run(cpu, g, nLo, l1i, l1d, &cfg, true)
 }
 
-func (s *eventState) run(cpu *uarch.CPU, g *Graph, nLo int, l1i, l1d *cache.Cache, cfg *Config) (hi, lo Counters, ok bool) {
+// SimulateEvent is SimulateGraphPair on the event scheduler alone, never
+// the in-order pass, and counts no path. Only tests call it: they check
+// the two paths against each other and against SimulateReference.
+func SimulateEvent(cpu *uarch.CPU, g *Graph, nLo int, l1i, l1d *cache.Cache, cfg Config) (hi, lo Counters, ok bool) {
+	st := eventPool.Get().(*eventState)
+	defer eventPool.Put(st)
+	return st.run(cpu, g, nLo, l1i, l1d, &cfg, false)
+}
+
+// run times g on the in-order pass when inOrder is set and the pass is
+// exact, and on the event scheduler otherwise.
+func (s *eventState) run(cpu *uarch.CPU, g *Graph, nLo int, l1i, l1d *cache.Cache, cfg *Config, inOrder bool) (hi, lo Counters, ok bool) {
 	n := g.numItems
 	hi.Instructions = uint64(n)
 	if n == 0 {
@@ -121,12 +137,36 @@ func (s *eventState) run(cpu *uarch.CPU, g *Graph, nLo int, l1i, l1d *cache.Cach
 	nu := g.numUops
 	hi.Uops = uint64(nu)
 
+	// The front end only reads the L1I, before any scheduling: both
+	// paths share its fetchReady.
 	s.fetchReady = grow(s.fetchReady, n)
 	if cfg.ModeledFrontEnd {
 		src := feSource{g.codePhys[:n], g.codeLen[:n], g.itemFused[:n], g.lcp[:n]}
 		modeledFetch(cpu, &s.fe, src, cfg.LoopBody, l1i, &hi, s.fetchReady)
 	} else {
 		simulateFetchGraph(cpu, g, l1i, &hi, s.fetchReady)
+	}
+
+	switches := cfg.SwitchRate > 0 && cfg.Rand != nil
+	fork := -1
+	if nLo > 0 && nLo < n && !switches {
+		fork = nLo
+	}
+	if inOrder {
+		path, derive := PathSwitches, false
+		if !switches {
+			path = PathNotResident
+			if resident(g, n, l1d) {
+				// With every data line resident only an L1I miss of the
+				// fetch pass can keep the pair from deriving.
+				derive = fork > 0 && hi.L1IMisses == 0
+				path = s.inOrder(cpu, g, nLo, derive, l1d, &hi, &lo)
+			}
+		}
+		countPath(cfg, path)
+		if path == PathInOrder {
+			return hi, lo, derive
+		}
 	}
 
 	s.doneAt = grow(s.doneAt, nu)
@@ -154,11 +194,6 @@ func (s *eventState) run(cpu *uarch.CPU, g *Graph, nLo int, l1i, l1d *cache.Cach
 	s.forked = false
 
 	// Context-switch schedule — same draw as the reference loop.
-	switches := cfg.SwitchRate > 0 && cfg.Rand != nil
-	fork := -1
-	if nLo > 0 && nLo < n && !switches {
-		fork = nLo
-	}
 	hi.Cycles = s.schedule(cpu, g, n, l1i, l1d, cfg, &hi, regs{nextSwitch: drawSwitch(cfg, 0)}, fork, false)
 	if fork < 0 || hi.L1DReadMisses+hi.L1DWriteMisses+hi.L1IMisses > 0 {
 		return hi, lo, false
@@ -587,24 +622,29 @@ func (s *eventState) loadExecuteG(g *Graph, loadID int32, l1d *cache.Cache, ctr 
 }
 
 // simulateFetchGraph mirrors simulateFetch on the graph representation.
+// It splits code into lines with the L1I's line shift, which is exact:
+// the cache is built with the CPU's line size, a power of two.
 func simulateFetchGraph(cpu *uarch.CPU, g *Graph, l1i *cache.Cache, ctr *Counters, ready []uint64) {
 	var bytes uint64  // total code bytes fetched
 	var stalls uint64 // accumulated I-cache miss cycles
 	lastLine := uint64(math.MaxUint64)
-	for i := 0; i < g.numItems; i++ {
-		first := g.codePhys[i] / uint64(cpu.LineSize)
-		last := (g.codePhys[i] + uint64(g.codeLen[i]) - 1) / uint64(cpu.LineSize)
+	shift := lineShift(l1i)
+	codePhys, codeLen := g.codePhys[:g.numItems], g.codeLen[:g.numItems]
+	ready = ready[:len(codePhys)]
+	for i, phys := range codePhys {
+		first := phys >> shift
+		last := (phys + uint64(codeLen[i]) - 1) >> shift
 		for line := first; line <= last; line++ {
 			if line == lastLine {
 				continue
 			}
 			lastLine = line
-			if !l1i.Access(line * uint64(cpu.LineSize)) {
+			if !l1i.Access(line << shift) {
 				ctr.L1IMisses++
 				stalls += uint64(cpu.MissPenalty)
 			}
 		}
-		bytes += uint64(g.codeLen[i])
+		bytes += uint64(codeLen[i])
 		ready[i] = bytes/16 + stalls
 	}
 }

@@ -194,6 +194,7 @@ func modeledFetch(cpu *uarch.CPU, fe *frontEnd, src feSource, body int, l1i *cac
 		lastSF   uint64 // stall-free delivery cycle of the previous inst
 		lock     uint64 // LSD lock-down cycle (set after iteration 0)
 		dec      = decoder{fe: fe}
+		shift    = lineShift(l1i)
 	)
 
 	i := 0
@@ -219,15 +220,15 @@ func modeledFetch(cpu *uarch.CPU, fe *frontEnd, src feSource, body int, l1i *cac
 			for k := 0; i < end; i, k = i+1, k+1 {
 				phys, clen, f := src.codePhys[i], int(src.codeLen[i]), src.fused[i]
 				// The MITE path fetches from the L1I, exactly as the
-				// legacy front end models it.
-				first := phys / uint64(cpu.LineSize)
-				last := (phys + uint64(clen) - 1) / uint64(cpu.LineSize)
+				// legacy front end models it (by the L1I's line shift).
+				first := phys >> shift
+				last := (phys + uint64(clen) - 1) >> shift
 				for line := first; line <= last; line++ {
 					if line == lastLine {
 						continue
 					}
 					lastLine = line
-					if !l1i.Access(line * uint64(cpu.LineSize)) {
+					if !l1i.Access(line << shift) {
 						ctr.L1IMisses++
 						stalls += uint64(cpu.MissPenalty)
 					}

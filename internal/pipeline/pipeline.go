@@ -71,6 +71,9 @@ type Config struct {
 	// iterations of the first LoopBody items (an unrolled basic block).
 	// 0 means the whole sequence is one iteration (MITE-only delivery).
 	LoopBody int
+	// Sched, when set, counts the run by the Path that scheduled it. It
+	// only observes: the run's properties alone choose the path.
+	Sched *SchedCounters
 }
 
 // Counters are the hardware performance counters the profiler reads.
@@ -108,11 +111,4 @@ func overlaps(a uint64, an int, b uint64, bn int) bool {
 
 func contains(outer uint64, on int, inner uint64, in int) bool {
 	return outer <= inner && inner+uint64(in) <= outer+uint64(on)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

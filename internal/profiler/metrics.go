@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bhive/internal/machine"
+	"bhive/internal/pipeline"
 )
 
 // NumStatus is the number of distinct profiling statuses; ByStatus arrays
@@ -26,6 +27,7 @@ type Metrics struct {
 	passes      atomic.Uint64
 	passServed  atomic.Uint64
 	work        [4]atomic.Uint64 // graphs built, retimed; warm-ups walked, restored
+	sched       [pipeline.NumPaths]atomic.Uint64
 	status      [NumStatus]atomic.Uint64
 
 	// planned is the number of block outcomes registered as upcoming work
@@ -153,6 +155,9 @@ func (m *Metrics) recordWork(w machine.Work) {
 	for i, n := range [...]uint64{w.Builds, w.Retimes, w.Walks, w.Restores} {
 		m.work[i].Add(n)
 	}
+	for p, n := range w.Sched {
+		m.sched[p].Add(n)
+	}
 }
 
 // RecordPrescreened accounts one block that static analysis rejected
@@ -204,6 +209,9 @@ type Snapshot struct {
 	// builds or walks, so a retime or restore that does not happen shows
 	// here.
 	GraphsBuilt, GraphsRetimed, WarmWalks, WarmRestores uint64
+	// Sched counts the timed runs by the pipeline path that scheduled
+	// them: the in-order pass, or the event scheduler by reason.
+	Sched pipeline.SchedCounters
 	// ByStatus histograms the outcome of every Profile call, indexed by
 	// Status (prescreened blocks contribute their predicted status).
 	ByStatus [NumStatus]uint64
@@ -224,6 +232,9 @@ func (m *Metrics) Snapshot() Snapshot {
 	s.GraphsRetimed = m.work[1].Load()
 	s.WarmWalks = m.work[2].Load()
 	s.WarmRestores = m.work[3].Load()
+	for p := range s.Sched {
+		s.Sched[p] = m.sched[p].Load()
+	}
 	for i := range s.ByStatus {
 		s.ByStatus[i] = m.status[i].Load()
 	}
@@ -242,6 +253,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		GraphsRetimed:      s.GraphsRetimed - prev.GraphsRetimed,
 		WarmWalks:          s.WarmWalks - prev.WarmWalks,
 		WarmRestores:       s.WarmRestores - prev.WarmRestores,
+		Sched:              s.Sched.Sub(prev.Sched),
 	}
 	for i := range s.ByStatus {
 		d.ByStatus[i] = s.ByStatus[i] - prev.ByStatus[i]

@@ -7,6 +7,7 @@ import (
 
 	"bhive/internal/corpus"
 	"bhive/internal/exec"
+	"bhive/internal/pipeline"
 	"bhive/internal/profiler"
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
@@ -232,6 +233,10 @@ func TestProfileEachEqualsProfile(t *testing.T) {
 			g, s := groupMet.Snapshot(), singleMet.Snapshot()
 			if g.Profiled != s.Profiled || g.ByStatus != s.ByStatus {
 				t.Errorf("metrics differ: group %+v, per key %+v", g, s)
+			}
+			// The same timed runs, so the same scheduling paths.
+			if g.Sched != s.Sched || g.Sched[pipeline.PathInOrder]+g.Sched.Fallbacks() == 0 {
+				t.Errorf("timed runs by path: group %s, per key %s", g.Sched, s.Sched)
 			}
 			if g.Passes > uint64(len(blocks)) || g.PassServed > g.Profiled || g.PassServed < g.Passes {
 				t.Errorf("group ran %d functional passes serving %d measurements for %d blocks (%d measured)",
