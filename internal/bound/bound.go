@@ -94,28 +94,14 @@ func (v Verdict) MarshalText() ([]byte, error) { return []byte(v.String()), nil 
 const fetchBytesPerCycle = 16.0
 
 // Analyze computes the static bounds for a block on one µarch, against
-// the legacy (16-bytes-per-cycle fetch) front end. It fails only when an
-// instruction cannot be described at all (undecodable for this subset);
-// unknown-but-describable opcodes instead yield vacuous bounds.
+// the simulator's 16-bytes-per-cycle fetch front end. It fails only when
+// an instruction cannot be described at all (undecodable for this
+// subset); unknown-but-describable opcodes instead yield vacuous bounds.
 func Analyze(cpu *uarch.CPU, b *x86.Block) (*Bounds, error) {
-	return AnalyzeFE(cpu, b, false)
-}
-
-// AnalyzeFE is Analyze with the front-end model selectable: modeled=true
-// produces bounds sound against the simulator's modeled front end
-// (pipeline.Config.ModeledFrontEnd), where DSB/LSD delivery bypasses the
-// 16-bytes-per-cycle fetch limit — the fetch term leaves the lower bound,
-// and the upper bound absorbs worst-case per-iteration decode, LCP-stall
-// and delivery-switch costs instead.
-func AnalyzeFE(cpu *uarch.CPU, b *x86.Block, modeled bool) (*Bounds, error) {
 	s := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(s)
 	s.entries = memo.For(cpu).Resolve(s.entries[:0], b)
-	bs, err := s.Analyze(cpu, s.entries)
-	if err == nil && modeled {
-		modeledFrontEnd(cpu, bs, s.entries)
-	}
-	return bs, err
+	return s.Analyze(cpu, s.entries)
 }
 
 // Analyze computes Analyze's bounds for a block already resolved into its
@@ -134,7 +120,7 @@ func (s *Scratch) Analyze(cpu *uarch.CPU, entries []*memo.PreparedInst) (*Bounds
 	return fromPrepared(cpu, entries, s)
 }
 
-// FromPrepared computes the legacy-front-end bounds from one memo entry
+// FromPrepared computes Analyze's bounds from one memo entry
 // per instruction, reading each entry's Desc, encoding and register sets.
 // It exists so blocklint can reuse the entries it already resolved, and so
 // tests can perturb latency tables on copies of the entries (the
@@ -201,22 +187,12 @@ func fromPrepared(cpu *uarch.CPU, entries []*memo.PreparedInst, s *Scratch) (*Bo
 
 	// Front-end term: fused-domain allocation is IssueWidth µops/cycle and
 	// fetch is 16 code bytes/cycle; zero idioms and eliminated moves still
-	// consume allocation slots. The DSB delivery rate (DSBWidth fused
-	// µops/cycle) is a third sound floor: no front-end path delivers
-	// faster than the µop cache. With the shipped parameter files it is
-	// numerically inert here (DSBWidth ≥ IssueWidth, so allocation
-	// dominates), but it keeps the bound sound for any parameterization
-	// and is what remains of the floor under the modeled front end.
+	// consume allocation slots.
 	alloc := float64(fusedTotal) / float64(cpu.IssueWidth)
 	fetch := float64(codeBytes) / fetchBytesPerCycle
 	bs.FrontEnd = alloc
 	if fetch > bs.FrontEnd {
 		bs.FrontEnd = fetch
-	}
-	if w := cpu.FE.DSBWidth; w > 0 {
-		if dsbRate := float64(fusedTotal) / float64(w); dsbRate > bs.FrontEnd {
-			bs.FrontEnd = dsbRate
-		}
 	}
 
 	bs.decide()
@@ -256,34 +232,4 @@ func (bs *Bounds) decide() {
 	if bs.DepChain > bs.Lower {
 		bs.Lower, bs.Verdict = bs.DepChain, VerdictDepChain
 	}
-}
-
-// modeledFrontEnd rewrites the front-end floor and upper-bound slack of bs
-// for the modeled front end. The lower bound drops the 16-bytes-per-cycle
-// fetch term — DSB and LSD iterations never fetch from the L1I, so code
-// size no longer floors throughput — leaving allocation width and the DSB
-// delivery rate. The upper bound gains the worst case of the modeled
-// delivery machinery: every instruction decoding in its own MITE group,
-// every length-changing prefix stalling the predecoder, the predecoder's
-// window alignment, and both delivery switches.
-func modeledFrontEnd(cpu *uarch.CPU, bs *Bounds, entries []*memo.PreparedInst) {
-	fusedTotal, lcpCount := 0, 0
-	for _, e := range entries {
-		fusedTotal += e.Desc.FusedUops
-		if e.EncErr == nil && e.LCP {
-			lcpCount++
-		}
-	}
-	fe := float64(fusedTotal) / float64(cpu.IssueWidth)
-	if w := cpu.FE.DSBWidth; w > 0 {
-		if r := float64(fusedTotal) / float64(w); r > fe {
-			fe = r
-		}
-	}
-	bs.FrontEnd = fe
-	bs.decide()
-
-	bs.Upper += float64(len(entries)) +
-		float64(lcpCount*cpu.FE.LCPStall) +
-		float64(2*cpu.FE.SwitchPenalty) + 1
 }

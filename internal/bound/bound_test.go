@@ -71,28 +71,26 @@ func TestKnownChains(t *testing.T) {
 
 // TestVerdictTies pins the tie order on blocks from the generated corpus
 // (GenerateAll(0.03, 7)): when terms are exactly equal the dependence term
-// loses to the port term, which beats the front-end term. Both front-end
-// models apply it.
+// loses to the port term, which beats the front-end term.
 func TestVerdictTies(t *testing.T) {
 	hsw := uarch.Haswell()
 	cases := []struct {
 		name, hex string
-		modeled   bool
 		verdict   Verdict
 	}{
 		// lea r10,[r12+r14*8+0xc5] ; add r9,r9 — the carried add chain
 		// (1 cycle) ties the three-component LEA's port 1 (1 cycle).
-		{"dep = port", "4f8d94f4c50000004d01c9", false, VerdictPort},
+		{"dep = port", "4f8d94f4c50000004d01c9", VerdictPort},
 		// xor r9,0x59 ; sub rdx,0x21 ; movzx r11d,byte ptr [rbx+0x1db] —
 		// the 1-cycle carried chains tie 16 code bytes of fetch.
-		{"dep = fetch", "4983f1594883ea21440fb69bdb010000", false, VerdictFrontEnd},
-		// lea r15,[r12+0xb5] ; vxorps xmm7,xmm7,xmm7 ; or r11,0x8 ;
-		// mov rcx,[rbx+0x78] — under the modeled front end the carried
-		// or chain (1 cycle) ties 4 fused µops at width 4.
-		{"dep = allocation", "4d8dbc24b5000000c5c057ff4983cb08488b4b78", true, VerdictFrontEnd},
+		{"dep = fetch", "4983f1594883ea21440fb69bdb010000", VerdictFrontEnd},
+		// lea r15,[rax+0x8] ; vxorps xmm7,xmm7,xmm7 ; or r11,0x8 ;
+		// mov rcx,[rbx] — the carried or chain (1 cycle) ties 4 fused
+		// µops at width 4; 15 code bytes keep fetch below both.
+		{"dep = allocation", "4c8d7808c5c057ff4983cb08488b0b", VerdictFrontEnd},
 	}
 	for _, c := range cases {
-		bs, err := AnalyzeFE(hsw, block(t, c.hex), c.modeled)
+		bs, err := Analyze(hsw, block(t, c.hex))
 		if err != nil {
 			t.Fatal(err)
 		}

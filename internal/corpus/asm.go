@@ -10,24 +10,6 @@ import (
 	"bhive/internal/x86"
 )
 
-// ReadAsm loads a corpus from assembly listing text — the human-writable
-// companion to the hex CSV interchange format. The listing is a sequence
-// of blocks, each introduced by a header line
-//
-//	@ <app> [freq]
-//
-// followed by one assembly instruction per line (Intel or AT&T syntax,
-// auto-detected per instruction exactly as x86.Parse does) until the next
-// header or end of input. Blank lines and '#'/';' comments — whole-line or
-// trailing — are skipped; a missing freq defaults to 1.
-//
-// Every block is canonicalized by round-tripping through the encoder:
-// the Record holds the parsed instructions, and its hex (Block.Hex) is the
-// same canonical machine code a hex submission of the block would carry,
-// so downstream identities — checkpoint fingerprints, server job ids —
-// cannot distinguish the two front doors. Duplicate (app, canonical code)
-// blocks are rejected like duplicate CSV rows. Every failure is a *ParseError
-// carrying the 1-based listing line.
 // RawRecords converts parsed records into the raw hex-row form the lint
 // auditor consumes, canonicalizing each block through the encoder. Line is
 // the record's 1-based ordinal in the corpus (an assembly listing has no
@@ -44,6 +26,25 @@ func RawRecords(recs []Record) ([]RawRecord, error) {
 	return out, nil
 }
 
+// ReadAsm loads a corpus from assembly listing text — the human-writable
+// companion to the hex CSV interchange format. The listing is a sequence
+// of blocks, each introduced by a header line
+//
+//	@ <app> [freq]
+//
+// followed by one assembly instruction per line (Intel or AT&T syntax,
+// auto-detected per instruction exactly as x86.Parse does) until the next
+// header or end of input. Blank lines and '#'/';' comments — whole-line or
+// trailing — are skipped; a missing freq defaults to 1.
+//
+// Every block is canonicalized by round-tripping through the encoder:
+// the Record holds the parsed instructions, and its hex (Block.Hex) is the
+// same canonical machine code a hex submission of the block would carry,
+// so downstream identities — checkpoint fingerprints, server job ids —
+// cannot distinguish the two front doors. Duplicate (app, canonical code)
+// blocks are rejected like duplicate CSV rows, and so is an app name the
+// CSV format cannot carry (one with a comma). Every failure is a
+// *ParseError carrying the 1-based listing line.
 func ReadAsm(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -107,6 +108,9 @@ func ReadAsm(r io.Reader) ([]Record, error) {
 				app, freq = fields[0], f
 			default:
 				return nil, &ParseError{Line: lineNum, Err: fmt.Errorf("want '@ <app> [freq]', got %q", text)}
+			}
+			if strings.Contains(app, ",") {
+				return nil, &ParseError{Line: lineNum, Err: fmt.Errorf("app name %q contains a comma, which the CSV format cannot carry", app)}
 			}
 			open, headAt = true, lineNum
 			continue

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"bhive/internal/x86"
 )
 
 // TestReadAsmBasic: a well-formed listing with headers, comments, mixed
@@ -95,6 +97,7 @@ func TestReadAsmErrors(t *testing.T) {
 		{"empty trailing block", "@ a\nnop\n@ b\n", 3, "no instructions"},
 		{"bad instruction", "@ a\nnop\nbogus xyz\n", 3, ""},
 		{"duplicate block", "@ a\nnop\n@ a\nnop\n", 3, "duplicate"},
+		{"comma in app", "@ a\nnop\n@ my,app 2\nnop\n", 3, "contains a comma"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,6 +116,22 @@ func TestReadAsmErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestWriteCSVRejectsUnwritableApp: an app name that would not read back
+// as one CSV field fails the write; nothing past the header is written.
+func TestWriteCSVRejectsUnwritableApp(t *testing.T) {
+	block := &x86.Block{Insts: []x86.Inst{{Op: x86.NOP}}}
+	for _, app := range []string{"my,app", "a\nb", "a\rb"} {
+		var sb strings.Builder
+		err := WriteCSV(&sb, []Record{{App: "ok", Block: block, Freq: 1}, {App: app, Block: block, Freq: 1}})
+		if err == nil || !strings.Contains(err.Error(), "record 1") {
+			t.Errorf("WriteCSV of app %q: err = %v, want a record 1 error", app, err)
+		}
+		if strings.Contains(sb.String(), app) {
+			t.Errorf("WriteCSV of app %q wrote it: %q", app, sb.String())
+		}
 	}
 }
 

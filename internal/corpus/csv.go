@@ -11,13 +11,18 @@ import (
 )
 
 // WriteCSV stores records in the suite's interchange format:
-// a header line followed by "app,hex,freq" rows.
+// a header line followed by "app,hex,freq" rows. A record whose app name
+// would not read back as one field (a comma or a line break in it) fails
+// the write instead of producing a row ReadCSV rejects.
 func WriteCSV(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "app,hex,freq"); err != nil {
 		return err
 	}
 	for i := range recs {
+		if strings.ContainsAny(recs[i].App, ",\r\n") {
+			return fmt.Errorf("corpus: record %d: app name %q cannot be a CSV field", i, recs[i].App)
+		}
 		hexStr, err := recs[i].Block.Hex()
 		if err != nil {
 			return fmt.Errorf("corpus: encode record %d: %w", i, err)

@@ -270,12 +270,11 @@ func TestXValSharesFunctionalPass(t *testing.T) {
 
 	// A backend on other profiler options measures alone, and the
 	// report equals one measured entirely through Measure.
-	modeled := profiler.DefaultOptions()
-	modeled.ModeledFrontEnd = true
+	other := profiler.MappingOptions()
 	mixed := func(hide bool) (string, string) {
 		bes := []backend.Backend{
 			backend.NewSim(backend.Options{}),
-			backend.NewPerturbedSim(backend.Options{Profiler: &modeled}),
+			backend.NewPerturbedSim(backend.Options{Profiler: &other}),
 		}
 		if hide {
 			for i, be := range bes {

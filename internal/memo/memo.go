@@ -177,9 +177,6 @@ type InstInfo struct {
 	// Raw is the encoding (x86.Encode); EncErr its failure.
 	Raw    []byte
 	EncErr error
-	// LCP marks encodings with a length-changing prefix (0x66 shrinking an
-	// immediate), which stall the modeled predecoder.
-	LCP bool
 	// Addr, Data and Writes are the register-use sets on the pipeline
 	// register ids: 0–15 GPRs by 64-bit base, 16–31 vector registers by
 	// YMM base, 32 (RegFlags) the status flags.
@@ -311,7 +308,6 @@ func newRec(in *x86.Inst) *instRec {
 	r := &instRec{in: x86.Inst{Op: in.Op, Args: slices.Clone(in.Args)}}
 	e := &r.info
 	e.Raw, e.EncErr = x86.Encode(*in)
-	e.LCP = x86.LengthChangingPrefix(e.Raw)
 	e.Addr, e.Data, e.Writes = regSets(in)
 	return r
 }

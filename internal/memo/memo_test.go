@@ -39,7 +39,6 @@ const mixedBlock = `add rax, rbx
 func direct(cpu *uarch.CPU, in *x86.Inst) *PreparedInst {
 	info := new(InstInfo)
 	info.Raw, info.EncErr = x86.Encode(*in)
-	info.LCP = x86.LengthChangingPrefix(info.Raw)
 	info.Addr, info.Data, info.Writes = regSets(in)
 	sh := new(Shape)
 	sh.Desc, sh.DescErr = cpu.Describe(in)
@@ -92,18 +91,16 @@ func TestDescribeMatchesDirect(t *testing.T) {
 }
 
 // TestEncodeMatchesDirect checks the encodings of the entries against
-// x86.Encode and x86.LengthChangingPrefix.
+// x86.Encode.
 func TestEncodeMatchesDirect(t *testing.T) {
 	for _, b := range testBlocks(t) {
 		for i := range b.Insts {
 			in := &b.Insts[i]
 			raw, err := x86.Encode(*in)
-			lcp := x86.LengthChangingPrefix(raw)
 			for round := 0; round < 2; round++ {
 				e := Inst(in)
-				if !reflect.DeepEqual(e.Raw, raw) || !reflect.DeepEqual(e.EncErr, err) || e.LCP != lcp {
-					t.Fatalf("%s: encoding % x (%v, lcp %v), want % x (%v, lcp %v)",
-						in, e.Raw, e.EncErr, e.LCP, raw, err, lcp)
+				if !reflect.DeepEqual(e.Raw, raw) || !reflect.DeepEqual(e.EncErr, err) {
+					t.Fatalf("%s: encoding % x (%v), want % x (%v)", in, e.Raw, e.EncErr, raw, err)
 				}
 			}
 		}

@@ -35,11 +35,10 @@ func TestSimulateAllocs(t *testing.T) {
 }
 
 // TestSimulateGraphAllocs pins the graph paths at zero steady-state
-// allocations: SimulateGraph under both front ends (the modeled one works
-// in the pooled frontEnd buffers), the one-pass pair with a derived
-// prefix, and a prefix view from Graph.Slice, which is a value. Every
-// warm run takes the in-order pass, whose ring and per-µop arrays live in
-// the pooled state too.
+// allocations: SimulateGraph, the one-pass pair with a derived prefix, and
+// a prefix view from Graph.Slice, which is a value. Every warm run takes
+// the in-order pass, whose ring and per-µop arrays live in the pooled
+// state.
 func TestSimulateGraphAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -50,32 +49,29 @@ func TestSimulateGraphAllocs(t *testing.T) {
 	g.Build(cpu, items)
 	nLo := body * 6
 	l1i, l1d := caches(cpu)
-	for _, cfg := range []Config{{}, {ModeledFrontEnd: true, LoopBody: body}} {
-		// Grow the pooled state and warm the caches, so the pair derives.
-		SimulateGraphPair(cpu, &g, nLo, l1i, l1d, cfg)
-		var sink SchedCounters
-		cfg.Sched = &sink
-		if _, _, ok := SimulateGraphPair(cpu, &g, nLo, l1i, l1d, cfg); !ok {
-			t.Fatalf("modeled=%v: warm pair not derived", cfg.ModeledFrontEnd)
+	// Grow the pooled state and warm the caches, so the pair derives.
+	SimulateGraphPair(cpu, &g, nLo, l1i, l1d, Config{})
+	var sink SchedCounters
+	cfg := Config{Sched: &sink}
+	if _, _, ok := SimulateGraphPair(cpu, &g, nLo, l1i, l1d, cfg); !ok {
+		t.Fatal("warm pair not derived")
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"SimulateGraph", func() { SimulateGraph(cpu, &g, l1i, l1d, cfg) }},
+		{"SimulateGraphPair", func() { SimulateGraphPair(cpu, &g, nLo, l1i, l1d, cfg) }},
+		{"Slice", func() {
+			sl := g.Slice(nLo)
+			SimulateGraph(cpu, &sl, l1i, l1d, cfg)
+		}},
+	} {
+		if avg := testing.AllocsPerRun(100, tc.run); avg != 0 {
+			t.Errorf("%s allocates %.2f times per run in steady state; want 0", tc.name, avg)
 		}
-		for _, tc := range []struct {
-			name string
-			run  func()
-		}{
-			{"SimulateGraph", func() { SimulateGraph(cpu, &g, l1i, l1d, cfg) }},
-			{"SimulateGraphPair", func() { SimulateGraphPair(cpu, &g, nLo, l1i, l1d, cfg) }},
-			{"Slice", func() {
-				sl := g.Slice(nLo)
-				SimulateGraph(cpu, &sl, l1i, l1d, cfg)
-			}},
-		} {
-			if avg := testing.AllocsPerRun(100, tc.run); avg != 0 {
-				t.Errorf("modeled=%v: %s allocates %.2f times per run in steady state; want 0",
-					cfg.ModeledFrontEnd, tc.name, avg)
-			}
-		}
-		if sink.Fallbacks() > 0 || sink[PathInOrder] == 0 {
-			t.Errorf("modeled=%v: warm runs took %s; want the in-order pass only", cfg.ModeledFrontEnd, sink)
-		}
+	}
+	if sink.Fallbacks() > 0 || sink[PathInOrder] == 0 {
+		t.Errorf("warm runs took %s; want the in-order pass only", sink)
 	}
 }

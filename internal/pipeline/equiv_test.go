@@ -11,10 +11,10 @@ import (
 )
 
 // equivWorkload builds an unrolled mixed workload — dependent and
-// independent ALU work, a store/load forwarding pair, a divider, a zero
-// idiom, and an LCP-marked encoding — laid out contiguously in code like
-// machine.PrepareUnrolled would, so both front ends (legacy and modeled)
-// and both back-end memory paths have something to do.
+// independent ALU work, a store/load forwarding pair, a divider and a zero
+// idiom — laid out contiguously in code like machine.PrepareUnrolled
+// would, so the fetch stage and both back-end memory paths have something
+// to do.
 func equivWorkload(cpu *uarch.CPU, unroll int) (items []Item, body int) {
 	storeIt := Item{
 		Desc: uarch.Desc{
@@ -54,13 +54,10 @@ func equivWorkload(cpu *uarch.CPU, unroll int) (items []Item, body int) {
 		Writes:  []uint8{0},
 		CodeLen: 2,
 	}
-	lcpIt := aluItem(cpu, []uint8{0}, []uint8{0}, 1)
-	lcpIt.LCP = true
-
 	base := []Item{
 		aluItem(cpu, []uint8{0}, []uint8{0}, 1),
 		aluItem(cpu, nil, []uint8{4}, 3),
-		storeIt, loadIt, loadFar, divIt, idiom, lcpIt,
+		storeIt, loadIt, loadFar, divIt, idiom,
 	}
 	phys := uint64(0)
 	for u := 0; u < unroll; u++ {
@@ -76,19 +73,17 @@ func equivWorkload(cpu *uarch.CPU, unroll int) (items []Item, body int) {
 // TestSchedulerEquivalenceInPackage is the in-package twin of
 // machine.FuzzSimulateEquivalence: on a mixed workload, the reference
 // cycle-by-cycle scheduler and the event-driven one must return identical
-// counters under every front-end and context-switch configuration. The
+// counters with context switches off and on. The
 // machine-level fuzzer covers real decoded blocks; this one pins the
 // invariant at the pipeline API with hand-built items.
 func TestSchedulerEquivalenceInPackage(t *testing.T) {
 	for _, cpu := range []*uarch.CPU{uarch.Haswell(), uarch.IceLake()} {
-		items, body := equivWorkload(cpu, 12)
+		items, _ := equivWorkload(cpu, 12)
 		configs := []struct {
 			name string
 			cfg  Config
 		}{
-			{"legacy", Config{}},
-			{"modeled", Config{ModeledFrontEnd: true, LoopBody: body}},
-			{"modeled whole-seq", Config{ModeledFrontEnd: true}},
+			{"quiet", Config{}},
 			{"switches", Config{SwitchRate: 0.01, SwitchCost: 200}},
 		}
 		for _, tc := range configs {
@@ -157,7 +152,7 @@ func TestFullPortMaskEquivalence(t *testing.T) {
 // TestGraphSliceEquivalence pins the profiler's low-unroll derivation: a
 // prefix Slice of the high-unroll graph must time identically to a graph
 // built from the prefix items directly, and the one-pass pair identically
-// to both, in both front-end modes.
+// to both.
 func TestGraphSliceEquivalence(t *testing.T) {
 	cpu := uarch.Skylake()
 	items, body := equivWorkload(cpu, 12)
@@ -167,36 +162,32 @@ func TestGraphSliceEquivalence(t *testing.T) {
 		t.Fatalf("NumItems = %d, want %d", g.NumItems(), len(items))
 	}
 	half := body * 6
-	for _, cfg := range []Config{{}, {ModeledFrontEnd: true, LoopBody: body}} {
-		sl := g.Slice(half)
-		if sl.NumItems() != half {
-			t.Fatalf("Slice(%d).NumItems = %d", half, sl.NumItems())
-		}
-		l1i, l1d := caches(cpu)
-		got := SimulateGraph(cpu, &sl, l1i, l1d, cfg)
-		l1i2, l1d2 := caches(cpu)
-		want := simulate(cpu, items[:half], l1i2, l1d2, cfg)
-		if got != want {
-			t.Fatalf("modeled=%v: sliced graph %+v != direct %+v",
-				cfg.ModeledFrontEnd, got, want)
-		}
-		// The one-pass pair derives the prefix run on warm caches.
-		l1i3, l1d3 := caches(cpu)
-		SimulateGraph(cpu, &g, l1i3, l1d3, cfg)
-		hi, lo, ok := SimulateGraphPair(cpu, &g, half, l1i3, l1d3, cfg)
-		l1i4, l1d4 := caches(cpu)
-		SimulateGraph(cpu, &g, l1i4, l1d4, cfg)
-		wantHi := SimulateGraph(cpu, &g, l1i4, l1d4, cfg)
-		wantLo := SimulateGraph(cpu, &sl, l1i4, l1d4, cfg)
-		if !ok || hi != wantHi || lo != wantLo {
-			t.Fatalf("modeled=%v: pair (%+v, %+v, ok=%v) != separate runs (%+v, %+v)",
-				cfg.ModeledFrontEnd, hi, lo, ok, wantHi, wantLo)
-		}
-		// Out-of-range slice clamps to the whole graph.
-		under, over := g.Slice(-1), g.Slice(len(items)+5)
-		if under.NumItems() != len(items) || over.NumItems() != len(items) {
-			t.Fatal("Slice must clamp out-of-range n to the full graph")
-		}
+	sl := g.Slice(half)
+	if sl.NumItems() != half {
+		t.Fatalf("Slice(%d).NumItems = %d", half, sl.NumItems())
+	}
+	l1i, l1d := caches(cpu)
+	got := SimulateGraph(cpu, &sl, l1i, l1d, Config{})
+	l1i2, l1d2 := caches(cpu)
+	want := simulate(cpu, items[:half], l1i2, l1d2, Config{})
+	if got != want {
+		t.Fatalf("sliced graph %+v != direct %+v", got, want)
+	}
+	// The one-pass pair derives the prefix run on warm caches.
+	l1i3, l1d3 := caches(cpu)
+	SimulateGraph(cpu, &g, l1i3, l1d3, Config{})
+	hi, lo, ok := SimulateGraphPair(cpu, &g, half, l1i3, l1d3, Config{})
+	l1i4, l1d4 := caches(cpu)
+	SimulateGraph(cpu, &g, l1i4, l1d4, Config{})
+	wantHi := SimulateGraph(cpu, &g, l1i4, l1d4, Config{})
+	wantLo := SimulateGraph(cpu, &sl, l1i4, l1d4, Config{})
+	if !ok || hi != wantHi || lo != wantLo {
+		t.Fatalf("pair (%+v, %+v, ok=%v) != separate runs (%+v, %+v)", hi, lo, ok, wantHi, wantLo)
+	}
+	// Out-of-range slice clamps to the whole graph.
+	under, over := g.Slice(-1), g.Slice(len(items)+5)
+	if under.NumItems() != len(items) || over.NumItems() != len(items) {
+		t.Fatal("Slice must clamp out-of-range n to the full graph")
 	}
 }
 

@@ -70,7 +70,6 @@ type eventState struct {
 	newReady   []int32 // became ready during a completion drain
 	mergeBuf   []int32
 	scope      int32 // µops in scope: consumer edges at or past it are ignored
-	fe         frontEnd
 
 	// The prefix run's state where the pair run forks (SimulateGraphPair).
 	fork     schedArrays
@@ -140,12 +139,7 @@ func (s *eventState) run(cpu *uarch.CPU, g *Graph, nLo int, l1i, l1d *cache.Cach
 	// The front end only reads the L1I, before any scheduling: both
 	// paths share its fetchReady.
 	s.fetchReady = grow(s.fetchReady, n)
-	if cfg.ModeledFrontEnd {
-		src := feSource{g.codePhys[:n], g.codeLen[:n], g.itemFused[:n], g.lcp[:n]}
-		modeledFetch(cpu, &s.fe, src, cfg.LoopBody, l1i, &hi, s.fetchReady)
-	} else {
-		simulateFetchGraph(cpu, g, l1i, &hi, s.fetchReady)
-	}
+	simulateFetchGraph(cpu, g, l1i, &hi, s.fetchReady)
 
 	switches := cfg.SwitchRate > 0 && cfg.Rand != nil
 	fork := -1

@@ -63,7 +63,6 @@ type Graph struct {
 	storePrefix  []int32 // stores among items [0, i)
 	codePhys     []uint64
 	codeLen      []int32
-	lcp          []bool // length-changing prefix (modeled front end)
 
 	loads  []loadSpec
 	stores []storeSpec
@@ -106,7 +105,6 @@ func (g *Graph) Slice(n int) Graph {
 	out.storePrefix = g.storePrefix[:n+1]
 	out.codePhys = g.codePhys[:n]
 	out.codeLen = g.codeLen[:n]
-	out.lcp = g.lcp[:n]
 	out.stores = g.stores[:ns]
 	return out
 }
@@ -136,7 +134,6 @@ func (g *Graph) Build(cpu *uarch.CPU, items []Item) {
 	g.storePrefix = grow(g.storePrefix, n+1)
 	g.codePhys = grow(g.codePhys, n)
 	g.codeLen = grow(g.codeLen, n)
-	g.lcp = grow(g.lcp, n)
 
 	var lastWriter [NumRegs]int32
 	for i := range lastWriter {
@@ -150,7 +147,6 @@ func (g *Graph) Build(cpu *uarch.CPU, items []Item) {
 		g.itemFused[i] = int32(it.Desc.FusedUops)
 		g.codePhys[i] = it.CodePhys
 		g.codeLen[i] = int32(it.CodeLen)
-		g.lcp[i] = it.LCP
 		g.itemLoad[i] = -1
 		g.itemStore[i] = -1
 		if it.Load != nil {
@@ -344,7 +340,7 @@ func (g *Graph) Equal(h *Graph) bool {
 		slices.Equal(g.itemFirstUop, h.itemFirstUop) && slices.Equal(g.itemFused, h.itemFused) &&
 		slices.Equal(g.itemLoad, h.itemLoad) && slices.Equal(g.itemStore, h.itemStore) &&
 		slices.Equal(g.storePrefix, h.storePrefix) && slices.Equal(g.codePhys, h.codePhys) &&
-		slices.Equal(g.codeLen, h.codeLen) && slices.Equal(g.lcp, h.lcp) &&
+		slices.Equal(g.codeLen, h.codeLen) &&
 		slices.Equal(g.loads, h.loads) && slices.Equal(g.stores, h.stores) &&
 		slices.Equal(g.subnormal, h.subnormal)
 }

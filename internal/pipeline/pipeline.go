@@ -43,10 +43,6 @@ type Item struct {
 	// CodePhys/CodeLen locate the instruction bytes for I-cache modelling.
 	CodePhys uint64
 	CodeLen  int
-
-	// LCP marks a length-changing-prefix encoding, which stalls the
-	// modeled predecoder (ignored by the legacy front end).
-	LCP bool
 }
 
 // Config carries per-run knobs beyond the CPU parameter file.
@@ -59,18 +55,6 @@ type Config struct {
 	SwitchCost uint64
 	// Rand drives context-switch arrival times; nil disables switches.
 	Rand *rand.Rand
-	// ModeledFrontEnd replaces the 16-bytes-per-cycle fetch approximation
-	// with the uiCA-style decoded front end (predecode with LCP stalls,
-	// MITE decode-group assignment, DSB residency and delivery, LSD
-	// lock-down, and DSB↔MITE switch penalties), parameterized by the
-	// CPU's FrontEnd fields. Off (the default) keeps the simulator
-	// bit-identical to the legacy model.
-	ModeledFrontEnd bool
-	// LoopBody is the iteration length in instructions for the modeled
-	// front end: the item sequence is treated as ceil(n/LoopBody)
-	// iterations of the first LoopBody items (an unrolled basic block).
-	// 0 means the whole sequence is one iteration (MITE-only delivery).
-	LoopBody int
 	// Sched, when set, counts the run by the Path that scheduled it. It
 	// only observes: the run's properties alone choose the path.
 	Sched *SchedCounters

@@ -71,29 +71,9 @@ type simScratch struct {
 	portBusy     []uint64 // busy-until for non-pipelined units
 	portUse      []bool
 	itemAlloc    []bool
-	fe           frontEnd
-	feSrc        feSource
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(simScratch) }}
-
-// feSource gathers the items' front-end fields into the scratch's arrays.
-func (s *simScratch) feSource(items []Item) feSource {
-	n := len(items)
-	src := &s.feSrc
-	src.codePhys = grow(src.codePhys, n)
-	src.codeLen = grow(src.codeLen, n)
-	src.fused = grow(src.fused, n)
-	src.lcp = grow(src.lcp, n)
-	for i := range items {
-		it := &items[i]
-		src.codePhys[i] = it.CodePhys
-		src.codeLen[i] = int32(it.CodeLen)
-		src.fused[i] = int32(it.Desc.FusedUops)
-		src.lcp[i] = it.LCP
-	}
-	return *src
-}
 
 func (s *simScratch) simulate(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cache, cfg Config) Counters {
 	var ctr Counters
@@ -104,11 +84,7 @@ func (s *simScratch) simulate(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cach
 
 	s.fetchReady = grow(s.fetchReady, len(items))
 	fetchReady := s.fetchReady
-	if cfg.ModeledFrontEnd {
-		modeledFetch(cpu, &s.fe, s.feSource(items), cfg.LoopBody, l1i, &ctr, fetchReady)
-	} else {
-		simulateFetch(cpu, items, l1i, &ctr, fetchReady)
-	}
+	simulateFetch(cpu, items, l1i, &ctr, fetchReady)
 
 	// Build the µop list with dependence edges. Each item's µops are
 	// contiguous, so itemFirstUop with a sentinel entry replaces the

@@ -106,12 +106,6 @@ type Options struct {
 	// drawn analytically — statistically equivalent, since an interrupted
 	// sample is discarded either way.
 	RealSampleNoise bool
-
-	// ModeledFrontEnd times every run with the uiCA-style decoded front
-	// end (predecode, MITE/DSB/LSD delivery, switch penalties) instead of
-	// the 16-bytes-per-cycle fetch approximation. Off by default: the
-	// paper's tables are produced by the legacy front end.
-	ModeledFrontEnd bool
 }
 
 // DefaultOptions is the full BHive methodology.
@@ -722,17 +716,6 @@ func (p *Profiler) time(m *machine.Machine, prog *machine.Program, steps []exec.
 	return res
 }
 
-// timing is the base timing configuration for a block of n instructions:
-// the front-end mode and, for the modeled front end, the loop body (an
-// unrolled program is unroll iterations of the block).
-func (p *Profiler) timing(n int) machine.Config {
-	base := machine.Config{ModeledFrontEnd: p.Opts.ModeledFrontEnd}
-	if p.Opts.ModeledFrontEnd {
-		base.LoopBody = n
-	}
-	return base
-}
-
 // measure runs the measurement protocol on the high-factor program of an
 // n-instruction block and, with derived throughput, on its low-factor
 // prefix; the low result is zero unless the high one is accepted. The
@@ -744,9 +727,8 @@ func (p *Profiler) timing(n int) machine.Config {
 // the high one, so its timed run is derived from the high run
 // (machine.TimeGraphPair). The derivation holds whenever the high run can
 // be accepted: acceptance rejects any run that missed in a cache, the
-// base timing injects no context switches, and 0 < nLo < n·hi.
+// timed run injects no context switches, and 0 < nLo < n·hi.
 func (p *Profiler) measure(m *machine.Machine, prog *machine.Program, g *pipeline.Graph, steps []exec.Step, n, lo, hi int, seed int64) (cHi uint64, rHi Result, cLo uint64, rLo Result) {
-	base := p.timing(n)
 	nLo := 0
 	if p.Opts.DerivedThroughput {
 		nLo = n * lo
@@ -757,15 +739,15 @@ func (p *Profiler) measure(m *machine.Machine, prog *machine.Program, g *pipelin
 	// matters here, so the warm-up touches lines directly rather than
 	// paying for a full pipeline simulation.
 	m.WarmCaches(prog, steps)
-	ctrHi, ctrLo, derived := m.TimeGraphPair(g, nLo, base)
-	cHi, rHi = p.accept(m, g, base, ctrHi, hi, seed)
+	ctrHi, ctrLo, derived := m.TimeGraphPair(g, nLo, machine.Config{})
+	cHi, rHi = p.accept(m, g, ctrHi, hi, seed)
 	if rHi.Status != StatusOK || nLo == 0 {
 		return cHi, rHi, 0, Result{}
 	}
 
 	if !derived {
 		panic(fmt.Sprintf("profiler: invariant violated: an accepted high run (%d instructions) did not derive "+
-			"its %d-instruction low run; accepted runs hit in both caches and the base timing injects no "+
+			"its %d-instruction low run; accepted runs hit in both caches and the timed run injects no "+
 			"context switches", len(steps), nLo))
 	}
 	// The low measurement reuses the machine: its page working set is a
@@ -779,14 +761,14 @@ func (p *Profiler) measure(m *machine.Machine, prog *machine.Program, g *pipelin
 		// them nothing reads the caches again.
 		m.WarmCaches(prog.Slice(nLo), steps[:nLo])
 	}
-	cLo, rLo = p.accept(m, &gLo, base, ctrLo, lo, seed)
+	cLo, rLo = p.accept(m, &gLo, ctrLo, lo, seed)
 	return cHi, rHi, cLo, rLo
 }
 
 // accept applies the acceptance half of the protocol to one unrolled
 // program's timed run ctr: the sample check, then the modeling
 // assumptions. It returns the cycle count to use and the verdict.
-func (p *Profiler) accept(m *machine.Machine, g *pipeline.Graph, base machine.Config, ctr pipeline.Counters, unroll int, seed int64) (uint64, Result) {
+func (p *Profiler) accept(m *machine.Machine, g *pipeline.Graph, ctr pipeline.Counters, unroll int, seed int64) (uint64, Result) {
 	var res Result
 	o := &p.Opts
 	res.Counters = ctr
@@ -813,9 +795,7 @@ func (p *Profiler) accept(m *machine.Machine, g *pipeline.Graph, base machine.Co
 		// each sample is the scheduling loop over the prepared graph.
 		counts := make(map[uint64]int)
 		for s := 0; s < samples; s++ {
-			scfg := base
-			scfg.SwitchRate, scfg.SwitchCost = o.SwitchRate, o.SwitchCost
-			c := m.TimeGraph(g, scfg)
+			c := m.TimeGraph(g, machine.Config{SwitchRate: o.SwitchRate, SwitchCost: o.SwitchCost})
 			if c.ContextSwitches == 0 {
 				counts[c.Cycles]++
 			}
@@ -884,7 +864,6 @@ func (p *Profiler) MeasureRaw(b *x86.Block, unroll int) (pipeline.Counters, erro
 	}
 	m, prog, steps := sc.m, pass.Prog, pass.Steps
 	g := m.PrepareGraph(prog, steps)
-	base := p.timing(len(b.Insts))
-	m.TimeGraph(g, base) // warm-up
-	return m.TimeGraph(g, base), nil
+	m.TimeGraph(g, machine.Config{}) // warm-up
+	return m.TimeGraph(g, machine.Config{}), nil
 }

@@ -189,18 +189,19 @@ func sameResult(a, b profiler.Result) bool {
 // functional pass per block. Two workers drive the group concurrently, so
 // `go test -race` checks the shared scratch.
 func TestProfileEachEqualsProfile(t *testing.T) {
-	modeled := profiler.DefaultOptions()
-	modeled.ModeledFrontEnd = true
 	noisy := profiler.DefaultOptions()
 	noisy.RealSampleNoise = true
+	// The case-study experiment's option set: misaligned accesses kept.
+	unfiltered := profiler.DefaultOptions()
+	unfiltered.FilterMisaligned = false
 	blocks := groupBlocks(t)
 	for _, tc := range []struct {
 		name string
 		opts profiler.Options
 	}{
 		{"default", profiler.DefaultOptions()},
-		{"modeled-front-end", modeled},
 		{"real-sample-noise", noisy},
+		{"unfiltered", unfiltered},
 		{"mapping", profiler.MappingOptions()},
 		{"baseline", profiler.BaselineOptions()},
 	} {

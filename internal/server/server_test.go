@@ -266,6 +266,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad corpus row", `{"corpus_csv":"app,hex,freq\nfoo,90,1\nfoo,zz,1\n"}`, "line 3"},
 		{"duplicate corpus row", `{"corpus_csv":"app,hex,freq\nfoo,90,1\nfoo,90,2\n"}`, "duplicate block row"},
 		{"bad asm", `{"asm":"@ foo\nnot_an_instruction\n"}`, "asm:"},
+		// The listing's own header line is named, not a line of the CSV it
+		// is converted to.
+		{"comma in asm app", `{"asm":"@ foo\nnop\n@ my,app\nnop\n"}`, "asm: corpus: line 3: app name"},
 		{"asm and csv", `{"asm":"@ foo\nnop\n","corpus_csv":"app,hex,freq\nfoo,90,1\n"}`, "mutually exclusive"},
 		{"unknown backend", `{"backends":["hardware"]}`, "unknown spec"},
 		{"bare recorded backend", `{"backends":["recorded"]}`, "recorded needs a trace path"},

@@ -128,37 +128,6 @@ type Desc struct {
 	Generic bool
 }
 
-// FrontEnd is the decoded-front-end parameter file consumed by the
-// modeled front end (pipeline.Config.ModeledFrontEnd): the legacy decode
-// pipeline (MITE), the decoded-µop cache (DSB), the loop stream detector
-// (LSD), and the penalties for switching between delivery paths. The
-// numbers follow Abel and Reineke's uiCA characterization. A zero-valued
-// FrontEnd disables the modeled stage (the simulator falls back to the
-// 16-bytes-per-cycle fetch approximation).
-type FrontEnd struct {
-	// DecodeWidth is the number of instructions the legacy decoders accept
-	// per cycle. One decoder is complex (multi-µop instructions must lead
-	// a decode group); the remaining DecodeWidth-1 are simple.
-	DecodeWidth int
-	// LCPStall is the predecoder stall, in cycles, per instruction whose
-	// 0x66 operand-size prefix changes the immediate length.
-	LCPStall int
-	// DSBWidth is the fused-domain µop delivery rate of the µop cache.
-	DSBWidth int
-	// DSBSets × DSBWays × DSBLineUops describe the µop-cache geometry: a
-	// 32-byte code window maps to one set and may occupy at most three
-	// ways; each way holds up to DSBLineUops µops.
-	DSBSets     int
-	DSBWays     int
-	DSBLineUops int
-	// LSDSize is the loop-stream-detector capacity in fused µops; bodies
-	// that fit stream from the µop queue with no front-end constraint.
-	// 0 = LSD disabled (Skylake: the SKL150 erratum fix disables it).
-	LSDSize int
-	// SwitchPenalty is the cycle cost of a DSB↔MITE delivery switch.
-	SwitchPenalty int
-}
-
 // CPU is a microarchitecture parameter file. It is both the configuration
 // of the ground-truth pipeline simulator and the source of the
 // port-mapping tables used for classification.
@@ -196,10 +165,6 @@ type CPU struct {
 	// implements; an instruction needing any other is unsupported.
 	Features        x86.Feature
 	MoveElimination bool
-
-	// FE parameterizes the modeled decode front end (opt-in; see
-	// pipeline.Config.ModeledFrontEnd).
-	FE FrontEnd
 
 	// FPAddLat/FPMulLat etc. select per-µarch latencies inside the shared
 	// describe table.
@@ -265,17 +230,6 @@ func IvyBridge() *CPU {
 		Features:        x86.FeatSSE | x86.FeatAVX,
 		MoveElimination: true,
 
-		FE: FrontEnd{
-			DecodeWidth:   4,
-			LCPStall:      3,
-			DSBWidth:      4,
-			DSBSets:       32,
-			DSBWays:       8,
-			DSBLineUops:   6,
-			LSDSize:       28,
-			SwitchPenalty: 2,
-		},
-
 		intALUPorts:  Ports(0, 1, 5),
 		shiftPorts:   Ports(0, 5),
 		shiftCLPorts: Ports(0, 5),
@@ -338,17 +292,6 @@ func Haswell() *CPU {
 		Features:        x86.FeatSSE | x86.FeatAVX | x86.FeatAVX2 | x86.FeatFMA,
 		MoveElimination: true,
 
-		FE: FrontEnd{
-			DecodeWidth:   4,
-			LCPStall:      3,
-			DSBWidth:      4,
-			DSBSets:       32,
-			DSBWays:       8,
-			DSBLineUops:   6,
-			LSDSize:       56,
-			SwitchPenalty: 2,
-		},
-
 		intALUPorts:  Ports(0, 1, 5, 6),
 		shiftPorts:   Ports(0, 6),
 		shiftCLPorts: Ports(6),
@@ -391,10 +334,6 @@ func Skylake() *CPU {
 	c.RSSize = 97
 	c.LoadBufs = 72
 	c.StoreBufs = 56
-	// Skylake doubles the DSB delivery rate over Haswell; the LSD is
-	// disabled by the SKL150 erratum microcode fix.
-	c.FE.DSBWidth = 6
-	c.FE.LSDSize = 0
 	c.vecALUPorts = Ports(0, 1, 5)
 	c.fpAddPorts = Ports(0, 1)
 	c.fpMulPorts = Ports(0, 1)
@@ -413,12 +352,12 @@ func Skylake() *CPU {
 }
 
 // IceLake returns the Ice Lake (Sunny Cove) parameter file: the
-// post-Skylake core with a 5-wide issue/decode front end, a larger DSB
-// with a restored (and enlarged) LSD, deeper out-of-order windows, a 48 KB
-// 5-cycle L1D, and a fast radix-64 divider. The execution-port layout is
-// carried over from Skylake — the extra store-data and AGU ports of the
-// real core are not modeled — so Ice Lake numbers exercise the front-end
-// and window parameters, not a re-derived port table.
+// post-Skylake core with 5-wide allocation and retirement, deeper
+// out-of-order windows, a 48 KB 5-cycle L1D, and a fast radix-64
+// divider. The execution-port layout is carried over from Skylake — the
+// extra store-data and AGU ports of the real core are not modeled — so
+// Ice Lake numbers exercise the width and window parameters, not a
+// re-derived port table.
 func IceLake() *CPU {
 	c := Skylake()
 	c.Name = "icelake"
@@ -433,9 +372,6 @@ func IceLake() *CPU {
 	c.L1Assoc = 12
 	c.div32Lat = 12
 	c.div64Lat = 18
-	c.FE.DecodeWidth = 5
-	c.FE.DSBSets = 48
-	c.FE.LSDSize = 70
 	return c
 }
 
