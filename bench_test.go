@@ -660,14 +660,14 @@ func TestRetargetTimingAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.WarmCaches(prog, steps)
-	m.TimeGraphPair(m.PrepareGraph(prog, steps), n*lo, machine.Config{})
+	m.TimeGraphPair(m.PrepareGraph(prog, steps), n*lo)
 	before := m.Work()
 	allocs := testing.AllocsPerRun(20, func() {
 		for k, cpu := range keys {
 			m.Retarget(cpu, ents[k])
 			g := m.PrepareGraph(prog, steps)
 			m.WarmCaches(prog, steps)
-			if _, _, ok := m.TimeGraphPair(g, n*lo, machine.Config{}); !ok {
+			if _, _, ok := m.TimeGraphPair(g, n*lo); !ok {
 				t.Fatalf("%s: the unroll pair did not derive", cpu.Name)
 			}
 		}

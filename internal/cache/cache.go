@@ -145,8 +145,7 @@ func (c *Cache) Holds(physAddr uint64, size int) bool {
 	return true
 }
 
-// Flush invalidates the whole cache (used to model the pollution caused by
-// a context switch).
+// Flush invalidates every line, keeping the LRU clock and the counters.
 func (c *Cache) Flush() {
 	clear(c.ways)
 }

@@ -283,7 +283,7 @@ func runFingerprint(cfg Config, recs []corpus.Record) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "ckpt-v%d|seed=%d|scale=%g|ithemal=%v/%d/%d|opts=%s|prescreen=%v|n=%d\n",
 		CheckpointVersion, cfg.Seed, cfg.Scale,
-		cfg.TrainIthemal, cfg.IthemalEpochs, cfg.IthemalTrainCap,
+		cfg.TrainIthemal, cfg.IthemalEpochs, ithemalTrainCap,
 		profiler.DefaultOptions().Fingerprint(), cfg.Prescreen, len(recs))
 	// Backend identity (cross-validation runs): a trace replay adopts the
 	// fingerprint of the backend that produced it, so a replayed run

@@ -59,9 +59,8 @@ type Config struct {
 	// TrainIthemal includes the learned model in the evaluations (adds
 	// minutes of LSTM training per microarchitecture).
 	TrainIthemal bool
-	// IthemalEpochs/IthemalTrainCap bound the training cost.
-	IthemalEpochs   int
-	IthemalTrainCap int
+	// IthemalEpochs bounds the training cost, with ithemalTrainCap.
+	IthemalEpochs int
 	// Workers bounds profiling parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Records, when non-empty, overrides corpus generation — e.g. a corpus
@@ -130,13 +129,16 @@ type Config struct {
 // DefaultConfig is sized for interactive runs.
 func DefaultConfig() Config {
 	return Config{
-		Scale:           0.02,
-		Seed:            7,
-		TrainIthemal:    false,
-		IthemalEpochs:   12,
-		IthemalTrainCap: 2500,
+		Scale:         0.02,
+		Seed:          7,
+		TrainIthemal:  false,
+		IthemalEpochs: 12,
 	}
 }
+
+// ithemalTrainCap is the most training samples Ithemal takes per
+// microarchitecture.
+const ithemalTrainCap = 2500
 
 // measurement is one block's profiling outcome on one microarchitecture.
 type measurement struct {
@@ -987,8 +989,8 @@ func (s *Suite) ithemalFor(cpu *uarch.CPU, meas []measurement) *ithemal.Model {
 		}
 		samples = append(samples, ithemal.Sample{Block: s.recs[i].Block, Throughput: meas[i].tp})
 	}
-	if limit := s.cfg.IthemalTrainCap; limit > 0 && len(samples) > limit {
-		samples = samples[:limit]
+	if len(samples) > ithemalTrainCap {
+		samples = samples[:ithemalTrainCap]
 	}
 	m := ithemal.New(32, 64, s.cfg.Seed)
 	tc := ithemal.DefaultTrainConfig()

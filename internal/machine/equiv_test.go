@@ -23,9 +23,9 @@ import (
 // (pipeline.SimulateEvent) and the route every timed run takes, which is
 // the in-order pass wherever that is exact and the event scheduler
 // otherwise. They are required to be bit-identical — same Counters on
-// every run, including cache-state evolution across runs and the
-// context-switch RNG draw sequence. The deterministic tests sweep curated
-// scenarios; FuzzSimulateEquivalence explores random block compositions.
+// every run, including cache-state evolution across runs. The
+// deterministic tests sweep curated scenarios; FuzzSimulateEquivalence
+// explores random block compositions.
 
 // equivPool is the instruction vocabulary fuzz inputs select from. It is
 // chosen to reach every scheduler feature: dependence chains, zero idioms,
@@ -78,13 +78,11 @@ type equivRun struct {
 
 // equivCounters runs the full measurement motion — prepare, fault-driven
 // page mapping, functional execution, then three timing runs (cold, warm,
-// and a third that advances any switch RNG) — on a fresh machine with the
-// chosen scheduler, and returns the counters of every run and the final
-// caches. The base config carries switch injection and the front-end
-// mode. ok is false if the input cannot be prepared or executed; that
-// decision is taken before any timing happens, so it cannot differ
-// between schedulers.
-func equivCounters(cpu *uarch.CPU, insts []x86.Inst, base Config, sched scheduler) (out equivRun, ok bool) {
+// and warm again) — on a fresh machine with the chosen scheduler, and
+// returns the counters of every run and the final caches. ok is false if
+// the input cannot be prepared or executed; that decision is taken before
+// any timing happens, so it cannot differ between schedulers.
+func equivCounters(cpu *uarch.CPU, insts []x86.Inst, sched scheduler) (out equivRun, ok bool) {
 	m := New(cpu, 42)
 	p, err := m.Prepare(insts)
 	if err != nil {
@@ -118,11 +116,11 @@ func equivCounters(cpu *uarch.CPU, insts []x86.Inst, base Config, sched schedule
 	for i := range out.ctr {
 		switch sched {
 		case schedReference:
-			out.ctr[i] = pipeline.SimulateReference(m.CPU, m.buildItems(p, steps), m.L1I, m.L1D, m.pipelineConfig(base))
+			out.ctr[i] = pipeline.SimulateReference(m.CPU, m.buildItems(p, steps), m.L1I, m.L1D)
 		case schedEvent:
-			out.ctr[i], _, _ = pipeline.SimulateEvent(m.CPU, m.PrepareGraph(p, steps), 0, m.L1I, m.L1D, m.pipelineConfig(base))
+			out.ctr[i], _, _ = pipeline.SimulateEvent(m.CPU, m.PrepareGraph(p, steps), 0, m.L1I, m.L1D, m.pipelineConfig())
 		default:
-			out.ctr[i] = m.TimeGraph(m.PrepareGraph(p, steps), base)
+			out.ctr[i] = m.TimeGraph(m.PrepareGraph(p, steps), Config{})
 		}
 	}
 	out.l1i.CopyFrom(m.L1I)
@@ -132,19 +130,19 @@ func equivCounters(cpu *uarch.CPU, insts []x86.Inst, base Config, sched schedule
 
 // checkEquivalence drives one block through every scheduler and fails the
 // test on any counter or cache divergence.
-func checkEquivalence(t *testing.T, label string, cpu *uarch.CPU, insts []x86.Inst, base Config) {
+func checkEquivalence(t *testing.T, label string, cpu *uarch.CPU, insts []x86.Inst) {
 	t.Helper()
-	checkSchedulers(t, label, cpu, insts, base, schedReference)
+	checkSchedulers(t, label, cpu, insts, schedReference)
 }
 
 // checkSchedulers is checkEquivalence over the schedulers from first on:
 // schedEvent leaves the reference out, for runs it would spin through to
 // the cycle cap one cycle at a time.
-func checkSchedulers(t *testing.T, label string, cpu *uarch.CPU, insts []x86.Inst, base Config, first scheduler) {
+func checkSchedulers(t *testing.T, label string, cpu *uarch.CPU, insts []x86.Inst, first scheduler) {
 	t.Helper()
-	want, okWant := equivCounters(cpu, insts, base, first)
+	want, okWant := equivCounters(cpu, insts, first)
 	for sched := first + 1; sched <= schedTimed; sched++ {
-		got, ok := equivCounters(cpu, insts, base, sched)
+		got, ok := equivCounters(cpu, insts, sched)
 		if ok != okWant {
 			t.Fatalf("%s: schedulers disagree on runnability: %s=%v %s=%v",
 				label, schedNames[first], okWant, schedNames[sched], ok)
@@ -175,20 +173,16 @@ func unrollInsts(block []x86.Inst, unroll int) []x86.Inst {
 // TestSimulateEquivalenceCorpus pins the scheduler equivalence on curated
 // scenarios so plain `go test` (no fuzzing) still exercises the
 // differential check: every pool instruction alone, classic interaction
-// pairs, an I-cache-overflowing unroll, and context-switch injection.
+// pairs and an I-cache-overflowing unroll.
 func TestSimulateEquivalenceCorpus(t *testing.T) {
-	for ci, mk := range equivCPUs {
+	for _, mk := range equivCPUs {
 		cpu := mk()
-		for pi, text := range equivPool {
+		for _, text := range equivPool {
 			block, err := x86.Parse(text, x86.SyntaxAuto)
 			if err != nil {
 				t.Fatalf("parse %q: %v", text, err)
 			}
-			checkEquivalence(t, cpu.Name+"/"+text, cpu, unrollInsts(block, 24), Config{})
-			if ci == 0 && pi%3 == 0 {
-				checkEquivalence(t, cpu.Name+"/"+text+"/switchy", cpu,
-					unrollInsts(block, 24), Config{SwitchRate: 0.02, SwitchCost: 700})
-			}
+			checkEquivalence(t, cpu.Name+"/"+text, cpu, unrollInsts(block, 24))
 		}
 	}
 
@@ -212,9 +206,8 @@ func TestSimulateEquivalenceCorpus(t *testing.T) {
 			t.Fatalf("parse %q: %v", text, err)
 		}
 		for _, unroll := range []int{1, 7, 40} {
-			checkEquivalence(t, text, cpu, unrollInsts(block, unroll), Config{})
+			checkEquivalence(t, text, cpu, unrollInsts(block, unroll))
 		}
-		checkEquivalence(t, text+"/switchy", cpu, unrollInsts(block, 40), Config{SwitchRate: 0.005, SwitchCost: 2000})
 	}
 
 	// Large unroll overflowing the L1I: fetch stalls and steady-state
@@ -227,7 +220,7 @@ func TestSimulateEquivalenceCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkEquivalence(t, "icache-overflow", cpu, unrollInsts(block, 100), Config{})
+	checkEquivalence(t, "icache-overflow", cpu, unrollInsts(block, 100))
 }
 
 // TestTimeGraphMatchesTime pins the prefix view the profiler's hi→lo
@@ -311,7 +304,7 @@ func TestLegacyCountersGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", text, err)
 			}
-			out, ok := equivCounters(cpu, unrollInsts(block, 16), Config{}, schedTimed)
+			out, ok := equivCounters(cpu, unrollInsts(block, 16), schedTimed)
 			if !ok {
 				fmt.Fprintf(&sb, "%s %2d unsupported  # %s\n", cpu.Name, pi, text)
 				continue
@@ -343,26 +336,26 @@ func TestLegacyCountersGolden(t *testing.T) {
 // (TimeGraphPair) against the two timed one at a time and against the
 // event scheduler's pair, and retargets each program to a perturbed µarch
 // and to Ice Lake against a fresh build there (checkRetarget). mode picks
-// the µarch, context switches and a cramped variant of the µarch
-// (crampedCPU) that makes some items over-wide or some µops portless.
+// the µarch and a cramped variant of it (crampedCPU) that makes some
+// items over-wide or some µops portless.
 // Zero divergences is a merge requirement for any scheduler change.
 func FuzzSimulateEquivalence(f *testing.F) {
 	f.Add([]byte{0, 5, 6, 9}, uint8(16), uint8(0), uint8(32))
 	// The divider seeds zero edx first: the initialized edx:eax divided
 	// by ecx overflows the quotient, and a faulting block times nothing.
-	f.Add([]byte{3, 16, 1, 1}, uint8(8), uint8(4), uint8(16))
+	f.Add([]byte{3, 16, 1, 1}, uint8(8), uint8(0), uint8(16))
 	f.Add([]byte{6, 7, 8, 9, 10}, uint8(24), uint8(2), uint8(61))
-	f.Add([]byte{13, 14, 15, 2}, uint8(12), uint8(7), uint8(24))
-	f.Add([]byte{10, 10, 11}, uint8(30), uint8(5), uint8(0))
+	f.Add([]byte{13, 14, 15, 2}, uint8(12), uint8(3), uint8(24))
+	f.Add([]byte{10, 10, 11}, uint8(30), uint8(1), uint8(0))
 	f.Add([]byte{0, 5, 6, 9}, uint8(16), uint8(0), uint8(33))   // haswell
 	f.Add([]byte{13, 14, 15, 2}, uint8(12), uint8(3), uint8(8)) // icelake
-	f.Add([]byte{3, 16, 1, 1}, uint8(8), uint8(7), uint8(20))   // icelake + switches
+	f.Add([]byte{3, 16, 1, 1}, uint8(8), uint8(3), uint8(20))   // icelake
+	f.Add([]byte{5, 6, 0}, uint8(10), uint8(0), uint8(12))      // haswell
 	// One seed per event-scheduler fallback of the timed route. The
 	// cold first run of any block with memory access is not resident.
 	f.Add([]byte{3, 0, 16, 0, 11}, uint8(11), uint8(0), uint8(20)) // occupancy conflict
-	f.Add([]byte{5, 6, 0}, uint8(10), uint8(4), uint8(12))         // context switches
-	f.Add([]byte{6, 0, 1}, uint8(10), uint8(12), uint8(9))         // over-wide: a store in a one-slot RS
-	f.Add([]byte{6, 0, 1}, uint8(10), uint8(24), uint8(9))         // cycle cap: a store-data µop with no port
+	f.Add([]byte{6, 0, 1}, uint8(10), uint8(4), uint8(9))          // over-wide: a store in a one-slot RS
+	f.Add([]byte{6, 0, 1}, uint8(10), uint8(8), uint8(9))          // cycle cap: a store-data µop with no port
 	f.Fuzz(fuzzEquivalence)
 }
 
@@ -372,20 +365,8 @@ func fuzzEquivalence(t *testing.T, sel []byte, unrollByte, mode, cut uint8) {
 		return
 	}
 	nCPU := len(equivCPUs)
-	variant := (int(mode) / (nCPU * 3)) % 3
+	variant := (int(mode) / nCPU) % 3
 	cpu := crampedCPU(int(mode)%nCPU, variant)
-	var cfg Config
-	switch (int(mode) / nCPU) % 3 {
-	case 1:
-		cfg.SwitchRate, cfg.SwitchCost = 0.01, 500
-	case 2:
-		cfg.SwitchRate, cfg.SwitchCost = 0.0004, 12000
-	}
-	if variant > 0 {
-		// A cramped µarch deadlocks, and a deadlocked run would take
-		// every context switch up to the cycle cap.
-		cfg.SwitchRate = 0
-	}
 	var block []x86.Inst
 	for _, b := range sel {
 		insts, err := x86.Parse(equivPool[int(b)%len(equivPool)], x86.SyntaxAuto)
@@ -405,18 +386,18 @@ func fuzzEquivalence(t *testing.T, sel []byte, unrollByte, mode, cut uint8) {
 	if variant > 0 {
 		first = schedEvent
 	}
-	checkSchedulers(t, "fuzz", cpu, insts, cfg, first)
+	checkSchedulers(t, "fuzz", cpu, insts, first)
 	nLo := int(cut) % len(insts)
 	if nLo > 0 {
-		checkSchedulers(t, "fuzz prefix", cpu, insts[:nLo], cfg, first)
+		checkSchedulers(t, "fuzz prefix", cpu, insts[:nLo], first)
 	}
 
 	// The one-pass pair at the random prefix length (0 is no prefix).
 	if m, p, steps, g, ok := pairSetup(cpu, insts, len(block)); ok {
-		checkPair(t, "fuzz pair", m, p, steps, g, nLo, cfg, 42)
-		checkPairEvent(t, "fuzz pair", m, p, steps, g, nLo, cfg, 42)
+		checkPair(t, "fuzz pair", m, p, steps, g, nLo)
+		checkPairEvent(t, "fuzz pair", m, p, steps, g, nLo)
 	}
-	checkRetarget(t, cpu, insts, len(block), cfg)
+	checkRetarget(t, cpu, insts, len(block))
 }
 
 // crampedCPUs caches the cramped variants by µarch and variant, so the
@@ -453,13 +434,12 @@ func crampedCPU(k, variant int) *uarch.CPU {
 // restored) and to Ice Lake (another geometry: the warm-up walks again),
 // and requires each retargeted machine's counters to equal a fresh
 // machine's on that µarch.
-func checkRetarget(t *testing.T, cpu *uarch.CPU, insts []x86.Inst, body int, cfg Config) {
+func checkRetarget(t *testing.T, cpu *uarch.CPU, insts []x86.Inst, body int) {
 	t.Helper()
 	timed := func(m *Machine, p *Program, steps []exec.Step) [2]pipeline.Counters {
-		m.Rand.Seed(42)
 		g := m.PrepareGraph(p, steps)
 		m.WarmCaches(p, steps)
-		return [2]pipeline.Counters{m.TimeGraph(g, cfg), m.TimeGraph(g, cfg)}
+		return [2]pipeline.Counters{m.TimeGraph(g, Config{}), m.TimeGraph(g, Config{})}
 	}
 	m, p, steps, ok := monitoredRun(cpu, insts, body, 0x12345600, true)
 	if !ok {

@@ -4,8 +4,6 @@
 package machine
 
 import (
-	"math/rand"
-
 	"bhive/internal/cache"
 	"bhive/internal/exec"
 	"bhive/internal/memo"
@@ -24,9 +22,6 @@ type Machine struct {
 	AS  *vm.AddressSpace
 	L1I *cache.Cache
 	L1D *cache.Cache
-
-	// Rand drives context-switch arrivals in noisy timing mode.
-	Rand *rand.Rand
 
 	codeFrames []*vm.PhysPage // frames backing the code mapping
 	codeLen    int
@@ -90,9 +85,11 @@ func (m *Machine) current(p *Program, steps []exec.Step) bool {
 	return p == &m.prog && len(steps) == len(m.last) && len(steps) > 0 && &steps[0] == &m.last[0]
 }
 
-// New builds a machine for the given microarchitecture.
+// New builds a machine for the given microarchitecture. A machine draws
+// no random numbers, so seed is unused; the parameter stays because the
+// benchmark's replay (cmd/bhive-bench) calls New with it.
 func New(cpu *uarch.CPU, seed int64) *Machine {
-	m := &Machine{CPU: cpu, Rand: rand.New(rand.NewSource(seed))}
+	m := &Machine{CPU: cpu}
 	m.Reset()
 	return m
 }
@@ -101,10 +98,7 @@ func New(cpu *uarch.CPU, seed int64) *Machine {
 // recycling every allocation: it discards the address space and
 // cold-resets both caches. A reset machine is measurement-identical to a
 // fresh one: the address space restarts frame numbering and both caches
-// cold-reset including their LRU clocks. The RNG is deliberately left
-// untouched — deterministic timing never consumes it, and reseeding
-// math/rand's 607-word state costs more than the rest of Reset combined.
-// Callers using the noisy timing mode must reseed Rand themselves.
+// cold-reset including their LRU clocks.
 func (m *Machine) Reset() {
 	if m.AS == nil {
 		m.AS = vm.New()
@@ -184,9 +178,8 @@ type Program struct {
 	Addrs []uint64
 
 	// entries are the resolved memo entries of the repeated block (its
-	// description, length-changing-prefix flag and register-use sets,
-	// shared and read-only): instruction i is a copy of
-	// entries[i%len(entries)].
+	// description and register-use sets, shared and read-only):
+	// instruction i is a copy of entries[i%len(entries)].
 	entries []*memo.PreparedInst
 }
 
@@ -194,15 +187,6 @@ type Program struct {
 // whether an unrolled block still fits in the instruction cache.
 func (p *Program) CodeSize() int {
 	return int(p.Addrs[len(p.Addrs)-1] - p.Addrs[0])
-}
-
-// Slice returns a program consisting of the first n instructions, sharing
-// the prepared metadata. The profiler uses this to derive the low-unroll
-// program from the high-unroll one instead of re-encoding and re-mapping:
-// the underlying code mapping stays valid because the prefix occupies the
-// same addresses.
-func (p *Program) Slice(n int) *Program {
-	return &Program{Insts: p.Insts[:n], Addrs: p.Addrs[:n+1], entries: p.entries}
 }
 
 // Prepare encodes insts, maps the code pages (each to its own physical
@@ -221,9 +205,9 @@ func (m *Machine) Prepare(insts []x86.Inst) (*Program, error) {
 // itself and only the addresses and code bytes grow with the unroll.
 //
 // The returned Program and its arrays are owned by the machine and remain
-// valid until the next Prepare/PrepareUnrolled/PrepareResolved call on it
-// (prefix views from Program.Slice share the same lifetime). Every caller
-// in this repository prepares and consumes one program at a time.
+// valid until the next Prepare/PrepareUnrolled/PrepareResolved call on it.
+// Every caller in this repository prepares and consumes one program at a
+// time.
 func (m *Machine) PrepareUnrolled(insts []x86.Inst, n int) (*Program, error) {
 	if n <= 0 || n > len(insts) {
 		n = len(insts)
@@ -369,24 +353,15 @@ func (m *Machine) ExecuteMonitored(p *Program, st *exec.State, onFault func(f *v
 	return r.Trace, err
 }
 
-// Config controls a timing run.
-type Config struct {
-	// SwitchRate is the per-cycle context-switch probability; 0 = quiet.
-	SwitchRate float64
-	// SwitchCost is the cycle cost of one context switch.
-	SwitchCost uint64
-}
+// Config controls a timing run. It has no fields: a timed run is a
+// function of the graph and the caches alone. The type stays because the
+// benchmark's replay (cmd/bhive-bench) passes one to TimeGraph.
+type Config struct{}
 
-func (m *Machine) pipelineConfig(cfg Config) pipeline.Config {
-	pcfg := pipeline.Config{
-		SwitchRate: cfg.SwitchRate,
-		SwitchCost: cfg.SwitchCost,
-		Sched:      &m.work.Sched,
-	}
-	if cfg.SwitchRate > 0 {
-		pcfg.Rand = m.Rand
-	}
-	return pcfg
+// pipelineConfig is the pipeline configuration of the machine's timed
+// runs: each is counted in the machine's Work.
+func (m *Machine) pipelineConfig() pipeline.Config {
+	return pipeline.Config{Sched: &m.work.Sched}
 }
 
 // PrepareGraph builds the µop dependence graph for a completed trace once,
@@ -424,17 +399,16 @@ func (m *Machine) PrepareGraph(p *Program, steps []exec.Step) *pipeline.Graph {
 // and returns the performance counters; the per-run cost is the scheduling
 // loop alone. Cache state persists across calls; use warm-up runs
 // deliberately, as the measurement protocol does.
-func (m *Machine) TimeGraph(g *pipeline.Graph, cfg Config) pipeline.Counters {
-	return pipeline.SimulateGraph(m.CPU, g, m.L1I, m.L1D, m.pipelineConfig(cfg))
+func (m *Machine) TimeGraph(g *pipeline.Graph, _ Config) pipeline.Counters {
+	return pipeline.SimulateGraph(m.CPU, g, m.L1I, m.L1D, m.pipelineConfig())
 }
 
 // TimeGraphPair is TimeGraph for g and, from the same scheduling pass,
 // for its prefix g.Slice(nLo): the profiler's two unroll factors in one
 // run (pipeline.SimulateGraphPair). ok is false, and lo zero, when the
-// run missed in a cache, cfg injects context switches, or nLo is not a
-// proper prefix.
-func (m *Machine) TimeGraphPair(g *pipeline.Graph, nLo int, cfg Config) (hi, lo pipeline.Counters, ok bool) {
-	return pipeline.SimulateGraphPair(m.CPU, g, nLo, m.L1I, m.L1D, m.pipelineConfig(cfg))
+// run missed in a cache or nLo is not a proper prefix.
+func (m *Machine) TimeGraphPair(g *pipeline.Graph, nLo int) (hi, lo pipeline.Counters, ok bool) {
+	return pipeline.SimulateGraphPair(m.CPU, g, nLo, m.L1I, m.L1D, m.pipelineConfig())
 }
 
 // buildItems converts the functional trace into timed pipeline items. The

@@ -251,35 +251,6 @@ func TestICacheOverflowOnLargeUnroll(t *testing.T) {
 	}
 }
 
-func TestContextSwitchInjection(t *testing.T) {
-	m := New(uarch.Haswell(), 11)
-	block, _ := x86.Parse("add rax, rbx", x86.SyntaxAuto)
-	var insts []x86.Inst
-	for i := 0; i < 200; i++ {
-		insts = append(insts, block...)
-	}
-	p, err := m.Prepare(insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &exec.State{}
-	st.InitRegisters(0x12345600)
-	steps, err := m.Execute(p, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := m.PrepareGraph(p, steps)
-	// A huge switch rate guarantees at least one interrupt.
-	ctr := m.TimeGraph(g, Config{SwitchRate: 0.05, SwitchCost: 1000})
-	if ctr.ContextSwitches == 0 {
-		t.Fatal("expected injected context switches")
-	}
-	quiet := m.TimeGraph(g, Config{})
-	if quiet.Cycles >= ctr.Cycles {
-		t.Fatal("context switches must inflate the cycle count")
-	}
-}
-
 func TestMisalignedAccessCounter(t *testing.T) {
 	m := New(uarch.Haswell(), 13)
 	// Load crossing a 64-byte line boundary.

@@ -67,35 +67,42 @@ func monitor(m *Machine, init uint64) func(*vm.Fault) bool {
 	}
 }
 
+// Slice returns a program of p's first n instructions, sharing its
+// prepared metadata and code mapping: the prefix occupies the same
+// addresses. The tests time such a prefix on its own, as the oracle of
+// the one-pass derivation (TimeGraphPair) and of Graph.Slice.
+func (p *Program) Slice(n int) *Program {
+	return &Program{Insts: p.Insts[:n], Addrs: p.Addrs[:n+1], entries: p.entries}
+}
+
 // checkPair times the program and its first nLo instructions in one pass
 // (TimeGraphPair) and checks the result against the two timed one at a
 // time, in the profiler's former order: warm-up and timed run of the whole
 // program, then warm-up of the prefix and its timed run. Both start from
 // cold caches. The pair's full-program counters must always match; ok
-// must be true exactly when the full run missed in neither cache, with
-// context switches off and a proper prefix, and then the derived prefix
-// counters must match too. It returns ok.
-func checkPair(t *testing.T, label string, m *Machine, p *Program, steps []exec.Step, g *pipeline.Graph, nLo int, cfg Config, seed int64) bool {
+// must be true exactly when the full run missed in neither cache and the
+// prefix is proper, and then the derived prefix counters must match too.
+// It returns ok.
+func checkPair(t *testing.T, label string, m *Machine, p *Program, steps []exec.Step, g *pipeline.Graph, nLo int) bool {
 	t.Helper()
 	reset := func() {
 		m.L1I.Reset()
 		m.L1D.Reset()
-		m.Rand.Seed(seed)
 	}
 	reset()
 	m.WarmCaches(p, steps)
-	hi, lo, ok := m.TimeGraphPair(g, nLo, cfg)
+	hi, lo, ok := m.TimeGraphPair(g, nLo)
 
 	reset()
 	m.WarmCaches(p, steps)
-	want := m.TimeGraph(g, cfg)
+	want := m.TimeGraph(g, Config{})
 	if hi != want {
 		t.Errorf("%s: pair full run %+v != single run %+v", label, hi, want)
 	}
 	missed := want.L1DReadMisses+want.L1DWriteMisses+want.L1IMisses > 0
-	if wantOK := !missed && cfg.SwitchRate == 0 && 0 < nLo && nLo < len(p.Insts); ok != wantOK {
-		t.Errorf("%s: pair ok = %v, want %v (missed %v, switches %v, nLo %d of %d)",
-			label, ok, wantOK, missed, cfg.SwitchRate > 0, nLo, len(p.Insts))
+	if wantOK := !missed && 0 < nLo && nLo < len(p.Insts); ok != wantOK {
+		t.Errorf("%s: pair ok = %v, want %v (missed %v, nLo %d of %d)",
+			label, ok, wantOK, missed, nLo, len(p.Insts))
 	}
 	if !ok {
 		if lo != (pipeline.Counters{}) {
@@ -105,7 +112,7 @@ func checkPair(t *testing.T, label string, m *Machine, p *Program, steps []exec.
 	}
 	m.WarmCaches(p.Slice(nLo), steps[:nLo])
 	gLo := g.Slice(nLo)
-	if wantLo := m.TimeGraph(&gLo, cfg); lo != wantLo {
+	if wantLo := m.TimeGraph(&gLo, Config{}); lo != wantLo {
 		t.Errorf("%s: derived prefix run %+v != standalone %+v", label, lo, wantLo)
 	}
 	return true
@@ -116,7 +123,7 @@ func checkPair(t *testing.T, label string, m *Machine, p *Program, steps []exec.
 // exact) and on the event scheduler alone, and requires the same pair and
 // the same L1D after it (scheduling reads the L1I only through the fetch
 // pass both share).
-func checkPairEvent(t *testing.T, label string, m *Machine, p *Program, steps []exec.Step, g *pipeline.Graph, nLo int, cfg Config, seed int64) {
+func checkPairEvent(t *testing.T, label string, m *Machine, p *Program, steps []exec.Step, g *pipeline.Graph, nLo int) {
 	t.Helper()
 	var got [2]cache.Cache
 	var hi, lo [2]pipeline.Counters
@@ -124,12 +131,11 @@ func checkPairEvent(t *testing.T, label string, m *Machine, p *Program, steps []
 	for k := range got {
 		m.L1I.Reset()
 		m.L1D.Reset()
-		m.Rand.Seed(seed)
 		m.WarmCaches(p, steps)
 		if k == 0 {
-			hi[k], lo[k], ok[k] = m.TimeGraphPair(g, nLo, cfg)
+			hi[k], lo[k], ok[k] = m.TimeGraphPair(g, nLo)
 		} else {
-			hi[k], lo[k], ok[k] = pipeline.SimulateEvent(m.CPU, g, nLo, m.L1I, m.L1D, m.pipelineConfig(cfg))
+			hi[k], lo[k], ok[k] = pipeline.SimulateEvent(m.CPU, g, nLo, m.L1I, m.L1D, m.pipelineConfig())
 		}
 		got[k].CopyFrom(m.L1D)
 	}
@@ -161,7 +167,7 @@ func TestTimeGraphPairCorpus(t *testing.T) {
 				continue
 			}
 			runs++
-			if checkPair(t, fmt.Sprintf("%s/%d", cpu.Name, i), m, p, steps, g, n*lo, Config{}, 42) {
+			if checkPair(t, fmt.Sprintf("%s/%d", cpu.Name, i), m, p, steps, g, n*lo) {
 				derived++
 			}
 			if t.Failed() {
@@ -174,35 +180,23 @@ func TestTimeGraphPairCorpus(t *testing.T) {
 		}
 	}
 
-	// The suite's blocks all hit; these do not derive. An unroll that
-	// overflows the L1I misses in the full run, and context switches
-	// would make the prefix run draw its own arrivals.
-	cpu := uarch.Haswell()
+	// The suite's blocks all hit; this one does not derive: an unroll
+	// that overflows the L1I misses in the full run.
 	var big string
 	for i := 0; i < 30; i++ {
 		big += "vfmadd231ps ymm0, ymm1, ymm2\nvaddps ymm6, ymm4, ymm5\nadd rax, 1\n"
 	}
-	for _, tc := range []struct {
-		text   string
-		unroll int
-		cfg    Config
-	}{
-		{big, 100, Config{}},
-		{"mov qword ptr [rsp+8], rcx\nmov al, byte ptr [rsp+8]\nadd rax, 1", 40,
-			Config{SwitchRate: 0.005, SwitchCost: 2000}},
-	} {
-		block, err := x86.Parse(tc.text, x86.SyntaxAuto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, p, steps, g, ok := pairSetup(cpu, unrollInsts(block, tc.unroll), len(block))
-		if !ok {
-			t.Fatalf("%d-instruction block does not run", len(block))
-		}
-		label := fmt.Sprintf("%d insts x %d, %+v", len(block), tc.unroll, tc.cfg)
-		if checkPair(t, label, m, p, steps, g, len(block)*tc.unroll/2, tc.cfg, 42) {
-			t.Errorf("%s: pair derived", label)
-		}
+	block, err := x86.Parse(big, x86.SyntaxAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const unroll = 100
+	m, p, steps, g, ok := pairSetup(uarch.Haswell(), unrollInsts(block, unroll), len(block))
+	if !ok {
+		t.Fatalf("%d-instruction block does not run", len(block))
+	}
+	if checkPair(t, "icache-overflow", m, p, steps, g, len(block)*unroll/2) {
+		t.Error("icache-overflow: pair derived")
 	}
 }
 
@@ -243,12 +237,12 @@ func TestInOrderMatchesEvent(t *testing.T) {
 			for rep := 0; rep < 2; rep++ {
 				snapI.CopyFrom(m.L1I)
 				snapD.CopyFrom(m.L1D)
-				hi, lo, ok := m.TimeGraphPair(g, nLo, Config{})
+				hi, lo, ok := m.TimeGraphPair(g, nLo)
 				gotI.CopyFrom(m.L1I)
 				gotD.CopyFrom(m.L1D)
 				m.L1I.CopyFrom(&snapI)
 				m.L1D.CopyFrom(&snapD)
-				eHi, eLo, eOK := pipeline.SimulateEvent(c, g, nLo, m.L1I, m.L1D, m.pipelineConfig(Config{}))
+				eHi, eLo, eOK := pipeline.SimulateEvent(c, g, nLo, m.L1I, m.L1D, m.pipelineConfig())
 				if hi != eHi || lo != eLo || ok != eOK {
 					t.Fatalf("block %d on %s (run %d): (%+v, %+v, %v) != event scheduler's (%+v, %+v, %v)",
 						bi, c.Name, rep, hi, lo, ok, eHi, eLo, eOK)

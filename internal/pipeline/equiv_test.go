@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -73,48 +72,28 @@ func equivWorkload(cpu *uarch.CPU, unroll int) (items []Item, body int) {
 // TestSchedulerEquivalenceInPackage is the in-package twin of
 // machine.FuzzSimulateEquivalence: on a mixed workload, the reference
 // cycle-by-cycle scheduler and the event-driven one must return identical
-// counters with context switches off and on. The
-// machine-level fuzzer covers real decoded blocks; this one pins the
-// invariant at the pipeline API with hand-built items.
+// counters on cold and on warm caches. The machine-level fuzzer covers
+// real decoded blocks; this one pins the invariant at the pipeline API
+// with hand-built items.
 func TestSchedulerEquivalenceInPackage(t *testing.T) {
 	for _, cpu := range []*uarch.CPU{uarch.Haswell(), uarch.IceLake()} {
 		items, _ := equivWorkload(cpu, 12)
-		configs := []struct {
-			name string
-			cfg  Config
-		}{
-			{"quiet", Config{}},
-			{"switches", Config{SwitchRate: 0.01, SwitchCost: 200}},
+		run := func(sim func(*uarch.CPU, []Item, *cache.Cache, *cache.Cache) Counters) (Counters, Counters) {
+			l1i, l1d := caches(cpu)
+			cold := sim(cpu, items, l1i, l1d)
+			warm := sim(cpu, items, l1i, l1d)
+			return cold, warm
 		}
-		for _, tc := range configs {
-			run := func(reference bool) (Counters, Counters) {
-				sim := simulate
-				if reference {
-					sim = SimulateReference
-				}
-				cfg := tc.cfg
-				if cfg.SwitchRate > 0 {
-					cfg.Rand = rand.New(rand.NewSource(42))
-				}
-				l1i, l1d := caches(cpu)
-				cold := sim(cpu, items, l1i, l1d, cfg)
-				if cfg.SwitchRate > 0 {
-					cfg.Rand = rand.New(rand.NewSource(42))
-				}
-				warm := sim(cpu, items, l1i, l1d, cfg)
-				return cold, warm
-			}
-			evCold, evWarm := run(false)
-			refCold, refWarm := run(true)
-			if evCold != refCold {
-				t.Errorf("%s/%s cold: event %+v != reference %+v", cpu.Name, tc.name, evCold, refCold)
-			}
-			if evWarm != refWarm {
-				t.Errorf("%s/%s warm: event %+v != reference %+v", cpu.Name, tc.name, evWarm, refWarm)
-			}
-			if evWarm.Cycles == 0 {
-				t.Errorf("%s/%s: zero warm cycles", cpu.Name, tc.name)
-			}
+		evCold, evWarm := run(simulate)
+		refCold, refWarm := run(SimulateReference)
+		if evCold != refCold {
+			t.Errorf("%s cold: event %+v != reference %+v", cpu.Name, evCold, refCold)
+		}
+		if evWarm != refWarm {
+			t.Errorf("%s warm: event %+v != reference %+v", cpu.Name, evWarm, refWarm)
+		}
+		if evWarm.Cycles == 0 {
+			t.Errorf("%s: zero warm cycles", cpu.Name)
 		}
 	}
 }
@@ -138,9 +117,9 @@ func TestFullPortMaskEquivalence(t *testing.T) {
 		items = append(items, it)
 	}
 	l1i, l1d := caches(cpu)
-	got := simulate(cpu, items, l1i, l1d, Config{})
+	got := simulate(cpu, items, l1i, l1d)
 	l1i, l1d = caches(cpu)
-	want := SimulateReference(cpu, items, l1i, l1d, Config{})
+	want := SimulateReference(cpu, items, l1i, l1d)
 	if got != want {
 		t.Fatalf("event %+v != reference %+v", got, want)
 	}
@@ -169,7 +148,7 @@ func TestGraphSliceEquivalence(t *testing.T) {
 	l1i, l1d := caches(cpu)
 	got := SimulateGraph(cpu, &sl, l1i, l1d, Config{})
 	l1i2, l1d2 := caches(cpu)
-	want := simulate(cpu, items[:half], l1i2, l1d2, Config{})
+	want := simulate(cpu, items[:half], l1i2, l1d2)
 	if got != want {
 		t.Fatalf("sliced graph %+v != direct %+v", got, want)
 	}
@@ -234,28 +213,23 @@ func TestSchedPaths(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		items  []Item
-		cfg    Config
 		cold   bool // time on cold caches, not after a warm-up run
 		path   Path
 		stalls bool // the run spins to the cycle cap
 	}{
-		{"in-order", repeat([]Item{alu(0, []uint8{0}, []uint8{0}, 1), load, alu(1, []uint8{5}, []uint8{4}, 3)}, 16), Config{}, false, PathInOrder, false},
+		{"in-order", repeat([]Item{alu(0, []uint8{0}, []uint8{0}, 1), load, alu(1, []uint8{5}, []uint8{4}, 3)}, 16), false, PathInOrder, false},
 		// The divider, younger, issues first and holds port 0 over the
 		// cycle the older dependent ALU µop takes it.
-		{"conflict", []Item{alu(1, []uint8{1}, []uint8{1}, 10), alu(0, []uint8{1}, []uint8{2}, 1), div}, Config{}, false, PathConflict, false},
-		{"not-resident", repeat([]Item{load}, 8), Config{}, true, PathNotResident, false},
-		{"switches", repeat([]Item{alu(0, []uint8{0}, []uint8{0}, 1)}, 32), Config{SwitchRate: 0.05, SwitchCost: 100}, false, PathSwitches, false},
-		{"over-wide", []Item{alu(0, nil, []uint8{0}, 1), wide}, Config{}, false, PathOverWide, true},
-		{"cycle-cap", []Item{alu(0, nil, []uint8{0}, 1), portless}, Config{}, false, PathCycleCap, true},
+		{"conflict", []Item{alu(1, []uint8{1}, []uint8{1}, 10), alu(0, []uint8{1}, []uint8{2}, 1), div}, false, PathConflict, false},
+		{"not-resident", repeat([]Item{load}, 8), true, PathNotResident, false},
+		{"over-wide", []Item{alu(0, nil, []uint8{0}, 1), wide}, false, PathOverWide, true},
+		{"cycle-cap", []Item{alu(0, nil, []uint8{0}, 1), portless}, false, PathCycleCap, true},
 	} {
 		var g Graph
 		g.Build(cpu, tc.items)
 		nLo := len(tc.items) / 2
 		run := func(sim func(*uarch.CPU, *Graph, int, *cache.Cache, *cache.Cache, Config) (Counters, Counters, bool), cfg Config) (hi, lo Counters, ok bool, l1i, l1d *cache.Cache) {
 			l1i, l1d = caches(cpu)
-			if tc.cfg.SwitchRate > 0 {
-				cfg.Rand = rand.New(rand.NewSource(7))
-			}
 			if !tc.cold {
 				SimulateEvent(cpu, &g, 0, l1i, l1d, cfg)
 			}
@@ -263,10 +237,8 @@ func TestSchedPaths(t *testing.T) {
 			return hi, lo, ok, l1i, l1d
 		}
 		var sink SchedCounters
-		cfg := tc.cfg
-		cfg.Sched = &sink
 		before := SchedStats()
-		hi, lo, ok, l1i, l1d := run(SimulateGraphPair, cfg)
+		hi, lo, ok, l1i, l1d := run(SimulateGraphPair, Config{Sched: &sink})
 		want := SchedCounters{}
 		want[tc.path] = 1
 		if sink != want {
@@ -275,7 +247,7 @@ func TestSchedPaths(t *testing.T) {
 		if d := SchedStats().Sub(before); d[tc.path] < 1 {
 			t.Errorf("%s: process-wide counts moved by %s", tc.name, d)
 		}
-		eHi, eLo, eOK, eI, eD := run(SimulateEvent, tc.cfg)
+		eHi, eLo, eOK, eI, eD := run(SimulateEvent, Config{})
 		if hi != eHi || lo != eLo || ok != eOK {
 			t.Errorf("%s: (%+v, %+v, %v) != event scheduler's (%+v, %+v, %v)", tc.name, hi, lo, ok, eHi, eLo, eOK)
 		}
@@ -288,15 +260,11 @@ func TestSchedPaths(t *testing.T) {
 		if tc.stalls {
 			continue // the reference would spin to the cap one cycle at a time
 		}
-		rcfg := tc.cfg
-		if rcfg.SwitchRate > 0 {
-			rcfg.Rand = rand.New(rand.NewSource(7))
-		}
 		rI, rD := caches(cpu)
 		if !tc.cold {
-			SimulateReference(cpu, tc.items, rI, rD, rcfg)
+			SimulateReference(cpu, tc.items, rI, rD)
 		}
-		if ref := SimulateReference(cpu, tc.items, rI, rD, rcfg); ref != hi {
+		if ref := SimulateReference(cpu, tc.items, rI, rD); ref != hi {
 			t.Errorf("%s: %+v != reference %+v", tc.name, hi, ref)
 		}
 	}

@@ -19,16 +19,16 @@ import (
 //
 // The determinism argument: every per-cycle decision in the reference loop
 // compares a precomputed threshold against the current cycle — µop
-// completion times (doneAt), fetch availability (fetchReady), port
-// busy-until times (portBusy), and the context-switch arrival
-// (nextSwitch). If a cycle makes no progress (nothing retires, allocates,
-// or issues), no state changes, so every following cycle is identical
-// until the earliest of those thresholds; jumping the clock straight
-// there is unobservable. Cycles in which progress *does* happen advance
-// by exactly one, because the per-cycle budgets (retire width, issue
-// width, one µop per port) reset on cycle boundaries. RNG draw order is
-// preserved because draws happen only when a switch fires, and the skip
-// target never jumps past nextSwitch.
+// completion times (doneAt), fetch availability (fetchReady) and port
+// busy-until times (portBusy). If a cycle makes no progress (nothing
+// retires, allocates, or issues), no state changes, so every following
+// cycle is identical until the earliest of those thresholds; jumping the
+// clock straight there is unobservable. Cycles in which progress *does*
+// happen advance by exactly one, because the per-cycle budgets (retire
+// width, issue width, one µop per port) reset on cycle boundaries. No
+// run draws random numbers: timer interrupts are not simulated (the
+// profiler draws them per sample), so a run is a function of the graph
+// and the caches alone.
 
 // Completion-heap entries pack (doneAt << heapIDBits) | µop id, so the
 // min-heap orders by completion time, ties by age. doneAt stays below
@@ -56,7 +56,7 @@ type schedArrays struct {
 // regs is the scheduler's scalar state at the start of a cycle or, in a
 // fork snapshot, after the cycle's allocate stage.
 type regs struct {
-	cycle, nextSwitch                                              uint64
+	cycle                                                          uint64
 	nextAlloc, retired, robUsed, rsUsed, loadBufUsed, storeBufUsed int
 	progress                                                       bool // the cycle has retired or allocated
 }
@@ -100,16 +100,15 @@ func SimulateGraph(cpu *uarch.CPU, g *Graph, l1i, l1d *cache.Cache, cfg Config) 
 // SimulateGraphPair times g like SimulateGraph and, from the same pass,
 // derives the counters a run of its prefix g.Slice(nLo) would return on
 // the same caches. ok is true exactly when the full run misses in
-// neither L1, for a proper prefix (0 < nLo < items) with context switches
-// off; with switches on the prefix run would draw its own arrivals. With
-// ok false, lo is zero and the caller times the prefix on its own.
+// neither L1, for a proper prefix (0 < nLo < items). With ok false, lo is
+// zero and the caller times the prefix on its own.
 //
 // The run takes the in-order pass (inorder.go) whenever that is exact:
-// context switches off, every data line of the trace resident in l1d, no
-// item wider than the machine, no occupancy conflict and no cycle past
-// the cap. Otherwise the event scheduler times it. Both give the same
-// counters and leave the caches alike; SchedStats counts the runs by
-// path, and so does cfg.Sched when set.
+// every data line of the trace resident in l1d, no item wider than the
+// machine, no occupancy conflict and no cycle past the cap. Otherwise the
+// event scheduler times it. Both give the same counters and leave the
+// caches alike; SchedStats counts the runs by path, and so does
+// cfg.Sched when set.
 func SimulateGraphPair(cpu *uarch.CPU, g *Graph, nLo int, l1i, l1d *cache.Cache, cfg Config) (hi, lo Counters, ok bool) {
 	st := eventPool.Get().(*eventState)
 	defer eventPool.Put(st)
@@ -141,21 +140,17 @@ func (s *eventState) run(cpu *uarch.CPU, g *Graph, nLo int, l1i, l1d *cache.Cach
 	s.fetchReady = grow(s.fetchReady, n)
 	simulateFetchGraph(cpu, g, l1i, &hi, s.fetchReady)
 
-	switches := cfg.SwitchRate > 0 && cfg.Rand != nil
 	fork := -1
-	if nLo > 0 && nLo < n && !switches {
+	if nLo > 0 && nLo < n {
 		fork = nLo
 	}
 	if inOrder {
-		path, derive := PathSwitches, false
-		if !switches {
-			path = PathNotResident
-			if resident(g, n, l1d) {
-				// With every data line resident only an L1I miss of the
-				// fetch pass can keep the pair from deriving.
-				derive = fork > 0 && hi.L1IMisses == 0
-				path = s.inOrder(cpu, g, nLo, derive, l1d, &hi, &lo)
-			}
+		path, derive := PathNotResident, false
+		if resident(g, n, l1d) {
+			// With every data line resident only an L1I miss of the
+			// fetch pass can keep the pair from deriving.
+			derive = fork > 0 && hi.L1IMisses == 0
+			path = s.inOrder(cpu, g, nLo, derive, l1d, &hi, &lo)
 		}
 		countPath(cfg, path)
 		if path == PathInOrder {
@@ -187,8 +182,7 @@ func (s *eventState) run(cpu *uarch.CPU, g *Graph, nLo int, l1i, l1d *cache.Cach
 	s.scope = int32(nu)
 	s.forked = false
 
-	// Context-switch schedule — same draw as the reference loop.
-	hi.Cycles = s.schedule(cpu, g, n, l1i, l1d, cfg, &hi, regs{nextSwitch: drawSwitch(cfg, 0)}, fork, false)
+	hi.Cycles = s.schedule(cpu, g, n, l1d, &hi, regs{}, fork, false)
 	if fork < 0 || hi.L1DReadMisses+hi.L1DWriteMisses+hi.L1IMisses > 0 {
 		return hi, lo, false
 	}
@@ -208,21 +202,8 @@ func (s *eventState) run(cpu *uarch.CPU, g *Graph, nLo int, l1i, l1d *cache.Cach
 	s.scope = nuLo
 	lo = s.forkCtr
 	lo.Instructions, lo.Uops = uint64(nLo), uint64(nuLo)
-	lo.Cycles = s.schedule(cpu, g, nLo, l1i, l1d, cfg, &lo, s.forkRegs, -1, true)
+	lo.Cycles = s.schedule(cpu, g, nLo, l1d, &lo, s.forkRegs, -1, true)
 	return hi, lo, true
-}
-
-// drawSwitch returns the cycle of the next context switch after now, or
-// MaxUint64 when switches are off — the reference loop's draw.
-func drawSwitch(cfg *Config, now uint64) uint64 {
-	if cfg.SwitchRate <= 0 || cfg.Rand == nil {
-		return math.MaxUint64
-	}
-	gap := cfg.Rand.ExpFloat64() / cfg.SwitchRate
-	if gap > 1e12 {
-		return math.MaxUint64
-	}
-	return now + uint64(gap) + 1
 }
 
 // schedule runs the cycle loop over the first n items of g from the
@@ -230,10 +211,9 @@ func drawSwitch(cfg *Config, now uint64) uint64 {
 // the state into s.fork the first time the allocate stage reaches item
 // fork; resume starts the first cycle at the issue stage, continuing
 // such a snapshot.
-func (s *eventState) schedule(cpu *uarch.CPU, g *Graph, n int, l1i, l1d *cache.Cache, cfg *Config, ctr *Counters, r regs, fork int, resume bool) uint64 {
+func (s *eventState) schedule(cpu *uarch.CPU, g *Graph, n int, l1d *cache.Cache, ctr *Counters, r regs, fork int, resume bool) uint64 {
 	var (
 		cycle        = r.cycle
-		nextSwitch   = r.nextSwitch
 		nextAlloc    = r.nextAlloc
 		retired      = r.retired
 		robUsed      = r.robUsed
@@ -264,16 +244,6 @@ func (s *eventState) schedule(cpu *uarch.CPU, g *Graph, n int, l1i, l1d *cache.C
 		if resume {
 			resume = false
 			goto issue
-		}
-
-		// Context switch: jump the clock, flush caches.
-		if cycle >= nextSwitch {
-			ctr.ContextSwitches++
-			cycle += cfg.SwitchCost
-			l1i.Flush()
-			l1d.Flush()
-			nextSwitch = drawSwitch(cfg, cycle)
-			continue
 		}
 
 		// Process completions whose time has come, before retire/issue
@@ -367,7 +337,7 @@ func (s *eventState) schedule(cpu *uarch.CPU, g *Graph, n int, l1i, l1d *cache.C
 			}
 			// The prefix run's allocate stage ends here; the full run
 			// reads item fork next.
-			s.snapshot(g, fork, ctr, regs{cycle, nextSwitch, nextAlloc, retired,
+			s.snapshot(g, fork, ctr, regs{cycle, nextAlloc, retired,
 				robUsed, rsUsed, loadBufUsed, storeBufUsed, progress})
 			fork, allocEnd = -1, n
 		}
@@ -438,9 +408,8 @@ func (s *eventState) schedule(cpu *uarch.CPU, g *Graph, n int, l1i, l1d *cache.C
 
 		// Nothing happened: jump to the earliest cycle at which anything
 		// can. Candidates are the thresholds the per-cycle checks compare
-		// against; nextSwitch bounds the jump so the RNG draw sequence is
-		// untouched.
-		next := nextSwitch
+		// against.
+		next := uint64(math.MaxUint64)
 		if len(s.heap) > 0 {
 			if at := s.heap[0] >> heapIDBits; at < next {
 				next = at

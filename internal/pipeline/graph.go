@@ -77,9 +77,10 @@ func (g *Graph) NumItems() int { return g.numItems }
 
 // Slice returns a prefix view of the first n items, sharing every arena
 // with g. The view is returned by value, so taking it allocates nothing.
-// The profiler's noisy samples time the low unroll on it: the low-factor
-// program is a prefix of the same prepared code, so its dependence graph
-// is a prefix of the same prepared graph.
+// The low-factor program is a prefix of the same prepared code, so its
+// dependence graph is a prefix of the same prepared graph; tests time the
+// low unroll on the view as the oracle of SimulateGraphPair's derived
+// prefix run.
 func (g *Graph) Slice(n int) Graph {
 	if n < 0 || n > g.numItems {
 		n = g.numItems

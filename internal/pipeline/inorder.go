@@ -66,8 +66,6 @@ const (
 	// PathNotResident: a data line of the trace is not resident in the
 	// L1D, so an access could miss and cycle order would matter.
 	PathNotResident
-	// PathSwitches: context switches are on.
-	PathSwitches
 	// PathOverWide: an item is wider than the issue width, the ROB, the
 	// reservation station or a memory buffer.
 	PathOverWide
@@ -79,7 +77,7 @@ const (
 	NumPaths
 )
 
-var pathNames = [NumPaths]string{"in-order", "conflict", "not-resident", "switches", "over-wide", "cycle-cap"}
+var pathNames = [NumPaths]string{"in-order", "conflict", "not-resident", "over-wide", "cycle-cap"}
 
 func (p Path) String() string { return pathNames[p] }
 

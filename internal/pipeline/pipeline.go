@@ -5,14 +5,11 @@
 // reservation-station / load- and store-buffer capacity, per-port
 // oldest-first issue, a non-pipelined divider, load/store execution against
 // an L1 data cache with store-to-load forwarding, split-access and
-// subnormal penalties, in-order retirement, and timer-interrupt context
-// switches. Its performance counters are what the measurement framework
-// reads.
+// subnormal penalties and in-order retirement. Its performance counters
+// are what the measurement framework reads.
 package pipeline
 
 import (
-	"math/rand"
-
 	"bhive/internal/exec"
 	"bhive/internal/uarch"
 )
@@ -47,14 +44,6 @@ type Item struct {
 
 // Config carries per-run knobs beyond the CPU parameter file.
 type Config struct {
-	// SwitchRate is the per-cycle probability of a timer interrupt /
-	// context switch (0 disables). The OS quantum is huge relative to a
-	// measurement, so realistic values are tiny (~1e-7..1e-6).
-	SwitchRate float64
-	// SwitchCost is the cycle cost of one context switch.
-	SwitchCost uint64
-	// Rand drives context-switch arrival times; nil disables switches.
-	Rand *rand.Rand
 	// Sched, when set, counts the run by the Path that scheduled it. It
 	// only observes: the run's properties alone choose the path.
 	Sched *SchedCounters
@@ -70,7 +59,10 @@ type Counters struct {
 	L1IMisses        uint64
 	MisalignedLoads  uint64
 	MisalignedStores uint64
-	ContextSwitches  uint64
+	// ContextSwitches is always 0 from the simulator, which models no
+	// interrupts (the profiler draws them per sample instead); a hardware
+	// counter source (internal/counter) fills it.
+	ContextSwitches uint64
 	// PortUops counts micro-ops issued per execution port — the per-port
 	// counters Abel and Reineke's methodology relies on.
 	PortUops [16]uint64

@@ -30,17 +30,17 @@ func aluItem(cpu *uarch.CPU, reads, writes []uint8, lat uint8) Item {
 
 // simulate builds the items' graph and times it once: the route every
 // timed run takes.
-func simulate(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cache, cfg Config) Counters {
+func simulate(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cache) Counters {
 	var g Graph
 	g.Build(cpu, items)
-	return SimulateGraph(cpu, &g, l1i, l1d, cfg)
+	return SimulateGraph(cpu, &g, l1i, l1d, Config{})
 }
 
 func run(cpu *uarch.CPU, items []Item) Counters {
 	l1i, l1d := caches(cpu)
 	// Warm-up, then the measured pass, like the profiler does.
-	simulate(cpu, items, l1i, l1d, Config{})
-	return simulate(cpu, items, l1i, l1d, Config{})
+	simulate(cpu, items, l1i, l1d)
+	return simulate(cpu, items, l1i, l1d)
 }
 
 func TestDependentChainLatency(t *testing.T) {
@@ -184,7 +184,7 @@ func TestStoreLoadForwarding(t *testing.T) {
 	}
 	// All loads forwarded: no cache read misses even on a cold D-cache.
 	l1i, l1d := caches(cpu)
-	cold := simulate(cpu, items, l1i, l1d, Config{})
+	cold := simulate(cpu, items, l1i, l1d)
 	if cold.L1DReadMisses != 0 {
 		t.Fatalf("forwarded loads must not touch the cache: %d misses", cold.L1DReadMisses)
 	}
@@ -223,24 +223,6 @@ func TestPartialOverlapStallsLoad(t *testing.T) {
 	}
 }
 
-func TestContextSwitchFlushesCaches(t *testing.T) {
-	cpu := uarch.Haswell()
-	var items []Item
-	for i := 0; i < 2000; i++ {
-		items = append(items, aluItem(cpu, []uint8{0}, []uint8{0}, 1))
-	}
-	l1i, l1d := caches(cpu)
-	ctr := simulate(cpu, items, l1i, l1d, Config{
-		SwitchRate: 0.01, SwitchCost: 500, Rand: rand.New(rand.NewSource(1)),
-	})
-	if ctr.ContextSwitches == 0 {
-		t.Fatal("expected context switches at rate 0.01 over 2000 cycles")
-	}
-	if ctr.Cycles < 2000+500 {
-		t.Fatalf("switch cost must inflate cycles: %d", ctr.Cycles)
-	}
-}
-
 func TestFetchStallsOnColdICache(t *testing.T) {
 	cpu := uarch.Haswell()
 	var items []Item
@@ -250,11 +232,11 @@ func TestFetchStallsOnColdICache(t *testing.T) {
 		items = append(items, it)
 	}
 	l1i, l1d := caches(cpu)
-	cold := simulate(cpu, items, l1i, l1d, Config{})
+	cold := simulate(cpu, items, l1i, l1d)
 	if cold.L1IMisses == 0 {
 		t.Fatal("cold I-cache must miss")
 	}
-	warm := simulate(cpu, items, l1i, l1d, Config{})
+	warm := simulate(cpu, items, l1i, l1d)
 	if warm.L1IMisses != 0 {
 		t.Fatalf("warm I-cache must hit: %d misses", warm.L1IMisses)
 	}
@@ -266,12 +248,12 @@ func TestFetchStallsOnColdICache(t *testing.T) {
 func TestEmptyAndCounters(t *testing.T) {
 	cpu := uarch.Haswell()
 	l1i, l1d := caches(cpu)
-	ctr := simulate(cpu, nil, l1i, l1d, Config{})
+	ctr := simulate(cpu, nil, l1i, l1d)
 	if ctr.Cycles != 0 || ctr.Instructions != 0 {
 		t.Fatal("empty input")
 	}
 	items := []Item{aluItem(cpu, nil, []uint8{0}, 1)}
-	ctr = simulate(cpu, items, l1i, l1d, Config{})
+	ctr = simulate(cpu, items, l1i, l1d)
 	if ctr.Instructions != 1 || ctr.Uops != 1 {
 		t.Fatalf("counters: %+v", ctr)
 	}

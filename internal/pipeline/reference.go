@@ -13,8 +13,8 @@ import (
 // the oracle it is checked against. Each cycle it walks the whole
 // reservation station and the retire window; the event-driven scheduler
 // must return bit-identical Counters on every input, including the cache
-// state it leaves behind and the context-switch RNG draw sequence
-// (TestSchedulerEquivalenceInPackage, machine.FuzzSimulateEquivalence).
+// state it leaves behind (TestSchedulerEquivalenceInPackage,
+// machine.FuzzSimulateEquivalence).
 // It also builds its own dependence edges from the items, independently
 // of Graph.Build, so the fuzzer cross-checks the graph construction too.
 //
@@ -26,11 +26,11 @@ import (
 // SimulateReference times the item sequence on the CPU with the reference
 // scheduler and returns the counters. l1i and l1d carry cache state across
 // calls exactly as in SimulateGraph.
-func SimulateReference(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cache, cfg Config) Counters {
+func SimulateReference(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cache) Counters {
 	s := scratchPool.Get().(*simScratch)
 	// Deferred so a panic mid-simulation cannot leak the arena.
 	defer scratchPool.Put(s)
-	return s.simulate(cpu, items, l1i, l1d, cfg)
+	return s.simulate(cpu, items, l1i, l1d)
 }
 
 // storeRec tracks an in-flight store for forwarding and commit.
@@ -75,7 +75,7 @@ type simScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(simScratch) }}
 
-func (s *simScratch) simulate(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cache, cfg Config) Counters {
+func (s *simScratch) simulate(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cache) Counters {
 	var ctr Counters
 	ctr.Instructions = uint64(len(items))
 	if len(items) == 0 {
@@ -213,20 +213,6 @@ func (s *simScratch) simulate(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cach
 	deps := s.deps
 	ctr.Uops = uint64(len(uops))
 
-	// Context-switch schedule.
-	nextSwitch := uint64(math.MaxUint64)
-	drawSwitch := func(now uint64) uint64 {
-		if cfg.SwitchRate <= 0 || cfg.Rand == nil {
-			return math.MaxUint64
-		}
-		gap := cfg.Rand.ExpFloat64() / cfg.SwitchRate
-		if gap > 1e12 {
-			return math.MaxUint64
-		}
-		return now + uint64(gap) + 1
-	}
-	nextSwitch = drawSwitch(0)
-
 	// Main cycle loop.
 	var (
 		cycle        uint64
@@ -263,16 +249,6 @@ func (s *simScratch) simulate(cpu *uarch.CPU, items []Item, l1i, l1d *cache.Cach
 	}
 
 	for retired < len(items) && cycle < maxCycles {
-		// Context switch: jump the clock, flush caches.
-		if cycle >= nextSwitch {
-			ctr.ContextSwitches++
-			cycle += cfg.SwitchCost
-			l1i.Flush()
-			l1d.Flush()
-			nextSwitch = drawSwitch(cycle)
-			continue
-		}
-
 		// Retire (in order, RetireWidth fused µops per cycle).
 		retireBudget := cpu.RetireWidth
 		for retired < len(items) && retireBudget > 0 {

@@ -37,10 +37,11 @@ func mapAndTrace(t *testing.T, p *Profiler, insts []x86.Inst, unroll int) (*mach
 // measureOn runs the measurement protocol for one unrolled program on its
 // own — the warm-up walk, the timed run, then acceptance — as the protocol
 // states it. It is the oracle profile's one-pass derivation of the low
-// unroll factor is checked against.
+// unroll factor is checked against. steps may be a prefix of prog's
+// trace: the warm-up walks the lines that prefix touches.
 func measureOn(p *Profiler, m *machine.Machine, prog *machine.Program, g *pipeline.Graph, steps []exec.Step, unroll int, seed int64) (uint64, Result) {
 	m.WarmCaches(prog, steps)
-	return p.accept(m, g, m.TimeGraph(g, machine.Config{}), unroll, seed)
+	return p.accept(m.TimeGraph(g, machine.Config{}), unroll, seed)
 }
 
 // TestMeasurementOrderIndependence pins down the equivalences the hot path
@@ -51,12 +52,10 @@ func measureOn(p *Profiler, m *machine.Machine, prog *machine.Program, g *pipeli
 // scheduling pass, as Profile takes it, is identical to both. The low
 // measurement must therefore come out the same whichever way it runs.
 func TestMeasurementOrderIndependence(t *testing.T) {
-	noisy := DefaultOptions()
-	noisy.RealSampleNoise = true
 	// The case-study experiment's option set: misaligned accesses kept.
 	unfiltered := DefaultOptions()
 	unfiltered.FilterMisaligned = false
-	for name, opts := range map[string]Options{"default": DefaultOptions(), "noisy": noisy, "unfiltered": unfiltered} {
+	for name, opts := range map[string]Options{"default": DefaultOptions(), "unfiltered": unfiltered} {
 		p := New(uarch.Haswell(), opts)
 		for _, text := range []string{
 			"add rax, rbx\nimul rcx, rdx",
@@ -80,7 +79,7 @@ func TestMeasurementOrderIndependence(t *testing.T) {
 				t.Fatalf("%s %q: hi status = %v", name, text, rHi.Status)
 			}
 			gLo := gB.Slice(nLo)
-			cB, rB := measureOn(p, mB, progB.Slice(nLo), &gLo, stepsB[:nLo], lo, seed)
+			cB, rB := measureOn(p, mB, progB, &gLo, stepsB[:nLo], lo, seed)
 
 			// Both factors from one scheduling pass — Profile's order.
 			mC, progC, stepsC, gC := mapAndTrace(t, p, b.Insts, hi)

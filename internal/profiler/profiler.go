@@ -43,9 +43,9 @@
 // The hot path is allocation-conscious: each Profiler recycles machines,
 // architectural state and unroll buffers through an internal pool (so
 // Profile is safe for concurrent use), the unrolled program is prepared
-// once at the high unroll factor and sliced down for the low one, and the
-// monitor maps all faulting pages in a single functional pass instead of
-// restarting execution per fault.
+// once at the high unroll factor and one scheduling pass times both
+// factors, and the monitor maps all faulting pages in a single functional
+// pass instead of restarting execution per fault.
 package profiler
 
 import (
@@ -54,7 +54,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"sync"
 
 	"bhive/internal/exec"
@@ -90,23 +89,19 @@ type Options struct {
 	// FilterMisaligned rejects measurements with line-splitting accesses.
 	FilterMisaligned bool
 
-	NaiveUnroll     int // unroll factor for the naive method (paper: 100)
-	MaxFaults       int // monitor gives up after this many mapped pages
-	Samples         int // timings taken per unrolled program (paper: 16)
-	MinCleanSamples int // identical clean timings required (paper: 8)
-
-	// SwitchRate/SwitchCost model timer-interrupt noise per cycle.
-	SwitchRate float64
-	SwitchCost uint64
-
-	// RealSampleNoise runs every one of the Samples timing runs through
-	// the cycle-level model with interrupt injection enabled (slow but
-	// fully faithful to the protocol). When false, the deterministic
-	// timing run is taken once and per-sample interrupt arrivals are
-	// drawn analytically — statistically equivalent, since an interrupted
-	// sample is discarded either way.
-	RealSampleNoise bool
+	NaiveUnroll int // unroll factor for the naive method (paper: 100)
+	MaxFaults   int // monitor gives up after this many mapped pages
 }
+
+// The paper's sample protocol: each unrolled program is timed samples
+// times, and the measurement stands only when at least minCleanSamples of
+// the timings are clean. A timer interrupt arrives at switchRate per
+// cycle and dirties the sample it lands in.
+const (
+	samples         = 16
+	minCleanSamples = 8
+	switchRate      = 2e-7
+)
 
 // DefaultOptions is the full BHive methodology.
 func DefaultOptions() Options {
@@ -119,10 +114,6 @@ func DefaultOptions() Options {
 		FilterMisaligned:  true,
 		NaiveUnroll:       100,
 		MaxFaults:         64,
-		Samples:           16,
-		MinCleanSamples:   8,
-		SwitchRate:        2e-7,
-		SwitchCost:        50_000,
 	}
 }
 
@@ -169,7 +160,7 @@ const (
 	StatusCacheMiss
 	// StatusMisaligned: a load or store crossed a cache-line boundary.
 	StatusMisaligned
-	// StatusUnstable: fewer than MinCleanSamples timings were clean.
+	// StatusUnstable: fewer than minCleanSamples timings were clean.
 	StatusUnstable
 )
 
@@ -309,8 +300,6 @@ func (mo *monitor) frame() *vm.PhysPage {
 // as a core of cpu, with ents as its program's resolved block.
 func (sc *scratch) machine(cpu *uarch.CPU, ents []*memo.PreparedInst) *machine.Machine {
 	if sc.m == nil {
-		// The machine RNG is reseeded before each use (accept), so its
-		// construction seed is immaterial.
 		sc.m = machine.New(cpu, 0)
 	} else {
 		sc.m.Reset()
@@ -726,8 +715,8 @@ func (p *Profiler) time(m *machine.Machine, prog *machine.Program, steps []exec.
 // One scheduling pass times both factors: the low program is a prefix of
 // the high one, so its timed run is derived from the high run
 // (machine.TimeGraphPair). The derivation holds whenever the high run can
-// be accepted: acceptance rejects any run that missed in a cache, the
-// timed run injects no context switches, and 0 < nLo < n·hi.
+// be accepted: acceptance rejects any run that missed in a cache, and
+// 0 < nLo < n·hi.
 func (p *Profiler) measure(m *machine.Machine, prog *machine.Program, g *pipeline.Graph, steps []exec.Step, n, lo, hi int, seed int64) (cHi uint64, rHi Result, cLo uint64, rLo Result) {
 	nLo := 0
 	if p.Opts.DerivedThroughput {
@@ -739,92 +728,44 @@ func (p *Profiler) measure(m *machine.Machine, prog *machine.Program, g *pipelin
 	// matters here, so the warm-up touches lines directly rather than
 	// paying for a full pipeline simulation.
 	m.WarmCaches(prog, steps)
-	ctrHi, ctrLo, derived := m.TimeGraphPair(g, nLo, machine.Config{})
-	cHi, rHi = p.accept(m, g, ctrHi, hi, seed)
+	ctrHi, ctrLo, derived := m.TimeGraphPair(g, nLo)
+	cHi, rHi = p.accept(ctrHi, hi, seed)
 	if rHi.Status != StatusOK || nLo == 0 {
 		return cHi, rHi, 0, Result{}
 	}
 
 	if !derived {
 		panic(fmt.Sprintf("profiler: invariant violated: an accepted high run (%d instructions) did not derive "+
-			"its %d-instruction low run; accepted runs hit in both caches and the timed run injects no "+
-			"context switches", len(steps), nLo))
+			"its %d-instruction low run; accepted runs hit in both caches", len(steps), nLo))
 	}
-	// The low measurement reuses the machine: its page working set is a
-	// subset of the high run's (same code prefix, same initial state), so
-	// the mapping is already in place.
-	gLo := g.Slice(nLo)
-	if p.Opts.RealSampleNoise {
-		// The noisy samples start from the cache state the high
-		// samples left, which their context switches may have flushed:
-		// re-establish the low program's resident set first. Without
-		// them nothing reads the caches again.
-		m.WarmCaches(prog.Slice(nLo), steps[:nLo])
-	}
-	cLo, rLo = p.accept(m, &gLo, ctrLo, lo, seed)
+	cLo, rLo = p.accept(ctrLo, lo, seed)
 	return cHi, rHi, cLo, rLo
 }
 
 // accept applies the acceptance half of the protocol to one unrolled
 // program's timed run ctr: the sample check, then the modeling
 // assumptions. It returns the cycle count to use and the verdict.
-func (p *Profiler) accept(m *machine.Machine, g *pipeline.Graph, ctr pipeline.Counters, unroll int, seed int64) (uint64, Result) {
+//
+// The timed run is deterministic, so every sample would time the same
+// cycles; what tells samples apart is the timer interrupt, which the
+// protocol discards. So the run is taken once and each sample's
+// interrupt is drawn from (seed, unroll) alone: a sample of c cycles is
+// dirty with probability 1 − exp(−switchRate·c).
+func (p *Profiler) accept(ctr pipeline.Counters, unroll int, seed int64) (uint64, Result) {
 	var res Result
 	o := &p.Opts
 	res.Counters = ctr
 
 	rng := sampleRNG(unrollSeed(seed, unroll))
-	if o.RealSampleNoise {
-		// Only the fully-faithful mode consumes the machine RNG (for
-		// interrupt arrivals); seeding it otherwise is wasted work.
-		m.Rand = rand.New(rand.NewSource(int64(rng.next())))
-	}
-
-	// Sample acceptance. The paper times each unrolled block 16 times and
-	// requires at least 8 clean, identical timings.
-	samples := o.Samples
-	if samples <= 0 {
-		samples = 16
-	}
+	dirtyProb := 1 - math.Exp(-switchRate*float64(ctr.Cycles))
 	clean := 0
-	if o.RealSampleNoise {
-		// Fully faithful: every sample is a separate timing run with
-		// interrupt injection; clean samples are those with no context
-		// switch, and they must agree on the cycle count. The functional
-		// re-execution per sample is gone — the trace is deterministic, so
-		// each sample is the scheduling loop over the prepared graph.
-		counts := make(map[uint64]int)
-		for s := 0; s < samples; s++ {
-			c := m.TimeGraph(g, machine.Config{SwitchRate: o.SwitchRate, SwitchCost: o.SwitchCost})
-			if c.ContextSwitches == 0 {
-				counts[c.Cycles]++
-			}
-		}
-		for _, n := range counts {
-			if n > clean {
-				clean = n // the largest identical clean group
-			}
-		}
-	} else {
-		// The deterministic pipeline yields identical clean timings; timer
-		// interrupts dirty individual samples at a rate proportional to
-		// the measurement length.
-		dirtyProb := 0.0
-		if o.SwitchRate > 0 {
-			dirtyProb = 1 - math.Exp(-o.SwitchRate*float64(ctr.Cycles))
-		}
-		for s := 0; s < samples; s++ {
-			if rng.float64() >= dirtyProb {
-				clean++
-			}
+	for s := 0; s < samples; s++ {
+		if rng.float64() >= dirtyProb {
+			clean++
 		}
 	}
 	res.CleanSamples = clean
-	minClean := o.MinCleanSamples
-	if minClean <= 0 {
-		minClean = 8
-	}
-	if clean < minClean {
+	if clean < minCleanSamples {
 		res.Status = StatusUnstable
 		return 0, res
 	}

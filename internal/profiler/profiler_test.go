@@ -3,6 +3,7 @@ package profiler
 import (
 	"testing"
 
+	"bhive/internal/pipeline"
 	"bhive/internal/uarch"
 	"bhive/internal/x86"
 )
@@ -253,29 +254,45 @@ func TestSubnormalNormalization(t *testing.T) {
 	}
 }
 
-func TestRealSampleNoiseProtocol(t *testing.T) {
-	b := block(t, "add rax, rbx\nmov rcx, qword ptr [rsp+8]")
-
-	// Quiet machine: all 16 real samples are clean and identical.
-	opts := DefaultOptions()
-	opts.RealSampleNoise = true
-	opts.SwitchRate = 0
-	p := New(uarch.Haswell(), opts)
-	r := p.Profile(b)
-	if r.Status != StatusOK || r.CleanSamples != opts.Samples {
-		t.Fatalf("quiet: %v, %d clean", r.Status, r.CleanSamples)
-	}
-
-	// Pathologically noisy machine: most samples get interrupted and the
-	// measurement is rejected as unstable.
-	noisy := DefaultOptions()
-	noisy.RealSampleNoise = true
-	noisy.SwitchRate = 0.05
-	noisy.SwitchCost = 1000
-	pn := New(uarch.Haswell(), noisy)
-	rn := pn.Profile(b)
-	if rn.Status != StatusUnstable {
-		t.Fatalf("noisy machine should be unstable, got %v (%d clean)", rn.Status, rn.CleanSamples)
+// TestAcceptVerdict pins the analytic sample check and the verdict order
+// on synthetic counters: a short run keeps all 16 samples; a run of 10⁸
+// cycles, whose samples an interrupt dirties with probability 1 − e⁻²⁰,
+// keeps fewer than 8 and is unstable before any counter is read; a
+// stable run is then rejected for a cache miss, and for a line split only
+// when misaligned accesses are filtered.
+func TestAcceptVerdict(t *testing.T) {
+	const seed = 7
+	unfiltered := DefaultOptions()
+	unfiltered.FilterMisaligned = false
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		ctr    pipeline.Counters
+		status Status
+		cycles uint64 // the cycle count accept returns
+	}{
+		{"short", DefaultOptions(), pipeline.Counters{Cycles: 400}, StatusOK, 400},
+		{"long", DefaultOptions(), pipeline.Counters{Cycles: 1e8}, StatusUnstable, 0},
+		{"long with a miss", DefaultOptions(), pipeline.Counters{Cycles: 1e8, L1IMisses: 1}, StatusUnstable, 0},
+		{"L1D miss", DefaultOptions(), pipeline.Counters{Cycles: 400, L1DReadMisses: 1}, StatusCacheMiss, 400},
+		{"L1I miss", DefaultOptions(), pipeline.Counters{Cycles: 400, L1IMisses: 2}, StatusCacheMiss, 400},
+		{"split", DefaultOptions(), pipeline.Counters{Cycles: 400, MisalignedLoads: 1}, StatusMisaligned, 400},
+		{"split unfiltered", unfiltered, pipeline.Counters{Cycles: 400, MisalignedStores: 1}, StatusOK, 400},
+	} {
+		p := New(uarch.Haswell(), tc.opts)
+		for _, unroll := range []int{4, 8} {
+			c, r := p.accept(tc.ctr, unroll, seed)
+			if r.Status != tc.status || c != tc.cycles || r.Counters != tc.ctr {
+				t.Errorf("%s, unroll %d: (%d, %v, %+v), want (%d, %v, the input counters)",
+					tc.name, unroll, c, r.Status, r.Counters, tc.cycles, tc.status)
+			}
+			switch {
+			case tc.ctr.Cycles < 1e8 && r.CleanSamples != samples:
+				t.Errorf("%s, unroll %d: %d clean samples, want all %d", tc.name, unroll, r.CleanSamples, samples)
+			case tc.ctr.Cycles >= 1e8 && r.CleanSamples >= minCleanSamples:
+				t.Errorf("%s, unroll %d: %d clean samples, want fewer than %d", tc.name, unroll, r.CleanSamples, minCleanSamples)
+			}
+		}
 	}
 }
 

@@ -189,8 +189,6 @@ func sameResult(a, b profiler.Result) bool {
 // functional pass per block. Two workers drive the group concurrently, so
 // `go test -race` checks the shared scratch.
 func TestProfileEachEqualsProfile(t *testing.T) {
-	noisy := profiler.DefaultOptions()
-	noisy.RealSampleNoise = true
 	// The case-study experiment's option set: misaligned accesses kept.
 	unfiltered := profiler.DefaultOptions()
 	unfiltered.FilterMisaligned = false
@@ -200,7 +198,6 @@ func TestProfileEachEqualsProfile(t *testing.T) {
 		opts profiler.Options
 	}{
 		{"default", profiler.DefaultOptions()},
-		{"real-sample-noise", noisy},
 		{"unfiltered", unfiltered},
 		{"mapping", profiler.MappingOptions()},
 		{"baseline", profiler.BaselineOptions()},
