@@ -150,9 +150,6 @@ func (c *Cache) Flush() {
 	clear(c.ways)
 }
 
-// ResetCounters clears the hit/miss statistics without touching contents.
-func (c *Cache) ResetCounters() { c.Hits, c.Misses = 0, 0 }
-
 // Reset cold-resets the cache to its just-constructed state — contents,
 // LRU clock and counters — so a cache allocation can be reused across
 // measurements without behavioral difference from a fresh New.

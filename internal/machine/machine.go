@@ -23,9 +23,6 @@ type Machine struct {
 	L1I *cache.Cache
 	L1D *cache.Cache
 
-	codeFrames []*vm.PhysPage // frames backing the code mapping
-	codeLen    int
-
 	// Scratch buffers recycled across Prepare/Execute/PrepareGraph calls;
 	// entries backs the entries PrepareUnrolled resolves itself, and run
 	// is the runner ExecuteMonitored executes on (its trace and access
@@ -109,8 +106,6 @@ func (m *Machine) Reset() {
 		m.L1I.Reset()
 		m.L1D.Reset()
 	}
-	m.codeFrames = m.codeFrames[:0]
-	m.codeLen = 0
 	m.forget()
 }
 
@@ -307,20 +302,10 @@ func sameShape(a, b []*memo.PreparedInst) bool {
 
 // mapCode installs the code bytes at CodeBase on dedicated frames.
 func (m *Machine) mapCode(code []byte) {
-	m.codeFrames = m.codeFrames[:0]
-	m.codeLen = len(code)
 	for off := 0; off < len(code) || off == 0; off += vm.PageSize {
 		frame := m.AS.NewPhysPage()
 		copy(frame.Data[:], code[off:])
 		m.AS.Map(CodeBase+uint64(off), frame)
-		m.codeFrames = append(m.codeFrames, frame)
-	}
-}
-
-// RemapCode restores the code mapping after UnmapAll.
-func (m *Machine) RemapCode() {
-	for i, frame := range m.codeFrames {
-		m.AS.Map(CodeBase+uint64(i*vm.PageSize), frame)
 	}
 }
 

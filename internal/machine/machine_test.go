@@ -293,11 +293,6 @@ func TestResetAndRemap(t *testing.T) {
 	if m.AS.NumMappings() == 0 {
 		t.Fatal("Prepare must map the code")
 	}
-	m.AS.UnmapAll()
-	m.RemapCode()
-	if m.AS.NumMappings() == 0 {
-		t.Fatal("RemapCode must restore the code pages")
-	}
 	m.Reset()
 	if m.AS.NumMappings() != 0 {
 		t.Fatal("Reset must clear the address space")

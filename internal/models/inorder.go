@@ -1,6 +1,10 @@
 package models
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"bhive/internal/uarch"
+)
 
 // The in-order pass computes a derived prediction without the event loop.
 // The model's scheduler issues oldest first, allocates in order and frees
@@ -10,7 +14,8 @@ import "sync/atomic"
 // detects that case and leaves the block to the event loop.
 //
 // The pass visits µops in id order and places each in a per-cycle
-// port-reservation table:
+// port-reservation ring (internal/portring, shared with the machine's
+// pass):
 //
 //   - Instruction i allocates in the first cycle, at or after the cycle
 //     of instruction i−1, whose remaining width budget is positive and
@@ -70,16 +75,10 @@ func SchedStats() SchedCounters {
 	}
 }
 
-// resv is one cycle of the reservation table.
-type resv struct {
-	ports  uint16 // ports taken: issue slots and occupancy windows
-	issued uint16 // µops issued in the cycle
-}
-
 // inOrder schedules 2k copies of the block in one pass and returns c(k)
 // and c(2k), or the reason the event loop must decide the block instead.
 func (s *simScratch) inOrder(insts []simInst, k, width, nports int) (c1, c2 int64, path schedPath) {
-	valid := uint32(1)<<nports - 1
+	valid := uarch.PortSet(1)<<nports - 1
 	copies := 2 * k
 	tmpl := s.template(insts, copies, valid)
 	nInsts := len(insts)
@@ -99,44 +98,20 @@ func (s *simScratch) inOrder(insts []simInst, k, width, nports int) (c1, c2 int6
 	}
 
 	s.done = resize(s.done, copies*U)
-	if len(s.ring) == 0 {
-		s.ring = make([]resv, 256)
-	}
 	var (
-		at      int64 // allocation cycle; the table holds cycles at..at+len(ring)
-		hi      int64 // one past the latest cycle reserved
+		at      int64 // allocation cycle: the ring holds cycles from at on
 		gone    int   // µops issued before at
 		budget  = width
 		maxDone = int64(-1)
 		id      int32
 	)
-	mask := int64(len(s.ring) - 1)
-	// nextCycle moves allocation to the next cycle, retiring at's row.
+	// nextCycle moves allocation to the next cycle, taking at's row.
 	nextCycle := func() {
-		r := &s.ring[at&mask]
-		gone += int(r.issued)
-		*r = resv{}
 		at++
+		gone += s.ring.Advance(uint64(at))
 		budget = width
 	}
-	// reach makes the table cover cycle c. At most simWindow µops issue
-	// at or after the allocation cycle, so the table stays within about
-	// simWindow·(latency + occupancy) rows.
-	reach := func(c int64) {
-		if c-at > mask {
-			mask = s.growRing(at, c)
-		}
-	}
-	defer func() {
-		// Leave the table empty for the next block.
-		if hi-at > mask {
-			clear(s.ring)
-			return
-		}
-		for c := at; c < hi; c++ {
-			s.ring[c&mask] = resv{}
-		}
-	}()
+	defer s.ring.Clear() // empty for the next block
 
 	for c := 0; c < copies; c++ {
 		tc := min(c, tmpl)
@@ -160,34 +135,17 @@ func (s *simScratch) inOrder(insts []simInst, k, width, nports int) (c1, c2 int6
 				}
 				e += u.deps
 
-				cyc := ready
-				var bit uint32
-				for {
-					reach(cyc)
-					if free := u.ports &^ uint32(s.ring[cyc&mask].ports); free != 0 {
-						bit = free & -free
-						break
-					}
-					cyc++
+				cyc, conflict := uint64(ready), false
+				if _, ok := s.ring.TryPlace(cyc, u.ports, int(u.occ)); !ok {
+					cyc, _, conflict = s.ring.Place(cyc, u.ports, int(u.occ))
 				}
 				if cyc > simMaxCycles {
 					return 0, 0, pathOther
 				}
-				r := &s.ring[cyc&mask]
-				r.ports |= uint16(bit)
-				r.issued++
-				last := cyc + max(int64(u.occ), 1) - 1
-				reach(last)
-				for o := cyc + 1; o <= last; o++ {
-					r := &s.ring[o&mask]
-					if uint32(r.ports)&bit != 0 {
-						hi = max(hi, last+1)
-						return 0, 0, pathConflict
-					}
-					r.ports |= uint16(bit)
+				if conflict {
+					return 0, 0, pathConflict
 				}
-				hi = max(hi, last+1)
-				done := cyc + int64(u.lat)
+				done := int64(cyc) + int64(u.lat)
 				s.done[id] = int32(done)
 				maxDone = max(maxDone, done)
 				id++
@@ -198,20 +156,4 @@ func (s *simScratch) inOrder(insts []simInst, k, width, nports int) (c1, c2 int6
 		}
 	}
 	return c1, maxDone + 1, pathInOrder
-}
-
-// growRing enlarges the reservation table until it covers cycles at..c,
-// keeping the rows from at on, and returns the new index mask.
-func (s *simScratch) growRing(at, c int64) int64 {
-	n := len(s.ring)
-	for c-at >= int64(n) {
-		n *= 2
-	}
-	old, om := s.ring, int64(len(s.ring)-1)
-	s.ring = make([]resv, n)
-	m := int64(n - 1)
-	for x := at; x <= at+om; x++ {
-		s.ring[x&m] = old[x&om]
-	}
-	return m
 }

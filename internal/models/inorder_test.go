@@ -63,7 +63,7 @@ func TestEventPairFork(t *testing.T) {
 		k := unrollFor(len(insts))
 		c1, c2, _, wantErr := derivedByEvent(insts, width, nports, len(insts))
 		s := new(simScratch)
-		s.template(insts, 2*k, uint32(1)<<nports-1)
+		s.template(insts, 2*k, uarch.PortSet(1)<<nports-1)
 		g1, g2, err := s.eventPair(insts, k, width, nports)
 		if err != wantErr || g1 != c1 || g2 != c2 {
 			t.Fatalf("%s: eventPair c(k), c(2k) = %d, %d (%v); two runs %d, %d (%v)", label, g1, g2, err, c1, c2, wantErr)
@@ -131,13 +131,15 @@ func TestDerivedPredictionCorpus(t *testing.T) {
 	recs := corpus.GenerateAll(scale, 7)
 	var paths [3]int
 	for _, cpu := range uarch.Extended() {
+		pure := NewIACA(cpu).opts // no table perturbation
+		pure.perturbProb, pure.vecProb, pure.divBug = 0, 0, false
 		for _, o := range []struct {
 			name string
 			opts tableOpts
 		}{
 			{"IACA", NewIACA(cpu).opts},
 			{"llvm-mca", NewLLVMMCA(cpu).opts},
-			{"IACA-pure", NewIACAPure(cpu).opts},
+			{"IACA-pure", pure},
 		} {
 			for bi := range recs {
 				b := recs[bi].Block
@@ -175,7 +177,7 @@ func explicitWire(insts []simInst, copies, nports int) *simScratch {
 		lastWriter[i] = -1
 	}
 	for k := 0; k < len(insts)*copies; k++ {
-		s.wireInst(&insts[k%len(insts)], k, &lastWriter, uint32(1)<<nports-1)
+		s.wireInst(&insts[k%len(insts)], k, &lastWriter, uarch.PortSet(1)<<nports-1)
 	}
 	s.start = append(s.start, int32(len(s.uops)))
 	return s
@@ -184,7 +186,7 @@ func explicitWire(insts []simInst, copies, nports int) *simScratch {
 // templateEdges expands the template built for copies copies into each
 // µop's producer ids, the way the in-order pass reads them.
 func templateEdges(s *simScratch, insts []simInst, copies, nports int) [][]int32 {
-	tmpl := s.template(insts, copies, uint32(1)<<nports-1)
+	tmpl := s.template(insts, copies, uarch.PortSet(1)<<nports-1)
 	U := int(s.start[len(insts)])
 	var out [][]int32
 	for c := 0; c < copies; c++ {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 
+	"bhive/internal/portring"
 	"bhive/internal/uarch"
 )
 
@@ -53,7 +54,7 @@ var (
 
 // wiredUop is one unrolled µop in the dependence arena.
 type wiredUop struct {
-	ports    uint32 // issue ports, restricted to the machine's
+	ports    uarch.PortSet // issue ports, restricted to the machine's
 	lat, occ int32
 	deps     int32 // producer edges, with multiplicity: the initial pending count
 	inst     int32 // unrolled instruction index
@@ -84,8 +85,8 @@ type simScratch struct {
 	heap    []uint64 // readyAt<<32 | id, for µops waiting on latency
 
 	// In-order pass state (inorder.go).
-	done []int32 // completion cycle of each µop
-	ring []resv  // port reservations by cycle, indexed cycle mod len
+	done []int32       // completion cycle of each µop
+	ring portring.Ring // port reservations by cycle
 
 	// fork is a shorter run's state, saved from a longer one (eventPair).
 	fork fork
@@ -156,7 +157,7 @@ func appendProducers(deps []int32, lastWriter *[simRegs]int32, regs []uint8) []i
 // wireInst appends unrolled instruction k, a copy of in, to the arena:
 // its µops, their producer edges, and its entry in start. lastWriter maps
 // each register to the µop that last wrote it, or -1.
-func (s *simScratch) wireInst(in *simInst, k int, lastWriter *[simRegs]int32, valid uint32) {
+func (s *simScratch) wireInst(in *simInst, k int, lastWriter *[simRegs]int32, valid uarch.PortSet) {
 	s.start = append(s.start, int32(len(s.uops)))
 	if in.zeroIdiom {
 		for _, w := range in.writes {
@@ -203,7 +204,7 @@ func (s *simScratch) wireInst(in *simInst, k int, lastWriter *[simRegs]int32, va
 		}
 		id := int32(len(s.uops))
 		s.uops = append(s.uops, wiredUop{
-			ports: uint32(spec.ports) & valid,
+			ports: spec.ports & valid,
 			lat:   int32(spec.lat),
 			occ:   int32(spec.occ),
 			deps:  int32(len(s.deps) - d0),
@@ -225,7 +226,7 @@ func (s *simScratch) wireInst(in *simInst, k int, lastWriter *[simRegs]int32, va
 // wire unrolls copies of the block and builds its dependence arena: it
 // wires the template, then unrolls the remaining copies from it.
 func (s *simScratch) wire(insts []simInst, copies, nports int) {
-	s.template(insts, copies, uint32(1)<<nports-1)
+	s.template(insts, copies, uarch.PortSet(1)<<nports-1)
 	s.unroll(insts, copies)
 }
 
@@ -250,7 +251,7 @@ func relState(lastWriter *[simRegs]int32, base int32) [simRegs]int32 {
 // is compared: an eliminated move aliases a register without an edge. It
 // wires at most copies copies and returns tmpl; s.copyEdge[c] is the first
 // edge of copy c for every wired copy, and s.copyEdge[tmpl+1] ends tmpl's.
-func (s *simScratch) template(insts []simInst, copies int, valid uint32) int {
+func (s *simScratch) template(insts []simInst, copies int, valid uarch.PortSet) int {
 	s.start, s.uops, s.deps = s.start[:0], s.uops[:0], s.deps[:0]
 	s.copyEdge = s.copyEdge[:0]
 	var lastWriter [simRegs]int32
@@ -386,7 +387,7 @@ func (s *simScratch) loop(insts []simInst, copies, width, nports int, st evState
 	if fk != nil {
 		forkAt, forkN = fk.insts, fk.uops
 	}
-	valid := uint32(1)<<nports - 1
+	valid := uarch.PortSet(1)<<nports - 1
 	// canAllocate reports whether the next instruction fits a fresh cycle's
 	// budget and the window.
 	canAllocate := func() bool {
@@ -435,7 +436,7 @@ func (s *simScratch) loop(insts []simInst, copies, width, nports int, st evState
 		allocated := s.start[nextInst]
 
 		// Issue, oldest first.
-		var used uint32 // ports taken this cycle, or still busy
+		var used uarch.PortSet // ports taken this cycle, or still busy
 		if maxBusy > cycle {
 			for p := 0; p < nports; p++ {
 				if portBusy[p] > cycle {
@@ -453,7 +454,7 @@ func (s *simScratch) loop(insts []simInst, copies, width, nports int, st evState
 				w++
 				continue
 			}
-			port := bits.TrailingZeros32(free)
+			port := bits.TrailingZeros16(uint16(free))
 			used |= 1 << port
 			if u.occ > 0 {
 				portBusy[port] = cycle + int64(u.occ)
@@ -558,12 +559,12 @@ func (s *simScratch) nextEvent(cycle int64, portBusy *[16]int64) int64 {
 	if len(s.heap) > 0 {
 		t = int64(s.heap[0] >> 32)
 	}
-	var want uint32
+	var want uarch.PortSet
 	for _, id := range s.ready {
 		want |= s.uops[id].ports
 	}
 	for ; want != 0; want &= want - 1 {
-		free := max(portBusy[bits.TrailingZeros32(want)], cycle+1)
+		free := max(portBusy[bits.TrailingZeros16(uint16(want))], cycle+1)
 		if t < 0 || free < t {
 			t = free
 		}

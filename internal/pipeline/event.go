@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"bhive/internal/cache"
+	"bhive/internal/portring"
 	"bhive/internal/uarch"
 )
 
@@ -80,7 +81,7 @@ type eventState struct {
 	// The in-order pass (inorder.go): retirement cycles per item, load
 	// and store, the loads' L1D replay keys and the port-reservation ring.
 	retireAt, loadRet, storeRet, loadKeys []uint64
-	ring                                  []resv
+	ring                                  portring.Ring
 }
 
 var eventPool = sync.Pool{New: func() any { return new(eventState) }}

@@ -133,12 +133,6 @@ func countPath(cfg *Config, p Path) {
 	}
 }
 
-// resv is one cycle of the reservation ring.
-type resv struct {
-	ports  uarch.PortSet // ports taken: issue slots and occupancy windows
-	issued uint16        // µops issued in the cycle
-}
-
 // Load replay keys pack (cycle << 26) | µop id; store keys are store
 // indices. Cycles stay below maxCycles < 2^26 and µop ids below 2^26
 // (heapIDBits).
@@ -184,27 +178,12 @@ func resident(g *Graph, n int, l1d *cache.Cache) bool {
 	return true
 }
 
-// fullRows records rows lo..hi−1 of the reservation ring as full for a
-// port set: every one of its ports taken. Rows only fill up until the
-// allocation cycle passes them, and no µop is placed before it again, so
-// the record stays true for the rest of the pass and a port search for
-// the set that reaches lo may jump to hi. The pass keeps 1<<fullBits
-// records, one per port-set hash; a set sharing a slot with another only
-// loses its record.
-type fullRows struct {
-	ports  uarch.PortSet
-	lo, hi uint64
-}
-
-const fullBits = 5
-
 // placed is what the in-order pass leaves for the caller: the port and
-// misalignment counts of the run, the prefix's counters and the cycle of
-// its fork, and the ring rows to clear.
+// misalignment counts of the run, and the prefix's counters and the cycle
+// of its fork.
 type placed struct {
 	ctr, lo Counters
 	forkAt  uint64 // item nLo−1's allocation cycle
-	at, top uint64 // the allocation cycle and one past the latest row reserved
 	shift   uint   // the L1D's line shift
 }
 
@@ -227,12 +206,9 @@ func (s *eventState) inOrder(cpu *uarch.CPU, g *Graph, nLo int, derive bool, l1d
 	s.loadRet = grow(s.loadRet, len(g.loads))
 	s.storeRet = grow(s.storeRet, g.numStores)
 	s.loadKeys = s.loadKeys[:0]
-	if len(s.ring) == 0 {
-		s.ring = make([]resv, 256)
-	}
 	var p placed
 	path := s.place(cpu, g, nLo, derive, l1d, &p)
-	s.clearRing(p.at, p.top)
+	s.ring.Clear()
 	if path != PathInOrder {
 		return path
 	}
@@ -273,10 +249,11 @@ func (s *eventState) place(cpu *uarch.CPU, g *Graph, nLo int, derive bool, l1d *
 	maxFused, noBufs := min(issueWidth, robSize), loadBufs < 1 || storeBufs < 1
 	shift := lineShift(l1d)
 	p.shift = shift
-	is := issuer{ring: s.ring, mask: uint64(len(s.ring) - 1), valid: uarch.PortSet(1<<cpu.NumPorts - 1)}
+	ring := &s.ring
+	is := issuer{valid: uarch.PortSet(1<<cpu.NumPorts - 1)}
 
 	var (
-		at      uint64 // allocation cycle: the ring holds cycles at..at+is.mask
+		at      uint64 // allocation cycle: the ring holds cycles from at on
 		gone    int    // µops issued before at
 		budget  = issueWidth
 		rsUsed  int // µops allocated, less gone
@@ -293,7 +270,7 @@ func (s *eventState) place(cpu *uarch.CPU, g *Graph, nLo int, derive bool, l1d *
 		nExec := int(next - first)
 		li, si := itemLoad[i], itemStore[i]
 		if f > maxFused || nExec > rsSize || noBufs && (li >= 0 && loadBufs < 1 || si >= 0 && storeBufs < 1) {
-			return p.end(PathOverWide, at, is.top)
+			return PathOverWide
 		}
 
 		// Allocate: fetch, then the ROB and buffer slots older items
@@ -319,21 +296,17 @@ func (s *eventState) place(cpu *uarch.CPU, g *Graph, nLo int, derive bool, l1d *
 		// Moving the allocation cycle on retires the rows it passes: their
 		// µops have left the RS, and no µop is placed before at again.
 		if c > at {
-			for ; at < c && at < is.top; at++ {
-				gone += is.takeRow(at)
-			}
+			gone += ring.Advance(c)
 			at, budget = c, issueWidth
 		}
 		// RS slots free at issue, which follows allocation in a cycle.
 		for budget <= 0 || f > budget || rsUsed-gone+nExec > rsSize {
-			if at < is.top {
-				gone += is.takeRow(at)
-			}
 			at++
+			gone += ring.Advance(at)
 			budget = issueWidth
 		}
 		if at >= maxCycles {
-			return p.end(PathCycleCap, at, is.top)
+			return PathCycleCap
 		}
 		alloc := at
 		budget -= f
@@ -343,7 +316,7 @@ func (s *eventState) place(cpu *uarch.CPU, g *Graph, nLo int, derive bool, l1d *
 		// Issue each µop in id order.
 		done, path := is.issue(s, cpu, g, i, li, first, next, at, p)
 		if path != PathInOrder {
-			return p.end(path, at, is.top)
+			return path
 		}
 
 		// Retire in order, RetireWidth fused µops a cycle; a wide item
@@ -353,7 +326,7 @@ func (s *eventState) place(cpu *uarch.CPU, g *Graph, nLo int, derive bool, l1d *
 			e++
 		}
 		if e >= maxCycles {
-			return p.end(PathCycleCap, at, is.top)
+			return PathCycleCap
 		}
 		if e > rCycle {
 			rCycle, rBudget = e, retireWidth
@@ -376,7 +349,7 @@ func (s *eventState) place(cpu *uarch.CPU, g *Graph, nLo int, derive bool, l1d *
 		}
 	}
 	p.ctr.PortUops = is.portUops
-	return p.end(PathInOrder, at, is.top)
+	return PathInOrder
 }
 
 // storeGate returns the cycle from which item i's load (load index li),
@@ -422,34 +395,13 @@ func (s *eventState) loadExtra(cpu *uarch.CPU, g *Graph, li, id int32, fwd int32
 	return 0
 }
 
-// end records the ring rows a pass that ends at allocation cycle at has
-// reserved, and returns path.
-func (p *placed) end(path Path, at, top uint64) Path {
-	p.at, p.top = at, top
-	return path
-}
-
-// issuer is the in-order pass's issue stage: the reservation ring and the
-// port counts. It is kept apart from the allocation and retire state, so
-// fewer values are live in the µop loop.
+// issuer is the in-order pass's issue stage apart from the ring: the
+// dependence cursor and the port counts. It is kept apart from the
+// allocation and retire state, so fewer values are live in the µop loop.
 type issuer struct {
-	ring  []resv
-	mask  uint64 // len(ring)−1: row c holds cycle c&mask
-	top   uint64 // one past the latest cycle reserved
-	dp    int32  // the next µop's first producer in g.deps
-	valid uarch.PortSet
-	// full records the rows known full, by port-set hash (fullRows).
-	full     [1 << fullBits]fullRows
+	dp       int32 // the next µop's first producer in g.deps
+	valid    uarch.PortSet
 	portUops [16]uint64
-}
-
-// takeRow clears the row of cycle c as the allocation cycle passes it and
-// returns the µops issued in it.
-func (is *issuer) takeRow(c uint64) int {
-	r := &is.ring[c&is.mask]
-	n := int(r.issued)
-	*r = resv{}
-	return n
 }
 
 // issue places µops first..next−1 of item i (load index li), allocated in
@@ -459,7 +411,7 @@ func (is *issuer) takeRow(c uint64) int {
 // retire stage). The path is PathInOrder, or the reason the event
 // scheduler must time the run.
 func (is *issuer) issue(s *eventState, cpu *uarch.CPU, g *Graph, i int, li int32, first, next int32, at uint64, p *placed) (uint64, Path) {
-	ring, mask, top, dp, valid := is.ring, is.mask, is.top, is.dp, is.valid
+	ring, dp, valid := &s.ring, is.dp, is.valid
 	uopSpec, depHi, deps, doneAt := g.uopSpec[:next], g.depHi[:next], g.deps, s.doneAt[:next]
 	done := at + 1
 	path := PathInOrder
@@ -481,57 +433,16 @@ func (is *issuer) issue(s *eventState, cpu *uarch.CPU, g *Graph, i int, li int32
 		if load {
 			ready, fwd = s.storeGate(g, i, li, ready)
 		}
-		// Take the first row from ready with one of the ports free. A
-		// search past full rows starts after the rows it knows to be
-		// full for this port set, and records the ones it passes.
+		// Take the first row from ready with one of the ports free; the
+		// ring is called out of line only for a full row or a window.
 		cyc := ready
-		if cyc-at > mask {
-			ring, mask = s.growRing(at, cyc)
-		}
-		free := ports &^ ring[cyc&mask].ports
-		if free == 0 {
-			h := &is.full[uint32(ports)*0x9E3779B1>>(32-fullBits)]
-			if h.ports == ports && h.lo <= cyc && cyc < h.hi {
-				cyc = h.hi
-			}
-			from := cyc
-			for {
-				if cyc-at > mask {
-					ring, mask = s.growRing(at, cyc)
-				}
-				if free = ports &^ ring[cyc&mask].ports; free != 0 {
-					break
-				}
-				cyc++
-			}
-			if h.ports == ports && from == h.hi {
-				h.hi = cyc
-			} else {
-				*h = fullRows{ports, from, cyc}
-			}
-		}
-		bit := free & -free
-		r := &ring[cyc&mask]
-		r.ports |= bit
-		r.issued++
-		last := cyc
-		if u.Occupancy > 1 {
-			last = cyc + uint64(u.Occupancy) - 1
-			if last-at > mask {
-				ring, mask = s.growRing(at, last)
-			}
-		}
-		top = max(top, last+1)
-		for o := cyc + 1; o <= last; o++ {
-			r := &ring[o&mask]
-			if r.ports&bit != 0 {
+		bit, ok := ring.TryPlace(ready, ports, int(u.Occupancy))
+		if !ok {
+			var conflict bool
+			if cyc, bit, conflict = ring.Place(ready, ports, int(u.Occupancy)); conflict {
 				path = PathConflict // the older µop would have moved
 				break
 			}
-			r.ports |= bit
-		}
-		if path != PathInOrder {
-			break
 		}
 		is.portUops[bits.TrailingZeros16(uint16(bit))&15]++
 		lat := uint64(u.Lat)
@@ -541,24 +452,8 @@ func (is *issuer) issue(s *eventState, cpu *uarch.CPU, g *Graph, i int, li int32
 		doneAt[id] = cyc + lat
 		done = max(done, cyc+max(lat, 1))
 	}
-	is.ring, is.mask, is.top, is.dp = ring, mask, top, dp
+	is.dp = dp
 	return done, path
-}
-
-// clearRing leaves the ring empty for the next run: rows at..top−1 may
-// hold reservations.
-func (s *eventState) clearRing(at, top uint64) {
-	if top <= at {
-		return
-	}
-	if top-at >= uint64(len(s.ring)) {
-		clear(s.ring)
-		return
-	}
-	m := uint64(len(s.ring) - 1)
-	for c := at; c < top; c++ {
-		s.ring[c&m] = resv{}
-	}
 }
 
 // replay makes, in the event loop's order, the L1D accesses of the stores
@@ -585,20 +480,4 @@ func (s *eventState) replay(g *Graph, l1d *cache.Cache, keys []uint64, ns, nu, f
 	for ; k < len(stores); k++ {
 		l1d.AccessRange(stores[k].phys, int(stores[k].size))
 	}
-}
-
-// growRing enlarges the reservation ring until it covers cycles at..c,
-// keeping the rows from at on, and returns it with its index mask.
-func (s *eventState) growRing(at, c uint64) ([]resv, uint64) {
-	n := uint64(len(s.ring))
-	for c-at >= n {
-		n *= 2
-	}
-	old, om := s.ring, uint64(len(s.ring)-1)
-	s.ring = make([]resv, n)
-	m := n - 1
-	for x := at; x <= at+om; x++ {
-		s.ring[x&m] = old[x&om]
-	}
-	return s.ring, m
 }

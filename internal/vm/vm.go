@@ -90,17 +90,6 @@ func (as *AddressSpace) Map(vaddr uint64, frame *PhysPage) {
 	as.pages[vaddr&PageMask] = frame
 }
 
-// Unmap removes the mapping covering vaddr.
-func (as *AddressSpace) Unmap(vaddr uint64) {
-	delete(as.pages, vaddr&PageMask)
-}
-
-// UnmapAll clears the page table (BHive unmaps everything except the code
-// pages before the mapping run).
-func (as *AddressSpace) UnmapAll() {
-	as.pages = make(map[uint64]*PhysPage)
-}
-
 // Reset restores the address space to its just-constructed state — no
 // mappings and frame numbering starting over at 1 — reusing the page-table
 // allocation. Physical addresses (frame ID × PageSize) are therefore

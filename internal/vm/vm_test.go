@@ -50,6 +50,31 @@ func TestFaultReporting(t *testing.T) {
 	if ok || f.Addr != 0x5000 || !f.Write {
 		t.Fatalf("got %+v, %v", f, ok)
 	}
+	if got, want := f.Error(), "vm: page fault: write of unmapped address 0x5000"; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
+	}
+}
+
+// TestResetRecyclesFrames pins Reset: no mappings, frame numbering from 1
+// again, and each frame recycled once however many pages mapped it, then
+// handed out zeroed before any fresh frame.
+func TestResetRecyclesFrames(t *testing.T) {
+	as := New()
+	p := as.NewPhysPage()
+	p.Fill(0xdeadbeef)
+	as.Map(0x10000, p)
+	as.Map(0x20000, p) // one frame under two pages
+	as.Reset()
+	if as.NumMappings() != 0 {
+		t.Fatalf("%d mappings after Reset", as.NumMappings())
+	}
+	q := as.NewPhysPage()
+	if q != p || q.ID != 1 || q.Data != ([PageSize]byte{}) {
+		t.Fatalf("first frame after Reset: recycled %v, ID %d; want the zeroed frame numbered 1", q == p, q.ID)
+	}
+	if r := as.NewPhysPage(); r == p || r.ID != 2 {
+		t.Fatalf("second frame after Reset: recycled %v, ID %d; want a fresh frame numbered 2", r == p, r.ID)
+	}
 }
 
 func TestCrossPageAccess(t *testing.T) {
@@ -73,8 +98,9 @@ func TestCrossPageAccess(t *testing.T) {
 	if p1.Data[PageSize-4] != 1 || p2.Data[3] != 8 {
 		t.Fatal("bytes must straddle the frames")
 	}
-	// Fault midway: second page unmapped.
-	as.Unmap(0x11000)
+	// Fault midway: only the first page mapped.
+	as = New()
+	as.Map(0x10000, as.NewPhysPage())
 	if f, ok := as.Access(0x10FFC, data, true); ok || f.Addr != 0x11000 {
 		t.Fatalf("got %+v, %v; want a fault on the second page", f, ok)
 	}
@@ -106,15 +132,5 @@ func TestValidUserAddress(t *testing.T) {
 		if got := ValidUserAddress(addr); got != want {
 			t.Errorf("ValidUserAddress(%#x) = %v", addr, got)
 		}
-	}
-}
-
-func TestUnmapAll(t *testing.T) {
-	as := New()
-	as.Map(0x10000, as.NewPhysPage())
-	as.Map(0x20000, as.NewPhysPage())
-	as.UnmapAll()
-	if as.NumMappings() != 0 {
-		t.Fatal("unmap all")
 	}
 }
